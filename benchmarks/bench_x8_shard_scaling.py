@@ -40,6 +40,7 @@ import json
 from pathlib import Path
 
 from repro.analysis import render_table
+from repro.config import EngineConfig
 from repro.workloads.shard_scaling import (
     measure_pipelined_ingestion,
     measure_shard_scaling,
@@ -126,7 +127,9 @@ def test_x8_sharded_planning_beats_single_table(benchmark):
     )
 
     universe = build_scaling_universe(3_000)
-    workload = ScalingWorkload(build_shard_rules(3_000, universe), shards=4)
+    workload = ScalingWorkload(
+        build_shard_rules(3_000, universe), EngineConfig.from_env(shards=4)
+    )
     stream = build_shaped_blocks(universe, 12, seed=5)
     for block in stream:
         workload.feed_block(block)

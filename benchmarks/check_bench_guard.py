@@ -59,12 +59,12 @@ def _check_equivalence(results: dict, failures: list[str]) -> None:
 def check_x7(
     results: dict, limits: dict, tolerance: float, failures: list[str]
 ) -> None:
-    minimum = _relax(limits["min_planning_speedup"], tolerance)
+    minimum = _relax(limits["min_check_speedup"], tolerance)
     for row in results["rule_scaling"]:
         _check(
-            row["planning_speedup"] >= minimum,
-            f"{row['rules']} rules: routed planning beats the full scan "
-            f"({row['planning_speedup']}x >= {minimum:.2f}x)",
+            row["check_speedup"] >= minimum,
+            f"{row['rules']} rules: the routed check beats the exhaustive scan "
+            f"({row['check_speedup']}x >= {minimum:.2f}x)",
             failures,
         )
     bulk_minimum = _relax(limits["min_bulk_ingest_speedup"], tolerance)

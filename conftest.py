@@ -1,23 +1,31 @@
 """Root pytest configuration: the ``--shards`` / ``--shard-mode`` switches.
 
-``pytest --shards N`` exports ``CHIMERA_SHARDS=N`` before the suite imports
-the package, which makes every :class:`repro.oodb.database.ChimeraDatabase`
-construct a :class:`repro.cluster.sharding.ShardedRuleTable` and a
-:class:`repro.cluster.coordinator.ShardCoordinator` by default — the whole
-suite then exercises the sharded planner (CI runs it with ``--shards 4``
-alongside the plain run).  ``--shard-mode serial|threads|processes`` exports
-``CHIMERA_SHARD_MODE`` the same way, so ``--shards 4 --shard-mode processes``
-runs every database's shard checks on the process worker pool.
-``--compiled-checks`` exports ``CHIMERA_COMPILED_CHECKS=1``, running every
-exact triggering check through the compiled closures of
-:mod:`repro.core.compile` instead of the interpreted evaluator.  Defined here,
-not in ``tests/conftest.py``, because option registration must happen in an
-initial conftest.
+The options set the same ``CHIMERA_*`` variables the engine's configuration
+record reads (:data:`repro.config.ENV_NAMES`), so every
+:class:`repro.oodb.database.ChimeraDatabase` and every test that resolves
+``EngineConfig.from_env()`` picks them up: ``pytest --shards N`` runs the
+whole suite behind an N-shard coordinator (CI runs it with ``--shards 4``
+alongside the plain run), ``--shard-mode serial|threads|processes`` selects
+how those shard checks execute, and ``--compiled-checks`` runs every exact
+triggering check through the compiled closures of :mod:`repro.core.compile`
+instead of the interpreted evaluator.  The record is resolved once here, so a
+bad option — or a malformed ambient ``CHIMERA_*`` value — fails the run before
+collection instead of silently falling back.  Defined here, not in
+``tests/conftest.py``, because option registration must happen in an initial
+conftest.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+
+# The suite normally runs with PYTHONPATH=src; make this file's own import of
+# the record work without it too (benchmarks/e2e/test_e2e_smoke.py does the
+# same for itself).
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "src"))
+
+from repro.config import ENV_NAMES, SHARD_MODES, EngineConfig  # noqa: E402
 
 
 def pytest_addoption(parser):
@@ -29,7 +37,7 @@ def pytest_addoption(parser):
     )
     parser.addoption(
         "--shard-mode",
-        choices=["serial", "threads", "processes"],
+        choices=SHARD_MODES,
         default=None,
         help="shard-check execution mode for every sharded ChimeraDatabase",
     )
@@ -44,9 +52,10 @@ def pytest_addoption(parser):
 def pytest_configure(config):
     shards = config.getoption("--shards")
     if shards:
-        os.environ["CHIMERA_SHARDS"] = str(shards)
+        os.environ[ENV_NAMES["shards"]] = str(shards)
     shard_mode = config.getoption("--shard-mode")
     if shard_mode:
-        os.environ["CHIMERA_SHARD_MODE"] = shard_mode
+        os.environ[ENV_NAMES["shard_mode"]] = shard_mode
     if config.getoption("--compiled-checks"):
-        os.environ["CHIMERA_COMPILED_CHECKS"] = "1"
+        os.environ[ENV_NAMES["use_compiled_checks"]] = "1"
+    EngineConfig.from_env()

@@ -22,17 +22,12 @@ Installed as the ``chimera-events`` console script (or run with
 ``workload``
     Drive a synthetic rule/stream workload through the full block→trigger
     pipeline (subscription-index planning, priority heaps); ``--bulk-ingest``
-    routes blocks through the Event Base's batched ``extend`` fast path,
-    ``--full-scan`` disables the subscription index for comparison,
-    ``--shards N`` partitions the planning across a shard coordinator,
-    ``--shard-mode serial|threads|processes`` selects how the per-shard
-    checks execute (``processes`` = the multi-core worker pool;
-    ``--parallel-shards`` is the legacy spelling of ``threads``),
-    ``--plan-cache-size`` overrides the LRU bound of the route/plan caches,
-    ``--batch-blocks N`` coalesces N stream blocks per trigger-check
-    dispatch trip (the micro-batched worker dispatch of PR 5), and
-    ``--compiled-checks`` evaluates the exact checks through the compiled
-    per-rule closures of PR 6 instead of the interpreted evaluator.
+    routes blocks through the Event Base's batched ``extend`` fast path.
+    The engine flags map one-to-one onto :class:`repro.config.EngineConfig`
+    fields (``--shards``, ``--shard-mode``, ``--plan-cache-size``,
+    ``--batch-blocks``, ``--compiled-checks``, ``--transport``,
+    ``--adaptive-batch``); a flag left out falls back to its ``CHIMERA_*``
+    variable and then the default, and the report prints the resolved record.
 ``bench``
     Run a benchmark sweep from the installed package (``x7``, the rule-count
     scaling / bulk-ingestion bench; ``x8``, the shard-scaling /
@@ -45,10 +40,12 @@ Installed as the ``chimera-events`` console script (or run with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Sequence
 
 from repro.analysis.reporting import render_kv, render_table
+from repro.config import SHARD_MODES, TRANSPORTS, EngineConfig
 from repro.core.evaluation import evaluate
 from repro.core.explain import explain
 from repro.core.optimization import format_variations, variation_set
@@ -144,29 +141,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="ingest each block through the Event Base's batched extend fast path",
     )
     workload_parser.add_argument(
-        "--full-scan",
-        action="store_true",
-        help="disable the subscription index (visit every untriggered rule per block)",
-    )
-    workload_parser.add_argument(
         "--shards",
         type=int,
-        default=0,
+        default=None,
         help="partition trigger planning across N shards (0 = single table)",
     )
     workload_parser.add_argument(
         "--shard-mode",
-        choices=["serial", "threads", "processes"],
+        choices=SHARD_MODES,
         default=None,
         help=(
-            "how per-shard checks execute (requires --shards): serial inline, "
-            "a thread pool, or long-lived shard worker processes"
+            "how per-shard checks execute: serial inline, a thread pool, or "
+            "long-lived shard worker processes"
         ),
-    )
-    workload_parser.add_argument(
-        "--parallel-shards",
-        action="store_true",
-        help="legacy alias for --shard-mode threads (requires --shards)",
     )
     workload_parser.add_argument(
         "--plan-cache-size",
@@ -177,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload_parser.add_argument(
         "--batch-blocks",
         type=int,
-        default=1,
+        default=None,
         help=(
             "coalesce this many stream blocks per trigger-check dispatch trip "
             "(amortizes the process-mode worker round trip; 1 = per-block)"
@@ -187,19 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--compiled-checks",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help=(
-            "evaluate exact checks through the compiled per-rule closures "
-            "(default: the $CHIMERA_COMPILED_CHECKS ambient setting)"
-        ),
+        help="evaluate exact checks through the compiled per-rule closures",
     )
     workload_parser.add_argument(
         "--transport",
-        choices=["pickle", "shm", "tcp"],
+        choices=TRANSPORTS,
         default=None,
         help=(
             "delta transport of the processes shard mode: pickled snapshots, "
-            "the shared-memory row ring, or length-prefixed socket frames "
-            "(default: the $CHIMERA_TRANSPORT ambient setting, then pickle)"
+            "the shared-memory row ring, or length-prefixed socket frames"
         ),
     )
     workload_parser.add_argument(
@@ -208,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "size dispatch trips with the closed-loop controller instead of "
-            "the static --batch-blocks bound "
-            "(default: the $CHIMERA_ADAPTIVE_BATCH ambient setting, off)"
+            "the static --batch-blocks bound"
         ),
     )
     workload_parser.add_argument(
@@ -221,10 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-json",
         default=None,
         metavar="PATH",
-        help=(
-            "append the final metrics snapshot to this JSON-lines file "
-            "(ambient alternative: $CHIMERA_METRICS on any engine)"
-        ),
+        help="append the final metrics snapshot to this JSON-lines file",
     )
 
     bench_parser = commands.add_parser("bench", help="run a benchmark sweep")
@@ -243,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one TCP shard worker against a remote coordinator",
         description=(
             "Connect to a coordinator endpoint (chimera workload --transport "
-            "tcp with $CHIMERA_TCP_SPAWN=0) and serve shard checks until the "
+            "tcp with tcp_spawn off) and serve shard checks until the "
             "coordinator stops it.  The worker id and token must match what "
             "the coordinator printed at startup."
         ),
@@ -356,30 +335,6 @@ def _command_stock_demo(args: argparse.Namespace) -> int:
 
 
 def _command_workload(args: argparse.Namespace) -> int:
-    if (args.parallel_shards or args.shard_mode) and not args.shards:
-        print("error: --shard-mode/--parallel-shards require --shards", file=sys.stderr)
-        return 2
-    if args.plan_cache_size is not None:
-        if not args.shards:
-            print("error: --plan-cache-size requires --shards", file=sys.stderr)
-            return 2
-        if args.plan_cache_size < 1:
-            print(
-                f"error: --plan-cache-size must be positive (got {args.plan_cache_size})",
-                file=sys.stderr,
-            )
-            return 2
-    if args.batch_blocks < 1:
-        print(
-            f"error: --batch-blocks must be positive (got {args.batch_blocks})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.full_scan and args.shards:
-        # The shard coordinator has nothing to fan out without the
-        # subscription index; refuse rather than silently run the scan.
-        print("error: --full-scan and --shards are mutually exclusive", file=sys.stderr)
-        return 2
     from repro.obs import JsonLinesExporter, MetricsRegistry, render_metrics_report
     from repro.workloads.generator import EventStreamGenerator
     from repro.workloads.rule_scaling import (
@@ -388,9 +343,15 @@ def _command_workload(args: argparse.Namespace) -> int:
         build_scaling_universe,
     )
 
-    shard_mode = args.shard_mode
-    if shard_mode is None and args.parallel_shards:
-        shard_mode = "threads"
+    config = EngineConfig.from_env(
+        shards=args.shards,
+        shard_mode=args.shard_mode,
+        plan_cache_size=args.plan_cache_size,
+        batch_blocks=args.batch_blocks,
+        use_compiled_checks=args.compiled_checks,
+        transport=args.transport,
+        adaptive_batch=args.adaptive_batch,
+    )
     # The registry is always on for the CLI workload: the report/export flags
     # only decide whether its snapshot is *surfaced* (the x12 bench pins the
     # instrumentation overhead under 3%).
@@ -398,26 +359,15 @@ def _command_workload(args: argparse.Namespace) -> int:
     universe = build_scaling_universe(args.rules)
     workload = ScalingWorkload(
         build_scaling_rules(args.rules, universe, seed=args.seed),
-        use_subscription_index=not args.full_scan,
+        config,
         bulk_ingest=args.bulk_ingest,
-        shards=args.shards,
-        shard_mode=shard_mode,
-        plan_cache_size=args.plan_cache_size,
-        batch_blocks=args.batch_blocks,
-        use_compiled_checks=args.compiled_checks,
         metrics=metrics,
-        transport=args.transport,
-        adaptive_batch=args.adaptive_batch,
     )
     stream = EventStreamGenerator(
         event_types=universe, seed=args.seed + 1, events_per_block=args.events_per_block
     ).blocks(args.blocks)
     try:
         outcome = workload.run(stream)
-        if args.shards > 0:
-            planning = f"sharded x{args.shards} ({shard_mode or 'serial'})"
-        else:
-            planning = "full scan" if args.full_scan else "subscription index"
         print(
             render_kv(
                 {
@@ -427,13 +377,6 @@ def _command_workload(args: argparse.Namespace) -> int:
                     "ingest mode": (
                         "bulk extend" if args.bulk_ingest else "per-append loop"
                     ),
-                    "planning": planning,
-                    "batch blocks": args.batch_blocks,
-                    "exact checks": (
-                        "compiled"
-                        if workload.support.use_compiled_checks
-                        else "interpreted"
-                    ),
                     "ingest ms": round(outcome.ingest_seconds * 1e3, 2),
                     "check ms": round(outcome.check_seconds * 1e3, 2),
                     "select ms": round(outcome.select_seconds * 1e3, 2),
@@ -442,8 +385,9 @@ def _command_workload(args: argparse.Namespace) -> int:
                 title="workload",
             )
         )
+        print(render_kv(dataclasses.asdict(config), title="EngineConfig"))
         print(render_kv(outcome.stats, title="Trigger Support"))
-        if args.shards > 0:
+        if config.shards > 0:
             table = workload.rule_table
             cluster = dict(workload.support.cluster_stats.as_dict())
             cluster["plan_cache_hits"] = table.plan_cache_hits

@@ -20,7 +20,7 @@ package scales along:
 * :mod:`repro.cluster.streaming` — :class:`StreamIngestor`, the bounded-queue
   pipeline that decouples producers from rule evaluation and coalesces
   backlogged blocks into micro-batched dispatch trips
-  (``max_batch_blocks`` / ``$CHIMERA_BATCH_BLOCKS``).
+  (``EngineConfig.batch_blocks``).
 
 See PERFORMANCE.md ("Sharded trigger planning", "Multi-process shard
 workers" and "Batched worker dispatch") for the architecture notes and
@@ -36,28 +36,14 @@ from repro.cluster.coordinator import (
 from repro.cluster.process_pool import ProcessShardPool
 from repro.cluster.sharding import (
     DEFAULT_PLAN_CACHE_SIZE,
-    DEFAULT_SHARD_ENV_VAR,
-    DEFAULT_SHARD_MODE_ENV_VAR,
-    SHARD_MODES,
     ShardedRuleTable,
-    default_shard_count,
-    default_shard_mode,
     home_shard,
     shard_of_bucket,
 )
-from repro.cluster.streaming import (
-    DEFAULT_BATCH_ENV_VAR,
-    StreamIngestStats,
-    StreamIngestor,
-    default_batch_blocks,
-)
+from repro.cluster.streaming import StreamIngestStats, StreamIngestor
 
 __all__ = [
-    "DEFAULT_BATCH_ENV_VAR",
     "DEFAULT_PLAN_CACHE_SIZE",
-    "DEFAULT_SHARD_ENV_VAR",
-    "DEFAULT_SHARD_MODE_ENV_VAR",
-    "SHARD_MODES",
     "ProcessShardPool",
     "ShardCoordinator",
     "ShardCoordinatorStats",
@@ -65,9 +51,6 @@ __all__ = [
     "ShardedRuleTable",
     "StreamIngestStats",
     "StreamIngestor",
-    "default_batch_blocks",
-    "default_shard_count",
-    "default_shard_mode",
     "home_shard",
     "shard_of_bucket",
 ]

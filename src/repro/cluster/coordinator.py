@@ -49,10 +49,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.evaluation import EvaluationMode, EvaluationStats
+from repro.config import EngineConfig
+from repro.core.evaluation import EvaluationStats
 from repro.core.triggering import TriggeringDecision
 from repro.cluster.process_pool import ProcessShardPool
-from repro.cluster.sharding import SHARD_MODES, ShardedRuleTable
+from repro.cluster.sharding import ShardedRuleTable
 from repro.events.clock import Timestamp
 from repro.events.event import EventOccurrence, EventType
 from repro.events.event_base import EventBase
@@ -114,50 +115,23 @@ class ShardCoordinator(TriggerSupport):
     """A Trigger Support that plans and checks through a sharded rule table.
 
     Drop-in for :class:`TriggerSupport` (``recheck_all``, the stats object and
-    the full-scan fallbacks are inherited); only the routed
-    ``check_after_block`` path is replaced by the shard fan-out.
+    the exhaustive-scan baseline are inherited); only the routed
+    ``check_after_block`` path is replaced by the shard fan-out.  The shard
+    count is the table's; ``config.shard_mode`` / ``config.transport`` decide
+    how the per-shard checks execute.
     """
 
     def __init__(
         self,
         rule_table: ShardedRuleTable,
         event_base: EventBase,
-        use_static_optimization: bool = True,
-        mode: EvaluationMode = EvaluationMode.LOGICAL,
-        use_subscription_index: bool = True,
-        shard_mode: str | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        use_compiled_checks: bool | None = None,
+        config: EngineConfig = EngineConfig(),
         metrics: MetricsRegistry | None = None,
-        transport: str | None = None,
     ) -> None:
         if not isinstance(rule_table, ShardedRuleTable):
             raise TypeError("ShardCoordinator requires a ShardedRuleTable")
-        super().__init__(
-            rule_table,
-            event_base,
-            use_static_optimization=use_static_optimization,
-            mode=mode,
-            use_subscription_index=use_subscription_index,
-            use_compiled_checks=use_compiled_checks,
-            metrics=metrics,
-        )
-        # ``parallel=True`` is the PR-3 spelling of what is now
-        # ``shard_mode="threads"``; an explicit shard_mode wins.
-        if shard_mode is None:
-            shard_mode = "threads" if parallel else "serial"
-        if shard_mode not in SHARD_MODES:
-            raise ValueError(
-                f"unknown shard_mode {shard_mode!r}; expected one of {', '.join(SHARD_MODES)}"
-            )
-        self.shard_mode = shard_mode
-        self.parallel = shard_mode == "threads"
-        self.max_workers = max_workers
-        #: Delta transport of the process pool (``None`` defers to
-        #: ``$CHIMERA_TRANSPORT``, then ``pickle``); irrelevant to the other
-        #: modes, which share the coordinator's address space.
-        self.transport = transport
+        super().__init__(rule_table, event_base, config, metrics)
+        self.shard_mode = config.shard_mode
         self._pool: ThreadPoolExecutor | None = None
         self._process_pool: ProcessShardPool | None = None
         #: Plan epoch at the last worker-definition prune (processes mode).
@@ -255,9 +229,8 @@ class ShardCoordinator(TriggerSupport):
         transaction_start: Timestamp,
         type_signature: frozenset[EventType] | None = None,
     ) -> list[RuleState]:
-        if not (self.use_static_optimization and self.use_subscription_index):
-            # Without the index (or the filter) there is nothing to fan out;
-            # the inherited exhaustive paths keep the comparison modes alive.
+        if not self.use_static_optimization:
+            # The exhaustive baseline has nothing to fan out.
             return super().check_after_block(
                 new_occurrences, now, transaction_start, type_signature
             )
@@ -380,7 +353,7 @@ class ShardCoordinator(TriggerSupport):
         trip is dealt per home worker (each rule's segments stay on one
         thread, in order); the serial mode evaluates the same dealing inline.
         """
-        if not (self.use_static_optimization and self.use_subscription_index):
+        if not self.use_static_optimization:
             return super().check_after_blocks(blocks, transaction_start)
         if len(blocks) == 1:
             occurrences, now = blocks[0]
@@ -549,7 +522,7 @@ class ShardCoordinator(TriggerSupport):
         transaction_start: Timestamp,
     ) -> list[list[tuple[RuleState, TriggeringDecision]]]:
         """Ship a whole trip to the process workers — one message per worker."""
-        num_workers = self._process_worker_count()
+        num_workers = self.rule_table.num_shards
         if self._process_pool is not None:
             self._prune_worker_defs(self._process_pool)
         with self._dispatch_hist.time():
@@ -582,20 +555,13 @@ class ShardCoordinator(TriggerSupport):
         shard = owners[0] if owners else table.home_shard_of(state.rule.name)
         return shard % num_workers
 
-    def _process_worker_count(self) -> int:
-        """Worker count of the process pool (computable without spawning it)."""
-        workers = self.rule_table.num_shards
-        if self.max_workers:
-            workers = min(workers, self.max_workers)
-        return workers
-
     def _evaluate_in_processes(
         self,
         plan: ShardedPlan,
         now: Timestamp,
         transaction_start: Timestamp,
     ) -> tuple[list[tuple[RuleState, TriggeringDecision]], EvaluationStats]:
-        num_workers = self._process_worker_count()
+        num_workers = self.rule_table.num_shards
         if self._process_pool is not None:
             # Eager, epoch-gated: keeps the shipping bookkeeping bounded by
             # the live rule population even across candidate-free blocks
@@ -643,11 +609,9 @@ class ShardCoordinator(TriggerSupport):
         other modes keep the inherited serial recheck (their memos live on
         the coordinator's rule states).
         """
-        if self.shard_mode != "processes" or not (
-            self.use_static_optimization and self.use_subscription_index
-        ):
+        if self.shard_mode != "processes" or not self.use_static_optimization:
             return super().recheck_all(now, transaction_start)
-        num_workers = self._process_worker_count()
+        num_workers = self.rule_table.num_shards
         assignments: dict[int, list[tuple[RuleState, Timestamp]]] = {}
         for state in self.rule_table.untriggered_states():
             assignments.setdefault(self._worker_of(state, num_workers), []).append(
@@ -675,20 +639,16 @@ class ShardCoordinator(TriggerSupport):
     # -- worker pools ------------------------------------------------------------
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            workers = self.max_workers or min(8, self.rule_table.num_shards)
             self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="shard-check"
+                max_workers=min(8, self.rule_table.num_shards),
+                thread_name_prefix="shard-check",
             )
         return self._pool
 
     def _ensure_process_pool(self) -> ProcessShardPool:
         if self._process_pool is None:
             self._process_pool = ProcessShardPool(
-                self._process_worker_count(),
-                mode=self.mode,
-                use_compiled_checks=self.use_compiled_checks,
-                metrics=self.metrics,
-                transport=self.transport,
+                self.rule_table.num_shards, self.config, metrics=self.metrics
             )
             # Transport health (messages, bytes, worker restarts) folds into
             # the same snapshot as everything else.

@@ -20,9 +20,10 @@ process tree**, on the same host or another one:
   background thread; the pool keeps its synchronous trip protocol and talks
   to each worker through a thin channel facade
   (``run_coroutine_threadsafe``).  Workers handshake with a per-pool token
-  (``("hello", worker_id, token)``) and receive the engine config
-  (evaluation mode, compiled checks, metrics flag) in the reply — a remote
-  ``chimera-events worker`` needs the address and token, nothing else.
+  (``("hello", worker_id, token)``, compared in constant time) and receive
+  the coordinator's :class:`~repro.config.EngineConfig` record itself (plus
+  the metrics flag) in the reply — a remote ``chimera-events worker`` needs
+  the address and token, nothing else.
 * **Reconnects** — a new hello for an already-registered worker id replaces
   the channel and is reported through ``poll_refreshed()``: the pool resets
   that worker's shipping bookkeeping, so its next message re-ships every
@@ -32,16 +33,16 @@ process tree**, on the same host or another one:
 
 By default the transport binds ``127.0.0.1`` on an ephemeral port and forks
 its own localhost workers — single-host testing needs no setup.  Multi-host
-deployments set ``$CHIMERA_TCP_HOST`` / ``$CHIMERA_TCP_PORT``, disable
-spawning with ``$CHIMERA_TCP_SPAWN=0``, and start workers on other machines
-with ``chimera-events worker --host ... --port ... --worker-id K --token T``.
+deployments set the record's ``tcp_host`` / ``tcp_port``, disable spawning
+with ``tcp_spawn=False``, and start workers on other machines with
+``chimera-events worker --host ... --port ... --worker-id K --token T``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hmac
 import multiprocessing
-import os
 import pickle
 import secrets
 import socket
@@ -50,19 +51,13 @@ import sys
 import threading
 import time
 
-from repro.cluster.transport import (
-    ShardTransport,
-    WorkerConfig,
-    _RowLog,
-)
+from repro.cluster.transport import ShardTransport, _RowLog
+from repro.config import EngineConfig
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.event_base import EventBase
 
 __all__ = [
-    "TCP_HOST_ENV_VAR",
-    "TCP_PORT_ENV_VAR",
-    "TCP_SPAWN_ENV_VAR",
-    "TCP_TIMEOUT_ENV_VAR",
+    "TCP_TIMEOUT",
     "SocketFrameConnection",
     "TcpCoordinatorEndpoint",
     "TcpTransport",
@@ -81,29 +76,11 @@ _FRAME_MAGIC = b"CHF1"
 #: corrupt header, not a real message.
 _MAX_FRAME_BYTES = 1 << 31
 
-#: Coordinator bind address (workers connect here).
-TCP_HOST_ENV_VAR = "CHIMERA_TCP_HOST"
-#: Coordinator port; 0 (the default) picks an ephemeral port.
-TCP_PORT_ENV_VAR = "CHIMERA_TCP_PORT"
-#: "0" stops the transport from forking localhost workers (multi-host mode:
-#: the pool then waits for external ``chimera-events worker`` processes).
-TCP_SPAWN_ENV_VAR = "CHIMERA_TCP_SPAWN"
 #: Per-operation socket timeout (seconds) before the pool declares a worker
-#: unreachable and poisons itself.
-TCP_TIMEOUT_ENV_VAR = "CHIMERA_TCP_TIMEOUT"
-
-_DEFAULT_TIMEOUT = 120.0
+#: unreachable and poisons itself; also how long a no-spawn launch waits for
+#: external workers.
+TCP_TIMEOUT = 120.0
 _HANDSHAKE_TIMEOUT = 30.0
-
-
-def _default_timeout() -> float:
-    raw = os.environ.get(TCP_TIMEOUT_ENV_VAR, "").strip()
-    if not raw:
-        return _DEFAULT_TIMEOUT
-    try:
-        return max(0.1, float(raw))
-    except ValueError:
-        return _DEFAULT_TIMEOUT
 
 
 def _corrupt_frame_error(magic: bytes, length: int) -> SnapshotError:
@@ -182,19 +159,17 @@ class _TcpChannel:
     poisoning logic needs no per-transport cases.
     """
 
-    __slots__ = ("_loop", "_reader", "_writer", "_timeout")
+    __slots__ = ("_loop", "_reader", "_writer")
 
     def __init__(
         self,
         loop: asyncio.AbstractEventLoop,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        timeout: float,
     ) -> None:
         self._loop = loop
         self._reader = reader
         self._writer = writer
-        self._timeout = timeout
 
     def send_bytes(self, payload: bytes) -> None:
         self._call(self._send(payload), "send")
@@ -210,11 +185,11 @@ class _TcpChannel:
     def _call(self, coroutine, verb: str):
         future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
         try:
-            return future.result(self._timeout)
+            return future.result(TCP_TIMEOUT)
         except TimeoutError:
             future.cancel()
             raise TimeoutError(
-                f"tcp worker did not {verb} within {self._timeout:.0f}s"
+                f"tcp worker did not {verb} within {TCP_TIMEOUT:.0f}s"
             ) from None
 
     def close(self) -> None:
@@ -245,21 +220,23 @@ class TcpCoordinatorEndpoint:
         self,
         num_workers: int,
         token: str,
-        config: WorkerConfig,
+        config: EngineConfig,
+        metrics_enabled: bool,
         sock: socket.socket,
-        timeout: float,
     ) -> None:
         self._num_workers = num_workers
-        self._token = token
-        self._config = config
+        self._token = token.encode()
+        self._config_reply = pickle.dumps(
+            ("config", config, metrics_enabled), _PROTOCOL
+        )
         self._sock = sock
-        self._timeout = timeout
         self._channels: dict[int, _TcpChannel] = {}
         self._refreshed: set[int] = set()
         self._registry = threading.Condition()
         self._loop = asyncio.new_event_loop()
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
+        self._closed = False
         self._stop_requested = False
         self._stopped: asyncio.Event | None = None
         self._thread = threading.Thread(
@@ -307,6 +284,16 @@ class TcpCoordinatorEndpoint:
                 pass
 
     def close(self) -> None:
+        with self._registry:
+            # Wake a launch still waiting for workers instead of letting it
+            # sit out its timeout on an endpoint that will never accept.
+            self._closed = True
+            self._registry.notify_all()
+        if self._thread.ident is None:
+            # Never started (launch failed first): nothing to stop or join.
+            self._loop.close()
+            return
+
         def _request_stop() -> None:
             self._stop_requested = True
             if self._stopped is not None:
@@ -332,7 +319,9 @@ class TcpCoordinatorEndpoint:
                 and hello[0] == "hello"
                 and isinstance(hello[1], int)
                 and 0 <= hello[1] < self._num_workers
-                and hello[2] == self._token
+                and isinstance(hello[2], str)
+                # Constant time: a prefix-correct guess learns nothing.
+                and hmac.compare_digest(hello[2].encode(), self._token)
             )
             if not accepted:
                 reject = pickle.dumps(
@@ -343,18 +332,8 @@ class TcpCoordinatorEndpoint:
                 await writer.drain()
                 writer.close()
                 return
-            config = self._config
-            reply_payload = pickle.dumps(
-                (
-                    "config",
-                    config.mode_value,
-                    config.use_compiled_checks,
-                    config.metrics_enabled,
-                ),
-                _PROTOCOL,
-            )
-            writer.write(_FRAME_HEADER.pack(_FRAME_MAGIC, len(reply_payload)))
-            writer.write(reply_payload)
+            writer.write(_FRAME_HEADER.pack(_FRAME_MAGIC, len(self._config_reply)))
+            writer.write(self._config_reply)
             await writer.drain()
         except Exception:
             try:
@@ -363,7 +342,7 @@ class TcpCoordinatorEndpoint:
                 pass
             return
         worker_id = hello[1]
-        channel = _TcpChannel(self._loop, reader, writer, self._timeout)
+        channel = _TcpChannel(self._loop, reader, writer)
         with self._registry:
             previous = self._channels.get(worker_id)
             self._channels[worker_id] = channel
@@ -378,22 +357,45 @@ class TcpCoordinatorEndpoint:
     # -- registry -----------------------------------------------------------
     def wait_for_workers(self, count: int, timeout: float) -> None:
         with self._registry:
-            if not self._registry.wait_for(
-                lambda: len(self._channels) >= count, timeout
-            ):
+            self._registry.wait_for(
+                lambda: len(self._channels) >= count or self._closed, timeout
+            )
+            if len(self._channels) < count:
+                limit = "the endpoint closed" if self._closed else f"{timeout:.0f}s"
                 raise ShardWorkerError(
                     f"only {len(self._channels)} of {count} tcp shard workers "
-                    f"connected within {timeout:.0f}s"
+                    f"connected before {limit}"
                 )
 
     def channel(self, worker_id: int) -> _TcpChannel:
-        with self._registry:
-            channel = self._channels.get(worker_id)
+        channel = self.registered(worker_id)
         if channel is None:
             raise ShardWorkerError(
                 f"tcp shard worker {worker_id} has no registered channel"
             )
         return channel
+
+    def wait_for_replacement(
+        self, worker_id: int, previous: _TcpChannel | None, timeout: float
+    ) -> None:
+        """Block until ``worker_id``'s registered channel is not ``previous``.
+
+        Keyed on the channel identity, not on ``_refreshed`` membership: an
+        earlier, not yet absorbed reconnect of the same worker leaves the id
+        in that set, which would end the wait before the replacement exists.
+        """
+        with self._registry:
+            if not self._registry.wait_for(
+                lambda: self._channels.get(worker_id) is not previous, timeout
+            ):
+                raise ShardWorkerError(
+                    f"respawned tcp worker {worker_id} did not reconnect "
+                    f"within {timeout:.0f}s"
+                )
+
+    def registered(self, worker_id: int) -> _TcpChannel | None:
+        with self._registry:
+            return self._channels.get(worker_id)
 
     def take_refreshed(self) -> tuple[int, ...]:
         with self._registry:
@@ -416,10 +418,10 @@ def run_worker(
 ) -> None:
     """Connect to a coordinator endpoint and serve trips until stopped.
 
-    The remote entrypoint behind ``chimera-events worker``: evaluation mode,
-    compiled checks and the metrics flag all arrive in the handshake reply,
-    so the worker command needs no engine flags — the coordinator is the
-    single source of configuration truth.
+    The remote entrypoint behind ``chimera-events worker``: the coordinator's
+    :class:`EngineConfig` record arrives in the handshake reply, so the worker
+    command needs no engine flags — the coordinator is the single source of
+    configuration truth.
     """
     deadline = time.monotonic() + max(0.0, retry_seconds)
     while True:
@@ -441,19 +443,17 @@ def run_worker(
             raise ShardWorkerError(
                 f"coordinator rejected worker {worker_id}: {reply[1]}"
             )
-        if reply[0] != "config":
-            raise ShardWorkerError(f"unexpected handshake reply: {reply[0]!r}")
-        _, mode_value, use_compiled_checks, metrics_enabled = reply
+        if (
+            reply[0] != "config"
+            or len(reply) != 3
+            or not isinstance(reply[1], EngineConfig)
+        ):
+            raise ShardWorkerError(f"unexpected handshake reply: {reply!r}")
         from repro.cluster.process_pool import _worker_main
 
-        _worker_main(connection, mode_value, use_compiled_checks, metrics_enabled)
+        _worker_main(connection, reply[1], bool(reply[2]))
     finally:
         connection.close()
-
-
-def _spawned_worker_entry(host: str, port: int, worker_id: int, token: str) -> None:
-    """Process target of the transport's own localhost workers."""
-    run_worker(host, port, worker_id, token)
 
 
 # ---------------------------------------------------------------------------
@@ -466,30 +466,13 @@ class TcpTransport(ShardTransport):
 
     name = "tcp"
 
-    def __init__(
-        self,
-        start_method: str | None = None,
-        host: str | None = None,
-        port: int | None = None,
-        spawn_workers: bool | None = None,
-        timeout: float | None = None,
-    ) -> None:
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
-        self.host = host if host is not None else os.environ.get(
-            TCP_HOST_ENV_VAR, "127.0.0.1"
-        )
-        if port is None:
-            raw = os.environ.get(TCP_PORT_ENV_VAR, "").strip()
-            port = int(raw) if raw.isdigit() else 0
-        self.port = port
-        if spawn_workers is None:
-            spawn_workers = os.environ.get(TCP_SPAWN_ENV_VAR, "1").strip() != "0"
-        self.spawn_workers = spawn_workers
-        self.timeout = timeout if timeout is not None else _default_timeout()
-        self.token: str | None = None
+    def __init__(self, config: EngineConfig) -> None:
+        super().__init__(config)
+        #: ``(host, port, token)`` — what a worker needs to join.  Published
+        #: as one value, only once the socket is listening: a reader that
+        #: sees it can connect (``wait_rendezvous`` is how to wait for it).
+        self.rendezvous: tuple[str, int, str] | None = None
+        self._listening = threading.Event()
         self._endpoint: TcpCoordinatorEndpoint | None = None
         self._sock: socket.socket | None = None
         self._processes: dict[int, multiprocessing.process.BaseProcess] = {}
@@ -498,47 +481,60 @@ class TcpTransport(ShardTransport):
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
-    def launch(self, num_workers: int, config: WorkerConfig) -> None:
+    def launch(self, num_workers: int, metrics_enabled: bool) -> None:
         self._num_workers = num_workers
-        self.token = secrets.token_hex(16)
-        # Bind before anything else: spawned workers connect immediately (the
-        # kernel parks them in the backlog) and the server thread — with its
-        # event loop — starts only after every fork, so no worker is ever
-        # forked from a threaded parent at launch.
+        token = secrets.token_hex(16)
+        # Bind and listen before anything else: spawned workers connect
+        # immediately (the kernel parks them in the backlog) and the server
+        # thread — with its event loop — starts only after every fork, so no
+        # worker is ever forked from a threaded parent at launch.
         self._sock = socket.create_server(
-            (self.host, self.port), backlog=max(8, num_workers * 2)
+            (self.config.tcp_host, self.config.tcp_port),
+            backlog=max(8, num_workers * 2),
         )
-        self.port = self._sock.getsockname()[1]
+        host, port = self.config.tcp_host, self._sock.getsockname()[1]
+        self.rendezvous = (host, port, token)
+        self._listening.set()
         self._endpoint = TcpCoordinatorEndpoint(
-            num_workers, self.token, config, self._sock, self.timeout
+            num_workers, token, self.config, metrics_enabled, self._sock
         )
-        if self.spawn_workers:
+        if self.config.tcp_spawn:
             for worker_id in range(num_workers):
                 self.spawn_worker(worker_id)
         else:
             # Remote deployment: the operator starts workers by hand and
             # needs the rendezvous coordinates.
             print(
-                f"tcp shard coordinator listening on {self.host}:{self.port} "
-                f"(token {self.token}); start workers 0..{num_workers - 1} with: "
-                f"chimera-events worker --host {self.host} --port {self.port} "
-                f"--worker-id K --token {self.token}",
+                f"tcp shard coordinator listening on {host}:{port} "
+                f"(token {token}); start workers 0..{num_workers - 1} with: "
+                f"chimera-events worker --host {host} --port {port} "
+                f"--worker-id K --token {token}",
                 file=sys.stderr,
                 flush=True,
             )
         self._endpoint.start()
         self._endpoint.wait_for_workers(
-            num_workers, _HANDSHAKE_TIMEOUT if self.spawn_workers else self.timeout
+            num_workers, _HANDSHAKE_TIMEOUT if self.config.tcp_spawn else TCP_TIMEOUT
         )
         # Launch-time registrations are first contacts, not reconnects.
         self._endpoint.take_refreshed()
 
+    def wait_rendezvous(self, timeout: float) -> tuple[str, int, str]:
+        """The ``(host, port, token)`` to join with, once the socket listens."""
+        if not self._listening.wait(timeout):
+            raise ShardWorkerError(
+                f"tcp coordinator was not listening within {timeout:.0f}s"
+            )
+        assert self.rendezvous is not None
+        return self.rendezvous
+
     def spawn_worker(self, worker_id: int):
         """Fork one localhost worker process for ``worker_id``."""
+        host, port, token = self.rendezvous
         context = multiprocessing.get_context(self.start_method)
         process = context.Process(
-            target=_spawned_worker_entry,
-            args=(self.host, self.port, worker_id, self.token),
+            target=run_worker,
+            args=(host, port, worker_id, token),
             name=f"tcp-shard-worker-{worker_id}",
             daemon=True,
         )
@@ -552,21 +548,16 @@ class TcpTransport(ShardTransport):
         Waits until the replacement's channel is registered, so the next
         trip is guaranteed to see the reconnect via :meth:`poll_refreshed`.
         """
+        endpoint = self._endpoint
+        if endpoint is None:
+            raise ShardWorkerError("tcp transport was never launched")
+        replaced = endpoint.registered(worker_id)
         previous = self._processes.get(worker_id)
         if previous is not None and previous.is_alive():
             previous.kill()
             previous.join(timeout=5.0)
         process = self.spawn_worker(worker_id)
-        endpoint = self._endpoint
-        assert endpoint is not None
-        with endpoint._registry:
-            if not endpoint._registry.wait_for(
-                lambda: worker_id in endpoint._refreshed, timeout
-            ):
-                raise ShardWorkerError(
-                    f"respawned tcp worker {worker_id} did not reconnect "
-                    f"within {timeout:.0f}s"
-                )
+        endpoint.wait_for_replacement(worker_id, replaced, timeout)
         return process
 
     def channel(self, worker_id: int) -> _TcpChannel:

@@ -93,19 +93,8 @@ import traceback
 import weakref
 from typing import Sequence
 
-from repro.cluster.transport import (
-    DEFAULT_TRANSPORT_ENV_VAR,
-    RING_ROWS_ENV_VAR,
-    TRANSPORTS,
-    WorkerConfig,
-    _destroy_ring,
-    _FrameReader,
-    _RingReader,
-    _SnapshotRing,
-    create_transport,
-    default_ring_rows,
-    default_transport,
-)
+from repro.cluster.transport import _FrameReader, _RingReader, create_transport
+from repro.config import EngineConfig
 from repro.core.compile import compile_check
 from repro.core.evaluation import EvaluationMode, EvaluationStats
 from repro.core.triggering import TriggerMemo, TriggeringDecision, is_triggered
@@ -116,23 +105,9 @@ from repro.events.event_base import EventBase, WindowSnapshot
 from repro.obs.registry import MetricsRegistry
 from repro.rules.rule import RuleState
 
-__all__ = [
-    "ProcessShardPool",
-    "TRANSPORTS",
-    "DEFAULT_TRANSPORT_ENV_VAR",
-    "RING_ROWS_ENV_VAR",
-    "default_transport",
-    "default_ring_rows",
-]
+__all__ = ["ProcessShardPool"]
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
-
-# Ring internals stay importable from here (tests/events/test_row_codec.py
-# exercises the codec through them); the implementations moved to
-# repro.cluster.transport with the rest of the delta machinery.
-_SnapshotRing = _SnapshotRing
-_RingReader = _RingReader
-_destroy_ring = _destroy_ring
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +117,15 @@ _destroy_ring = _destroy_ring
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(
-    connection,
-    mode_value: str,
-    compiled_checks: bool = False,
-    metrics_enabled: bool = False,
-) -> None:
-    """One shard worker: mirror EB + per-rule expressions/memos, message loop."""
-    mode = EvaluationMode(mode_value)
+def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> None:
+    """One shard worker: mirror EB + per-rule expressions/memos, message loop.
+
+    ``config`` is the coordinator's own record (a fork argument on the pipe
+    transports, the handshake reply on tcp), so a worker can never evaluate
+    under different settings than the engine it serves.
+    """
+    mode = EvaluationMode(config.evaluation_mode)
+    compiled_checks = config.use_compiled_checks
     mirror = EventBase()
     # The worker accumulates its own registry and ships compact deltas
     # piggybacked on every reply (drain-and-reset keeps the payload small);
@@ -430,46 +406,24 @@ class ProcessShardPool:
     def __init__(
         self,
         num_workers: int,
-        mode: EvaluationMode = EvaluationMode.LOGICAL,
-        start_method: str | None = None,
-        use_compiled_checks: bool = False,
+        config: EngineConfig = EngineConfig(),
         metrics: MetricsRegistry | None = None,
-        transport: str | None = None,
-        ring_rows: int | None = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError(
                 f"a process shard pool needs at least 1 worker (got {num_workers})"
             )
-        if transport is None:
-            transport = default_transport()
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; expected one of "
-                f"{', '.join(TRANSPORTS)}"
-            )
-        if ring_rows is None:
-            ring_rows = default_ring_rows()
-        if ring_rows < 1:
-            raise ValueError(f"ring_rows must be positive (got {ring_rows})")
         self.num_workers = num_workers
-        self.mode = mode
-        self.use_compiled_checks = use_compiled_checks
-        self.transport = transport
-        self.ring_rows = ring_rows
+        self.config = config
+        self.transport = config.transport
         #: Coordinator-side registry the workers' reply deltas merge into
         #: (None = discard them).  Workers receive only the enabled *flag* —
         #: registries do not cross the process boundary.
         self.metrics = metrics
-        metrics_enabled = metrics is not None and metrics.enabled
-        self._transport = create_transport(
-            transport, start_method=start_method, ring_rows=ring_rows
-        )
-        self.start_method = self._transport.start_method
+        self._transport = create_transport(config)
         try:
             self._transport.launch(
-                num_workers,
-                WorkerConfig(mode.value, use_compiled_checks, metrics_enabled),
+                num_workers, metrics is not None and metrics.enabled
             )
         except BaseException:
             self._transport.shutdown()

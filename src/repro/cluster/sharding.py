@@ -31,63 +31,28 @@ schema growth invalidate it wholesale.
 
 from __future__ import annotations
 
-import os
 import zlib
 from collections import OrderedDict
 from typing import Iterable
 
+from repro.config import EngineConfig
 from repro.events.event import EventType, Operation
 from repro.rules.rule import RuleState
 from repro.rules.rule_table import RuleTable, match_subscribers
 
 __all__ = [
-    "DEFAULT_SHARD_ENV_VAR",
-    "DEFAULT_SHARD_MODE_ENV_VAR",
     "DEFAULT_PLAN_CACHE_SIZE",
-    "SHARD_MODES",
-    "default_shard_count",
-    "default_shard_mode",
     "shard_of_bucket",
     "home_shard",
     "ShardedRuleTable",
 ]
-
-#: Environment variable consulted when a shard count is not given explicitly
-#: (``pytest --shards N`` exports it so the whole suite runs sharded).
-DEFAULT_SHARD_ENV_VAR = "CHIMERA_SHARDS"
-
-#: Environment variable consulted when an execution mode is not given
-#: explicitly (``pytest --shard-mode processes`` exports it so the whole
-#: suite runs its shard checks out of process).
-DEFAULT_SHARD_MODE_ENV_VAR = "CHIMERA_SHARD_MODE"
-
-#: The coordinator's execution modes: inline in shard order, a thread worker
-#: pool, or long-lived process workers (``repro.cluster.process_pool``).
-SHARD_MODES = ("serial", "threads", "processes")
 
 #: Default LRU capacity of the signature route cache and of each shard's
 #: sub-signature plan cache.  Generous — a steady workload re-issues a few
 #: dozen block shapes, so thousands of entries only accumulate under
 #: adversarial never-repeating signatures, which is exactly what the bound
 #: exists for (ROADMAP: "unbounded for adversarial ones").
-DEFAULT_PLAN_CACHE_SIZE = 4096
-
-
-def default_shard_count() -> int:
-    """The ambient shard count: ``$CHIMERA_SHARDS`` or 0 (unsharded)."""
-    raw = os.environ.get(DEFAULT_SHARD_ENV_VAR, "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-def default_shard_mode() -> str | None:
-    """The ambient coordinator mode: ``$CHIMERA_SHARD_MODE`` or None."""
-    raw = os.environ.get(DEFAULT_SHARD_MODE_ENV_VAR, "").strip().lower()
-    return raw if raw in SHARD_MODES else None
+DEFAULT_PLAN_CACHE_SIZE = EngineConfig.plan_cache_size
 
 
 def shard_of_bucket(operation: Operation, class_name: str, num_shards: int) -> int:
@@ -133,13 +98,13 @@ class _ShardIndex:
 class ShardedRuleTable(RuleTable):
     """A Rule Table whose subscription index is partitioned across N shards."""
 
-    def __init__(self, num_shards: int, plan_cache_size: int | None = None) -> None:
+    def __init__(
+        self, num_shards: int, plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
+    ) -> None:
         if num_shards < 1:
             raise ValueError(
                 f"a sharded rule table needs at least 1 shard (got {num_shards})"
             )
-        if plan_cache_size is None:
-            plan_cache_size = DEFAULT_PLAN_CACHE_SIZE
         if plan_cache_size < 1:
             raise ValueError(
                 f"plan_cache_size must be positive (got {plan_cache_size})"

@@ -25,8 +25,8 @@ check at its own ``now``), but the trigger checks for the whole batch run as
 **one dispatch trip**, which is what amortizes the per-block worker round
 trip of the process shard mode (see PERFORMANCE.md "Batched worker
 dispatch").  ``max_batch_blocks=1`` (the default) is byte-identical to the
-PR-3 behavior; the ambient default can be raised with
-``$CHIMERA_BATCH_BLOCKS``.
+PR-3 behavior; the bound comes from the engine's
+:class:`~repro.config.EngineConfig` record (``batch_blocks``).
 
 Correctness leans on the lag tolerance the incremental trigger memo already
 has: ``TriggerMemo.seen_events`` records how much of the log a check had
@@ -41,7 +41,6 @@ batch as dropped.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 from dataclasses import dataclass
@@ -54,42 +53,9 @@ from repro.obs.stats import MergeableStats
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a package cycle)
     from repro.rules.executor import RuleEngine
 
-__all__ = [
-    "DEFAULT_BATCH_ENV_VAR",
-    "DEFAULT_ADAPTIVE_ENV_VAR",
-    "default_batch_blocks",
-    "default_adaptive_batch",
-    "DispatchController",
-    "StreamIngestStats",
-    "StreamIngestor",
-]
-
-#: Environment variable consulted when ``max_batch_blocks`` is not given
-#: explicitly (mirrors ``$CHIMERA_SHARDS`` / ``$CHIMERA_SHARD_MODE``).
-DEFAULT_BATCH_ENV_VAR = "CHIMERA_BATCH_BLOCKS"
-
-#: Environment variable consulted when ``adaptive_batch`` is not given
-#: explicitly: a truthy value turns the dispatch controller on.
-DEFAULT_ADAPTIVE_ENV_VAR = "CHIMERA_ADAPTIVE_BATCH"
+__all__ = ["DispatchController", "StreamIngestStats", "StreamIngestor"]
 
 _SENTINEL = None
-
-
-def default_batch_blocks() -> int:
-    """The ambient micro-batch bound: ``$CHIMERA_BATCH_BLOCKS`` or 1."""
-    raw = os.environ.get(DEFAULT_BATCH_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def default_adaptive_batch() -> bool:
-    """The ambient adaptive-batch switch: ``$CHIMERA_ADAPTIVE_BATCH``, off."""
-    raw = os.environ.get(DEFAULT_ADAPTIVE_ENV_VAR, "").strip().lower()
-    return raw in {"1", "true", "yes", "on"}
 
 
 class DispatchController:
@@ -268,14 +234,15 @@ class StreamIngestor:
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be positive (got {max_pending})")
+        # Both trip-sizing settings default to the engine's own record.
         if max_batch_blocks is None:
-            max_batch_blocks = default_batch_blocks()
+            max_batch_blocks = engine.config.batch_blocks
         if max_batch_blocks < 1:
             raise ValueError(
                 f"max_batch_blocks must be positive (got {max_batch_blocks})"
             )
         if adaptive_batch is None:
-            adaptive_batch = default_adaptive_batch()
+            adaptive_batch = engine.config.adaptive_batch
         self.engine = engine
         self.bulk = bulk
         #: Upper bound on how many queued blocks one consumer wake-up drains

@@ -29,39 +29,22 @@ raising ``EOFError`` / ``OSError`` on a dead peer), so the worker loop in
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import struct
 from multiprocessing import shared_memory
 
+from repro.config import EngineConfig
 from repro.errors import SnapshotError
 from repro.events.event import EventOccurrence
 from repro.events.event_base import ROW_WIDTH, EventBase, SnapshotRowCodec
 
-__all__ = [
-    "TRANSPORTS",
-    "DEFAULT_TRANSPORT_ENV_VAR",
-    "RING_ROWS_ENV_VAR",
-    "ShardTransport",
-    "WorkerConfig",
-    "create_transport",
-    "default_ring_rows",
-    "default_transport",
-]
+__all__ = ["RING_ROWS", "ShardTransport", "create_transport"]
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: Delta transports the pool understands.
-TRANSPORTS = ("pickle", "shm", "tcp")
-
-#: Environment variable consulted when ``transport`` is not given explicitly
-#: (mirrors ``$CHIMERA_SHARDS`` / ``$CHIMERA_SHARD_MODE``).
-DEFAULT_TRANSPORT_ENV_VAR = "CHIMERA_TRANSPORT"
-
-#: Environment variable sizing the shared-memory ring, in rows.
-RING_ROWS_ENV_VAR = "CHIMERA_SHM_ROWS"
-
-_DEFAULT_RING_ROWS = 65536
+#: Capacity of the shared-memory ring, in rows (3 MiB of 48-byte rows).  A
+#: worker lagging further than this falls back to a pickled snapshot.
+RING_ROWS = 65536
 
 #: Ring header: magic, format version, row width, capacity (rows).  Workers
 #: re-validate it on every descriptor read, so corruption fails loudly.
@@ -69,41 +52,6 @@ _RING_HEADER = struct.Struct("<IIII")
 _RING_HEADER_SIZE = 64
 _RING_MAGIC = 0x43484D52  # "CHMR"
 _RING_VERSION = 1
-
-
-def default_transport() -> str:
-    """The ambient delta transport: ``$CHIMERA_TRANSPORT`` or ``pickle``."""
-    raw = os.environ.get(DEFAULT_TRANSPORT_ENV_VAR, "").strip().lower()
-    return raw if raw in TRANSPORTS else "pickle"
-
-
-def default_ring_rows() -> int:
-    """The ambient ring capacity: ``$CHIMERA_SHM_ROWS`` or 65536 rows."""
-    raw = os.environ.get(RING_ROWS_ENV_VAR, "").strip()
-    if not raw:
-        return _DEFAULT_RING_ROWS
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return _DEFAULT_RING_ROWS
-
-
-class WorkerConfig:
-    """What a shard worker needs to know before its first message.
-
-    Pipe transports pass these as fork/spawn arguments; the TCP endpoint
-    ships them in the handshake's ``config`` reply — which is what lets a
-    remote ``chimera-events worker`` join with no engine flags of its own.
-    """
-
-    __slots__ = ("mode_value", "use_compiled_checks", "metrics_enabled")
-
-    def __init__(
-        self, mode_value: str, use_compiled_checks: bool, metrics_enabled: bool
-    ) -> None:
-        self.mode_value = mode_value
-        self.use_compiled_checks = use_compiled_checks
-        self.metrics_enabled = metrics_enabled
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +425,9 @@ class _FrameReader:
 class ShardTransport:
     """Worker launch + byte channels + delta encoding, behind one seam.
 
-    The pool calls, in order: :meth:`launch` once; then per trip
+    Built from the engine's :class:`~repro.config.EngineConfig` record
+    (:func:`create_transport`), which it also ships to every worker.  The
+    pool calls, in order: :meth:`launch` once; then per trip
     :meth:`poll_refreshed` (reconnect bookkeeping), :meth:`begin_trip`
     (encode the unseen log tail once), and :meth:`delta_for` per lagging
     worker; :meth:`note_reset` when the coordinator's EB is rebound; and
@@ -487,8 +437,19 @@ class ShardTransport:
 
     name = "?"
 
-    def launch(self, num_workers: int, config: WorkerConfig) -> None:
-        """Start (or admit) ``num_workers`` workers and open their channels."""
+    def __init__(self, config: EngineConfig) -> None:
+        self.config = config
+        # fork keeps startup in the low milliseconds and needs no re-imports;
+        # the worker mains stay spawn-compatible for platforms without it.
+        methods = multiprocessing.get_all_start_methods()
+        self.start_method = "fork" if "fork" in methods else methods[0]
+
+    def launch(self, num_workers: int, metrics_enabled: bool) -> None:
+        """Start (or admit) ``num_workers`` workers and open their channels.
+
+        Every worker receives the transport's ``config`` record itself plus
+        the metrics flag (registries do not cross the process boundary).
+        """
         raise NotImplementedError
 
     def channel(self, worker_id: int):
@@ -562,19 +523,13 @@ def _shutdown_members(members: list[tuple]) -> None:
 class _PipeTransport(ShardTransport):
     """Shared base of the single-host transports: forked workers on pipes."""
 
-    def __init__(self, start_method: str | None = None) -> None:
-        if start_method is None:
-            # fork keeps startup in the low milliseconds and needs no
-            # re-imports; the worker main stays spawn-compatible for
-            # platforms without it.
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
+    def __init__(self, config: EngineConfig) -> None:
+        super().__init__(config)
         self._members: list[tuple] = []
         #: offset -> pickled snapshot, valid for one trip (same EB total).
         self._trip_cache: dict[int, bytes] = {}
 
-    def launch(self, num_workers: int, config: WorkerConfig) -> None:
+    def launch(self, num_workers: int, metrics_enabled: bool) -> None:
         from repro.cluster.process_pool import _worker_main
 
         self._prepare_fork()
@@ -583,12 +538,7 @@ class _PipeTransport(ShardTransport):
             parent_end, child_end = context.Pipe()
             process = context.Process(
                 target=_worker_main,
-                args=(
-                    child_end,
-                    config.mode_value,
-                    config.use_compiled_checks,
-                    config.metrics_enabled,
-                ),
+                args=(child_end, self.config, metrics_enabled),
                 name=f"shard-worker-{worker_id}",
                 daemon=True,
             )
@@ -635,15 +585,8 @@ class ShmTransport(_PipeTransport):
 
     name = "shm"
 
-    def __init__(
-        self, start_method: str | None = None, ring_rows: int | None = None
-    ) -> None:
-        super().__init__(start_method)
-        if ring_rows is None:
-            ring_rows = default_ring_rows()
-        if ring_rows < 1:
-            raise ValueError(f"ring_rows must be positive (got {ring_rows})")
-        self.ring_rows = ring_rows
+    def __init__(self, config: EngineConfig) -> None:
+        super().__init__(config)
         #: The shared-memory ring, created lazily on the first shm dispatch.
         self.ring: _SnapshotRing | None = None
 
@@ -665,7 +608,7 @@ class ShmTransport(_PipeTransport):
             # every lagging worker then ships an (offset, count) descriptor
             # instead of a pickled snapshot.
             if self.ring is None:
-                self.ring = _SnapshotRing(self.ring_rows)
+                self.ring = _SnapshotRing(RING_ROWS)
             self.ring.encode_through(event_base, total)
 
     def delta_for(
@@ -703,21 +646,12 @@ class ShmTransport(_PipeTransport):
             self.ring = None
 
 
-def create_transport(
-    name: str,
-    *,
-    start_method: str | None = None,
-    ring_rows: int | None = None,
-) -> ShardTransport:
-    """Build the named transport (``pickle`` / ``shm`` / ``tcp``)."""
-    if name == "pickle":
-        return PickleTransport(start_method)
-    if name == "shm":
-        return ShmTransport(start_method, ring_rows)
-    if name == "tcp":
-        from repro.cluster.net import TcpTransport
+def create_transport(config: EngineConfig) -> ShardTransport:
+    """Build the transport ``config.transport`` names."""
+    if config.transport == "pickle":
+        return PickleTransport(config)
+    if config.transport == "shm":
+        return ShmTransport(config)
+    from repro.cluster.net import TcpTransport
 
-        return TcpTransport(start_method)
-    raise ValueError(
-        f"unknown transport {name!r}; expected one of {', '.join(TRANSPORTS)}"
-    )
+    return TcpTransport(config)

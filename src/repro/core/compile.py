@@ -53,7 +53,6 @@ and the cross-mode differential harnesses).  The only intended difference is
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from typing import Any, Callable, Sequence
 
@@ -78,20 +77,7 @@ from repro.events.clock import Timestamp
 from repro.events.event import EventType
 from repro.events.event_base import EventBase
 
-__all__ = [
-    "DEFAULT_COMPILED_ENV_VAR",
-    "default_compiled_checks",
-    "CompiledCheck",
-    "compile_check",
-]
-
-#: Ambient default for the compiled-check knob: set ``CHIMERA_COMPILED_CHECKS``
-#: to a truthy value (1/true/yes/on) to run every exact check through the
-#: compiled path by default (the test suite's ``--compiled-checks`` option
-#: exports it so the whole suite exercises the compiled evaluator).
-DEFAULT_COMPILED_ENV_VAR = "CHIMERA_COMPILED_CHECKS"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
+__all__ = ["CompiledCheck", "compile_check"]
 
 #: Neutral lower bound: a window with no start excludes nothing.  Timestamps
 #: are ints, so ``-inf`` compares below every candidate and bisects to 0.
@@ -103,14 +89,6 @@ _SetFn = Callable[[Any, Timestamp], int]
 _InstFn = Callable[[Any, Timestamp, Any], int]
 #: Static per-evaluation cost of a rigid subtree: (node visits, lookups).
 _Cost = "tuple[int, int] | None"
-
-
-def default_compiled_checks() -> bool:
-    """The ambient compiled-check default (``$CHIMERA_COMPILED_CHECKS``)."""
-    value = os.environ.get(DEFAULT_COMPILED_ENV_VAR)
-    if value is None:
-        return False
-    return value.strip().lower() in _TRUTHY
 
 
 class _Compiler:

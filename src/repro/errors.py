@@ -13,6 +13,15 @@ class ChimeraError(Exception):
     """Base class of every error raised by this library."""
 
 
+class ConfigError(ChimeraError, ValueError):
+    """An engine setting is malformed or out of range.
+
+    Raised by :class:`repro.config.EngineConfig` — the one validation site —
+    with the offending field (and environment variable, when the value came
+    from one) in the message.
+    """
+
+
 # ---------------------------------------------------------------------------
 # Event calculus
 # ---------------------------------------------------------------------------

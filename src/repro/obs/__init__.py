@@ -22,7 +22,7 @@ bench-local timers.  ``repro.obs`` gives them one spine:
   construction.
 * :mod:`repro.obs.export` — the human text report
   (:func:`render_metrics_report`) and the JSON-lines periodic exporter
-  (``workload --metrics-json PATH``; ambient ``$CHIMERA_METRICS``).
+  (``workload --metrics-json PATH``; ``EngineConfig.metrics_path``).
 
 Instrumentation points and the sampling model are documented in
 PERFORMANCE.md ("Observability"); the measured overhead is guarded ≤3% by
@@ -30,7 +30,6 @@ PERFORMANCE.md ("Observability"); the measured overhead is guarded ≤3% by
 """
 
 from repro.obs.export import (
-    METRICS_ENV_VAR,
     JsonLinesExporter,
     render_metrics_report,
 )
@@ -47,7 +46,6 @@ from repro.obs.stats import MergeableStats
 __all__ = [
     "COUNT_BUCKETS",
     "LATENCY_BUCKETS",
-    "METRICS_ENV_VAR",
     "Counter",
     "Gauge",
     "Histogram",

@@ -9,10 +9,9 @@ Two consumers of :meth:`~repro.obs.registry.MetricsRegistry.snapshot`:
 * :class:`JsonLinesExporter` — appends one JSON object per snapshot to a
   file, rate-limited by :meth:`JsonLinesExporter.maybe_export` so the engine
   can call it after every block without turning the hot path into an I/O
-  loop.  The ambient spelling is ``$CHIMERA_METRICS=/path/to/metrics.jsonl``
-  (:meth:`JsonLinesExporter.from_env` — mirrors ``$CHIMERA_SHARDS`` and
-  friends): every engine picks it up without code changes and writes a final
-  snapshot on ``close()``.
+  loop.  An engine whose :class:`~repro.config.EngineConfig` record has a
+  ``metrics_path`` opens one on that path and writes a final snapshot on
+  ``close()``.
 """
 
 from __future__ import annotations
@@ -25,10 +24,7 @@ from typing import IO, TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
-__all__ = ["METRICS_ENV_VAR", "JsonLinesExporter", "render_metrics_report"]
-
-#: Environment variable naming the ambient JSON-lines export path.
-METRICS_ENV_VAR = "CHIMERA_METRICS"
+__all__ = ["JsonLinesExporter", "render_metrics_report"]
 
 
 def _gauge_summary(values: dict[str, Any]) -> str:
@@ -92,12 +88,6 @@ class JsonLinesExporter:
         self.exports = 0
         self._last_export = float("-inf")
         self._file: IO[str] | None = None
-
-    @classmethod
-    def from_env(cls) -> "JsonLinesExporter | None":
-        """The ambient exporter, if ``$CHIMERA_METRICS`` names a path."""
-        path = os.environ.get(METRICS_ENV_VAR, "").strip()
-        return cls(path) if path else None
 
     def maybe_export(self, registry: "MetricsRegistry") -> bool:
         """Export unless a snapshot was written less than the interval ago."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
+from repro.config import EngineConfig
 from repro.errors import TransactionError
 from repro.events.clock import TransactionClock
 from repro.events.event_base import EventBase
@@ -31,7 +32,6 @@ from repro.oodb.transactions import Transaction
 from repro.rules.executor import ConsiderationRecord, RuleEngine
 from repro.rules.language import parse_rule
 from repro.rules.rule import Rule, RuleState
-from repro.rules.rule_table import RuleTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
@@ -45,21 +45,16 @@ class ChimeraDatabase:
     def __init__(
         self,
         emit_select_events: bool = True,
-        use_static_optimization: bool = True,
-        max_rule_executions: int = 10_000,
-        shards: int | None = None,
-        shard_mode: str | None = None,
-        parallel_shards: bool = False,
-        plan_cache_size: int | None = None,
-        batch_blocks: int | None = None,
-        use_compiled_checks: bool | None = None,
         metrics: "MetricsRegistry | None" = None,
-        transport: str | None = None,
-        adaptive_batch: bool | None = None,
+        **settings: Any,
     ) -> None:
-        from repro.cluster.sharding import ShardedRuleTable, default_shard_count
-        from repro.cluster.streaming import default_batch_blocks
-
+        """``settings`` are :class:`~repro.config.EngineConfig` fields
+        (``shards=4``, ``shard_mode="processes"``, ``max_rule_executions=...``);
+        whatever is not given comes from the ``CHIMERA_*`` environment and then
+        the defaults.  ``metrics=None`` lets the engine create its own enabled
+        registry; pass ``MetricsRegistry(enabled=False)`` to run uninstrumented.
+        """
+        self.config = EngineConfig.from_env(**settings)
         self.schema = Schema()
         self.store = ObjectStore()
         self.clock = TransactionClock()
@@ -71,56 +66,16 @@ class ChimeraDatabase:
             self.clock,
             emit_select_events=emit_select_events,
         )
-        # shards=None defers to the ambient default ($CHIMERA_SHARDS — the
-        # test suite's --shards option runs everything sharded this way);
-        # shards=0 forces the single-table planner.  shard_mode=None likewise
-        # defers to parallel_shards and then $CHIMERA_SHARD_MODE (the test
-        # suite's --shard-mode option), resolved by the engine.
-        if shards is None:
-            shards = default_shard_count()
-        self.rule_table = (
-            ShardedRuleTable(shards, plan_cache_size=plan_cache_size)
-            if shards > 0
-            else RuleTable()
-        )
         self.engine = RuleEngine(
             schema=self.schema,
             store=self.store,
             event_base=self.event_base,
             clock=self.clock,
             operations=self.operations,
-            rule_table=self.rule_table,
-            use_static_optimization=use_static_optimization,
-            max_rule_executions=max_rule_executions,
-            shard_mode=shard_mode,
-            parallel_shards=parallel_shards,
-            plan_cache_size=plan_cache_size,
-            # use_compiled_checks=None defers to the ambient default
-            # ($CHIMERA_COMPILED_CHECKS — the test suite's --compiled-checks
-            # option runs everything compiled this way); the Trigger Support
-            # resolves it.
-            use_compiled_checks=use_compiled_checks,
-            # metrics=None lets the engine create its own enabled registry;
-            # pass MetricsRegistry(enabled=False) to run uninstrumented.
+            config=self.config,
             metrics=metrics,
-            # transport=None defers to the ambient default
-            # ($CHIMERA_TRANSPORT): how the processes shard mode ships EB
-            # deltas — "pickle" snapshots, the "shm" row ring or "tcp"
-            # socket frames.
-            transport=transport,
         )
-        # batch_blocks=None defers to the ambient default
-        # ($CHIMERA_BATCH_BLOCKS); it bounds how many stream blocks a
-        # stream_ingestor() coalesces per dispatch trip.
-        if batch_blocks is None:
-            batch_blocks = default_batch_blocks()
-        if batch_blocks < 1:
-            raise ValueError(f"batch_blocks must be positive (got {batch_blocks})")
-        self.batch_blocks = batch_blocks
-        # adaptive_batch=None defers to the ambient default
-        # ($CHIMERA_ADAPTIVE_BATCH): whether a stream_ingestor() sizes its
-        # trips with the closed-loop dispatch controller.
-        self.adaptive_batch = adaptive_batch
+        self.rule_table = self.engine.rule_table
         self._active_transaction: Transaction | None = None
         self._store_snapshot: dict[str, Any] | None = None
 
@@ -141,19 +96,14 @@ class ChimeraDatabase:
         the database's rule engine: producers submit pre-stamped occurrence
         batches, the consumer thread runs them through the stream-block
         pipeline, draining up to ``batch_blocks`` queued blocks per dispatch
-        trip (default: the database's ``batch_blocks`` knob).  With
-        ``adaptive_batch`` the per-trip bound is sized by the closed-loop
-        :class:`~repro.cluster.streaming.DispatchController` instead of
-        staying static (default: the database's knob, then
-        ``$CHIMERA_ADAPTIVE_BATCH``).  The engine must not be driven through
-        transactions while the ingestor is open.
+        trip.  With ``adaptive_batch`` the per-trip bound is sized by the
+        closed-loop :class:`~repro.cluster.streaming.DispatchController`
+        instead of staying static.  Both default to the database's
+        :class:`~repro.config.EngineConfig` record.  The engine must not be
+        driven through transactions while the ingestor is open.
         """
         from repro.cluster.streaming import StreamIngestor
 
-        if batch_blocks is None:
-            batch_blocks = self.batch_blocks
-        if adaptive_batch is None:
-            adaptive_batch = self.adaptive_batch
         return StreamIngestor(
             self.engine,
             max_pending=max_pending,

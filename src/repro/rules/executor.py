@@ -19,9 +19,10 @@ budget guards against non-terminating rule sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro.config import EngineConfig
 from repro.errors import NonTerminationError
 from repro.events.clock import Timestamp, TransactionClock
 from repro.events.event import EventOccurrence, EventType
@@ -60,52 +61,34 @@ class RuleEngine:
     event_base: EventBase
     clock: TransactionClock
     operations: OperationExecutor
-    rule_table: RuleTable = field(default_factory=RuleTable)
-    use_static_optimization: bool = True
-    max_rule_executions: int = 10_000
-    #: Shard the trigger planning across this many shards (0 = single-table).
-    #: Ignored when ``rule_table`` is already a :class:`ShardedRuleTable` —
-    #: its own shard count wins.
-    shards: int = 0
-    #: With sharding: how the per-shard checks execute — "serial" (inline,
-    #: deterministic), "threads" (worker threads over the shared EB) or
-    #: "processes" (long-lived shard worker processes with mirror EBs).
-    #: ``None`` defers to ``parallel_shards`` and then the ambient
-    #: ``$CHIMERA_SHARD_MODE`` default.
-    shard_mode: str | None = None
-    #: Legacy PR-3 switch: ``True`` means ``shard_mode="threads"``.
-    parallel_shards: bool = False
-    #: LRU cap for the coordinator's route cache and the per-shard plan
-    #: caches (None = the generous default in repro.cluster.sharding).
-    plan_cache_size: int | None = None
-    #: Lower each rule's event expression into specialized closures for the
-    #: exact triggering check (``None`` defers to the ambient
-    #: ``$CHIMERA_COMPILED_CHECKS`` default, off when unset).
-    use_compiled_checks: bool | None = None
+    #: ``None`` builds the table ``config`` asks for (sharded when
+    #: ``config.shards > 0``).  A table passed explicitly wins — a
+    #: :class:`ShardedRuleTable` gets a shard coordinator over its own shard
+    #: count, a plain one the single-table Trigger Support.
+    rule_table: RuleTable | None = None
+    #: The engine's settings; ``None`` resolves them from the environment
+    #: (``EngineConfig.from_env()``).  This record is what every layer below
+    #: — Trigger Support, coordinator, pool, transports, ingestor — reads.
+    config: EngineConfig | None = None
     #: The engine's metrics registry — threaded through the Trigger Support /
     #: Shard Coordinator (and from there the process pool), so one
     #: :meth:`metrics_snapshot` covers the whole logical engine.  ``None``
     #: creates an enabled private registry; pass
     #: ``MetricsRegistry(enabled=False)`` to run uninstrumented.
     metrics: MetricsRegistry | None = None
-    #: Delta transport of the processes shard mode — "pickle" (snapshot
-    #: pickling), "shm" (shared-memory row ring) or "tcp" (length-prefixed
-    #: socket frames to spawned workers).  ``None`` defers to the ambient
-    #: ``$CHIMERA_TRANSPORT`` default.
-    transport: str | None = None
 
     def __post_init__(self) -> None:
         from repro.cluster.coordinator import ShardCoordinator
-        from repro.cluster.sharding import ShardedRuleTable, default_shard_mode
+        from repro.cluster.sharding import ShardedRuleTable
 
-        if self.shards > 0 and not isinstance(self.rule_table, ShardedRuleTable):
-            if len(self.rule_table):
-                raise ValueError(
-                    "cannot shard an already-populated plain RuleTable; "
-                    "construct the engine with a ShardedRuleTable instead"
-                )
-            self.rule_table = ShardedRuleTable(
-                self.shards, plan_cache_size=self.plan_cache_size
+        if self.config is None:
+            self.config = EngineConfig.from_env()
+        config = self.config
+        if self.rule_table is None:
+            self.rule_table = (
+                ShardedRuleTable(config.shards, config.plan_cache_size)
+                if config.shards > 0
+                else RuleTable()
             )
         # Subclass-aware routing/filtering: the table (and every filter it
         # builds) sees the engine's schema.
@@ -113,38 +96,25 @@ class RuleEngine:
         self.event_handler = EventHandler(self.event_base)
         if self.metrics is None:
             self.metrics = MetricsRegistry()
-        if isinstance(self.rule_table, ShardedRuleTable):
-            shard_mode = self.shard_mode
-            if shard_mode is None:
-                shard_mode = (
-                    "threads" if self.parallel_shards else default_shard_mode()
-                )
-            self.trigger_support: TriggerSupport = ShardCoordinator(
-                self.rule_table,
-                self.event_base,
-                use_static_optimization=self.use_static_optimization,
-                shard_mode=shard_mode,
-                use_compiled_checks=self.use_compiled_checks,
-                metrics=self.metrics,
-                transport=self.transport,
-            )
-        else:
-            self.trigger_support = TriggerSupport(
-                self.rule_table,
-                self.event_base,
-                use_static_optimization=self.use_static_optimization,
-                use_compiled_checks=self.use_compiled_checks,
-                metrics=self.metrics,
-            )
+        support = (
+            ShardCoordinator
+            if isinstance(self.rule_table, ShardedRuleTable)
+            else TriggerSupport
+        )
+        self.trigger_support: TriggerSupport = support(
+            self.rule_table, self.event_base, config, self.metrics
+        )
         self.transaction_start: Timestamp = self.clock.now()
         self.considerations: list[ConsiderationRecord] = []
         self._executions_this_transaction = 0
         self._commit_hist = self.metrics.histogram("oodb.commit")
         self._commit_counter = self.metrics.counter("oodb.commits")
-        #: Ambient JSON-lines export ($CHIMERA_METRICS): snapshots are
-        #: appended at block/commit boundaries, rate-limited by the exporter,
-        #: with a final forced snapshot on close().
-        self._metrics_exporter = JsonLinesExporter.from_env()
+        #: JSON-lines export (``config.metrics_path``): snapshots are appended
+        #: at block/commit boundaries, rate-limited by the exporter, with a
+        #: final forced snapshot on close().
+        self._metrics_exporter = (
+            JsonLinesExporter(config.metrics_path) if config.metrics_path else None
+        )
 
     # -- transaction boundaries ------------------------------------------------
     def begin_transaction(self) -> None:
@@ -336,8 +306,8 @@ class RuleEngine:
         executed = False
         if bindings:
             self._executions_this_transaction += 1
-            if self._executions_this_transaction > self.max_rule_executions:
-                raise NonTerminationError(self.max_rule_executions)
+            if self._executions_this_transaction > self.config.max_rule_executions:
+                raise NonTerminationError(self.config.max_rule_executions)
             rule.action.execute(bindings, self.operations)
             executed = True
         state.mark_considered(consideration_time, executed)

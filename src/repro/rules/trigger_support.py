@@ -19,9 +19,10 @@ table which untriggered rules are subscribed to any of them, plus the rules
 whose filter is not applicable yet (window never evaluated non-empty — they
 must be visited on every block).  Per-block planning cost therefore scales
 with the rules *actually subscribed* to the block's types, not with the whole
-table; ``use_subscription_index=False`` keeps the PR-1 full-scan path (visit
-every untriggered rule, apply its filter individually) for benchmarks and the
-routed-vs-scan equivalence tests.
+table.  ``use_static_optimization=False`` is the paper's baseline — the
+exhaustive scan that recomputes ``ts`` for every untriggered rule on every
+block — and the oracle the routed planner is pinned against
+(``tests/rules/test_planner_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.compile import compile_check, default_compiled_checks
+from repro.config import EngineConfig
+from repro.core.compile import compile_check
 from repro.core.evaluation import EvaluationMode, EvaluationStats
 from repro.core.optimization import RecomputationFilter
 from repro.core.triggering import is_triggered
@@ -149,25 +151,17 @@ class TriggerSupport:
         self,
         rule_table: RuleTable,
         event_base: EventBase,
-        use_static_optimization: bool = True,
-        mode: EvaluationMode = EvaluationMode.LOGICAL,
-        use_subscription_index: bool = True,
-        use_compiled_checks: bool | None = None,
+        config: EngineConfig = EngineConfig(),
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.rule_table = rule_table
         self.event_base = event_base
-        self.use_static_optimization = use_static_optimization
-        self.use_subscription_index = use_subscription_index
-        self.mode = mode
-        # use_compiled_checks=None defers to the ambient default
-        # ($CHIMERA_COMPILED_CHECKS — the test suite's --compiled-checks
-        # option runs everything compiled this way); False pins the
-        # interpreted evaluator, True the compiled closures.  The two are
-        # byte-identical (tests/core/test_compiled_equivalence.py).
-        if use_compiled_checks is None:
-            use_compiled_checks = default_compiled_checks()
-        self.use_compiled_checks = use_compiled_checks
+        self.config = config
+        self.use_static_optimization = config.use_static_optimization
+        # Interpreted and compiled checks are byte-identical
+        # (tests/core/test_compiled_equivalence.py).
+        self.use_compiled_checks = config.use_compiled_checks
+        self.mode = EvaluationMode(config.evaluation_mode)
         self.planner = TriggerPlanner(rule_table)
         self.stats = TriggerSupportStats()
         # Metrics are opt-in per engine: callers that do not pass a registry
@@ -222,38 +216,14 @@ class TriggerSupport:
             return newly_triggered
 
         with self._block_hist.time():
-            if self.use_static_optimization and self.use_subscription_index:
+            if self.use_static_optimization:
                 plan = self._plan_segment(new_occurrences, type_signature)
-                for state in plan.candidates:
-                    self.stats.rules_checked += 1
-                    self.prepare_rule(state)
-                    if self._check_rule(state, now, transaction_start):
-                        newly_triggered.append(state)
-                return newly_triggered
-
-            for state in self.rule_table.untriggered_states():
+                candidates = plan.candidates
+            else:
+                candidates = self.rule_table.untriggered_states()
+            for state in candidates:
                 self.stats.rules_checked += 1
                 self.prepare_rule(state)
-                # The V(E) filter is sound only once the rule's window has
-                # been evaluated non-empty: before that, the rule may be
-                # blocked solely by the R != {} condition (e.g. a pure
-                # negation), and then any new occurrence — of any type — can
-                # trigger it.
-                filter_applicable = (
-                    self.use_static_optimization
-                    and state.recomputation_filter is not None
-                    and state.had_nonempty_window
-                )
-                if filter_applicable:
-                    if not state.recomputation_filter.needs_recomputation(
-                        new_occurrences
-                    ):
-                        # The rule's trigger memo is deliberately NOT
-                        # advanced: the skipped block's instants stay
-                        # unsampled and a later check covers them, so
-                        # correctness never rests on the filter.
-                        self.stats.ts_skipped_by_filter += 1
-                        continue
                 if self._check_rule(state, now, transaction_start):
                     newly_triggered.append(state)
             return newly_triggered
@@ -313,9 +283,9 @@ class TriggerSupport:
           order line up across serial, thread and process execution.
 
         A single-block trip delegates to :meth:`check_after_block` and is
-        byte-identical to the per-block path.  Without the subscription index
-        there is no up-front planning to batch, so the trip degrades to
-        consecutive per-block checks.
+        byte-identical to the per-block path.  The exhaustive scan has no
+        up-front planning to batch, so its trip degrades to consecutive
+        per-block checks.
         """
         if len(blocks) == 1:
             occurrences, now = blocks[0]
@@ -325,7 +295,7 @@ class TriggerSupport:
                 transaction_start,
                 getattr(occurrences, "type_signature", None),
             )
-        if not (self.use_static_optimization and self.use_subscription_index):
+        if not self.use_static_optimization:
             newly_triggered: list[RuleState] = []
             for occurrences, now in blocks:
                 newly_triggered.extend(

@@ -33,6 +33,7 @@ import time
 from typing import Sequence
 
 from repro.analysis.reporting import render_table
+from repro.config import EngineConfig
 from repro.core.compile import compile_check
 from repro.core.evaluation import EvaluationStats
 from repro.core.triggering import is_triggered
@@ -197,7 +198,7 @@ def measure_check_kernel(
     for compiled_on in (False, True):
         workload = ScalingWorkload(
             build_scaling_rules(rule_count, universe, seed=seed),
-            use_compiled_checks=compiled_on,
+            EngineConfig.from_env(use_compiled_checks=compiled_on),
         )
         outcomes[compiled_on] = _run_to_steady_state(workload, stream, warmup_blocks)
         workloads[compiled_on] = workload
@@ -259,9 +260,9 @@ def measure_compiled_process_scaling(
     def run(shards: int, shard_mode: str | None, compiled_on: bool):
         workload = ScalingWorkload(
             build_shard_rules(rule_count, universe, seed=seed + 53),
-            shards=shards,
-            shard_mode=shard_mode,
-            use_compiled_checks=compiled_on,
+            EngineConfig.from_env(
+                shards=shards, shard_mode=shard_mode, use_compiled_checks=compiled_on
+            ),
         )
         return workload, _run_to_steady_state(workload, stream, warmup_blocks)
 
@@ -336,10 +337,12 @@ def measure_compiled_sweep(
     def run(shards: int, shard_mode: str | None, batch: int, compiled_on: bool) -> dict:
         workload = ScalingWorkload(
             build_scaling_rules(rule_count, universe, seed=seed),
-            shards=shards,
-            shard_mode=shard_mode,
-            batch_blocks=batch,
-            use_compiled_checks=compiled_on,
+            EngineConfig.from_env(
+                shards=shards,
+                shard_mode=shard_mode,
+                batch_blocks=batch,
+                use_compiled_checks=compiled_on,
+            ),
         )
         outcome = workload.run(stream)
         workload.close()

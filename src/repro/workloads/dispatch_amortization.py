@@ -36,6 +36,7 @@ import math
 import os
 
 from repro.analysis.reporting import render_table
+from repro.config import EngineConfig
 from repro.workloads.rule_scaling import (
     ScalingWorkload,
     WorkloadOutcome,
@@ -96,7 +97,10 @@ def measure_dispatch_amortization(
 
     def run(shards: int, shard_mode: str | None, batch: int):
         workload = ScalingWorkload(
-            rules, shards=shards, shard_mode=shard_mode, batch_blocks=batch
+            rules,
+            EngineConfig.from_env(
+                shards=shards, shard_mode=shard_mode, batch_blocks=batch
+            ),
         )
         for start in range(0, warmup_blocks, batch):
             workload.feed_trip(stream[start : min(start + batch, warmup_blocks)])

@@ -42,6 +42,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis.reporting import render_table
+from repro.config import EngineConfig
 from repro.obs.registry import MetricsRegistry
 from repro.workloads.generator import EventStreamGenerator
 from repro.workloads.rule_scaling import (
@@ -109,10 +110,12 @@ def measure_overhead(
             registry = MetricsRegistry(enabled=enabled)
             workload = ScalingWorkload(
                 rules,
-                shards=shards,
-                shard_mode=shard_mode,
-                batch_blocks=batch_blocks,
-                use_compiled_checks=use_compiled_checks,
+                EngineConfig.from_env(
+                    shards=shards,
+                    shard_mode=shard_mode,
+                    batch_blocks=batch_blocks,
+                    use_compiled_checks=use_compiled_checks,
+                ),
                 metrics=registry,
             )
             try:

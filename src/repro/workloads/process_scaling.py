@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 
 from repro.analysis.reporting import render_table
+from repro.config import EngineConfig
 from repro.workloads.rule_scaling import (
     ScalingWorkload,
     WorkloadOutcome,
@@ -100,7 +101,9 @@ def measure_process_scaling(
     ]
 
     def run(shards: int, shard_mode: str | None):
-        workload = ScalingWorkload(rules, shards=shards, shard_mode=shard_mode)
+        workload = ScalingWorkload(
+            rules, EngineConfig.from_env(shards=shards, shard_mode=shard_mode)
+        )
         for block in stream[:warmup_blocks]:
             workload.feed_block(block)
         workload.outcome = WorkloadOutcome()  # drop warm-up timings

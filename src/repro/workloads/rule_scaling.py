@@ -1,4 +1,4 @@
-"""Rule-count scaling workloads: type-routed planning vs full scan.
+"""Rule-count scaling workloads: type-routed planning vs the exhaustive scan.
 
 The X7 benchmark (``benchmarks/bench_x7_rule_scaling.py``) and the
 ``chimera-events workload`` / ``chimera-events bench x7`` CLI commands share
@@ -10,8 +10,9 @@ over synthetic streams and measures what the PR-2 refactor targets:
   fixed *subscription density*: the event-type universe grows with the rule
   pool, so the number of rules subscribed to an average block stays roughly
   constant while the table grows.  The routed path (subscription index)
-  should stay flat; the full scan (visit every untriggered rule, apply its
-  ``V(E)`` filter one by one) grows linearly.
+  should stay flat; the paper's baseline — the exhaustive scan that
+  recomputes ``ts`` for every untriggered rule (``use_static_optimization``
+  off, §5 / Fig. 6–7) — grows linearly.
 * **bulk vs per-append ingestion**: the Event Base's segmented ``extend``
   against the historical per-occurrence ``append`` loop.
 
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.reporting import render_table
+from repro.config import EngineConfig
 from repro.core.expressions import Primitive, SetConjunction
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
@@ -147,69 +149,34 @@ class ScalingWorkload:
     def __init__(
         self,
         rules: list[Rule],
-        use_subscription_index: bool = True,
-        use_static_optimization: bool = True,
+        config: EngineConfig | None = None,
         bulk_ingest: bool = True,
-        shards: int = 0,
-        shard_mode: str | None = None,
-        parallel_shards: bool = False,
-        plan_cache_size: int | None = None,
-        batch_blocks: int = 1,
-        use_compiled_checks: bool | None = None,
         metrics: "MetricsRegistry | None" = None,
-        transport: str | None = None,
-        adaptive_batch: bool | None = None,
     ) -> None:
-        if batch_blocks < 1:
-            raise ValueError(f"batch_blocks must be positive (got {batch_blocks})")
+        #: The one record every setting is read from; ``None`` resolves it
+        #: from the environment like the database facade does.
+        self.config = config if config is not None else EngineConfig.from_env()
+        config = self.config
         self.event_base = EventBase()
-        if shards > 0:
+        if config.shards > 0:
             from repro.cluster.coordinator import ShardCoordinator
             from repro.cluster.sharding import ShardedRuleTable
 
             self.rule_table: RuleTable = ShardedRuleTable(
-                shards, plan_cache_size=plan_cache_size
+                config.shards, config.plan_cache_size
             )
+            support = ShardCoordinator
         else:
             self.rule_table = RuleTable()
+            support = TriggerSupport
         for rule in rules:
             state = self.rule_table.add(rule)
             state.reset(0)
         self.handler = EventHandler(self.event_base)
-        if shards > 0:
-            self.support: TriggerSupport = ShardCoordinator(
-                self.rule_table,
-                self.event_base,
-                use_static_optimization=use_static_optimization,
-                use_subscription_index=use_subscription_index,
-                shard_mode=shard_mode,
-                parallel=parallel_shards,
-                use_compiled_checks=use_compiled_checks,
-                metrics=metrics,
-                # transport=None defers to $CHIMERA_TRANSPORT: how the
-                # processes shard mode ships EB deltas to its workers.
-                transport=transport,
-            )
-        else:
-            self.support = TriggerSupport(
-                self.rule_table,
-                self.event_base,
-                use_static_optimization=use_static_optimization,
-                use_subscription_index=use_subscription_index,
-                use_compiled_checks=use_compiled_checks,
-                metrics=metrics,
-            )
+        self.support: TriggerSupport = support(
+            self.rule_table, self.event_base, config, metrics
+        )
         self.bulk_ingest = bulk_ingest
-        #: How many stream blocks each trigger-check dispatch trip coalesces
-        #: (1 = the historical block-at-a-time pipeline).  With
-        #: ``adaptive_batch`` this becomes the *ceiling* and each trip is
-        #: sized by the closed-loop dispatch controller instead.
-        self.batch_blocks = batch_blocks
-        if adaptive_batch is None:
-            from repro.cluster.streaming import default_adaptive_batch
-
-            adaptive_batch = default_adaptive_batch()
-        self.adaptive_batch = adaptive_batch
         self.outcome = WorkloadOutcome()
 
     def close(self) -> None:
@@ -271,15 +238,22 @@ class ScalingWorkload:
         outcome.events += sum(len(block) for block in chunk)
 
     def run(self, blocks: list[list[EventOccurrence]]) -> WorkloadOutcome:
-        """Feed every block and return the accumulated outcome."""
-        if self.adaptive_batch and self.batch_blocks > 1:
+        """Feed every block and return the accumulated outcome.
+
+        ``config.batch_blocks`` stream blocks are coalesced per trigger-check
+        dispatch trip (1 = the historical block-at-a-time pipeline); with
+        ``config.adaptive_batch`` that becomes the *ceiling* and each trip is
+        sized by the closed-loop dispatch controller instead.
+        """
+        batch = self.config.batch_blocks
+        if self.config.adaptive_batch and batch > 1:
             self._run_adaptive(blocks)
-        elif self.batch_blocks == 1:
+        elif batch == 1:
             for block in blocks:
                 self.feed_block(block)
         else:
-            for start in range(0, len(blocks), self.batch_blocks):
-                self.feed_trip(blocks[start : start + self.batch_blocks])
+            for start in range(0, len(blocks), batch):
+                self.feed_trip(blocks[start : start + batch])
         outcome = self.outcome
         outcome.triggerings = {
             state.rule.name: state.times_triggered for state in self.rule_table.states()
@@ -299,7 +273,7 @@ class ScalingWorkload:
         from repro.cluster.streaming import DispatchController
 
         metrics = self.support.metrics
-        controller = DispatchController(metrics, self.batch_blocks)
+        controller = DispatchController(metrics, self.config.batch_blocks)
         queue_gauge = metrics.gauge("ingest.queue_depth")
         start = 0
         while start < len(blocks):
@@ -315,37 +289,22 @@ class ScalingWorkload:
 
 
 def _measure_planning_only(
-    workload: ScalingWorkload,
-    signatures: list[frozenset],
-    blocks: list[list[EventOccurrence]],
-    repetitions: int,
-) -> tuple[float, float]:
-    """(routed, scan) per-block *planning* cost, in seconds, on a frozen state.
+    workload: ScalingWorkload, signatures: list[frozenset], repetitions: int
+) -> float:
+    """Per-block ``TriggerPlanner.plan`` cost, in seconds, on a frozen state.
 
-    The exact ``ts`` checks are the same set of computations whichever
-    strategy selected them (the equivalence tests prove it), so the quantity
-    the refactor changes is how the per-block candidate set is *decided*:
-    routed — one ``TriggerPlanner.plan`` over the block signature; full scan —
-    iterate every untriggered rule and ask its individual ``V(E)`` filter, the
-    PR-1 hot loop.  Both are timed dry (no state mutation) over the same
-    signatures on the workload's steady state.
+    Timed dry (no state mutation) over the measured blocks' signatures on the
+    workload's steady state — the quantity that must stay flat as the table
+    grows.  The exhaustive scan has no planning step to compare it with: its
+    whole cost is the per-rule ``ts`` recomputation, which the end-to-end
+    check figures report.
     """
     planner = workload.support.planner
-    table = workload.rule_table
     started = time.perf_counter()
     for _ in range(repetitions):
         for signature in signatures:
             planner.plan(signature)
-    routed_seconds = (time.perf_counter() - started) / repetitions
-
-    started = time.perf_counter()
-    for _ in range(repetitions):
-        for block in blocks:
-            for state in table.untriggered_states():
-                if state.had_nonempty_window:
-                    state.recomputation_filter.needs_recomputation(block)
-    scan_seconds = (time.perf_counter() - started) / repetitions
-    return routed_seconds / len(signatures), scan_seconds / len(blocks)
+    return (time.perf_counter() - started) / repetitions / len(signatures)
 
 
 def measure_rule_scaling(
@@ -357,19 +316,19 @@ def measure_rule_scaling(
     planning_repetitions: int = 3,
     check_equivalence: bool = True,
 ) -> dict:
-    """Routed vs full-scan cost at one rule-count grid point.
+    """Routed vs exhaustive-scan cost at one rule-count grid point.
 
     Both strategies face the identical stream and rule pool; the warm-up
     blocks bring every rule past its first (unavoidably exhaustive) check so
-    the measured blocks see the steady state.  Two cost figures are reported:
+    the measured blocks see the steady state.  Reported per block:
 
-    * ``*_plan_us_per_block`` — the pure planning cost (deciding *which*
-      rules to check), measured dry on the frozen steady state.  This is the
-      headline: flat for the index, linear in the table for the scan.
-    * ``*_check_us_per_block`` — end-to-end ``check_after_block`` cost.  It
-      includes the exact ``ts`` sampling, which is identical work on both
-      paths (every instant a bypassed rule skips is sampled by that rule's
-      next visited check), so the gap narrows as checking dominates.
+    * ``routed_plan_us_per_block`` — the pure planning cost (deciding *which*
+      rules to check), measured dry on the frozen steady state: flat in the
+      rule count.
+    * ``*_check_us_per_block`` — end-to-end ``check_after_block`` cost of
+      the routed planner and of the exhaustive scan (``ts`` recomputed for
+      every untriggered rule, the paper's unoptimized baseline), and their
+      ratio ``check_speedup`` — the headline, growing with the table.
 
     With ``check_equivalence`` the two live runs' triggering counters and
     priority-order selections are asserted equal.
@@ -381,33 +340,32 @@ def measure_rule_scaling(
 
     outcomes: dict[bool, WorkloadOutcome] = {}
     workloads: dict[bool, ScalingWorkload] = {}
-    for use_index in (True, False):
+    for routed_arm in (True, False):
         workload = ScalingWorkload(
             build_scaling_rules(rule_count, universe, seed=seed),
-            use_subscription_index=use_index,
+            EngineConfig.from_env(use_static_optimization=routed_arm),
         )
         for block in stream[:warmup_blocks]:
             workload.feed_block(block)
         workload.outcome = WorkloadOutcome()  # drop warm-up timings
-        outcomes[use_index] = workload.run(stream[warmup_blocks:])
-        workloads[use_index] = workload
+        outcomes[routed_arm] = workload.run(stream[warmup_blocks:])
+        workloads[routed_arm] = workload
 
     routed, scanned = outcomes[True], outcomes[False]
     if check_equivalence:
         assert routed.triggerings == scanned.triggerings, (
-            "routed and full-scan runs made different triggering decisions"
+            "routed and exhaustive-scan runs made different triggering decisions"
         )
         assert routed.considerations == scanned.considerations, (
-            "routed and full-scan runs selected rules in different orders"
+            "routed and exhaustive-scan runs selected rules in different orders"
         )
 
-    measured_blocks = stream[warmup_blocks:]
     signatures = [
         frozenset(occurrence.event_type for occurrence in block)
-        for block in measured_blocks
+        for block in stream[warmup_blocks:]
     ]
-    plan_routed, plan_scan = _measure_planning_only(
-        workloads[True], signatures, measured_blocks, planning_repetitions
+    plan_routed = _measure_planning_only(
+        workloads[True], signatures, planning_repetitions
     )
 
     stats = routed.stats
@@ -416,10 +374,11 @@ def measure_rule_scaling(
         "universe_types": len(universe),
         "blocks": routed.blocks,
         "routed_plan_us_per_block": round(1e6 * plan_routed, 1),
-        "scan_plan_us_per_block": round(1e6 * plan_scan, 1),
-        "planning_speedup": round(plan_scan / max(1e-9, plan_routed), 1),
         "routed_check_us_per_block": round(routed.check_us_per_block, 1),
         "scan_check_us_per_block": round(scanned.check_us_per_block, 1),
+        "check_speedup": round(
+            scanned.check_us_per_block / max(1e-9, routed.check_us_per_block), 1
+        ),
         "routed_per_block": round(stats["rules_routed"] / max(1, routed.blocks), 1),
         "bypassed_per_block": round(
             stats["rules_bypassed_by_index"] / max(1, routed.blocks), 1
@@ -480,12 +439,12 @@ def run_x7_sweeps(smoke: bool = False) -> dict:
     return {
         "benchmark": "x7_rule_scaling",
         "description": (
-            "Per-block trigger-planning cost vs total rule count at fixed "
-            "subscription density (type-routed subscription index vs PR-1 "
-            "full scan with per-rule V(E) filters), plus bulk-vs-loop "
-            "EventBase ingestion.  Planning figures are measured dry on the "
-            "steady state; check figures are end-to-end and include the "
-            "identical exact ts work both paths perform."
+            "Per-block trigger-check cost vs total rule count at fixed "
+            "subscription density (type-routed subscription index vs the "
+            "paper's exhaustive scan without the V(E) static optimization), "
+            "plus bulk-vs-loop EventBase ingestion.  The routed planning "
+            "figure is measured dry on the steady state; check figures are "
+            "end-to-end."
         ),
         "headline": rule_rows[-1],
         "rule_scaling": rule_rows,
@@ -494,7 +453,7 @@ def run_x7_sweeps(smoke: bool = False) -> dict:
             "checked": True,
             "note": (
                 "each grid point asserts identical triggering decisions and "
-                "priority-order selections between routed and full-scan runs"
+                "priority-order selections between routed and exhaustive runs"
             ),
         },
     }
@@ -507,10 +466,9 @@ def render_x7(results: dict) -> str:
             row["rules"],
             row["universe_types"],
             row["routed_plan_us_per_block"],
-            row["scan_plan_us_per_block"],
-            f"{row['planning_speedup']}x",
             row["routed_check_us_per_block"],
             row["scan_check_us_per_block"],
+            f"{row['check_speedup']}x",
         ]
         for row in results["rule_scaling"]
     ]
@@ -531,13 +489,12 @@ def render_x7(results: dict) -> str:
                     "rules",
                     "types",
                     "routed plan µs/blk",
-                    "scan plan µs/blk",
-                    "plan speedup",
                     "routed check µs/blk",
                     "scan check µs/blk",
+                    "check speedup",
                 ],
                 scaling_rows,
-                title="X7 — trigger planning, subscription index vs full scan",
+                title="X7 — trigger check, subscription index vs exhaustive scan",
             ),
             render_table(
                 ["batch", "events", "loop ev/s", "bulk ev/s", "speedup"],

@@ -34,6 +34,7 @@ import random
 import time
 
 from repro.analysis.reporting import render_table
+from repro.config import EngineConfig
 from repro.cluster.streaming import StreamIngestor
 from repro.core.expressions import Primitive, SetConjunction, SetDisjunction
 from repro.events.clock import TransactionClock
@@ -197,7 +198,7 @@ def measure_shard_scaling(
     ]
 
     def run(shards: int) -> tuple[ScalingWorkload, WorkloadOutcome]:
-        workload = ScalingWorkload(rules, shards=shards)
+        workload = ScalingWorkload(rules, EngineConfig.from_env(shards=shards))
         for block in stream[:warmup_blocks]:
             workload.feed_block(block)
         workload.outcome = WorkloadOutcome()  # drop warm-up timings
@@ -281,7 +282,7 @@ def _build_stream_engine(rules: list[Rule], shards: int) -> RuleEngine:
         event_base=event_base,
         clock=clock,
         operations=operations,
-        shards=shards,
+        config=EngineConfig.from_env(shards=shards),
     )
     for rule in rules:
         engine.rule_table.add(rule).reset(0)

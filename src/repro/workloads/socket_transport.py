@@ -36,6 +36,7 @@ import gc
 import os
 
 from repro.analysis.reporting import render_table
+from repro.config import EngineConfig
 from repro.workloads.rule_scaling import (
     ScalingWorkload,
     WorkloadOutcome,
@@ -94,11 +95,13 @@ def measure_socket_transport(
     def run(shards: int, shard_mode: str | None, transport: str | None):
         workload = ScalingWorkload(
             rules,
-            shards=shards,
-            shard_mode=shard_mode,
-            batch_blocks=batch,
-            transport=transport,
-            adaptive_batch=False,
+            EngineConfig.from_env(
+                shards=shards,
+                shard_mode=shard_mode,
+                batch_blocks=batch,
+                transport=transport,
+                adaptive_batch=False,
+            ),
         )
         for start in range(0, warmup_blocks, batch):
             workload.feed_trip(stream[start : min(start + batch, warmup_blocks)])
@@ -235,11 +238,13 @@ def measure_reconnect_resync(
     def run(bounce: bool):
         workload = ScalingWorkload(
             rules,
-            shards=workers,
-            shard_mode="processes",
-            batch_blocks=batch,
-            transport="tcp",
-            adaptive_batch=False,
+            EngineConfig.from_env(
+                shards=workers,
+                shard_mode="processes",
+                batch_blocks=batch,
+                transport="tcp",
+                adaptive_batch=False,
+            ),
         )
         try:
             workload.run(stream[:half])

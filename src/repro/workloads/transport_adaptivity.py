@@ -40,6 +40,7 @@ import os
 import time
 
 from repro.analysis.reporting import render_table
+from repro.config import EngineConfig
 from repro.events.clock import TransactionClock
 from repro.events.event import EventOccurrence
 from repro.events.event_base import EventBase
@@ -141,10 +142,12 @@ def measure_transport_encoding(
     def run(shards: int, shard_mode: str | None, transport: str | None):
         workload = ScalingWorkload(
             rules,
-            shards=shards,
-            shard_mode=shard_mode,
-            batch_blocks=batch,
-            transport=transport,
+            EngineConfig.from_env(
+                shards=shards,
+                shard_mode=shard_mode,
+                batch_blocks=batch,
+                transport=transport,
+            ),
         )
         for start in range(0, warmup_blocks, batch):
             workload.feed_trip(stream[start : min(start + batch, warmup_blocks)])
@@ -270,9 +273,9 @@ def _build_stream_engine(
         event_base=event_base,
         clock=clock,
         operations=operations,
-        shards=shards,
-        shard_mode=shard_mode,
-        transport=transport,
+        config=EngineConfig.from_env(
+            shards=shards, shard_mode=shard_mode, transport=transport
+        ),
     )
     for rule in rules:
         engine.rule_table.add(rule).reset(0)

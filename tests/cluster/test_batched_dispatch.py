@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.cluster.coordinator import ShardCoordinator
 from repro.cluster.sharding import ShardedRuleTable
+from repro.config import EngineConfig
 from repro.core.parser import parse_expression
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
@@ -48,7 +49,7 @@ class _Pipeline:
             self.table.add(rule).reset(0)
         self.handler = EventHandler(self.event_base)
         self.support = ShardCoordinator(
-            self.table, self.event_base, shard_mode=shard_mode
+            self.table, self.event_base, EngineConfig.from_env(shard_mode=shard_mode)
         )
 
     def segments(self, blocks):
@@ -213,7 +214,7 @@ class TestTripLocalSkip:
         table = RuleTable()
         table.add(watcher("w0", "create(beta)")).reset(0)
         handler = EventHandler(event_base)
-        support = TriggerSupport(table, event_base)
+        support = TriggerSupport(table, event_base, EngineConfig.from_env())
         segments = []
         for eid in (1, 2, 3):
             segments.append((handler.store_external(block(eid, eid)), eid))
@@ -225,7 +226,7 @@ class TestTripLocalSkip:
         table = RuleTable()
         table.add(watcher("w0", "create(alpha)")).reset(0)
         handler = EventHandler(event_base)
-        support = TriggerSupport(table, event_base)
+        support = TriggerSupport(table, event_base, EngineConfig.from_env())
         segments = []
         for eid in (1, 2, 3):
             batch = handler.store_external(block(eid, eid))
@@ -256,8 +257,7 @@ class TestEngineStreamBlocks:
             event_base=event_base,
             clock=clock,
             operations=operations,
-            shards=shards,
-            shard_mode=shard_mode,
+            config=EngineConfig.from_env(shards=shards, shard_mode=shard_mode),
         )
 
     def stream(self, count: int):

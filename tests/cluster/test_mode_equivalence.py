@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 
+from repro.config import EngineConfig
 from repro.oodb.database import ChimeraDatabase
 
 from tests.cluster.test_shard_equivalence import run_scenario
@@ -413,7 +414,9 @@ def test_zero_candidate_trip_merges_empty_stats_in_process_mode():
     state.reset(0)
     event_base = EventBase()
     handler = EventHandler(event_base)
-    support = ShardCoordinator(table, event_base, shard_mode="processes")
+    support = ShardCoordinator(
+        table, event_base, EngineConfig.from_env(shard_mode="processes")
+    )
     try:
 
         def feed(class_name: str, stamp: int) -> list:
@@ -468,7 +471,9 @@ def test_worker_definitions_pruned_on_rule_removal():
     table = ShardedRuleTable(2)
     event_base = EventBase()
     handler = EventHandler(event_base)
-    support = ShardCoordinator(table, event_base, shard_mode="processes")
+    support = ShardCoordinator(
+        table, event_base, EngineConfig.from_env(shard_mode="processes")
+    )
     try:
         stamp = 0
 

@@ -24,9 +24,11 @@ from repro.rules.rule import Rule
 
 import pytest
 
+from tests.cluster.test_sharding import SERIAL
+
 
 def build_coordinator(
-    classes: int, plan_cache_size: int | None
+    classes: int, plan_cache_size: int
 ) -> tuple[ShardedRuleTable, ShardCoordinator, list[EventType]]:
     table = ShardedRuleTable(4, plan_cache_size=plan_cache_size)
     universe: list[EventType] = []
@@ -41,7 +43,7 @@ def build_coordinator(
                 action=NO_ACTION,
             )
         ).reset(0)
-    return table, ShardCoordinator(table, EventBase()), universe
+    return table, ShardCoordinator(table, EventBase(), SERIAL), universe
 
 
 def test_never_repeating_signatures_hold_caches_flat():
@@ -105,7 +107,7 @@ def test_bounded_caches_do_not_change_decisions():
     for rule in scenario.rules:
         table.add(rule).reset(0)
     handler = EventHandler(event_base)
-    support = ShardCoordinator(table, event_base)
+    support = ShardCoordinator(table, event_base, SERIAL)
     trace = []
     for position, block in enumerate(scenario.blocks):
         for name in scenario.removals.get(position, ()):

@@ -26,6 +26,7 @@ import pytest
 
 from repro.cluster.coordinator import ShardCoordinator
 from repro.cluster.sharding import ShardedRuleTable
+from repro.config import EngineConfig
 from repro.core.parser import parse_expression
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.event import EventType, Operation
@@ -53,7 +54,9 @@ def build_support(rule_count: int = 4, transport: str | None = None):
         ).reset(0)
     handler = EventHandler(event_base)
     support = ShardCoordinator(
-        table, event_base, shard_mode="processes", transport=transport
+        table,
+        event_base,
+        EngineConfig.from_env(shard_mode="processes", transport=transport),
     )
     return table, event_base, handler, support
 
@@ -198,7 +201,9 @@ def test_rule_free_database_never_spawns_workers():
     table = ShardedRuleTable(4)
     event_base = EventBase()
     handler = EventHandler(event_base)
-    support = ShardCoordinator(table, event_base, shard_mode="processes")
+    support = ShardCoordinator(
+        table, event_base, EngineConfig.from_env(shard_mode="processes")
+    )
     try:
         for stamp in (1, 2, 3):
             event_base.record(CREATE_ALPHA, oid="alpha#1", timestamp=stamp)

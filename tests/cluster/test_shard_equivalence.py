@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.cluster.coordinator import ShardCoordinator
 from repro.cluster.sharding import ShardedRuleTable
+from repro.config import EngineConfig
 from repro.events.event_base import EventBase
 from repro.rules.event_handler import EventHandler
 from repro.rules.rule_table import RuleTable
@@ -30,8 +31,7 @@ from tests.rules.test_planner_equivalence import Scenario, build_scenario
 def run_scenario(
     scenario: Scenario,
     shards: int = 0,
-    parallel: bool = False,
-    shard_mode: str | None = None,
+    shard_mode: str = "serial",
     recheck_every: int = 0,
     batch_blocks: int = 1,
     trip_sizes: tuple[int, ...] | None = None,
@@ -41,8 +41,7 @@ def run_scenario(
 ) -> dict:
     """Execute a scenario; ``shards=0`` is the single-table reference.
 
-    ``shard_mode`` selects the coordinator's execution mode explicitly
-    (``parallel=True`` remains the PR-3 spelling of ``"threads"``);
+    ``shard_mode`` selects the coordinator's execution mode explicitly;
     ``recheck_every=N`` runs a commit-style ``recheck_all`` after every Nth
     block, exercising the exhaustive path the process mode must also route
     through its workers.  ``batch_blocks=N`` coalesces the stream into
@@ -54,11 +53,10 @@ def run_scenario(
     partition (cycled if it runs out) — the bursty-arrival replay: the
     variable-size trips an adaptive consumer realizes under Poisson bursts
     and idle gaps, still with churn at trip boundaries.
-    ``use_compiled_checks`` selects the compiled exact-check closures
-    (``None`` defers to the ambient ``$CHIMERA_COMPILED_CHECKS`` default).
-    ``transport`` selects the process mode's delta transport (pickled
-    snapshots or the shared-memory row ring; ``None`` defers to
-    ``$CHIMERA_TRANSPORT``).
+    ``use_compiled_checks`` selects the compiled exact-check closures and
+    ``transport`` the process mode's delta transport; ``None`` leaves the
+    field to ``EngineConfig.from_env()`` — the suite's ``--compiled-checks``
+    / ``CHIMERA_TRANSPORT`` sweeps reach in that way.
     ``metric_prefixes`` filters which snapshot counters of the PR-8 metrics
     registry land in the returned ``"metrics"`` key — the default pins the
     deterministic ``trigger.*`` counters; mode-dependent families
@@ -75,19 +73,14 @@ def run_scenario(
     for rule in scenario.rules:
         table.add(rule).reset(0)
     handler = EventHandler(event_base)
-    if shards > 0:
-        support: TriggerSupport = ShardCoordinator(
-            table,
-            event_base,
-            parallel=parallel,
-            shard_mode=shard_mode,
-            use_compiled_checks=use_compiled_checks,
-            transport=transport,
-        )
-    else:
-        support = TriggerSupport(
-            table, event_base, use_compiled_checks=use_compiled_checks
-        )
+    config = EngineConfig.from_env(
+        shard_mode=shard_mode,
+        use_compiled_checks=use_compiled_checks,
+        transport=transport,
+    )
+    support = (ShardCoordinator if shards > 0 else TriggerSupport)(
+        table, event_base, config
+    )
 
     spans: list[tuple[int, int]] = []
     position = 0
@@ -172,14 +165,14 @@ def test_sharded_equals_single_table_across_shard_counts():
             assert sharded == reference, f"seed {seed}: {shards} shards != single table"
 
 
-def test_parallel_mode_equals_single_table():
+def test_threads_mode_equals_single_table():
     for seed in (3, 7, 11, 42):
         scenario = build_scenario(seed)
         reference = run_scenario(scenario)
         for shards in (2, 4, 8):
-            parallel = run_scenario(scenario, shards=shards, parallel=True)
-            assert parallel == reference, (
-                f"seed {seed}: parallel {shards}-shard run != single table"
+            threaded = run_scenario(scenario, shards=shards, shard_mode="threads")
+            assert threaded == reference, (
+                f"seed {seed}: threaded {shards}-shard run != single table"
             )
 
 

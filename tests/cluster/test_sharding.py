@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.coordinator import ShardCoordinator
 from repro.cluster.sharding import ShardedRuleTable, home_shard, shard_of_bucket
+from repro.config import EngineConfig
 from repro.core.parser import parse_expression
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
@@ -13,6 +14,10 @@ from repro.oodb.schema import Schema
 from repro.rules.actions import NO_ACTION
 from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.rule import Rule
+
+#: The ambient record (``--compiled-checks`` and friends reach in) pinned to
+#: the coordinator's inline mode.
+SERIAL = EngineConfig.from_env(shard_mode="serial")
 
 
 def make_rule(name: str, events: str, priority: int = 0) -> Rule:
@@ -87,7 +92,7 @@ class TestShardPlanCache:
     def setup_method(self):
         self.table = ShardedRuleTable(4)
         self.event_base = EventBase()
-        self.coordinator = ShardCoordinator(self.table, self.event_base)
+        self.coordinator = ShardCoordinator(self.table, self.event_base, SERIAL)
         self.stock = EventType(Operation.CREATE, "stock")
         self.order = EventType(Operation.CREATE, "order")
 
@@ -158,7 +163,7 @@ class TestCoordinatorCheck:
     def test_fanout_checks_only_owning_shards(self):
         table = ShardedRuleTable(4)
         event_base = EventBase()
-        coordinator = ShardCoordinator(table, event_base)
+        coordinator = ShardCoordinator(table, event_base, SERIAL)
         table.add(make_rule("stock_watch", "create(stock)"))
         table.add(make_rule("order_watch", "create(order)"))
         stock = EventType(Operation.CREATE, "stock")
@@ -170,7 +175,9 @@ class TestCoordinatorCheck:
     def test_parallel_pool_lifecycle(self):
         table = ShardedRuleTable(4)
         event_base = EventBase()
-        with ShardCoordinator(table, event_base, parallel=True) as coordinator:
+        with ShardCoordinator(
+            table, event_base, EngineConfig.from_env(shard_mode="threads")
+        ) as coordinator:
             for index, class_name in enumerate(("stock", "order", "show")):
                 table.add(make_rule(f"w{index}", f"create({class_name})"))
             block = [

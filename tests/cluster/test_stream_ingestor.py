@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.cluster.streaming import StreamIngestor
+from repro.config import EngineConfig
 from repro.events.clock import TransactionClock
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
@@ -38,7 +39,7 @@ def make_engine(shards: int = 0) -> RuleEngine:
         event_base=event_base,
         clock=clock,
         operations=operations,
-        shards=shards,
+        config=EngineConfig.from_env(shards=shards),
     )
 
 
@@ -323,19 +324,16 @@ class TestCoalescing:
             ingestor.submit(stream[0])
         ingestor.close()  # already-delivered error does not resurface
 
-    def test_max_batch_blocks_validation_and_ambient_default(self, monkeypatch):
-        from repro.cluster.streaming import default_batch_blocks
-
-        engine = make_engine()
+    def test_max_batch_blocks_validation_and_engine_default(self, monkeypatch):
         with pytest.raises(ValueError, match="max_batch_blocks"):
-            StreamIngestor(engine, max_batch_blocks=0)
+            StreamIngestor(make_engine(), max_batch_blocks=0)
+        # The bound comes from the engine's record, resolved when the engine
+        # was built — never from the environment at ingestor time.
         monkeypatch.setenv("CHIMERA_BATCH_BLOCKS", "6")
-        assert default_batch_blocks() == 6
-        assert StreamIngestor(engine).max_batch_blocks == 6
-        monkeypatch.setenv("CHIMERA_BATCH_BLOCKS", "not-a-number")
-        assert default_batch_blocks() == 1
+        engine = make_engine()
         monkeypatch.delenv("CHIMERA_BATCH_BLOCKS")
-        assert default_batch_blocks() == 1
+        assert StreamIngestor(engine).max_batch_blocks == 6
+        assert StreamIngestor(make_engine()).max_batch_blocks == 1
 
     def test_database_stream_ingestor_threads_the_knob(self):
         from repro.oodb.database import ChimeraDatabase

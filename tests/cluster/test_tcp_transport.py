@@ -17,8 +17,8 @@ the pipe pool's contracts:
   byte-identical to an uninterrupted run (memo state is decision-invariant
   by design, so a fresh memo changes no outcome);
 * externally-started workers (the ``chimera-events worker`` CLI entrypoint,
-  ``$CHIMERA_TCP_SPAWN=0`` deployment story) handshake into the same pool,
-  and a bad token is rejected before any state ships.
+  ``tcp_spawn=False`` deployment story) handshake into the same pool, and a
+  bad token is rejected before any state ships.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.cluster.net import (
     TcpTransport,
     _read_frame,
 )
-from repro.cluster.transport import WorkerConfig
+from repro.config import EngineConfig
 from repro.errors import ShardWorkerError, SnapshotError
 
 from tests.cluster.test_process_pool import build_support, feed_block
@@ -204,8 +204,8 @@ def test_corrupt_frame_on_the_wire_poisons_pool_loudly():
 # ---------------------------------------------------------------------------
 
 
-def _cli_worker(host: str, port: int, worker_id: int, token: str) -> None:
-    cli_main(
+def cli_worker(host: str, port: int, worker_id: int, token: str) -> int:
+    return cli_main(
         [
             "worker",
             "--host",
@@ -220,70 +220,92 @@ def _cli_worker(host: str, port: int, worker_id: int, token: str) -> None:
     )
 
 
-def test_external_cli_workers_join_a_no_spawn_pool():
-    transport = TcpTransport(spawn_workers=False, timeout=30.0)
-    config = WorkerConfig("logical", False, False)
-    launch_error: list[BaseException] = []
+def launch_in_background(
+    num_workers: int,
+    config: EngineConfig = EngineConfig(tcp_spawn=False),
+    metrics_enabled: bool = False,
+):
+    """A no-spawn transport launching on a thread: ``(transport, thread, errors)``."""
+    transport = TcpTransport(config)
+    errors: list[BaseException] = []
 
     def launch():
         try:
-            transport.launch(2, config)
+            transport.launch(num_workers, metrics_enabled)
         except BaseException as exc:  # surfaced after join
-            launch_error.append(exc)
+            errors.append(exc)
 
     thread = threading.Thread(target=launch, daemon=True)
     thread.start()
-    try:
-        # launch() binds + publishes the rendezvous coordinates first, then
-        # blocks until both workers handshake.
-        deadline = time.monotonic() + 10.0
-        while transport.token is None and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert transport.token is not None
-        context = multiprocessing.get_context(transport.start_method)
-        workers = [
-            context.Process(
-                target=_cli_worker,
-                args=(transport.host, transport.port, worker_id, transport.token),
-                daemon=True,
-            )
-            for worker_id in range(2)
-        ]
+    return transport, thread, errors
+
+
+def test_external_cli_workers_join_a_no_spawn_pool():
+    # Looped: the rendezvous hand-off used to publish the token before the
+    # socket was bound (port still 0), which only lost the race under load.
+    context = multiprocessing.get_context("fork")
+    for _ in range(20):
+        transport, thread, errors = launch_in_background(2)
+        try:
+            # launch() publishes (host, port, token) once it listens, then
+            # blocks until both workers handshake.
+            host, port, token = transport.wait_rendezvous(10.0)
+            assert port != 0
+            workers = [
+                context.Process(
+                    target=cli_worker, args=(host, port, worker_id, token), daemon=True
+                )
+                for worker_id in range(2)
+            ]
+            for process in workers:
+                process.start()
+            thread.join(timeout=30.0)
+            assert not thread.is_alive(), "launch never saw both workers"
+            assert not errors, errors
+            for worker_id in range(2):
+                assert transport.channel(worker_id) is not None
+        finally:
+            transport.shutdown()
+            thread.join(timeout=5.0)
         for process in workers:
-            process.start()
-        thread.join(timeout=30.0)
-        assert not thread.is_alive(), "launch never saw both workers"
-        assert not launch_error, launch_error
-        for worker_id in range(2):
-            assert transport.channel(worker_id) is not None
-    finally:
-        transport.shutdown()
-        thread.join(timeout=5.0)
+            process.join(timeout=5.0)
+            assert process.exitcode == 0
 
 
 def test_worker_with_bad_token_is_rejected():
-    transport = TcpTransport(spawn_workers=False, timeout=30.0)
-    thread = threading.Thread(
-        target=lambda: transport.launch(1, WorkerConfig("logical", False, False)),
-        daemon=True,
-    )
-    thread.start()
-    try:
-        deadline = time.monotonic() + 10.0
-        while transport.token is None and time.monotonic() < deadline:
-            time.sleep(0.02)
-        # endpoint.start() runs after the no-spawn banner; wait for the
-        # listener to accept before handshaking.
-        from repro.cluster.net import run_worker
+    from repro.cluster.net import run_worker
 
-        with pytest.raises(ShardWorkerError, match="rejected"):
-            run_worker(
-                transport.host,
-                transport.port,
-                0,
-                "not-the-token",
-                retry_seconds=10.0,
-            )
+    transport, thread, errors = launch_in_background(1)
+    try:
+        host, port, token = transport.wait_rendezvous(10.0)
+        flipped = token[:-1] + ("0" if token[-1] != "0" else "1")
+        # A wrong token, a correct *prefix* and a one-character miss are all
+        # refused alike (the comparison is constant-time, not prefix-wise).
+        for wrong in ("not-the-token", token[:16], flipped, token + "0"):
+            with pytest.raises(ShardWorkerError, match="rejected"):
+                run_worker(host, port, 0, wrong, retry_seconds=10.0)
     finally:
         transport.shutdown()
         thread.join(timeout=5.0)
+    # Closing the endpoint wakes the launch that was still waiting.
+    assert not thread.is_alive()
+    assert errors and isinstance(errors[0], ShardWorkerError)
+
+
+def test_respawn_waits_for_the_replacement_not_a_stale_reconnect():
+    """Two bounces with no trip in between: the second wait must not be
+    satisfied by the first bounce's still-unabsorbed refresh mark."""
+    table, event_base, handler, support = build_support(transport="tcp")
+    try:
+        assert feed_block(event_base, handler, support, 1)
+        pool = support.process_pool
+        transport = pool._transport
+        endpoint = transport._endpoint
+        transport.respawn_worker(0)
+        first = endpoint.registered(0)
+        transport.respawn_worker(0)
+        assert endpoint.registered(0) is not first
+        assert feed_block(event_base, handler, support, 2)
+        assert pool.reconnects >= 1
+    finally:
+        support.close()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 
+from repro.config import EngineConfig
 from repro.core.compile import compile_check
 from repro.core.evaluation import EvaluationMode, EvaluationStats
 from repro.core.evaluation import ots as interpreted_ots
@@ -297,7 +298,9 @@ class TestRecompilationInvariants:
         state.reset(0)
         event_base = EventBase()
         handler = EventHandler(event_base)
-        support = TriggerSupport(table, event_base, use_compiled_checks=True)
+        support = TriggerSupport(
+            table, event_base, EngineConfig.from_env(use_compiled_checks=True)
+        )
         support.prepare_rule(state)
         stamp = 0
 
@@ -369,7 +372,7 @@ class TestRecompilationInvariants:
         its compiled closure, not keep evaluating the stale expression."""
         from repro.cluster.process_pool import ProcessShardPool
 
-        pool = ProcessShardPool(1, use_compiled_checks=True)
+        pool = ProcessShardPool(1, EngineConfig.from_env(use_compiled_checks=True))
         try:
             event_base = EventBase()
             event_base.record(
@@ -393,7 +396,7 @@ class TestRecompilationInvariants:
         handles into the abandoned mirror would answer from stale indexes."""
         from repro.cluster.process_pool import ProcessShardPool
 
-        pool = ProcessShardPool(1, use_compiled_checks=True)
+        pool = ProcessShardPool(1, EngineConfig.from_env(use_compiled_checks=True))
         try:
             first = EventBase()
             first.record(

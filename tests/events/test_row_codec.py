@@ -222,7 +222,7 @@ def test_unshipped_type_index_raises_snapshot_error():
 
 def test_ring_fallback_inherits_unpicklable_payload_guard():
     """The shm ring names the offending eid synchronously, like the pickle path."""
-    from repro.cluster.process_pool import _destroy_ring, _SnapshotRing
+    from repro.cluster.transport import _destroy_ring, _SnapshotRing
     from repro.events.event_base import EventBase
 
     event_base = EventBase()

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cluster.coordinator import ShardCoordinator
 from repro.cluster.sharding import ShardedRuleTable
+from repro.config import EngineConfig
 from repro.errors import SnapshotError
 from repro.events.event import EventType, Operation
 from repro.events.event_base import EventBase, WindowSnapshot
@@ -150,7 +151,9 @@ def test_unpicklable_payload_fails_at_dispatch_not_in_worker():
         )
     ).reset(0)
     handler = EventHandler(event_base)
-    support = ShardCoordinator(table, event_base, shard_mode="processes")
+    support = ShardCoordinator(
+        table, event_base, EngineConfig.from_env(shard_mode="processes")
+    )
     try:
         event_base.record(
             EventType(Operation.CREATE, "alpha"),

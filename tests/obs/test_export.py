@@ -2,11 +2,7 @@
 
 import json
 
-from repro.obs.export import (
-    METRICS_ENV_VAR,
-    JsonLinesExporter,
-    render_metrics_report,
-)
+from repro.obs.export import JsonLinesExporter, render_metrics_report
 from repro.obs.registry import MetricsRegistry
 
 
@@ -66,14 +62,3 @@ class TestJsonLinesExporter:
         assert exporter.exports == 1
         assert len(path.read_text().splitlines()) == 1
 
-    def test_from_env_reads_the_ambient_path(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(METRICS_ENV_VAR, raising=False)
-        assert JsonLinesExporter.from_env() is None
-        monkeypatch.setenv(METRICS_ENV_VAR, "   ")
-        assert JsonLinesExporter.from_env() is None
-        path = tmp_path / "ambient.jsonl"
-        monkeypatch.setenv(METRICS_ENV_VAR, str(path))
-        exporter = JsonLinesExporter.from_env()
-        assert exporter is not None
-        assert exporter.path == str(path)
-        exporter.close()

@@ -13,7 +13,6 @@ import json
 from repro.cli import main
 from repro.cluster.streaming import StreamIngestor
 from repro.events.event import EventOccurrence, EventType, Operation
-from repro.obs.export import METRICS_ENV_VAR
 from repro.oodb.database import ChimeraDatabase
 from repro.workloads.stock import CHECK_STOCK_QTY_RULE
 
@@ -119,7 +118,7 @@ class TestIngestInstrumentation:
 class TestAmbientExport:
     def test_chimera_metrics_env_writes_json_lines(self, tmp_path, monkeypatch):
         path = tmp_path / "ambient.jsonl"
-        monkeypatch.setenv(METRICS_ENV_VAR, str(path))
+        monkeypatch.setenv("CHIMERA_METRICS", str(path))
         db = _stock_db()
         try:
             _drive(db)

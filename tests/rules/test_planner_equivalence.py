@@ -1,4 +1,4 @@
-"""Routed-vs-full-scan equivalence of the trigger planning pipeline.
+"""Routed-vs-exhaustive-scan equivalence of the trigger planning pipeline.
 
 The PR-2 subscription index must be *semantically invisible*: whatever the
 block, the rules the :class:`TriggerPlanner` routes plus the pending
@@ -13,10 +13,10 @@ Random scenarios (in the seeded style of
   ``(-priority, definition_order)``), pinning the lazy heaps against the
   seed's per-selection sort,
 
-across three configurations: routed (index), full scan with per-rule ``V(E)``
-filters (the PR-1 path) and full scan without the static optimization.  The
-scenarios include overlapping class-level / attribute-specific patterns in
-both the rules and the stream, pure negations (rules any occurrence can
+across two configurations: routed (index) and the paper's baseline, the
+exhaustive scan without the static optimization.  The scenarios include
+overlapping class-level / attribute-specific patterns in both the rules and
+the stream, pure negations (rules any occurrence can
 unblock), priority ties, rule removals and disable/enable flips mid-run, and
 empty blocks.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.config import EngineConfig
 from repro.core.parser import parse_expression
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
@@ -160,8 +161,8 @@ def build_scenario(seed: int, rule_count: int = 14, block_count: int = 24) -> Sc
     )
 
 
-def run_scenario(scenario: Scenario, use_index: bool, use_filter: bool = True) -> dict:
-    """Execute a scenario under one planning configuration; return its trace."""
+def run_scenario(scenario: Scenario, routed: bool) -> dict:
+    """Execute a scenario routed or as the exhaustive scan; return its trace."""
     event_base = EventBase()
     table = RuleTable()
     removed: set[str] = set()
@@ -170,10 +171,7 @@ def run_scenario(scenario: Scenario, use_index: bool, use_filter: bool = True) -
         table.add(rule).reset(0)
     handler = EventHandler(event_base)
     support = TriggerSupport(
-        table,
-        event_base,
-        use_static_optimization=use_filter,
-        use_subscription_index=use_index,
+        table, event_base, EngineConfig.from_env(use_static_optimization=routed)
     )
 
     trace: list[tuple] = []
@@ -239,21 +237,19 @@ def run_scenario(scenario: Scenario, use_index: bool, use_filter: bool = True) -
     return {"trace": trace, "counters": counters}
 
 
-def test_routed_equals_full_scan_on_random_scenarios():
+def test_routed_equals_exhaustive_scan_on_random_scenarios():
     for seed in range(25):
         scenario = build_scenario(seed)
-        routed = run_scenario(scenario, use_index=True)
-        scan_filtered = run_scenario(scenario, use_index=False)
-        scan_exhaustive = run_scenario(scenario, use_index=False, use_filter=False)
-        assert routed == scan_filtered, f"seed {seed}: routed != filtered scan"
-        assert routed == scan_exhaustive, f"seed {seed}: routed != exhaustive scan"
+        routed = run_scenario(scenario, routed=True)
+        scanned = run_scenario(scenario, routed=False)
+        assert routed == scanned, f"seed {seed}: routed != exhaustive scan"
 
 
-def test_routed_equals_full_scan_with_larger_rule_pools():
+def test_routed_equals_exhaustive_scan_with_larger_rule_pools():
     for seed in (101, 202):
         scenario = build_scenario(seed, rule_count=40, block_count=30)
-        routed = run_scenario(scenario, use_index=True)
-        scanned = run_scenario(scenario, use_index=False, use_filter=False)
+        routed = run_scenario(scenario, routed=True)
+        scanned = run_scenario(scenario, routed=False)
         assert routed == scanned, f"seed {seed}"
 
 

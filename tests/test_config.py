@@ -1,0 +1,191 @@
+"""The one configuration record: precedence, validation, and how it travels.
+
+``EngineConfig`` replaces a dozen hand-threaded ``CHIMERA_*`` lookups.  What
+is pinned here: explicit keyword > environment > default for every field that
+has a variable; a malformed or out-of-range value raises ``ConfigError``
+naming the variable instead of silently falling back; the record is frozen,
+hashable and ``repr``-round-trippable; the TCP handshake delivers the
+coordinator's own record to a ``chimera-events worker``; and the knob table in
+PERFORMANCE.md is the one ``knob_table()`` renders from the dataclass.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from repro.config import ENV_NAMES, EngineConfig, knob_table
+from repro.errors import ChimeraError, ConfigError
+from repro.oodb.database import ChimeraDatabase
+
+from tests.cluster.test_tcp_transport import cli_worker, launch_in_background
+
+#: field -> (a valid environment spelling, its parsed value, an explicit
+#: override that differs from both it and the default).
+ENV_CASES = {
+    "use_compiled_checks": ("yes", True, False),
+    "shards": ("3", 3, 5),
+    "shard_mode": ("THREADS", "threads", "processes"),
+    "transport": ("shm", "shm", "tcp"),
+    "tcp_host": ("0.0.0.0", "0.0.0.0", "localhost"),
+    "tcp_port": ("7411", 7411, 7412),
+    "tcp_spawn": ("0", False, True),
+    "batch_blocks": ("6", 6, 2),
+    "adaptive_batch": ("on", True, False),
+    "metrics_path": ("/tmp/m.jsonl", "/tmp/m.jsonl", "/tmp/other.jsonl"),
+}
+
+#: variable -> values the old per-module resolvers swallowed.
+MALFORMED = {
+    "CHIMERA_COMPILED_CHECKS": ["maybe", "2"],
+    "CHIMERA_SHARDS": ["abc", "-1", "1.5"],
+    "CHIMERA_SHARD_MODE": ["fibers"],
+    "CHIMERA_TRANSPORT": ["shmm"],
+    "CHIMERA_TCP_PORT": ["abc", "70000", "-1"],
+    "CHIMERA_TCP_SPAWN": ["perhaps"],
+    "CHIMERA_BATCH_BLOCKS": ["0", "not-a-number"],
+    "CHIMERA_ADAPTIVE_BATCH": ["sometimes"],
+}
+
+
+def test_every_environment_variable_has_a_precedence_case():
+    assert set(ENV_CASES) == set(ENV_NAMES)
+    assert len(ENV_NAMES) == 10
+
+
+@pytest.mark.parametrize("field", sorted(ENV_CASES))
+def test_explicit_beats_environment_beats_default(field):
+    raw, parsed, explicit = ENV_CASES[field]
+    default = getattr(EngineConfig(), field)
+    assert parsed != default and explicit != parsed
+    environ = {ENV_NAMES[field]: raw}
+    assert getattr(EngineConfig.from_env({}), field) == default
+    assert getattr(EngineConfig.from_env(environ), field) == parsed
+    assert getattr(EngineConfig.from_env(environ, **{field: explicit}), field) == (
+        explicit
+    )
+    # None is "not given" (CLI flags and harness parameters default to it).
+    assert getattr(EngineConfig.from_env(environ, **{field: None}), field) == parsed
+    # A blank variable is unset, not malformed.
+    assert getattr(EngineConfig.from_env({ENV_NAMES[field]: "  "}), field) == default
+
+
+def test_from_env_reads_the_process_environment_by_default(monkeypatch):
+    monkeypatch.setenv("CHIMERA_BATCH_BLOCKS", "4")
+    assert EngineConfig.from_env().batch_blocks == 4
+    assert EngineConfig().batch_blocks == 1  # the bare constructor never does
+
+
+@pytest.mark.parametrize(
+    "variable, raw",
+    [(variable, raw) for variable, values in MALFORMED.items() for raw in values],
+)
+def test_malformed_environment_value_raises_naming_the_variable(variable, raw):
+    with pytest.raises(ConfigError, match=rf"\${variable}=") as excinfo:
+        EngineConfig.from_env({variable: raw})
+    assert isinstance(excinfo.value, ChimeraError)
+    assert isinstance(excinfo.value, ValueError)
+
+
+def test_malformed_environment_fails_database_construction(monkeypatch):
+    monkeypatch.setenv("CHIMERA_TRANSPORT", "shmm")
+    with pytest.raises(ConfigError, match="CHIMERA_TRANSPORT"):
+        ChimeraDatabase()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("shards", -1),
+        ("shards", True),
+        ("shards", "4"),
+        ("shard_mode", "fibers"),
+        ("transport", "carrier-pigeon"),
+        ("evaluation_mode", "fuzzy"),
+        ("plan_cache_size", 0),
+        ("batch_blocks", 0),
+        ("tcp_port", 65536),
+        ("use_static_optimization", 1),
+        ("metrics_path", None),
+    ],
+)
+def test_out_of_range_keyword_raises_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        EngineConfig(**{field: value})
+
+
+def test_unknown_setting_is_rejected_by_every_assembly_point():
+    with pytest.raises(ConfigError, match="use_subscription_idx"):
+        EngineConfig.from_env({}, use_subscription_idx=False)
+    with pytest.raises(ConfigError, match="max_workers"):
+        ChimeraDatabase(max_workers=2)
+
+
+def test_record_is_frozen_hashable_and_repr_round_trips():
+    config = EngineConfig(shards=4, shard_mode="processes", transport="shm")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.shards = 2
+    assert hash(config) == hash(dataclasses.replace(config))
+    assert len({config, dataclasses.replace(config), EngineConfig()}) == 2
+    assert eval(repr(config), {"EngineConfig": EngineConfig}) == config
+    with pytest.raises(ConfigError):
+        dataclasses.replace(config, shards=-1)  # replace() re-validates
+
+
+def test_database_exposes_the_resolved_record(monkeypatch):
+    monkeypatch.setenv("CHIMERA_SHARDS", "2")
+    monkeypatch.setenv("CHIMERA_BATCH_BLOCKS", "3")
+    db = ChimeraDatabase(batch_blocks=5, max_rule_executions=77)
+    try:
+        assert db.config.shards == 2
+        assert db.config.batch_blocks == 5
+        assert db.engine.config is db.config
+        assert db.engine.trigger_support.config is db.config
+        assert db.rule_table.num_shards == 2
+        assert db.stream_ingestor().max_batch_blocks == 5
+    finally:
+        db.close()
+
+
+def test_tcp_handshake_delivers_the_coordinators_record(monkeypatch):
+    """A ``chimera-events worker`` has no engine flags: it must end up with
+    the coordinator's record, shipped in the handshake reply."""
+    record = EngineConfig(
+        tcp_spawn=False,
+        use_compiled_checks=True,
+        evaluation_mode="algebraic",
+        shards=3,
+        shard_mode="processes",
+        transport="tcp",
+        batch_blocks=4,
+    )
+    received: list[tuple] = []
+    monkeypatch.setattr(
+        "repro.cluster.process_pool._worker_main",
+        lambda connection, config, metrics_enabled: received.append(
+            (config, metrics_enabled)
+        ),
+    )
+    transport, thread, errors = launch_in_background(1, record, metrics_enabled=True)
+    try:
+        host, port, token = transport.wait_rendezvous(10.0)
+        assert cli_worker(host, port, 0, token) == 0
+        thread.join(timeout=10.0)
+        assert not thread.is_alive() and not errors, errors
+    finally:
+        transport.shutdown()
+        thread.join(timeout=5.0)
+    assert received == [(record, True)]
+    assert repr(received[0][0]) == repr(record)
+
+
+def test_performance_md_carries_the_generated_knob_table():
+    text = (Path(__file__).resolve().parents[1] / "PERFORMANCE.md").read_text()
+    assert knob_table() in text
+    # One row per field, and no row for a field that does not exist.
+    names = [spec.name for spec in dataclasses.fields(EngineConfig)]
+    for name in names:
+        assert f"| `{name}` |" in knob_table()
+    assert knob_table().count("\n") == len(names) + 1
