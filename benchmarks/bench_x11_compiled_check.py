@@ -1,22 +1,23 @@
-"""X11 — compiled exact checks: per-rule closures vs the interpreted evaluator.
+"""X11 — compiled exact checks: the engine's shape kernels vs the oracle.
 
-PR 6 lowers each rule's event expression into specialized closures at rule
-preparation time — ``V(E)`` verdict constant-folded, per-type index handles
-pre-resolved against the bound Event Base, operator dispatch unrolled with the
-evaluation mode's combines baked in — and batches a dispatch trip's instants
-per rule through one ``check_trip`` pass.  This bench isolates what that buys:
+The engine lowers each expression *shape* into closures once per evaluator —
+operator dispatch unrolled with the evaluation mode's combines baked in —
+binds every rule to its shape's kernel with a tuple of per-type index
+handles, and batches a dispatch trip's instants per rule through one
+``check_trip`` pass.  This bench isolates what that buys over the recursive
+reference evaluator (``is_triggered``), called directly:
 
 * **per-candidate kernel cost** — a dry, memo-less re-check of planned
-  candidates on the frozen steady state, both kernels over identical windows.
-  The acceptance bar is a >= 5x compiled speedup at the X7 10k-rule and X9
-  4-worker grid points (asserted by the pytest entry points on reduced grids
-  and by ``benchmarks/check_bench_guard.py`` on the written results);
-* **end-to-end check cost** — ``check_after_block(s)`` per block with
-  compiled checks off vs on, unsharded and across the coordinator modes;
-* **behavioral invisibility** — every grid point asserts identical triggering
-  decisions, priority-order selections and Trigger Support stats, and the
-  sweep section replays compiled off/on x unsharded/serial/threads/processes
-  x batch sizes 1-8 against the interpreted unsharded reference.
+  candidates on the frozen steady state, engine binding and oracle over
+  identical windows, decisions and stats asserted equal.  The acceptance bar
+  is a >= 5x speedup at the X7 10k-rule and X9 4-worker grid points
+  (asserted by the pytest entry points on reduced grids and by
+  ``benchmarks/check_bench_guard.py`` on the written results);
+* **end-to-end check cost** — the live engine's ``check_after_block(s)`` per
+  block, unsharded and across the coordinator modes;
+* **behavioral invisibility** — the process and sweep sections assert
+  identical triggering decisions, priority-order selections and Trigger
+  Support stats across unsharded/serial/threads/processes x batch sizes 1-8.
 
 Run as a script to execute the full sweep and write machine-readable results
 to ``BENCH_PR6.json`` at the repo root::
@@ -70,8 +71,8 @@ def main(argv: list[str] | None = None) -> None:
     headline = results["headline"]
     print(
         f"headline: {headline['rules']} rules -> per-candidate exact check "
-        f"{headline['interpreted_check_us_per_candidate']} µs interpreted vs "
-        f"{headline['compiled_check_us_per_candidate']} µs compiled "
+        f"{headline['interpreted_check_us_per_candidate']} µs oracle vs "
+        f"{headline['compiled_check_us_per_candidate']} µs engine "
         f"({headline['check_speedup']}x); X9 grid point "
         f"{results['process']['check_speedup']}x; "
         f"{results['sweep']['runs']} sweep runs byte-identical"
@@ -90,20 +91,20 @@ def main(argv: list[str] | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_x11_compiled_identical_across_modes_and_batch_sizes():
+def test_x11_identical_across_modes_and_batch_sizes():
     # measure_compiled_sweep asserts triggering + selection + stats
-    # byte-identity itself, per batch size, for compiled off/on across
-    # unsharded / serial / threads / processes.
+    # byte-identity itself, per batch size, across unsharded / serial /
+    # threads / processes.
     result = measure_compiled_sweep(
         rule_count=120, blocks=8, batch_sizes=(1, 3, 8), workers=2
     )
-    assert result["identical"] and result["runs"] >= 3 * 8
+    assert result["identical"] and result["runs"] == 3 * 4
 
 
 def test_x11_process_grid_point_equivalent_with_compiled_workers():
-    # The X9-style grid point: process workers compile shard-resident rules
-    # themselves; decisions, selections and stats must match the single-table
-    # interpreted reference (asserted inside the measurement).
+    # The X9-style grid point: process workers bind shard-resident rules
+    # themselves; decisions, selections and stats must match the single
+    # table (asserted inside the measurement).
     result = measure_compiled_process_scaling(
         300,
         workers=2,

@@ -180,7 +180,7 @@ def check_x11(
     sweep = results["sweep"]
     _check(
         sweep.get("identical") is True and sweep.get("runs", 0) > 0,
-        f"compiled x mode x batch sweep byte-identical ({sweep.get('runs')} runs)",
+        f"mode x batch sweep byte-identical ({sweep.get('runs')} runs)",
         failures,
     )
     _check(

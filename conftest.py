@@ -5,10 +5,8 @@ record reads (:data:`repro.config.ENV_NAMES`), so every
 :class:`repro.oodb.database.ChimeraDatabase` and every test that resolves
 ``EngineConfig.from_env()`` picks them up: ``pytest --shards N`` runs the
 whole suite behind an N-shard coordinator (CI runs it with ``--shards 4``
-alongside the plain run), ``--shard-mode serial|threads|processes`` selects
-how those shard checks execute, and ``--compiled-checks`` runs every exact
-triggering check through the compiled closures of :mod:`repro.core.compile`
-instead of the interpreted evaluator.  The record is resolved once here, so a
+alongside the plain run) and ``--shard-mode serial|threads|processes`` selects
+how those shard checks execute.  The record is resolved once here, so a
 bad option — or a malformed ambient ``CHIMERA_*`` value — fails the run before
 collection instead of silently falling back.  Defined here, not in
 ``tests/conftest.py``, because option registration must happen in an initial
@@ -41,12 +39,6 @@ def pytest_addoption(parser):
         default=None,
         help="shard-check execution mode for every sharded ChimeraDatabase",
     )
-    parser.addoption(
-        "--compiled-checks",
-        action="store_true",
-        default=False,
-        help="run every exact triggering check through the compiled closures",
-    )
 
 
 def pytest_configure(config):
@@ -56,6 +48,4 @@ def pytest_configure(config):
     shard_mode = config.getoption("--shard-mode")
     if shard_mode:
         os.environ[ENV_NAMES["shard_mode"]] = shard_mode
-    if config.getoption("--compiled-checks"):
-        os.environ[ENV_NAMES["use_compiled_checks"]] = "1"
     EngineConfig.from_env()

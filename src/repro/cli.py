@@ -25,9 +25,9 @@ Installed as the ``chimera-events`` console script (or run with
     routes blocks through the Event Base's batched ``extend`` fast path.
     The engine flags map one-to-one onto :class:`repro.config.EngineConfig`
     fields (``--shards``, ``--shard-mode``, ``--plan-cache-size``,
-    ``--batch-blocks``, ``--compiled-checks``, ``--transport``,
-    ``--adaptive-batch``); a flag left out falls back to its ``CHIMERA_*``
-    variable and then the default, and the report prints the resolved record.
+    ``--batch-blocks``, ``--transport``, ``--adaptive-batch``); a flag left
+    out falls back to its ``CHIMERA_*`` variable and then the default, and
+    the report prints the resolved record.
 ``bench``
     Run a benchmark sweep from the installed package (``x7``, the rule-count
     scaling / bulk-ingestion bench; ``x8``, the shard-scaling /
@@ -169,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
             "coalesce this many stream blocks per trigger-check dispatch trip "
             "(amortizes the process-mode worker round trip; 1 = per-block)"
         ),
-    )
-    workload_parser.add_argument(
-        "--compiled-checks",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="evaluate exact checks through the compiled per-rule closures",
     )
     workload_parser.add_argument(
         "--transport",
@@ -348,7 +342,6 @@ def _command_workload(args: argparse.Namespace) -> int:
         shard_mode=args.shard_mode,
         plan_cache_size=args.plan_cache_size,
         batch_blocks=args.batch_blocks,
-        use_compiled_checks=args.compiled_checks,
         transport=args.transport,
         adaptive_batch=args.adaptive_batch,
     )

@@ -297,7 +297,6 @@ class ShardCoordinator(TriggerSupport):
         local_stats = EvaluationStats()
         decisions: list[tuple[RuleState, TriggeringDecision]] = []
         for state in states:
-            self.prepare_rule(state)
             decisions.append(
                 (state, self._evaluate_rule(state, now, transaction_start, local_stats))
             )
@@ -412,7 +411,6 @@ class ShardCoordinator(TriggerSupport):
         for index, (_, plan) in enumerate(segments):
             for _, states in plan.per_shard:
                 for state in states:
-                    self.prepare_rule(state)
                     worker = self._worker_of(state, num_workers)
                     assignments.setdefault(worker, {}).setdefault(index, []).append(
                         (
@@ -468,52 +466,32 @@ class ShardCoordinator(TriggerSupport):
     ) -> tuple[list[tuple[int, RuleState, TriggeringDecision]], EvaluationStats]:
         """Evaluate one home worker's share of a trip (worker-safe).
 
-        With compiled checks the batch regroups rule-major and runs each
-        rule's ordered trip entries through one
-        :meth:`~repro.core.compile.CompiledCheck.check_trip` pass — safe
-        because the skip sets below key on the rule name alone, and a rule's
-        compiled evaluator (mutable bulk-stats cells included) is touched by
-        exactly one home batch per trip.  The final per-segment ordering is
-        definition order either way (the caller sorts before applying).
+        The batch regroups rule-major and runs each rule's ordered trip
+        entries through one :meth:`~repro.core.compile.CompiledCheck.check_trip`
+        pass — safe because the in-trip skips key on the rule name alone, a
+        rule's binding is touched by exactly one home batch per trip, and the
+        kernels the batches share hold no mutable state.  The final
+        per-segment ordering is definition order either way (the caller
+        sorts before applying).
         """
         local_stats = EvaluationStats()
         rows: list[tuple[int, RuleState, TriggeringDecision]] = []
-        if self.use_compiled_checks:
-            per_rule: dict[
-                str, tuple[RuleState, Timestamp, list[tuple[int, Timestamp, bool]]]
-            ] = {}
-            for index in sorted(segment_items):
-                now = nows[index]
-                for state, window_start, pending_only in segment_items[index]:
-                    name = state.rule.name
-                    entry = per_rule.get(name)
-                    if entry is None:
-                        entry = per_rule[name] = (state, window_start, [])
-                    entry[2].append((index, now, pending_only))
-            for state, window_start, items in per_rule.values():
-                decisions = self._check_rule_trip(
-                    state, window_start, items, local_stats
-                )
-                for (index, _now, _pending), decision in zip(items, decisions):
-                    if decision is not None:
-                        rows.append((index, state, decision))
-            return rows, local_stats
-        triggered_in_trip: set[str] = set()
-        saw_nonempty_window: set[str] = set()
+        per_rule: dict[
+            str, tuple[RuleState, Timestamp, list[tuple[int, Timestamp, bool]]]
+        ] = {}
         for index in sorted(segment_items):
             now = nows[index]
             for state, window_start, pending_only in segment_items[index]:
                 name = state.rule.name
-                if name in triggered_in_trip or (
-                    pending_only and name in saw_nonempty_window
-                ):
-                    continue
-                decision = self._evaluate_item(state, window_start, now, local_stats)
-                if decision.triggered:
-                    triggered_in_trip.add(name)
-                if decision.window_size > 0:
-                    saw_nonempty_window.add(name)
-                rows.append((index, state, decision))
+                entry = per_rule.get(name)
+                if entry is None:
+                    entry = per_rule[name] = (state, window_start, [])
+                entry[2].append((index, now, pending_only))
+        for state, window_start, items in per_rule.values():
+            decisions = self._check_rule_trip(state, window_start, items, local_stats)
+            for (index, _now, _pending), decision in zip(items, decisions):
+                if decision is not None:
+                    rows.append((index, state, decision))
         return rows, local_stats
 
     def _evaluate_trip_in_processes(
@@ -571,7 +549,6 @@ class ShardCoordinator(TriggerSupport):
         with self._dispatch_hist.time():
             for _, states in plan.per_shard:
                 for state in states:
-                    self.prepare_rule(state)
                     assignments.setdefault(
                         self._worker_of(state, num_workers), []
                     ).append((state, state.triggering_window_start(transaction_start)))

@@ -95,9 +95,9 @@ from typing import Sequence
 
 from repro.cluster.transport import _FrameReader, _RingReader, create_transport
 from repro.config import EngineConfig
-from repro.core.compile import compile_check
+from repro.core.compile import CheckBinder, CompiledCheck
 from repro.core.evaluation import EvaluationMode, EvaluationStats
-from repro.core.triggering import TriggerMemo, TriggeringDecision, is_triggered
+from repro.core.triggering import TriggerMemo, TriggeringDecision
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.clock import Timestamp
 from repro.events.event import EventType
@@ -124,8 +124,9 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
     transports, the handshake reply on tcp), so a worker can never evaluate
     under different settings than the engine it serves.
     """
-    mode = EvaluationMode(config.evaluation_mode)
-    compiled_checks = config.use_compiled_checks
+    # This worker's evaluator: shape kernels shared by every rule dealt to
+    # it, and the one epoch its bindings' index handles follow.
+    binder = CheckBinder(EvaluationMode(config.evaluation_mode))
     mirror = EventBase()
     # The worker accumulates its own registry and ships compact deltas
     # piggybacked on every reply (drain-and-reset keeps the payload small);
@@ -137,21 +138,18 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
     trips_counter = registry.counter("worker.trips")
     rules_counter = registry.counter("worker.rules_evaluated")
     check_hist = registry.histogram("worker.check")
-    #: rule name -> [definition order, event expression, TriggerMemo,
-    #: CompiledCheck | None].  The definition order doubles as the definition
-    #: *version*: a re-added rule gets a fresh one, which makes the
-    #: coordinator re-ship it and this worker replace the entry (memo and
-    #: compiled closure included) — so a shard-resident rule is compiled
-    #: exactly once per shipped definition version.
-    rules: dict[str, list] = {}
+    #: rule name -> (TriggerMemo, CompiledCheck).  A re-added rule gets a
+    #: fresh definition order, which makes the coordinator re-ship it and
+    #: this worker replace the entry (memo and binding) — so a
+    #: shard-resident rule is bound exactly once per shipped definition.
+    rules: dict[str, tuple[TriggerMemo, CompiledCheck]] = {}
     type_cache: dict[tuple, EventType] = {}
     ring_reader = _RingReader()
     frame_reader = _FrameReader()
     try:
         _worker_loop(
             connection,
-            mode,
-            compiled_checks,
+            binder,
             registry,
             trips_counter,
             rules_counter,
@@ -170,8 +168,7 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
 
 def _worker_loop(
     connection,
-    mode,
-    compiled_checks,
+    binder,
     registry,
     trips_counter,
     rules_counter,
@@ -197,17 +194,16 @@ def _worker_loop(
         try:
             if kind == "reset":
                 # New EB log (transaction boundary): the mirror and every
-                # memo describe the old one.  Definitions survive; compiled
-                # closures drop their pre-resolved index handles (they point
-                # into the abandoned mirror) and re-bind on the next check.
+                # memo describe the old one.  Definitions survive; one epoch
+                # bump makes every binding drop its index handles (they point
+                # into the abandoned mirror) and re-resolve on its next check.
                 mirror = EventBase()
                 type_cache.clear()
                 ring_reader.reset()
                 frame_reader.reset()
-                for entry in rules.values():
-                    entry[2].clear()
-                    if entry[3] is not None:
-                        entry[3].invalidate()
+                for memo, _compiled in rules.values():
+                    memo.clear()
+                binder.invalidate()
                 connection.send_bytes(pickle.dumps(("ok", (), None), _PROTOCOL))
                 continue
             _, delta, defs, drops, segments = request
@@ -223,105 +219,56 @@ def _worker_loop(
             # with the fresh definition, not the stale entry.
             for name in drops:
                 rules.pop(name, None)
-            for name, order, expression in defs:
-                rules[name] = [
-                    order,
-                    expression,
-                    TriggerMemo(),
-                    compile_check(expression, mode) if compiled_checks else None,
-                ]
+            for name, _order, expression in defs:
+                rules[name] = (TriggerMemo(), binder.bind(expression))
             state_applied = True
             stats = EvaluationStats()
             replies: list[tuple[int, tuple]] = []
             trips_counter.inc()
-            if compiled_checks:
-                # Rule-major regroup: each rule's trip entries go through one
-                # compiled check_trip call (the trip-local skip flags are
-                # keyed by rule name alone, so per-rule batching is exactly
-                # the segment-major walk below), then the per-segment replies
-                # are rebuilt in the original item order.
-                entries_by_rule: dict[str, list[tuple]] = {}
-                positions_by_rule: dict[str, list[int]] = {}
-                for segment_index, items, now in segments:
-                    for name, window_start, pending_only in items:
-                        entries_by_rule.setdefault(name, []).append(
-                            (window_start, now, pending_only)
-                        )
-                        positions_by_rule.setdefault(name, []).append(segment_index)
-                decided: dict[tuple[int, str], tuple] = {}
-                with check_hist.time():
-                    for name, entries in entries_by_rule.items():
-                        entry = rules[name]
-                        decisions_for_rule = entry[3].check_trip(
-                            mirror, entries, memo=entry[2], stats=stats
-                        )
-                        rules_counter.inc(len(entries))
-                        for segment_index, decision in zip(
-                            positions_by_rule[name], decisions_for_rule
-                        ):
-                            if decision is not None:
-                                decided[(segment_index, name)] = (
-                                    decision.triggered,
-                                    decision.instant,
-                                    decision.ts_value,
-                                    decision.window_size,
-                                    decision.instants_sampled,
-                                )
-                for segment_index, items, _now in segments:
-                    decisions = [
-                        (name, decided[(segment_index, name)])
-                        for name, _ws, _po in items
-                        if (segment_index, name) in decided
-                    ]
-                    replies.append((segment_index, tuple(decisions)))
-                connection.send_bytes(
-                    pickle.dumps(
-                        ("ok", tuple(replies), stats, registry.drain_delta()),
-                        _PROTOCOL,
+            # Rule-major regroup: each rule's trip entries go through one
+            # check_trip call, which applies the trip-local skips — exactly
+            # the rules whose later-segment plans would be gone had the
+            # earlier decisions applied per-block: rules found triggered
+            # earlier in this trip, and pending-only riders that already saw
+            # a non-empty window (they would have left the
+            # pending-full-check set).  The skips key on the rule name
+            # alone, so per-rule batching equals a segment-major walk; the
+            # per-segment replies are then rebuilt in the original item
+            # order.
+            entries_by_rule: dict[str, list[tuple]] = {}
+            positions_by_rule: dict[str, list[int]] = {}
+            for segment_index, items, now in segments:
+                for name, window_start, pending_only in items:
+                    entries_by_rule.setdefault(name, []).append(
+                        (window_start, now, pending_only)
                     )
-                )
-                continue
-            #: Trip-local skips, exactly the rules whose later-segment plans
-            #: would be gone had the earlier decisions applied per-block:
-            #: rules found triggered earlier in this trip, and pending-only
-            #: riders that already saw a non-empty window (they would have
-            #: left the pending-full-check set).
-            tripped: set[str] = set()
-            saw_nonempty: set[str] = set()
+                    positions_by_rule.setdefault(name, []).append(segment_index)
+            decided: dict[tuple[int, str], tuple] = {}
             with check_hist.time():
-                for segment_index, items, now in segments:
-                    decisions = []
-                    for name, window_start, pending_only in items:
-                        if name in tripped or (pending_only and name in saw_nonempty):
-                            continue
-                        entry = rules[name]
-                        decision = is_triggered(
-                            entry[1],
-                            mirror,
-                            window_start,
-                            now,
-                            mode,
-                            stats,
-                            memo=entry[2],
-                        )
-                        rules_counter.inc()
-                        if decision.triggered:
-                            tripped.add(name)
-                        if decision.window_size > 0:
-                            saw_nonempty.add(name)
-                        decisions.append(
-                            (
-                                name,
-                                (
-                                    decision.triggered,
-                                    decision.instant,
-                                    decision.ts_value,
-                                    decision.window_size,
-                                    decision.instants_sampled,
-                                ),
+                for name, entries in entries_by_rule.items():
+                    memo, compiled = rules[name]
+                    decisions_for_rule = compiled.check_trip(
+                        mirror, entries, memo=memo, stats=stats
+                    )
+                    for segment_index, decision in zip(
+                        positions_by_rule[name], decisions_for_rule
+                    ):
+                        if decision is not None:
+                            decided[(segment_index, name)] = (
+                                decision.triggered,
+                                decision.instant,
+                                decision.ts_value,
+                                decision.window_size,
+                                decision.instants_sampled,
                             )
-                        )
-                    replies.append((segment_index, tuple(decisions)))
+            rules_counter.inc(len(decided))
+            for segment_index, items, _now in segments:
+                decisions = [
+                    (name, decided[(segment_index, name)])
+                    for name, _ws, _po in items
+                    if (segment_index, name) in decided
+                ]
+                replies.append((segment_index, tuple(decisions)))
             connection.send_bytes(
                 pickle.dumps(
                     ("ok", tuple(replies), stats, registry.drain_delta()), _PROTOCOL

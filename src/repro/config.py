@@ -75,12 +75,6 @@ class EngineConfig:
     use_static_optimization: bool = _knob(
         True, bool, doc="V(E) routed planning; off = the paper's exhaustive scan"
     )
-    use_compiled_checks: bool = _knob(
-        False,
-        bool,
-        "CHIMERA_COMPILED_CHECKS",
-        "exact checks through compiled closures instead of the interpreter",
-    )
     evaluation_mode: str = _knob(
         "logical", _EVALUATION_MODES, doc="ts semantics of the exact check"
     )

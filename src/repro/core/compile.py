@@ -1,41 +1,46 @@
-"""Compilation of composite event expressions into specialized closures.
+"""Compilation of composite event expressions into shared shape kernels.
 
-The interpreted evaluator (:mod:`repro.core.evaluation`) re-discovers the
-shape of a rule's event expression on every sample: an isinstance-dispatch
-chain per node, a mode test per operator, an ``_indexes_matching`` resolution
-per primitive and a per-node ``stats`` increment — all per instant, per
-check.  After PRs 1–5 flattened planning and dispatch, that interpretation
-loop *is* the measured hot path (PERFORMANCE.md: ~60–80 µs per routed
-candidate on the check-heavy grids).
+The reference evaluator (:mod:`repro.core.evaluation`) re-discovers the shape
+of a rule's event expression on every sample: an isinstance-dispatch chain per
+node, a mode test per operator, an ``_indexes_matching`` resolution per
+primitive and a per-node ``stats`` increment — all per instant, per check.
+This module is the production evaluator: it does that discovery once per
+expression **shape** and leaves a rule with nothing but a small binding.
 
-This module lowers an expression once, at rule-definition time, into a tree
-of small Python closures and constant-folds everything the tree shape
-decides statically:
+*Compile* (once per shape per evaluator).  A shape is the operator tree with
+every primitive replaced by a slot number (one slot per distinct event type,
+in first-appearance order).  :class:`CheckBinder` interns one :class:`_Kernel`
+per shape — a tree of small Python closures with everything the shape decides
+folded in:
 
-* **operator dispatch** — each node becomes a direct nested call; no
-  isinstance chain survives to evaluation time;
-* **evaluation mode** — the :class:`EvaluationMode` combine formulas are
-  baked into the closures (both the logical case analysis and the exact
-  algebraic ``unit_step`` arithmetic — the two styles are *not* universally
-  value-equal, so each is compiled literally);
-* **the V(E) verdict** — the rule's variation set is derived once at compile
-  time and carried on the compiled object (:attr:`CompiledCheck.variations`),
-  so filter construction and introspection never re-walk the tree;
+* **operator dispatch** — each node is a direct nested call;
+* **evaluation mode** — the :class:`EvaluationMode` combine formulas are baked
+  in (both the logical case analysis and the exact algebraic ``unit_step``
+  arithmetic — the two styles are *not* universally value-equal, so each is
+  compiled literally);
 * **lift boundaries** — whether an instance-oriented subtree must be lifted
   over affected objects, whether the lift is existential (max) or universal
-  (min, instance negation), and the subtree's ``event_types()`` are all
-  resolved at compile time;
-* **index handles** — each primitive's per-type index resolution
-  (``EventBase._indexes_matching``) is hoisted into a shared one-slot cell,
-  re-resolved only when the bound Event Base changes identity or registers a
-  new event type (exactly the condition under which the store drops its own
-  match cache);
+  (min, instance negation) and which slots it enumerates;
 * **stats plumbing** — *rigid* subtrees (no precedence, no lift: their node
-  visit and primitive lookup counts per evaluation are compile-time
-  constants) do no counting at all; the constants are folded into their
-  nearest non-rigid ancestor (or into the per-check flush for a rigid root),
-  so the interpreted counters are reproduced exactly, in bulk, without a
-  single per-node increment on the fast path.
+  visit and primitive lookup counts per evaluation are constants of the
+  shape) do no counting at all; the constants are folded into their nearest
+  non-rigid ancestor (or into the per-check flush for a rigid root), so the
+  reference counters are reproduced exactly, in bulk.
+
+Kernels hold no mutable state and no event type: every closure takes the
+calling rule's *handles* as its first argument, so thousands of rules over
+different types — and threads evaluating them concurrently — share one.
+
+*Bind* (once per rule).  :class:`CompiledCheck` is the per-rule binding: the
+shared kernel, the rule's slot types and a tuple of per-type index handles
+(``EventBase._indexes_matching`` resolutions, one per slot).  The handles are
+valid for one binder *epoch*: the binder moves the epoch whenever the Event
+Base it last saw changes identity or registers a new event type (exactly the
+condition under which the store drops its own match cache), and
+:meth:`CheckBinder.invalidate` moves it unconditionally — O(1) however many
+rules are bound; each binding re-resolves lazily on its next check.  The
+counting cells of a non-rigid kernel live on the stack of the check that
+uses them.
 
 On top of the per-instant closures, :meth:`CompiledCheck.check_trip`
 evaluates all of a trip's blocks for one rule in a single pass over the
@@ -46,13 +51,14 @@ by bisection instead of re-entering ``is_triggered`` per block.
 Equivalence contract: for every expression, mode and history, the compiled
 ``ts``/``ots``/``check``/``check_trip`` return the same values, the same
 :class:`TriggeringDecision` fields and the same ``EvaluationStats`` totals
-as the interpreted path (pinned by tests/core/test_compiled_equivalence.py
-and the cross-mode differential harnesses).  The only intended difference is
-*when* stats are accumulated: per check, in bulk, rather than per node.
+as the reference (pinned by tests/core/test_compiled_equivalence.py and the
+cross-mode differential harnesses).  The only intended difference is *when*
+stats are accumulated: per check, in bulk, rather than per node.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from typing import Any, Callable, Sequence
 
@@ -69,7 +75,6 @@ from repro.core.expressions import (
     SetNegation,
     SetPrecedence,
 )
-from repro.core.optimization import variation_set
 from repro.core.triggering import TriggeringDecision, TriggerMemo
 from repro.core.ts import unit_step
 from repro.errors import EvaluationError
@@ -77,111 +82,97 @@ from repro.events.clock import Timestamp
 from repro.events.event import EventType
 from repro.events.event_base import EventBase
 
-__all__ = ["CompiledCheck", "compile_check"]
+__all__ = ["CheckBinder", "CompiledCheck", "compile_check"]
 
 #: Neutral lower bound: a window with no start excludes nothing.  Timestamps
 #: are ints, so ``-inf`` compares below every candidate and bisects to 0.
 _NEG_INF = float("-inf")
 
-#: A set closure: ``fn(after, instant) -> signed ts value``.
-_SetFn = Callable[[Any, Timestamp], int]
-#: An instance closure: ``fn(after, instant, oid) -> signed ots value``.
-_InstFn = Callable[[Any, Timestamp, Any], int]
+#: What a rigid kernel's check flushes as its dynamic share: nothing.
+_NO_CELLS = (0, 0, 0)
+
+#: A kernel closure: ``fn(handles, after, instant, oid) -> signed ts value``.
+#: ``handles[slot]`` is the resolved index tuple of the slot's event type;
+#: non-rigid kernels find their ``[visits, lookups, lifted]`` counting cells
+#: appended as ``handles[-1]``.  Set-oriented closures ignore ``oid``.
+_Fn = Callable[[tuple, Any, Timestamp, Any], int]
 #: Static per-evaluation cost of a rigid subtree: (node visits, lookups).
 _Cost = "tuple[int, int] | None"
 
+_NEGATIONS = (SetNegation, InstanceNegation)
+_CONJUNCTIONS = (SetConjunction, InstanceConjunction)
+_DISJUNCTIONS = (SetDisjunction, InstanceDisjunction)
+_PRECEDENCES = (SetPrecedence, InstancePrecedence)
 
-class _Compiler:
-    """One lowering pass over an expression tree.
+
+def _shape_key(node: EventExpression, slots: "dict[EventType, int]"):
+    """The structural key of ``node``; fills ``slots`` in first-appearance order."""
+    if isinstance(node, Primitive):
+        slot = slots.get(node.event_type)
+        if slot is None:
+            slot = slots[node.event_type] = len(slots)
+        return slot
+    return (type(node), *[_shape_key(child, slots) for child in node.children()])
+
+
+class _Lowering:
+    """One lowering pass over the exemplar expression of a shape.
 
     Produces closures plus, for *rigid* subtrees, their static
     ``(node_visits, primitive_lookups)`` per-evaluation cost.  A subtree is
     rigid when it contains no precedence operator (which conditionally skips
     its left operand) and no lifted instance subtree (whose cost scales with
-    the affected-object set) — then its interpreted counter increments are a
-    compile-time constant and the closure does no counting at all.  Non-rigid
+    the affected-object set) — then its reference counter increments are a
+    constant of the shape and the closure does no counting at all.  Non-rigid
     closures absorb their rigid children's constants and self-count into the
-    shared ``cells`` (visits, lookups, lifted objects), flushed in bulk once
-    per check.
+    check's counting cells (``handles[-1]``), flushed in bulk once per check.
     """
 
-    __slots__ = ("algebraic", "cells", "handle_cells")
+    __slots__ = ("algebraic", "slots")
 
-    def __init__(self, mode: EvaluationMode) -> None:
+    def __init__(self, mode: EvaluationMode, slots: "dict[EventType, int]") -> None:
         self.algebraic = mode is EvaluationMode.ALGEBRAIC
-        #: [node_visits, primitive_lookups, lifted_objects] — the dynamic
-        #: (non-rigid) share of the counters since the last flush.
-        self.cells: list[int] = [0, 0, 0]
-        #: One shared one-slot cell per event type; slot 0 holds the resolved
-        #: ``_indexes_matching`` tuple for the currently bound Event Base.
-        self.handle_cells: dict[EventType, list] = {}
+        self.slots = slots
 
-    def _handle(self, event_type: EventType) -> list:
-        cell = self.handle_cells.get(event_type)
-        if cell is None:
-            cell = self.handle_cells[event_type] = [()]
-        return cell
-
-    # -- set-oriented lowering (mirrors evaluation._ts) ---------------------
-    def compile_set(self, node: EventExpression) -> "tuple[_SetFn, _Cost]":
+    def lower(self, node: EventExpression, instance: bool) -> "tuple[_Fn, _Cost]":
+        """Mirror of ``evaluation._ts`` (``instance=False``) / ``_ots``."""
         if isinstance(node, Primitive):
-            cell = self._handle(node.event_type)
+            return self._primitive(self.slots[node.event_type], instance), (1, 1)
+        if node.is_instance_oriented and not instance:
+            return self._lift(node)
+        if instance and not node.is_instance_oriented:
+            raise EvaluationError(
+                f"set-oriented operator {type(node).__name__} cannot appear in an "
+                "instance-oriented evaluation"
+            )
+        if isinstance(node, _NEGATIONS):
+            operand, cost = self.lower(node.operand, instance)
 
-            def fn(after, instant, _cell=cell, _bisect=bisect_right):
-                best = None
-                for index in _cell[0]:
-                    stamps = index.timestamps
-                    position = _bisect(stamps, instant)
-                    if position:
-                        candidate = stamps[position - 1]
-                        if candidate > after and (best is None or candidate > best):
-                            best = candidate
-                return best if best is not None else -instant
-
-            return fn, (1, 1)
-
-        if isinstance(node, SetNegation):
-            operand, cost = self.compile_set(node.operand)
-
-            def fn(after, instant, _operand=operand):
-                return -_operand(after, instant)
+            def fn(h, after, instant, oid, _operand=operand):
+                return -_operand(h, after, instant, oid)
 
             if cost is not None:
                 return fn, (cost[0] + 1, cost[1])
-            return self._counted(fn, 1, 0), None
-
-        if isinstance(node, SetConjunction):
-            left, left_cost = self.compile_set(node.left)
-            right, right_cost = self.compile_set(node.right)
-            return self._combine_binary(
-                left, right, left_cost, right_cost, conjunction=True
+            return _counted(fn, 1, 0), None
+        if isinstance(node, _PRECEDENCES):
+            return self._precedence(
+                *self.lower(node.left, instance), *self.lower(node.right, instance)
             )
-
-        if isinstance(node, SetDisjunction):
-            left, left_cost = self.compile_set(node.left)
-            right, right_cost = self.compile_set(node.right)
-            return self._combine_binary(
-                left, right, left_cost, right_cost, conjunction=False
+        if isinstance(node, _CONJUNCTIONS + _DISJUNCTIONS):
+            return self._combine(
+                *self.lower(node.left, instance),
+                *self.lower(node.right, instance),
+                conjunction=isinstance(node, _CONJUNCTIONS),
             )
-
-        if isinstance(node, SetPrecedence):
-            left, left_cost = self.compile_set(node.left)
-            right, right_cost = self.compile_set(node.right)
-            return self._combine_precedence(left, right, left_cost, right_cost)
-
-        if node.is_instance_oriented:
-            return self._lift(node)
-
         raise EvaluationError(f"cannot compile node of type {type(node).__name__}")
 
-    # -- instance-oriented lowering (mirrors evaluation._ots) ----------------
-    def compile_inst(self, node: EventExpression) -> "tuple[_InstFn, _Cost]":
-        if isinstance(node, Primitive):
-            cell = self._handle(node.event_type)
+    @staticmethod
+    def _primitive(slot: int, instance: bool) -> _Fn:
+        if instance:
 
-            def fn(after, instant, oid, _cell=cell, _bisect=bisect_right):
+            def fn(h, after, instant, oid, _s=slot, _bisect=bisect_right):
                 best = None
-                for index in _cell[0]:
+                for index in h[_s]:
                     times = index.per_oid.get(oid)
                     if times:
                         position = _bisect(times, instant)
@@ -191,88 +182,39 @@ class _Compiler:
                                 best = candidate
                 return best if best is not None else -instant
 
-            return fn, (1, 1)
+        else:
 
-        if isinstance(node, InstanceNegation):
-            operand, cost = self.compile_inst(node.operand)
-
-            def fn(after, instant, oid, _operand=operand):
-                return -_operand(after, instant, oid)
-
-            if cost is not None:
-                return fn, (cost[0] + 1, cost[1])
-            return self._counted_inst(fn, 1, 0), None
-
-        if isinstance(node, InstanceConjunction):
-            left, left_cost = self.compile_inst(node.left)
-            right, right_cost = self.compile_inst(node.right)
-            return self._combine_binary_inst(
-                left, right, left_cost, right_cost, conjunction=True
-            )
-
-        if isinstance(node, InstanceDisjunction):
-            left, left_cost = self.compile_inst(node.left)
-            right, right_cost = self.compile_inst(node.right)
-            return self._combine_binary_inst(
-                left, right, left_cost, right_cost, conjunction=False
-            )
-
-        if isinstance(node, InstancePrecedence):
-            left, left_cost = self.compile_inst(node.left)
-            right, right_cost = self.compile_inst(node.right)
-            return self._combine_precedence_inst(left, right, left_cost, right_cost)
-
-        raise EvaluationError(
-            f"set-oriented operator {type(node).__name__} cannot appear in an "
-            "instance-oriented evaluation"
-        )
-
-    # -- counting wrappers (non-rigid nodes only) ---------------------------
-    def _counted(self, core: _SetFn, visits: int, lookups: int) -> _SetFn:
-        """Wrap a set closure to self-count a static prologue into the cells."""
-        cells = self.cells
-
-        def fn(after, instant, _core=core, _cells=cells, _v=visits, _k=lookups):
-            _cells[0] += _v
-            _cells[1] += _k
-            return _core(after, instant)
-
-        return fn
-
-    def _counted_inst(self, core: _InstFn, visits: int, lookups: int) -> _InstFn:
-        """Instance-closure variant of :meth:`_counted`."""
-        cells = self.cells
-
-        def fn(after, instant, oid, _core=core, _cells=cells, _v=visits, _k=lookups):
-            _cells[0] += _v
-            _cells[1] += _k
-            return _core(after, instant, oid)
+            def fn(h, after, instant, oid, _s=slot, _bisect=bisect_right):
+                best = None
+                for index in h[_s]:
+                    stamps = index.timestamps
+                    position = _bisect(stamps, instant)
+                    if position:
+                        candidate = stamps[position - 1]
+                        if candidate > after and (best is None or candidate > best):
+                            best = candidate
+                return best if best is not None else -instant
 
         return fn
 
     # -- conjunction / disjunction ------------------------------------------
-    def _combine_binary(
-        self,
-        left: _SetFn,
-        right: _SetFn,
-        left_cost,
-        right_cost,
-        conjunction: bool,
-    ) -> "tuple[_SetFn, _Cost]":
+    def _combine(
+        self, left: _Fn, left_cost, right: _Fn, right_cost, conjunction: bool
+    ) -> "tuple[_Fn, _Cost]":
         if conjunction:
             if self.algebraic:
 
-                def core(after, instant, _l=left, _r=right, _u=unit_step):
-                    lv = _l(after, instant)
-                    rv = _r(after, instant)
+                def core(h, after, instant, oid, _l=left, _r=right, _u=unit_step):
+                    lv = _l(h, after, instant, oid)
+                    rv = _r(h, after, instant, oid)
                     both = _u(lv) * _u(rv)
                     return min(lv, rv) * (1 - both) + max(lv, rv) * both
 
             else:
 
-                def core(after, instant, _l=left, _r=right):
-                    lv = _l(after, instant)
-                    rv = _r(after, instant)
+                def core(h, after, instant, oid, _l=left, _r=right):
+                    lv = _l(h, after, instant, oid)
+                    rv = _r(h, after, instant, oid)
                     if lv > 0 and rv > 0:
                         return lv if lv > rv else rv
                     return lv if lv < rv else rv
@@ -280,121 +222,59 @@ class _Compiler:
         else:
             if self.algebraic:
 
-                def core(after, instant, _l=left, _r=right, _u=unit_step):
-                    lv = _l(after, instant)
-                    rv = _r(after, instant)
+                def core(h, after, instant, oid, _l=left, _r=right, _u=unit_step):
+                    lv = _l(h, after, instant, oid)
+                    rv = _r(h, after, instant, oid)
                     neither = _u(-lv) * _u(-rv)
                     return max(lv, rv) * (1 - neither) + min(lv, rv) * neither
 
             else:
 
-                def core(after, instant, _l=left, _r=right):
-                    lv = _l(after, instant)
-                    rv = _r(after, instant)
+                def core(h, after, instant, oid, _l=left, _r=right):
+                    lv = _l(h, after, instant, oid)
+                    rv = _r(h, after, instant, oid)
                     if lv > 0 or rv > 0:
                         return lv if lv > rv else rv
                     return lv if lv < rv else rv
 
+        left_visits, left_lookups = left_cost or (0, 0)
+        right_visits, right_lookups = right_cost or (0, 0)
+        visits = 1 + left_visits + right_visits
+        lookups = left_lookups + right_lookups
         if left_cost is not None and right_cost is not None:
-            return core, (
-                left_cost[0] + right_cost[0] + 1,
-                left_cost[1] + right_cost[1],
-            )
-        visits = 1 + (left_cost[0] if left_cost else 0) + (
-            right_cost[0] if right_cost else 0
-        )
-        lookups = (left_cost[1] if left_cost else 0) + (
-            right_cost[1] if right_cost else 0
-        )
-        return self._counted(core, visits, lookups), None
-
-    def _combine_binary_inst(
-        self,
-        left: _InstFn,
-        right: _InstFn,
-        left_cost,
-        right_cost,
-        conjunction: bool,
-    ) -> "tuple[_InstFn, _Cost]":
-        if conjunction:
-            if self.algebraic:
-
-                def core(after, instant, oid, _l=left, _r=right, _u=unit_step):
-                    lv = _l(after, instant, oid)
-                    rv = _r(after, instant, oid)
-                    both = _u(lv) * _u(rv)
-                    return min(lv, rv) * (1 - both) + max(lv, rv) * both
-
-            else:
-
-                def core(after, instant, oid, _l=left, _r=right):
-                    lv = _l(after, instant, oid)
-                    rv = _r(after, instant, oid)
-                    if lv > 0 and rv > 0:
-                        return lv if lv > rv else rv
-                    return lv if lv < rv else rv
-
-        else:
-            if self.algebraic:
-
-                def core(after, instant, oid, _l=left, _r=right, _u=unit_step):
-                    lv = _l(after, instant, oid)
-                    rv = _r(after, instant, oid)
-                    neither = _u(-lv) * _u(-rv)
-                    return max(lv, rv) * (1 - neither) + min(lv, rv) * neither
-
-            else:
-
-                def core(after, instant, oid, _l=left, _r=right):
-                    lv = _l(after, instant, oid)
-                    rv = _r(after, instant, oid)
-                    if lv > 0 or rv > 0:
-                        return lv if lv > rv else rv
-                    return lv if lv < rv else rv
-
-        if left_cost is not None and right_cost is not None:
-            return core, (
-                left_cost[0] + right_cost[0] + 1,
-                left_cost[1] + right_cost[1],
-            )
-        visits = 1 + (left_cost[0] if left_cost else 0) + (
-            right_cost[0] if right_cost else 0
-        )
-        lookups = (left_cost[1] if left_cost else 0) + (
-            right_cost[1] if right_cost else 0
-        )
-        return self._counted_inst(core, visits, lookups), None
+            return core, (visits, lookups)
+        return _counted(core, visits, lookups), None
 
     # -- precedence (never rigid: the left operand is conditionally skipped) --
-    def _combine_precedence(
-        self, left: _SetFn, right: _SetFn, left_cost, right_cost
-    ) -> "tuple[_SetFn, _Cost]":
-        cells = self.cells
-        right_visits = 1 + (right_cost[0] if right_cost else 0)
-        right_lookups = right_cost[1] if right_cost else 0
-        left_visits = left_cost[0] if left_cost else 0
-        left_lookups = left_cost[1] if left_cost else 0
+    def _precedence(
+        self, left: _Fn, left_cost, right: _Fn, right_cost
+    ) -> "tuple[_Fn, _Cost]":
+        left_visits, left_lookups = left_cost or (0, 0)
+        right_visits, right_lookups = right_cost or (0, 0)
+        right_visits += 1
         if self.algebraic:
 
             def fn(
+                h,
                 after,
                 instant,
+                oid,
                 _l=left,
                 _r=right,
-                _cells=cells,
                 _u=unit_step,
                 _rv=right_visits,
                 _rk=right_lookups,
                 _lv=left_visits,
                 _lk=left_lookups,
             ):
-                _cells[0] += _rv
-                _cells[1] += _rk
-                right_value = _r(after, instant)
+                cells = h[-1]
+                cells[0] += _rv
+                cells[1] += _rk
+                right_value = _r(h, after, instant, oid)
                 if right_value > 0:
-                    _cells[0] += _lv
-                    _cells[1] += _lk
-                    left_at_right = _l(after, right_value)
+                    cells[0] += _lv
+                    cells[1] += _lk
+                    left_at_right = _l(h, after, right_value, oid)
                 else:
                     left_at_right = -instant
                 satisfied = _u(right_value) * _u(left_at_right)
@@ -403,229 +283,236 @@ class _Compiler:
         else:
 
             def fn(
-                after,
-                instant,
-                _l=left,
-                _r=right,
-                _cells=cells,
-                _rv=right_visits,
-                _rk=right_lookups,
-                _lv=left_visits,
-                _lk=left_lookups,
-            ):
-                _cells[0] += _rv
-                _cells[1] += _rk
-                right_value = _r(after, instant)
-                if right_value > 0:
-                    _cells[0] += _lv
-                    _cells[1] += _lk
-                    if _l(after, right_value) > 0:
-                        return right_value
-                return -instant
-
-        return fn, None
-
-    def _combine_precedence_inst(
-        self, left: _InstFn, right: _InstFn, left_cost, right_cost
-    ) -> "tuple[_InstFn, _Cost]":
-        cells = self.cells
-        right_visits = 1 + (right_cost[0] if right_cost else 0)
-        right_lookups = right_cost[1] if right_cost else 0
-        left_visits = left_cost[0] if left_cost else 0
-        left_lookups = left_cost[1] if left_cost else 0
-        if self.algebraic:
-
-            def fn(
+                h,
                 after,
                 instant,
                 oid,
                 _l=left,
                 _r=right,
-                _cells=cells,
-                _u=unit_step,
                 _rv=right_visits,
                 _rk=right_lookups,
                 _lv=left_visits,
                 _lk=left_lookups,
             ):
-                _cells[0] += _rv
-                _cells[1] += _rk
-                right_value = _r(after, instant, oid)
+                cells = h[-1]
+                cells[0] += _rv
+                cells[1] += _rk
+                right_value = _r(h, after, instant, oid)
                 if right_value > 0:
-                    _cells[0] += _lv
-                    _cells[1] += _lk
-                    left_at_right = _l(after, right_value, oid)
-                else:
-                    left_at_right = -instant
-                satisfied = _u(right_value) * _u(left_at_right)
-                return -instant * (1 - satisfied) + right_value * satisfied
-
-        else:
-
-            def fn(
-                after,
-                instant,
-                oid,
-                _l=left,
-                _r=right,
-                _cells=cells,
-                _rv=right_visits,
-                _rk=right_lookups,
-                _lv=left_visits,
-                _lk=left_lookups,
-            ):
-                _cells[0] += _rv
-                _cells[1] += _rk
-                right_value = _r(after, instant, oid)
-                if right_value > 0:
-                    _cells[0] += _lv
-                    _cells[1] += _lk
-                    if _l(after, right_value, oid) > 0:
+                    cells[0] += _lv
+                    cells[1] += _lk
+                    if _l(h, after, right_value, oid) > 0:
                         return right_value
                 return -instant
 
         return fn, None
 
     # -- lifting an instance subtree into a set context ----------------------
-    def _lift(self, node: EventExpression) -> "tuple[_SetFn, _Cost]":
-        inst, inst_cost = self.compile_inst(node)
-        lift_cells = tuple(
-            self._handle(event_type) for event_type in node.event_types()
-        )
+    def _lift(self, node: EventExpression) -> "tuple[_Fn, _Cost]":
+        inst, inst_cost = self.lower(node, instance=True)
+        lift_slots = tuple(sorted({self.slots[t] for t in node.event_types()}))
         universal = isinstance(node, InstanceNegation)
-        cells = self.cells
-        inst_visits, inst_lookups = inst_cost if inst_cost is not None else (0, 0)
+        inst_visits, inst_lookups = inst_cost or (0, 0)
 
         def fn(
+            h,
             after,
             instant,
+            oid,
             _inst=inst,
-            _lift_cells=lift_cells,
-            _cells=cells,
+            _lift_slots=lift_slots,
             _bisect=bisect_right,
             _universal=universal,
             _iv=inst_visits,
             _ik=inst_lookups,
         ):
-            _cells[0] += 1
+            cells = h[-1]
+            cells[0] += 1
             affected = set()
-            for cell in _lift_cells:
-                for index in cell[0]:
-                    for oid, times in index.per_oid.items():
-                        if oid not in affected and _bisect(times, instant) > _bisect(
+            for slot in _lift_slots:
+                for index in h[slot]:
+                    for obj, times in index.per_oid.items():
+                        if obj not in affected and _bisect(times, instant) > _bisect(
                             times, after
                         ):
-                            affected.add(oid)
+                            affected.add(obj)
             count = len(affected)
-            _cells[2] += count
+            cells[2] += count
             if not count:
                 return instant if _universal else -instant
-            _cells[0] += count * _iv
-            _cells[1] += count * _ik
+            cells[0] += count * _iv
+            cells[1] += count * _ik
             if _universal:
-                return min(_inst(after, instant, oid) for oid in affected)
-            return max(_inst(after, instant, oid) for oid in affected)
+                return min(_inst(h, after, instant, obj) for obj in affected)
+            return max(_inst(h, after, instant, obj) for obj in affected)
 
         return fn, None
 
 
-class CompiledCheck:
-    """A rule's event expression, lowered for batched exact checks.
+def _counted(core: _Fn, visits: int, lookups: int) -> _Fn:
+    """Wrap a non-rigid closure to self-count a static prologue into the cells."""
 
-    Not picklable and not shareable across concurrently-evaluating callers
-    (the bulk-stats cells are per-instance mutable state): each process shard
-    worker compiles its own instance from the shipped definition, and the
-    fixed-home trip dealing guarantees one evaluator per rule per trip.
+    def fn(h, after, instant, oid, _core=core, _v=visits, _k=lookups):
+        cells = h[-1]
+        cells[0] += _v
+        cells[1] += _k
+        return _core(h, after, instant, oid)
+
+    return fn
+
+
+class _Kernel:
+    """One lowered shape: the root closure and its per-evaluation static cost.
+
+    ``visits``/``lookups`` are the whole tree's constants when the root is
+    rigid (``counts`` False, nothing counted at evaluation time) and zero
+    otherwise (``counts`` True: the closures count into ``handles[-1]``).
     """
 
-    __slots__ = (
-        "expression",
-        "mode",
-        "variations",
-        "_set_fn",
-        "_set_cost",
-        "_inst_fn",
-        "_inst_cost",
-        "_cells",
-        "_handles",
-        "_bound_eb",
-        "_bound_type_count",
-    )
+    __slots__ = ("fn", "visits", "lookups", "counts")
 
-    def __init__(
-        self, expression: EventExpression, mode: EvaluationMode = EvaluationMode.LOGICAL
-    ) -> None:
-        self.expression = expression
+    def __init__(self, fn: _Fn, cost) -> None:
+        self.fn = fn
+        self.visits, self.lookups = cost or (0, 0)
+        self.counts = cost is None
+
+
+class CheckBinder:
+    """One evaluator's compile state: kernels by shape, and the handle epoch.
+
+    Every exact-check evaluator — a Trigger Support (the coordinator's thread
+    shards included: kernels are stateless) and each process shard worker —
+    owns one binder and binds its rules through it.  Not picklable; a worker
+    builds its own.
+    """
+
+    def __init__(self, mode: EvaluationMode = EvaluationMode.LOGICAL) -> None:
         self.mode = mode
-        # The folded V(E) verdict: derived once here instead of per filter
-        # construction / introspection.
-        self.variations = variation_set(expression)
-        compiler = _Compiler(mode)
-        set_fn, set_cost = compiler.compile_set(expression)
-        self._set_fn = set_fn
-        self._set_cost = set_cost if set_cost is not None else (0, 0)
-        if expression.may_be_instance_operand():
-            inst_fn, inst_cost = compiler.compile_inst(expression)
-            self._inst_fn: _InstFn | None = inst_fn
-            self._inst_cost = inst_cost if inst_cost is not None else (0, 0)
-        else:
-            self._inst_fn = None
-            self._inst_cost = (0, 0)
-        self._cells = compiler.cells
-        self._handles = compiler.handle_cells
-        self._bound_eb: EventBase | None = None
-        self._bound_type_count = -1
+        #: ``(shape key, instance-rooted?)`` -> the interned kernel.
+        self._kernels: "dict[tuple, _Kernel]" = {}
+        #: Bindings whose ``_epoch`` differs re-resolve before evaluating.
+        self.epoch = 0
+        #: The ``(event base, registered type count)`` the epoch describes.
+        self._bound: "tuple[EventBase | None, int]" = (None, -1)
+        self._lock = threading.Lock()
 
-    # -- index-handle binding -------------------------------------------------
-    def _bind(self, event_base: EventBase) -> None:
-        """Point every primitive's handle cell at ``event_base``'s indexes.
+    @property
+    def kernels_compiled(self) -> int:
+        """How many distinct shapes this evaluator has lowered."""
+        return len(self._kernels)
 
-        Cheap identity check on the hot path: a resolution only changes when
-        the store registers a new event type (``len(_by_type)`` grows — the
-        exact condition under which the store drops its own match cache) or
-        when the Event Base itself is swapped.
-        """
-        if self._bound_eb is event_base and self._bound_type_count == len(
-            event_base._by_type
-        ):
-            return
-        resolve = event_base._indexes_matching
-        for event_type, cell in self._handles.items():
-            cell[0] = resolve(event_type)
-        self._bound_eb = event_base
-        self._bound_type_count = len(event_base._by_type)
+    def bind(self, expression: EventExpression) -> "CompiledCheck":
+        """The binding of ``expression``: shared kernel + its own slot types."""
+        return CompiledCheck(expression, self, *self._kernel(expression, False))
+
+    def _kernel(
+        self, expression: EventExpression, instance: bool
+    ) -> "tuple[_Kernel, tuple[EventType, ...]]":
+        """The interned kernel of ``expression``'s shape, and its slot types."""
+        slots: "dict[EventType, int]" = {}
+        key = (_shape_key(expression, slots), instance)
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            lowered = _Kernel(*_Lowering(self.mode, slots).lower(expression, instance))
+            # Threads of one coordinator may lower a shape concurrently; the
+            # first insert wins so every binding shares the interned kernel.
+            kernel = self._kernels.setdefault(key, lowered)
+        return kernel, tuple(slots)
 
     def invalidate(self) -> None:
-        """Drop every pre-resolved index handle (schema/EB rebind hook)."""
-        self._bound_eb = None
-        self._bound_type_count = -1
-        for cell in self._handles.values():
-            cell[0] = ()
+        """Make every binding re-resolve its handles before its next check.
+
+        O(1): one epoch bump, and the reference to the last-seen Event Base
+        (possibly a whole abandoned transaction log) is dropped.
+        """
+        with self._lock:
+            self.epoch += 1
+            self._bound = (None, -1)
+
+    def _rebind(self, event_base: EventBase) -> None:
+        """Move the epoch to ``event_base``'s current set of registered types."""
+        with self._lock:
+            count = len(event_base._by_type)
+            if self._bound[0] is not event_base or self._bound[1] != count:
+                # Epoch first: a thread that sees the new ``_bound`` on its
+                # fast path must also see the epoch that goes with it.
+                self.epoch += 1
+                self._bound = (event_base, count)
+
+
+class CompiledCheck:
+    """A rule's binding to its shape kernel: the batched exact check.
+
+    Holds no closure of its own — ``ts``/``ots``/``check``/``check_trip`` run
+    the binder's shared kernel over this rule's handles.  One binding is
+    evaluated by one caller at a time (fixed-home dealing guarantees one
+    evaluator per rule per trip).
+    """
+
+    __slots__ = ("expression", "binder", "_kernel", "_types", "_handles", "_epoch")
+
+    def __init__(
+        self,
+        expression: EventExpression,
+        binder: CheckBinder,
+        kernel: _Kernel,
+        types: "tuple[EventType, ...]",
+    ) -> None:
+        self.expression = expression
+        self.binder = binder
+        self._kernel = kernel
+        self._types = types
+        self._handles: tuple = ()
+        self._epoch = -1
+
+    # -- index-handle binding -------------------------------------------------
+    def _resolve(self, event_base: EventBase) -> tuple:
+        """This rule's handles for ``event_base`` (re-resolved per epoch).
+
+        Two comparisons on the hot path: the binder's epoch only moves when
+        the store registers a new event type (``len(_by_type)`` grows — the
+        exact condition under which the store drops its own match cache),
+        when the Event Base itself is swapped, or on :meth:`CheckBinder.
+        invalidate`.  The resolved tuples come from the store's match cache,
+        so rules watching one type share one handle.
+        """
+        binder = self.binder
+        bound = binder._bound
+        if bound[0] is not event_base or bound[1] != len(event_base._by_type):
+            binder._rebind(event_base)
+        if self._epoch != binder.epoch:
+            epoch = binder.epoch
+            resolve = event_base._indexes_matching
+            self._handles = tuple([resolve(event_type) for event_type in self._types])
+            self._epoch = epoch
+        return self._handles
 
     @property
     def is_bound(self) -> bool:
-        """True while the handle cells hold a live resolution (for tests)."""
-        return self._bound_eb is not None
-
-    # -- bulk stats -----------------------------------------------------------
-    def _flush(
-        self,
-        stats: EvaluationStats | None,
-        sampled: int,
-        static_cost: "tuple[int, int]",
-    ) -> None:
-        """Accumulate one check's counters in bulk and reset the cells."""
-        cells = self._cells
-        if stats is not None:
-            stats.evaluations += sampled
-            stats.node_visits += cells[0] + static_cost[0] * sampled
-            stats.primitive_lookups += cells[1] + static_cost[1] * sampled
-            stats.lifted_objects += cells[2]
-        cells[0] = 0
-        cells[1] = 0
-        cells[2] = 0
+        """True while the handles are valid for the binder's current epoch."""
+        return self._epoch == self.binder.epoch
 
     # -- point evaluation (compiled ts / ots) ---------------------------------
+    def _point(
+        self,
+        kernel: _Kernel,
+        event_base: EventBase,
+        window_start: Timestamp | None,
+        instant: Timestamp,
+        oid: Any,
+        stats: EvaluationStats | None,
+    ) -> int:
+        handles = self._resolve(event_base)
+        cells = _NO_CELLS
+        if kernel.counts:
+            cells = [0, 0, 0]
+            handles += (cells,)
+        after = _NEG_INF if window_start is None else window_start
+        value = kernel.fn(handles, after, instant, oid)
+        if stats is not None:
+            _flush(stats, kernel, 1, cells)
+        return value
+
     def ts(
         self,
         event_base: EventBase,
@@ -638,11 +525,7 @@ class CompiledCheck:
             raise EvaluationError(
                 f"ts must be evaluated at a positive instant (got {instant})"
             )
-        self._bind(event_base)
-        after = _NEG_INF if window_start is None else window_start
-        value = self._set_fn(after, instant)
-        self._flush(stats, 1, self._set_cost)
-        return value
+        return self._point(self._kernel, event_base, window_start, instant, None, stats)
 
     def ots(
         self,
@@ -657,16 +540,15 @@ class CompiledCheck:
             raise EvaluationError(
                 f"ots must be evaluated at a positive instant (got {instant})"
             )
-        if self._inst_fn is None:
+        if not self.expression.may_be_instance_operand():
             raise EvaluationError(
                 "ots is only defined for instance-oriented expressions "
                 f"(got a set-oriented operator in {self.expression})"
             )
-        self._bind(event_base)
-        after = _NEG_INF if window_start is None else window_start
-        value = self._inst_fn(after, instant, oid)
-        self._flush(stats, 1, self._inst_cost)
-        return value
+        # Diagnostic entry point: the instance-rooted kernel is looked up per
+        # call rather than costing every binding a slot.
+        kernel, _ = self.binder._kernel(self.expression, True)
+        return self._point(kernel, event_base, window_start, instant, oid, stats)
 
     # -- the batched exact check ----------------------------------------------
     def check(
@@ -696,7 +578,7 @@ class CompiledCheck:
         ``TriggerSupport.check_after_blocks`` are reproduced exactly —
         a block after an in-trip triggering, or a pending-only rider after an
         in-trip non-empty window, yields ``None`` (no decision row) — and the
-        memo ends in the same state the interpreted per-block sequence leaves
+        memo ends in the same state the reference per-block sequence leaves
         it in: cleared on triggering, untouched by empty windows, otherwise
         recording the last negative block's frontier once, at the end.
 
@@ -706,11 +588,16 @@ class CompiledCheck:
         the whole trip costs one bounded sweep over the new instants instead
         of one evaluator re-entry per block.
         """
-        self._bind(event_base)
+        kernel = self._kernel
+        handles = self._resolve(event_base)
+        cells = _NO_CELLS
+        if kernel.counts:
+            cells = [0, 0, 0]
+            handles += (cells,)
         all_stamps = event_base._all_timestamps
         distinct = event_base._distinct_timestamps
         total = len(all_stamps)
-        fn = self._set_fn
+        fn = kernel.fn
         bisect = bisect_right
         decisions: "list[TriggeringDecision | None]" = []
         triggered = False
@@ -747,14 +634,14 @@ class CompiledCheck:
             hit_value = 0
             for instant in distinct[start:stop]:
                 sampled += 1
-                value = fn(after, instant)
+                value = fn(handles, after, instant, None)
                 if value > 0:
                     hit_instant = instant
                     hit_value = value
                     break
             if hit_instant is None and (start == stop or distinct[stop - 1] != now):
                 sampled += 1
-                value = fn(after, now)
+                value = fn(handles, after, now, None)
                 if value > 0:
                     hit_instant = now
                     hit_value = value
@@ -773,12 +660,23 @@ class CompiledCheck:
                 decisions.append(TriggeringDecision(False, None, None, size, sampled))
         if not triggered and frontier_set and memo is not None:
             memo.record(recorded_ws, frontier, total)
-        self._flush(stats, sampled_total, self._set_cost)
+        if stats is not None:
+            _flush(stats, kernel, sampled_total, cells)
         return decisions
+
+
+def _flush(
+    stats: EvaluationStats, kernel: _Kernel, sampled: int, cells: Sequence[int]
+) -> None:
+    """Accumulate one check's counters in bulk."""
+    stats.evaluations += sampled
+    stats.node_visits += cells[0] + kernel.visits * sampled
+    stats.primitive_lookups += cells[1] + kernel.lookups * sampled
+    stats.lifted_objects += cells[2]
 
 
 def compile_check(
     expression: EventExpression, mode: EvaluationMode = EvaluationMode.LOGICAL
 ) -> CompiledCheck:
-    """Lower ``expression`` into a :class:`CompiledCheck` for ``mode``."""
-    return CompiledCheck(expression, mode)
+    """A stand-alone binding of ``expression`` (own one-off binder) for ``mode``."""
+    return CheckBinder(mode).bind(expression)

@@ -127,9 +127,7 @@ class ChimeraDatabase:
     def define_rule(self, rule: Rule | str) -> Rule:
         """Register an active rule, given either a :class:`Rule` or its textual form."""
         parsed = parse_rule(rule) if isinstance(rule, str) else rule
-        state = self.rule_table.add(parsed)
-        state.reset(self.clock.now())
-        self.engine.trigger_support.prepare_rule(state)
+        self.rule_table.add(parsed).reset(self.clock.now())
         return parsed
 
     def define_rules(self, text: str) -> list[Rule]:

@@ -124,11 +124,10 @@ class RuleState:
     #: considerations — cleared by mark_considered/reset (the window start
     #: moves) and by the check itself when the rule triggers.
     trigger_memo: TriggerMemo = field(default_factory=TriggerMemo, repr=False)
-    #: The rule's event expression lowered into specialized closures (built
-    #: lazily by the Trigger Support when compiled checks are enabled; None on
-    #: the interpreted path).  Holds pre-resolved per-type index handles, so
-    #: it must be invalidated whenever those could go stale — see
-    #: :meth:`invalidate_compiled`.
+    #: The rule's binding to its evaluator's shape kernels, made by the
+    #: Trigger Support on the rule's first check (None until then, and for
+    #: good on the coordinator of the ``processes`` mode, whose workers hold
+    #: the bindings).  Its index handles follow the binder's epoch.
     compiled_check: "CompiledCheck | None" = field(
         default=None, repr=False, compare=False
     )
@@ -178,17 +177,6 @@ class RuleState:
         self.had_nonempty_window = False
         self.trigger_memo.clear()
         self._notify()
-
-    def invalidate_compiled(self) -> None:
-        """Drop the compiled check's pre-resolved index handles (if any).
-
-        Called on every transition after which a cached resolution could be
-        stale — schema rebind, disable/re-enable, Event Base swap.  The
-        compiled closures themselves stay valid (they only depend on the
-        expression and the evaluation mode); the next check re-binds them.
-        """
-        if self.compiled_check is not None:
-            self.compiled_check.invalidate()
 
     def observation_window_start(self, transaction_start: Timestamp) -> Timestamp:
         """Lower bound of the window visible to the rule's event formulas."""

@@ -189,9 +189,6 @@ class RuleTable:
         for state in self._states.values():
             if state.recomputation_filter is not None:
                 state.recomputation_filter.bind_schema(schema)
-            # Pre-resolved index handles in a compiled check may predate the
-            # routing change; drop them so the next check re-binds.
-            state.invalidate_compiled()
 
     def expand_signature(
         self, type_signature: Iterable[EventType]
@@ -366,9 +363,6 @@ class RuleTable:
         state = self.get(name)
         state.enabled = True
         self._disabled.discard(name)
-        # Anything can have happened to the Event Base while the rule sat
-        # disabled; a compiled check must not resume on stale index handles.
-        state.invalidate_compiled()
         self.state_changed(state)
 
     def disable(self, name: str) -> None:
@@ -377,7 +371,6 @@ class RuleTable:
         state.enabled = False
         state.triggered = False
         self._disabled.add(name)
-        state.invalidate_compiled()
         self.state_changed(state)
 
     # -- selection ----------------------------------------------------------------

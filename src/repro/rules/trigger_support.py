@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.config import EngineConfig
-from repro.core.compile import compile_check
+from repro.core.compile import CheckBinder, CompiledCheck
 from repro.core.evaluation import EvaluationMode, EvaluationStats
-from repro.core.optimization import RecomputationFilter
 from repro.core.triggering import is_triggered
 from repro.events.clock import Timestamp
 from repro.events.event import EventOccurrence, EventType
@@ -43,7 +42,17 @@ from repro.obs.stats import MergeableStats
 from repro.rules.rule import RuleState
 from repro.rules.rule_table import RuleTable
 
-__all__ = ["TriggerSupportStats", "TriggerPlan", "TriggerPlanner", "TriggerSupport"]
+#: ``is_triggered`` is a re-export, not a dependency: every production check
+#: runs through :mod:`repro.core.compile`.  The name stays bound here as the
+#: reference oracle's handle on this layer — ``benchmarks/e2e`` wraps it for
+#: its ``core.check`` span, and an oracle Trigger Support (tests) calls it.
+__all__ = [
+    "TriggerSupportStats",
+    "TriggerPlan",
+    "TriggerPlanner",
+    "TriggerSupport",
+    "is_triggered",
+]
 
 
 @dataclass
@@ -158,10 +167,10 @@ class TriggerSupport:
         self.event_base = event_base
         self.config = config
         self.use_static_optimization = config.use_static_optimization
-        # Interpreted and compiled checks are byte-identical
-        # (tests/core/test_compiled_equivalence.py).
-        self.use_compiled_checks = config.use_compiled_checks
         self.mode = EvaluationMode(config.evaluation_mode)
+        #: This evaluator's shape kernels and handle epoch; rules are bound
+        #: to it on their first check (:meth:`_binding`).
+        self.binder = CheckBinder(self.mode)
         self.planner = TriggerPlanner(rule_table)
         self.stats = TriggerSupportStats()
         # Metrics are opt-in per engine: callers that do not pass a registry
@@ -177,16 +186,6 @@ class TriggerSupport:
         self._check_hist = self.metrics.histogram("trip.check")
         self._apply_hist = self.metrics.histogram("trip.apply")
         self._block_hist = self.metrics.histogram("block.check")
-
-    # -- set-up -----------------------------------------------------------
-    def prepare_rule(self, state: RuleState) -> None:
-        """Build the rule's recomputation filter and compiled check (idempotent)."""
-        if state.recomputation_filter is None:
-            state.recomputation_filter = RecomputationFilter(state.rule.events)
-        if self.use_compiled_checks:
-            compiled = state.compiled_check
-            if compiled is None or compiled.mode is not self.mode:
-                state.compiled_check = compile_check(state.rule.events, self.mode)
 
     # -- the core check -----------------------------------------------------
     def check_after_block(
@@ -223,7 +222,6 @@ class TriggerSupport:
                 candidates = self.rule_table.untriggered_states()
             for state in candidates:
                 self.stats.rules_checked += 1
-                self.prepare_rule(state)
                 if self._check_rule(state, now, transaction_start):
                     newly_triggered.append(state)
             return newly_triggered
@@ -315,30 +313,7 @@ class TriggerSupport:
                     continue
                 planned.append((now, self._plan_segment(occurrences)))
         with self._check_hist.time():
-            if self.use_compiled_checks:
-                evaluated = self._evaluate_trip_compiled(planned, transaction_start)
-            else:
-                evaluated = []
-                triggered_in_trip: set[str] = set()
-                saw_nonempty_window: set[str] = set()
-                for now, plan in planned:
-                    rows: list[tuple[RuleState, object]] = []
-                    for state in plan.candidates:
-                        name = state.rule.name
-                        if name in triggered_in_trip or (
-                            name in plan.pending_only and name in saw_nonempty_window
-                        ):
-                            continue
-                        self.prepare_rule(state)
-                        decision = self._evaluate_rule(
-                            state, now, transaction_start, self.stats.evaluation
-                        )
-                        if decision.triggered:
-                            triggered_in_trip.add(name)
-                        if decision.window_size > 0:
-                            saw_nonempty_window.add(name)
-                        rows.append((state, decision))
-                    evaluated.append((now, rows))
+            evaluated = self._evaluate_trip(planned, transaction_start)
         newly_triggered = []
         with self._apply_hist.time():
             for now, rows in evaluated:
@@ -348,19 +323,20 @@ class TriggerSupport:
                         newly_triggered.append(state)
         return newly_triggered
 
-    def _evaluate_trip_compiled(
+    def _evaluate_trip(
         self,
         planned: "list[tuple[Timestamp, TriggerPlan]]",
         transaction_start: Timestamp,
     ) -> "list[tuple[Timestamp, list[tuple[RuleState, object]]]]":
-        """Rule-major evaluation of a planned trip through compiled checks.
+        """Rule-major evaluation of a planned trip.
 
-        The block-major loop's in-trip skip sets key on the rule name alone,
-        so regrouping the trip by rule preserves them exactly; each rule's
+        The in-trip skips (triggered earlier in the trip; pending-only rider
+        after an in-trip non-empty window) key on the rule name alone, so
+        regrouping the trip by rule preserves them exactly; each rule's
         ordered entries then evaluate in a single :meth:`CompiledCheck.check_trip`
         pass over the timestamp arrays.  Decision rows are re-assembled in
-        every block's plan order, so the apply loop observes the same rows in
-        the same order as the block-major path.
+        every block's plan order, so the apply loop observes the rows a
+        block-major walk would produce, in the same order.
         """
         per_rule: dict[str, tuple[RuleState, list[tuple[int, Timestamp, bool]]]] = {}
         for block_index, (now, plan) in enumerate(planned):
@@ -372,7 +348,6 @@ class TriggerSupport:
                 entry[1].append((block_index, now, name in plan.pending_only))
         decided: dict[tuple[int, str], object] = {}
         for name, (state, items) in per_rule.items():
-            self.prepare_rule(state)
             window_start = state.triggering_window_start(transaction_start)
             decisions = self._check_rule_trip(
                 state, window_start, items, self.stats.evaluation
@@ -397,33 +372,11 @@ class TriggerSupport:
         items: "list[tuple[int, Timestamp, bool]]",
         evaluation_stats: EvaluationStats,
     ) -> "list[object]":
-        """One rule's ordered trip entries -> decisions (None = skipped).
-
-        Uses the compiled batched kernel when the rule carries a matching
-        compiled check; otherwise replays the per-entry interpreted sequence
-        with identical skip semantics (triggered earlier in the trip, or a
-        pending-only rider after an in-trip non-empty window).
-        """
-        compiled = state.compiled_check
-        if compiled is not None and compiled.mode is self.mode:
-            entries = [(window_start, now, pending) for _index, now, pending in items]
-            return compiled.check_trip(
-                self.event_base, entries, state.trigger_memo, evaluation_stats
-            )
-        decisions: list[object] = []
-        triggered = False
-        saw_nonempty = False
-        for _index, now, pending in items:
-            if triggered or (pending and saw_nonempty):
-                decisions.append(None)
-                continue
-            decision = self._evaluate_item(state, window_start, now, evaluation_stats)
-            if decision.triggered:
-                triggered = True
-            if decision.window_size > 0:
-                saw_nonempty = True
-            decisions.append(decision)
-        return decisions
+        """One rule's ordered trip entries -> decisions (None = skipped)."""
+        entries = [(window_start, now, pending) for _index, now, pending in items]
+        return self._binding(state).check_trip(
+            self.event_base, entries, state.trigger_memo, evaluation_stats
+        )
 
     def recheck_all(
         self, now: Timestamp, transaction_start: Timestamp
@@ -482,31 +435,30 @@ class TriggerSupport:
         """Evaluate one planned work item (an explicit ``(window start, now)``).
 
         The batched dispatch path plans whole trips up front, so window
-        starts are resolved at planning time; this is the shared evaluation
-        kernel both the per-block and the multi-block paths call.  With
-        compiled checks enabled a prepared rule evaluates through its lowered
-        closures; the interpreted evaluator remains the fallback (and the
-        reference the compiled path is pinned byte-identical to).
+        starts are resolved at planning time; this and
+        :meth:`_check_rule_trip` are the two evaluation kernels every check
+        path — per block, per trip, commit-time recheck — ends in.
         """
-        if self.use_compiled_checks:
-            compiled = state.compiled_check
-            if compiled is not None and compiled.mode is self.mode:
-                return compiled.check(
-                    self.event_base,
-                    window_start,
-                    now,
-                    memo=state.trigger_memo,
-                    stats=evaluation_stats,
-                )
-        return is_triggered(
-            state.rule.events,
+        return self._binding(state).check(
             self.event_base,
             window_start,
             now,
-            self.mode,
-            evaluation_stats,
             memo=state.trigger_memo,
+            stats=evaluation_stats,
         )
+
+    def _binding(self, state: RuleState) -> CompiledCheck:
+        """The rule's binding to this evaluator's kernels, made on first use.
+
+        The one place a binding is ensured, so no path into the evaluation
+        kernels can miss it — whichever way the rule entered the table
+        (``ChimeraDatabase.define_rule``, a bare ``RuleTable.add``, a re-add
+        under a live name) and whichever check reaches it first.
+        """
+        compiled = state.compiled_check
+        if compiled is None or compiled.binder is not self.binder:
+            compiled = state.compiled_check = self.binder.bind(state.rule.events)
+        return compiled
 
     def _apply_decision(self, state: RuleState, decision, now: Timestamp) -> bool:
         """The exact check's write side: counters, window flag, triggering."""
@@ -528,8 +480,8 @@ class TriggerSupport:
 
         The memo records how much of a specific EB log a check has seen; a new
         log invalidates that bookkeeping even if the rule state survives — and
-        so do the compiled checks' pre-resolved index handles.
+        so do the bindings' resolved index handles, all at once.
         """
-        for state in self.rule_table.states():
+        for state in self.rule_table:
             state.trigger_memo.clear()
-            state.invalidate_compiled()
+        self.binder.invalidate()

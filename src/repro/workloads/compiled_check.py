@@ -1,30 +1,31 @@
 """Compiled exact-check workloads: the X11 benchmark (PR 6).
 
 The X11 benchmark (``benchmarks/bench_x11_compiled_check.py`` and
-``chimera-events bench x11``) measures what the PR-6 compilation targets: the
-per-candidate cost of the exact triggering check — the ``ts`` evaluation the
-Trigger Support runs for every planned candidate — with the interpreted
-recursive evaluator versus the per-rule compiled closures of
-:mod:`repro.core.compile`.
+``chimera-events bench x11``) measures the per-candidate cost of the exact
+triggering check — the ``ts`` evaluation the Trigger Support runs for every
+planned candidate — through the engine's shape kernels
+(:mod:`repro.core.compile`) against the reference oracle
+(:func:`repro.core.triggering.is_triggered`) called directly.
 
 Three sections share one result dict:
 
 * **kernel** — the X7 grid's steady state, per rule count: a sample of
   planned candidates is re-checked dry (memo-less, full-window — the exact
-  work the closures lower) through both kernels.  Per-candidate decisions and
-  evaluation stats are asserted identical; the timing columns are the
-  headline and carry the >= 5x acceptance bar.
+  work the closures lower) through the engine's bindings and through the
+  oracle.  Per-candidate decisions and evaluation stats are asserted
+  identical; the timing columns are the headline and carry the >= 5x
+  acceptance bar.
 * **process** — the X9 grid's check-heavy 4-worker configuration, end to
-  end: single table, serial coordinator and process workers, each compiled
-  off and on, all asserted to make identical triggering decisions,
-  selections and Trigger Support stats; the same dry kernel measurement runs
-  on this grid point's (much denser) steady state.
-* **sweep** — the behavioral-invisibility grid: compiled off/on x
-  unsharded / serial / threads / processes x batch sizes 1-8, every run
-  byte-identical (triggerings, selection order, stats) to the interpreted
-  unsharded reference at the same batch size.
-  ``tests/core/test_compiled_equivalence.py`` pins the same property down to
-  the per-instant memo contents.
+  end: single table, serial coordinator and process workers, all asserted to
+  make identical triggering decisions, selections and Trigger Support stats;
+  the same dry kernel measurement runs on this grid point's (much denser)
+  steady state.
+* **sweep** — the behavioral-invisibility grid: unsharded / serial /
+  threads / processes x batch sizes 1-8, every run byte-identical
+  (triggerings, selection order, stats) to the unsharded reference at the
+  same batch size.  ``tests/core/test_compiled_equivalence.py`` pins the
+  engine to the oracle down to the per-instant memo contents, whole
+  scenarios included.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Sequence
 
 from repro.analysis.reporting import render_table
 from repro.config import EngineConfig
-from repro.core.compile import compile_check
 from repro.core.evaluation import EvaluationStats
 from repro.core.triggering import is_triggered
 from repro.events.event import EventOccurrence
@@ -92,15 +92,16 @@ def _measure_kernel(
     repetitions: int,
     sample: int,
 ) -> dict:
-    """Dry per-candidate cost of the exact-check kernel on a frozen steady state.
+    """Dry per-candidate cost of the exact check on a frozen steady state.
 
     The candidates come from the (unsharded) workload's own planner, planned
     for the stream's final block — the population a real check visits.  Each
     candidate is evaluated **memo-less** over its full triggering window:
     that is the evaluation work itself, the part the closures lower, with the
-    incremental-coverage bookkeeping (identical on both paths) out of the
+    incremental-coverage bookkeeping (identical on both sides) out of the
     picture.  Before timing, every sampled candidate's decision and
-    evaluation stats are asserted identical across the two kernels.
+    evaluation stats are asserted identical between the engine's binding and
+    the oracle.
     """
     support = workload.support
     plan = support.planner.plan(
@@ -111,27 +112,27 @@ def _measure_kernel(
     now = last_block[-1].timestamp
     event_base = workload.event_base
     mode = support.mode
-    #: (expression, compiled check, window start) per candidate — resolved up
-    #: front so the timed loops run nothing but the kernels themselves.
+    #: (expression, the engine's binding, window start) per candidate —
+    #: resolved up front so the timed loops run nothing but the evaluators.
     items = [
         (
             state.rule.events,
-            compile_check(state.rule.events, mode),
+            support.binder.bind(state.rule.events),
             state.triggering_window_start(0),
         )
         for state in candidates
     ]
 
     for expression, compiled, window_start in items:
-        interpreted_stats, compiled_stats = EvaluationStats(), EvaluationStats()
+        oracle_stats, compiled_stats = EvaluationStats(), EvaluationStats()
         reference = is_triggered(
-            expression, event_base, window_start, now, mode, interpreted_stats
+            expression, event_base, window_start, now, mode, oracle_stats
         )
         decision = compiled.check(event_base, window_start, now, stats=compiled_stats)
         assert _decision_tuple(decision) == _decision_tuple(reference), (
             f"compiled kernel diverged for {expression!r}"
         )
-        assert compiled_stats == interpreted_stats, (
+        assert compiled_stats == oracle_stats, (
             f"compiled kernel stats diverged for {expression!r}"
         )
 
@@ -179,50 +180,32 @@ def measure_check_kernel(
     seed: int = 7,
     repetitions: int = 20,
     sample: int = 64,
-    check_equivalence: bool = True,
 ) -> dict:
-    """Interpreted vs compiled exact checks at one X7-style grid point.
+    """Engine vs oracle exact checks at one X7-style grid point.
 
-    Two live end-to-end runs (compiled off / on) face the identical stream
-    and rule pool and must agree on every observable; the dry kernel
-    measurement then isolates the per-candidate evaluation cost on the
-    interpreted run's steady state.
+    One live run brings the rule pool to its steady state; the dry kernel
+    measurement then isolates the per-candidate evaluation cost there,
+    asserting the engine's decisions and stats against the oracle's.
     """
     universe = build_scaling_universe(rule_count)
     stream = EventStreamGenerator(
         event_types=universe, seed=seed + 1, events_per_block=events_per_block
     ).blocks(warmup_blocks + blocks)
-
-    outcomes: dict[bool, WorkloadOutcome] = {}
-    workloads: dict[bool, ScalingWorkload] = {}
-    for compiled_on in (False, True):
-        workload = ScalingWorkload(
-            build_scaling_rules(rule_count, universe, seed=seed),
-            EngineConfig.from_env(use_compiled_checks=compiled_on),
-        )
-        outcomes[compiled_on] = _run_to_steady_state(workload, stream, warmup_blocks)
-        workloads[compiled_on] = workload
-
-    if check_equivalence:
-        _assert_outcomes_identical(
-            outcomes[False], outcomes[True], f"{rule_count} rules, compiled run"
-        )
-
-    kernel = _measure_kernel(workloads[False], stream[-1], repetitions, sample)
-    interpreted_blk = outcomes[False].check_us_per_block
-    compiled_blk = outcomes[True].check_us_per_block
-    result = {
+    workload = ScalingWorkload(
+        build_scaling_rules(rule_count, universe, seed=seed), EngineConfig.from_env()
+    )
+    try:
+        outcome = _run_to_steady_state(workload, stream, warmup_blocks)
+        kernel = _measure_kernel(workload, stream[-1], repetitions, sample)
+    finally:
+        workload.close()
+    return {
         "rules": rule_count,
         "universe_types": len(universe),
-        "blocks": outcomes[False].blocks,
+        "blocks": outcome.blocks,
         **kernel,
-        "interpreted_check_us_per_block": round(interpreted_blk, 1),
-        "compiled_check_us_per_block": round(compiled_blk, 1),
-        "end_to_end_check_ratio": round(interpreted_blk / max(1e-9, compiled_blk), 2),
+        "check_us_per_block": round(outcome.check_us_per_block, 1),
     }
-    for workload in workloads.values():
-        workload.close()
-    return result
 
 
 def measure_compiled_process_scaling(
@@ -236,16 +219,14 @@ def measure_compiled_process_scaling(
     seed: int = 7,
     repetitions: int = 6,
     sample: int = 48,
-    check_equivalence: bool = True,
 ) -> dict:
-    """Compiled off/on across execution modes on the X9 check-heavy grid point.
+    """The execution modes on the X9 check-heavy grid point.
 
-    Five runs over the identical shaped stream: the single-table interpreted
-    reference, then the serial coordinator and the process worker pool each
-    with compiled checks off and on.  The process workers compile each rule
-    once per shipped definition version, so the compiled win lands on the
-    worker cores.  The dry kernel measurement runs on the single-table
-    steady state — the same closures the workers execute.
+    Three runs over the identical shaped stream: the single table, the serial
+    coordinator and the process worker pool, asserted identical.  The process
+    workers bind each rule once per shipped definition version, so the
+    compiled win lands on the worker cores.  The dry kernel measurement runs
+    on the single-table steady state — the same kernels the workers execute.
     """
     universe = build_scaling_universe(rule_count)
     stream = build_shaped_blocks(
@@ -257,38 +238,25 @@ def measure_compiled_process_scaling(
         seed=seed,
     )
 
-    def run(shards: int, shard_mode: str | None, compiled_on: bool):
+    def run(shards: int, shard_mode: str | None):
         workload = ScalingWorkload(
             build_shard_rules(rule_count, universe, seed=seed + 53),
-            EngineConfig.from_env(
-                shards=shards, shard_mode=shard_mode, use_compiled_checks=compiled_on
-            ),
+            EngineConfig.from_env(shards=shards, shard_mode=shard_mode),
         )
         return workload, _run_to_steady_state(workload, stream, warmup_blocks)
 
-    single_workload, single_outcome = run(0, None, False)
+    single_workload, single_outcome = run(0, None)
     runs = {
-        (shard_mode, compiled_on): run(workers, shard_mode, compiled_on)
-        for shard_mode in ("serial", "processes")
-        for compiled_on in (False, True)
+        shard_mode: run(workers, shard_mode) for shard_mode in ("serial", "processes")
     }
-
-    if check_equivalence:
-        for (shard_mode, compiled_on), (_, outcome) in runs.items():
-            label = f"{shard_mode}, compiled={'on' if compiled_on else 'off'}"
-            _assert_outcomes_identical(single_outcome, outcome, label)
-
-    kernel = _measure_kernel(single_workload, stream[-1], repetitions, sample)
-    check_us = {
-        "single_interpreted": round(single_outcome.check_us_per_block, 1),
-        **{
-            f"{shard_mode}_{'compiled' if compiled_on else 'interpreted'}": round(
-                outcome.check_us_per_block, 1
-            )
-            for (shard_mode, compiled_on), (_, outcome) in runs.items()
-        },
-    }
-    result = {
+    try:
+        for shard_mode, (_, outcome) in runs.items():
+            _assert_outcomes_identical(single_outcome, outcome, shard_mode)
+        kernel = _measure_kernel(single_workload, stream[-1], repetitions, sample)
+    finally:
+        for workload, _ in (single_workload, single_outcome), *runs.values():
+            workload.close()
+    return {
         "rules": rule_count,
         "workers": workers,
         "universe_types": len(universe),
@@ -297,20 +265,15 @@ def measure_compiled_process_scaling(
             single_outcome.stats["rules_routed"] / max(1, single_outcome.blocks), 1
         ),
         **kernel,
-        "check_us_per_block": check_us,
-        "process_check_ratio": round(
-            check_us["processes_interpreted"]
-            / max(1e-9, check_us["processes_compiled"]),
-            2,
-        ),
+        "check_us_per_block": {
+            "single": round(single_outcome.check_us_per_block, 1),
+            **{
+                shard_mode: round(outcome.check_us_per_block, 1)
+                for shard_mode, (_, outcome) in runs.items()
+            },
+        },
         "triggerings": sum(single_outcome.triggerings.values()),
     }
-    for workload, _ in (
-        (single_workload, single_outcome),
-        *runs.values(),
-    ):
-        workload.close()
-    return result
 
 
 def measure_compiled_sweep(
@@ -321,12 +284,12 @@ def measure_compiled_sweep(
     batch_sizes: Sequence[int] = tuple(range(1, 9)),
     workers: int = 4,
 ) -> dict:
-    """The behavioral-invisibility grid: compiled x mode x batch size.
+    """The behavioral-invisibility grid: execution mode x batch size.
 
-    For every batch size, the interpreted unsharded run is the reference;
-    the compiled unsharded run and all six coordinator runs (serial /
-    threads / processes, compiled off and on) must reproduce its triggering
-    counters, selection order and Trigger Support stats byte-identically.
+    For every batch size, the unsharded run is the reference; the three
+    coordinator runs (serial / threads / processes) must reproduce its
+    triggering counters, selection order and Trigger Support stats
+    byte-identically.
     """
     universe = build_scaling_universe(rule_count)
     stream = EventStreamGenerator(
@@ -334,18 +297,17 @@ def measure_compiled_sweep(
     ).blocks(blocks)
     modes = ("serial", "threads", "processes")
 
-    def run(shards: int, shard_mode: str | None, batch: int, compiled_on: bool) -> dict:
+    def run(shards: int, shard_mode: str | None, batch: int) -> dict:
         workload = ScalingWorkload(
             build_scaling_rules(rule_count, universe, seed=seed),
             EngineConfig.from_env(
-                shards=shards,
-                shard_mode=shard_mode,
-                batch_blocks=batch,
-                use_compiled_checks=compiled_on,
+                shards=shards, shard_mode=shard_mode, batch_blocks=batch
             ),
         )
-        outcome = workload.run(stream)
-        workload.close()
+        try:
+            outcome = workload.run(stream)
+        finally:
+            workload.close()
         return {
             "triggerings": outcome.triggerings,
             "considerations": outcome.considerations,
@@ -354,22 +316,14 @@ def measure_compiled_sweep(
 
     runs = 0
     for batch in batch_sizes:
-        reference = run(0, None, batch, False)
+        reference = run(0, None, batch)
         runs += 1
-        for compiled_on in (False, True):
-            for shards, shard_mode in (
-                (0, None),
-                *((workers, mode) for mode in modes),
-            ):
-                if shards == 0 and not compiled_on:
-                    continue  # that is the reference itself
-                result = run(shards, shard_mode, batch, compiled_on)
-                runs += 1
-                label = (
-                    f"batch {batch}, {shard_mode or 'unsharded'}, "
-                    f"compiled={'on' if compiled_on else 'off'}"
-                )
-                assert result == reference, f"{label}: diverged from reference"
+        for shard_mode in modes:
+            result = run(workers, shard_mode, batch)
+            runs += 1
+            assert result == reference, (
+                f"batch {batch}, {shard_mode}: diverged from reference"
+            )
     return {
         "rules": rule_count,
         "blocks": blocks,
@@ -410,17 +364,16 @@ def run_x11_sweeps(smoke: bool = False) -> dict:
     return {
         "benchmark": "x11_compiled_check",
         "description": (
-            "Per-candidate exact triggering check, interpreted recursive "
-            "evaluator vs per-rule compiled closures (constant-folded V(E), "
-            "pre-resolved index handles, unrolled operator dispatch).  Kernel "
+            "Per-candidate exact triggering check, the engine's shape "
+            "kernels (per-rule handle bindings, unrolled operator dispatch) "
+            "vs the recursive reference evaluator called directly.  Kernel "
             "figures are dry, memo-less, per planned candidate on the frozen "
-            "steady state; end-to-end figures include planning and the "
-            "incremental-memo bookkeeping both paths share.  Every grid "
-            "point asserts identical triggering decisions, selections and "
-            "stats between compiled and interpreted runs, and the sweep "
-            "section replays the full mode x batch-size grid "
-            "(tests/core/test_compiled_equivalence.py pins the same property "
-            "per instant)."
+            "steady state, every candidate's decision and stats asserted "
+            "equal to the oracle's; the per-block figures are the live "
+            "engine's.  The process and sweep sections assert identical "
+            "triggering decisions, selections and stats across the full "
+            "mode x batch-size grid (tests/core/test_compiled_equivalence.py "
+            "pins engine == oracle per instant and per scenario)."
         ),
         "headline": kernel_rows[-1],
         "kernel": kernel_rows,
@@ -429,9 +382,8 @@ def run_x11_sweeps(smoke: bool = False) -> dict:
         "equivalence": {
             "checked": True,
             "note": (
-                "each grid point asserts identical triggering decisions, "
-                "priority-order selections and Trigger Support stats between "
-                "compiled and interpreted runs; the sweep section covers "
+                "each kernel sample asserts engine == oracle decisions and "
+                "evaluation stats; the sweep section covers "
                 "unsharded/serial/threads/processes at batch sizes "
                 + "/".join(str(batch) for batch in sweep["batch_sizes"])
             ),
@@ -449,9 +401,7 @@ def render_x11(results: dict) -> str:
             row["interpreted_check_us_per_candidate"],
             row["compiled_check_us_per_candidate"],
             f"{row['check_speedup']}x",
-            row["interpreted_check_us_per_block"],
-            row["compiled_check_us_per_block"],
-            f"{row['end_to_end_check_ratio']}x",
+            row["check_us_per_block"],
         ]
         for row in results["kernel"]
     ]
@@ -462,12 +412,9 @@ def render_x11(results: dict) -> str:
             process["rules"],
             process["workers"],
             f"{process['check_speedup']}x",
-            check_us["single_interpreted"],
-            check_us["serial_interpreted"],
-            check_us["serial_compiled"],
-            check_us["processes_interpreted"],
-            check_us["processes_compiled"],
-            f"{process['process_check_ratio']}x",
+            check_us["single"],
+            check_us["serial"],
+            check_us["processes"],
         ]
     ]
     sweep = results["sweep"]
@@ -475,7 +422,7 @@ def render_x11(results: dict) -> str:
         f"sweep: {sweep['runs']} runs byte-identical — modes "
         f"{'/'.join(sweep['modes'])} (+unsharded), batch sizes "
         f"{'/'.join(str(batch) for batch in sweep['batch_sizes'])}, "
-        f"compiled off+on, {sweep['rules']} rules x {sweep['blocks']} blocks"
+        f"{sweep['rules']} rules x {sweep['blocks']} blocks"
     )
     return "\n\n".join(
         [
@@ -484,15 +431,13 @@ def render_x11(results: dict) -> str:
                     "rules",
                     "types",
                     "cands",
-                    "interp µs/cand",
-                    "compiled µs/cand",
+                    "oracle µs/cand",
+                    "engine µs/cand",
                     "speedup",
-                    "interp chk µs/blk",
-                    "compiled chk µs/blk",
-                    "e2e ratio",
+                    "engine chk µs/blk",
                 ],
                 kernel_rows,
-                title="X11 — exact-check kernel, interpreted vs compiled (X7 grid)",
+                title="X11 — exact check, engine kernels vs the oracle (X7 grid)",
             ),
             render_table(
                 [
@@ -500,14 +445,11 @@ def render_x11(results: dict) -> str:
                     "workers",
                     "kernel speedup",
                     "single µs/blk",
-                    "serial interp",
-                    "serial compiled",
-                    "proc interp",
-                    "proc compiled",
-                    "proc ratio",
+                    "serial µs/blk",
+                    "processes µs/blk",
                 ],
                 process_rows,
-                title="X11 — compiled checks on the X9 check-heavy grid",
+                title="X11 — the execution modes on the X9 check-heavy grid",
             ),
             sweep_line,
         ]

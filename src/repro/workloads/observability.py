@@ -85,7 +85,6 @@ def measure_overhead(
     events_per_block: int = 8,
     seed: int = 7,
     repetitions: int = 5,
-    use_compiled_checks: bool = False,
 ) -> dict:
     """Instrumented vs uninstrumented cost at one grid point.
 
@@ -114,7 +113,6 @@ def measure_overhead(
                     shards=shards,
                     shard_mode=shard_mode,
                     batch_blocks=batch_blocks,
-                    use_compiled_checks=use_compiled_checks,
                 ),
                 metrics=registry,
             )

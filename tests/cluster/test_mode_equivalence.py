@@ -207,32 +207,26 @@ def test_bursty_trips_identical_across_modes_and_transports():
                     )
 
 
-def test_bursty_trips_with_recheck_and_compiled_checks():
-    """The bursty partition composes with commit-style rechecks and the
-    compiled exact-check kernel without losing equivalence."""
+def test_bursty_trips_with_recheck_match_the_oracle():
+    """The bursty partition composes with commit-style rechecks without
+    losing equivalence — to the single table, and to the reference
+    evaluator replaying the same partition."""
     scenario = build_scenario(11)
     sizes = _bursty_trip_sizes(29)
-    for use_compiled_checks in (False, True):
-        reference = run_scenario(
+    reference = run_scenario(scenario, trip_sizes=sizes, recheck_every=6, oracle=True)
+    assert run_scenario(scenario, trip_sizes=sizes, recheck_every=6) == reference
+    for transport in TRANSPORTS:
+        result = run_scenario(
             scenario,
+            shards=3,
+            shard_mode="processes",
+            transport=transport,
             trip_sizes=sizes,
             recheck_every=6,
-            use_compiled_checks=use_compiled_checks,
         )
-        for transport in TRANSPORTS:
-            result = run_scenario(
-                scenario,
-                shards=3,
-                shard_mode="processes",
-                transport=transport,
-                trip_sizes=sizes,
-                recheck_every=6,
-                use_compiled_checks=use_compiled_checks,
-            )
-            assert result == reference, (
-                f"compiled={use_compiled_checks}, {transport}: bursty "
-                f"partition with rechecks diverged"
-            )
+        assert result == reference, (
+            f"{transport}: bursty partition with rechecks diverged"
+        )
 
 
 def test_tcp_transport_across_modes_shard_counts_and_batch_sizes():
@@ -321,36 +315,134 @@ def test_adaptive_ingestor_matches_unsharded_replay_of_realized_trips():
 # ---------------------------------------------------------------------------
 
 
-def test_snapshot_counters_identical_across_modes_batches_and_compiled():
+def test_snapshot_counters_identical_across_modes_and_batches():
     """The PR-8 snapshot counters are as mode-invariant as the stats they fold.
 
     ``run_scenario`` returns the registry's deterministic ``trigger.*``
-    snapshot counters; for every batch size 1-8, compiled checks on and off,
-    each coordinator mode must match the unsharded reference byte for byte —
-    the observability layer inherits the equivalence guarantee instead of
+    snapshot counters; for every batch size 1-8 each coordinator mode must
+    match the reference evaluator on the single table byte for byte — the
+    observability layer inherits the equivalence guarantee instead of
     weakening it.
     """
-    for use_compiled_checks in (False, True):
-        scenario = build_scenario(2)
-        for batch_blocks in range(1, 9):
-            reference = run_scenario(
-                scenario,
-                batch_blocks=batch_blocks,
-                use_compiled_checks=use_compiled_checks,
+    scenario = build_scenario(2)
+    for batch_blocks in range(1, 9):
+        reference = run_scenario(scenario, batch_blocks=batch_blocks, oracle=True)
+        assert reference["metrics"], "snapshot must carry trigger.* counters"
+        for mode in MODES:
+            result = run_scenario(
+                scenario, shards=4, shard_mode=mode, batch_blocks=batch_blocks
             )
-            assert reference["metrics"], "snapshot must carry trigger.* counters"
-            for mode in MODES:
-                result = run_scenario(
-                    scenario,
-                    shards=4,
-                    shard_mode=mode,
-                    batch_blocks=batch_blocks,
-                    use_compiled_checks=use_compiled_checks,
+            assert result["metrics"] == reference["metrics"], (
+                f"batch {batch_blocks}, {mode}: snapshot counters diverged"
+            )
+
+
+def test_threads_share_kernels_without_sharing_counters():
+    """Same-shape rules on different shards, evaluated concurrently.
+
+    One coordinator binds every rule to the same few kernels; in ``threads``
+    mode different rules of one shape run on several threads at once.  The
+    shapes here are the non-rigid ones (precedence, lifted instance
+    subtrees), whose kernels count node visits while they evaluate — the
+    counts must land in each batch's own ``EvaluationStats``, so the merged
+    totals equal the serial mode's (and the single table's) to the unit, per
+    block and per trip, under a switch interval short enough to interleave
+    the batches."""
+    import sys
+
+    from repro.cluster.coordinator import ShardCoordinator
+    from repro.cluster.sharding import ShardedRuleTable
+    from repro.core.parser import parse_expression
+    from repro.events.event import EventOccurrence, EventType, Operation
+    from repro.events.event_base import EventBase
+    from repro.rules.actions import NO_ACTION
+    from repro.rules.conditions import TRUE_CONDITION
+    from repro.rules.event_handler import EventHandler
+    from repro.rules.rule import Rule
+    from repro.rules.rule_table import RuleTable
+    from repro.rules.trigger_support import TriggerSupport
+
+    classes = [f"k{index}" for index in range(16)]
+    shapes = (
+        "(create({c}) < modify({c}.x)) + -delete(ghost)",
+        "(create({c}) += modify({c}.x)) , delete(ghost)",
+        "-=create({c}) + modify({c}.x) + delete(ghost)",
+    )
+    rules = [
+        Rule(
+            name=f"r{index}_{shape_index}",
+            events=parse_expression(shape.format(c=name)),
+            condition=TRUE_CONDITION,
+            action=NO_ACTION,
+        )
+        for index, name in enumerate(classes)
+        for shape_index, shape in enumerate(shapes)
+    ]
+    rng = random.Random(5)
+    blocks, eid, stamp = [], 0, 0
+    for _ in range(24):
+        block = []
+        for _ in range(12):
+            eid += 1
+            stamp += rng.randint(0, 1)
+            name = rng.choice(classes)
+            event_type = rng.choice(
+                (
+                    EventType(Operation.CREATE, name),
+                    EventType(Operation.MODIFY, name, "x"),
                 )
-                assert result["metrics"] == reference["metrics"], (
-                    f"compiled={use_compiled_checks}, batch {batch_blocks}, "
-                    f"{mode}: snapshot counters diverged"
+            )
+            block.append(
+                EventOccurrence(
+                    eid=eid,
+                    event_type=event_type,
+                    oid=f"{name}#{rng.randrange(3)}",
+                    timestamp=max(stamp, 1),
                 )
+            )
+        blocks.append(block)
+
+    def run(shards: int, mode: str, batch: int):
+        table = ShardedRuleTable(shards) if shards else RuleTable()
+        for rule in rules:
+            table.add(rule).reset(0)
+        event_base = EventBase()
+        handler = EventHandler(event_base)
+        config = EngineConfig.from_env(shard_mode=mode)
+        support = (ShardCoordinator if shards else TriggerSupport)(
+            table, event_base, config
+        )
+        trace = []
+        try:
+            for start in range(0, len(blocks), batch):
+                segments = [
+                    (handler.store_external(block), block[-1].timestamp)
+                    for block in blocks[start : start + batch]
+                ]
+                newly = support.check_after_blocks(segments, 0)
+                trace.append([state.rule.name for state in newly])
+                for state in newly:
+                    state.mark_considered(segments[-1][1], executed=False)
+            if shards:
+                assert len({support._worker_of(s, shards) for s in table}) > 1
+            if mode == "threads":
+                assert support.cluster_stats.parallel_batches > 0
+            return trace, support.stats.as_dict(), support.binder.kernels_compiled
+        finally:
+            if shards:
+                support.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for batch in (1, 4):
+            reference = run(0, "serial", batch)
+            assert reference[1]["lifted_objects"] > 0 and reference[2] == len(shapes)
+            for mode in ("serial", "threads"):
+                for _ in range(3):
+                    assert run(8, mode, batch) == reference, (mode, batch)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_per_shard_candidate_counters_identical_across_modes():

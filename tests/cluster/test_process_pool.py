@@ -215,3 +215,24 @@ def test_rule_free_database_never_spawns_workers():
         assert support.process_pool is None  # never forked a single process
     finally:
         support.close()
+
+
+def test_processes_coordinator_binds_no_rule_it_never_checks():
+    """The bindings live with the evaluator.  In processes mode that is the
+    workers: per block, per trip and at the commit-time recheck the
+    coordinator only plans, ships and applies — it lowers no kernel and
+    leaves every ``RuleState.compiled_check`` unpopulated."""
+    table, event_base, handler, support = build_support(rule_count=12)
+    try:
+        assert feed_block(event_base, handler, support, 1)
+        segments = []
+        for stamp in (2, 3, 4):
+            event_base.record(CREATE_ALPHA, oid="alpha#1", timestamp=stamp)
+            segments.append((handler.flush_block(), stamp))
+        assert support.check_after_blocks(segments, 0)
+        support.recheck_all(4, 0)
+        assert sum(state.ts_computations for state in table) >= 24
+        assert all(state.compiled_check is None for state in table)
+        assert support.binder.kernels_compiled == 0
+    finally:
+        support.close()

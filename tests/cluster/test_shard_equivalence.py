@@ -25,6 +25,7 @@ from repro.rules.event_handler import EventHandler
 from repro.rules.rule_table import RuleTable
 from repro.rules.trigger_support import TriggerSupport
 
+from tests.oracle import OracleTriggerSupport
 from tests.rules.test_planner_equivalence import Scenario, build_scenario
 
 
@@ -35,7 +36,7 @@ def run_scenario(
     recheck_every: int = 0,
     batch_blocks: int = 1,
     trip_sizes: tuple[int, ...] | None = None,
-    use_compiled_checks: bool | None = None,
+    oracle: bool = False,
     transport: str | None = None,
     metric_prefixes: tuple[str, ...] = ("trigger.",),
 ) -> dict:
@@ -53,10 +54,12 @@ def run_scenario(
     partition (cycled if it runs out) — the bursty-arrival replay: the
     variable-size trips an adaptive consumer realizes under Poisson bursts
     and idle gaps, still with churn at trip boundaries.
-    ``use_compiled_checks`` selects the compiled exact-check closures and
-    ``transport`` the process mode's delta transport; ``None`` leaves the
-    field to ``EngineConfig.from_env()`` — the suite's ``--compiled-checks``
-    / ``CHIMERA_TRANSPORT`` sweeps reach in that way.
+    ``oracle=True`` (single table only) evaluates every exact check through
+    the reference evaluator instead of the engine's compiled kernels
+    (:class:`tests.oracle.OracleTriggerSupport`).  ``transport`` selects the
+    process mode's delta transport; ``None`` leaves the field to
+    ``EngineConfig.from_env()`` — the suite's ``CHIMERA_TRANSPORT`` sweeps
+    reach in that way.
     ``metric_prefixes`` filters which snapshot counters of the PR-8 metrics
     registry land in the returned ``"metrics"`` key — the default pins the
     deterministic ``trigger.*`` counters; mode-dependent families
@@ -73,14 +76,14 @@ def run_scenario(
     for rule in scenario.rules:
         table.add(rule).reset(0)
     handler = EventHandler(event_base)
-    config = EngineConfig.from_env(
-        shard_mode=shard_mode,
-        use_compiled_checks=use_compiled_checks,
-        transport=transport,
-    )
-    support = (ShardCoordinator if shards > 0 else TriggerSupport)(
-        table, event_base, config
-    )
+    config = EngineConfig.from_env(shard_mode=shard_mode, transport=transport)
+    assert not (oracle and shards), "the oracle replays on the single table"
+    if shards > 0:
+        support: TriggerSupport = ShardCoordinator(table, event_base, config)
+    else:
+        support = (OracleTriggerSupport if oracle else TriggerSupport)(
+            table, event_base, config
+        )
 
     spans: list[tuple[int, int]] = []
     position = 0

@@ -15,7 +15,7 @@ from repro.rules.actions import NO_ACTION
 from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.rule import Rule
 
-#: The ambient record (``--compiled-checks`` and friends reach in) pinned to
+#: The ambient record (``CHIMERA_TRANSPORT`` and friends reach in) pinned to
 #: the coordinator's inline mode.
 SERIAL = EngineConfig.from_env(shard_mode="serial")
 

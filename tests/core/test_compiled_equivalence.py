@@ -1,28 +1,34 @@
-"""Compiled vs interpreted exact checks: randomized differential equivalence.
+"""Compiled exact checks vs the reference evaluator: differential equivalence.
 
-The PR-6 compiled path (:mod:`repro.core.compile`) lowers each rule's event
-expression into specialized closures and batches a trip's instants into one
-pass.  Its contract is byte-identical behaviour: for any expression, any
-Event-Base history, any window start and both evaluation modes, the compiled
-``ts`` / ``ots`` / exact check must agree with the interpreted evaluator on
-the value, the :class:`TriggeringDecision` (``instants_sampled`` included),
-the :class:`TriggerMemo` transitions and the :class:`EvaluationStats`
-counters (accumulated in bulk per check, but summing to the same totals).
+The production evaluator (:mod:`repro.core.compile`) lowers each expression
+*shape* into shared closures, binds every rule to its shape's kernel and
+batches a trip's instants into one pass.  Its contract is byte-identical
+behaviour: for any expression, any Event-Base history, any window start and
+both evaluation modes, the compiled ``ts`` / ``ots`` / exact check must agree
+with the recursive reference evaluator on the value, the
+:class:`TriggeringDecision` (``instants_sampled`` included), the
+:class:`TriggerMemo` transitions and the :class:`EvaluationStats` counters
+(accumulated in bulk per check, but summing to the same totals).
 
 The expression pool mixes randomized trees over all eight set/instance
 operators with hand-built shapes the random generator reaches rarely: pure
 negation, nested precedence, instance lifts with inner negations (the
 universal and existential domain-growth cases) and instance-oriented roots.
-The last tests replay whole churn scenarios through the coordinators —
-serial, threads and processes — with compiled checks on and off.
+Then: many rules of one shape sharing a kernel (a hypothesis property and a
+memory budget), whole churn scenarios replayed through every coordinator
+against the oracle Trigger Support, and the binding/epoch invariants.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from repro.config import EngineConfig
-from repro.core.compile import compile_check
+from repro.core.compile import CheckBinder, compile_check
 from repro.core.evaluation import EvaluationMode, EvaluationStats
 from repro.core.evaluation import ots as interpreted_ots
 from repro.core.evaluation import ts as interpreted_ts
@@ -44,6 +50,7 @@ from repro.events.event_base import EventBase
 from repro.rules.actions import NO_ACTION
 from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.event_handler import EventHandler
+from repro.rules.executor import RuleEngine
 from repro.rules.rule import Rule, RuleState
 from repro.rules.rule_table import RuleTable
 from repro.rules.trigger_support import TriggerSupport
@@ -244,42 +251,175 @@ class TestCheckEquivalence:
                 assert compiled_stats == interpreted_stats, (mode, expression)
 
 
-class TestCoordinatorEquivalence:
-    """Whole churn scenarios: compiled == interpreted in every execution mode."""
+# ---------------------------------------------------------------------------
+# One kernel per shape, shared by every rule of the shape
+# ---------------------------------------------------------------------------
 
-    def test_compiled_matches_interpreted_through_every_coordinator(self):
+#: Shape templates over three (not necessarily distinct) event types: rigid,
+#: precedence, universal and existential lifts, and an instance-oriented root.
+SHAPES = (
+    lambda a, b, c: SetConjunction(SetDisjunction(a, b), c),
+    lambda a, b, c: SetPrecedence(SetPrecedence(a, b), SetNegation(c)),
+    lambda a, b, c: SetConjunction(InstanceNegation(a), SetDisjunction(b, c)),
+    lambda a, b, c: SetDisjunction(
+        InstancePrecedence(a, InstanceConjunction(b, c)), SetNegation(b)
+    ),
+    lambda a, b, c: InstanceDisjunction(InstancePrecedence(a, b), InstanceNegation(c)),
+)
+
+_slot_types = st.tuples(*[st.sampled_from(UNIVERSE)] * 3)
+
+
+class TestSharedKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        mode=st.sampled_from(MODES),
+        type_rows=st.lists(_slot_types, min_size=2, max_size=8),
+        seed=st.integers(0, 10_000),
+        picks=st.lists(st.integers(0, 7), min_size=8, max_size=40),
+    )
+    def test_interleaved_same_shape_rules_match_the_oracle(
+        self, shape, mode, type_rows, seed, picks
+    ):
+        """Rules of one shape over different types, checked in an arbitrary
+        interleaving through one binder: every decision, memo and the
+        EvaluationStats totals equal the oracle's."""
+        expressions = [shape(*map(Primitive, row)) for row in type_rows]
+        binder = CheckBinder(mode)
+        bindings = [binder.bind(expression) for expression in expressions]
+        generated, _ = _history(seed, blocks=len(picks))
+        event_base = EventBase()
+        count = len(expressions)
+        oracle_memos = [TriggerMemo() for _ in range(count)]
+        compiled_memos = [TriggerMemo() for _ in range(count)]
+        window_starts = [0] * count
+        oracle_stats, compiled_stats = EvaluationStats(), EvaluationStats()
+        for block, pick in zip(generated, picks):
+            for occurrence in block:
+                event_base.append(occurrence)
+            now = block[-1].timestamp
+            # Two different rules per block, so checks of one kernel alternate
+            # between handle tuples (and memos) within a single instant.
+            for index in {pick % count, (pick * 7 + 3) % count}:
+                expected = is_triggered(
+                    expressions[index],
+                    event_base,
+                    window_starts[index],
+                    now,
+                    mode,
+                    oracle_stats,
+                    memo=oracle_memos[index],
+                )
+                actual = bindings[index].check(
+                    event_base,
+                    window_starts[index],
+                    now,
+                    memo=compiled_memos[index],
+                    stats=compiled_stats,
+                )
+                assert actual == expected, (mode, expressions[index], now)
+                assert compiled_memos[index] == oracle_memos[index]
+                if expected.triggered:
+                    window_starts[index] = now
+        assert compiled_stats == oracle_stats
+        # Rows that repeat a type in different positions are different shapes
+        # (the slot pattern is part of the key); equal patterns share.
+        patterns = {tuple(row.index(t) for t in row) for row in type_rows}
+        assert binder.kernels_compiled == len(patterns)
+
+    def test_two_thousand_rules_of_one_shape_cost_one_kernel_and_half_a_kb_each(self):
+        """The marginal cost of binding a rule (and resolving its handles) is
+        bounded: <= 512 B, and no closure — 2 000 rules, one kernel."""
+        rules = 2_000
+        types = [
+            EventType(Operation.MODIFY, f"c{index}", attribute)
+            for index in range(rules)
+            for attribute in ("x", "y")
+        ]
+        ghost = Primitive(EventType(Operation.DELETE, "ghost"))
+        expressions = [
+            SetConjunction(
+                SetDisjunction(Primitive(types[2 * i]), Primitive(types[2 * i + 1])),
+                ghost,
+            )
+            for i in range(rules)
+        ]
+        event_base = EventBase()
+        for stamp, event_type in enumerate(types, start=1):
+            event_base.record(event_type, oid="o#1", timestamp=stamp)
+        for event_type in types:
+            # The store's own match cache is the store's cost, whichever
+            # evaluator asks; fill it before measuring the bindings.
+            event_base._indexes_matching(event_type)
+        now = len(types)
+        binder = CheckBinder(EvaluationMode.LOGICAL)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            bindings = [binder.bind(expression) for expression in expressions]
+            for binding in bindings:  # one-instant window: resolve, don't sweep
+                binding.check(event_base, now - 1, now)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(binding.is_bound for binding in bindings)
+        assert binder.kernels_compiled == 1
+        assert (after - before) / rules <= 512, (after - before) / rules
+
+    def test_kernels_are_keyed_by_shape_mode_and_root_granularity(self):
+        a, b, c, d = (Primitive(UNIVERSE[index]) for index in (0, 1, 2, 3))
+        binder = CheckBinder(EvaluationMode.LOGICAL)
+        first = binder.bind(InstanceConjunction(a, b))
+        second = binder.bind(InstanceConjunction(c, d))
+        assert first._kernel is second._kernel and binder.kernels_compiled == 1
+        # ots needs the instance-rooted lowering of the same shape: one more
+        # kernel, again shared by both rules.
+        event_base = EventBase()
+        event_base.record(UNIVERSE[0], oid="o#1", timestamp=1)
+        first.ots(event_base, None, 1, "o#1")
+        second.ots(event_base, None, 1, "o#1")
+        assert binder.kernels_compiled == 2
+        # A repeated type is a different slot pattern, hence a different shape.
+        binder.bind(InstanceConjunction(a, a))
+        assert binder.kernels_compiled == 3
+        # Another evaluator (another mode) interns its own.
+        other = CheckBinder(EvaluationMode.ALGEBRAIC)
+        assert other.bind(InstanceConjunction(a, b))._kernel is not first._kernel
+
+
+class TestCoordinatorEquivalence:
+    """Whole churn scenarios: the engine == the oracle in every execution mode."""
+
+    def test_engine_matches_the_oracle_through_every_coordinator(self):
         from tests.cluster.test_shard_equivalence import run_scenario
         from tests.rules.test_planner_equivalence import build_scenario
 
         for seed in (0, 9):
             scenario = build_scenario(seed)
-            reference = run_scenario(scenario, use_compiled_checks=False)
-            assert run_scenario(scenario, use_compiled_checks=True) == reference
-            for shard_mode in ("serial", "threads", "processes"):
-                for batch_blocks in (1, 4):
-                    interpreted = run_scenario(
+            for batch_blocks in (1, 4):
+                reference = run_scenario(
+                    scenario, batch_blocks=batch_blocks, oracle=True
+                )
+                assert run_scenario(scenario, batch_blocks=batch_blocks) == reference
+                for shard_mode in ("serial", "threads", "processes"):
+                    sharded = run_scenario(
                         scenario,
                         shards=4,
                         shard_mode=shard_mode,
                         batch_blocks=batch_blocks,
-                        use_compiled_checks=False,
                     )
-                    compiled = run_scenario(
-                        scenario,
-                        shards=4,
-                        shard_mode=shard_mode,
-                        batch_blocks=batch_blocks,
-                        use_compiled_checks=True,
-                    )
-                    assert compiled == interpreted, (
+                    assert sharded == reference, (
                         f"seed {seed}, {shard_mode}, batch {batch_blocks}: "
-                        "compiled checks diverged"
+                        "diverged from the oracle"
                     )
 
 
 # ---------------------------------------------------------------------------
-# Recompilation invariants: no pre-resolved handle survives a rebind
+# Binding invariants: bound on first use, no handle survives a rebind
 # ---------------------------------------------------------------------------
+
+ALPHA = EventType(Operation.CREATE, "alpha")
 
 
 def _watcher(name: str = "w", pattern: str = "create(alpha)", order: int = 0) -> Rule:
@@ -291,98 +431,175 @@ def _watcher(name: str = "w", pattern: str = "create(alpha)", order: int = 0) ->
     )
 
 
-class TestRecompilationInvariants:
-    def _support(self):
+def _handle_indexes(state: RuleState) -> list:
+    return [index for handle in state.compiled_check._handles for index in handle]
+
+
+class TestBindingInvariants:
+    def _support(self, pattern: str = "create(alpha)", watchers: int = 1):
         table = RuleTable()
-        state = table.add(_watcher())
-        state.reset(0)
+        states = [
+            table.add(_watcher(f"w{index}" if index else "w", pattern))
+            for index in range(watchers)
+        ]
+        for state in states:
+            state.reset(0)
         event_base = EventBase()
         handler = EventHandler(event_base)
-        support = TriggerSupport(
-            table, event_base, EngineConfig.from_env(use_compiled_checks=True)
-        )
-        support.prepare_rule(state)
+        support = TriggerSupport(table, event_base)
         stamp = 0
 
-        def feed_block() -> None:
+        def feed_block(event_type: EventType = ALPHA) -> None:
             nonlocal stamp
             stamp += 1
-            event_base.record(
-                EventType(Operation.CREATE, "alpha"), oid="alpha#1", timestamp=stamp
-            )
+            if handler.event_base is not support.event_base:
+                handler.reset(support.event_base)
+            support.event_base.record(event_type, oid="alpha#1", timestamp=stamp)
             batch = handler.flush_block()
             support.check_after_block(
                 batch, stamp, 0, type_signature=batch.type_signature
             )
-            if state.triggered:
-                state.mark_considered(stamp, executed=False)
+            for state in states:
+                if state.triggered:
+                    state.mark_considered(stamp, executed=False)
 
-        return table, state, support, feed_block
+        return table, states[0], support, feed_block
 
-    def test_prepare_rule_compiles_and_check_binds(self):
+    def test_a_rule_is_bound_by_its_first_check(self):
         table, state, support, feed_block = self._support()
-        assert state.compiled_check is not None
-        assert not state.compiled_check.is_bound
+        assert state.compiled_check is None
         feed_block()
+        assert state.compiled_check.binder is support.binder
         assert state.compiled_check.is_bound
+        assert state.times_triggered == 1
 
-    def test_forget_incremental_state_invalidates(self):
-        table, state, support, feed_block = self._support()
-        feed_block()
-        support.forget_incremental_state()
-        assert not state.compiled_check.is_bound
-        feed_block()  # and the next check re-binds cleanly
-        assert state.compiled_check.is_bound
-
-    def test_schema_rebind_invalidates(self):
+    def test_bare_rule_engine_never_enters_the_oracle(self, monkeypatch):
+        """A rule added through ``RuleTable.add`` on a bare ``RuleEngine`` (no
+        ``ChimeraDatabase.define_rule``) is checked through its binding on
+        every path — per block and the commit-time recheck."""
+        import repro.core.evaluation
+        import repro.core.triggering
+        import repro.rules.trigger_support
+        from repro.events.clock import TransactionClock
+        from repro.oodb.objects import ObjectStore
+        from repro.oodb.operations import OperationExecutor
         from repro.oodb.schema import Schema
 
-        table, state, support, feed_block = self._support()
-        feed_block()
-        table.bind_schema(Schema())
-        assert not state.compiled_check.is_bound
+        def entered(*args, **kwargs):
+            raise AssertionError("the reference evaluator ran in production")
 
-    def test_disable_and_reenable_invalidate(self):
-        table, state, support, feed_block = self._support()
-        feed_block()
-        table.disable("w")
-        assert not state.compiled_check.is_bound
-        feed_block()  # no check runs for a disabled rule
-        assert not state.compiled_check.is_bound
-        table.enable("w")
-        feed_block()
-        assert state.compiled_check.is_bound
+        for module in (repro.core.triggering, repro.rules.trigger_support):
+            monkeypatch.setattr(module, "is_triggered", entered)
+        for name in ("ts", "ots"):
+            monkeypatch.setattr(repro.core.evaluation, name, entered)
+        schema, store, clock = Schema(), ObjectStore(), TransactionClock()
+        schema.define("alpha", ["x"])
+        event_base = EventBase()
+        engine = RuleEngine(
+            schema,
+            store,
+            event_base,
+            clock,
+            OperationExecutor(schema, store, event_base, clock),
+            # In-process evaluation, whatever --shard-mode the suite runs
+            # under: process workers hold their own bindings.
+            config=EngineConfig.from_env(shard_mode="serial"),
+        )
+        immediate = engine.rule_table.add(_watcher("immediate"))
+        never = engine.rule_table.add(_watcher("never", "create(beta)"))
+        engine.begin_transaction()
+        engine.run_user_block(lambda: engine.operations.create("alpha", {"x": 1}))
+        engine.process_commit()  # recheck_all visits `never`
+        assert immediate.times_triggered == 1 and never.times_triggered == 0
+        for state in (immediate, never):
+            assert state.compiled_check.binder is engine.trigger_support.binder
+            assert state.ts_computations > 0
 
-    def test_event_base_swap_never_leaves_a_stale_handle(self):
-        table, state, support, feed_block = self._support()
+    def test_forget_incremental_state_is_one_epoch_bump(self):
+        table, state, support, feed_block = self._support(watchers=40)
         feed_block()
-        old_compiled = state.compiled_check
-        assert old_compiled._bound_eb is support.event_base
-        fresh = EventBase()
-        support.event_base = fresh
+        bindings = [entry.compiled_check for entry in table]
+        assert all(binding.is_bound for binding in bindings)
+        epoch = support.binder.epoch
         support.forget_incremental_state()
-        assert old_compiled._bound_eb is None
-        fresh.record(EventType(Operation.CREATE, "alpha"), oid="alpha#2", timestamp=9)
-        decision = state.compiled_check.check(fresh, 0, 9)
-        assert decision.triggered
-        assert state.compiled_check._bound_eb is fresh
+        assert support.binder.epoch == epoch + 1
+        assert not any(binding.is_bound for binding in bindings)
+        # ... and the abandoned log is not kept alive by the evaluator.
+        assert support.binder._bound[0] is None
+        feed_block()
+        assert all(binding.is_bound for binding in bindings)
 
-    def test_worker_definition_reship_recompiles(self):
-        """A re-added name ships a fresh definition; the worker must rebuild
-        its compiled closure, not keep evaluating the stale expression."""
+    def test_fresh_event_base_with_the_same_types_never_reads_the_old_log(self):
+        """A new log that registers the same types in the same order has the
+        same type *count* as the old one — the handles must still move, with
+        the invalidation (the engine's transaction path) and without it."""
+        for forget in (True, False):
+            table, state, support, feed_block = self._support()
+            feed_block()
+            old_indexes = _handle_indexes(state)
+            assert old_indexes == [support.event_base._by_type[ALPHA]]
+            fresh = EventBase()
+            support.event_base = fresh
+            if forget:
+                support.forget_incremental_state()
+            state.trigger_memo.clear()
+            feed_block()
+            assert _handle_indexes(state) == [fresh._by_type[ALPHA]]
+            assert _handle_indexes(state)[0] is not old_indexes[0]
+            assert state.times_triggered == 2
+
+    def test_database_transactions_rebind_every_time(self):
+        from repro.oodb.database import ChimeraDatabase
+
+        db = ChimeraDatabase(shard_mode="serial")  # bindings stay in-process
+        try:
+            db.define_class("alpha", ["x"])
+            db.define_rule(_watcher())
+            state = db.rule_state("w")
+            logs = []
+            for _ in range(3):
+                with db.transaction() as tx:
+                    tx.create("alpha", {"x": 1})
+                    logs.append(db.event_base)
+                assert _handle_indexes(state) == [db.event_base._by_type[ALPHA]]
+            assert len({id(log) for log in logs}) == 3
+            assert state.times_triggered == 3
+        finally:
+            db.close()
+
+    def test_schema_rebind_and_reenable_still_resolve_the_live_indexes(self):
+        """Neither transition pokes the bindings any more; a class-level
+        watcher must still see a concrete type first stored while the schema
+        was rebound and the rule sat disabled."""
+        from repro.oodb.schema import Schema
+
+        table, state, support, feed_block = self._support("modify(alpha)")
+        feed_block(EventType(Operation.MODIFY, "alpha", "x"))
+        assert state.times_triggered == 1
+        table.bind_schema(Schema())
+        table.disable("w")
+        late = EventType(Operation.MODIFY, "alpha", "y")
+        feed_block(late)  # no check runs for a disabled rule
+        assert state.times_triggered == 1
+        table.enable("w")
+        feed_block(late)
+        assert state.times_triggered == 2
+        assert support.event_base._by_type[late] in _handle_indexes(state)
+
+    def test_worker_definition_reship_rebinds(self):
+        """A re-added name ships a fresh definition; the worker must replace
+        its binding, not keep evaluating the stale expression."""
         from repro.cluster.process_pool import ProcessShardPool
 
-        pool = ProcessShardPool(1, EngineConfig.from_env(use_compiled_checks=True))
+        pool = ProcessShardPool(1)
         try:
             event_base = EventBase()
-            event_base.record(
-                EventType(Operation.CREATE, "alpha"), oid="alpha#1", timestamp=1
-            )
+            event_base.record(ALPHA, oid="alpha#1", timestamp=1)
             state = RuleState(rule=_watcher(), definition_order=0)
             rows, _ = pool.evaluate(event_base, {0: [(state, 0)]}, 1)
             assert rows[0][1].triggered
             # Same name, higher definition order, different expression: the
-            # coordinator re-ships and the worker must replace entry+closure.
+            # coordinator re-ships and the worker must replace the entry.
             replacement = RuleState(
                 rule=_watcher(pattern="create(beta)"), definition_order=1
             )
@@ -392,16 +609,14 @@ class TestRecompilationInvariants:
             pool.close()
 
     def test_worker_reset_rebinds_to_the_new_mirror(self):
-        """pool.reset() swaps the worker mirror; a compiled closure holding
-        handles into the abandoned mirror would answer from stale indexes."""
+        """pool.reset() swaps the worker mirror; a binding holding handles
+        into the abandoned mirror would answer from stale indexes."""
         from repro.cluster.process_pool import ProcessShardPool
 
-        pool = ProcessShardPool(1, EngineConfig.from_env(use_compiled_checks=True))
+        pool = ProcessShardPool(1)
         try:
             first = EventBase()
-            first.record(
-                EventType(Operation.CREATE, "alpha"), oid="alpha#1", timestamp=1
-            )
+            first.record(ALPHA, oid="alpha#1", timestamp=1)
             state = RuleState(rule=_watcher(), definition_order=0)
             rows, _ = pool.evaluate(first, {0: [(state, 0)]}, 1)
             assert rows[0][1].triggered

@@ -25,7 +25,6 @@ from tests.cluster.test_tcp_transport import cli_worker, launch_in_background
 #: field -> (a valid environment spelling, its parsed value, an explicit
 #: override that differs from both it and the default).
 ENV_CASES = {
-    "use_compiled_checks": ("yes", True, False),
     "shards": ("3", 3, 5),
     "shard_mode": ("THREADS", "threads", "processes"),
     "transport": ("shm", "shm", "tcp"),
@@ -39,7 +38,6 @@ ENV_CASES = {
 
 #: variable -> values the old per-module resolvers swallowed.
 MALFORMED = {
-    "CHIMERA_COMPILED_CHECKS": ["maybe", "2"],
     "CHIMERA_SHARDS": ["abc", "-1", "1.5"],
     "CHIMERA_SHARD_MODE": ["fibers"],
     "CHIMERA_TRANSPORT": ["shmm"],
@@ -52,7 +50,8 @@ MALFORMED = {
 
 def test_every_environment_variable_has_a_precedence_case():
     assert set(ENV_CASES) == set(ENV_NAMES)
-    assert len(ENV_NAMES) == 10
+    assert len(ENV_NAMES) == 9
+    assert len(dataclasses.fields(EngineConfig)) == 13
 
 
 @pytest.mark.parametrize("field", sorted(ENV_CASES))
@@ -154,7 +153,6 @@ def test_tcp_handshake_delivers_the_coordinators_record(monkeypatch):
     the coordinator's record, shipped in the handshake reply."""
     record = EngineConfig(
         tcp_spawn=False,
-        use_compiled_checks=True,
         evaluation_mode="algebraic",
         shards=3,
         shard_mode="processes",
