@@ -1,37 +1,30 @@
-"""X13 — shared-memory delta transport + adaptive dispatch sizing.
+"""X13 — adaptive dispatch sizing.
 
-X10 amortized the process shard mode's round trips; the residual per-block
-transport cost is **delta encoding** — pickling the Event-Base window
-snapshot once per trip, per distinct worker offset.  PR 9 replaces that
-path with a shared-memory row ring: payload-free occurrences are encoded
-once, globally, as fixed-width rows, and workers read trip deltas by
-``(start, count)`` descriptor (payload-bearing rows fall back to per-row
-pickles inside the same descriptor).  PR 9 also closes the loop on the
-trip size itself: the ``DispatchController`` sizes each stream drain from
-the live queue-depth / dispatch-latency signals.  This bench shows:
+X10 amortized the process shard mode's round trips with a static
+``batch_blocks`` bound; the ``DispatchController`` closes the loop on the
+trip size itself, sizing each stream drain from the live queue-depth /
+dispatch-latency signals.  This bench shows:
 
-* **delta encoding gets cheaper** — per-block delta-encode cost, pickle vs
-  shm, on the X10 check-heavy grid (the payload-free headline must clear
-  2x; a payload-bearing arm exercises the fallback);
 * **the controller adapts** — a bursty stream through static-1 / static-8 /
   adaptive ingestor arms: per-block trips while idle (latency within 10% of
   static-1), widened trips under backlog (throughput within 10% of
   static-8), and a shrink back to 1 when the burst drains (structural,
   asserted);
-* **behavioral invisibility** — every transport grid point asserts
-  identical triggering decisions, selections and stats across the single
-  table, the serial coordinator and both process transports; every
-  adaptivity arm is pinned against an unsharded replay of its realized
-  trip partition.
+* **behavioral invisibility** — every arm is pinned against an unsharded
+  replay of its realized trip partition.
 
-Run as a script to execute the full sweep and write machine-readable
-results to ``BENCH_PR9.json`` at the repo root::
+(Until PR 14 this bench also compared a pickled-snapshot and a shared-memory
+delta encoding; both are gone — ``BENCH_PR9.json`` keeps their last figures
+and X14 prices the surviving transport.)
+
+Run as a script to execute the full sweep; ``--out`` writes the
+machine-readable results (``BENCH_PR9.json`` is the PR-9 record and is no
+longer this script's default target)::
 
     PYTHONPATH=src python benchmarks/bench_x13_transport_adaptivity.py [--smoke]
 
-``--smoke`` runs a tiny grid (seconds, for CI) and writes nothing unless
-``--out`` is given.  The pytest entry points run reduced configurations and
-assert the structural acceptance criteria.
+``--smoke`` runs a tiny grid (seconds, for CI).  The pytest entry point runs
+a reduced configuration and asserts the structural acceptance criteria.
 """
 
 from __future__ import annotations
@@ -42,34 +35,25 @@ from pathlib import Path
 
 from repro.workloads.transport_adaptivity import (
     measure_bursty_adaptivity,
-    measure_transport_encoding,
     render_x13,
     run_x13_sweeps,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_FILE = REPO_ROOT / "BENCH_PR9.json"
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="tiny grid for CI")
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="results file (default: BENCH_PR9.json; smoke writes nowhere)",
-    )
+    parser.add_argument("--out", default=None, help="write the JSON results here")
     args = parser.parse_args(argv)
     results = run_x13_sweeps(smoke=args.smoke)
     print(render_x13(results))
-    out = Path(args.out) if args.out else (None if args.smoke else RESULTS_FILE)
-    if out is not None:
+    if args.out:
+        out = Path(args.out)
         out.write_text(json.dumps(results, indent=2) + "\n")
         print(f"\nwrote {out}")
     headline = results["headline"]
     print(
-        f"headline: delta encode speedup {headline['delta_encode_speedup']}x "
-        f"(shm vs pickle, payload-free); adaptive idle latency ratio "
+        f"headline: adaptive idle latency ratio "
         f"{headline['idle_latency_ratio']} vs static-1, backlog throughput "
         f"ratio {headline['backlog_throughput_ratio']} vs static-8 "
         f"(widened {headline['adaptive_widened']}x, settled back to bound "
@@ -78,41 +62,8 @@ def main(argv: list[str] | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pytest entry points (reduced configuration)
+# pytest entry point (reduced configuration)
 # ---------------------------------------------------------------------------
-
-
-def test_x13_transports_identical_payload_free():
-    # measure_transport_encoding asserts triggering + selection + stats
-    # equivalence itself across the single table, serial, and both process
-    # transports.
-    result = measure_transport_encoding(
-        400, workers=2, blocks=12, warmup_blocks=2, events_per_block=8, shapes=8
-    )
-    shm = result["transports"]["shm"]
-    # Payload-free rows must ride the ring: no per-delta pickles, no
-    # per-row fallbacks.
-    assert shm["deltas_shm"] > 0 and shm["deltas_pickled"] == 0, shm
-    assert shm["shm_rows_inline"] > 0 and shm["shm_rows_fallback"] == 0, shm
-    pickled = result["transports"]["pickle"]
-    assert pickled["deltas_shm"] == 0 and pickled["deltas_pickled"] > 0, pickled
-
-
-def test_x13_payload_rows_fall_back_and_stay_identical():
-    result = measure_transport_encoding(
-        400,
-        workers=2,
-        blocks=12,
-        warmup_blocks=2,
-        events_per_block=8,
-        shapes=8,
-        payloads=True,
-    )
-    shm = result["transports"]["shm"]
-    # Every row carries a payload, so every row must cross via the per-row
-    # pickled fallback — while the equivalence asserts above still hold.
-    assert shm["shm_rows_fallback"] > 0 and shm["shm_rows_inline"] == 0, shm
-    assert shm["deltas_shm"] > 0, shm
 
 
 def test_x13_adaptive_controller_widens_and_shrinks():

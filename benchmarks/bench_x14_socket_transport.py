@@ -1,30 +1,33 @@
-"""X14 — socket shard transport behind the ShardTransport seam.
+"""X14 — the delta transport: one encoding, ``pipe`` vs ``tcp`` placement.
 
-PR 10 extracts the delta-shipping plumbing of the process shard pool into a
-``ShardTransport`` interface (pickle frames / shm-ring descriptors /
-length-prefixed socket frames) and adds the TCP implementation: an asyncio
-coordinator endpoint with localhost workers spawned by the pool, or remote
-workers started via ``chimera-events worker``.  This bench shows:
+The process shard pool ships Event Base deltas as slices of one row log
+(``repro.cluster.transport``); a transport only decides where the workers
+live — forked on pipes, or behind an asyncio coordinator endpoint on
+sockets (localhost workers spawned by the pool, or remote workers started
+via ``chimera-events worker``).  This bench shows:
 
-* **the socket path is priced** — per-block delta-encode cost of frame rows
-  vs ring rows vs snapshot pickling on the X13 check-heavy grid (frame
-  encoding pays a per-delta byte copy the ring avoids, but stays within a
-  small factor of pickle on the localhost path);
-* **the trip protocol survives the seam** — structural facts exact per
-  transport: every rule definition shipped exactly once per
-  ``definition_order`` version, exactly one coordinator message per
-  consulted worker per trip, each transport's deltas riding only its own
-  encoding, zero reconnects in an undisturbed run;
+* **the socket placement is priced** — per-block delta-encode and
+  end-to-end check cost, pipe vs tcp, on a check-heavy stream (the encode
+  work is the same code on both; tcp adds a localhost socket round trip per
+  consulted worker per trip and must stay within a small factor of pipe);
+* **the log is encoded once** — every EB position is encoded exactly once
+  however many workers slice the log; payload-free rows all ride inline,
+  payload-bearing rows all take the per-row fallback;
+* **the trip protocol holds on both** — every rule definition shipped
+  exactly once per ``definition_order`` version, exactly one coordinator
+  message per consulted worker per trip, zero reconnects in an undisturbed
+  run;
 * **reconnects are absorbed, not absorbed-into-wrongness** — a tcp worker
   bounced mid-run re-syncs defs + a fresh mirror and the run's triggering
   counters and consideration sequences stay byte-identical to an
   uninterrupted run;
 * **behavioral invisibility** — every grid point asserts identical
   triggering decisions, selections and stats across the single table, the
-  serial coordinator and all three process transports.
+  serial coordinator and both placements.
 
 Run as a script to execute the full sweep and write machine-readable
-results to ``BENCH_PR10.json`` at the repo root::
+results to ``BENCH_PR14.json`` at the repo root (``BENCH_PR10.json`` keeps
+the last three-encoding figures)::
 
     PYTHONPATH=src python benchmarks/bench_x14_socket_transport.py [--smoke]
 
@@ -39,6 +42,8 @@ import argparse
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.workloads.socket_transport import (
     measure_reconnect_resync,
     measure_socket_transport,
@@ -47,7 +52,7 @@ from repro.workloads.socket_transport import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_FILE = REPO_ROOT / "BENCH_PR10.json"
+RESULTS_FILE = REPO_ROOT / "BENCH_PR14.json"
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -56,7 +61,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--out",
         default=None,
-        help="results file (default: BENCH_PR10.json; smoke writes nowhere)",
+        help="results file (default: BENCH_PR14.json; smoke writes nowhere)",
     )
     args = parser.parse_args(argv)
     results = run_x14_sweeps(smoke=args.smoke)
@@ -67,11 +72,11 @@ def main(argv: list[str] | None = None) -> None:
         print(f"\nwrote {out}")
     headline = results["headline"]
     print(
-        f"headline: frame encoding vs pickle {headline['frame_encode_vs_pickle']}x, "
-        f"vs shm ring {headline['frame_encode_vs_shm']}x; defs shipped once "
-        f"per version on every transport: {headline['defs_shipped_once']}; "
-        f"reconnect re-shipped {headline['reconnect_resync_defs']} defs with "
-        f"byte-identical outcomes"
+        f"headline: tcp check cost {headline['tcp_vs_pipe_check']}x of pipe; "
+        f"every EB position encoded once: {headline['encoded_once']}; defs "
+        f"shipped once per version on both placements: "
+        f"{headline['defs_shipped_once']}; reconnect re-shipped "
+        f"{headline['reconnect_resync_defs']} defs with byte-identical outcomes"
     )
 
 
@@ -80,13 +85,22 @@ def main(argv: list[str] | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_x14_structural_trip_facts_per_transport():
+@pytest.mark.parametrize("payloads", [False, True])
+def test_x14_structural_trip_facts_per_transport(payloads):
     # measure_socket_transport asserts triggering + selection + stats
-    # equivalence itself across the single table, serial, and all three
-    # process transports.
+    # equivalence itself across the single table, serial, and both
+    # placements.
     result = measure_socket_transport(
-        300, workers=2, blocks=12, warmup_blocks=2, events_per_block=8, shapes=8, reps=2
+        300,
+        workers=2,
+        blocks=12,
+        warmup_blocks=2,
+        events_per_block=8,
+        shapes=8,
+        payloads=payloads,
+        reps=2,
     )
+    assert set(result["transports"]) == {"pipe", "tcp"}
     for transport, row in result["transports"].items():
         # Definitions ship exactly once per definition_order version: with a
         # stable table that is each rule once, to its single home worker.
@@ -94,15 +108,12 @@ def test_x14_structural_trip_facts_per_transport():
         # One coordinator message per consulted worker per trip.
         assert row["worker_round_trips"] == row["parallel_batches"], (transport, row)
         assert row["reconnects"] == 0, (transport, row)
-    pickled = result["transports"]["pickle"]
-    assert pickled["deltas_pickled"] > 0, pickled
-    assert pickled["deltas_shm"] == pickled["deltas_framed"] == 0, pickled
-    shm = result["transports"]["shm"]
-    assert shm["deltas_shm"] > 0 and shm["deltas_framed"] == 0, shm
-    tcp = result["transports"]["tcp"]
-    assert tcp["deltas_framed"] > 0, tcp
-    assert tcp["deltas_pickled"] == tcp["deltas_shm"] == 0, tcp
-    assert tcp["frame_rows_inline"] > 0 and tcp["frame_rows_fallback"] == 0, tcp
+        assert row["deltas_framed"] > 0, (transport, row)
+        # Every EB position encoded once, in the form its payload dictates.
+        fallback, inline = row["frame_rows_fallback"], row["frame_rows_inline"]
+        assert (fallback, inline) == (
+            (row["events"], 0) if payloads else (0, row["events"])
+        ), (transport, row)
 
 
 def test_x14_reconnect_resyncs_and_outcomes_hold():

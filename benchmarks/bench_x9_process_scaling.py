@@ -4,11 +4,10 @@ PR 3's thread pool bought latency, not throughput: under the GIL the
 per-shard checks still serialize.  PR 4 moves the evaluate phase out of
 process — :class:`~repro.cluster.process_pool.ProcessShardPool` workers own
 their shard's expressions and incremental memos plus a mirror Event Base
-grown from per-block :class:`~repro.events.event_base.WindowSnapshot`
-deltas, and the coordinator applies their decisions serially in definition
-order.  This bench quantifies the whole mode matrix on the X8 grid's
-check-heavy configuration (dense recurring shapes, large blocks, ghost
-monitors):
+grown from per-block log deltas (:mod:`repro.cluster.transport`), and the
+coordinator applies their decisions serially in definition order.  This
+bench quantifies the whole mode matrix on the X8 grid's check-heavy
+configuration (dense recurring shapes, large blocks, ghost monitors):
 
 * **planning** — the process mode plans exactly like the serial coordinator
   (route cache + per-shard plan caches, coordinator-side, before dispatch),

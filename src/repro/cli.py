@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=TRANSPORTS,
         default=None,
         help=(
-            "delta transport of the processes shard mode: pickled snapshots, "
-            "the shared-memory row ring, or length-prefixed socket frames"
+            "where the processes shard mode's workers live: forked on pipes, "
+            "or behind length-prefixed socket frames"
         ),
     )
     workload_parser.add_argument(

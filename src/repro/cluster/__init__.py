@@ -14,8 +14,8 @@ package scales along:
   worker pool) and merges the triggered sets back deterministically;
 * :mod:`repro.cluster.process_pool` — :class:`ProcessShardPool`, the
   long-lived worker processes that own their shard's expressions and
-  incremental memos plus a mirror Event Base grown from per-block window
-  snapshots — the first execution mode where trigger checking uses multiple
+  incremental memos plus a mirror Event Base grown from per-trip log
+  deltas — the first execution mode where trigger checking uses multiple
   cores;
 * :mod:`repro.cluster.streaming` — :class:`StreamIngestor`, the bounded-queue
   pipeline that decouples producers from rule evaluation and coalesces

@@ -29,7 +29,7 @@ The exact checks run in one of three execution modes (``shard_mode``):
 * **processes** — the evaluate phase moves out of process entirely
   (:class:`~repro.cluster.process_pool.ProcessShardPool`): long-lived workers
   own their shard's expressions and memos plus a mirror Event Base grown
-  from per-block window snapshots, and reply with decisions.  This is the
+  from per-trip log deltas, and reply with decisions.  This is the
   first mode where trigger checking can use multiple cores.  Every rule is
   dealt to a *fixed* home worker (lowest owning shard) so its memo stays
   resident and ``instants_sampled`` matches the serial mode exactly.

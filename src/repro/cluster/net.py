@@ -1,21 +1,17 @@
-"""TCP shard workers: the socket transport of the process shard pool.
+"""TCP shard workers: the socket placement of the process shard pool.
 
-The trip protocol was transport-shaped from PR 5 on — one combined delta
-plus N ordered work segments per consulted worker, per-block decision
-replies, definitions shipped once per ``definition_order`` version — and
-:mod:`repro.cluster.transport` gave it a seam.  This module plugs sockets
-into that seam so shard workers can live **outside the coordinator's
-process tree**, on the same host or another one:
+:class:`TcpTransport` puts shard workers **outside the coordinator's process
+tree**, on the same host or another one.  The trip protocol and the delta
+encoding are those of :mod:`repro.cluster.process_pool` and
+:mod:`repro.cluster.transport`; this module adds only what a socket needs:
 
 * **Framing** — every message is one length-prefixed frame (magic +
-  ``uint32`` length + pickled payload).  A frame that does not start with
-  the magic word means the byte stream desynced (or was corrupted); both
-  sides refuse to resynchronize and raise :class:`SnapshotError` loudly,
-  mirroring the shm ring's corrupt-header contract.
-* **Deltas** — mirror slices ship as :class:`~repro.cluster.transport._RowLog`
-  frames: the same fixed-width :class:`~repro.events.event_base.SnapshotRowCodec`
-  rows the shm ring uses, encoded once per EB position into an append-only
-  log and sliced per worker offset (``("rows", start, count, bytes, ...)``).
+  ``uint32`` length + pickled payload), written as **one buffer** so header
+  and payload never leave as two segments (with Nagle's algorithm and the
+  peer's delayed ACK that costs ~40 ms per message; both ends also set
+  ``TCP_NODELAY``).  A frame that does not start with the magic word means
+  the byte stream desynced (or was corrupted); both sides refuse to
+  resynchronize and raise :class:`SnapshotError`.
 * **Endpoint** — the coordinator runs an asyncio ``start_server`` loop on a
   background thread; the pool keeps its synchronous trip protocol and talks
   to each worker through a thin channel facade
@@ -27,9 +23,9 @@ process tree**, on the same host or another one:
 * **Reconnects** — a new hello for an already-registered worker id replaces
   the channel and is reported through ``poll_refreshed()``: the pool resets
   that worker's shipping bookkeeping, so its next message re-ships every
-  definition and a fresh mirror snapshot from position 0 (the row log never
-  evicts).  A worker that dies *mid-trip* cannot be replaced retroactively —
-  the failed send/receive poisons the pool, exactly like a dead pipe.
+  definition and the log from position 0 (the row log never evicts).  A
+  worker that dies *mid-trip* cannot be replaced retroactively — the failed
+  send/receive poisons the pool, exactly like a dead pipe.
 
 By default the transport binds ``127.0.0.1`` on an ephemeral port and forks
 its own localhost workers — single-host testing needs no setup.  Multi-host
@@ -51,10 +47,9 @@ import sys
 import threading
 import time
 
-from repro.cluster.transport import ShardTransport, _RowLog
+from repro.cluster.transport import ShardTransport
 from repro.config import EngineConfig
 from repro.errors import ShardWorkerError, SnapshotError
-from repro.events.event_base import EventBase
 
 __all__ = [
     "TCP_TIMEOUT",
@@ -81,6 +76,18 @@ _MAX_FRAME_BYTES = 1 << 31
 #: external workers.
 TCP_TIMEOUT = 120.0
 _HANDSHAKE_TIMEOUT = 30.0
+
+
+def _frame(payload: bytes) -> bytes:
+    """``payload`` behind its header, as the one buffer a send writes."""
+    return _FRAME_HEADER.pack(_FRAME_MAGIC, len(payload)) + payload
+
+
+def _set_nodelay(sock: socket.socket) -> None:
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        pass  # non-TCP stream socket (tests run the codec over AF_UNIX)
 
 
 def _corrupt_frame_error(magic: bytes, length: int) -> SnapshotError:
@@ -112,15 +119,11 @@ class SocketFrameConnection:
     __slots__ = ("_sock",)
 
     def __init__(self, sock: socket.socket) -> None:
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass  # non-TCP stream socket (tests run the codec over AF_UNIX)
+        _set_nodelay(sock)
         self._sock = sock
 
     def send_bytes(self, payload: bytes) -> None:
-        self._sock.sendall(_FRAME_HEADER.pack(_FRAME_MAGIC, len(payload)))
-        self._sock.sendall(payload)
+        self._sock.sendall(_frame(payload))
 
     def recv_bytes(self) -> bytes:
         header = self._recv_exact(_FRAME_HEADER.size)
@@ -178,8 +181,7 @@ class _TcpChannel:
         return self._call(_read_frame(self._reader), "receive")
 
     async def _send(self, payload: bytes) -> None:
-        self._writer.write(_FRAME_HEADER.pack(_FRAME_MAGIC, len(payload)))
-        self._writer.write(payload)
+        self._writer.write(_frame(payload))
         await self._writer.drain()
 
     def _call(self, coroutine, verb: str):
@@ -309,6 +311,9 @@ class TcpCoordinatorEndpoint:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        # asyncio only disables Nagle itself when the socket's proto says
+        # TCP; one accepted from ``socket.create_server`` reports proto 0.
+        _set_nodelay(writer.get_extra_info("socket"))
         try:
             hello = pickle.loads(
                 await asyncio.wait_for(_read_frame(reader), _HANDSHAKE_TIMEOUT)
@@ -327,13 +332,11 @@ class TcpCoordinatorEndpoint:
                 reject = pickle.dumps(
                     ("reject", "bad hello (unknown worker id or token)"), _PROTOCOL
                 )
-                writer.write(_FRAME_HEADER.pack(_FRAME_MAGIC, len(reject)))
-                writer.write(reject)
+                writer.write(_frame(reject))
                 await writer.drain()
                 writer.close()
                 return
-            writer.write(_FRAME_HEADER.pack(_FRAME_MAGIC, len(self._config_reply)))
-            writer.write(self._config_reply)
+            writer.write(_frame(self._config_reply))
             await writer.drain()
         except Exception:
             try:
@@ -477,7 +480,6 @@ class TcpTransport(ShardTransport):
         self._sock: socket.socket | None = None
         self._processes: dict[int, multiprocessing.process.BaseProcess] = {}
         self._num_workers = 0
-        self._row_log = _RowLog()
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -573,26 +575,6 @@ class TcpTransport(ShardTransport):
         if self._endpoint is None:
             return ()
         return self._endpoint.take_refreshed()
-
-    # -- deltas -------------------------------------------------------------
-    def begin_trip(self, event_base: EventBase, total: int, offsets: list[int]) -> None:
-        if offsets:
-            self._row_log.encode_through(event_base, total)
-
-    def delta_for(
-        self, event_base: EventBase, total: int, offset: int, shipped_types: int
-    ) -> tuple:
-        log = self._row_log
-        return log.delta(offset, shipped_types), len(log.codec.type_snapshots)
-
-    def note_reset(self) -> None:
-        self._row_log.reset()
-
-    def extra_stats(self) -> dict:
-        return {
-            "frame_rows_inline": self._row_log.rows_inline,
-            "frame_rows_fallback": self._row_log.rows_fallback,
-        }
 
     # -- teardown -----------------------------------------------------------
     def shutdown(self) -> None:

@@ -1,88 +1,65 @@
-"""Process shard workers: trigger checks that actually use multiple cores.
+"""Process shard workers: the pool, its trip protocol and the worker loop.
 
-PR 3 moved shard checks onto a thread pool, but under the GIL that bought
-latency decoupling, not throughput (BENCH_PR3.json: ingestion 0.98x).  This
-module is the out-of-process step the coordinator's evaluate/apply split was
-designed for: N **long-lived worker processes**, each owning its shard's
-sub-table — the triggering event expressions and the per-rule incremental
-:class:`~repro.core.triggering.TriggerMemo`s of the rules dealt to it — plus a
-**mirror Event Base** grown incrementally from per-block window snapshots.
+With ``shard_mode="processes"`` the coordinator's evaluate/apply split runs
+across N **long-lived worker processes**.  Each worker owns the rules dealt
+to it — their triggering event expressions, bound once per shipped
+definition, and their incremental
+:class:`~repro.core.triggering.TriggerMemo`s — plus a **mirror Event Base**
+grown from the deltas of :mod:`repro.cluster.transport`.
 
-Per *trip* — one block, or a whole micro-batch of consecutive blocks (PR 5)
-— the coordinator ships each consulted worker one message::
+Per *trip* — one block, or a micro-batch of consecutive blocks — the
+coordinator sends each consulted worker one message::
 
-    (window-snapshot of the EB slice the worker has not seen,
+    ("check",
+     delta of the EB log the worker has not seen (or None),
      new/changed rule definitions, dropped rule names,
      N ordered work segments (block index, work items, now))
 
-where each work segment carries one block's ``(rule name, window start,
-pending-only)`` items and its ``now`` (the block's type *signature* stays
-coordinator-side — it keys the route cache that decides the work items in
-the first place).
-The delta is shipped once per trip and covers every block of the micro-batch:
-the batched check semantics evaluate each block over the *complete* trip log
-bounded by that block's ``now`` (exactly what the coordinator's serial mode
-sees through its zero-copy views — with one combined delta, cross-block
-time-stamp ties resolve identically in and out of process, and the trip pays
-one snapshot encode instead of N).  The worker walks the segments in order —
-skipping, in later segments, exactly the rules the per-block path would no
-longer have planned once the earlier decisions applied: rules it already
-found triggered in this trip, and pending-only riders that already saw a
-non-empty window (they would have left the pending-full-check set) — and
-replies with **per-block** decision lists: compact
-:class:`~repro.core.triggering.TriggeringDecision` rows per segment plus its
-local :class:`~repro.core.evaluation.EvaluationStats`.  All writes (counters,
-the triggered flag, heap pushes) stay in the coordinator process, which
-applies the decisions **serially, block by block in definition order** — so
-serial, thread and process modes are behaviorally identical by construction
+A work segment carries one block's ``(rule name, window start,
+pending-only)`` items and its ``now``; the block's type *signature* stays
+coordinator-side, where it keys the route cache that chose the items.  The
+one delta covers every block of the trip: the batched check evaluates each
+block over the *complete* trip log bounded by that block's ``now`` — what
+the serial mode sees through its zero-copy views — so cross-block time-stamp
+ties resolve identically in and out of process.  The worker groups the items
+by rule and runs each rule's entries through one ``check_trip`` call, which
+skips what the per-block path would no longer have planned once the earlier
+decisions applied: rules already found triggered in this trip, and
+pending-only riders that already saw a non-empty window.  It replies with
+**per-block** decision lists (compact
+:class:`~repro.core.triggering.TriggeringDecision` rows) plus its local
+:class:`~repro.core.evaluation.EvaluationStats` and metrics delta.  All
+writes (counters, the triggered flag, heap pushes) stay in the coordinator,
+which applies the decisions **serially, block by block in definition
+order** — so serial, thread and process modes are behaviourally identical
 for every batch size (``tests/cluster/test_mode_equivalence.py`` pins it,
 stats included).
 
-Three design points make the equivalence exact rather than approximate:
+What makes the equivalence exact:
 
 * **memo residency** — a rule is always dealt to the same worker (its lowest
-  owning shard, or its name's home shard), so its ``TriggerMemo`` sees
-  exactly the sequence of checks the serial mode's memo sees and
-  ``instants_sampled`` comes out identical;
-* **full mirror** — every worker receives *every* EB slice (negated or
+  owning shard, or its name's home shard), so its ``TriggerMemo`` sees the
+  sequence of checks the serial mode's memo sees and ``instants_sampled``
+  comes out identical;
+* **full mirror** — every worker receives *every* EB position (negated or
   precedence sub-expressions read occurrences of types other shards own), so
-  a worker-side window is byte-equivalent to the coordinator's zero-copy
-  view;
-* **synchronous failure** — snapshots are pickled in the coordinator
-  process (:meth:`WindowSnapshot.pickled`), so an unpicklable user payload
-  raises a clear :class:`~repro.errors.SnapshotError` at the call site
-  instead of crashing a worker.
+  a worker-side window is equivalent to the coordinator's zero-copy view;
+* **synchronous failure** — the delta is encoded in the coordinator and
+  nothing is sent until every message of the trip encoded, so an unpicklable
+  user payload raises :class:`~repro.errors.SnapshotError` naming the
+  occurrence at the call site, with every worker left where it was.
 
-Workers are daemonic and additionally reaped by a ``weakref.finalize``
-shutdown, so an abandoned pool cannot leak processes past its coordinator.
-
-Three delta **transports** ship the mirror slices, behind the
-:class:`~repro.cluster.transport.ShardTransport` seam (PR 9 added the ring,
-PR 10 extracted the interface and added sockets):
-
-* ``pickle`` — the original path: the coordinator pickles a
-  :class:`WindowSnapshot` of the unseen EB slice into each worker's message;
-* ``shm`` — a ``multiprocessing.shared_memory`` **ring of fixed-width rows**
-  (:class:`~repro.events.event_base.SnapshotRowCodec`): every occurrence is
-  encoded exactly once, coordinator-side, into its ring slot (``position %
-  capacity``), and each worker's message carries only an ``(offset, count)``
-  descriptor — payload-free streams cross with zero pickling.  Rows that do
-  not fit the fixed-width form (payloads, wide OIDs) leave a placeholder in
-  the ring and travel as ordinary snapshot tuples piggybacked on the
-  descriptor; a worker lagging by more than the ring capacity falls back to
-  the pickled snapshot for that trip.  The pipe send/receive is the
-  synchronization barrier — a worker only reads slots the coordinator wrote
-  before sending the descriptor, so there are no torn reads.  Header or
-  codec divergence (a corrupted ring, a type index the worker never
-  received) raises :class:`SnapshotError` in the worker and poisons the
-  pool, exactly like a mirror divergence;
-* ``tcp`` — :mod:`repro.cluster.net`: the same fixed-width rows shipped *by
-  value* as length-prefixed socket frames through an asyncio coordinator
-  endpoint, so workers can run outside the coordinator's process tree (or
-  on other hosts).  A worker that reconnects between trips re-syncs its
-  definitions and a fresh mirror from position 0 before rejoining
-  (:meth:`ShardTransport.poll_refreshed`); one that vanishes mid-trip
-  poisons the pool exactly like a dead pipe.
+Failure handling: a worker-side evaluation error is re-raised
+coordinator-side as the original exception type with the worker traceback
+chained (:class:`~repro.errors.ShardWorkerError`), after every other reply
+was drained; a worker that died, or failed before applying a message's
+state, poisons the pool, which then refuses further work.  A worker whose
+channel was replaced between trips (:meth:`ShardTransport.poll_refreshed
+<repro.cluster.transport.ShardTransport.poll_refreshed>`, tcp reconnects)
+is re-sent its definitions and the log from position 0.  Removed rules are
+dropped worker-side by names piggybacked on the next message.  Workers are
+daemonic and additionally reaped by a ``weakref.finalize`` shutdown, so an
+abandoned pool cannot leak processes past its coordinator.
 """
 
 from __future__ import annotations
@@ -93,7 +70,7 @@ import traceback
 import weakref
 from typing import Sequence
 
-from repro.cluster.transport import _FrameReader, _RingReader, create_transport
+from repro.cluster.transport import _FrameReader, create_transport
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder, CompiledCheck
 from repro.core.evaluation import EvaluationMode, EvaluationStats
@@ -101,7 +78,7 @@ from repro.core.triggering import TriggerMemo, TriggeringDecision
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.clock import Timestamp
 from repro.events.event import EventType
-from repro.events.event_base import EventBase, WindowSnapshot
+from repro.events.event_base import EventBase
 from repro.obs.registry import MetricsRegistry
 from repro.rules.rule import RuleState
 
@@ -120,9 +97,9 @@ _PROTOCOL = pickle.HIGHEST_PROTOCOL
 def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> None:
     """One shard worker: mirror EB + per-rule expressions/memos, message loop.
 
-    ``config`` is the coordinator's own record (a fork argument on the pipe
-    transports, the handshake reply on tcp), so a worker can never evaluate
-    under different settings than the engine it serves.
+    ``config`` is the coordinator's own record (a fork argument on pipes,
+    the handshake reply on tcp), so a worker can never evaluate under
+    different settings than the engine it serves.
     """
     # This worker's evaluator: shape kernels shared by every rule dealt to
     # it, and the one epoch its bindings' index handles follow.
@@ -144,26 +121,18 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
     #: shard-resident rule is bound exactly once per shipped definition.
     rules: dict[str, tuple[TriggerMemo, CompiledCheck]] = {}
     type_cache: dict[tuple, EventType] = {}
-    ring_reader = _RingReader()
-    frame_reader = _FrameReader()
-    try:
-        _worker_loop(
-            connection,
-            binder,
-            registry,
-            trips_counter,
-            rules_counter,
-            check_hist,
-            rules,
-            type_cache,
-            ring_reader,
-            frame_reader,
-            mirror,
-        )
-    finally:
-        # Whatever the exit path — stop message, pipe death, a raise — the
-        # shared-memory attachment is released before the process ends.
-        ring_reader.detach()
+    _worker_loop(
+        connection,
+        binder,
+        registry,
+        trips_counter,
+        rules_counter,
+        check_hist,
+        rules,
+        type_cache,
+        _FrameReader(),
+        mirror,
+    )
 
 
 def _worker_loop(
@@ -175,7 +144,6 @@ def _worker_loop(
     check_hist,
     rules,
     type_cache,
-    ring_reader,
     frame_reader,
     mirror,
 ) -> None:
@@ -199,7 +167,6 @@ def _worker_loop(
                 # into the abandoned mirror) and re-resolve on its next check.
                 mirror = EventBase()
                 type_cache.clear()
-                ring_reader.reset()
                 frame_reader.reset()
                 for memo, _compiled in rules.values():
                     memo.clear()
@@ -208,13 +175,7 @@ def _worker_loop(
                 continue
             _, delta, defs, drops, segments = request
             if delta is not None:
-                if isinstance(delta, bytes):
-                    snapshot = WindowSnapshot.from_pickled(delta)
-                    mirror.extend(snapshot.occurrences(type_cache=type_cache))
-                elif delta[0] == "shm":
-                    mirror.extend(ring_reader.read(delta, type_cache))
-                else:
-                    mirror.extend(frame_reader.read(delta, type_cache))
+                mirror.extend(frame_reader.read(delta, type_cache))
             # Drops before defs: a removed-then-re-added name must end up
             # with the fresh definition, not the stale entry.
             for name in drops:
@@ -317,8 +278,8 @@ class _WorkerHandle:
         self.connection = connection
         #: How much of the current EB log this worker's mirror holds.
         self.shipped_events = 0
-        #: How much of the row codec's type table this worker holds (shm and
-        #: tcp transports; new types piggyback on each delta).
+        #: How much of the row log's event-type table this worker holds (new
+        #: types piggyback on each delta).
         self.shipped_types = 0
         #: rule name -> definition order of the definition last shipped.
         self.shipped_defs: dict[str, int] = {}
@@ -336,7 +297,7 @@ class _WorkerHandle:
 
 #: One staged send of ``evaluate_trip``: the consulted handle, its encoded
 #: request, the definitions riding along and the type watermark to advance to.
-_PreparedSend = tuple[_WorkerHandle, bytes, list[tuple[str, int]], int | None]
+_PreparedSend = tuple[_WorkerHandle, bytes, list[tuple[str, int]], int]
 
 
 class ProcessShardPool:
@@ -344,8 +305,8 @@ class ProcessShardPool:
 
     The pool is protocol + residency bookkeeping only: *which* rules are
     candidates for a block is decided by the coordinator's plan, every state
-    mutation happens back in the coordinator, and worker launch / byte
-    channels / delta encoding live behind the
+    mutation happens back in the coordinator, and worker placement, byte
+    channels and the delta encoding live behind the
     :class:`~repro.cluster.transport.ShardTransport` seam.  See the module
     docstring for the protocol.
     """
@@ -405,25 +366,15 @@ class ProcessShardPool:
         #: Worker channels replaced by a reconnect (tcp transport), each
         #: followed by a defs + mirror re-sync on the next contact.
         self.reconnects = 0
-        #: Coordinator-side serialization cost (snapshot + message pickling):
-        #: the "snapshot cost" side of the crossover PERFORMANCE.md discusses.
+        #: Coordinator-side serialization cost (delta + message pickling):
+        #: the "encode cost" side of the crossover PERFORMANCE.md discusses.
         self.encode_seconds = 0.0
-        #: The delta-only share of ``encode_seconds`` (ring rows, frame rows
-        #: or pickled snapshots) — the number the X13/X14 transport benches
-        #: compare.
+        #: The delta-only share of ``encode_seconds`` (row encoding plus the
+        #: per-worker slices) — the number the X14 transport bench compares.
         self.delta_encode_seconds = 0.0
-        #: Per-worker deltas shipped by each path (pickle transport counts
-        #: everything under ``deltas_pickled``; shm splits descriptor vs
-        #: fallback; tcp counts row frames under ``deltas_framed``).
-        self.deltas_shm = 0
-        self.deltas_pickled = 0
+        #: Per-worker deltas shipped.
         self.deltas_framed = 0
         self._finalizer = weakref.finalize(self, self._transport.shutdown)
-
-    @property
-    def _ring(self):
-        """The shm transport's ring (None before first dispatch / elsewhere)."""
-        return getattr(self._transport, "ring", None)
 
     # -- the per-trip round trip ------------------------------------------------
     def evaluate(
@@ -484,18 +435,10 @@ class ProcessShardPool:
         prepared: list[_PreparedSend] = []
         covered_blocks: set[int] = set()
         started = time.perf_counter()
-        lagging = sorted(
-            {
-                self._workers[worker_id].shipped_events
-                for worker_id in assignments
-                if self._workers[worker_id].shipped_events < total
-            }
-        )
-        # Encode the unseen tail of the log once (ring slots, frame rows, or
-        # nothing for the pickle transport) — every lagging worker's delta is
-        # then a descriptor or slice of the same encoded log.
+        # Encode the unseen tail of the log once — every lagging worker's
+        # delta is then a slice of the same encoded log.
         encode_started = time.perf_counter()
-        transport.begin_trip(event_base, total, lagging)
+        transport.begin_trip(event_base, total)
         self.delta_encode_seconds += time.perf_counter() - encode_started
         for worker_id in sorted(assignments):
             handle = self._workers[worker_id]
@@ -521,20 +464,15 @@ class ProcessShardPool:
                 if items:
                     segments.append((segment_index, tuple(items), nows[segment_index]))
                     covered_blocks.add(segment_index)
-            delta: bytes | tuple | None = None
-            advance_types: int | None = None
+            delta: tuple | None = None
+            advance_types = handle.shipped_types
             if handle.shipped_events < total:
                 encode_started = time.perf_counter()
                 delta, advance_types = transport.delta_for(
-                    event_base, total, handle.shipped_events, handle.shipped_types
+                    handle.shipped_events, handle.shipped_types
                 )
                 self.delta_encode_seconds += time.perf_counter() - encode_started
-                if isinstance(delta, bytes):
-                    self.deltas_pickled += 1
-                elif delta[0] == "shm":
-                    self.deltas_shm += 1
-                else:
-                    self.deltas_framed += 1
+                self.deltas_framed += 1
             message = (
                 "check",
                 delta,
@@ -544,14 +482,13 @@ class ProcessShardPool:
             )
             prepared.append((handle, self._encode(message), new_defs, advance_types))
         self.encode_seconds += time.perf_counter() - started
-        # Nothing is sent until every message encoded cleanly: a snapshot
+        # Nothing is sent until every message encoded cleanly: an encode
         # failure therefore leaves every worker exactly where it was.
         for handle, payload, new_defs, advance_types in prepared:
             self._send(handle, payload)
             handle.shipped_events = total
             handle.pending_drops.clear()
-            if advance_types is not None:
-                handle.shipped_types = advance_types
+            handle.shipped_types = advance_types
             for name, order in new_defs:
                 handle.shipped_defs[name] = order
             self.defs_shipped += len(new_defs)
@@ -639,9 +576,9 @@ class ProcessShardPool:
 
         A worker that reconnected since the last trip (tcp transport) starts
         from an empty mirror and an empty rule table: resetting its handle
-        makes the next message re-ship every definition it needs plus a full
-        mirror snapshot from position 0 — the epoch-gated re-sync that lets
-        it rejoin without a coordinator restart.
+        makes the next message re-ship every definition it needs plus the
+        whole log from position 0 — the re-sync that lets it rejoin without
+        a coordinator restart.
         """
         for worker_id in self._transport.poll_refreshed():
             handle = self._workers[worker_id]
@@ -718,13 +655,7 @@ class ProcessShardPool:
             "reconnects": self.reconnects,
             "encode_ms": round(1e3 * self.encode_seconds, 2),
             "delta_encode_ms": round(1e3 * self.delta_encode_seconds, 2),
-            "deltas_shm": self.deltas_shm,
-            "deltas_pickled": self.deltas_pickled,
             "deltas_framed": self.deltas_framed,
-            "shm_rows_inline": 0,
-            "shm_rows_fallback": 0,
-            "frame_rows_inline": 0,
-            "frame_rows_fallback": 0,
         }
         stats.update(self._transport.extra_stats())
         return stats

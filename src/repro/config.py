@@ -30,8 +30,8 @@ __all__ = ["ENV_NAMES", "SHARD_MODES", "TRANSPORTS", "EngineConfig", "knob_table
 #: pool, or long-lived process workers (``repro.cluster.process_pool``).
 SHARD_MODES = ("serial", "threads", "processes")
 
-#: Delta transports the process pool understands.
-TRANSPORTS = ("pickle", "shm", "tcp")
+#: Where the process pool's workers live: forked on pipes, or behind sockets.
+TRANSPORTS = ("pipe", "tcp")
 
 _EVALUATION_MODES = ("logical", "algebraic")
 
@@ -91,7 +91,7 @@ class EngineConfig:
         4096, (1, None), doc="LRU bound of the route cache and shard plan caches"
     )
     transport: str = _knob(
-        "pickle", TRANSPORTS, "CHIMERA_TRANSPORT", "delta transport of processes mode"
+        "pipe", TRANSPORTS, "CHIMERA_TRANSPORT", "worker placement of processes mode"
     )
     tcp_host: str = _knob(
         "127.0.0.1", str, "CHIMERA_TCP_HOST", "tcp coordinator bind address"

@@ -203,9 +203,9 @@ class EventOccurrence:
 
         ``payload`` is carried as a plain dict (``None`` when empty).  The
         OID and payload values are whatever the user stored — their
-        picklability is *their* contract; :meth:`WindowSnapshot.pickled
-        <repro.events.event_base.WindowSnapshot.pickled>` turns a violation
-        into a :class:`~repro.errors.SnapshotError` naming this occurrence.
+        picklability is *their* contract; the process pool's row log
+        (``repro.cluster.transport``) turns a violation into a
+        :class:`~repro.errors.SnapshotError` naming this occurrence.
         """
         return (
             self.eid,

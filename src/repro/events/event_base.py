@@ -28,10 +28,8 @@ from __future__ import annotations
 
 import bisect
 import operator
-import pickle
 import struct
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import EventCalculusError, SnapshotError
@@ -42,7 +40,6 @@ __all__ = [
     "EventBase",
     "EventWindow",
     "BoundedView",
-    "WindowSnapshot",
     "WindowLike",
     "SnapshotRowCodec",
     "ROW_WIDTH",
@@ -551,20 +548,6 @@ class EventBase(_OccurrenceStore):
         """Zero-copy view spanning the whole transaction (preserving-rule view)."""
         return self.view(after=None, until=None)
 
-    def delta_snapshot(self, since: int = 0) -> "WindowSnapshot":
-        """Picklable snapshot of the log suffix ``occurrences[since:]``.
-
-        The wire form of the mirror-EB protocol: a process shard worker whose
-        mirror holds the first ``since`` occurrences catches up by applying
-        exactly this delta (:class:`WindowSnapshot` rows, appended in log
-        order).  A micro-batched trip ships **one** such delta covering every
-        block of the batch — each block's check then bounds the complete trip
-        log by its own ``now``, so cross-block time-stamp ties resolve
-        identically in the worker's mirror and in the coordinator's zero-copy
-        views.
-        """
-        return WindowSnapshot.of(self.occurrences[since:])
-
 
 class EventWindow(_OccurrenceStore):
     """An immutable, materialized view over a slice of the Event Base.
@@ -606,10 +589,6 @@ class EventWindow(_OccurrenceStore):
     def of(cls, occurrences: Iterable[EventOccurrence]) -> "EventWindow":
         """Window over an explicit collection of occurrences (no bounds)."""
         return cls(list(occurrences))
-
-    def snapshot(self) -> "WindowSnapshot":
-        """Compact picklable snapshot of the window (bounds + occurrence rows)."""
-        return WindowSnapshot.of(self.occurrences, after=self.after, until=self.until)
 
 
 #: ``BoundedView``'s memo of the parent's index resolution: the parent's
@@ -825,113 +804,12 @@ class BoundedView:
         """All in-bounds occurrences satisfying ``predicate`` (in log order)."""
         return [occurrence for occurrence in self if predicate(occurrence)]
 
-    def snapshot(self) -> "WindowSnapshot":
-        """Compact picklable snapshot of the view (bounds + occurrence rows)."""
-        return WindowSnapshot.of(self.occurrences, after=self.after, until=self.until)
-
-
-@dataclass(frozen=True)
-class WindowSnapshot:
-    """A detached, compact, picklable form of an event window.
-
-    Where :class:`BoundedView` is a zero-copy *handle* into a shared store,
-    a ``WindowSnapshot`` is the opposite trade: a self-contained value that
-    can cross a process boundary.  It carries the window bounds plus one
-    compact row per occurrence (``EventOccurrence.snapshot()`` tuples — plain
-    ints/strings/dicts, no index structures), so pickling cost scales with
-    the occurrence count, not with the parent store.  The shard coordinator
-    ships each block's new slice to its process workers this way; restoring
-    (:meth:`restore` / :meth:`occurrences`) rebuilds real occurrence objects,
-    interning the event types so a batch allocates each distinct type once.
-    """
-
-    after: Timestamp | None
-    until: Timestamp | None
-    rows: tuple[tuple, ...]
-
-    @classmethod
-    def of(
-        cls,
-        occurrences: Iterable[EventOccurrence],
-        after: Timestamp | None = None,
-        until: Timestamp | None = None,
-    ) -> "WindowSnapshot":
-        """Snapshot an explicit occurrence sequence (bounds optional)."""
-        return cls(
-            after=after,
-            until=until,
-            rows=tuple(occurrence.snapshot() for occurrence in occurrences),
-        )
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def occurrences(
-        self, type_cache: dict[tuple, EventType] | None = None
-    ) -> list[EventOccurrence]:
-        """The occurrence objects of the snapshot, in log order."""
-        if type_cache is None:
-            type_cache = {}
-        return [
-            EventOccurrence.from_snapshot(row, type_cache=type_cache)
-            for row in self.rows
-        ]
-
-    def restore(self) -> "EventWindow":
-        """Materialize the snapshot as a standalone, fully indexed window."""
-        return EventWindow(self.occurrences(), after=self.after, until=self.until)
-
-    # -- wire format ---------------------------------------------------------
-    def pickled(self) -> bytes:
-        """The snapshot as pickle bytes, with payload failures made clear.
-
-        Everything the library puts in a snapshot is picklable by
-        construction; the only way this can fail is a user-supplied OID or
-        payload value (a lambda, an open handle...).  That failure must
-        surface here, synchronously in the shipping process, instead of
-        crashing a shard worker — so it is caught and re-raised as a
-        :class:`SnapshotError` naming the offending occurrence.
-        """
-        try:
-            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            culprit = self._first_unpicklable()
-            where = (
-                f" (first offender: occurrence eid={culprit})"
-                if culprit is not None
-                else ""
-            )
-            raise SnapshotError(
-                "window snapshot is not picklable — event payloads and OIDs "
-                "must be picklable to cross a process boundary"
-                f"{where}: {exc}"
-            ) from exc
-
-    def _first_unpicklable(self) -> int | None:
-        """EID of the first row that fails to pickle on its own, if any."""
-        for row in self.rows:
-            try:
-                pickle.dumps(row, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                return row[0]
-        return None
-
-    @classmethod
-    def from_pickled(cls, data: bytes) -> "WindowSnapshot":
-        """Inverse of :meth:`pickled`."""
-        snapshot = pickle.loads(data)
-        if not isinstance(snapshot, cls):
-            raise SnapshotError(
-                f"pickled data does not contain a WindowSnapshot (got {type(snapshot).__name__})"
-            )
-        return snapshot
-
 
 # ---------------------------------------------------------------------------
-# Fixed-width row codec: the shared-memory wire format of occurrence rows.
+# Fixed-width row codec: the wire format of occurrence rows.
 # ---------------------------------------------------------------------------
 
-#: One ring row: eid (int64), timestamp (int64), event-type index (uint32),
+#: One row: eid (int64), timestamp (int64), event-type index (uint32),
 #: OID kind (uint8), OID length (uint8), OID bytes (fixed field).  48 bytes —
 #: cache-line friendly, and wide enough that the common OIDs of every shipped
 #: workload (small ints, short strings) encode inline.
@@ -959,16 +837,15 @@ _OID_BYTES = 26
 
 
 class SnapshotRowCodec:
-    """Fixed-width encoder/decoder for :class:`WindowSnapshot`-style rows.
+    """Fixed-width encoder/decoder for ``EventOccurrence.snapshot()`` rows.
 
-    The shared-memory transport (``repro.cluster.process_pool``) and the
-    socket transport (``repro.cluster.net``) ship the Event Base delta as
-    fixed-width rows instead of a pickled snapshot:
+    The process pool's row log (``repro.cluster.transport``) ships the Event
+    Base delta as fixed-width rows:
     payload-free occurrences with small-int or short-string OIDs pack into
     one :data:`ROW_WIDTH`-byte slot each, with the event type interned into a
     side table that crosses to the worker once per new type.  Decoded rows
-    are the exact ``EventOccurrence.snapshot()`` tuples the pickle path
-    produces, so every transport rebuilds byte-identical mirrors
+    are the exact ``EventOccurrence.snapshot()`` tuples the fallback rows
+    carry, so a mirror is the same whichever form a row took
     (``tests/events/test_row_codec.py`` pins the round trip).
 
     Encoder and decoder each hold one codec: the encoder grows
@@ -1061,7 +938,7 @@ class SnapshotRowCodec:
         """The snapshot tuple at ``offset``, or ``None`` for a placeholder.
 
         A row whose type index or OID kind the decoder cannot resolve means
-        the two codecs diverged (or the ring was corrupted) — that raises
+        the two codecs diverged (or the bytes were corrupted) — that raises
         :class:`SnapshotError` so the transport can fail loudly instead of
         rebuilding a wrong mirror.
         """
@@ -1076,12 +953,12 @@ class SnapshotRowCodec:
             oid = oid_raw[:oid_len].decode("utf-8")
         else:
             raise SnapshotError(
-                f"shared-memory row codec divergence: unknown OID kind {kind} "
+                f"row codec divergence: unknown OID kind {kind} "
                 f"at byte offset {offset}"
             )
         if type_index >= len(self.type_snapshots):
             raise SnapshotError(
-                f"shared-memory row codec divergence: row references event "
+                f"row codec divergence: row references event "
                 f"type {type_index} but only {len(self.type_snapshots)} types "
                 f"were shipped"
             )

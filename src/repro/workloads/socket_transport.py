@@ -1,22 +1,21 @@
-"""Socket-transport workloads: the X14 benchmark (PR 10).
+"""Transport workloads: the X14 benchmark, ``pipe`` vs ``tcp``.
 
-PR 10 extracts the delta-shipping plumbing behind the
-:class:`~repro.cluster.transport.ShardTransport` seam and adds the TCP
-implementation (:mod:`repro.cluster.net`): shard workers reachable over
-length-prefixed socket frames instead of inherited pipes, which is the
-prerequisite for multi-host scale-out.  The X14 benchmark
-(``benchmarks/bench_x14_socket_transport.py`` and ``chimera-events bench
-x14``) measures what the socket path costs and pins what it must never
-change:
+The process pool ships Event Base deltas in one encoding — the row log of
+:mod:`repro.cluster.transport` — over one of two worker placements: forked
+workers on pipes, or socket workers behind :mod:`repro.cluster.net`.  The X14
+benchmark (``benchmarks/bench_x14_socket_transport.py`` and ``chimera-events
+bench x14``) prices the placements against each other and pins what neither
+may change:
 
-* **transport grid** — the X13 check-heavy stream through the process
-  coordinator once per transport (pickle / shm / tcp over localhost
-  workers): the per-block delta-encode cost of frame rows vs ring rows vs
-  snapshot pickling, plus the *structural* trip-protocol facts — every rule
-  definition shipped exactly once per ``definition_order`` version
-  (``defs_shipped == rules``), exactly one coordinator message per
-  consulted worker per trip (``worker_round_trips == parallel_batches``),
-  and each transport's deltas riding only its own encoding;
+* **transport grid** — a check-heavy stream through the process coordinator
+  once per placement, payload-free and payload-bearing: the per-block
+  delta-encode and end-to-end check cost, plus the *structural* facts —
+  every EB position encoded exactly once however many workers slice the log
+  (``frame_rows_inline + frame_rows_fallback == events``), payload-free rows
+  all inline and payload-bearing rows all on the per-row fallback, every
+  rule definition shipped exactly once per ``definition_order`` version
+  (``defs_shipped == rules``), exactly one coordinator message per consulted
+  worker per trip (``worker_round_trips == parallel_batches``);
 * **reconnect** — a tcp worker bounced between trips: the pool must absorb
   exactly one reconnect, re-ship the bounced worker's definitions, and end
   the run with triggering counters and consideration sequences
@@ -25,7 +24,7 @@ change:
 
 Every grid point asserts identical triggering decisions, priority-order
 selections and Trigger Support stats across the single table, the serial
-coordinator and all three process transports — the differential harness in
+coordinator and both placements — the differential harness in
 ``tests/cluster/test_mode_equivalence.py`` pins the same properties
 per-rule and per-counter.
 """
@@ -36,7 +35,8 @@ import gc
 import os
 
 from repro.analysis.reporting import render_table
-from repro.config import EngineConfig
+from repro.config import TRANSPORTS, EngineConfig
+from repro.events.event import EventOccurrence
 from repro.workloads.rule_scaling import (
     ScalingWorkload,
     WorkloadOutcome,
@@ -45,15 +45,34 @@ from repro.workloads.rule_scaling import (
 from repro.workloads.shard_scaling import build_shard_rules, build_shaped_blocks
 
 __all__ = [
-    "X14_TRANSPORTS",
     "measure_socket_transport",
     "measure_reconnect_resync",
     "run_x14_sweeps",
     "render_x14",
 ]
 
-#: Delta transports compared at every grid point.
-X14_TRANSPORTS = ("pickle", "shm", "tcp")
+
+def _with_payloads(
+    blocks: list[list[EventOccurrence]],
+) -> list[list[EventOccurrence]]:
+    """The same stream with a small payload on every occurrence.
+
+    Payload-bearing rows cannot use the fixed-width encoding, so this arm
+    drives the row log's per-row fallback end to end.
+    """
+    return [
+        [
+            EventOccurrence(
+                eid=occurrence.eid,
+                event_type=occurrence.event_type,
+                oid=occurrence.oid,
+                timestamp=occurrence.timestamp,
+                payload={"seq": occurrence.eid},
+            )
+            for occurrence in block
+        ]
+        for block in blocks
+    ]
 
 
 def measure_socket_transport(
@@ -66,19 +85,23 @@ def measure_socket_transport(
     shapes: int = 16,
     seed: int = 11,
     batch: int = 4,
+    payloads: bool = False,
     reps: int = 3,
     check_equivalence: bool = True,
 ) -> dict:
-    """One grid point: the same stream through all three transports.
+    """One grid point: the same stream through both placements.
 
     The identical rule pool and stream run through the single-table
     planner, the serial coordinator, and the process coordinator once per
-    transport.  Timing follows the X13 discipline (warm-up excluded,
-    min-of-reps per-pass delta-encode cost); the structural counters —
-    ``defs_shipped``, ``worker_round_trips`` vs the coordinator's
-    ``parallel_batches``, the per-encoding delta counts and ``reconnects``
-    — cover the whole run including warm-up, because the trip-protocol
-    facts they pin are exact at any length.
+    placement.  The encode cost of one ``blocks``-block pass totals well
+    under a millisecond, so a single scheduler preemption on a shared host
+    can multiply it: the measured stream continues for ``reps`` passes of
+    ``blocks`` fresh blocks each and the per-block encode figures take the
+    **minimum per-pass cost** (warm-up, which ships every rule definition
+    once, excluded).  The structural counters — ``defs_shipped``,
+    ``worker_round_trips`` vs the coordinator's ``parallel_batches``, the
+    row counts and ``reconnects`` — cover the whole run including warm-up,
+    because the facts they pin are exact at any length.
     """
     universe = build_scaling_universe(rule_count)
     rules = build_shard_rules(rule_count, universe, seed=seed + 53)
@@ -90,6 +113,8 @@ def measure_socket_transport(
         types_per_shape=types_per_shape,
         seed=seed,
     )
+    if payloads:
+        stream = _with_payloads(stream)
     measured = stream[warmup_blocks:]
 
     def run(shards: int, shard_mode: str | None, transport: str | None):
@@ -107,6 +132,9 @@ def measure_socket_transport(
             workload.feed_trip(stream[start : min(start + batch, warmup_blocks)])
         workload.outcome = WorkloadOutcome()  # drop warm-up timings
         pool = getattr(workload.support, "process_pool", None)
+        # Collect the previous arm's garbage now: a deferred gen-2 pass over
+        # a freed engine landing inside the measured phase would dwarf the
+        # µs-scale encode costs this grid measures.
         gc.collect()
         pass_costs: list[dict[str, float]] = []
         outcome = workload.outcome
@@ -124,12 +152,11 @@ def measure_socket_transport(
                     }
                 )
         if pool is not None:
-            # Totals, warm-up included: the structural facts are exact over
-            # any prefix of the run.
             outcome.transport = dict(pool.transport_stats())
             outcome.transport["parallel_batches"] = (
                 workload.support.cluster_stats.parallel_batches
             )
+            outcome.transport["events"] = len(workload.event_base.occurrences)
             outcome.transport["min_pass_delta_encode_ms"] = round(
                 min(cost["delta_encode_ms"] for cost in pass_costs), 3
             )
@@ -141,8 +168,7 @@ def measure_socket_transport(
     single_workload, single_outcome = run(0, None, None)
     serial_workload, serial_outcome = run(workers, "serial", None)
     process_runs = {
-        transport: run(workers, "processes", transport)
-        for transport in X14_TRANSPORTS
+        transport: run(workers, "processes", transport) for transport in TRANSPORTS
     }
     if check_equivalence:
         compared = {"serial": serial_outcome} | {
@@ -171,21 +197,17 @@ def measure_socket_transport(
                 1e3 * stats.get("min_pass_encode_ms", 0.0) / max(1, blocks), 1
             ),
             "bytes_shipped": int(stats.get("bytes_shipped", 0)),
+            "events": int(stats.get("events", 0)),
             "dispatches": int(stats.get("dispatches", 0)),
             "worker_round_trips": int(stats.get("worker_round_trips", 0)),
             "parallel_batches": int(stats.get("parallel_batches", 0)),
             "defs_shipped": int(stats.get("defs_shipped", 0)),
             "reconnects": int(stats.get("reconnects", 0)),
-            "deltas_pickled": int(stats.get("deltas_pickled", 0)),
-            "deltas_shm": int(stats.get("deltas_shm", 0)),
             "deltas_framed": int(stats.get("deltas_framed", 0)),
             "frame_rows_inline": int(stats.get("frame_rows_inline", 0)),
             "frame_rows_fallback": int(stats.get("frame_rows_fallback", 0)),
             "check_us_per_block": round(outcome.check_us_per_block, 1),
         }
-    pickle_encode = rows["pickle"]["delta_encode_us_per_block"]
-    shm_encode = rows["shm"]["delta_encode_us_per_block"]
-    tcp_encode = rows["tcp"]["delta_encode_us_per_block"]
     for workload in (
         single_workload,
         serial_workload,
@@ -200,10 +222,14 @@ def measure_socket_transport(
         "reps": reps,
         "events_per_block": events_per_block,
         "batch_blocks": batch,
+        "payloads": payloads,
         "transports": rows,
         "check_us_per_block_single": round(single_outcome.check_us_per_block, 1),
-        "frame_encode_vs_pickle": round(pickle_encode / max(1e-9, tcp_encode), 2),
-        "frame_encode_vs_shm": round(tcp_encode / max(1e-9, shm_encode), 2),
+        "tcp_vs_pipe_check": round(
+            rows["tcp"]["check_us_per_block"]
+            / max(1e-9, rows["pipe"]["check_us_per_block"]),
+            2,
+        ),
         "triggerings": sum(single_outcome.triggerings.values()),
     }
 
@@ -283,44 +309,57 @@ def measure_reconnect_resync(
 
 
 def run_x14_sweeps(smoke: bool = False) -> dict:
-    """The X14 grid: three-transport comparison plus the reconnect pin."""
+    """The X14 grid: both placements, both row forms, plus the reconnect pin."""
     if smoke:
-        grid = measure_socket_transport(
-            600,
-            workers=2,
-            blocks=18,
-            warmup_blocks=2,
-            events_per_block=8,
-            shapes=8,
-            reps=2,
-        )
+        grid = [
+            measure_socket_transport(
+                600,
+                workers=2,
+                blocks=18,
+                warmup_blocks=2,
+                events_per_block=8,
+                shapes=8,
+                payloads=payloads,
+                reps=2,
+            )
+            for payloads in (False, True)
+        ]
         reconnect = measure_reconnect_resync(
             rule_count=200, workers=2, blocks=18, events_per_block=6
         )
     else:
-        grid = measure_socket_transport(6_000)
+        grid = [
+            measure_socket_transport(6_000, payloads=payloads)
+            for payloads in (False, True)
+        ]
         reconnect = measure_reconnect_resync()
+    payload_free = grid[0]
     return {
         "benchmark": "x14_socket_transport",
         "description": (
-            "Socket shard transport behind the ShardTransport seam.  The "
-            "grid reruns the X13 check-heavy stream through the process "
-            "coordinator once per transport (pickle / shm / tcp over "
-            "localhost workers): per-block delta-encode cost of frame rows "
-            "vs ring rows vs snapshot pickling, plus the structural trip "
-            "facts — definitions shipped once per version, one coordinator "
-            "message per consulted worker per trip, each transport's deltas "
-            "riding only its own encoding.  The reconnect section bounces a "
-            "tcp worker mid-run: one absorbed reconnect, definitions "
-            "re-shipped, outcomes byte-identical to the uninterrupted run."
+            "One delta encoding, two worker placements.  The grid runs a "
+            "check-heavy stream through the process coordinator once per "
+            "placement (forked pipe workers / localhost tcp workers), "
+            "payload-free and payload-bearing: per-block delta-encode and "
+            "check cost, plus the structural facts — every EB position "
+            "encoded once, definitions shipped once per version, one "
+            "coordinator message per consulted worker per trip.  The "
+            "reconnect section bounces a tcp worker mid-run: one absorbed "
+            "reconnect, definitions re-shipped, outcomes byte-identical to "
+            "the uninterrupted run."
         ),
         "host_cpus": os.cpu_count() or 1,
         "headline": {
-            "frame_encode_vs_pickle": grid["frame_encode_vs_pickle"],
-            "frame_encode_vs_shm": grid["frame_encode_vs_shm"],
+            "tcp_vs_pipe_check": payload_free["tcp_vs_pipe_check"],
+            "encoded_once": all(
+                row["frame_rows_inline"] + row["frame_rows_fallback"] == row["events"]
+                for point in grid
+                for row in point["transports"].values()
+            ),
             "defs_shipped_once": all(
-                row["defs_shipped"] == grid["rules"]
-                for row in grid["transports"].values()
+                row["defs_shipped"] == point["rules"]
+                for point in grid
+                for row in point["transports"].values()
             ),
             "reconnect_resync_defs": reconnect["resync_defs"],
         },
@@ -329,10 +368,10 @@ def run_x14_sweeps(smoke: bool = False) -> dict:
         "equivalence": {
             "checked": True,
             "note": (
-                "the grid asserts identical triggering decisions, "
+                "each grid point asserts identical triggering decisions, "
                 "priority-order selections and Trigger Support stats across "
-                "the single table, the serial coordinator and all three "
-                "process transports; the reconnect section asserts identical "
+                "the single table, the serial coordinator and both worker "
+                "placements; the reconnect section asserts identical "
                 "triggering counters and consideration sequences against an "
                 "uninterrupted tcp run"
             ),
@@ -342,48 +381,50 @@ def run_x14_sweeps(smoke: bool = False) -> dict:
 
 def render_x14(results: dict) -> str:
     """Human-readable tables for an X14 result dict."""
-    grid = results["transport"]
-    rows = [
-        [
-            transport,
-            stats["delta_encode_us_per_block"],
-            stats["encode_us_per_block"],
-            stats["bytes_shipped"],
-            stats["defs_shipped"],
-            stats["worker_round_trips"],
-            stats["parallel_batches"],
-            stats["deltas_pickled"],
-            stats["deltas_shm"],
-            stats["deltas_framed"],
-            stats["check_us_per_block"],
-        ]
-        for transport, stats in grid["transports"].items()
-    ]
-    sections = [
-        render_table(
+    sections = []
+    for grid in results["transport"]:
+        rows = [
             [
-                "transport",
-                "delta enc µs/blk",
-                "encode µs/blk",
-                "bytes shipped",
-                "defs",
-                "round trips",
-                "batches",
-                "pickled",
-                "shm",
-                "framed",
-                "process chk µs",
-            ],
-            rows,
-            title=(
-                f"X14 — socket transport, {grid['rules']} rules, "
-                f"{grid['workers']} workers "
-                f"(frames vs pickle {grid['frame_encode_vs_pickle']}x, "
-                f"frames vs shm {grid['frame_encode_vs_shm']}x, "
-                f"host has {results.get('host_cpus', '?')} CPU(s))"
-            ),
+                transport,
+                stats["delta_encode_us_per_block"],
+                stats["encode_us_per_block"],
+                stats["bytes_shipped"],
+                stats["defs_shipped"],
+                stats["worker_round_trips"],
+                stats["parallel_batches"],
+                stats["deltas_framed"],
+                stats["frame_rows_inline"],
+                stats["frame_rows_fallback"],
+                stats["check_us_per_block"],
+            ]
+            for transport, stats in grid["transports"].items()
+        ]
+        flavor = "payload-bearing" if grid["payloads"] else "payload-free"
+        sections.append(
+            render_table(
+                [
+                    "transport",
+                    "delta enc µs/blk",
+                    "encode µs/blk",
+                    "bytes shipped",
+                    "defs",
+                    "round trips",
+                    "batches",
+                    "deltas",
+                    "rows inline",
+                    "rows fallback",
+                    "process chk µs",
+                ],
+                rows,
+                title=(
+                    f"X14 — pipe vs tcp, {grid['rules']} rules, "
+                    f"{grid['workers']} workers, {flavor} "
+                    f"(tcp check {grid['tcp_vs_pipe_check']}x of pipe; single "
+                    f"table {grid['check_us_per_block_single']} µs/blk; "
+                    f"host has {results.get('host_cpus', '?')} CPU(s))"
+                ),
+            )
         )
-    ]
     reconnect = results["reconnect"]
     sections.append(
         render_table(

@@ -158,10 +158,10 @@ def test_batched_dispatch_with_periodic_exhaustive_recheck():
 
 
 # ---------------------------------------------------------------------------
-# Bursty arrivals (PR 9): variable trips x transports x modes byte-identical
+# Bursty arrivals: variable trips x transports x modes byte-identical
 # ---------------------------------------------------------------------------
 
-TRANSPORTS = ("pickle", "shm", "tcp")
+TRANSPORTS = ("pipe", "tcp")
 
 
 def _bursty_trip_sizes(seed: int, max_batch: int = 8) -> tuple[int, ...]:
@@ -184,7 +184,7 @@ def _bursty_trip_sizes(seed: int, max_batch: int = 8) -> tuple[int, ...]:
 
 def test_bursty_trips_identical_across_modes_and_transports():
     """Variable-size trips (bursts + idle gaps, churn at trip boundaries):
-    serial / threads / processes x pickle / shm must all match the unsharded
+    serial / threads / processes x pipe / tcp must all match the unsharded
     reference replaying the same partition, byte for byte."""
     for seed in (3, 17):
         scenario = build_scenario(seed)
@@ -230,13 +230,12 @@ def test_bursty_trips_with_recheck_match_the_oracle():
 
 
 def test_tcp_transport_across_modes_shard_counts_and_batch_sizes():
-    """The socket transport is pinned exactly like its in-process peers.
+    """The socket transport is pinned exactly like the pipe one.
 
     ``--transport tcp`` over localhost workers must produce byte-identical
     traces / per-rule counters / stats to the unsharded reference (and hence
-    to ``pickle`` and ``shm``, which earlier tests pin against the same
-    reference) across coordinator modes, shard counts 1-8 and batch sizes
-    1-8.
+    to ``pipe``, which earlier tests pin against the same reference) across
+    coordinator modes, shard counts 1-8 and batch sizes 1-8.
     """
     scenario = build_scenario(9)
     for batch_blocks in range(1, 9):
@@ -264,9 +263,9 @@ def test_tcp_transport_across_modes_shard_counts_and_batch_sizes():
 
 def test_adaptive_ingestor_matches_unsharded_replay_of_realized_trips():
     """The real closed-loop pipeline, pinned end to end: bursty submits
-    through an adaptive ``StreamIngestor`` over process shards + shm
-    transport, then the *realized* trip partition replayed on an unsharded
-    engine — triggerings, consideration order and stats must be identical."""
+    through an adaptive ``StreamIngestor`` over process shards, then the
+    *realized* trip partition replayed on an unsharded engine — triggerings,
+    consideration order and stats must be identical."""
     from repro.workloads.shard_scaling import build_shard_rules, build_shaped_blocks
     from repro.workloads.rule_scaling import build_scaling_universe
     from repro.workloads.transport_adaptivity import (
@@ -278,7 +277,7 @@ def test_adaptive_ingestor_matches_unsharded_replay_of_realized_trips():
     universe = build_scaling_universe(160)
     rules = build_shard_rules(160, universe, seed=23)
     blocks = build_shaped_blocks(universe, 36, events_per_block=6, seed=5)
-    engine = _build_stream_engine(rules, 2, "processes", "shm")
+    engine = _build_stream_engine(rules, 2, "processes", None)
     try:
         with StreamIngestor(
             engine, max_pending=64, max_batch_blocks=8, adaptive_batch=True

@@ -1,8 +1,10 @@
-"""Failure semantics of the process shard pool.
+"""Failure and catch-up semantics of the process shard pool.
 
 The happy path is pinned by the cross-mode differential harness
 (``test_mode_equivalence.py``); these tests pin what happens when things go
-wrong out of process:
+wrong out of process, and what the row log owes a worker that fell behind —
+on both worker placements (``pipe`` and ``tcp``) where the placement could
+matter:
 
 * a worker-side evaluation error surfaces in the coordinator as the
   *original* exception type (behavioral parity with the serial mode's error
@@ -10,23 +12,25 @@ wrong out of process:
   and the pool survives — every other worker's reply is drained so no stale
   reply can pair with a later request;
 * a dead worker poisons the pool: the failing call raises
-  ``ShardWorkerError`` and every subsequent call fails loudly instead of
-  silently desyncing;
-* the shared-memory transport inherits the same contracts: a worker death
-  with the row ring attached leaks no segment past ``close()``, and a
-  corrupted ring header surfaces as a worker-side ``SnapshotError`` that
-  poisons the pool instead of rebuilding a wrong mirror.
+  ``ShardWorkerError``, every subsequent call fails loudly instead of
+  silently desyncing, and ``close()`` leaves no process, socket or thread
+  behind;
+* an unpicklable user payload fails in the coordinator, naming the
+  occurrence, before any worker hears of the trip;
+* a delta that does not add up is refused worker-side (``SnapshotError``)
+  and poisons the pool instead of rebuilding a wrong mirror;
+* a reset mid-stream restarts positions and the event-type table, and a
+  worker that was not consulted for longer than any buffer catches up from
+  the log in one delta, every position still encoded once.
 """
 
 from __future__ import annotations
-
-from multiprocessing import shared_memory
 
 import pytest
 
 from repro.cluster.coordinator import ShardCoordinator
 from repro.cluster.sharding import ShardedRuleTable
-from repro.config import EngineConfig
+from repro.config import TRANSPORTS, EngineConfig
 from repro.core.parser import parse_expression
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.event import EventType, Operation
@@ -40,14 +44,20 @@ from repro.rules.rule import Rule
 CREATE_ALPHA = EventType(Operation.CREATE, "alpha")
 
 
-def build_support(rule_count: int = 4, transport: str | None = None):
+def build_support(
+    rule_count: int = 4,
+    transport: str | None = None,
+    expressions: tuple[str, ...] = ("create(alpha)",),
+    shard_mode: str = "processes",
+):
+    """``rule_count`` rules cycling through ``expressions``, on two shards."""
     table = ShardedRuleTable(2)
     event_base = EventBase()
     for index in range(rule_count):
         table.add(
             Rule(
                 name=f"w{index}",
-                events=parse_expression("create(alpha)"),
+                events=parse_expression(expressions[index % len(expressions)]),
                 condition=TRUE_CONDITION,
                 action=NO_ACTION,
             )
@@ -56,7 +66,7 @@ def build_support(rule_count: int = 4, transport: str | None = None):
     support = ShardCoordinator(
         table,
         event_base,
-        EngineConfig.from_env(shard_mode="processes", transport=transport),
+        EngineConfig.from_env(shard_mode=shard_mode, transport=transport),
     )
     return table, event_base, handler, support
 
@@ -138,51 +148,85 @@ def test_dead_worker_poisons_the_pool():
         support.close()
 
 
-def test_dead_worker_with_shm_ring_leaks_no_segment():
-    """Worker death mid-trip must not leak the shared-memory ring."""
-    table, event_base, handler, support = build_support(transport="shm")
-    ring_name = None
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_dead_worker_leaks_nothing_past_close(transport):
+    """Worker death mid-stream: ``close()`` still reaps every process and
+    releases what the placement opened."""
+    table, event_base, handler, support = build_support(transport=transport)
     try:
         assert feed_block(event_base, handler, support, 1)
         pool = support.process_pool
         assert pool is not None
-        ring = pool._ring
-        assert ring is not None  # the shm transport built its ring lazily
-        ring_name = ring.name
-        # The segment is live and attachable while the pool runs.
-        probe = shared_memory.SharedMemory(name=ring_name)
-        probe.close()
-
-        for handle in pool._workers:
-            handle.process.kill()
-            handle.process.join(timeout=2.0)
-        event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
-        batch = handler.flush_block()
+        processes = [handle.process for handle in pool._workers]
+        placement = pool._transport
+        endpoint = getattr(placement, "_endpoint", None)
+        for process in processes:
+            process.kill()
+            process.join(timeout=5.0)
         with pytest.raises(ShardWorkerError):
-            support.check_after_block(batch, 2, 0, type_signature=batch.type_signature)
+            feed_block(event_base, handler, support, 2)
     finally:
         support.close()
-    # close() unlinked the ring even though the pool died broken: attaching
-    # by name must fail — nothing stays behind in /dev/shm.
-    assert ring_name is not None
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=ring_name)
+    assert support.process_pool is None
+    assert all(process.exitcode is not None for process in processes)
+    if endpoint is not None:
+        # tcp: the endpoint's loop thread and the listening socket are gone.
+        assert not endpoint._thread.is_alive()
+        assert placement._endpoint is None and placement._sock is None
 
 
-def test_corrupted_ring_header_poisons_the_pool_loudly():
-    """A clobbered ring header is codec divergence, not a wrong mirror."""
-    table, event_base, handler, support = build_support(transport="shm")
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_unpicklable_payload_fails_at_dispatch_not_in_worker(transport):
+    """The coordinator surfaces SnapshotError synchronously, naming the EID."""
+    table, event_base, handler, support = build_support(1, transport)
+    try:
+        event_base.record(CREATE_ALPHA, oid="alpha#0", timestamp=1)
+        event_base.record(
+            CREATE_ALPHA,
+            oid="alpha#1",
+            timestamp=1,
+            payload={"callback": lambda: None},
+        )
+        batch = handler.flush_block()
+        with pytest.raises(SnapshotError, match=r"picklable.*eid=2"):
+            support.check_after_block(batch, 1, 0, type_signature=batch.type_signature)
+        pool = support.process_pool
+        # Nothing was sent: no worker advanced, no bytes left the coordinator.
+        assert all(handle.shipped_events == 0 for handle in pool._workers)
+        assert pool.bytes_shipped == 0
+        # The pool survives, and the unpicklable occurrence is still part of
+        # the unshipped slice: the retry names the same occurrence and the
+        # row before it is not encoded (or counted) a second time.
+        event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
+        batch = handler.flush_block()
+        with pytest.raises(SnapshotError, match="eid=2"):
+            support.check_after_block(batch, 2, 0, type_signature=batch.type_signature)
+        stats = pool.transport_stats()
+        assert stats["frame_rows_inline"] == 1
+        assert stats["frame_rows_fallback"] == 0
+    finally:
+        support.close()
+
+
+def test_delta_that_does_not_add_up_poisons_the_pool_loudly():
+    """A frame announcing rows it does not carry is refused worker-side."""
+    table, event_base, handler, support = build_support()
     try:
         assert feed_block(event_base, handler, support, 1)
         pool = support.process_pool
-        assert pool is not None and pool._ring is not None
-        # Clobber the magic word: every subsequent worker-side read must
-        # refuse to decode.
-        pool._ring.shm.buf[0:4] = b"\x00\x00\x00\x00"
+        assert pool is not None
+        honest = pool._transport.delta_for
 
+        def short_changed(offset, shipped_types):
+            (start, count, packed, fallbacks, types), advance = honest(
+                offset, shipped_types
+            )
+            return (start, count + 1, packed, fallbacks, types), advance
+
+        pool._transport.delta_for = short_changed
         event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
         batch = handler.flush_block()
-        with pytest.raises(SnapshotError, match="ring header is corrupt") as excinfo:
+        with pytest.raises(SnapshotError, match="row frame is corrupt") as excinfo:
             support.check_after_block(batch, 2, 0, type_signature=batch.type_signature)
         # The worker traceback rides along, exactly like other worker errors.
         assert isinstance(excinfo.value.__cause__, ShardWorkerError)
@@ -193,6 +237,112 @@ def test_corrupted_ring_header_poisons_the_pool_loudly():
         batch = handler.flush_block()
         with pytest.raises(ShardWorkerError, match="broken"):
             support.check_after_block(batch, 3, 0, type_signature=batch.type_signature)
+    finally:
+        support.close()
+
+
+ALPHA_OR_GAMMA = ("create(alpha)", "create(gamma)")
+CREATE_GAMMA = EventType(Operation.CREATE, "gamma")
+
+
+def _run_blocks(support, handler, event_base, blocks, first_stamp=1):
+    """Feed ``blocks`` (lists of ``(event type, oid)``); names triggered per block."""
+    trace = []
+    for stamp, block in enumerate(blocks, first_stamp):
+        for event_type, oid in block:
+            event_base.record(event_type, oid=oid, timestamp=stamp)
+        batch = handler.flush_block()
+        newly = support.check_after_block(
+            batch, stamp, 0, type_signature=batch.type_signature
+        )
+        for state in newly:
+            state.mark_considered(stamp, executed=False)
+        trace.append(tuple(sorted(state.rule.name for state in newly)))
+    return trace
+
+
+def _reset_mid_stream(shard_mode: str, transport: str | None):
+    table, event_base, handler, support = build_support(
+        6, transport, ALPHA_OR_GAMMA, shard_mode
+    )
+    try:
+        first_log = [
+            [(CREATE_ALPHA, 1)],
+            [(CREATE_GAMMA, "gamma#1"), (CREATE_ALPHA, 2)],
+        ]
+        trace = _run_blocks(support, handler, event_base, first_log)
+        # A new EB log, as at a transaction boundary — and it meets the event
+        # types in the opposite order, so a worker still holding the old
+        # log's type table or positions would rebuild a wrong mirror.
+        event_base = EventBase()
+        handler = EventHandler(event_base)
+        support.event_base = event_base
+        support.forget_incremental_state()
+        for state in table.states():
+            state.reset(0)
+        second_log = [
+            [(CREATE_GAMMA, 7)],
+            [(CREATE_ALPHA, "alpha#9")],
+            [(CREATE_GAMMA, 8)],
+        ]
+        trace += _run_blocks(support, handler, event_base, second_log)
+        pool = support.process_pool
+        if pool is not None:
+            log = pool._transport._row_log
+            assert log.encoded == len(event_base.occurrences) == 3
+            assert all(handle.shipped_events <= 3 for handle in pool._workers)
+        return trace, {state.rule.name: state.times_triggered for state in table}
+    finally:
+        support.close()
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_reset_mid_stream_restarts_positions_and_type_table(transport):
+    reference = _reset_mid_stream("serial", None)
+    assert any(reference[0][2:])  # the second log triggers something
+    assert _reset_mid_stream("processes", transport) == reference
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_lagging_worker_catches_up_from_the_log(transport):
+    """A worker nobody consulted for 70 000 events — more than any fixed
+    buffer this pool ever had (the old ring held 65 536 rows) — receives the
+    whole suffix in one delta when its turn comes, and every EB position
+    was still encoded exactly once."""
+    table, event_base, handler, support = build_support(4, transport, ALPHA_OR_GAMMA)
+    try:
+        assert _run_blocks(
+            support, handler, event_base, [[(CREATE_ALPHA, 1), (CREATE_GAMMA, 1)]]
+        ) == [("w0", "w1", "w2", "w3")]
+        pool = support.process_pool
+        alpha_home, gamma_home = (
+            support._worker_of(table.get(name), pool.num_workers)
+            for name in ("w0", "w1")
+        )
+        assert alpha_home != gamma_home, "alpha and gamma must not share a worker"
+        lagging = pool._workers[gamma_home]
+        # Once considered, the gamma rules ride along with the next block as
+        # pending full checks; after that nothing routes to their worker.
+        _run_blocks(support, handler, event_base, [[(CREATE_ALPHA, 2)]], 2)
+        assert lagging.shipped_events == 3
+
+        backlog = [[(CREATE_ALPHA, oid) for oid in range(35_000)]] * 2
+        assert _run_blocks(support, handler, event_base, backlog, 3) == [
+            ("w0", "w2"),
+            ("w0", "w2"),
+        ]
+        assert lagging.shipped_events == 3  # never consulted, never contacted
+        assert pool._workers[alpha_home].shipped_events == 70_003
+        trips_before = pool.dispatches
+
+        assert _run_blocks(support, handler, event_base, [[(CREATE_GAMMA, 2)]], 5) == [
+            ("w1", "w3")
+        ]
+        assert lagging.shipped_events == 70_004
+        assert pool.dispatches == trips_before + 1  # one trip, one 70 001-row delta
+        stats = pool.transport_stats()
+        assert stats["frame_rows_inline"] == 70_004
+        assert stats["frame_rows_fallback"] == 0
     finally:
         support.close()
 

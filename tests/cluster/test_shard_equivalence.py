@@ -57,7 +57,7 @@ def run_scenario(
     ``oracle=True`` (single table only) evaluates every exact check through
     the reference evaluator instead of the engine's compiled kernels
     (:class:`tests.oracle.OracleTriggerSupport`).  ``transport`` selects the
-    process mode's delta transport; ``None`` leaves the field to
+    process mode's worker placement (``pipe`` / ``tcp``); ``None`` leaves the field to
     ``EngineConfig.from_env()`` — the suite's ``CHIMERA_TRANSPORT`` sweeps
     reach in that way.
     ``metric_prefixes`` filters which snapshot counters of the PR-8 metrics

@@ -8,6 +8,8 @@ the pipe pool's contracts:
 * the length-prefixed frame codec fails **loudly** on a corrupted header —
   both connection ends raise ``SnapshotError`` and refuse to resynchronize,
   so a desynced byte stream can never feed a wrong mirror;
+* a frame leaves as one segment with Nagle off, so a trip costs a localhost
+  round trip and not a delayed-ACK timer;
 * a worker killed mid-trip poisons the pool exactly like a dead pipe worker
   (``ShardWorkerError`` with the transport failure chained, every later call
   failing loudly);
@@ -26,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import socket
+import statistics
 import threading
 import time
 
@@ -102,6 +105,27 @@ def test_async_read_frame_rejects_corrupt_header():
 # ---------------------------------------------------------------------------
 # Pool semantics over sockets: mid-trip death, reconnect re-sync, corruption
 # ---------------------------------------------------------------------------
+
+
+def test_tcp_trip_is_a_round_trip_not_a_delayed_ack():
+    """Header and payload written as two segments, with Nagle left on for the
+    accepted socket, cost ~40 ms per trip (the peer's delayed-ACK timer); one
+    buffer per frame and ``TCP_NODELAY`` on both ends cost about a
+    millisecond."""
+    table, event_base, handler, support = build_support(transport="tcp")
+    try:
+        assert feed_block(event_base, handler, support, 1)  # spawn + ship defs
+        trips = []
+        for stamp in range(2, 42):
+            started = time.perf_counter()
+            assert feed_block(event_base, handler, support, stamp)
+            trips.append(time.perf_counter() - started)
+        assert statistics.median(trips) < 0.020, sorted(trips)
+        channel = support.process_pool._workers[0].connection
+        accepted = channel._writer.get_extra_info("socket")
+        assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    finally:
+        support.close()
 
 
 def test_killed_tcp_worker_mid_trip_poisons_pool():

@@ -1,15 +1,15 @@
-"""The shared-memory row codec: fixed-width wire format of occurrence rows.
+"""The row codec: fixed-width wire format of occurrence rows.
 
-Property tests pin the contract the shm transport rests on: every row that
+Property tests pin the contract the row log rests on: every row that
 :class:`SnapshotRowCodec` encodes inline decodes to the *exact*
-``EventOccurrence.snapshot()`` tuple the pickle transport ships, so both
-transports rebuild byte-identical worker mirrors.  Rows the codec cannot
+``EventOccurrence.snapshot()`` tuple a fallback row carries, so a worker
+mirror is the same whichever form a row took.  Rows the codec cannot
 inline (payloads, exotic OIDs, out-of-range integers) must be classified as
 fallbacks deterministically — a placeholder row that decodes to ``None`` —
 and corrupted or diverged rows must raise :class:`SnapshotError`, never
-rebuild a wrong mirror.  A ring-level test pins the synchronous
-unpicklable-payload failure the fallback path inherits from the pickle
-transport.
+rebuild a wrong mirror.  (The log built on the codec — offsets, type-table
+slices, resets, the unpicklable-payload guard — is pinned in
+``tests/cluster/test_row_log.py``.)
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def random_occurrence(rng: random.Random, eid: int) -> EventOccurrence:
 
 
 def expect_inline(occurrence: EventOccurrence) -> bool:
-    """The documented classification: which rows ride the ring inline."""
+    """The documented classification: which rows encode inline."""
     if occurrence.payload:
         return False
     oid = occurrence.oid
@@ -83,8 +83,8 @@ def encode_batch(
     return buffer, inline
 
 
-def test_round_trip_matches_pickle_path_property():
-    """Inline rows decode to the exact tuples the pickle transport ships."""
+def test_round_trip_matches_fallback_form_property():
+    """Inline rows decode to the exact tuples fallback rows carry."""
     for seed in range(30):
         rng = random.Random(seed)
         occurrences = [
@@ -108,7 +108,7 @@ def test_round_trip_matches_pickle_path_property():
             snapshot = occurrence.snapshot()
             assert decoded == snapshot, f"seed {seed}: eid {occurrence.eid}"
             # The decoded tuple rebuilds an equal occurrence object, exactly
-            # like the pickle path's rows do on the worker side.
+            # like a fallback row does on the worker side.
             assert EventOccurrence.from_snapshot(decoded) == occurrence
 
 
@@ -220,27 +220,11 @@ def test_unshipped_type_index_raises_snapshot_error():
         fresh.decode_from(buffer, 0)
 
 
-def test_ring_fallback_inherits_unpicklable_payload_guard():
-    """The shm ring names the offending eid synchronously, like the pickle path."""
-    from repro.cluster.transport import _destroy_ring, _SnapshotRing
-    from repro.events.event_base import EventBase
-
-    event_base = EventBase()
-    event_base.record(EventType(Operation.CREATE, "alpha"), oid="alpha#1", timestamp=1)
-    event_base.record(
-        EventType(Operation.CREATE, "alpha"),
-        oid="alpha#2",
-        timestamp=2,
-        payload={"callback": lambda: None},  # unpicklable user payload
-    )
-    ring = _SnapshotRing(16)
-    try:
-        with pytest.raises(SnapshotError) as excinfo:
-            ring.encode_through(event_base, len(event_base.occurrences))
-        message = str(excinfo.value)
-        assert "picklable" in message
-        assert "eid=2" in message  # names the offending occurrence
-        # The picklable prefix was still encoded inline.
-        assert ring.rows_inline == 1
-    finally:
-        _destroy_ring(ring.shm)
+def test_fallback_rows_are_compact_builtins():
+    """The fallback form stays plain tuples/strings/ints — no library objects."""
+    rng = random.Random(5)
+    for eid in range(1, 40):
+        _eid, type_row, _oid, stamp, payload = random_occurrence(rng, eid).snapshot()
+        assert _eid == eid and isinstance(stamp, int)
+        assert isinstance(type_row, tuple) and isinstance(type_row[0], str)
+        assert payload is None or isinstance(payload, dict)

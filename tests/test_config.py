@@ -27,7 +27,7 @@ from tests.cluster.test_tcp_transport import cli_worker, launch_in_background
 ENV_CASES = {
     "shards": ("3", 3, 5),
     "shard_mode": ("THREADS", "threads", "processes"),
-    "transport": ("shm", "shm", "tcp"),
+    "transport": ("TCP", "tcp", "pipe"),
     "tcp_host": ("0.0.0.0", "0.0.0.0", "localhost"),
     "tcp_port": ("7411", 7411, 7412),
     "tcp_spawn": ("0", False, True),
@@ -40,7 +40,7 @@ ENV_CASES = {
 MALFORMED = {
     "CHIMERA_SHARDS": ["abc", "-1", "1.5"],
     "CHIMERA_SHARD_MODE": ["fibers"],
-    "CHIMERA_TRANSPORT": ["shmm"],
+    "CHIMERA_TRANSPORT": ["pipes", "shm", "pickle"],
     "CHIMERA_TCP_PORT": ["abc", "70000", "-1"],
     "CHIMERA_TCP_SPAWN": ["perhaps"],
     "CHIMERA_BATCH_BLOCKS": ["0", "not-a-number"],
@@ -88,8 +88,20 @@ def test_malformed_environment_value_raises_naming_the_variable(variable, raw):
     assert isinstance(excinfo.value, ValueError)
 
 
+@pytest.mark.parametrize("retired", ["shm", "pickle"])
+def test_retired_transport_names_have_no_alias(retired):
+    """One delta encoding: the names that used to pick one are plain errors,
+    answered with the values that exist."""
+    for build in (
+        lambda: EngineConfig.from_env({"CHIMERA_TRANSPORT": retired}),
+        lambda: EngineConfig(transport=retired),
+    ):
+        with pytest.raises(ConfigError, match="pipe / tcp"):
+            build()
+
+
 def test_malformed_environment_fails_database_construction(monkeypatch):
-    monkeypatch.setenv("CHIMERA_TRANSPORT", "shmm")
+    monkeypatch.setenv("CHIMERA_TRANSPORT", "pipes")
     with pytest.raises(ConfigError, match="CHIMERA_TRANSPORT"):
         ChimeraDatabase()
 
@@ -123,7 +135,7 @@ def test_unknown_setting_is_rejected_by_every_assembly_point():
 
 
 def test_record_is_frozen_hashable_and_repr_round_trips():
-    config = EngineConfig(shards=4, shard_mode="processes", transport="shm")
+    config = EngineConfig(shards=4, shard_mode="processes", transport="tcp")
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.shards = 2
     assert hash(config) == hash(dataclasses.replace(config))
