@@ -5,7 +5,7 @@ record reads (:data:`repro.config.ENV_NAMES`), so every
 :class:`repro.oodb.database.ChimeraDatabase` and every test that resolves
 ``EngineConfig.from_env()`` picks them up: ``pytest --shards N`` runs the
 whole suite behind an N-shard coordinator (CI runs it with ``--shards 4``
-alongside the plain run) and ``--shard-mode serial|threads|processes`` selects
+alongside the plain run) and ``--shard-mode serial|processes`` selects
 how those shard checks execute.  The record is resolved once here, so a
 bad option — or a malformed ambient ``CHIMERA_*`` value — fails the run before
 collection instead of silently falling back.  Defined here, not in

@@ -20,21 +20,22 @@ Installed as the ``chimera-events`` console script (or run with
     Run the stock-management workload for a few simulated days and print the
     rule and Trigger Support statistics.
 ``workload``
-    Drive a synthetic rule/stream workload through the full block→trigger
-    pipeline (subscription-index planning, priority heaps); ``--bulk-ingest``
-    routes blocks through the Event Base's batched ``extend`` fast path.
-    The engine flags map one-to-one onto :class:`repro.config.EngineConfig`
-    fields (``--shards``, ``--shard-mode``, ``--plan-cache-size``,
-    ``--batch-blocks``, ``--transport``, ``--adaptive-batch``); a flag left
-    out falls back to its ``CHIMERA_*`` variable and then the default, and
-    the report prints the resolved record.
-``bench``
-    Run a benchmark sweep from the installed package (``x7``, the rule-count
-    scaling / bulk-ingestion bench; ``x8``, the shard-scaling /
-    pipelined-ingestion bench; ``x9``, the process-mode scaling bench;
-    ``x10``, the dispatch-amortization bench; ``x11``, the compiled
-    exact-check bench; or ``x12``, the observability-overhead bench;
-    ``--smoke`` for a tiny grid).
+    Drive a synthetic rule/stream workload through a
+    :class:`~repro.oodb.database.ChimeraDatabase` — the engine's own
+    ``run_stream_blocks`` pipeline, or its stream ingestor with
+    ``--adaptive-batch``; ``--bulk-ingest`` routes blocks through the Event
+    Base's batched ``extend`` fast path.  The engine flags map one-to-one onto
+    :class:`repro.config.EngineConfig` fields (``--shards``, ``--shard-mode``,
+    ``--plan-cache-size``, ``--batch-blocks``, ``--transport``,
+    ``--adaptive-batch``); a flag left out falls back to its ``CHIMERA_*``
+    variable and then the default.  The report prints the resolved record,
+    the Trigger Support (and coordinator) counts, and the phase timings of
+    the ``obs`` registry (``block.check``, ``trip.plan`` / ``dispatch`` /
+    ``check`` / ``apply``); ``--metrics`` prints the whole registry.  Speed is
+    measured by ``benchmarks/e2e``, not here.
+``worker``
+    Run one TCP shard worker against a coordinator started with
+    ``--transport tcp`` and ``CHIMERA_TCP_SPAWN=0``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import sys
 from typing import Sequence
 
 from repro.analysis.reporting import render_kv, render_table
-from repro.config import SHARD_MODES, TRANSPORTS, EngineConfig
+from repro.config import SHARD_MODES, TRANSPORTS
 from repro.core.evaluation import evaluate
 from repro.core.explain import explain
 from repro.core.optimization import format_variations, variation_set
@@ -151,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=SHARD_MODES,
         default=None,
         help=(
-            "how per-shard checks execute: serial inline, a thread pool, or "
-            "long-lived shard worker processes"
+            "how per-shard checks execute: serial inline, or long-lived shard "
+            "worker processes"
         ),
     )
     workload_parser.add_argument(
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload_parser.add_argument(
         "--metrics",
         action="store_true",
-        help="print the metrics registry's text report after the run",
+        help="print the whole metrics registry, not only its timing histograms",
     )
     workload_parser.add_argument(
         "--metrics-json",
@@ -199,17 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="append the final metrics snapshot to this JSON-lines file",
     )
-
-    bench_parser = commands.add_parser("bench", help="run a benchmark sweep")
-    bench_parser.add_argument(
-        "which",
-        choices=["x7", "x8", "x9", "x10", "x11", "x12", "x13", "x14"],
-        help="benchmark to run",
-    )
-    bench_parser.add_argument(
-        "--smoke", action="store_true", help="tiny grid (seconds)"
-    )
-    bench_parser.add_argument("--out", default=None, help="write the JSON results here")
 
     worker_parser = commands.add_parser(
         "worker",
@@ -329,60 +319,59 @@ def _command_stock_demo(args: argparse.Namespace) -> int:
 
 
 def _command_workload(args: argparse.Namespace) -> int:
-    from repro.obs import JsonLinesExporter, MetricsRegistry, render_metrics_report
+    from repro.obs import JsonLinesExporter, render_metrics_report
+    from repro.oodb.database import ChimeraDatabase
     from repro.workloads.generator import EventStreamGenerator
-    from repro.workloads.rule_scaling import (
-        ScalingWorkload,
-        build_scaling_rules,
-        build_scaling_universe,
-    )
+    from repro.workloads.scaling import build_scaling_rules, build_scaling_universe
 
-    config = EngineConfig.from_env(
+    universe = build_scaling_universe(args.rules)
+    stream = EventStreamGenerator(
+        event_types=universe, seed=args.seed + 1, events_per_block=args.events_per_block
+    ).blocks(args.blocks)
+    db = ChimeraDatabase(
         shards=args.shards,
         shard_mode=args.shard_mode,
         plan_cache_size=args.plan_cache_size,
         batch_blocks=args.batch_blocks,
         transport=args.transport,
         adaptive_batch=args.adaptive_batch,
+        # The whole stream is one transaction and the pool's actions are
+        # empty: the per-transaction budget could only cap the stream length.
+        max_rule_executions=sys.maxsize,
     )
-    # The registry is always on for the CLI workload: the report/export flags
-    # only decide whether its snapshot is *surfaced* (the x12 bench pins the
-    # instrumentation overhead under 3%).
-    metrics = MetricsRegistry()
-    universe = build_scaling_universe(args.rules)
-    workload = ScalingWorkload(
-        build_scaling_rules(args.rules, universe, seed=args.seed),
-        config,
-        bulk_ingest=args.bulk_ingest,
-        metrics=metrics,
-    )
-    stream = EventStreamGenerator(
-        event_types=universe, seed=args.seed + 1, events_per_block=args.events_per_block
-    ).blocks(args.blocks)
     try:
-        outcome = workload.run(stream)
+        for rule in build_scaling_rules(args.rules, universe, seed=args.seed):
+            db.define_rule(rule)
+        config = db.config
+        if config.adaptive_batch:
+            with db.stream_ingestor(bulk=args.bulk_ingest) as ingestor:
+                for block in stream:
+                    ingestor.submit(block)
+        else:
+            for start in range(0, len(stream), config.batch_blocks):
+                db.engine.run_stream_blocks(
+                    stream[start : start + config.batch_blocks], bulk=args.bulk_ingest
+                )
         print(
             render_kv(
                 {
                     "rules": args.rules,
-                    "blocks": outcome.blocks,
-                    "events": outcome.events,
+                    "blocks": len(stream),
+                    "events": len(db.event_base),
                     "ingest mode": (
                         "bulk extend" if args.bulk_ingest else "per-append loop"
                     ),
-                    "ingest ms": round(outcome.ingest_seconds * 1e3, 2),
-                    "check ms": round(outcome.check_seconds * 1e3, 2),
-                    "select ms": round(outcome.select_seconds * 1e3, 2),
-                    "considerations": len(outcome.considerations),
+                    "considerations": len(db.considerations),
                 },
                 title="workload",
             )
         )
         print(render_kv(dataclasses.asdict(config), title="EngineConfig"))
-        print(render_kv(outcome.stats, title="Trigger Support"))
+        print(render_kv(db.trigger_statistics(), title="Trigger Support"))
         if config.shards > 0:
-            table = workload.rule_table
-            cluster = dict(workload.support.cluster_stats.as_dict())
+            table = db.rule_table
+            support = db.engine.trigger_support
+            cluster = dict(support.cluster_stats.as_dict())
             cluster["plan_cache_hits"] = table.plan_cache_hits
             cluster["plan_cache_misses"] = table.plan_cache_misses
             cluster["plan_cache_evictions"] = table.plan_cache_evictions
@@ -399,72 +388,23 @@ def _command_workload(args: argparse.Namespace) -> int:
             cluster["blocks_per_trip"] = round(
                 cluster["blocks_dispatched"] / max(1, cluster["dispatch_trips"]), 2
             )
-            pool = getattr(workload.support, "process_pool", None)
-            if pool is not None:
-                for key, value in pool.transport_stats().items():
+            if support.process_pool is not None:
+                for key, value in support.process_pool.transport_stats().items():
                     cluster[f"pool_{key}"] = value
             print(render_kv(cluster, title="Shard Coordinator"))
-        if args.metrics:
-            print()
-            print(render_metrics_report(metrics.snapshot()))
+        snapshot = db.metrics_snapshot()
+        if not args.metrics:
+            # The counters repeat the tables above; the timings do not.
+            snapshot = {"histograms": snapshot["histograms"]}
+        print()
+        print(render_metrics_report(snapshot))
         if args.metrics_json:
             exporter = JsonLinesExporter(args.metrics_json)
-            exporter.export(metrics)
+            exporter.export(db.engine.metrics)
             exporter.close()
             print(f"\nwrote metrics snapshot to {args.metrics_json}")
     finally:
-        workload.close()
-    return 0
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    import json
-
-    if args.which == "x14":
-        from repro.workloads.socket_transport import render_x14, run_x14_sweeps
-
-        results = run_x14_sweeps(smoke=args.smoke)
-        print(render_x14(results))
-    elif args.which == "x13":
-        from repro.workloads.transport_adaptivity import render_x13, run_x13_sweeps
-
-        results = run_x13_sweeps(smoke=args.smoke)
-        print(render_x13(results))
-    elif args.which == "x12":
-        from repro.workloads.observability import render_x12, run_x12_sweeps
-
-        results = run_x12_sweeps(smoke=args.smoke)
-        print(render_x12(results))
-    elif args.which == "x11":
-        from repro.workloads.compiled_check import render_x11, run_x11_sweeps
-
-        results = run_x11_sweeps(smoke=args.smoke)
-        print(render_x11(results))
-    elif args.which == "x10":
-        from repro.workloads.dispatch_amortization import render_x10, run_x10_sweeps
-
-        results = run_x10_sweeps(smoke=args.smoke)
-        print(render_x10(results))
-    elif args.which == "x9":
-        from repro.workloads.process_scaling import render_x9, run_x9_sweeps
-
-        results = run_x9_sweeps(smoke=args.smoke)
-        print(render_x9(results))
-    elif args.which == "x8":
-        from repro.workloads.shard_scaling import render_x8, run_x8_sweeps
-
-        results = run_x8_sweeps(smoke=args.smoke)
-        print(render_x8(results))
-    else:
-        from repro.workloads.rule_scaling import render_x7, run_x7_sweeps
-
-        results = run_x7_sweeps(smoke=args.smoke)
-        print(render_x7(results))
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {args.out}")
+        db.close()
     return 0
 
 
@@ -489,7 +429,6 @@ _COMMANDS = {
     "replay": _command_replay,
     "stock-demo": _command_stock_demo,
     "workload": _command_workload,
-    "bench": _command_bench,
     "worker": _command_worker,
 }
 

@@ -9,13 +9,13 @@ package scales along:
   caches;
 * :mod:`repro.cluster.coordinator` — :class:`ShardCoordinator`, the Trigger
   Support that fans each block's type signature out to the owning shards,
-  runs the per-shard checks in one of three execution modes (inline serial,
-  thread pool over shared zero-copy ``BoundedView`` windows, or the process
-  worker pool) and merges the triggered sets back deterministically;
+  runs the per-shard checks in one of two execution modes (inline serial
+  over shared zero-copy ``BoundedView`` windows, or the process worker pool)
+  and merges the triggered sets back deterministically;
 * :mod:`repro.cluster.process_pool` — :class:`ProcessShardPool`, the
   long-lived worker processes that own their shard's expressions and
   incremental memos plus a mirror Event Base grown from per-trip log
-  deltas — the first execution mode where trigger checking uses multiple
+  deltas — the one execution mode where trigger checking uses multiple
   cores;
 * :mod:`repro.cluster.streaming` — :class:`StreamIngestor`, the bounded-queue
   pipeline that decouples producers from rule evaluation and coalesces
@@ -23,11 +23,9 @@ package scales along:
   (``EngineConfig.batch_blocks``).
 
 See PERFORMANCE.md ("Sharded trigger planning", "Multi-process shard
-workers" and "Batched worker dispatch") for the architecture notes and
-BENCH_PR3.json / BENCH_PR4.json / BENCH_PR5.json
-(``benchmarks/bench_x8_shard_scaling.py`` /
-``benchmarks/bench_x9_process_scaling.py`` /
-``benchmarks/bench_x10_dispatch_amortization.py``) for numbers.
+workers" and "Batched worker dispatch") for the architecture notes and the
+dated per-layer figures (BENCH_PR3.json / BENCH_PR4.json / BENCH_PR5.json);
+``benchmarks/e2e`` measures the end-to-end cost.
 """
 
 from repro.cluster.coordinator import (

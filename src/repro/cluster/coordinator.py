@@ -11,7 +11,7 @@ owning shard wins, deterministically), and pending-full-check rules — which
 every block must visit regardless of signature — ride on their name's home
 shard.
 
-The exact checks run in one of three execution modes (``shard_mode``):
+The exact checks run in one of two execution modes (``shard_mode``):
 
 * **serial deterministic** (default) — shard batches are evaluated inline in
   shard order, over shared zero-copy
@@ -19,18 +19,11 @@ The exact checks run in one of three execution modes (``shard_mode``):
   Event Base.  The check path is index-bisection-bound (pure-Python
   ``bisect`` over the shared indexes), so this is also the fastest
   single-core mode on a GIL-bound interpreter;
-* **threads** — shard batches are dispatched to a thread pool over the same
-  shared views.  Each worker touches only per-rule state (the
-  :class:`~repro.core.triggering.TriggerMemo`) plus a worker-local
-  :class:`~repro.core.evaluation.EvaluationStats`; shared-store reads are
-  safe (the EB is frozen during a check) and its pattern-match memo tolerates
-  benign duplicate computation.  Under the GIL this buys latency, not
-  throughput;
 * **processes** — the evaluate phase moves out of process entirely
   (:class:`~repro.cluster.process_pool.ProcessShardPool`): long-lived workers
   own their shard's expressions and memos plus a mirror Event Base grown
   from per-trip log deltas, and reply with decisions.  This is the
-  first mode where trigger checking can use multiple cores.  Every rule is
+  only mode where trigger checking can use multiple cores.  Every rule is
   dealt to a *fixed* home worker (lowest owning shard) so its memo stays
   resident and ``instants_sampled`` matches the serial mode exactly.
 
@@ -38,14 +31,13 @@ Whatever the mode, the decisions are **applied serially in definition
 order**, so the triggered set, the priority heaps, every counter and the
 returned newly-triggered list are byte-for-byte identical to the
 single-table ``check_after_block`` — the equivalence the ``tests/cluster``
-property tests pin for shard counts 1–8 under rule churn, in all three
-modes (``tests/cluster/test_mode_equivalence.py``).
+property tests pin for shard counts 1–8 under rule churn, in both modes
+(``tests/cluster/test_mode_equivalence.py``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,7 +91,7 @@ class ShardCoordinatorStats(MergeableStats):
     blocks_fanned_out: int = 0
     shards_consulted: int = 0
     max_shards_per_block: int = 0
-    #: Worker batches dispatched off the calling thread (threads or processes).
+    #: Worker batches dispatched to process workers.
     parallel_batches: int = 0
     #: Check rounds that had at least one candidate to evaluate — with
     #: micro-batching one trip covers a whole block batch, so
@@ -132,7 +124,6 @@ class ShardCoordinator(TriggerSupport):
             raise TypeError("ShardCoordinator requires a ShardedRuleTable")
         super().__init__(rule_table, event_base, config, metrics)
         self.shard_mode = config.shard_mode
-        self._pool: ThreadPoolExecutor | None = None
         self._process_pool: ProcessShardPool | None = None
         #: Plan epoch at the last worker-definition prune (processes mode).
         self._pruned_epoch: tuple[int, int] | None = None
@@ -152,8 +143,8 @@ class ShardCoordinator(TriggerSupport):
         #: histograms are inherited from the base Trigger Support.
         self._dispatch_hist = self.metrics.histogram("trip.dispatch")
         #: Per-shard candidate counts — the skew signal.  Planning is
-        #: mode-independent, so these counters are byte-equal across serial,
-        #: threads and processes at the same shard count.
+        #: mode-independent, so these counters are byte-equal across serial
+        #: and processes at the same shard count.
         self._shard_candidate_counters = [
             self.metrics.counter(f"shard.candidates.{shard_id}")
             for shard_id in range(rule_table.num_shards)
@@ -255,24 +246,11 @@ class ShardCoordinator(TriggerSupport):
                 )
                 self.stats.evaluation.merge(merged_stats)
             else:
-                if self.shard_mode == "threads" and len(plan.per_shard) > 1:
-                    cluster.parallel_batches += len(plan.per_shard)
-                    futures = [
-                        self._ensure_pool().submit(
-                            self._evaluate_shard, states, now, transaction_start
-                        )
-                        for _, states in plan.per_shard
-                    ]
-                    shard_results = [future.result() for future in futures]
-                else:
-                    shard_results = [
-                        self._evaluate_shard(states, now, transaction_start)
-                        for _, states in plan.per_shard
-                    ]
-                # Evaluation stats merge in shard order — exactly the order
-                # the serial mode accumulates them.
                 evaluated = []
-                for decisions, local_stats in shard_results:
+                for _, states in plan.per_shard:
+                    decisions, local_stats = self._evaluate_shard(
+                        states, now, transaction_start
+                    )
                     self.stats.evaluation.merge(local_stats)
                     evaluated.extend(decisions)
 
@@ -293,7 +271,7 @@ class ShardCoordinator(TriggerSupport):
         now: Timestamp,
         transaction_start: Timestamp,
     ) -> tuple[list[tuple[RuleState, TriggeringDecision]], EvaluationStats]:
-        """Evaluate one shard's candidates (worker-safe: per-rule state only)."""
+        """Evaluate one shard's candidates inline."""
         local_stats = EvaluationStats()
         decisions: list[tuple[RuleState, TriggeringDecision]] = []
         for state in states:
@@ -348,9 +326,8 @@ class ShardCoordinator(TriggerSupport):
         the dispatch amortization: in ``processes`` mode every consulted
         worker is contacted **once per trip** — one combined EB delta plus N
         ordered work segments — instead of once per block, so worker round
-        trips scale with trips rather than blocks.  In ``threads`` mode the
-        trip is dealt per home worker (each rule's segments stay on one
-        thread, in order); the serial mode evaluates the same dealing inline.
+        trips scale with trips rather than blocks.  The serial mode evaluates
+        the same per-home-worker dealing inline.
         """
         if not self.use_static_optimization:
             return super().check_after_blocks(blocks, transaction_start)
@@ -426,12 +403,12 @@ class ShardCoordinator(TriggerSupport):
         segments: list[tuple[Timestamp, ShardedPlan]],
         transaction_start: Timestamp,
     ) -> list[list[tuple[RuleState, TriggeringDecision]]]:
-        """Serial/threads evaluation of a trip, grouped by home worker.
+        """Serial evaluation of a trip, grouped by home worker.
 
         Each home batch holds its rules' items across all segments in block
-        order, so a single (thread or inline) pass can apply the
-        skip-after-triggered rule with purely local knowledge — the in-process
-        equivalent of what each process worker does with its trip message.
+        order, so a single pass can apply the skip-after-triggered rule with
+        purely local knowledge — the in-process equivalent of what each
+        process worker does with its trip message.
         """
         nows = [now for now, _ in segments]
         with self._dispatch_hist.time():
@@ -441,19 +418,8 @@ class ShardCoordinator(TriggerSupport):
         per_segment: list[list[tuple[RuleState, TriggeringDecision]]] = [
             [] for _ in segments
         ]
-        if not assignments:
-            return per_segment
-        home_batches = [assignments[home] for home in sorted(assignments)]
-        if self.shard_mode == "threads" and len(home_batches) > 1:
-            self.cluster_stats.parallel_batches += len(home_batches)
-            futures = [
-                self._ensure_pool().submit(self._evaluate_home_batch, batch, nows)
-                for batch in home_batches
-            ]
-            results = [future.result() for future in futures]
-        else:
-            results = [self._evaluate_home_batch(batch, nows) for batch in home_batches]
-        for rows, local_stats in results:
+        for home in sorted(assignments):
+            rows, local_stats = self._evaluate_home_batch(assignments[home], nows)
             self.stats.evaluation.merge(local_stats)
             for index, state, decision in rows:
                 per_segment[index].append((state, decision))
@@ -464,13 +430,11 @@ class ShardCoordinator(TriggerSupport):
         segment_items: dict[int, list[tuple[RuleState, Timestamp, bool]]],
         nows: list[Timestamp],
     ) -> tuple[list[tuple[int, RuleState, TriggeringDecision]], EvaluationStats]:
-        """Evaluate one home worker's share of a trip (worker-safe).
+        """Evaluate one home worker's share of a trip.
 
         The batch regroups rule-major and runs each rule's ordered trip
         entries through one :meth:`~repro.core.compile.CompiledCheck.check_trip`
-        pass — safe because the in-trip skips key on the rule name alone, a
-        rule's binding is touched by exactly one home batch per trip, and the
-        kernels the batches share hold no mutable state.  The final
+        pass — the in-trip skips key on the rule name alone.  The final
         per-segment ordering is definition order either way (the caller
         sorts before applying).
         """
@@ -613,15 +577,7 @@ class ShardCoordinator(TriggerSupport):
         if self._process_pool is not None:
             self._process_pool.reset()
 
-    # -- worker pools ------------------------------------------------------------
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=min(8, self.rule_table.num_shards),
-                thread_name_prefix="shard-check",
-            )
-        return self._pool
-
+    # -- the worker pool ---------------------------------------------------------
     def _ensure_process_pool(self) -> ProcessShardPool:
         if self._process_pool is None:
             self._process_pool = ProcessShardPool(
@@ -638,10 +594,7 @@ class ShardCoordinator(TriggerSupport):
         return self._process_pool
 
     def close(self) -> None:
-        """Shut the worker pools down (idempotent; serial mode needs none)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Shut the process pool down (idempotent; serial mode has none)."""
         if self._process_pool is not None:
             self._process_pool.close()
             self._process_pool = None

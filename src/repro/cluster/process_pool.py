@@ -31,7 +31,7 @@ pending-only riders that already saw a non-empty window.  It replies with
 :class:`~repro.core.evaluation.EvaluationStats` and metrics delta.  All
 writes (counters, the triggered flag, heap pushes) stay in the coordinator,
 which applies the decisions **serially, block by block in definition
-order** — so serial, thread and process modes are behaviourally identical
+order** — so the serial and process modes are behaviourally identical
 for every batch size (``tests/cluster/test_mode_equivalence.py`` pins it,
 stats included).
 
@@ -360,8 +360,7 @@ class ProcessShardPool:
         self.bytes_received = 0
         #: Rule definitions shipped to workers, cumulatively.  With a stable
         #: table this equals "each live rule once per owning worker" however
-        #: many trips run — the defs-shipped-once-per-version fact the X14
-        #: bench guard pins per transport.
+        #: many trips run (``test_definition_shipped_once_per_trip``).
         self.defs_shipped = 0
         #: Worker channels replaced by a reconnect (tcp transport), each
         #: followed by a defs + mirror re-sync on the next contact.
@@ -370,7 +369,7 @@ class ProcessShardPool:
         #: the "encode cost" side of the crossover PERFORMANCE.md discusses.
         self.encode_seconds = 0.0
         #: The delta-only share of ``encode_seconds`` (row encoding plus the
-        #: per-worker slices) — the number the X14 transport bench compares.
+        #: per-worker slices).
         self.delta_encode_seconds = 0.0
         #: Per-worker deltas shipped.
         self.deltas_framed = 0

@@ -26,9 +26,9 @@ from repro.errors import ConfigError
 
 __all__ = ["ENV_NAMES", "SHARD_MODES", "TRANSPORTS", "EngineConfig", "knob_table"]
 
-#: The coordinator's execution modes: inline in shard order, a thread worker
-#: pool, or long-lived process workers (``repro.cluster.process_pool``).
-SHARD_MODES = ("serial", "threads", "processes")
+#: The coordinator's execution modes: inline in shard order, or long-lived
+#: process workers (``repro.cluster.process_pool``).
+SHARD_MODES = ("serial", "processes")
 
 #: Where the process pool's workers live: forked on pipes, or behind sockets.
 TRANSPORTS = ("pipe", "tcp")
@@ -68,8 +68,8 @@ class EngineConfig:
 
     ``EngineConfig(...)`` is defaults plus explicit keywords;
     :meth:`from_env` additionally reads the ``CHIMERA_*`` variables and is
-    what the three assembly points (``ChimeraDatabase``, ``RuleEngine``,
-    ``ScalingWorkload``) call when they are not handed a record.
+    what the two assembly points (``ChimeraDatabase``, ``RuleEngine``) call
+    when they are not handed a record.
     """
 
     use_static_optimization: bool = _knob(

@@ -380,9 +380,9 @@ class _Kernel:
 class CheckBinder:
     """One evaluator's compile state: kernels by shape, and the handle epoch.
 
-    Every exact-check evaluator — a Trigger Support (the coordinator's thread
-    shards included: kernels are stateless) and each process shard worker —
-    owns one binder and binds its rules through it.  Not picklable; a worker
+    Every exact-check evaluator — a Trigger Support (the shard coordinator
+    included) and each process shard worker — owns one binder and binds its
+    rules through it.  Not picklable; a worker
     builds its own.
     """
 
@@ -414,8 +414,8 @@ class CheckBinder:
         kernel = self._kernels.get(key)
         if kernel is None:
             lowered = _Kernel(*_Lowering(self.mode, slots).lower(expression, instance))
-            # Threads of one coordinator may lower a shape concurrently; the
-            # first insert wins so every binding shares the interned kernel.
+            # Should two threads lower a shape concurrently, the first insert
+            # wins so every binding shares the interned kernel.
             kernel = self._kernels.setdefault(key, lowered)
         return kernel, tuple(slots)
 

@@ -25,8 +25,8 @@ bench-local timers.  ``repro.obs`` gives them one spine:
   (``workload --metrics-json PATH``; ``EngineConfig.metrics_path``).
 
 Instrumentation points and the sampling model are documented in
-PERFORMANCE.md ("Observability"); the measured overhead is guarded ≤3% by
-``benchmarks/bench_x12_observability_overhead.py``.
+PERFORMANCE.md ("Observability"), with the overhead measured at PR 8
+(BENCH_PR8.json: at worst +0.27%).
 """
 
 from repro.obs.export import (

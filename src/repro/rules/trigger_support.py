@@ -278,7 +278,7 @@ class TriggerSupport:
           in the trip (they would have left the pending set);
         * all decisions are applied after the trip evaluates, block by block
           in definition order, so counters, heaps and the newly-triggered
-          order line up across serial, thread and process execution.
+          order line up across serial and process execution.
 
         A single-block trip delegates to :meth:`check_after_block` and is
         byte-identical to the per-block path.  The exhaustive scan has no

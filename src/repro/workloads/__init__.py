@@ -1,4 +1,9 @@
-"""Workload generators: the paper's stock scenario and synthetic streams."""
+"""Workload inputs: the paper's stock scenario (``stock``), synthetic
+expressions and streams (``generator``) and the scale-out rule pools and
+shaped block streams of ``chimera-events workload`` (``scaling``).
+
+Measurement lives in ``benchmarks/e2e``; nothing here times anything.
+"""
 
 from repro.workloads.generator import (
     EventStreamGenerator,

@@ -84,6 +84,7 @@ class TestTripTransport:
             cluster = pipeline.support.cluster_stats
             assert cluster.dispatch_trips == 1
             assert cluster.blocks_dispatched == 4
+            assert stats["worker_round_trips"] == cluster.parallel_batches
         finally:
             pipeline.close()
 
@@ -101,6 +102,8 @@ class TestTripTransport:
             stats = pool.transport_stats()
             assert stats["dispatches"] == 3  # 12 blocks, 3 trips
             assert stats["blocks_dispatched"] == 12
+            # w0 lives on one worker: its round trips follow the trips too.
+            assert stats["worker_round_trips"] == 3
         finally:
             pipeline.close()
 
@@ -159,7 +162,7 @@ class TestTripLocalSkip:
         later blocks of the trip the plan speculatively included — in every
         mode.
         """
-        for shard_mode in ("serial", "threads", "processes"):
+        for shard_mode in ("serial", "processes"):
             pipeline = _Pipeline(
                 [watcher("w0", "create(alpha)")], shard_mode=shard_mode
             )
@@ -198,7 +201,7 @@ class TestTripLocalSkip:
             reference.close()
         assert expected == 1
 
-        for shard_mode in ("serial", "threads", "processes"):
+        for shard_mode in ("serial", "processes"):
             pipeline = _Pipeline([watcher("w0", "create(beta)")], shard_mode=shard_mode)
             try:
                 segments = pipeline.segments([block(1, 1), block(2, 2), block(3, 3)])
@@ -306,7 +309,7 @@ class TestEngineStreamBlocks:
                 engine.close()
 
         reference = drive(0, None)
-        for mode in ("serial", "threads", "processes"):
+        for mode in ("serial", "processes"):
             assert drive(4, mode) == reference, mode
 
     def test_blocks_keep_their_boundaries(self):

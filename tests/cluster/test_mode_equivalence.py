@@ -1,4 +1,4 @@
-"""Cross-mode differential harness: serial == threads == processes.
+"""Cross-mode differential harness: serial == processes.
 
 The PR-4 process shard workers move the evaluate phase of the trigger check
 out of process (mirror Event Bases, worker-resident memos, decisions shipped
@@ -24,15 +24,20 @@ import random
 
 from repro.config import EngineConfig
 from repro.oodb.database import ChimeraDatabase
+from repro.workloads.scaling import (
+    build_scaling_universe,
+    build_shaped_blocks,
+    build_shard_rules,
+)
 
 from tests.cluster.test_shard_equivalence import run_scenario
 from tests.rules.test_planner_equivalence import build_scenario
 
-MODES = ("serial", "threads", "processes")
+MODES = ("serial", "processes")
 
 
 def test_modes_identical_under_randomized_churn():
-    """Seeded add/remove/disable churn + mixed-type blocks, all three modes."""
+    """Seeded add/remove/disable churn + mixed-type blocks, both modes."""
     for seed in (0, 2, 9, 13):
         scenario = build_scenario(seed)
         reference = run_scenario(scenario)
@@ -99,7 +104,7 @@ def test_batch_size_one_is_byte_identical_to_per_block():
 
 
 def test_batched_dispatch_identical_across_modes_for_batch_sizes_1_to_8():
-    """For every batch size 1-8: serial == threads == processes == unsharded.
+    """For every batch size 1-8: serial == processes == unsharded.
 
     The unsharded batched run is the reference — traces, per-rule counters
     and Trigger Support stats (``instants_sampled`` included) must be
@@ -184,7 +189,7 @@ def _bursty_trip_sizes(seed: int, max_batch: int = 8) -> tuple[int, ...]:
 
 def test_bursty_trips_identical_across_modes_and_transports():
     """Variable-size trips (bursts + idle gaps, churn at trip boundaries):
-    serial / threads / processes x pipe / tcp must all match the unsharded
+    serial / processes x pipe / tcp must all match the unsharded
     reference replaying the same partition, byte for byte."""
     for seed in (3, 17):
         scenario = build_scenario(seed)
@@ -261,48 +266,75 @@ def test_tcp_transport_across_modes_shard_counts_and_batch_sizes():
             assert result == reference, f"tcp: {mode} x {shards} shards diverged"
 
 
-def test_adaptive_ingestor_matches_unsharded_replay_of_realized_trips():
-    """The real closed-loop pipeline, pinned end to end: bursty submits
-    through an adaptive ``StreamIngestor`` over process shards, then the
-    *realized* trip partition replayed on an unsharded engine — triggerings,
-    consideration order and stats must be identical."""
-    from repro.workloads.shard_scaling import build_shard_rules, build_shaped_blocks
-    from repro.workloads.rule_scaling import build_scaling_universe
-    from repro.workloads.transport_adaptivity import (
-        _build_stream_engine,
-        _replay_partition,
-    )
-    from repro.cluster.streaming import StreamIngestor
+def _stream_database(rules, **settings) -> ChimeraDatabase:
+    """A database holding ``rules``, to be fed through its stream seam."""
+    db = ChimeraDatabase(**settings)
+    for rule in rules:
+        db.define_rule(rule)
+    return db
 
+
+def _stream_outcome(db: ChimeraDatabase) -> dict:
+    return {
+        "triggerings": {
+            state.rule.name: state.times_triggered for state in db.rule_table.states()
+        },
+        "considerations": [record.rule_name for record in db.considerations],
+        "stats": db.trigger_statistics(),
+    }
+
+
+def _replay_partition(rules, blocks, partition: list[int]) -> dict:
+    """Run ``blocks`` through an unsharded database in the given trip sizes."""
+    assert sum(partition) == len(blocks)
+    db = _stream_database(rules, shards=0)
+    try:
+        index = 0
+        for size in partition:
+            chunk = blocks[index : index + size]
+            if size == 1:
+                db.engine.run_stream_block(chunk[0])
+            else:
+                db.engine.run_stream_blocks(chunk)
+            index += size
+        return _stream_outcome(db)
+    finally:
+        db.close()
+
+
+def test_adaptive_ingestor_matches_unsharded_replay_of_realized_trips():
+    """The real closed-loop pipeline, pinned end to end: a backlog and then
+    an idle tail through an adaptive ``StreamIngestor`` over process shards.
+    The controller must widen under the backlog and shrink back once it
+    drains, and the *realized* trip partition replayed on an unsharded engine
+    must give identical triggerings, consideration order and stats."""
+    backlog, idle = 24, 12
     universe = build_scaling_universe(160)
     rules = build_shard_rules(160, universe, seed=23)
-    blocks = build_shaped_blocks(universe, 36, events_per_block=6, seed=5)
-    engine = _build_stream_engine(rules, 2, "processes", None)
+    blocks = build_shaped_blocks(universe, backlog + idle, events_per_block=6, seed=5)
+    db = _stream_database(rules, shards=2, shard_mode="processes")
     try:
-        with StreamIngestor(
-            engine, max_pending=64, max_batch_blocks=8, adaptive_batch=True
-        ) as ingestor:
-            for index, block in enumerate(blocks):
+        with db.stream_ingestor(batch_blocks=8, adaptive_batch=True) as ingestor:
+            # The first trip spawns the worker pool, so the rest of the burst
+            # is queued by the time the consumer looks again.
+            for block in blocks[:backlog]:
                 ingestor.submit(block)
-                # Idle gaps between bursts of ~6: flushing drains the queue,
-                # so the controller sees depth 0 and shrinks back.
-                if index % 6 == 5:
-                    ingestor.flush()
             ingestor.flush()
+            # Idle: every block finds the queue drained behind it.
+            for block in blocks[backlog:]:
+                ingestor.submit(block)
+                ingestor.flush()
             partition = list(ingestor.trip_sizes)
-        assert sum(partition) == len(blocks)
-        pipelined = {
-            "triggerings": {
-                state.rule.name: state.times_triggered
-                for state in engine.rule_table.states()
-            },
-            "considerations": [
-                record.rule_name for record in engine.considerations
-            ],
-            "stats": engine.trigger_support.stats.as_dict(),
-        }
+            controller = ingestor.controller
+        counters = db.metrics_snapshot()["counters"]
+        assert counters["controller.widened"] >= 1, partition
+        assert counters["controller.shrunk"] >= 1, partition
+        assert max(partition[:-idle]) > 1, partition  # backlog drained in batches
+        assert partition[-idle:] == [1] * idle, partition  # idle never coalesced
+        assert controller.batch_blocks == 1
+        pipelined = _stream_outcome(db)
     finally:
-        engine.close()
+        db.close()
     replay = _replay_partition(rules, blocks, partition)
     assert pipelined == replay, (
         f"adaptive pipeline diverged from its replay (partition {partition})"
@@ -336,120 +368,12 @@ def test_snapshot_counters_identical_across_modes_and_batches():
             )
 
 
-def test_threads_share_kernels_without_sharing_counters():
-    """Same-shape rules on different shards, evaluated concurrently.
-
-    One coordinator binds every rule to the same few kernels; in ``threads``
-    mode different rules of one shape run on several threads at once.  The
-    shapes here are the non-rigid ones (precedence, lifted instance
-    subtrees), whose kernels count node visits while they evaluate — the
-    counts must land in each batch's own ``EvaluationStats``, so the merged
-    totals equal the serial mode's (and the single table's) to the unit, per
-    block and per trip, under a switch interval short enough to interleave
-    the batches."""
-    import sys
-
-    from repro.cluster.coordinator import ShardCoordinator
-    from repro.cluster.sharding import ShardedRuleTable
-    from repro.core.parser import parse_expression
-    from repro.events.event import EventOccurrence, EventType, Operation
-    from repro.events.event_base import EventBase
-    from repro.rules.actions import NO_ACTION
-    from repro.rules.conditions import TRUE_CONDITION
-    from repro.rules.event_handler import EventHandler
-    from repro.rules.rule import Rule
-    from repro.rules.rule_table import RuleTable
-    from repro.rules.trigger_support import TriggerSupport
-
-    classes = [f"k{index}" for index in range(16)]
-    shapes = (
-        "(create({c}) < modify({c}.x)) + -delete(ghost)",
-        "(create({c}) += modify({c}.x)) , delete(ghost)",
-        "-=create({c}) + modify({c}.x) + delete(ghost)",
-    )
-    rules = [
-        Rule(
-            name=f"r{index}_{shape_index}",
-            events=parse_expression(shape.format(c=name)),
-            condition=TRUE_CONDITION,
-            action=NO_ACTION,
-        )
-        for index, name in enumerate(classes)
-        for shape_index, shape in enumerate(shapes)
-    ]
-    rng = random.Random(5)
-    blocks, eid, stamp = [], 0, 0
-    for _ in range(24):
-        block = []
-        for _ in range(12):
-            eid += 1
-            stamp += rng.randint(0, 1)
-            name = rng.choice(classes)
-            event_type = rng.choice(
-                (
-                    EventType(Operation.CREATE, name),
-                    EventType(Operation.MODIFY, name, "x"),
-                )
-            )
-            block.append(
-                EventOccurrence(
-                    eid=eid,
-                    event_type=event_type,
-                    oid=f"{name}#{rng.randrange(3)}",
-                    timestamp=max(stamp, 1),
-                )
-            )
-        blocks.append(block)
-
-    def run(shards: int, mode: str, batch: int):
-        table = ShardedRuleTable(shards) if shards else RuleTable()
-        for rule in rules:
-            table.add(rule).reset(0)
-        event_base = EventBase()
-        handler = EventHandler(event_base)
-        config = EngineConfig.from_env(shard_mode=mode)
-        support = (ShardCoordinator if shards else TriggerSupport)(
-            table, event_base, config
-        )
-        trace = []
-        try:
-            for start in range(0, len(blocks), batch):
-                segments = [
-                    (handler.store_external(block), block[-1].timestamp)
-                    for block in blocks[start : start + batch]
-                ]
-                newly = support.check_after_blocks(segments, 0)
-                trace.append([state.rule.name for state in newly])
-                for state in newly:
-                    state.mark_considered(segments[-1][1], executed=False)
-            if shards:
-                assert len({support._worker_of(s, shards) for s in table}) > 1
-            if mode == "threads":
-                assert support.cluster_stats.parallel_batches > 0
-            return trace, support.stats.as_dict(), support.binder.kernels_compiled
-        finally:
-            if shards:
-                support.close()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for batch in (1, 4):
-            reference = run(0, "serial", batch)
-            assert reference[1]["lifted_objects"] > 0 and reference[2] == len(shapes)
-            for mode in ("serial", "threads"):
-                for _ in range(3):
-                    assert run(8, mode, batch) == reference, (mode, batch)
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_per_shard_candidate_counters_identical_across_modes():
     """Per-shard candidate counters depend on planning, not execution mode.
 
     ``shard.candidates.N`` counts plan-time candidates per shard; the plan is
     computed coordinator-side in every mode, so at a fixed shard count the
-    counters must agree across serial / threads / processes (the unsharded
+    counters must agree across serial / processes (the unsharded
     reference has no shards, hence no such counters — compare among modes).
     """
     scenario = build_scenario(9)

@@ -4,15 +4,14 @@ The shard/coordinator subsystem must be *semantically invisible*, exactly
 like the PR-2 subscription index before it: for any stream, any shard count
 and any mid-run table churn, the :class:`ShardCoordinator` must produce the
 same triggered sets, the same per-rule counters and the same priority-order
-firing sequence as the single-table :class:`TriggerSupport` — in serial
-deterministic mode *and* on the worker pool.
+firing sequence as the single-table :class:`TriggerSupport`.
 
 The scenarios come from ``tests/rules/test_planner_equivalence.py`` (random
 rules over overlapping class/attribute patterns, pure negations, priority
 ties, empty blocks, removals / re-adds / disable-enable flips mid-run); here
 they are replayed across shard counts 1–8.  ``run_scenario`` is shared with
 ``tests/cluster/test_mode_equivalence.py``, which replays the same churn
-across the serial / threads / processes execution modes.
+across the serial / processes execution modes.
 """
 
 from __future__ import annotations
@@ -166,17 +165,6 @@ def test_sharded_equals_single_table_across_shard_counts():
         for shards in range(1, 9):
             sharded = run_scenario(scenario, shards=shards)
             assert sharded == reference, f"seed {seed}: {shards} shards != single table"
-
-
-def test_threads_mode_equals_single_table():
-    for seed in (3, 7, 11, 42):
-        scenario = build_scenario(seed)
-        reference = run_scenario(scenario)
-        for shards in (2, 4, 8):
-            threaded = run_scenario(scenario, shards=shards, shard_mode="threads")
-            assert threaded == reference, (
-                f"seed {seed}: threaded {shards}-shard run != single table"
-            )
 
 
 def test_sharded_equals_single_table_with_larger_rule_pools():

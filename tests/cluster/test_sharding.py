@@ -176,7 +176,7 @@ class TestCoordinatorCheck:
         table = ShardedRuleTable(4)
         event_base = EventBase()
         with ShardCoordinator(
-            table, event_base, EngineConfig.from_env(shard_mode="threads")
+            table, event_base, EngineConfig.from_env(shard_mode="processes")
         ) as coordinator:
             for index, class_name in enumerate(("stock", "order", "show")):
                 table.add(make_rule(f"w{index}", f"create({class_name})"))
@@ -188,4 +188,6 @@ class TestCoordinatorCheck:
                 event_base.append(item)
             newly = coordinator.check_after_block(block, 1, 0)
             assert sorted(state.rule.name for state in newly) == ["w0", "w1", "w2"]
+            assert coordinator.process_pool is not None
+        assert coordinator.process_pool is None
         coordinator.close()  # idempotent

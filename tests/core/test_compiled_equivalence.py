@@ -402,7 +402,7 @@ class TestCoordinatorEquivalence:
                     scenario, batch_blocks=batch_blocks, oracle=True
                 )
                 assert run_scenario(scenario, batch_blocks=batch_blocks) == reference
-                for shard_mode in ("serial", "threads", "processes"):
+                for shard_mode in ("serial", "processes"):
                     sharded = run_scenario(
                         scenario,
                         shards=4,

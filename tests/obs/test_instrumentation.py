@@ -9,10 +9,15 @@ ambient ``$CHIMERA_METRICS`` exports, and the ``workload`` command's
 """
 
 import json
+import multiprocessing
+import re
+
+import pytest
 
 from repro.cli import main
 from repro.cluster.streaming import StreamIngestor
 from repro.events.event import EventOccurrence, EventType, Operation
+from repro.obs import MetricsRegistry
 from repro.oodb.database import ChimeraDatabase
 from repro.workloads.stock import CHECK_STOCK_QTY_RULE
 
@@ -44,6 +49,14 @@ class TestDatabaseSnapshot:
                 assert snapshot["counters"][f"trigger.{key}"] == value
         finally:
             db.close()
+        # The probes observe; they never steer: an uninstrumented engine
+        # does exactly the same work.
+        off = _stock_db(metrics=MetricsRegistry(enabled=False))
+        try:
+            _drive(off)
+            assert off.trigger_statistics() == stats
+        finally:
+            off.close()
 
     def test_commit_path_is_instrumented(self):
         db = _stock_db()
@@ -147,4 +160,50 @@ class TestWorkloadCliSurfaces:
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         snapshot = json.loads(lines[0])
-        assert snapshot["counters"]["trigger.blocks"] == 8
+        # 8 stream blocks plus the (empty) block every consideration ends.
+        assert snapshot["counters"]["trigger.blocks"] >= 8
+        # One timed check per stream block: block.check on the single table,
+        # trip.check behind a coordinator (pytest --shards).
+        histograms = snapshot["histograms"]
+        assert 8 in (
+            histograms["block.check"]["count"],
+            histograms["trip.check"]["count"],
+        )
+
+    PLACEMENTS = {
+        "single": [],
+        "serial": ["--shards", "4"],
+        "pipe": ["--shards", "2", "--shard-mode", "processes"],
+        "tcp": ["--shards", "2", "--shard-mode", "processes", "--transport", "tcp"],
+    }
+
+    @pytest.mark.parametrize("batch", ["1", "3"])
+    def test_one_seed_gives_one_outcome_on_every_placement(
+        self, batch, tmp_path, capsys
+    ):
+        outcomes = {}
+        for name, flags in self.PLACEMENTS.items():
+            path = tmp_path / f"{name}.jsonl"
+            code = main(
+                [*self.ARGS, *flags, "--batch-blocks", batch, "--metrics-json", str(path)]
+            )
+            output = capsys.readouterr().out
+            assert code == 0, name
+            assert not multiprocessing.active_children(), f"{name}: workers leaked"
+            snapshot = json.loads(path.read_text())
+            outcomes[name] = (
+                re.search(r"\| considerations \| (\d+)", output).group(1),
+                {
+                    key: value
+                    for key, value in snapshot["counters"].items()
+                    if key.startswith("trigger.")
+                },
+            )
+            # The timings printed are the registry's own.
+            assert "trip.check" in output or "block.check" in output
+            if "processes" in flags:
+                assert snapshot["histograms"]["worker.check"]["count"] > 0
+        reference = outcomes.pop("single")
+        assert int(reference[0]) > 0 and reference[1]["trigger.rules_triggered"] > 0
+        for name, outcome in outcomes.items():
+            assert outcome == reference, name

@@ -26,7 +26,7 @@ from tests.cluster.test_tcp_transport import cli_worker, launch_in_background
 #: override that differs from both it and the default).
 ENV_CASES = {
     "shards": ("3", 3, 5),
-    "shard_mode": ("THREADS", "threads", "processes"),
+    "shard_mode": ("PROCESSES", "processes", "serial"),
     "transport": ("TCP", "tcp", "pipe"),
     "tcp_host": ("0.0.0.0", "0.0.0.0", "localhost"),
     "tcp_port": ("7411", 7411, 7412),
@@ -39,7 +39,7 @@ ENV_CASES = {
 #: variable -> values the old per-module resolvers swallowed.
 MALFORMED = {
     "CHIMERA_SHARDS": ["abc", "-1", "1.5"],
-    "CHIMERA_SHARD_MODE": ["fibers"],
+    "CHIMERA_SHARD_MODE": ["fibers", "threads"],
     "CHIMERA_TRANSPORT": ["pipes", "shm", "pickle"],
     "CHIMERA_TCP_PORT": ["abc", "70000", "-1"],
     "CHIMERA_TCP_SPAWN": ["perhaps"],

@@ -1,8 +1,14 @@
 """Package-level tests: public API surface and the error hierarchy."""
 
+import importlib.metadata
+import runpy
+from pathlib import Path
+
 import pytest
+import setuptools
 
 import repro
+import repro.cli
 from repro import errors
 
 
@@ -49,6 +55,28 @@ class TestPublicApi:
         for module in (analysis, baselines, workloads):
             for name in module.__all__:
                 assert getattr(module, name) is not None
+
+
+class TestInstallMetadata:
+    def test_setup_declares_the_package_and_the_console_script(self, monkeypatch):
+        root = Path(__file__).resolve().parent.parent
+        declared = {}
+        monkeypatch.chdir(root)
+        monkeypatch.setattr(setuptools, "setup", declared.update)
+        runpy.run_path(str(root / "setup.py"))
+        assert declared.get("name") == "chimera-events"
+        assert declared["version"] == repro.__version__
+        assert declared["package_dir"] == {"": "src"}
+        assert {"repro", "repro.cluster", "repro.workloads"} <= set(
+            declared["packages"]
+        )
+        (script,) = declared["entry_points"]["console_scripts"]
+        name, _, target = script.partition("=")
+        entry = importlib.metadata.EntryPoint(
+            name.strip(), target.strip(), "console_scripts"
+        )
+        assert entry.name == "chimera-events"
+        assert entry.load() is repro.cli.main
 
 
 class TestErrorHierarchy:
