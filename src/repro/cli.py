@@ -23,8 +23,7 @@ Installed as the ``chimera-events`` console script (or run with
     Drive a synthetic rule/stream workload through a
     :class:`~repro.oodb.database.ChimeraDatabase` — the engine's own
     ``run_stream_blocks`` pipeline, or its stream ingestor with
-    ``--adaptive-batch``; ``--bulk-ingest`` routes blocks through the Event
-    Base's batched ``extend`` fast path.  The engine flags map one-to-one onto
+    ``--adaptive-batch``.  The engine flags map one-to-one onto
     :class:`repro.config.EngineConfig` fields (``--shards``, ``--shard-mode``,
     ``--plan-cache-size``, ``--batch-blocks``, ``--transport``,
     ``--adaptive-batch``); a flag left out falls back to its ``CHIMERA_*``
@@ -136,11 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     workload_parser.add_argument("--blocks", type=int, default=100)
     workload_parser.add_argument("--events-per-block", type=int, default=6)
     workload_parser.add_argument("--seed", type=int, default=7)
-    workload_parser.add_argument(
-        "--bulk-ingest",
-        action="store_true",
-        help="ingest each block through the Event Base's batched extend fast path",
-    )
     workload_parser.add_argument(
         "--shards",
         type=int,
@@ -344,23 +338,18 @@ def _command_workload(args: argparse.Namespace) -> int:
             db.define_rule(rule)
         config = db.config
         if config.adaptive_batch:
-            with db.stream_ingestor(bulk=args.bulk_ingest) as ingestor:
+            with db.stream_ingestor() as ingestor:
                 for block in stream:
                     ingestor.submit(block)
         else:
             for start in range(0, len(stream), config.batch_blocks):
-                db.engine.run_stream_blocks(
-                    stream[start : start + config.batch_blocks], bulk=args.bulk_ingest
-                )
+                db.engine.run_stream_blocks(stream[start : start + config.batch_blocks])
         print(
             render_kv(
                 {
                     "rules": args.rules,
                     "blocks": len(stream),
                     "events": len(db.event_base),
-                    "ingest mode": (
-                        "bulk extend" if args.bulk_ingest else "per-append loop"
-                    ),
                     "considerations": len(db.considerations),
                 },
                 title="workload",

@@ -429,7 +429,7 @@ class ProcessShardPool:
         self._require_usable()
         self._absorb_reconnects()
         transport = self._transport
-        total = len(event_base.occurrences)
+        total = len(event_base)
         by_name: dict[str, RuleState] = {}
         prepared: list[_PreparedSend] = []
         covered_blocks: set[int] = set()

@@ -228,7 +228,6 @@ class StreamIngestor:
         self,
         engine: "RuleEngine",
         max_pending: int = 64,
-        bulk: bool = True,
         max_batch_blocks: int | None = None,
         adaptive_batch: bool | None = None,
     ) -> None:
@@ -244,7 +243,6 @@ class StreamIngestor:
         if adaptive_batch is None:
             adaptive_batch = engine.config.adaptive_batch
         self.engine = engine
-        self.bulk = bulk
         #: Upper bound on how many queued blocks one consumer wake-up drains
         #: into a single ``run_stream_blocks`` micro-batch.  1 = the PR-3
         #: block-at-a-time behavior, byte for byte.
@@ -403,13 +401,9 @@ class StreamIngestor:
                 # The PR-3 path, byte for byte (max_batch_blocks=1 always
                 # lands here; larger bounds land here whenever the queue was
                 # drained, i.e. the consumer is keeping up).
-                self.engine.run_stream_block(
-                    blocks[0], bulk=self.bulk, type_signature=signatures[0]
-                )
+                self.engine.run_stream_block(blocks[0], type_signature=signatures[0])
             else:
-                self.engine.run_stream_blocks(
-                    blocks, bulk=self.bulk, type_signatures=signatures
-                )
+                self.engine.run_stream_blocks(blocks, type_signatures=signatures)
         except BaseException as error:  # noqa: BLE001 - handed to producer
             self._error = error
             self._failed = True

@@ -88,14 +88,14 @@ class _RowLog:
             return
         rows = self.rows
         encode = self.codec.encode_into
-        occurrences = event_base.occurrences
         inline = 0
         offset = len(rows)
         rows.extend(bytes((total - self.encoded) * ROW_WIDTH))
         position = self.encoded
         try:
-            for position in range(self.encoded, total):
-                occurrence = occurrences[position]
+            for position, occurrence in enumerate(
+                event_base.occurrences_between(self.encoded, total), self.encoded
+            ):
                 if encode(rows, offset, occurrence):
                     inline += 1
                 else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Iterator, Mapping
 
 from repro.errors import EventCalculusError
@@ -67,6 +68,13 @@ class EventType:
     the event type does not name a specific attribute.  Event types are value
     objects: hashable, ordered and usable as dictionary keys (the
     Occurred-Events tree indexes its leaves by event type).
+
+    Every index of the engine is keyed by event type, so the hash is computed
+    once, at construction, instead of re-hashing the three fields on every
+    dictionary probe.  The cached value (like the :attr:`class_level` memo)
+    is derived state of *this* interpreter: string hashes are salted per
+    process, so :meth:`__reduce__` keeps both out of pickles and copies — a
+    worker on another host rebuilds them from the three fields.
     """
 
     operation: Operation
@@ -81,6 +89,15 @@ class EventType:
                 f"only modify events may name an attribute "
                 f"(got {self.operation.value}({self.class_name}.{self.attribute}))"
             )
+        object.__setattr__(
+            self, "_hash", hash((self.operation, self.class_name, self.attribute))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.operation, self.class_name, self.attribute))
 
     def __str__(self) -> str:
         if self.attribute is None:
@@ -91,6 +108,18 @@ class EventType:
     def is_attribute_specific(self) -> bool:
         """True when the event type names a specific attribute."""
         return self.attribute is not None
+
+    @cached_property
+    def class_level(self) -> "EventType":
+        """``operation(class_name)``: this type without its attribute.
+
+        The type whose watchers an attribute-specific occurrence also reaches
+        (see :meth:`matches`); built on first use and kept, so per-block
+        routing probes it without constructing a type.
+        """
+        if self.attribute is None:
+            return self
+        return EventType(self.operation, self.class_name)
 
     def matches(self, other: "EventType") -> bool:
         """Return True if an occurrence of ``other`` counts as this type.

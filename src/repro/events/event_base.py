@@ -223,10 +223,11 @@ class _OccurrenceStore:
 
     def _extend_ordered(
         self, batch: Sequence[EventOccurrence], stamps: Sequence[Timestamp]
-    ) -> None:
-        """Bulk insert of a validated batch (non-decreasing stamps, none
-        earlier than the stored log; ``stamps`` are the batch's time stamps,
-        already extracted by the validating caller).
+    ) -> frozenset[EventType]:
+        """Bulk insert of a validated, non-empty batch (non-decreasing
+        stamps, none earlier than the stored log; ``stamps`` are the batch's
+        time stamps, already extracted by the validating caller).  Returns
+        the event types the batch was segmented by.
 
         The per-append path re-runs the whole maintenance cascade — cache
         invalidation, distinct-stamp check, per-type index dispatch — once per
@@ -235,8 +236,6 @@ class _OccurrenceStore:
         time; new event types drop the pattern-match cache once, not once per
         occurrence.
         """
-        if not batch:
-            return
         self._occurrences.extend(batch)
         self._occurrences_cache = None
         self._all_timestamps.extend(stamps)
@@ -262,6 +261,7 @@ class _OccurrenceStore:
         for event_type, segment in segments.items():
             by_type[event_type].extend_ordered(segment)
         self._oids.update(occurrence.oid for occurrence in batch)
+        return frozenset(segments)
 
     # -- basic introspection -------------------------------------------
     def __len__(self) -> int:
@@ -283,6 +283,15 @@ class _OccurrenceStore:
     def occurrence_at(self, position: int) -> EventOccurrence:
         """The occurrence at ``position`` in insertion order."""
         return self._occurrences[position]
+
+    def occurrences_between(self, start: int, stop: int) -> list[EventOccurrence]:
+        """The occurrences at positions ``[start, stop)`` in insertion order.
+
+        Costs the slice, not the log: what per-block readers (the Event
+        Handler's flush, the row log's encoder) use instead of
+        :attr:`occurrences`, which materializes every row.
+        """
+        return self._occurrences[start:stop]
 
     def event_types(self) -> set[EventType]:
         """The set of event types with at least one stored occurrence."""
@@ -448,7 +457,9 @@ class EventBase(_OccurrenceStore):
         self._insert(occurrence)
         self._by_eid[occurrence.eid] = occurrence
 
-    def extend(self, occurrences: Iterable[EventOccurrence]) -> None:
+    def extend(
+        self, occurrences: Iterable[EventOccurrence]
+    ) -> frozenset[EventType] | None:
         """Bulk-append a batch of occurrences.
 
         Validates the whole batch up front (unique EIDs, non-decreasing time
@@ -457,15 +468,20 @@ class EventBase(_OccurrenceStore):
         batch instead of once per occurrence — and a rejected batch leaves the
         EB untouched (the old per-append loop applied a prefix before
         failing).
+
+        Returns the set of event types in the batch when the bulk path
+        grouped it by type — the block's type signature, which the Event
+        Handler passes on instead of hashing every occurrence's type a second
+        time — and ``None`` for a batch too small to be segmented.
         """
         batch = occurrences if isinstance(occurrences, (list, tuple)) else list(
             occurrences
         )
         if not batch:
-            return
+            return None
         if len(batch) == 1:
             self.append(batch[0])
-            return
+            return None
         eids = [occurrence.eid for occurrence in batch]
         if len(set(eids)) != len(eids) or not self._by_eid.keys().isdisjoint(eids):
             seen: set[int] = set(self._by_eid)
@@ -481,6 +497,7 @@ class EventBase(_OccurrenceStore):
                         f"time-stamp order (last={previous}, new={stamp})"
                     )
                 previous = stamp
+        grouped = None
         if len(batch) < _BULK_SEGMENT_THRESHOLD:
             # Tiny batches: the per-type segmentation overhead exceeds what it
             # amortizes — validated per-item inserts are faster and equally
@@ -488,8 +505,9 @@ class EventBase(_OccurrenceStore):
             for occurrence in batch:
                 self._insert(occurrence)
         else:
-            self._extend_ordered(batch, stamps)
+            grouped = self._extend_ordered(batch, stamps)
         self._by_eid.update(zip(eids, batch))
+        return grouped
 
     # -- Fig. 4 accessor functions ---------------------------------------
     def get(self, eid: int) -> EventOccurrence:

@@ -86,7 +86,6 @@ class ChimeraDatabase:
     def stream_ingestor(
         self,
         max_pending: int = 64,
-        bulk: bool = True,
         batch_blocks: int | None = None,
         adaptive_batch: bool | None = None,
     ):
@@ -107,7 +106,6 @@ class ChimeraDatabase:
         return StreamIngestor(
             self.engine,
             max_pending=max_pending,
-            bulk=bulk,
             max_batch_blocks=batch_blocks,
             adaptive_batch=adaptive_batch,
         )

@@ -6,18 +6,22 @@ them into the Occurred-Events data structure (an event tree whose leaves are
 per-type occurrence lists that also cache the latest time stamp).
 
 In this reproduction the Event Base is the primary log (operations append to
-it directly); the Event Handler mirrors each flushed block into the
-Occurred-Events tree and hands the batch to whoever needs it (the Trigger
-Support).  It also tracks the boundary between blocks, so "the occurrences
-generated by the last block" is a well-defined batch.
+it directly); the Event Handler tracks the boundary between blocks, so "the
+occurrences generated by the last block" is a well-defined batch, and hands
+that batch to whoever needs it (the Trigger Support).  A flush reads the log
+by position and costs the block, whatever the length of the log.  The
+Occurred-Events tree covers the flushed part of the log; nothing on the block
+path reads it, so it is caught up when it is accessed rather than fed on
+every flush.
 
 Each flushed batch is wrapped in a :class:`BlockIngest`: the occurrences plus
 the block's *type signature* (the set of event types it contains), computed
 exactly once at the block boundary.  The signature is what the
 :class:`~repro.rules.trigger_support.TriggerPlanner` routes on, so it is never
 re-derived from the window downstream.  Externally produced batches
-(synthetic workloads, streaming sources) enter through :meth:`store_external`,
-which uses the Event Base's bulk ``extend`` fast path by default.
+(synthetic workloads, streaming sources) enter through :meth:`store_external`
+and the Event Base's bulk ``extend``, whose by-type segmentation *is* the
+signature of a large block.
 """
 
 from __future__ import annotations
@@ -51,9 +55,10 @@ class BlockIngest(Sequence[EventOccurrence]):
             type_signature = frozenset(
                 occurrence.event_type for occurrence in self.occurrences
             )
-        #: Callers that already know the signature (a streaming producer
-        #: computed it off the checking thread) pass it through; it must
-        #: describe exactly these occurrences.
+        #: Callers that already know the signature (the Event Base segmented
+        #: the batch by type, a streaming producer computed it off the
+        #: checking thread) pass it through; it must describe exactly these
+        #: occurrences.
         self.type_signature: frozenset[EventType] = type_signature
 
     def __len__(self) -> int:
@@ -77,71 +82,73 @@ class EventHandler:
 
     def __init__(self, event_base: EventBase) -> None:
         self.event_base = event_base
-        self.occurred_events = OccurredEventsTree()
+        self._occurred_events = OccurredEventsTree()
+        #: EB positions ``[_stored_count, _flushed_count)`` are flushed but not
+        #: yet in the Occurred-Events tree.
+        self._stored_count = 0
         self._flushed_count = 0
         self.blocks_processed = 0
+
+    @property
+    def occurred_events(self) -> OccurredEventsTree:
+        """The Occurred-Events tree over every occurrence flushed so far."""
+        if self._stored_count < self._flushed_count:
+            self._occurred_events.store_all(
+                self.event_base.occurrences_between(
+                    self._stored_count, self._flushed_count
+                )
+            )
+            self._stored_count = self._flushed_count
+        return self._occurred_events
 
     def flush_block(
         self, type_signature: frozenset[EventType] | None = None
     ) -> BlockIngest:
         """Collect the occurrences generated since the previous flush.
 
-        Returns the batch (possibly empty) — with its type signature — after
-        storing it into the Occurred-Events tree.  ``type_signature`` may be
-        supplied when the caller knows it covers exactly the pending slice
-        (the streaming path computes it producer-side); it is derived here
-        otherwise.
+        Returns the batch (possibly empty) with its type signature.
+        ``type_signature`` may be supplied when the caller knows it covers
+        exactly the pending slice (the streaming path computes it
+        producer-side); it is derived here otherwise.
         """
+        total = len(self.event_base)
         batch = BlockIngest(
-            self.event_base.occurrences[self._flushed_count :],
+            self.event_base.occurrences_between(self._flushed_count, total),
             type_signature=type_signature,
         )
-        self._flushed_count = len(self.event_base.occurrences)
-        if batch:
-            self.occurred_events.store_all(batch.occurrences)
+        self._flushed_count = total
         self.blocks_processed += 1
         return batch
 
     def pending_count(self) -> int:
         """Occurrences recorded in the Event Base but not yet flushed."""
-        return len(self.event_base.occurrences) - self._flushed_count
+        return len(self.event_base) - self._flushed_count
 
     def reset(self, event_base: EventBase | None = None) -> None:
         """Start over at a transaction boundary (optionally with a fresh EB)."""
         if event_base is not None:
             self.event_base = event_base
-        self.occurred_events.clear()
-        self._flushed_count = len(self.event_base.occurrences)
+        self._occurred_events.clear()
+        self._stored_count = self._flushed_count = len(self.event_base)
         self.blocks_processed = 0
-
-    def ingest(self, occurrences: Sequence[EventOccurrence], bulk: bool = True) -> None:
-        """Record a batch into the Event Base without flushing it.
-
-        ``bulk=True`` (the default) takes the EB's segmented bulk ``extend``
-        fast path; ``bulk=False`` keeps the historical per-append loop, so
-        benchmarks can measure one against the other.  The single place the
-        choice is made — both :meth:`store_external` and the executor's
-        stream blocks go through here.
-        """
-        if bulk:
-            self.event_base.extend(occurrences)
-        else:
-            for occurrence in occurrences:
-                self.event_base.append(occurrence)
 
     def store_external(
         self,
         occurrences: Sequence[EventOccurrence],
-        bulk: bool = True,
         type_signature: frozenset[EventType] | None = None,
     ) -> BlockIngest:
         """Store externally produced occurrences as one block and flush it.
 
-        A precomputed ``type_signature`` is honoured only when the flushed
-        block is exactly this batch (nothing else was pending) — otherwise it
-        would mislabel the wider block and the signature is re-derived.
+        A ``type_signature`` — the caller's, or else the one the Event Base's
+        bulk ``extend`` obtained by segmenting the batch — is honoured only
+        when the flushed block is exactly this batch (nothing else was
+        pending); otherwise it would mislabel the wider block and the
+        signature is re-derived.
         """
-        if type_signature is not None and self.pending_count() != 0:
+        alone = self.pending_count() == 0
+        segmented = self.event_base.extend(occurrences)
+        if not alone:
             type_signature = None
-        self.ingest(occurrences, bulk=bulk)
+        elif type_signature is None:
+            type_signature = segmented
         return self.flush_block(type_signature=type_signature)

@@ -168,20 +168,18 @@ class RuleEngine:
     def run_stream_block(
         self,
         occurrences: Sequence[EventOccurrence],
-        bulk: bool = True,
         type_signature: frozenset[EventType] | None = None,
     ) -> None:
         """Ingest externally produced occurrences as one execution block.
 
-        The batch enters the Event Base through the bulk ``extend`` fast path
-        (``bulk=False`` keeps the per-append loop for comparison), is flushed
-        as a single block and processed exactly like a user block — the
-        streaming seam the ROADMAP's batch-ingestion item calls for.  A
+        The batch enters the Event Base through its bulk ``extend``, is
+        flushed as a single block and processed exactly like a user block —
+        the streaming seam the ROADMAP's batch-ingestion item calls for.  A
         pipelining producer (:class:`repro.cluster.streaming.StreamIngestor`)
         may pass the batch's ``type_signature`` so it is never derived on the
         checking thread; it is ignored when other occurrences are pending.
         """
-        batch = self._ingest_stream_batch(occurrences, bulk, type_signature)
+        batch = self._ingest_stream_batch(occurrences, type_signature)
         self._check_block(batch)
         self._processing_loop(ECCoupling.IMMEDIATE, phase="stream")
         self._export_metrics()
@@ -189,7 +187,6 @@ class RuleEngine:
     def run_stream_blocks(
         self,
         batches: Sequence[Sequence[EventOccurrence]],
-        bulk: bool = True,
         type_signatures: Sequence[frozenset[EventType] | None] | None = None,
     ) -> None:
         """Ingest a micro-batch of blocks, checking them as one dispatch trip.
@@ -217,7 +214,7 @@ class RuleEngine:
         segments: list[tuple[BlockIngest, Timestamp]] = []
         for index, occurrences in enumerate(batches):
             signature = type_signatures[index] if type_signatures is not None else None
-            batch = self._ingest_stream_batch(occurrences, bulk, signature)
+            batch = self._ingest_stream_batch(occurrences, signature)
             segments.append((batch, self.clock.now()))
         if segments:
             self.trigger_support.check_after_blocks(segments, self.transaction_start)
@@ -227,12 +224,11 @@ class RuleEngine:
     def _ingest_stream_batch(
         self,
         occurrences: Sequence[EventOccurrence],
-        bulk: bool,
         type_signature: frozenset[EventType] | None,
     ) -> BlockIngest:
         """Store one stream batch as a flushed block and catch the clock up."""
         batch = self.event_handler.store_external(
-            occurrences, bulk=bulk, type_signature=type_signature
+            occurrences, type_signature=type_signature
         )
         if batch:
             # Pre-stamped streams outrun the transaction clock; the check's

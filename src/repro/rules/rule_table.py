@@ -86,8 +86,7 @@ def match_subscribers(
             bucket = exact.get(event_type)
             if bucket:
                 matched.update(bucket)
-            class_level = EventType(event_type.operation, event_type.class_name)
-            bucket = exact.get(class_level)
+            bucket = exact.get(event_type.class_level)
             if bucket:
                 matched.update(bucket)
     return matched

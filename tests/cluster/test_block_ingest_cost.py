@@ -1,0 +1,84 @@
+"""What the stream block path may touch: facts, not timings.
+
+A block's ingest must cost the block, not the log: the Event Handler and the
+process pool read the Event Base by position, the Occurred-Events tree is fed
+when somebody reads it, and a block large enough for the Event Base to segment
+by type carries that segmentation as its signature.  How fast that is belongs
+to ``benchmarks/e2e``; that it *is* so is asserted here.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from repro.events.event_base import _OccurrenceStore
+from repro.events.event_tree import OccurredEventsTree
+from repro.oodb.database import ChimeraDatabase
+from repro.rules.event_handler import BlockIngest
+from repro.workloads.scaling import (
+    build_scaling_rules,
+    build_scaling_universe,
+    build_shaped_blocks,
+)
+
+RULES = 120
+
+
+@pytest.mark.parametrize(
+    "placement",
+    [{"shards": 0}, {"shards": 2, "shard_mode": "processes"}],
+    ids=["single-table", "processes"],
+)
+def test_stream_blocks_never_copy_the_log_or_feed_the_tree(placement, monkeypatch):
+    log_copies: list[int] = []
+    tree_stores: list[int] = []
+    #: ``(occurrences, signature handed to BlockIngest)`` of every large block.
+    large_blocks: list[tuple[tuple, frozenset | None]] = []
+
+    whole_log = _OccurrenceStore.occurrences.fget
+
+    def spied_occurrences(store):
+        log_copies.append(len(store))
+        return whole_log(store)
+
+    original_store = OccurredEventsTree.store
+
+    def spied_store(tree, occurrence):
+        tree_stores.append(occurrence.eid)
+        return original_store(tree, occurrence)
+
+    original_init = BlockIngest.__init__
+
+    def spied_init(batch, occurrences, type_signature=None):
+        original_init(batch, occurrences, type_signature)
+        if len(batch) >= 128:
+            large_blocks.append((batch.occurrences, type_signature))
+
+    monkeypatch.setattr(_OccurrenceStore, "occurrences", property(spied_occurrences))
+    monkeypatch.setattr(OccurredEventsTree, "store", spied_store)
+    monkeypatch.setattr(BlockIngest, "__init__", spied_init)
+
+    universe = build_scaling_universe(RULES)
+    stream = build_shaped_blocks(universe, blocks=70, events_per_block=130)
+    db = ChimeraDatabase(max_rule_executions=sys.maxsize, **placement)
+    try:
+        for rule in build_scaling_rules(RULES, universe):
+            db.define_rule(rule)
+        for block in stream[:40]:
+            db.engine.run_stream_block(block)
+        for start in range(40, 70, 3):
+            db.engine.run_stream_blocks(stream[start : start + 3])
+        considered = len(db.considerations)
+        rules_checked = db.trigger_statistics()["rules_checked"]
+    finally:
+        db.close()
+
+    assert considered > 0 and rules_checked > 0  # the pipeline did its work
+    assert log_copies == []
+    assert tree_stores == []
+    assert [list(occurrences) for occurrences, _ in large_blocks] == stream
+    for occurrences, handed_signature in large_blocks:
+        # Handed over by the Event Base's segmentation, not derived per row.
+        assert handed_signature == frozenset(o.event_type for o in occurrences)

@@ -117,9 +117,9 @@ class TestBackpressureAndLifecycle:
         gate = threading.Event()
         original = engine.run_stream_block
 
-        def slow_run(batch, bulk=True, type_signature=None):
+        def slow_run(batch, type_signature=None):
             gate.wait(timeout=5)
-            original(batch, bulk=bulk, type_signature=type_signature)
+            original(batch, type_signature=type_signature)
 
         engine.run_stream_block = slow_run
         ingestor = StreamIngestor(engine, max_pending=2, max_batch_blocks=1).start()
@@ -155,9 +155,9 @@ class TestBackpressureAndLifecycle:
         gate = threading.Event()
         original = engine.run_stream_block
 
-        def slow_run(batch, bulk=True, type_signature=None):
+        def slow_run(batch, type_signature=None):
             gate.wait(timeout=5)
-            original(batch, bulk=bulk, type_signature=type_signature)
+            original(batch, type_signature=type_signature)
 
         engine.run_stream_block = slow_run
         ingestor = StreamIngestor(engine, max_pending=8, max_batch_blocks=1).start()
@@ -172,7 +172,7 @@ class TestErrorPropagation:
     def test_consumer_error_reaches_the_producer(self):
         engine = make_engine()
 
-        def boom(batch, bulk=True, type_signature=None):
+        def boom(batch, type_signature=None):
             raise ValueError("broken block")
 
         engine.run_stream_block = boom
@@ -185,7 +185,7 @@ class TestErrorPropagation:
         engine = make_engine()
         gate = threading.Event()
 
-        def boom(batch, bulk=True, type_signature=None):
+        def boom(batch, type_signature=None):
             gate.wait(timeout=5)
             raise ValueError("broken block")
 
@@ -217,13 +217,13 @@ class TestCoalescing:
         original_single = engine.run_stream_block
         original_multi = engine.run_stream_blocks
 
-        def gated_single(batch, bulk=True, type_signature=None):
+        def gated_single(batch, type_signature=None):
             gate.wait(timeout=5)
-            original_single(batch, bulk=bulk, type_signature=type_signature)
+            original_single(batch, type_signature=type_signature)
 
-        def gated_multi(batches, bulk=True, type_signatures=None):
+        def gated_multi(batches, type_signatures=None):
             gate.wait(timeout=5)
-            original_multi(batches, bulk=bulk, type_signatures=type_signatures)
+            original_multi(batches, type_signatures=type_signatures)
 
         if gate_first:
             engine.run_stream_block = gated_single
@@ -297,12 +297,12 @@ class TestCoalescing:
         gate = threading.Event()
         calls: list[int] = []
 
-        def boom_multi(batches, bulk=True, type_signatures=None):
+        def boom_multi(batches, type_signatures=None):
             gate.wait(timeout=5)
             calls.append(len(batches))
             raise ValueError("broken trip")
 
-        def boom_single(batch, bulk=True, type_signature=None):
+        def boom_single(batch, type_signature=None):
             boom_multi([batch])
 
         engine.run_stream_blocks = boom_multi

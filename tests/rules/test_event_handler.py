@@ -1,0 +1,114 @@
+"""The Event Handler's lazily fed Occurred-Events tree and block signatures.
+
+The tree (paper §5) is caught up from the log when it is read instead of on
+every flush; it must be indistinguishable from one fed eagerly at each flush.
+"""
+
+from __future__ import annotations
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from repro.events.event import EventOccurrence, EventType, Operation
+from repro.events.event_base import EventBase
+from repro.events.event_tree import OccurredEventsTree
+from repro.rules.event_handler import EventHandler
+
+TYPES = [
+    EventType(Operation.CREATE, "stock"),
+    EventType(Operation.MODIFY, "stock", "quantity"),
+    EventType(Operation.MODIFY, "stock"),
+    EventType(Operation.DELETE, "order"),
+]
+
+#: ``extend`` sizes on both sides of the Event Base's segmentation threshold.
+STEPS = st.one_of(
+    st.just(("append",)),
+    st.tuples(st.just("extend"), st.sampled_from([0, 2, 7, 130])),
+    st.just(("flush",)),
+    st.just(("read",)),
+    st.just(("reset",)),
+    st.just(("reset_new_eb",)),
+)
+
+
+def assert_same_tree(tree: OccurredEventsTree, eager: OccurredEventsTree) -> None:
+    assert len(tree) == len(eager)
+    assert tree.all_occurrences() == eager.all_occurrences()
+    for event_type in TYPES:
+        assert tree.latest_timestamp(event_type) == eager.latest_timestamp(event_type)
+
+
+class TestLazyOccurredEvents:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(STEPS, max_size=25), st.randoms(use_true_random=False))
+    def test_equals_an_eagerly_fed_tree(self, steps, rng):
+        event_base = EventBase()
+        handler = EventHandler(event_base)
+        eager = OccurredEventsTree()
+        pending: list[EventOccurrence] = []
+        eid = stamp = 0
+
+        def fresh(count: int) -> list[EventOccurrence]:
+            nonlocal eid, stamp
+            made = []
+            for _ in range(count):
+                eid += 1
+                stamp += rng.randint(0, 1)
+                made.append(
+                    EventOccurrence(
+                        eid, rng.choice(TYPES), f"o{rng.randint(1, 3)}", max(stamp, 1)
+                    )
+                )
+            return made
+
+        for step in steps:
+            if step[0] == "append":
+                pending.extend(fresh(1))
+                event_base.append(pending[-1])
+            elif step[0] == "extend":
+                batch = fresh(step[1])
+                pending.extend(batch)
+                event_base.extend(batch)
+            elif step[0] == "flush":
+                assert list(handler.flush_block()) == pending
+                eager.store_all(pending)
+                pending = []
+            elif step[0] == "read":
+                assert_same_tree(handler.occurred_events, eager)
+            else:
+                if step[0] == "reset_new_eb":
+                    event_base = EventBase()
+                    handler.reset(event_base)
+                else:
+                    # Whatever was pending belongs to the finished transaction.
+                    handler.reset()
+                eager.clear()
+                pending = []
+            assert handler.pending_count() == len(pending)
+        # Un-flushed occurrences are in the log but never in the tree.
+        tree = handler.occurred_events
+        assert_same_tree(tree, eager)
+        assert not set(tree.all_occurrences()) & set(pending)
+
+
+class TestStoreExternalSignature:
+    def block(self, size: int, first_eid: int = 1) -> list[EventOccurrence]:
+        return [
+            EventOccurrence(first_eid + n, TYPES[n % 3], f"o{n % 5}", first_eid + n)
+            for n in range(size)
+        ]
+
+    def test_signature_is_the_blocks_type_set_at_every_size(self):
+        for size in (0, 1, 5, 127, 128, 300):
+            block = self.block(size)
+            batch = EventHandler(EventBase()).store_external(block)
+            assert batch.type_signature == frozenset(o.event_type for o in block)
+
+    def test_segmentation_is_not_a_signature_when_more_was_pending(self):
+        event_base = EventBase()
+        handler = EventHandler(event_base)
+        event_base.record(TYPES[3], "o9", 1)
+        batch = handler.store_external(self.block(200, first_eid=2))
+        assert TYPES[3] in batch.type_signature
+        assert len(batch) == 201

@@ -24,6 +24,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_workload_has_one_ingest_path(self):
+        # The per-append fork and its flag are gone; bulk extend is the path.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["workload", "--bulk-ingest"])
+
 
 class TestEvaluate:
     def test_active_expression(self, figure3_log, capsys):
