@@ -329,9 +329,6 @@ def _command_workload(args: argparse.Namespace) -> int:
         batch_blocks=args.batch_blocks,
         transport=args.transport,
         adaptive_batch=args.adaptive_batch,
-        # The whole stream is one transaction and the pool's actions are
-        # empty: the per-transaction budget could only cap the stream length.
-        max_rule_executions=sys.maxsize,
     )
     try:
         for rule in build_scaling_rules(args.rules, universe, seed=args.seed):

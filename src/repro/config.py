@@ -79,7 +79,7 @@ class EngineConfig:
         "logical", _EVALUATION_MODES, doc="ts semantics of the exact check"
     )
     max_rule_executions: int = _knob(
-        10_000, (0, None), doc="per-transaction rule execution budget"
+        10_000, (0, None), doc="rule execution budget per transaction / stream block"
     )
     shards: int = _knob(
         0, (0, None), "CHIMERA_SHARDS", "trigger-planning shards (0 = single table)"

@@ -355,17 +355,24 @@ def active_objects(
     This is the binding set computed by the ``occurred`` event formula: the
     OIDs affected by the specified (instance-oriented) event expression within
     the window.  ``candidates`` defaults to every OID mentioned by the window.
+    The instant and the expression are validated once, not once per OID.
     """
+    if instant <= 0:
+        raise EvaluationError(
+            f"ots must be evaluated at a positive instant (got {instant})"
+        )
     if not expression.may_be_instance_operand():
         raise EvaluationError(
             "occurred/active_objects only accept instance-oriented expressions "
             f"(got {expression})"
         )
     pool = set(candidates) if candidates is not None else window.oids()
+    recorder = stats if stats is not None else _NULL_STATS
+    recorder.evaluations += len(pool)
     return {
         oid
         for oid in pool
-        if ots(expression, window, instant, oid, mode, stats) > 0
+        if _ots(expression, window, instant, oid, mode, recorder) > 0
     }
 
 

@@ -158,8 +158,8 @@ class NonTerminationError(RuleExecutionError):
     """Rule processing exceeded the configured maximum number of executions.
 
     Active-rule sets can loop (a rule action re-triggering itself or a peer);
-    the Block Executor guards against this with a per-transaction budget and
-    raises this error when the budget is exhausted.
+    the Block Executor guards against this with a budget per transaction (per
+    block on the stream path) and raises this error when it is exhausted.
     """
 
     def __init__(self, limit: int) -> None:

@@ -77,7 +77,6 @@ class ChimeraDatabase:
         )
         self.rule_table = self.engine.rule_table
         self._active_transaction: Transaction | None = None
-        self._store_snapshot: dict[str, Any] | None = None
 
     def close(self) -> None:
         """Release engine worker pools (idempotent; also runs via finalizers)."""
@@ -162,7 +161,7 @@ class ChimeraDatabase:
         self.event_base = EventBase()
         self.engine.rebind_event_base(self.event_base)
         self.engine.begin_transaction()
-        self._store_snapshot = self.store.snapshot()
+        self.store.begin()
         transaction = Transaction(self)
         self._active_transaction = transaction
         return transaction
@@ -179,15 +178,13 @@ class ChimeraDatabase:
     def _commit_transaction(self, transaction: Transaction) -> None:
         self._require_transaction(transaction)
         self.engine.process_commit()
+        self.store.commit()
         self._active_transaction = None
-        self._store_snapshot = None
 
     def _rollback_transaction(self, transaction: Transaction) -> None:
         self._require_transaction(transaction)
-        if self._store_snapshot is not None:
-            self.store.restore(self._store_snapshot)
+        self.store.rollback()
         self._active_transaction = None
-        self._store_snapshot = None
 
     def raise_event(
         self,

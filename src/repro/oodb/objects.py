@@ -4,6 +4,11 @@ Every Chimera object has an immutable OID, a current class (which
 ``generalize``/``specialize`` may change along the hierarchy) and a dictionary
 of attribute values.  The store keeps per-class extents so that class ranges in
 rule conditions (``stock(S)``) and queries can enumerate members quickly.
+
+Transactions roll back through an *undo log*: between :meth:`ObjectStore.begin`
+and :meth:`ObjectStore.commit` / :meth:`ObjectStore.rollback` every mutator
+journals one before-image, so begin, commit and rollback cost what the
+transaction touched, never the size of the database.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.errors import UnknownObjectError
+from repro.errors import TransactionError, UnknownObjectError
 from repro.events.clock import Timestamp
 
 __all__ = ["OID", "ChimeraObject", "ObjectStore"]
@@ -19,10 +24,27 @@ __all__ = ["OID", "ChimeraObject", "ObjectStore"]
 
 @dataclass(frozen=True, order=True)
 class OID:
-    """An object identifier: the class the object was created in plus a serial."""
+    """An object identifier: the class the object was created in plus a serial.
+
+    OIDs key the store, the per-type Event Base indexes and every binding
+    set, so — like :class:`~repro.events.event.EventType` — the hash is
+    computed once, at construction.  It is derived state of *this*
+    interpreter (string hashes are salted per process) and occurrences
+    carrying an OID are pickled to shard workers: :meth:`__reduce__` keeps it
+    out of pickles and copies.
+    """
 
     class_name: str
     serial: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.class_name, self.serial)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.class_name, self.serial))
 
     def __str__(self) -> str:
         return f"{self.class_name}#{self.serial}"
@@ -51,18 +73,104 @@ class ChimeraObject:
         return self.attributes[attribute]
 
 
+#: Journal entry kinds (first element of every before-image tuple).
+_SERIAL, _INSERT, _SET, _DELETE, _RECLASSIFY = range(5)
+
+
 class ObjectStore:
-    """In-memory object store with per-class extents."""
+    """In-memory object store with per-class extents and an undo log.
+
+    :meth:`begin` arms a journal; while it is armed, :meth:`new_oid`,
+    :meth:`insert`, :meth:`set_attribute`, :meth:`delete` and
+    :meth:`reclassify` each append one before-image — the previous serial,
+    the previous ``_objects`` entry, ``(had, old value, modified_at)``,
+    ``modified_at``, ``(old class, modified_at)``.  :meth:`rollback` replays
+    the journal backwards *in place* (extents and serial counters included,
+    so a held :class:`ChimeraObject` reads its pre-transaction values again
+    and the next minted OID is the one a run without the transaction would
+    mint); :meth:`commit` drops it, together with the tombstones of the
+    objects it saw deleted.  These five mutators are the only supported write
+    path: a change made behind them (``obj.attributes[...] = ...``) is not
+    journalled and survives a rollback.
+    """
 
     def __init__(self) -> None:
         self._objects: dict[OID, ChimeraObject] = {}
         self._extents: dict[str, set[OID]] = {}
         self._serials: dict[str, int] = {}
+        #: Before-images since :meth:`begin`; ``None`` when no journal is armed.
+        self._journal: list[tuple] | None = None
+
+    # -- undo log -----------------------------------------------------------
+    def begin(self) -> None:
+        """Arm the undo log (one journal at a time)."""
+        if self._journal is not None:
+            raise TransactionError("the object store is already journalling")
+        self._journal = []
+
+    def commit(self) -> None:
+        """Make the journalled changes final and drop their tombstones.
+
+        Outside a journal ``delete`` only flags (``get(oid,
+        include_deleted=True)`` keeps working, and so does rollback of the
+        delete); once the transaction is final nothing can reach the deleted
+        object any more, so it leaves ``_objects`` here.
+        """
+        journal, self._journal = self._journal, None
+        objects = self._objects
+        for entry in journal or ():
+            if entry[0] == _DELETE:
+                obj = entry[1]
+                if objects.get(obj.oid) is obj:
+                    del objects[obj.oid]
+
+    def rollback(self) -> None:
+        """Undo, newest first, every change journalled since :meth:`begin`."""
+        journal, self._journal = self._journal, None
+        extents = self._extents
+        for entry in reversed(journal or ()):
+            kind = entry[0]
+            if kind == _SET:
+                _, obj, attribute, had, old_value, modified_at = entry
+                if had:
+                    obj.attributes[attribute] = old_value
+                else:
+                    del obj.attributes[attribute]
+                obj.modified_at = modified_at
+            elif kind == _SERIAL:
+                _, class_name, previous = entry
+                if previous is None:
+                    del self._serials[class_name]
+                else:
+                    self._serials[class_name] = previous
+            elif kind == _INSERT:
+                _, obj, previous = entry
+                extents[obj.class_name].discard(obj.oid)
+                if previous is None:
+                    del self._objects[obj.oid]
+                else:
+                    self._objects[obj.oid] = previous
+                    if not previous.deleted:
+                        extents[previous.class_name].add(obj.oid)
+            elif kind == _DELETE:
+                _, obj, modified_at = entry
+                obj.deleted = False
+                obj.modified_at = modified_at
+                extents[obj.class_name].add(obj.oid)
+            else:  # _RECLASSIFY
+                _, obj, old_class, modified_at = entry
+                extents[obj.class_name].discard(obj.oid)
+                obj.class_name = old_class
+                obj.modified_at = modified_at
+                extents[old_class].add(obj.oid)
 
     # -- identity ----------------------------------------------------------
     def new_oid(self, class_name: str) -> OID:
         """Mint a fresh OID for ``class_name``."""
-        serial = self._serials.get(class_name, 0) + 1
+        previous = self._serials.get(class_name)
+        if self._journal is not None:
+            self._journal.append((_SERIAL, class_name, previous))
+        serial = (previous or 0) + 1
         self._serials[class_name] = serial
         return OID(class_name, serial)
 
@@ -83,6 +191,8 @@ class ObjectStore:
             created_at=timestamp,
             modified_at=timestamp,
         )
+        if self._journal is not None:
+            self._journal.append((_INSERT, obj, self._objects.get(identifier)))
         self._objects[identifier] = obj
         self._extents.setdefault(class_name, set()).add(identifier)
         return obj
@@ -94,24 +204,36 @@ class ObjectStore:
             raise UnknownObjectError(oid)
         return obj
 
+    def find(self, oid: Any) -> ChimeraObject | None:
+        """The live object identified by ``oid``, or ``None`` (never raises)."""
+        obj = self._objects.get(oid)
+        return None if obj is None or obj.deleted else obj
+
     def exists(self, oid: OID) -> bool:
         """True when ``oid`` identifies a live (non-deleted) object."""
-        obj = self._objects.get(oid)
-        return obj is not None and not obj.deleted
+        return self.find(oid) is not None
 
     def set_attribute(
         self, oid: OID, attribute: str, value: Any, timestamp: Timestamp
     ) -> tuple[Any, Any]:
         """Update one attribute, returning ``(old_value, new_value)``."""
         obj = self.get(oid)
-        old_value = obj.attributes.get(attribute)
-        obj.attributes[attribute] = value
+        attributes = obj.attributes
+        old_value = attributes.get(attribute)
+        if self._journal is not None:
+            had = attribute in attributes
+            self._journal.append(
+                (_SET, obj, attribute, had, old_value, obj.modified_at)
+            )
+        attributes[attribute] = value
         obj.modified_at = timestamp
         return old_value, value
 
     def delete(self, oid: OID, timestamp: Timestamp) -> ChimeraObject:
         """Mark an object deleted and remove it from its extent."""
         obj = self.get(oid)
+        if self._journal is not None:
+            self._journal.append((_DELETE, obj, obj.modified_at))
         obj.deleted = True
         obj.modified_at = timestamp
         self._extents.get(obj.class_name, set()).discard(oid)
@@ -122,6 +244,8 @@ class ObjectStore:
     ) -> ChimeraObject:
         """Move an object to another class (``generalize``/``specialize``)."""
         obj = self.get(oid)
+        if self._journal is not None:
+            self._journal.append((_RECLASSIFY, obj, obj.class_name, obj.modified_at))
         self._extents.get(obj.class_name, set()).discard(oid)
         obj.class_name = new_class
         obj.modified_at = timestamp
@@ -168,43 +292,3 @@ class ObjectStore:
         if class_name is None:
             return sum(1 for obj in self._objects.values() if not obj.deleted)
         return len(self._extents.get(class_name, ()))
-
-    # -- snapshots (transaction rollback) -------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """A copy of the store state, sufficient for transaction rollback."""
-        return {
-            "objects": {
-                oid: (
-                    obj.class_name,
-                    dict(obj.attributes),
-                    obj.created_at,
-                    obj.modified_at,
-                    obj.deleted,
-                )
-                for oid, obj in self._objects.items()
-            },
-            "extents": {name: set(oids) for name, oids in self._extents.items()},
-            "serials": dict(self._serials),
-        }
-
-    def restore(self, snapshot: dict[str, Any]) -> None:
-        """Restore a snapshot produced by :meth:`snapshot`."""
-        self._objects = {
-            oid: ChimeraObject(
-                oid=oid,
-                class_name=class_name,
-                attributes=dict(attributes),
-                created_at=created_at,
-                modified_at=modified_at,
-                deleted=deleted,
-            )
-            for oid, (
-                class_name,
-                attributes,
-                created_at,
-                modified_at,
-                deleted,
-            ) in snapshot["objects"].items()
-        }
-        self._extents = {name: set(oids) for name, oids in snapshot["extents"].items()}
-        self._serials = dict(snapshot["serials"])

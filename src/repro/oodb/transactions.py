@@ -64,7 +64,17 @@ class Transaction:
         self.status = TransactionStatus.COMMITTED
 
     def rollback(self) -> None:
-        """Undo every effect of the transaction (including rule actions)."""
+        """Undo every effect of the transaction (including rule actions).
+
+        The object store journals a before-image for every ``create`` /
+        ``modify`` / ``delete`` / ``specialize`` / ``generalize`` since the
+        transaction began — whether a transaction line, a rule action or a
+        Python action holding ``operations.store`` made it — and replays the
+        journal backwards, in place: objects, extents and OID serials end up
+        as they were, at a cost proportional to what the transaction did.
+        The store's mutators are the only supported write path; a direct
+        write to ``obj.attributes`` is not journalled and is not undone.
+        """
         self._require_active()
         self._database._rollback_transaction(self)
         self.status = TransactionStatus.ROLLED_BACK

@@ -51,12 +51,28 @@ __all__ = [
 
 @dataclass
 class ConditionContext:
-    """Everything a condition needs to evaluate itself."""
+    """Everything a condition needs to evaluate itself (one per consideration)."""
 
     schema: Schema
     store: ObjectStore
     window: WindowLike
     now: Timestamp
+    _affected: dict[EventExpression, set[Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def affected_by(self, expression: EventExpression) -> set[Any]:
+        """The objects ``expression`` is active for, computed once per context.
+
+        The binding set of ``occurred`` / ``at``; a class range that a later
+        event formula restricts asks for it ahead of the formula, which then
+        reuses it.
+        """
+        affected = self._affected.get(expression)
+        if affected is None:
+            affected = active_objects(expression, self.window, self.now)
+            self._affected[expression] = affected
+        return affected
 
 
 class ConditionAtom:
@@ -78,35 +94,69 @@ class ConditionAtom:
 
 @dataclass(frozen=True)
 class ClassRange(ConditionAtom):
-    """``stock(S)`` — ``S`` ranges over the live members of a class extent."""
+    """``stock(S)`` — ``S`` ranges over the live members of a class extent.
+
+    An unbound ``S`` is enumerated in ``(class_name, serial)`` order.  When a
+    later ``occurred`` / ``at`` formula of the condition binds the same
+    variable, :meth:`Condition.evaluate` hands that formula's affected
+    objects in as ``restrict_to`` and the range enumerates only the affected
+    objects that are live members — the bindings enumerate-then-filter would
+    keep, in the same order, without touching the rest of the extent.  An
+    already bound ``S`` is checked with one store lookup.
+    """
 
     variable: str
     class_name: str
     include_subclasses: bool = True
 
     def extend(
-        self, bindings: list[dict[str, Any]], context: ConditionContext
+        self,
+        bindings: list[dict[str, Any]],
+        context: ConditionContext,
+        restrict_to: OccurredFormula | AtFormula | None = None,
     ) -> list[dict[str, Any]]:
         subclasses = (
             context.schema.descendants(self.class_name)
             if self.include_subclasses
-            else None
+            else set()
         )
-        members = context.store.objects_of_class(self.class_name, subclasses)
+        names = {self.class_name} | subclasses
+        find = context.store.find
+        members: list[Any] | None = None
         extended: list[dict[str, Any]] = []
         for binding in bindings:
             if self.variable in binding:
                 # Already bound (e.g. by a previous occurred formula): keep the
                 # binding only if the object really belongs to the range.
-                oid = binding[self.variable]
-                if any(member.oid == oid for member in members):
+                obj = find(binding[self.variable])
+                if obj is not None and obj.class_name in names:
                     extended.append(binding)
                 continue
-            for member in members:
+            if members is None:
+                members = self._members(context, names, restrict_to)
+            for oid in members:
                 grown = dict(binding)
-                grown[self.variable] = member.oid
+                grown[self.variable] = oid
                 extended.append(grown)
         return extended
+
+    def _members(
+        self,
+        context: ConditionContext,
+        names: set[str],
+        restrict_to: OccurredFormula | AtFormula | None,
+    ) -> list[Any]:
+        """OIDs of the range, in ``(class_name, serial)`` order."""
+        store = context.store
+        if restrict_to is None:
+            return [obj.oid for obj in store.objects_of_class(self.class_name, names)]
+        # Affected ids that are not store OIDs (hand-built Event Bases use
+        # strings) are not members of any extent.
+        live = (store.find(oid) for oid in context.affected_by(restrict_to.expression))
+        return sorted(
+            (obj.oid for obj in live if obj is not None and obj.class_name in names),
+            key=lambda oid: (oid.class_name, oid.serial),
+        )
 
     def variables(self) -> set[str]:
         return {self.variable}
@@ -134,7 +184,7 @@ class OccurredFormula(ConditionAtom):
     def extend(
         self, bindings: list[dict[str, Any]], context: ConditionContext
     ) -> list[dict[str, Any]]:
-        affected = active_objects(self.expression, context.window, context.now)
+        affected = context.affected_by(self.expression)
         extended: list[dict[str, Any]] = []
         for binding in bindings:
             if self.variable in binding:
@@ -172,7 +222,7 @@ class AtFormula(ConditionAtom):
     def extend(
         self, bindings: list[dict[str, Any]], context: ConditionContext
     ) -> list[dict[str, Any]]:
-        affected = active_objects(self.expression, context.window, context.now)
+        affected = context.affected_by(self.expression)
         extended: list[dict[str, Any]] = []
         for binding in bindings:
             if self.variable in binding:
@@ -288,11 +338,33 @@ class Condition:
     def evaluate(self, context: ConditionContext) -> list[dict[str, Any]]:
         """All bindings satisfying the condition (empty list when unsatisfied)."""
         bindings: list[dict[str, Any]] = [{}]
-        for atom in self.atoms:
-            bindings = atom.extend(bindings, context)
+        for index, atom in enumerate(self.atoms):
+            if isinstance(atom, ClassRange):
+                bindings = atom.extend(bindings, context, self._binder_after(index))
+            else:
+                bindings = atom.extend(bindings, context)
             if not bindings:
                 return []
         return bindings
+
+    def _binder_after(self, index: int) -> OccurredFormula | AtFormula | None:
+        """The event formula after atom ``index`` that binds its range variable.
+
+        Every binding the range produces has to pass that formula, so the
+        range may enumerate the formula's affected objects instead of its
+        extent.  The look-ahead stops at a :class:`CallableAtom`, which may
+        observe or expand the bindings in between.
+        """
+        variable = self.atoms[index].variable
+        for atom in self.atoms[index + 1 :]:
+            if isinstance(atom, CallableAtom):
+                return None
+            if isinstance(atom, AtFormula) and atom.time_variable == variable:
+                return None  # rebinds the range variable to an instant
+            if isinstance(atom, (OccurredFormula, AtFormula)):
+                if atom.variable == variable:
+                    return atom
+        return None
 
     def is_satisfied(self, context: ConditionContext) -> bool:
         """True when at least one binding satisfies the condition."""

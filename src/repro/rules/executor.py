@@ -13,8 +13,9 @@ transaction lines and rule actions.  After each block:
 
 A rule is detriggered as soon as it is considered; only new event occurrences
 can trigger it again.  Immediate rules are processed during the transaction,
-deferred rules when the transaction commits.  A per-transaction execution
-budget guards against non-terminating rule sets.
+deferred rules when the transaction commits.  An execution budget
+(``max_rule_executions``) guards against non-terminating rule sets: one per
+transaction, and one per stream block or micro-batch on the stream path.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class RuleEngine:
         )
         self.transaction_start: Timestamp = self.clock.now()
         self.considerations: list[ConsiderationRecord] = []
-        self._executions_this_transaction = 0
+        self._budget_spent = 0
         self._commit_hist = self.metrics.histogram("oodb.commit")
         self._commit_counter = self.metrics.counter("oodb.commits")
         #: JSON-lines export (``config.metrics_path``): snapshots are appended
@@ -122,7 +123,7 @@ class RuleEngine:
         self.transaction_start = self.clock.now()
         self.rule_table.reset_all(self.transaction_start)
         self.event_handler.reset(self.event_base)
-        self._executions_this_transaction = 0
+        self._budget_spent = 0
 
     def rebind_event_base(self, event_base: EventBase) -> None:
         """Point the engine at a fresh Event Base (new transaction log)."""
@@ -178,7 +179,10 @@ class RuleEngine:
         pipelining producer (:class:`repro.cluster.streaming.StreamIngestor`)
         may pass the batch's ``type_signature`` so it is never derived on the
         checking thread; it is ignored when other occurrences are pending.
+        A stream is not a transaction: the execution budget guards one
+        quiescence loop, so every block starts with a fresh one.
         """
+        self._budget_spent = 0
         batch = self._ingest_stream_batch(occurrences, type_signature)
         self._check_block(batch)
         self._processing_loop(ECCoupling.IMMEDIATE, phase="stream")
@@ -204,13 +208,15 @@ class RuleEngine:
         runs (each check still bounds the complete log by its block's
         ``now``), and triggered rules are considered once the batch's checks
         finish rather than between blocks.  A one-element micro-batch is
-        byte-identical to :meth:`run_stream_block`.
+        byte-identical to :meth:`run_stream_block`
+        (fresh execution budget included: one per trip).
         """
         if type_signatures is not None and len(type_signatures) != len(batches):
             raise ValueError(
                 f"type_signatures must align with batches "
                 f"(got {len(type_signatures)} for {len(batches)})"
             )
+        self._budget_spent = 0
         segments: list[tuple[BlockIngest, Timestamp]] = []
         for index, occurrences in enumerate(batches):
             signature = type_signatures[index] if type_signatures is not None else None
@@ -301,8 +307,8 @@ class RuleEngine:
         consideration_time = now
         executed = False
         if bindings:
-            self._executions_this_transaction += 1
-            if self._executions_this_transaction > self.config.max_rule_executions:
+            self._budget_spent += 1
+            if self._budget_spent > self.config.max_rule_executions:
                 raise NonTerminationError(self.config.max_rule_executions)
             rule.action.execute(bindings, self.operations)
             executed = True

@@ -9,8 +9,6 @@ to ``benchmarks/e2e``; that it *is* so is asserted here.
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 
 from repro.events.event_base import _OccurrenceStore
@@ -62,7 +60,7 @@ def test_stream_blocks_never_copy_the_log_or_feed_the_tree(placement, monkeypatc
 
     universe = build_scaling_universe(RULES)
     stream = build_shaped_blocks(universe, blocks=70, events_per_block=130)
-    db = ChimeraDatabase(max_rule_executions=sys.maxsize, **placement)
+    db = ChimeraDatabase(**placement)
     try:
         for rule in build_scaling_rules(RULES, universe):
             db.define_rule(rule)

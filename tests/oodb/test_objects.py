@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import UnknownObjectError
+from repro.errors import TransactionError, UnknownObjectError
 from repro.oodb.objects import OID, ChimeraObject, ObjectStore
 
 
@@ -114,19 +114,43 @@ class TestObjectStore:
         assert store.all_objects() == []
         assert len(store.all_objects(include_deleted=True)) == 1
 
-    def test_snapshot_and_restore(self):
+    def test_begin_and_rollback(self):
         store = ObjectStore()
         obj = store.insert("stock", {"quantity": 5}, timestamp=1)
-        snapshot = store.snapshot()
+        store.begin()
         store.set_attribute(obj.oid, "quantity", 99, timestamp=2)
         store.insert("stock", {}, timestamp=3)
-        store.restore(snapshot)
-        assert store.get(obj.oid).get("quantity") == 5
+        store.rollback()
+        assert obj.get("quantity") == 5 and obj.modified_at == 1
+        assert store.get(obj.oid) is obj
         assert store.count("stock") == 1
 
-    def test_restore_preserves_serial_counters(self):
+    def test_rollback_restores_serial_counters(self):
         store = ObjectStore()
         store.insert("stock", {}, timestamp=1)
-        snapshot = store.snapshot()
-        store.restore(snapshot)
+        store.begin()
+        store.insert("stock", {}, timestamp=2)
+        store.new_oid("show")
+        store.rollback()
         assert store.new_oid("stock").serial == 2
+        assert store.new_oid("show").serial == 1
+
+    def test_commit_keeps_changes_and_drops_journalled_tombstones(self):
+        store = ObjectStore()
+        kept = store.insert("stock", {"quantity": 5}, timestamp=1)
+        doomed = store.insert("stock", {}, timestamp=1)
+        store.begin()
+        store.set_attribute(kept.oid, "quantity", 6, timestamp=2)
+        store.delete(doomed.oid, timestamp=3)
+        assert store.get(doomed.oid, include_deleted=True) is doomed
+        store.commit()
+        assert kept.get("quantity") == 6
+        assert store.all_objects(include_deleted=True) == [kept]
+        store.rollback()  # nothing armed: nothing to undo
+        assert kept.get("quantity") == 6
+
+    def test_one_journal_at_a_time(self):
+        store = ObjectStore()
+        store.begin()
+        with pytest.raises(TransactionError):
+            store.begin()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import NonTerminationError
+from repro.events.event import EventOccurrence, EventType, Operation
 from repro.oodb.database import ChimeraDatabase
 from repro.workloads.stock import CHECK_STOCK_QTY_RULE
 
@@ -226,3 +227,54 @@ class TestTransactionIsolationOfRuleState:
             == first_considerations + 1
         )
         assert db.count("stock") == 2
+
+
+class TestStreamExecutionBudget:
+    """The budget guards one quiescence loop: a block, not the whole stream."""
+
+    RUNAWAY = """
+        define immediate runaway for log
+        events modify(entries)
+        condition log(L), occurred(modify(log.entries), L)
+        action modify(log.entries, L, L.entries + 1)
+        end
+        """
+
+    @staticmethod
+    def stamped(db, event_type, oid, count):
+        start = db.clock.now()
+        return [
+            EventOccurrence(
+                eid=10_000 + index,
+                event_type=event_type,
+                oid=oid,
+                timestamp=start + index,
+            )
+            for index in range(1, count + 1)
+        ]
+
+    def test_a_long_stream_of_executing_blocks_completes(self):
+        db = make_db(max_rule_executions=5)
+        db.define_rule("define immediate tick\nevents create(stock)\nend")
+        created = EventType(Operation.CREATE, "stock")
+        occurrences = self.stamped(db, created, 1, 50)
+        for occurrence in occurrences[:25]:
+            db.engine.run_stream_block([occurrence])
+        for occurrence in occurrences[25:]:
+            db.engine.run_stream_blocks([[occurrence]])
+        assert db.rule_state("tick").times_executed == 50
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_a_block_that_never_quiesces_still_raises(self, batched):
+        db = make_db(max_rule_executions=5)
+        db.define_rule(self.RUNAWAY)
+        counter = db.store.insert("log", {"entries": 0}, timestamp=db.clock.now())
+        modified = EventType(Operation.MODIFY, "log", "entries")
+        block = self.stamped(db, modified, counter.oid, 1)
+        with pytest.raises(NonTerminationError) as raised:
+            if batched:
+                db.engine.run_stream_blocks([block])
+            else:
+                db.engine.run_stream_block(block)
+        assert raised.value.limit == 5
+        assert db.rule_state("runaway").times_executed == 5
