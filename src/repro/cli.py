@@ -361,9 +361,9 @@ def _command_workload(args: argparse.Namespace) -> int:
             cluster["plan_cache_hits"] = table.plan_cache_hits
             cluster["plan_cache_misses"] = table.plan_cache_misses
             cluster["plan_cache_evictions"] = table.plan_cache_evictions
-            # Shard balance: crc32 bucket placement can skew for real rule
-            # pools — the adaptive-rebalancing follow-up needs this signal.
-            population = table.shard_population()
+            # Shard balance where the work goes: rules per evaluation home,
+            # home 0 (the coordinator's own in processes mode) first.
+            population = table.home_population()
             mean_population = sum(population) / max(1, len(population))
             cluster["shard_population"] = "/".join(str(count) for count in population)
             cluster["shard_skew"] = round(

@@ -6,26 +6,33 @@ expands it through the table's schema binding, and routes each type to the
 single shard owning its ``(operation, class)`` bucket.  Per consulted shard
 the candidate set comes from the shard's memoized sub-signature plan
 (:meth:`~repro.cluster.sharding.ShardedRuleTable.shard_plan`); a rule
-registered on several shards is checked exactly once (the lowest consulted
+registered on several shards is planned exactly once (the lowest consulted
 owning shard wins, deterministically), and pending-full-check rules — which
 every block must visit regardless of signature — ride on their name's home
 shard.
 
-The exact checks run in one of two execution modes (``shard_mode``):
+Each candidate is then *checked* by its **evaluation home**, the shard
+:func:`~repro.cluster.sharding.home_shard` assigns its name when the rule is
+added: a per-rule constant, so rules spread evenly across homes whatever
+buckets they watch, and a rule's incremental memo stays resident with one
+evaluator for its lifetime.  The exact checks run in one of two execution
+modes (``shard_mode``):
 
-* **serial deterministic** (default) — shard batches are evaluated inline in
-  shard order, over shared zero-copy
+* **serial deterministic** (default) — every home's batch is evaluated
+  inline, over shared zero-copy
   :class:`~repro.events.event_base.BoundedView` windows carved out of the one
   Event Base.  The check path is index-bisection-bound (pure-Python
   ``bisect`` over the shared indexes), so this is also the fastest
   single-core mode on a GIL-bound interpreter;
-* **processes** — the evaluate phase moves out of process entirely
-  (:class:`~repro.cluster.process_pool.ProcessShardPool`): long-lived workers
-  own their shard's expressions and memos plus a mirror Event Base grown
-  from per-trip log deltas, and reply with decisions.  This is the
-  only mode where trigger checking can use multiple cores.  Every rule is
-  dealt to a *fixed* home worker (lowest owning shard) so its memo stays
-  resident and ``instants_sampled`` matches the serial mode exactly.
+* **processes** — the coordinator is the evaluator of home 0 and a
+  :class:`~repro.cluster.process_pool.ProcessShardPool` of N − 1 long-lived
+  workers evaluates homes 1 … N − 1: each worker owns its home's expressions
+  and memos plus a mirror Event Base grown from per-trip log deltas, and
+  replies with decisions.  The coordinator sends the trip, checks its own
+  share through the serial kernels while the workers check theirs, then
+  drains the replies — so ``shards=2`` runs two evaluators on two cores,
+  and ``shards=1`` spawns nothing.  A trip whose candidates are all homed
+  on the coordinator never contacts the pool.
 
 Whatever the mode, the decisions are **applied serially in definition
 order**, so the triggered set, the priority heaps, every counter and the
@@ -59,7 +66,7 @@ __all__ = ["ShardedPlan", "ShardCoordinatorStats", "ShardCoordinator"]
 
 @dataclass
 class ShardedPlan:
-    """One block's fan-out: which shards check which rules."""
+    """One block's fan-out: which shard's plan reached which rules."""
 
     #: ``(shard id, candidates)`` pairs in shard order; candidates are
     #: deduplicated across shards and definition-ordered within each shard.
@@ -237,22 +244,12 @@ class ShardCoordinator(TriggerSupport):
             cluster.blocks_dispatched += 1
 
         with self._check_hist.time():
-            if self.shard_mode == "processes":
-                # Out-of-process evaluate phase: even a single-shard plan goes
-                # to the workers, because the rules' incremental memos live
-                # there.
-                evaluated, merged_stats = self._evaluate_in_processes(
-                    plan, now, transaction_start
-                )
-                self.stats.evaluation.merge(merged_stats)
-            else:
-                evaluated = []
-                for _, states in plan.per_shard:
-                    decisions, local_stats = self._evaluate_shard(
-                        states, now, transaction_start
-                    )
-                    self.stats.evaluation.merge(local_stats)
-                    evaluated.extend(decisions)
+            evaluated, merged_stats = self._evaluate_states(
+                [state for _, states in plan.per_shard for state in states],
+                now,
+                transaction_start,
+            )
+            self.stats.evaluation.merge(merged_stats)
 
         # Deterministic merge: decisions applied in definition order —
         # exactly the order the single-table check applies them, so heaps,
@@ -271,7 +268,7 @@ class ShardCoordinator(TriggerSupport):
         now: Timestamp,
         transaction_start: Timestamp,
     ) -> tuple[list[tuple[RuleState, TriggeringDecision]], EvaluationStats]:
-        """Evaluate one shard's candidates inline."""
+        """Evaluate candidates inline, through the serial kernel."""
         local_stats = EvaluationStats()
         decisions: list[tuple[RuleState, TriggeringDecision]] = []
         for state in states:
@@ -327,7 +324,7 @@ class ShardCoordinator(TriggerSupport):
         worker is contacted **once per trip** — one combined EB delta plus N
         ordered work segments — instead of once per block, so worker round
         trips scale with trips rather than blocks.  The serial mode evaluates
-        the same per-home-worker dealing inline.
+        the same per-home dealing inline.
         """
         if not self.use_static_optimization:
             return super().check_after_blocks(blocks, transaction_start)
@@ -352,12 +349,7 @@ class ShardCoordinator(TriggerSupport):
             cluster.dispatch_trips += 1
             cluster.blocks_dispatched += planned_blocks
         with self._check_hist.time():
-            if self.shard_mode == "processes":
-                per_segment = self._evaluate_trip_in_processes(
-                    segments, transaction_start
-                )
-            else:
-                per_segment = self._evaluate_trip_inline(segments, transaction_start)
+            per_segment = self._evaluate_segments(segments, transaction_start)
         newly_triggered: list[RuleState] = []
         with self._apply_hist.time():
             for (now, _), rows in zip(segments, per_segment):
@@ -372,24 +364,23 @@ class ShardCoordinator(TriggerSupport):
         self,
         segments: list[tuple[Timestamp, ShardedPlan]],
         transaction_start: Timestamp,
-        num_workers: int,
     ) -> dict[int, dict[int, list[tuple[RuleState, Timestamp, bool]]]]:
-        """Deal one trip's work items: worker -> block index -> items.
+        """Deal one trip's work items: evaluation home -> block index -> items.
 
         The same fixed-home dealing as the per-block dispatch (a rule's memo
-        must stay resident on one worker), extended over the trip: each
-        rule's items appear in block order within its home worker's map,
-        which is what lets the worker apply the trip-local skips (rules it
-        already found triggered; pending-only riders that already saw a
-        non-empty window) with purely local knowledge.  Each item carries
-        its block's pending-only flag.
+        must stay resident with one evaluator), extended over the trip: each
+        rule's items appear in block order within its home's map, which is
+        what lets the evaluator apply the trip-local skips (rules it already
+        found triggered; pending-only riders that already saw a non-empty
+        window) with purely local knowledge.  Each item carries its block's
+        pending-only flag.
         """
         assignments: dict[int, dict[int, list[tuple[RuleState, Timestamp, bool]]]] = {}
         for index, (_, plan) in enumerate(segments):
             for _, states in plan.per_shard:
                 for state in states:
-                    worker = self._worker_of(state, num_workers)
-                    assignments.setdefault(worker, {}).setdefault(index, []).append(
+                    home = self._worker_of(state)
+                    assignments.setdefault(home, {}).setdefault(index, []).append(
                         (
                             state,
                             state.triggering_window_start(transaction_start),
@@ -398,31 +389,50 @@ class ShardCoordinator(TriggerSupport):
                     )
         return assignments
 
-    def _evaluate_trip_inline(
+    def _evaluate_segments(
         self,
         segments: list[tuple[Timestamp, ShardedPlan]],
         transaction_start: Timestamp,
     ) -> list[list[tuple[RuleState, TriggeringDecision]]]:
-        """Serial evaluation of a trip, grouped by home worker.
+        """Evaluate a trip, one batch per evaluation home.
 
         Each home batch holds its rules' items across all segments in block
         order, so a single pass can apply the skip-after-triggered rule with
-        purely local knowledge — the in-process equivalent of what each
-        process worker does with its trip message.
+        purely local knowledge.  The serial mode runs every batch inline; the
+        processes mode ships homes 1 … N − 1 to the pool, one message per
+        worker, and runs home 0 inline while the workers check.
         """
         nows = [now for now, _ in segments]
+        self._prune_worker_defs()
         with self._dispatch_hist.time():
-            assignments = self._trip_assignments(
-                segments, transaction_start, self.rule_table.num_shards
+            assignments = self._trip_assignments(segments, transaction_start)
+        remote = (
+            {home - 1: assignments.pop(home) for home in sorted(assignments) if home}
+            if self.shard_mode == "processes"
+            else {}
+        )
+
+        def evaluate_inline():
+            per_segment: list[list[tuple[RuleState, TriggeringDecision]]] = [
+                [] for _ in segments
+            ]
+            stats = EvaluationStats()
+            for home in sorted(assignments):
+                rows, local_stats = self._evaluate_home_batch(assignments[home], nows)
+                stats.merge(local_stats)
+                for index, state, decision in rows:
+                    per_segment[index].append((state, decision))
+            return per_segment, stats
+
+        if remote:
+            pool = self._ensure_process_pool()
+            self.cluster_stats.parallel_batches += len(remote)
+            per_segment, merged_stats = pool.evaluate_trip(
+                self.event_base, remote, nows, evaluate_inline
             )
-        per_segment: list[list[tuple[RuleState, TriggeringDecision]]] = [
-            [] for _ in segments
-        ]
-        for home in sorted(assignments):
-            rows, local_stats = self._evaluate_home_batch(assignments[home], nows)
-            self.stats.evaluation.merge(local_stats)
-            for index, state, decision in rows:
-                per_segment[index].append((state, decision))
+        else:
+            per_segment, merged_stats = evaluate_inline()
+        self.stats.evaluation.merge(merged_stats)
         return per_segment
 
     def _evaluate_home_batch(
@@ -430,7 +440,7 @@ class ShardCoordinator(TriggerSupport):
         segment_items: dict[int, list[tuple[RuleState, Timestamp, bool]]],
         nows: list[Timestamp],
     ) -> tuple[list[tuple[int, RuleState, TriggeringDecision]], EvaluationStats]:
-        """Evaluate one home worker's share of a trip.
+        """Evaluate one evaluation home's share of a trip, inline.
 
         The batch regroups rule-major and runs each rule's ordered trip
         entries through one :meth:`~repro.core.compile.CompiledCheck.check_trip`
@@ -458,111 +468,89 @@ class ShardCoordinator(TriggerSupport):
                     rows.append((index, state, decision))
         return rows, local_stats
 
-    def _evaluate_trip_in_processes(
-        self,
-        segments: list[tuple[Timestamp, ShardedPlan]],
-        transaction_start: Timestamp,
-    ) -> list[list[tuple[RuleState, TriggeringDecision]]]:
-        """Ship a whole trip to the process workers — one message per worker."""
-        num_workers = self.rule_table.num_shards
-        if self._process_pool is not None:
-            self._prune_worker_defs(self._process_pool)
-        with self._dispatch_hist.time():
-            assignments = self._trip_assignments(
-                segments, transaction_start, num_workers
-            )
-        if not assignments:
-            return [[] for _ in segments]
-        pool = self._ensure_process_pool()
-        self._prune_worker_defs(pool)
-        self.cluster_stats.parallel_batches += len(assignments)
-        per_segment, merged_stats = pool.evaluate_trip(
-            self.event_base, assignments, [now for now, _ in segments]
-        )
-        self.stats.evaluation.merge(merged_stats)
-        return per_segment
+    # -- the evaluation homes ---------------------------------------------------
+    def _worker_of(self, state: RuleState) -> int:
+        """The rule's evaluation home; in processes mode 0 is the coordinator.
 
-    # -- the out-of-process evaluate phase --------------------------------------
-    def _worker_of(self, state: RuleState, num_workers: int) -> int:
-        """The fixed home worker of a rule — residency keeps its memo exact.
-
-        The plan's "lowest consulted owning shard wins" dealing varies with
-        the block signature; dealing the *evaluation* by the rule's lowest
-        owning shard instead pins each rule to one worker for its lifetime,
-        so the worker-resident memo sees exactly the check sequence the
-        serial mode's memo sees.
+        The name's home shard, hashed once when the rule was added.  The
+        plan's "lowest consulted owning shard wins" varies with the block
+        signature and piles every rule sharing a popular bucket onto one
+        shard; the name spreads rules evenly and pins each to one evaluator
+        for its lifetime, so the resident memo sees exactly the check
+        sequence the serial mode's memo sees.  Home *k* ≥ 1 is pool worker
+        *k − 1*.
         """
-        table = self.rule_table
-        owners = table.shards_of_rule(state.rule.name)
-        shard = owners[0] if owners else table.home_shard_of(state.rule.name)
-        return shard % num_workers
+        return self.rule_table.home_shard_of(state.rule.name)
 
-    def _evaluate_in_processes(
+    def _evaluate_states(
         self,
-        plan: ShardedPlan,
+        states: list[RuleState],
         now: Timestamp,
         transaction_start: Timestamp,
     ) -> tuple[list[tuple[RuleState, TriggeringDecision]], EvaluationStats]:
-        num_workers = self.rule_table.num_shards
-        if self._process_pool is not None:
-            # Eager, epoch-gated: keeps the shipping bookkeeping bounded by
-            # the live rule population even across candidate-free blocks
-            # (pruning touches no worker — drops piggyback on the next send).
-            self._prune_worker_defs(self._process_pool)
-        assignments: dict[int, list[tuple[RuleState, Timestamp]]] = {}
-        with self._dispatch_hist.time():
-            for _, states in plan.per_shard:
-                for state in states:
-                    assignments.setdefault(
-                        self._worker_of(state, num_workers), []
-                    ).append((state, state.triggering_window_start(transaction_start)))
-        if not assignments:
-            # Nothing to evaluate: do not spawn (or even contact) the pool —
-            # a rule-free database pays nothing for the processes mode.
-            return [], EvaluationStats()
-        pool = self._ensure_process_pool()
-        self._prune_worker_defs(pool)
-        self.cluster_stats.parallel_batches += len(assignments)
-        return pool.evaluate(self.event_base, assignments, now)
+        """Evaluate one block's candidates (or a recheck's) at ``now``.
 
-    def _prune_worker_defs(self, pool: ProcessShardPool) -> None:
+        Serial mode checks them all inline; processes mode sends the remote
+        homes their items, checks home 0's inline meanwhile, and contacts
+        the pool only when some candidate lives on a worker.
+        """
+        if self.shard_mode != "processes":
+            return self._evaluate_shard(states, now, transaction_start)
+        self._prune_worker_defs()
+        local: list[RuleState] = []
+        remote: dict[int, list[tuple[RuleState, Timestamp]]] = {}
+        with self._dispatch_hist.time():
+            for state in states:
+                home = self._worker_of(state)
+                if home:
+                    remote.setdefault(home - 1, []).append(
+                        (state, state.triggering_window_start(transaction_start))
+                    )
+                else:
+                    local.append(state)
+
+        def evaluate_inline():
+            return self._evaluate_shard(local, now, transaction_start)
+
+        if not remote:
+            return evaluate_inline()
+        pool = self._ensure_process_pool()
+        self.cluster_stats.parallel_batches += len(remote)
+        return pool.evaluate(self.event_base, remote, now, evaluate_inline)
+
+    def _prune_worker_defs(self) -> None:
         """Queue worker-side eviction of removed rules (epoch-gated).
 
         The plan epoch moves on every add/remove, so the shipped-definition
         scan only runs under table churn — steady state pays one tuple
         comparison per block, and a long-lived pool stays bounded by the
-        live rule population.
+        live rule population (pruning touches no worker — drops piggyback
+        on the next send).  A pool spawned later starts with nothing shipped.
         """
+        pool = self._process_pool
         epoch = self.rule_table.plan_epoch()
-        if self._pruned_epoch != epoch:
+        if pool is not None and self._pruned_epoch != epoch:
             pool.prune(self.rule_table.__contains__)
             self._pruned_epoch = epoch
 
     def recheck_all(
         self, now: Timestamp, transaction_start: Timestamp
     ) -> list[RuleState]:
-        """Commit-time recheck; in process mode it runs on the workers too.
+        """Commit-time recheck; in process mode it follows the home split too.
 
         The worker-resident memos must observe *every* check of their rule —
         a coordinator-side recheck would both miss their frontier and leave
         them stale — so the process mode routes the exhaustive recheck
-        through the same fixed-home dealing as the per-block checks.  The
-        other modes keep the inherited serial recheck (their memos live on
-        the coordinator's rule states).
+        through the same fixed-home dealing as the per-block checks (home 0
+        inline, the rest on the workers).  The serial mode keeps the
+        inherited recheck (its memos all live on the coordinator's rule
+        states).
         """
         if self.shard_mode != "processes" or not self.use_static_optimization:
             return super().recheck_all(now, transaction_start)
-        num_workers = self.rule_table.num_shards
-        assignments: dict[int, list[tuple[RuleState, Timestamp]]] = {}
-        for state in self.rule_table.untriggered_states():
-            assignments.setdefault(self._worker_of(state, num_workers), []).append(
-                (state, state.triggering_window_start(transaction_start))
-            )
-        if not assignments:
-            return []
-        pool = self._ensure_process_pool()
-        self._prune_worker_defs(pool)
-        evaluated, merged_stats = pool.evaluate(self.event_base, assignments, now)
+        evaluated, merged_stats = self._evaluate_states(
+            self.rule_table.untriggered_states(), now, transaction_start
+        )
         self.stats.evaluation.merge(merged_stats)
         evaluated.sort(key=lambda pair: pair[0].definition_order)
         newly_triggered: list[RuleState] = []
@@ -572,7 +560,7 @@ class ShardCoordinator(TriggerSupport):
         return newly_triggered
 
     def forget_incremental_state(self) -> None:
-        """Drop coordinator-side memos *and* the workers' mirrors/memos."""
+        """Drop the coordinator's memos *and* the workers' mirrors/memos."""
         super().forget_incremental_state()
         if self._process_pool is not None:
             self._process_pool.reset()
@@ -580,8 +568,9 @@ class ShardCoordinator(TriggerSupport):
     # -- the worker pool ---------------------------------------------------------
     def _ensure_process_pool(self) -> ProcessShardPool:
         if self._process_pool is None:
+            # Home 0 is the coordinator's own: one process fewer than shards.
             self._process_pool = ProcessShardPool(
-                self.rule_table.num_shards, self.config, metrics=self.metrics
+                self.rule_table.num_shards - 1, self.config, metrics=self.metrics
             )
             # Transport health (messages, bytes, worker restarts) folds into
             # the same snapshot as everything else.

@@ -16,10 +16,13 @@ encoding are those of :mod:`repro.cluster.process_pool` and
   background thread; the pool keeps its synchronous trip protocol and talks
   to each worker through a thin channel facade
   (``run_coroutine_threadsafe``).  Workers handshake with a per-pool token
-  (``("hello", worker_id, token)``, compared in constant time) and receive
-  the coordinator's :class:`~repro.config.EngineConfig` record itself (plus
-  the metrics flag) in the reply — a remote ``chimera-events worker`` needs
-  the address and token, nothing else.
+  and receive the coordinator's :class:`~repro.config.EngineConfig` record
+  itself (plus the metrics flag) in the reply — a remote ``chimera-events
+  worker`` needs the address and token, nothing else.  The hello is a
+  fixed-size struct, never a pickle: the endpoint reads exactly one
+  hello-sized frame (any other length closes the connection unread) and
+  compares the token in constant time before it looks at anything else, so
+  bytes from a peer that does not hold the token are never unpickled.
 * **Reconnects** — a new hello for an already-registered worker id replaces
   the channel and is reported through ``poll_refreshed()``: the pool resets
   that worker's shipping bookkeeping, so its next message re-ships every
@@ -71,6 +74,14 @@ _FRAME_MAGIC = b"CHF1"
 #: corrupt header, not a real message.
 _MAX_FRAME_BYTES = 1 << 31
 
+#: The worker's hello, the one frame read before authentication: magic,
+#: worker id, token length, token bytes zero-padded to the fixed width.  The
+#: token field is everything after the ``_HELLO_ID`` prefix.
+_HELLO = struct.Struct("<4sIH64s")
+_HELLO_ID = struct.Struct("<4sI")
+_HELLO_MAGIC = b"CHH1"
+_MAX_TOKEN_BYTES = 64
+
 #: Per-operation socket timeout (seconds) before the pool declares a worker
 #: unreachable and poisons itself; also how long a no-spawn launch waits for
 #: external workers.
@@ -81,6 +92,16 @@ _HANDSHAKE_TIMEOUT = 30.0
 def _frame(payload: bytes) -> bytes:
     """``payload`` behind its header, as the one buffer a send writes."""
     return _FRAME_HEADER.pack(_FRAME_MAGIC, len(payload)) + payload
+
+
+def _hello(worker_id: int, token: str) -> bytes:
+    """The hello payload a worker opens with."""
+    secret = token.encode()
+    if len(secret) > _MAX_TOKEN_BYTES:
+        raise ShardWorkerError(
+            f"a worker token is at most {_MAX_TOKEN_BYTES} bytes (got {len(secret)})"
+        )
+    return _HELLO.pack(_HELLO_MAGIC, worker_id, len(secret), secret)
 
 
 def _set_nodelay(sock: socket.socket) -> None:
@@ -227,7 +248,9 @@ class TcpCoordinatorEndpoint:
         sock: socket.socket,
     ) -> None:
         self._num_workers = num_workers
-        self._token = token.encode()
+        #: The token as a hello carries it (length + padded bytes), compared
+        #: whole so a prefix or a trailing byte is just as wrong.
+        self._token_field = _hello(0, token)[_HELLO_ID.size :]
         self._config_reply = pickle.dumps(
             ("config", config, metrics_enabled), _PROTOCOL
         )
@@ -315,18 +338,16 @@ class TcpCoordinatorEndpoint:
         # TCP; one accepted from ``socket.create_server`` reports proto 0.
         _set_nodelay(writer.get_extra_info("socket"))
         try:
-            hello = pickle.loads(
-                await asyncio.wait_for(_read_frame(reader), _HANDSHAKE_TIMEOUT)
-            )
+            hello = await asyncio.wait_for(self._read_hello(reader), _HANDSHAKE_TIMEOUT)
+            if hello is None:
+                writer.close()
+                return
+            # Constant time, and first: a prefix-correct guess learns nothing,
+            # and no other field of a stranger's hello is looked at.
+            accepted = hmac.compare_digest(hello[_HELLO_ID.size :], self._token_field)
+            magic, worker_id = _HELLO_ID.unpack_from(hello)
             accepted = (
-                isinstance(hello, tuple)
-                and len(hello) == 3
-                and hello[0] == "hello"
-                and isinstance(hello[1], int)
-                and 0 <= hello[1] < self._num_workers
-                and isinstance(hello[2], str)
-                # Constant time: a prefix-correct guess learns nothing.
-                and hmac.compare_digest(hello[2].encode(), self._token)
+                accepted and magic == _HELLO_MAGIC and worker_id < self._num_workers
             )
             if not accepted:
                 reject = pickle.dumps(
@@ -344,7 +365,6 @@ class TcpCoordinatorEndpoint:
             except Exception:
                 pass
             return
-        worker_id = hello[1]
         channel = _TcpChannel(self._loop, reader, writer)
         with self._registry:
             previous = self._channels.get(worker_id)
@@ -356,6 +376,22 @@ class TcpCoordinatorEndpoint:
             self._registry.notify_all()
         if previous is not None:
             previous.close()
+
+    @staticmethod
+    async def _read_hello(reader: asyncio.StreamReader) -> bytes | None:
+        """The hello payload, or None for a frame that cannot be one.
+
+        Reads the frame header, then exactly a hello's worth of bytes — a
+        header announcing any other length is refused without reading its
+        body, so a stranger can neither make the endpoint allocate nor get
+        a byte of theirs decoded.
+        """
+        magic, length = _FRAME_HEADER.unpack(
+            await reader.readexactly(_FRAME_HEADER.size)
+        )
+        if magic != _FRAME_MAGIC or length != _HELLO.size:
+            return None
+        return await reader.readexactly(_HELLO.size)
 
     # -- registry -----------------------------------------------------------
     def wait_for_workers(self, count: int, timeout: float) -> None:
@@ -438,7 +474,7 @@ def run_worker(
     sock.settimeout(None)
     connection = SocketFrameConnection(sock)
     try:
-        connection.send_bytes(pickle.dumps(("hello", int(worker_id), token), _PROTOCOL))
+        connection.send_bytes(_hello(int(worker_id), token))
         reply = pickle.loads(connection.recv_bytes())
         if not isinstance(reply, tuple) or not reply:
             raise ShardWorkerError(f"malformed handshake reply: {reply!r}")

@@ -1,14 +1,18 @@
 """Process shard workers: the pool, its trip protocol and the worker loop.
 
-With ``shard_mode="processes"`` the coordinator's evaluate/apply split runs
-across N **long-lived worker processes**.  Each worker owns the rules dealt
-to it — their triggering event expressions, bound once per shipped
+With ``shard_mode="processes"`` and N shards the coordinator's
+evaluate/apply split runs across N evaluators: the coordinator itself checks
+the rules homed on shard 0, and **N − 1 long-lived worker processes** (pool
+worker *k* serves home *k + 1*) check the rest.  Each worker owns the rules
+dealt to it — their triggering event expressions, bound once per shipped
 definition, and their incremental
 :class:`~repro.core.triggering.TriggerMemo`s — plus a **mirror Event Base**
 grown from the deltas of :mod:`repro.cluster.transport`.
 
 Per *trip* — one block, or a micro-batch of consecutive blocks — the
-coordinator sends each consulted worker one message::
+coordinator sends each consulted worker one message, evaluates its own share
+(the ``inline`` callback of :meth:`ProcessShardPool.evaluate_trip`) while the
+workers check theirs, and only then reads the replies::
 
     ("check",
      delta of the EB log the worker has not seen (or None),
@@ -28,7 +32,8 @@ decisions applied: rules already found triggered in this trip, and
 pending-only riders that already saw a non-empty window.  It replies with
 **per-block** decision lists (compact
 :class:`~repro.core.triggering.TriggeringDecision` rows) plus its local
-:class:`~repro.core.evaluation.EvaluationStats` and metrics delta.  All
+:class:`~repro.core.evaluation.EvaluationStats` — pickled as one body, so the
+``worker.reply`` probe can time that encode — and its metrics delta.  All
 writes (counters, the triggered flag, heap pushes) stay in the coordinator,
 which applies the decisions **serially, block by block in definition
 order** — so the serial and process modes are behaviourally identical
@@ -37,10 +42,10 @@ stats included).
 
 What makes the equivalence exact:
 
-* **memo residency** — a rule is always dealt to the same worker (its lowest
-  owning shard, or its name's home shard), so its ``TriggerMemo`` sees the
-  sequence of checks the serial mode's memo sees and ``instants_sampled``
-  comes out identical;
+* **memo residency** — a rule is always dealt to the same evaluator (its
+  name's home shard, fixed when the rule is added), so its ``TriggerMemo``
+  sees the sequence of checks the serial mode's memo sees and
+  ``instants_sampled`` comes out identical;
 * **full mirror** — every worker receives *every* EB position (negated or
   precedence sub-expressions read occurrences of types other shards own), so
   a worker-side window is equivalent to the coordinator's zero-copy view;
@@ -68,7 +73,7 @@ import pickle
 import time
 import traceback
 import weakref
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.cluster.transport import _FrameReader, create_transport
 from repro.config import EngineConfig
@@ -114,7 +119,12 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
     registry = MetricsRegistry(enabled=metrics_enabled)
     trips_counter = registry.counter("worker.trips")
     rules_counter = registry.counter("worker.rules_evaluated")
-    check_hist = registry.histogram("worker.check")
+    # Per trip: frame decode + mirror extend, the checks, the reply encode.
+    hists = (
+        registry.histogram("worker.mirror"),
+        registry.histogram("worker.check"),
+        registry.histogram("worker.reply"),
+    )
     #: rule name -> (TriggerMemo, CompiledCheck).  A re-added rule gets a
     #: fresh definition order, which makes the coordinator re-ship it and
     #: this worker replace the entry (memo and binding) — so a
@@ -127,7 +137,7 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
         registry,
         trips_counter,
         rules_counter,
-        check_hist,
+        hists,
         rules,
         type_cache,
         _FrameReader(),
@@ -141,12 +151,13 @@ def _worker_loop(
     registry,
     trips_counter,
     rules_counter,
-    check_hist,
+    hists,
     rules,
     type_cache,
     frame_reader,
     mirror,
 ) -> None:
+    mirror_hist, check_hist, reply_hist = hists
     while True:
         try:
             request = pickle.loads(connection.recv_bytes())
@@ -171,11 +182,12 @@ def _worker_loop(
                 for memo, _compiled in rules.values():
                     memo.clear()
                 binder.invalidate()
-                connection.send_bytes(pickle.dumps(("ok", (), None), _PROTOCOL))
+                connection.send_bytes(pickle.dumps(("ok", None, None), _PROTOCOL))
                 continue
             _, delta, defs, drops, segments = request
-            if delta is not None:
-                mirror.extend(frame_reader.read(delta, type_cache))
+            with mirror_hist.time():
+                if delta is not None:
+                    mirror.extend(frame_reader.read(delta, type_cache))
             # Drops before defs: a removed-then-re-added name must end up
             # with the fresh definition, not the stale entry.
             for name in drops:
@@ -223,17 +235,19 @@ def _worker_loop(
                                 decision.instants_sampled,
                             )
             rules_counter.inc(len(decided))
-            for segment_index, items, _now in segments:
-                decisions = [
-                    (name, decided[(segment_index, name)])
-                    for name, _ws, _po in items
-                    if (segment_index, name) in decided
-                ]
-                replies.append((segment_index, tuple(decisions)))
+            with reply_hist.time():
+                for segment_index, items, _now in segments:
+                    decisions = [
+                        (name, decided[(segment_index, name)])
+                        for name, _ws, _po in items
+                        if (segment_index, name) in decided
+                    ]
+                    replies.append((segment_index, tuple(decisions)))
+                body = pickle.dumps((tuple(replies), stats), _PROTOCOL)
+            # Drained after the reply timer stopped, so this trip's
+            # observations all ride on this trip's reply.
             connection.send_bytes(
-                pickle.dumps(
-                    ("ok", tuple(replies), stats, registry.drain_delta()), _PROTOCOL
-                )
+                pickle.dumps(("ok", body, registry.drain_delta()), _PROTOCOL)
             )
         except Exception as exc:
             # Ship the exception object itself when it pickles, so the
@@ -299,14 +313,20 @@ class _WorkerHandle:
 #: request, the definitions riding along and the type watermark to advance to.
 _PreparedSend = tuple[_WorkerHandle, bytes, list[tuple[str, int]], int]
 
+#: One block's ``(state, decision)`` rows and the stats they cost; a trip's
+#: rows are grouped by block index.
+_BlockResult = tuple[list[tuple[RuleState, TriggeringDecision]], EvaluationStats]
+_TripResult = tuple[list[list[tuple[RuleState, TriggeringDecision]]], EvaluationStats]
+
 
 class ProcessShardPool:
-    """N long-lived processes evaluating shard batches against mirror EBs.
+    """Long-lived worker processes evaluating shard batches against mirror EBs.
 
-    The pool is protocol + residency bookkeeping only: *which* rules are
-    candidates for a block is decided by the coordinator's plan, every state
-    mutation happens back in the coordinator, and worker placement, byte
-    channels and the delta encoding live behind the
+    The coordinator of an N-shard table runs N − 1 of them and checks home 0
+    itself.  The pool is protocol + residency bookkeeping only: *which* rules
+    are candidates for a block is decided by the coordinator's plan, every
+    state mutation happens back in the coordinator, and worker placement,
+    byte channels and the delta encoding live behind the
     :class:`~repro.cluster.transport.ShardTransport` seam.  See the module
     docstring for the protocol.
     """
@@ -381,15 +401,24 @@ class ProcessShardPool:
         event_base: EventBase,
         assignments: dict[int, list[tuple[RuleState, Timestamp]]],
         now: Timestamp,
-    ) -> tuple[list[tuple[RuleState, TriggeringDecision]], EvaluationStats]:
+        inline: Callable[[], _BlockResult] | None = None,
+    ) -> _BlockResult:
         """Evaluate one block's work items on the workers.
 
         The single-block spelling of :meth:`evaluate_trip`: ``assignments``
-        maps worker id -> ``(state, window start)`` pairs.  Returns the
-        evaluated ``(state, decision)`` pairs (in worker order — the
-        coordinator sorts by definition order before applying) plus the
-        merged evaluation stats.
+        maps worker id -> ``(state, window start)`` pairs, and ``inline``
+        returns the caller's own ``(state, decision)`` pairs and stats.
+        Returns the evaluated pairs (in worker order — the coordinator sorts
+        by definition order before applying) plus the merged evaluation
+        stats.
         """
+        trip_inline = None
+        if inline is not None:
+
+            def trip_inline() -> _TripResult:
+                rows, stats = inline()
+                return [rows], stats
+
         per_segment, merged = self.evaluate_trip(
             event_base,
             {
@@ -399,6 +428,7 @@ class ProcessShardPool:
                 for worker_id, items in assignments.items()
             },
             [now],
+            trip_inline,
         )
         return per_segment[0], merged
 
@@ -407,7 +437,8 @@ class ProcessShardPool:
         event_base: EventBase,
         assignments: dict[int, dict[int, list[tuple[RuleState, Timestamp, bool]]]],
         nows: Sequence[Timestamp],
-    ) -> tuple[list[list[tuple[RuleState, TriggeringDecision]]], EvaluationStats]:
+        inline: Callable[[], _TripResult] | None = None,
+    ) -> _TripResult:
         """Evaluate a micro-batch of blocks on the workers, one trip per worker.
 
         ``assignments`` maps worker id -> block index -> ``(state, window
@@ -422,9 +453,13 @@ class ProcessShardPool:
         Every consulted worker receives exactly **one** message for the whole
         trip (one combined EB delta + its work segments), which is the
         dispatch amortization this pool exists for: round trips scale with
-        trips, not blocks.  Returns the evaluated ``(state, decision)`` pairs
-        grouped by block index (each group in worker order — the coordinator
-        sorts by definition order before applying) plus the merged stats.
+        trips, not blocks.  ``inline`` — the coordinator's own share of the
+        trip — runs after every message is sent and before any reply is
+        read, so it overlaps the workers' checks; its rows and stats (same
+        shape as this method's result) are folded in.  Returns the evaluated
+        ``(state, decision)`` pairs grouped by block index (each group in
+        evaluator order — the coordinator sorts by definition order before
+        applying) plus the merged stats.
         """
         self._require_usable()
         self._absorb_reconnects()
@@ -498,21 +533,26 @@ class ProcessShardPool:
             [] for _ in nows
         ]
         merged = EvaluationStats()
+        first_error: BaseException | None = None
+        if inline is not None:
+            try:
+                per_segment, merged = inline()
+            except BaseException as exc:
+                first_error = exc
         # Drain every worker's reply even when one fails: an unread reply
         # left in a pipe would pair with the *next* request and desync the
         # pool permanently.  The first failure is re-raised afterwards.
-        first_error: BaseException | None = None
         for handle, _, _, _ in prepared:
             try:
-                reply_segments, worker_stats, metrics_delta = self._receive(handle)
+                body, metrics_delta = self._receive(handle)
             except BaseException as exc:  # transport death poisons in _receive
                 if first_error is None:
                     first_error = exc
                 continue
             if first_error is not None:
                 continue
-            if worker_stats is not None:
-                merged.merge(worker_stats)
+            reply_segments, worker_stats = pickle.loads(body)
+            merged.merge(worker_stats)
             if metrics_delta and self.metrics is not None:
                 # Deltas are commutative (sums and maxima), so the reply
                 # order cannot change the merged snapshot.
@@ -637,8 +677,9 @@ class ProcessShardPool:
                 # there, with the worker traceback chained as the cause.
                 raise original from cause
             raise cause
-        # Reset replies predate the metrics element and stay 3-tuples.
-        return reply[1], reply[2], (reply[3] if len(reply) > 3 else None)
+        # ``("ok", pickled (segments, stats) body, metrics delta)``; a reset
+        # reply carries neither.
+        return reply[1], reply[2]
 
     # -- lifecycle ------------------------------------------------------------
     def transport_stats(self) -> dict[str, int | float]:

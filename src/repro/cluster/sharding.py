@@ -16,7 +16,9 @@ reconciliation stay global (one authoritative table — the coordinator merges
 shard results back into it), while the subscription index is *additionally*
 maintained per shard.  A rule whose ``V(E)`` watches buckets on multiple
 shards is registered on each of them; the coordinator deduplicates at plan
-time (lowest owning shard wins, deterministically).
+time (lowest owning shard wins, deterministically).  Where a rule is
+*checked* is a separate, per-rule constant: its evaluation home,
+:func:`home_shard` of its name, fixed when the rule is added.
 
 Each shard keeps a **sub-signature plan cache**: the resolved, definition-
 ordered subscriber tuple per frozenset of signature types routed to that
@@ -67,11 +69,13 @@ def shard_of_bucket(operation: Operation, class_name: str, num_shards: int) -> i
 
 
 def home_shard(rule_name: str, num_shards: int) -> int:
-    """Deterministic shard for work not tied to a bucket.
+    """A rule's evaluation home: the shard whose worker checks it.
 
-    Pending-full-check rules (``V(E)`` filter not applicable yet — e.g. pure
-    negations, which watch no positive type at all) must be checked on every
-    block; they are dealt to their name's home shard so that load spreads.
+    Keyed by the name alone, so rules spread evenly whatever buckets they
+    watch (the paper's Trigger Support checks each rule independently), and
+    a rule keeps its home — hence its resident memo — for its lifetime.
+    Pending-full-check riders (``V(E)`` filter not applicable yet, e.g. pure
+    negations, which watch no positive type at all) are planned there too.
     """
     return zlib.crc32(rule_name.encode()) % num_shards
 
@@ -117,6 +121,8 @@ class ShardedRuleTable(RuleTable):
         self._shards = [_ShardIndex(shard_id) for shard_id in range(num_shards)]
         #: rule name -> shards it is registered on (sorted, deduplicated).
         self._rule_shards: dict[str, tuple[int, ...]] = {}
+        #: rule name -> evaluation home, hashed once when the rule is added.
+        self._homes: dict[str, int] = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.plan_cache_evictions = 0
@@ -135,6 +141,7 @@ class ShardedRuleTable(RuleTable):
             class_key = (watched.operation, watched.class_name)
             shard.class_buckets.setdefault(class_key, {})[name] = state
         self._rule_shards[name] = tuple(sorted(owners))
+        self._homes[name] = home_shard(name, self.num_shards)
 
     def _unindex_subscriptions(self, state: RuleState) -> None:
         super()._unindex_subscriptions(state)
@@ -155,6 +162,7 @@ class ShardedRuleTable(RuleTable):
                 if not class_bucket:
                     del shard.class_buckets[class_key]
         self._rule_shards.pop(name, None)
+        self._homes.pop(name, None)
 
     # -- introspection ---------------------------------------------------------
     def shards_of_rule(self, name: str) -> tuple[int, ...]:
@@ -162,16 +170,19 @@ class ShardedRuleTable(RuleTable):
         return self._rule_shards.get(name, ())
 
     def home_shard_of(self, name: str) -> int:
-        """The shard that checks ``name`` when no subscription routed it."""
-        return home_shard(name, self.num_shards)
+        """The evaluation home of rule ``name`` (see :func:`home_shard`)."""
+        return self._homes[name]
 
-    def shard_population(self) -> list[int]:
-        """Distinct rules registered per shard (observability / balance checks)."""
-        populations: list[set[str]] = [set() for _ in self._shards]
-        for name, owners in self._rule_shards.items():
-            for shard_id in owners:
-                populations[shard_id].add(name)
-        return [len(population) for population in populations]
+    def home_population(self) -> list[int]:
+        """Rules per evaluation home, home 0 first — where the checks go.
+
+        In ``processes`` mode home 0 is the coordinator's own share and home
+        *k* ≥ 1 that of pool worker *k − 1*; each rule counts once.
+        """
+        population = [0] * self.num_shards
+        for home in self._homes.values():
+            population[home] += 1
+        return population
 
     # -- routing ---------------------------------------------------------------
     def route_signature(

@@ -126,8 +126,9 @@ class RuleState:
     trigger_memo: TriggerMemo = field(default_factory=TriggerMemo, repr=False)
     #: The rule's binding to its evaluator's shape kernels, made by the
     #: Trigger Support on the rule's first check (None until then, and for
-    #: good on the coordinator of the ``processes`` mode, whose workers hold
-    #: the bindings).  Its index handles follow the binder's epoch.
+    #: good on the coordinator of the ``processes`` mode when a worker
+    #: process is the rule's evaluation home and holds the binding).  Its
+    #: index handles follow the binder's epoch.
     compiled_check: "CompiledCheck | None" = field(
         default=None, repr=False, compare=False
     )

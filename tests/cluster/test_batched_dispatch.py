@@ -22,6 +22,8 @@ from repro.rules.rule import Rule
 from repro.rules.rule_table import RuleTable
 from repro.rules.trigger_support import TriggerSupport
 
+from tests.cluster.test_process_pool import homed_names
+
 ALPHA = EventType(Operation.CREATE, "alpha")
 BETA = EventType(Operation.CREATE, "beta")
 
@@ -63,10 +65,15 @@ class _Pipeline:
         self.support.close()
 
 
+#: Two rule names homed on shard 1 of 2: checked by the pool's one worker,
+#: not inline by the coordinator.
+REMOTE = homed_names([1, 1])
+
+
 class TestTripTransport:
     def test_one_worker_message_per_trip(self):
         pipeline = _Pipeline(
-            [watcher("w0", "create(alpha)"), watcher("w1", "create(beta)")]
+            [watcher(REMOTE[0], "create(alpha)"), watcher(REMOTE[1], "create(beta)")]
         )
         try:
             segments = pipeline.segments(
@@ -89,7 +96,7 @@ class TestTripTransport:
             pipeline.close()
 
     def test_trips_scale_with_trips_not_blocks(self):
-        pipeline = _Pipeline([watcher("w0", "create(alpha)")])
+        pipeline = _Pipeline([watcher(REMOTE[0], "create(alpha)")])
         try:
             stream = [block(eid, eid) for eid in range(1, 13)]
             for start in range(0, 12, 4):
@@ -102,29 +109,29 @@ class TestTripTransport:
             stats = pool.transport_stats()
             assert stats["dispatches"] == 3  # 12 blocks, 3 trips
             assert stats["blocks_dispatched"] == 12
-            # w0 lives on one worker: its round trips follow the trips too.
+            # The rule lives on one worker: its round trips follow the trips.
             assert stats["worker_round_trips"] == 3
         finally:
             pipeline.close()
 
     def test_definition_shipped_once_per_trip(self):
         """A rule planned in several segments ships its definition once."""
-        pipeline = _Pipeline([watcher("w0", "create(alpha)")], shards=1)
+        pipeline = _Pipeline([watcher(REMOTE[0], "create(alpha)")])
         try:
             segments = pipeline.segments([block(1, 1), block(2, 2), block(3, 3)])
             pipeline.support.check_after_blocks(segments, 0)
             pool = pipeline.support.process_pool
             (handle,) = pool._workers
             assert handle.shipped_defs == {
-                "w0": pipeline.table.get("w0").definition_order
+                REMOTE[0]: pipeline.table.get(REMOTE[0]).definition_order
             }
         finally:
             pipeline.close()
 
     def test_candidate_free_trip_never_contacts_the_pool(self):
-        pipeline = _Pipeline([watcher("w0", "create(beta)")])
+        pipeline = _Pipeline([watcher(REMOTE[0], "create(beta)")])
         try:
-            # First trip: w0's V(E) filter is not applicable yet (no window
+            # First trip: the rule's V(E) filter is not applicable yet (no window
             # evaluated non-empty), so it rides along and the pool is
             # contacted once.
             pipeline.support.check_after_blocks(pipeline.segments([block(1, 1)]), 0)

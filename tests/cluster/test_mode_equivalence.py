@@ -400,7 +400,7 @@ def test_per_shard_candidate_counters_identical_across_modes():
 def test_zero_candidate_trip_merges_empty_stats_in_process_mode():
     """A trip with no candidate rules must merge a pristine stats record.
 
-    ``_evaluate_in_processes`` returns ``[], EvaluationStats()`` without
+    ``_evaluate_states`` returns ``[], EvaluationStats()`` without
     contacting (or even spawning) the pool when no rule is assigned; the
     coordinator still merges that empty record into its trip stats.  Pin both
     halves: the merge leaves every counter untouched, and a later candidate
@@ -416,11 +416,14 @@ def test_zero_candidate_trip_merges_empty_stats_in_process_mode():
     from repro.rules.rule import Rule
     from repro.cluster.coordinator import ShardCoordinator
     from repro.cluster.sharding import ShardedRuleTable
+    from tests.cluster.test_process_pool import homed_names
 
     table = ShardedRuleTable(2)
+    # Homed on the worker: a coordinator-homed rule would never reach the pool.
+    (name,) = homed_names([1])
     state = table.add(
         Rule(
-            name="w",
+            name=name,
             events=parse_expression("create(alpha)"),
             condition=TRUE_CONDITION,
             action=NO_ACTION,
@@ -447,7 +450,7 @@ def test_zero_candidate_trip_merges_empty_stats_in_process_mode():
 
         # While the rule stays triggered it is not a candidate, so the beta
         # block plans nothing at all.
-        assert [s.rule.name for s in feed("alpha", 1)] == ["w"]
+        assert [s.rule.name for s in feed("alpha", 1)] == [name]
         baseline = EvaluationStats()
         baseline.merge(support.stats.evaluation)
         assert baseline.evaluations > 0
@@ -457,7 +460,7 @@ def test_zero_candidate_trip_merges_empty_stats_in_process_mode():
         assert support.stats.evaluation == baseline
 
         state.mark_considered(2, executed=False)
-        assert [s.rule.name for s in feed("alpha", 3)] == ["w"]
+        assert [s.rule.name for s in feed("alpha", 3)] == [name]
         assert support.stats.evaluation.evaluations > baseline.evaluations
     finally:
         support.close()

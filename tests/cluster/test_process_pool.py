@@ -22,14 +22,21 @@ matter:
 * a reset mid-stream restarts positions and the event-type table, and a
   worker that was not consulted for longer than any buffer catches up from
   the log in one delta, every position still encoded once.
+
+The coordinator checks the rules of evaluation home 0 itself, so every rule
+here is named for a worker's home (:func:`homed_names`) unless the test is
+about the coordinator's share.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+
 import pytest
 
 from repro.cluster.coordinator import ShardCoordinator
-from repro.cluster.sharding import ShardedRuleTable
+from repro.cluster.sharding import ShardedRuleTable, home_shard
 from repro.config import TRANSPORTS, EngineConfig
 from repro.core.parser import parse_expression
 from repro.errors import ShardWorkerError, SnapshotError
@@ -44,19 +51,38 @@ from repro.rules.rule import Rule
 CREATE_ALPHA = EventType(Operation.CREATE, "alpha")
 
 
+def homed_names(homes, shards: int = 2) -> list[str]:
+    """Distinct rule names ``w<k>``, the i-th with evaluation home ``homes[i]``.
+
+    In processes mode home 0 is the coordinator's own share and home *k* is
+    pool worker *k − 1*: a test that needs a worker to see a rule names it
+    for a home ≥ 1.
+    """
+    candidates = (f"w{index}" for index in itertools.count())
+    return [
+        next(name for name in candidates if home_shard(name, shards) == home)
+        for home in homes
+    ]
+
+
 def build_support(
     rule_count: int = 4,
     transport: str | None = None,
     expressions: tuple[str, ...] = ("create(alpha)",),
     shard_mode: str = "processes",
+    shards: int = 2,
+    homes: tuple[int, ...] = (1,),
 ):
-    """``rule_count`` rules cycling through ``expressions``, on two shards."""
-    table = ShardedRuleTable(2)
+    """``rule_count`` rules cycling through ``expressions`` and ``homes``."""
+    table = ShardedRuleTable(shards)
     event_base = EventBase()
-    for index in range(rule_count):
+    names = homed_names(
+        [homes[index % len(homes)] for index in range(rule_count)], shards
+    )
+    for index, name in enumerate(names):
         table.add(
             Rule(
-                name=f"w{index}",
+                name=name,
                 events=parse_expression(expressions[index % len(expressions)]),
                 condition=TRUE_CONDITION,
                 action=NO_ACTION,
@@ -92,7 +118,7 @@ def test_worker_error_preserves_exception_type_and_pool_survives():
         # Sabotage one rule's shipping bookkeeping: the coordinator believes
         # the definition was shipped, so the worker hits a KeyError when the
         # work item arrives.
-        state = table.get("w0")
+        state = table.states()[0]
         broken = Rule(
             name="fresh",
             events=parse_expression("create(alpha)"),
@@ -101,8 +127,9 @@ def test_worker_error_preserves_exception_type_and_pool_survives():
         )
         fresh = table.add(broken)
         fresh.reset(1)
-        home = support._worker_of(fresh, pool.num_workers)
-        pool._workers[home].shipped_defs["fresh"] = fresh.definition_order
+        home = support._worker_of(fresh)
+        assert home == 1, "'fresh' must live on the worker"
+        pool._workers[home - 1].shipped_defs["fresh"] = fresh.definition_order
 
         event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
         batch = handler.flush_block()
@@ -114,7 +141,7 @@ def test_worker_error_preserves_exception_type_and_pool_survives():
 
         # A clean error reply does not poison the pool: fix the bookkeeping
         # and the next block works (the reply streams stayed aligned).
-        del pool._workers[home].shipped_defs["fresh"]
+        del pool._workers[home - 1].shipped_defs["fresh"]
         for st in table.states():
             if st.triggered:
                 st.mark_considered(2, executed=False)
@@ -309,15 +336,19 @@ def test_lagging_worker_catches_up_from_the_log(transport):
     buffer this pool ever had (the old ring held 65 536 rows) — receives the
     whole suffix in one delta when its turn comes, and every EB position
     was still encoded exactly once."""
-    table, event_base, handler, support = build_support(4, transport, ALPHA_OR_GAMMA)
+    # Alpha rules on worker 0 (home 1), gamma rules on worker 1 (home 2).
+    table, event_base, handler, support = build_support(
+        4, transport, ALPHA_OR_GAMMA, shards=3, homes=(1, 2)
+    )
+    names = [state.rule.name for state in table.states()]
+    alpha_rules, gamma_rules = tuple(sorted(names[0::2])), tuple(sorted(names[1::2]))
     try:
         assert _run_blocks(
             support, handler, event_base, [[(CREATE_ALPHA, 1), (CREATE_GAMMA, 1)]]
-        ) == [("w0", "w1", "w2", "w3")]
+        ) == [tuple(sorted(names))]
         pool = support.process_pool
         alpha_home, gamma_home = (
-            support._worker_of(table.get(name), pool.num_workers)
-            for name in ("w0", "w1")
+            support._worker_of(table.get(name)) - 1 for name in names[:2]
         )
         assert alpha_home != gamma_home, "alpha and gamma must not share a worker"
         lagging = pool._workers[gamma_home]
@@ -328,15 +359,15 @@ def test_lagging_worker_catches_up_from_the_log(transport):
 
         backlog = [[(CREATE_ALPHA, oid) for oid in range(35_000)]] * 2
         assert _run_blocks(support, handler, event_base, backlog, 3) == [
-            ("w0", "w2"),
-            ("w0", "w2"),
+            alpha_rules,
+            alpha_rules,
         ]
         assert lagging.shipped_events == 3  # never consulted, never contacted
         assert pool._workers[alpha_home].shipped_events == 70_003
         trips_before = pool.dispatches
 
         assert _run_blocks(support, handler, event_base, [[(CREATE_GAMMA, 2)]], 5) == [
-            ("w1", "w3")
+            gamma_rules
         ]
         assert lagging.shipped_events == 70_004
         assert pool.dispatches == trips_before + 1  # one trip, one 70 001-row delta
@@ -368,11 +399,12 @@ def test_rule_free_database_never_spawns_workers():
 
 
 def test_processes_coordinator_binds_no_rule_it_never_checks():
-    """The bindings live with the evaluator.  In processes mode that is the
-    workers: per block, per trip and at the commit-time recheck the
-    coordinator only plans, ships and applies — it lowers no kernel and
-    leaves every ``RuleState.compiled_check`` unpopulated."""
-    table, event_base, handler, support = build_support(rule_count=12)
+    """The bindings live with the evaluator.  In processes mode the
+    coordinator is the evaluator of home 0: per block, per trip and at the
+    commit-time recheck it binds exactly its own home's rules, and leaves
+    ``RuleState.compiled_check`` unpopulated for every rule a worker
+    checks."""
+    table, event_base, handler, support = build_support(rule_count=12, homes=(0, 1))
     try:
         assert feed_block(event_base, handler, support, 1)
         segments = []
@@ -382,7 +414,111 @@ def test_processes_coordinator_binds_no_rule_it_never_checks():
         assert support.check_after_blocks(segments, 0)
         support.recheck_all(4, 0)
         assert sum(state.ts_computations for state in table) >= 24
-        assert all(state.compiled_check is None for state in table)
-        assert support.binder.kernels_compiled == 0
+        own = {state.rule.name for state in table if support._worker_of(state) == 0}
+        bound = {state.rule.name for state in table if state.compiled_check is not None}
+        assert len(own) == 6
+        assert bound == own
+        assert support.binder.kernels_compiled == 1  # one shape, bound six times
+    finally:
+        support.close()
+
+
+# ---------------------------------------------------------------------------
+# Dealing: each evaluation home gets its share, the coordinator checks home 0
+# ---------------------------------------------------------------------------
+
+
+def test_ghost_shape_deals_half_the_rules_to_each_home():
+    """The benchmark's rule shape — two-type disjunctions, nine in ten
+    conjoined with the never-emitted ``create(ghost)`` — on two shards.
+    Dealing by lowest owning shard put 5 862 of 6 000 such rules on one
+    evaluator (almost every rule owns ghost's shard); dealing by name puts
+    40–60 % on each, and the table's ``home_population`` says so."""
+    from repro.workloads.scaling import build_scaling_universe, build_shard_rules
+
+    table = ShardedRuleTable(2)
+    for rule in build_shard_rules(6_000, build_scaling_universe(6_000)):
+        table.add(rule)
+    support = ShardCoordinator(
+        table, EventBase(), EngineConfig.from_env(shard_mode="processes")
+    )
+    try:
+        homes = [0, 0]
+        for state in table:
+            homes[support._worker_of(state)] += 1
+        assert homes == table.home_population()
+        assert all(2_400 <= share <= 3_600 for share in homes), homes
+    finally:
+        support.close()
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_processes_mode_spawns_one_process_fewer_than_shards(shards):
+    """The coordinator is the evaluator of home 0, so ``shards=N`` leaves
+    exactly N − 1 worker processes, and ``shards=1`` spawns none."""
+    before = set(multiprocessing.active_children())
+    table, event_base, handler, support = build_support(
+        3, shards=shards, homes=tuple(range(shards))
+    )
+    try:
+        assert len(feed_block(event_base, handler, support, 1)) == 3
+        spawned = set(multiprocessing.active_children()) - before
+        assert len(spawned) == shards - 1
+        if shards == 1:
+            assert support.process_pool is None
+        else:
+            assert support.process_pool.num_workers == shards - 1
+    finally:
+        support.close()
+    assert not set(multiprocessing.active_children()) - before
+
+
+def test_coordinator_homed_rules_are_never_shipped():
+    """``defs_shipped`` counts remote homes only: the coordinator's own rules
+    are bound in place, never pickled to a worker."""
+    table, event_base, handler, support = build_support(8, homes=(0, 1))
+    try:
+        for stamp in (1, 2, 3):
+            assert len(feed_block(event_base, handler, support, stamp)) == 8
+        support.recheck_all(3, 0)
+        pool = support.process_pool
+        remote = {
+            state.rule.name for state in table if support._worker_of(state) == 1
+        }
+        assert len(remote) == 4
+        assert pool.defs_shipped == 4
+        (handle,) = pool._workers
+        assert set(handle.shipped_defs) == remote
+    finally:
+        support.close()
+
+
+def test_trip_of_coordinator_homed_candidates_does_not_contact_the_pool():
+    """Once only home-0 rules are candidates, blocks, trips and rechecks are
+    checked inline: no dispatch, no byte on the wire, no spawn."""
+    table, event_base, handler, support = build_support(
+        2, expressions=("create(alpha)", "create(gamma)"), homes=(0, 1)
+    )
+    local, remote = table.states()
+    try:
+        # First block: both rules are fresh pending full checks, so the
+        # gamma watcher (home 1) rides along and the pool is contacted once;
+        # its window was non-empty, so it never rides again.
+        _run_blocks(support, handler, event_base, [[(CREATE_ALPHA, 1)]] * 2)
+        pool = support.process_pool
+        assert pool is not None
+        contacted = (pool.dispatches, pool.bytes_shipped, pool.bytes_received)
+        checks = local.ts_computations
+        assert _run_blocks(support, handler, event_base, [[(CREATE_ALPHA, 2)]], 3) == [
+            (local.rule.name,)
+        ]
+        segments = []
+        for stamp in (4, 5):
+            event_base.record(CREATE_ALPHA, oid="alpha#3", timestamp=stamp)
+            segments.append((handler.flush_block(), stamp))
+        assert support.check_after_blocks(segments, 0) == [local]
+        assert local.ts_computations == checks + 2
+        assert (pool.dispatches, pool.bytes_shipped, pool.bytes_received) == contacted
+        assert remote.ts_computations == 1
     finally:
         support.close()

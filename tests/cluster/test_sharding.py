@@ -75,7 +75,7 @@ class TestShardAssignment:
         table.add(make_rule("multi", "create(stock) , create(order)"))
         table.remove("multi")
         assert table.shards_of_rule("multi") == ()
-        assert sum(table.shard_population()) == 0
+        assert sum(table.home_population()) == 0
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):

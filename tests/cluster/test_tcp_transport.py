@@ -20,13 +20,18 @@ the pipe pool's contracts:
   by design, so a fresh memo changes no outcome);
 * externally-started workers (the ``chimera-events worker`` CLI entrypoint,
   ``tcp_spawn=False`` deployment story) handshake into the same pool, and a
-  bad token is rejected before any state ships.
+  bad token is rejected before any state ships;
+* the endpoint never unpickles a stranger's bytes: the hello is a fixed
+  struct, a frame of any other length (a pickle, random bytes, a header
+  announcing gigabytes) closes the connection unread and promptly.
 """
 
 from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import pickle
+import random
 import socket
 import statistics
 import threading
@@ -36,8 +41,12 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.cluster.net import (
+    _FRAME_HEADER,
+    _FRAME_MAGIC,
+    _HELLO,
     SocketFrameConnection,
     TcpTransport,
+    _frame,
     _read_frame,
 )
 from repro.config import EngineConfig
@@ -160,7 +169,7 @@ def _run_tcp_blocks(blocks: int, interrupt_after: int | None = None) -> dict:
             if interrupt_after is not None and stamp == interrupt_after:
                 pool = support.process_pool
                 # Bounce the worker the rules actually home to (every
-                # watcher shares alpha's shard), so the re-sync is real.
+                # watcher is homed on the one worker), so the re-sync is real.
                 loaded = next(
                     handle.worker_id
                     for handle in pool._workers
@@ -333,3 +342,77 @@ def test_respawn_waits_for_the_replacement_not_a_stale_reconnect():
         assert pool.reconnects >= 1
     finally:
         support.close()
+
+
+# ---------------------------------------------------------------------------
+# Hostile bytes on the port: nothing is unpickled before the token matched
+# ---------------------------------------------------------------------------
+
+
+class _CreatesFile:
+    """Unpickling this opens (creates) ``path`` — the code-execution probe."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _send_raw(host: str, port: int, payload: bytes) -> bytes:
+    """Write ``payload`` to the endpoint; what it sends before hanging up.
+
+    The socket timeout turns an endpoint that keeps waiting into a failure.
+    """
+    received = bytearray()
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(payload)
+        try:
+            chunk = sock.recv(65536)
+            while chunk:
+                received += chunk
+                chunk = sock.recv(65536)
+        except ConnectionResetError:
+            pass  # closed with our bytes unread: a reset, not a FIN
+    return bytes(received)
+
+
+def test_pickled_hello_is_never_unpickled(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the endpoint runs in this process
+    transport, thread, errors = launch_in_background(1)
+    try:
+        host, port, _token = transport.wait_rendezvous(10.0)
+        probe = pickle.dumps(("hello", 0, _CreatesFile("pwned")))
+        assert len(probe) < _HELLO.size
+        # The pickle as the whole frame, and padded to exactly a hello's
+        # length (trailing bytes do not stop ``pickle.loads``).
+        for payload in (probe, probe.ljust(_HELLO.size, b"\0")):
+            reply = _send_raw(host, port, _frame(payload))
+            assert b"config" not in reply
+        assert not (tmp_path / "pwned").exists()
+        assert not transport._endpoint._channels
+    finally:
+        transport.shutdown()
+        thread.join(timeout=5.0)
+
+
+def test_random_bytes_close_the_connection_without_a_hang():
+    transport, thread, errors = launch_in_background(1)
+    try:
+        host, port, _token = transport.wait_rendezvous(10.0)
+        rng = random.Random(23)
+        payloads = [rng.randbytes(rng.randint(8, 4096)) for _ in range(8)]
+        # A valid header announcing 2 GiB, and one announcing a hello.
+        for length in ((1 << 31) - 1, _HELLO.size):
+            header = _FRAME_HEADER.pack(_FRAME_MAGIC, length)
+            payloads.append(header + rng.randbytes(_HELLO.size))
+        for payload in payloads:
+            started = time.monotonic()
+            reply = _send_raw(host, port, payload)
+            elapsed = time.monotonic() - started
+            assert b"config" not in reply
+            assert elapsed < 5.0
+        assert not transport._endpoint._channels
+    finally:
+        transport.shutdown()
+        thread.join(timeout=5.0)

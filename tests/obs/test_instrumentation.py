@@ -15,6 +15,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.cluster.sharding import home_shard
 from repro.cluster.streaming import StreamIngestor
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.obs import MetricsRegistry
@@ -22,12 +23,19 @@ from repro.oodb.database import ChimeraDatabase
 from repro.workloads.stock import CHECK_STOCK_QTY_RULE
 
 
-def _stock_db(**kwargs) -> ChimeraDatabase:
+#: The same rule under a name homed on shard 1 of 2, so a two-shard
+#: processes database checks it on its worker, not inline on the coordinator.
+REMOTE_CHECK_STOCK_QTY_RULE = CHECK_STOCK_QTY_RULE.replace(
+    "checkStockQty", "checkStockQty1"
+)
+
+
+def _stock_db(rule: str = CHECK_STOCK_QTY_RULE, **kwargs) -> ChimeraDatabase:
     db = ChimeraDatabase(**kwargs)
     db.define_class(
         "stock", {"name": str, "quantity": int, "minquantity": int, "maxquantity": int}
     )
-    db.define_rule(CHECK_STOCK_QTY_RULE)
+    db.define_rule(rule)
     return db
 
 
@@ -85,7 +93,7 @@ class TestDatabaseSnapshot:
             db.close()
 
     def test_process_mode_merges_worker_deltas(self):
-        db = _stock_db(shards=2, shard_mode="processes")
+        db = _stock_db(REMOTE_CHECK_STOCK_QTY_RULE, shards=2, shard_mode="processes")
         try:
             _drive(db)
             counters = db.metrics_snapshot()["counters"]
@@ -94,6 +102,22 @@ class TestDatabaseSnapshot:
             # The canonical trigger stats still fold in alongside them.
             for key, value in db.trigger_statistics().items():
                 assert counters[f"trigger.{key}"] == value
+        finally:
+            db.close()
+
+    def test_worker_probes_time_every_trip(self):
+        """``worker.mirror`` (frame decode + mirror extend) and
+        ``worker.reply`` (reply encode) sit beside ``worker.check``: one
+        observation each per trip, all merged through the reply deltas."""
+        db = _stock_db(REMOTE_CHECK_STOCK_QTY_RULE, shards=2, shard_mode="processes")
+        try:
+            _drive(db)
+            snapshot = db.metrics_snapshot()
+            trips = snapshot["counters"]["worker.trips"]
+            assert trips > 0
+            for probe in ("worker.mirror", "worker.check", "worker.reply"):
+                assert snapshot["histograms"][probe]["count"] == trips, probe
+                assert snapshot["histograms"][probe]["sum"] > 0, probe
         finally:
             db.close()
 
@@ -169,6 +193,23 @@ class TestWorkloadCliSurfaces:
             histograms["block.check"]["count"],
             histograms["trip.check"]["count"],
         )
+
+    def test_skew_row_counts_rules_per_evaluation_home(self, capsys):
+        """The workload's pool is the ghost shape: nine rules in ten are
+        conjoined with ``create(ghost)``, so nearly every rule is
+        *registered* on ghost's shard.  The row reports where the checks go
+        instead — each rule once, on its evaluation home, home 0 first."""
+        rules = 400
+        argv = ["workload", "--rules", str(rules), "--blocks", "4", "--shards", "2"]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        row = re.search(r"\| shard_population +\| ([\d/]+)", output).group(1)
+        expected = [0, 0]
+        for index in range(rules):
+            expected[home_shard(f"r{index}", 2)] += 1
+        assert [int(count) for count in row.split("/")] == expected
+        skew = float(re.search(r"\| shard_skew +\| ([\d.]+)", output).group(1))
+        assert skew <= 1.1
 
     PLACEMENTS = {
         "single": [],
