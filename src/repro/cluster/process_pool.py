@@ -6,8 +6,11 @@ the rules homed on shard 0, and **N − 1 long-lived worker processes** (pool
 worker *k* serves home *k + 1*) check the rest.  Each worker owns the rules
 dealt to it — their triggering event expressions, bound once per shipped
 definition, and their incremental
-:class:`~repro.core.triggering.TriggerMemo`s — plus a **mirror Event Base**
-grown from the deltas of :mod:`repro.cluster.transport`.
+:class:`~repro.core.triggering.TriggerMemo`s — plus a **mirror** of the
+Event Base's time-stamp indexes (a
+:class:`~repro.events.event_base.StampIndex`: what the compiled checks read,
+no occurrence objects) grown from the deltas of
+:mod:`repro.cluster.transport`.
 
 Per *trip* — one block, or a micro-batch of consecutive blocks — the
 coordinator sends each consulted worker one message, evaluates its own share
@@ -46,7 +49,7 @@ What makes the equivalence exact:
   name's home shard, fixed when the rule is added), so its ``TriggerMemo``
   sees the sequence of checks the serial mode's memo sees and
   ``instants_sampled`` comes out identical;
-* **full mirror** — every worker receives *every* EB position (negated or
+* **full mirror** — every worker indexes *every* EB position (negated or
   precedence sub-expressions read occurrences of types other shards own), so
   a worker-side window is equivalent to the coordinator's zero-copy view;
 * **synchronous failure** — the delta is encoded in the coordinator and
@@ -82,8 +85,7 @@ from repro.core.evaluation import EvaluationMode, EvaluationStats
 from repro.core.triggering import TriggerMemo, TriggeringDecision
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.clock import Timestamp
-from repro.events.event import EventType
-from repro.events.event_base import EventBase
+from repro.events.event_base import EventBase, StampIndex
 from repro.obs.registry import MetricsRegistry
 from repro.rules.rule import RuleState
 
@@ -100,7 +102,7 @@ _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
 def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> None:
-    """One shard worker: mirror EB + per-rule expressions/memos, message loop.
+    """One shard worker: stamp-index mirror + per-rule bindings/memos, message loop.
 
     ``config`` is the coordinator's own record (a fork argument on pipes,
     the handshake reply on tcp), so a worker can never evaluate under
@@ -109,7 +111,6 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
     # This worker's evaluator: shape kernels shared by every rule dealt to
     # it, and the one epoch its bindings' index handles follow.
     binder = CheckBinder(EvaluationMode(config.evaluation_mode))
-    mirror = EventBase()
     # The worker accumulates its own registry and ships compact deltas
     # piggybacked on every reply (drain-and-reset keeps the payload small);
     # the coordinator merges them, so one snapshot covers the whole logical
@@ -119,7 +120,7 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
     registry = MetricsRegistry(enabled=metrics_enabled)
     trips_counter = registry.counter("worker.trips")
     rules_counter = registry.counter("worker.rules_evaluated")
-    # Per trip: frame decode + mirror extend, the checks, the reply encode.
+    # Per trip: the delta applied to the mirror, the checks, the reply encode.
     hists = (
         registry.histogram("worker.mirror"),
         registry.histogram("worker.check"),
@@ -130,34 +131,17 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
     #: this worker replace the entry (memo and binding) — so a
     #: shard-resident rule is bound exactly once per shipped definition.
     rules: dict[str, tuple[TriggerMemo, CompiledCheck]] = {}
-    type_cache: dict[tuple, EventType] = {}
     _worker_loop(
-        connection,
-        binder,
-        registry,
-        trips_counter,
-        rules_counter,
-        hists,
-        rules,
-        type_cache,
-        _FrameReader(),
-        mirror,
+        connection, binder, registry, trips_counter, rules_counter, hists, rules
     )
 
 
 def _worker_loop(
-    connection,
-    binder,
-    registry,
-    trips_counter,
-    rules_counter,
-    hists,
-    rules,
-    type_cache,
-    frame_reader,
-    mirror,
+    connection, binder, registry, trips_counter, rules_counter, hists, rules
 ) -> None:
     mirror_hist, check_hist, reply_hist = hists
+    mirror = StampIndex()
+    frame_reader = _FrameReader()
     while True:
         try:
             request = pickle.loads(connection.recv_bytes())
@@ -176,9 +160,8 @@ def _worker_loop(
                 # memo describe the old one.  Definitions survive; one epoch
                 # bump makes every binding drop its index handles (they point
                 # into the abandoned mirror) and re-resolve on its next check.
-                mirror = EventBase()
-                type_cache.clear()
-                frame_reader.reset()
+                mirror = StampIndex()
+                frame_reader = _FrameReader()
                 for memo, _compiled in rules.values():
                     memo.clear()
                 binder.invalidate()
@@ -187,7 +170,7 @@ def _worker_loop(
             _, delta, defs, drops, segments = request
             with mirror_hist.time():
                 if delta is not None:
-                    mirror.extend(frame_reader.read(delta, type_cache))
+                    frame_reader.apply(delta, mirror)
             # Drops before defs: a removed-then-re-added name must end up
             # with the fresh definition, not the stale entry.
             for name in drops:
@@ -320,7 +303,7 @@ _TripResult = tuple[list[list[tuple[RuleState, TriggeringDecision]]], Evaluation
 
 
 class ProcessShardPool:
-    """Long-lived worker processes evaluating shard batches against mirror EBs.
+    """Long-lived worker processes evaluating shard batches against EB mirrors.
 
     The coordinator of an N-shard table runs N − 1 of them and checks home 0
     itself.  The pool is protocol + residency bookkeeping only: *which* rules
@@ -585,7 +568,7 @@ class ProcessShardPool:
         return pruned
 
     def reset(self) -> None:
-        """Forget every mirror EB and memo (the coordinator's EB was rebound)."""
+        """Forget every mirror and memo (the coordinator's EB was rebound)."""
         if self._closed or not self._workers:
             return
         self._require_usable()

@@ -1,20 +1,25 @@
 """The delta transport of the process shard pool: one row log, two placements.
 
-A shard worker keeps a **mirror** of the coordinator's Event Base, grown from
-the log suffix it has not seen.  That suffix crosses in exactly one encoding,
-whichever way the bytes travel:
+A shard worker keeps a **mirror** of the coordinator's Event Base — only the
+time-stamp indexes the compiled checks read
+(:class:`~repro.events.event_base.StampIndex`), no occurrence objects — grown
+from the log suffix it has not seen.  That suffix crosses in exactly one
+encoding, whichever way the bytes travel, and this module is the only one
+that knows it:
 
 * the coordinator appends every EB position **once** to a :class:`_RowLog` —
-  48-byte :class:`~repro.events.event_base.SnapshotRowCodec` rows, the paper's
-  ``(EID, event type, OID, time stamp)`` tuple — and a worker's delta is the
-  slice ``[its offset, log end)`` of that log (fixed-width rows: one ``bytes``
-  copy, no re-encoding), plus the event types it has not been sent yet;
+  48-byte rows, the paper's ``(EID, event type, OID, time stamp)`` tuple
+  (Fig. 3), with the event type interned into a side table — and a worker's
+  delta is the slice ``[its offset, log end)`` of that log (fixed-width rows:
+  one ``bytes`` copy, no re-encoding), plus the event types it has not been
+  sent yet;
 * rows the fixed-width form cannot hold (a payload, a wide or exotic OID)
   leave a placeholder in the log and travel as ``EventOccurrence.snapshot()``
   tuples beside it; an unpicklable one fails in the coordinator, naming its
   EID, before anything is sent;
-* the worker's :class:`_FrameReader` turns the delta back into occurrences and
-  refuses (``SnapshotError``) a frame that does not add up.
+* the worker's :class:`_FrameReader` decodes the delta in one pass straight
+  into the mirror's indexes, and refuses a frame that does not add up
+  before the mirror changes.
 
 Nothing is evicted before ``note_reset``: a worker that was not consulted for
 a million events, or one that reconnects with an empty mirror, catches up from
@@ -35,17 +40,132 @@ import bisect
 import multiprocessing
 import operator
 import pickle
+import struct
+from typing import Any
 
 from repro.config import EngineConfig
-from repro.errors import SnapshotError
-from repro.events.event import EventOccurrence
-from repro.events.event_base import ROW_WIDTH, EventBase, SnapshotRowCodec
+from repro.errors import EventCalculusError, SnapshotError
+from repro.events.clock import Timestamp
+from repro.events.event import EventOccurrence, EventType
+from repro.events.event_base import EventBase, StampIndex
 
 __all__ = ["PipeTransport", "ShardTransport", "create_transport"]
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 _position = operator.itemgetter(0)
+
+
+# ---------------------------------------------------------------------------
+# The row format
+# ---------------------------------------------------------------------------
+
+#: One row: eid (int64), timestamp (int64), event-type id (uint32), OID kind
+#: (uint8), OID length (uint8), OID bytes (fixed field).  48 bytes — cache-line
+#: friendly, and wide enough that the common OIDs of every shipped workload
+#: (small ints, short strings) encode inline.
+_ROW_STRUCT = struct.Struct("<qqIBB26s")
+
+#: Same 48-byte layout, with the OID field typed as a little-endian int64
+#: plus 18 pad bytes: the int-OID row packs and unpacks without an
+#: ``int.to_bytes`` / ``int.from_bytes`` round trip.
+_ROW_STRUCT_INT = struct.Struct("<qqIBBq18x")
+assert _ROW_STRUCT_INT.size == _ROW_STRUCT.size
+
+ROW_WIDTH = _ROW_STRUCT.size
+
+#: OID kinds.  ``FALLBACK`` marks a placeholder row: the occurrence did not
+#: fit the fixed-width form (payload present, wide OID, exotic types) and its
+#: full snapshot tuple travels out of band — the placeholder keeps the slot
+#: arithmetic at exactly one row per occurrence.
+_ROW_FALLBACK = 0
+_ROW_INT_OID = 1
+_ROW_STR_OID = 2
+
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+_OID_BYTES = 26
+
+
+class _RowEncoder:
+    """Packs occurrences into rows, interning event types into a side table.
+
+    Payload-free occurrences with small-int or short-string OIDs pack into one
+    :data:`ROW_WIDTH`-byte slot each; the rows name their event type by its
+    index in ``type_snapshots``, which crosses to a worker once per new type
+    as prefix slices.  A row referencing an index the reader was not sent is
+    divergence, and the reader refuses it.
+    """
+
+    __slots__ = ("type_snapshots", "_type_ids", "_type_refs")
+
+    def __init__(self) -> None:
+        #: Event-type snapshot tuples, indexed by the rows' type field.
+        self.type_snapshots: list[tuple[str, str, str | None]] = []
+        # Keyed by object identity (int hash, no per-row dataclass __hash__);
+        # _type_refs pins every interned type so ids can never be reused.
+        # Equal-but-distinct EventType objects cost one duplicate table entry
+        # — harmless, the reader interns by snapshot value.
+        self._type_ids: dict[int, int] = {}
+        self._type_refs: list[EventType] = []
+
+    def encode_into(self, buffer, offset: int, occurrence: EventOccurrence) -> bool:
+        """Pack one occurrence at ``buffer[offset:offset + ROW_WIDTH]``.
+
+        Returns ``False`` when the occurrence needs the fallback path (a
+        placeholder row is still written, so positions stay one row per
+        occurrence either way).
+        """
+        eid = occurrence.eid
+        timestamp = occurrence.timestamp
+        oid = occurrence.oid
+        # Hot path: payload-free row with int64 fields packs the OID straight
+        # into the 26-byte slot (little-endian, zero-padded — byte-identical
+        # to the generic encoding below).
+        if (
+            type(oid) is int
+            and type(eid) is int
+            and type(timestamp) is int
+            and not occurrence.payload
+            and _INT64_MIN <= oid <= _INT64_MAX
+            and _INT64_MIN <= eid <= _INT64_MAX
+            and timestamp <= _INT64_MAX
+        ):
+            index = self._type_ids.get(id(occurrence.event_type))
+            if index is None:
+                index = self._intern_type(occurrence.event_type)
+            _ROW_STRUCT_INT.pack_into(
+                buffer, offset, eid, timestamp, index, _ROW_INT_OID, 8, oid
+            )
+            return True
+        if (
+            occurrence.payload
+            or type(eid) is not int
+            or type(timestamp) is not int
+            or not _INT64_MIN <= eid <= _INT64_MAX
+            or timestamp > _INT64_MAX
+            or type(oid) is not str
+        ):
+            _ROW_STRUCT.pack_into(buffer, offset, 0, 0, 0, _ROW_FALLBACK, 0, b"")
+            return False
+        oid_raw = oid.encode("utf-8")
+        if len(oid_raw) > _OID_BYTES:
+            _ROW_STRUCT.pack_into(buffer, offset, 0, 0, 0, _ROW_FALLBACK, 0, b"")
+            return False
+        event_type = occurrence.event_type
+        index = self._type_ids.get(id(event_type))
+        if index is None:
+            index = self._intern_type(event_type)
+        _ROW_STRUCT.pack_into(
+            buffer, offset, eid, timestamp, index, _ROW_STR_OID, len(oid_raw), oid_raw
+        )
+        return True
+
+    def _intern_type(self, event_type: EventType) -> int:
+        index = self._type_ids[id(event_type)] = len(self.type_snapshots)
+        self.type_snapshots.append(event_type.snapshot())
+        self._type_refs.append(event_type)
+        return index
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +182,11 @@ class _RowLog:
     """
 
     __slots__ = (
-        "codec", "rows", "encoded", "fallback_rows", "rows_inline", "rows_fallback"
+        "encoder", "rows", "encoded", "fallback_rows", "rows_inline", "rows_fallback"
     )
 
     def __init__(self) -> None:
-        self.codec = SnapshotRowCodec()
+        self.encoder = _RowEncoder()
         self.rows = bytearray()
         #: EB positions ``[0, encoded)`` hold encoded rows.
         self.encoded = 0
@@ -87,7 +207,7 @@ class _RowLog:
         if total <= self.encoded:
             return
         rows = self.rows
-        encode = self.codec.encode_into
+        encode = self.encoder.encode_into
         inline = 0
         offset = len(rows)
         rows.extend(bytes((total - self.encoded) * ROW_WIDTH))
@@ -115,7 +235,7 @@ class _RowLog:
 
         ``(start, count, packed rows, fallback (position, row) pairs, event
         types beyond the first shipped_types)`` — what
-        :meth:`_FrameReader.read` takes.
+        :meth:`_FrameReader.apply` takes.
         """
         first = bisect.bisect_left(self.fallback_rows, start, key=_position)
         return (
@@ -123,12 +243,12 @@ class _RowLog:
             self.encoded - start,
             bytes(self.rows[start * ROW_WIDTH : self.encoded * ROW_WIDTH]),
             tuple(self.fallback_rows[first:]),
-            tuple(self.codec.type_snapshots[shipped_types:]),
+            tuple(self.encoder.type_snapshots[shipped_types:]),
         )
 
     def reset(self) -> None:
         """Forget the encoded log (the coordinator's EB was rebound)."""
-        self.codec = SnapshotRowCodec()
+        self.encoder = _RowEncoder()
         self.rows.clear()
         self.encoded = 0
         self.fallback_rows.clear()
@@ -148,21 +268,58 @@ def _picklable_row(occurrence: EventOccurrence) -> tuple:
     return row
 
 
-class _FrameReader:
-    """Worker side: decode the deltas of one log, in order.
+#: One delta as columns: ``(EIDs, event types, OIDs, time stamps)``.
+_Columns = tuple[list[int], list[EventType], list[Any], list[Timestamp]]
 
-    Stateful because the type table ships as prefix slices (``new_types``):
-    the reader's codec must see every delta of the log in order — which the
-    trip protocol guarantees.
+
+class _FrameReader:
+    """Worker side: apply the deltas of one log, in order, to a mirror.
+
+    Stateful because the type table ships as prefix slices (``new_types``)
+    and EIDs must stay unique across deltas: the reader must see every delta
+    of the log in order — which the trip protocol guarantees.  A new log
+    (``reset``) gets a new reader.
     """
 
-    __slots__ = ("codec",)
+    __slots__ = ("types", "_interned", "_eids")
 
     def __init__(self) -> None:
-        self.codec = SnapshotRowCodec()
+        #: The event types the rows' type ids name, in shipping order.
+        self.types: list[EventType] = []
+        #: One EventType object per snapshot value, however many ids (or
+        #: fallback rows) name it — the mirror's type keys are shared.
+        self._interned: dict[tuple, EventType] = {}
+        #: Every EID applied from this log.
+        self._eids: set[int] = set()
 
-    def read(self, delta: tuple, type_cache: dict) -> list[EventOccurrence]:
-        """The occurrences of one delta, in log order."""
+    def apply(self, delta: tuple, mirror: StampIndex) -> None:
+        """Index one delta into ``mirror``: all of it, or — refused — nothing.
+
+        Refuses a frame that does not add up (:meth:`decode`), a duplicate
+        EID (within the delta or against earlier ones), and a time stamp
+        that decreases or is not positive.
+        """
+        eids, types, oids, stamps = self.decode(delta)
+        if not stamps:
+            return
+        mirror._check_batch(eids, self._eids, stamps)
+        if stamps[0] <= 0:
+            raise EventCalculusError(
+                f"event occurrences require a positive time stamp (got {stamps[0]})"
+            )
+        self._eids.update(eids)
+        mirror._index_rows(types, oids, stamps)
+
+    def decode(self, delta: tuple) -> _Columns:
+        """The columns of one delta's rows, in log order, in one pass.
+
+        Raises :class:`SnapshotError` when the frame's length disagrees
+        with its row count, a row has an unknown OID kind or names an event
+        type that was not shipped, a placeholder has no out-of-band row, or
+        an out-of-band row matches no placeholder — codec divergence or
+        corrupted bytes, which must fail loudly rather than build a wrong
+        mirror.
+        """
         start, count, packed, fallback_items, new_types = delta
         if len(packed) != count * ROW_WIDTH:
             raise SnapshotError(
@@ -171,16 +328,35 @@ class _FrameReader:
                 "refusing to decode — close the pool and let the coordinator "
                 "spawn a fresh one"
             )
-        if new_types:
-            self.codec.extend_types(new_types)
+        intern = self._intern
+        types = self.types
+        types.extend(map(intern, new_types))
         fallbacks = dict(fallback_items)
-        decode = self.codec.decode_from
-        from_snapshot = EventOccurrence.from_snapshot
-        occurrences: list[EventOccurrence] = []
-        offset = 0
-        for position in range(start, start + count):
-            row = decode(packed, offset)
-            if row is None:
+        eids: list[int] = []
+        row_types: list[EventType] = []
+        oids: list[Any] = []
+        stamps: list[Timestamp] = []
+        add_eid, add_type, add_oid, add_stamp = (
+            eids.append, row_types.append, oids.append, stamps.append
+        )
+        position = start
+        for eid, stamp, type_id, kind, oid_len, oid in _ROW_STRUCT_INT.iter_unpack(
+            packed
+        ):
+            if kind == _ROW_INT_OID or kind == _ROW_STR_OID:
+                try:
+                    event_type = types[type_id]
+                except IndexError:
+                    raise SnapshotError(
+                        f"row codec divergence: position {position} references "
+                        f"event type {type_id} but only {len(types)} types were "
+                        "shipped"
+                    ) from None
+                if kind == _ROW_STR_OID:
+                    offset = (position - start) * ROW_WIDTH
+                    oid_raw = _ROW_STRUCT.unpack_from(packed, offset)[5]
+                    oid = oid_raw[:oid_len].decode("utf-8")
+            elif kind == _ROW_FALLBACK:
                 row = fallbacks.pop(position, None)
                 if row is None:
                     raise SnapshotError(
@@ -188,19 +364,31 @@ class _FrameReader:
                         f"{position} is a fallback placeholder with no "
                         "out-of-band row"
                     )
-            occurrences.append(from_snapshot(row, type_cache=type_cache))
-            offset += ROW_WIDTH
+                eid, type_row, oid, stamp, _payload = row
+                event_type = intern(type_row)
+            else:
+                raise SnapshotError(
+                    f"row codec divergence: unknown OID kind {kind} "
+                    f"at position {position}"
+                )
+            add_eid(eid)
+            add_type(event_type)
+            add_oid(oid)
+            add_stamp(stamp)
+            position += 1
         if fallbacks:
             raise SnapshotError(
                 "row frame codec divergence: "
                 f"{len(fallbacks)} out-of-band rows matched no placeholder "
                 f"(positions {sorted(fallbacks)[:5]}...)"
             )
-        return occurrences
+        return eids, row_types, oids, stamps
 
-    def reset(self) -> None:
-        """New EB log: the positions (and type table) restart from zero."""
-        self.codec = SnapshotRowCodec()
+    def _intern(self, snapshot: tuple) -> EventType:
+        event_type = self._interned.get(snapshot)
+        if event_type is None:
+            event_type = self._interned[snapshot] = EventType.from_snapshot(snapshot)
+        return event_type
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +459,7 @@ class ShardTransport:
     def delta_for(self, offset: int, shipped_types: int) -> tuple[tuple, int]:
         """``(delta, type-table length after applying it)`` for one lagging worker."""
         log = self._row_log
-        return log.delta(offset, shipped_types), len(log.codec.type_snapshots)
+        return log.delta(offset, shipped_types), len(log.encoder.type_snapshots)
 
     def note_reset(self) -> None:
         """The coordinator's EB was rebound: forget the encoded log."""

@@ -33,7 +33,7 @@ different types — and threads evaluating them concurrently — share one.
 
 *Bind* (once per rule).  :class:`CompiledCheck` is the per-rule binding: the
 shared kernel, the rule's slot types and a tuple of per-type index handles
-(``EventBase._indexes_matching`` resolutions, one per slot).  The handles are
+(``StampIndex._indexes_matching`` resolutions, one per slot).  The handles are
 valid for one binder *epoch*: the binder moves the epoch whenever the Event
 Base it last saw changes identity or registers a new event type (exactly the
 condition under which the store drops its own match cache), and
@@ -80,7 +80,7 @@ from repro.core.ts import unit_step
 from repro.errors import EvaluationError
 from repro.events.clock import Timestamp
 from repro.events.event import EventType
-from repro.events.event_base import EventBase
+from repro.events.event_base import StampIndex
 
 __all__ = ["CheckBinder", "CompiledCheck", "compile_check"]
 
@@ -393,7 +393,7 @@ class CheckBinder:
         #: Bindings whose ``_epoch`` differs re-resolve before evaluating.
         self.epoch = 0
         #: The ``(event base, registered type count)`` the epoch describes.
-        self._bound: "tuple[EventBase | None, int]" = (None, -1)
+        self._bound: "tuple[StampIndex | None, int]" = (None, -1)
         self._lock = threading.Lock()
 
     @property
@@ -429,7 +429,7 @@ class CheckBinder:
             self.epoch += 1
             self._bound = (None, -1)
 
-    def _rebind(self, event_base: EventBase) -> None:
+    def _rebind(self, event_base: StampIndex) -> None:
         """Move the epoch to ``event_base``'s current set of registered types."""
         with self._lock:
             count = len(event_base._by_type)
@@ -466,7 +466,7 @@ class CompiledCheck:
         self._epoch = -1
 
     # -- index-handle binding -------------------------------------------------
-    def _resolve(self, event_base: EventBase) -> tuple:
+    def _resolve(self, event_base: StampIndex) -> tuple:
         """This rule's handles for ``event_base`` (re-resolved per epoch).
 
         Two comparisons on the hot path: the binder's epoch only moves when
@@ -496,7 +496,7 @@ class CompiledCheck:
     def _point(
         self,
         kernel: _Kernel,
-        event_base: EventBase,
+        event_base: StampIndex,
         window_start: Timestamp | None,
         instant: Timestamp,
         oid: Any,
@@ -515,7 +515,7 @@ class CompiledCheck:
 
     def ts(
         self,
-        event_base: EventBase,
+        event_base: StampIndex,
         window_start: Timestamp | None,
         instant: Timestamp,
         stats: EvaluationStats | None = None,
@@ -529,7 +529,7 @@ class CompiledCheck:
 
     def ots(
         self,
-        event_base: EventBase,
+        event_base: StampIndex,
         window_start: Timestamp | None,
         instant: Timestamp,
         oid: Any,
@@ -553,7 +553,7 @@ class CompiledCheck:
     # -- the batched exact check ----------------------------------------------
     def check(
         self,
-        event_base: EventBase,
+        event_base: StampIndex,
         window_start: Timestamp | None,
         now: Timestamp,
         memo: TriggerMemo | None = None,
@@ -565,7 +565,7 @@ class CompiledCheck:
 
     def check_trip(
         self,
-        event_base: EventBase,
+        event_base: StampIndex,
         entries: Sequence["tuple[Timestamp | None, Timestamp, bool]"],
         memo: TriggerMemo | None = None,
         stats: EvaluationStats | None = None,

@@ -244,33 +244,6 @@ class EventOccurrence:
             dict(self.payload) if self.payload else None,
         )
 
-    @classmethod
-    def from_snapshot(
-        cls,
-        data: tuple,
-        type_cache: dict[tuple, EventType] | None = None,
-    ) -> "EventOccurrence":
-        """Rebuild an occurrence from its :meth:`snapshot` form.
-
-        ``type_cache`` (optional) interns the reconstructed event types so a
-        restoring worker allocates each distinct type once per batch, not once
-        per occurrence.
-        """
-        eid, type_data, oid, timestamp, payload = data
-        if type_cache is None:
-            event_type = EventType.from_snapshot(type_data)
-        else:
-            event_type = type_cache.get(type_data)
-            if event_type is None:
-                event_type = type_cache[type_data] = EventType.from_snapshot(type_data)
-        return cls(
-            eid=eid,
-            event_type=event_type,
-            oid=oid,
-            timestamp=timestamp,
-            payload=payload or {},
-        )
-
 
 class EidGenerator:
     """Produces unique, monotonically increasing event identifiers."""

@@ -22,17 +22,22 @@ that the calculus can answer its two fundamental questions in O(log n):
 
 * the most recent occurrence of a type at or before time ``t``;
 * the most recent occurrence of a type *on a given object* at or before ``t``.
+
+Those indexes need only each row's ``(event type, OID, time stamp)``, so they
+live in :class:`StampIndex` on their own — which is all a process shard
+worker's mirror of the EB is — and every batch enters them through one
+single-pass routine, :meth:`StampIndex._index_rows`.
 """
 
 from __future__ import annotations
 
 import bisect
 import operator
-import struct
+from array import array
 from collections import defaultdict
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
-from repro.errors import EventCalculusError, SnapshotError
+from repro.errors import EventCalculusError
 from repro.events.clock import Timestamp
 from repro.events.event import EidGenerator, EventOccurrence, EventType
 
@@ -40,9 +45,8 @@ __all__ = [
     "EventBase",
     "EventWindow",
     "BoundedView",
+    "StampIndex",
     "WindowLike",
-    "SnapshotRowCodec",
-    "ROW_WIDTH",
 ]
 
 #: ``True`` where an adjacent time-stamp pair decreases — used with ``map``
@@ -50,60 +54,24 @@ __all__ = [
 #: Python comparison loop.
 _stamp_decreases = operator.gt
 
-#: Below this batch size, ``extend`` inserts item by item (after batch
-#: validation): segmenting a handful of occurrences by type costs more than
-#: the per-item index maintenance it saves.
-_BULK_SEGMENT_THRESHOLD = 128
-
 
 class _TypeIndex:
-    """Per-event-type index of occurrences ordered by time stamp.
+    """Per-event-type index: time stamps and log positions, plus per-OID stamps.
 
-    Keeps parallel lists of time stamps and occurrences (sorted by time stamp,
-    ties broken by insertion order) plus a per-OID sub-index of time stamps.
-    The keys of ``per_oid`` double as the set of OIDs affected by the type, so
+    ``timestamps`` and ``positions`` are parallel and sorted by time stamp,
+    ties in log order (the store only ever appends rows that continue its
+    log order); ``positions`` locate each row in the owning store's log, so
+    occurrence objects are looked up there rather than kept twice.  The keys
+    of ``per_oid`` double as the set of OIDs affected by the type, so
     affected-object queries never need to materialize occurrence lists.
     """
 
-    __slots__ = ("timestamps", "occurrences", "per_oid")
+    __slots__ = ("timestamps", "positions", "per_oid")
 
     def __init__(self) -> None:
         self.timestamps: list[Timestamp] = []
-        self.occurrences: list[EventOccurrence] = []
+        self.positions = array("q")
         self.per_oid: dict[Any, list[Timestamp]] = defaultdict(list)
-
-    def add(self, occurrence: EventOccurrence) -> None:
-        stamp = occurrence.timestamp
-        if not self.timestamps or stamp >= self.timestamps[-1]:
-            # Append fast path: the EB log grows in non-decreasing time-stamp
-            # order (EventBase.append enforces it, EventWindow sorts on
-            # construction), so the common case is O(1).
-            self.timestamps.append(stamp)
-            self.occurrences.append(occurrence)
-        else:
-            # Out-of-order insertion.  Unreachable through _OccurrenceStore
-            # (whose _insert requires ordered input); kept for direct reuse of
-            # the index by future ingestion paths that cannot pre-sort.
-            position = bisect.bisect_right(self.timestamps, stamp)
-            self.timestamps.insert(position, stamp)
-            self.occurrences.insert(position, occurrence)
-        oid_times = self.per_oid[occurrence.oid]
-        if not oid_times or stamp >= oid_times[-1]:
-            oid_times.append(stamp)
-        else:
-            oid_position = bisect.bisect_right(oid_times, stamp)
-            oid_times.insert(oid_position, stamp)
-
-    def extend_ordered(self, occurrences: Sequence[EventOccurrence]) -> None:
-        """Bulk-append occurrences whose stamps are non-decreasing and no
-        earlier than anything already indexed (the store validates both before
-        calling).  One list growth per parallel structure instead of a
-        per-occurrence ``add`` cascade."""
-        self.occurrences.extend(occurrences)
-        self.timestamps.extend([occurrence.timestamp for occurrence in occurrences])
-        per_oid = self.per_oid
-        for occurrence in occurrences:
-            per_oid[occurrence.oid].append(occurrence.timestamp)
 
     def last_at_or_before(self, instant: Timestamp) -> Timestamp | None:
         position = bisect.bisect_right(self.timestamps, instant)
@@ -121,10 +89,6 @@ class _TypeIndex:
         if position == 0:
             return None
         return times[position - 1]
-
-    def occurrences_at_or_before(self, instant: Timestamp) -> Sequence[EventOccurrence]:
-        position = bisect.bisect_right(self.timestamps, instant)
-        return self.occurrences[:position]
 
     # -- bounded access (used by BoundedView) ---------------------------------
     def span(self, after: Timestamp | None, until: Timestamp | None) -> tuple[int, int]:
@@ -169,75 +133,94 @@ class _TypeIndex:
         return stop > start
 
 
-class _OccurrenceStore:
-    """Shared implementation of occurrence storage and indexed lookups.
+class StampIndex:
+    """The time-stamp indexes the calculus reads, without the occurrences.
 
-    Beyond the per-type indexes, the store incrementally maintains:
+    ``ts`` / ``ots`` (paper §3.1–3.2) only ask when a type last occurred, on
+    the whole window or on one object, so this is everything the compiled
+    kernels (:mod:`repro.core.compile`) touch:
 
-    * ``_all_timestamps`` — the time stamps of ``_occurrences`` (always
-      non-decreasing: the EB enforces log order and EventWindow sorts on
-      construction), so bounded views can locate a slice by bisection;
+    * ``_by_type`` — one :class:`_TypeIndex` per concrete event type;
+    * ``_all_timestamps`` — the time stamp of every log position (always
+      non-decreasing: every batch is validated to continue the log), so
+      bounded views can locate a slice by bisection;
     * ``_distinct_timestamps`` — the sorted, deduplicated time stamps, so
       :meth:`timestamps` is O(1) per call instead of O(n log n);
     * a cache of :meth:`_indexes_matching` resolutions, invalidated whenever a
-      new event type is registered (class-level patterns may match it);
-    * a cached tuple for :attr:`occurrences`, so repeated access (window
-      construction, iteration-heavy analyses) does not copy the log each time.
+      new event type is registered (class-level patterns may match it).
+
+    A process shard worker's mirror of the Event Base is a bare
+    ``StampIndex`` fed straight from the wire rows
+    (:mod:`repro.cluster.transport`); :class:`EventBase` and
+    :class:`EventWindow` add the occurrence objects on top.
     """
 
     def __init__(self) -> None:
-        self._occurrences: list[EventOccurrence] = []
         self._by_type: dict[EventType, _TypeIndex] = {}
-        self._oids: set[Any] = set()
         self._all_timestamps: list[Timestamp] = []
         self._distinct_timestamps: list[Timestamp] = []
         self._match_cache: dict[EventType, tuple[_TypeIndex, ...]] = {}
-        self._occurrences_cache: tuple[EventOccurrence, ...] | None = None
 
     # -- mutation ------------------------------------------------------
-    def _insert(self, occurrence: EventOccurrence) -> None:
-        stamp = occurrence.timestamp
-        if self._all_timestamps and stamp < self._all_timestamps[-1]:
-            # The sorted-timestamp caches (and BoundedView's bisections over
-            # them) rely on insertion order; both callers guarantee it —
-            # EventBase.append rejects decreasing stamps with a friendlier
-            # message before reaching here, EventWindow sorts on construction.
-            raise EventCalculusError(
-                "occurrence store requires non-decreasing time-stamp inserts "
-                f"(last={self._all_timestamps[-1]}, new={stamp})"
-            )
-        self._occurrences.append(occurrence)
-        self._occurrences_cache = None
-        self._all_timestamps.append(stamp)
-        distinct = self._distinct_timestamps
-        if not distinct or stamp > distinct[-1]:
-            distinct.append(stamp)
-        index = self._by_type.get(occurrence.event_type)
-        if index is None:
-            index = self._by_type[occurrence.event_type] = _TypeIndex()
-            # A new concrete type may be matched by previously resolved
-            # class-level patterns: drop every memoized resolution.
-            self._match_cache.clear()
-        index.add(occurrence)
-        self._oids.add(occurrence.oid)
+    def _check_batch(
+        self,
+        eids: Sequence[int],
+        known_eids: Collection[int],
+        stamps: Sequence[Timestamp],
+    ) -> None:
+        """Refuse a batch that would not continue the log.
 
-    def _extend_ordered(
-        self, batch: Sequence[EventOccurrence], stamps: Sequence[Timestamp]
-    ) -> frozenset[EventType]:
-        """Bulk insert of a validated, non-empty batch (non-decreasing
-        stamps, none earlier than the stored log; ``stamps`` are the batch's
-        time stamps, already extracted by the validating caller).  Returns
-        the event types the batch was segmented by.
-
-        The per-append path re-runs the whole maintenance cascade — cache
-        invalidation, distinct-stamp check, per-type index dispatch — once per
-        occurrence.  Here the batch is segmented by event type first, every
-        parallel structure grows once, and the caches are invalidated a single
-        time; new event types drop the pattern-match cache once, not once per
-        occurrence.
+        Its EIDs must be unique and absent from ``known_eids``, and its time
+        stamps non-decreasing and no earlier than the last one indexed.  Run
+        before anything is indexed, so a refused batch leaves the store as
+        it was.
         """
-        self._occurrences.extend(batch)
-        self._occurrences_cache = None
+        if len(set(eids)) != len(eids) or not known_eids.isdisjoint(eids):
+            seen = set(known_eids)
+            duplicate = next(eid for eid in eids if eid in seen or seen.add(eid))
+            raise EventCalculusError(f"duplicate EID {duplicate}")
+        stored = self._all_timestamps
+        previous = stored[-1] if stored else stamps[0]
+        if stamps[0] < previous or any(map(_stamp_decreases, stamps, stamps[1:])):
+            for stamp in stamps:
+                if stamp < previous:
+                    raise EventCalculusError(
+                        "event occurrences must be appended in non-decreasing "
+                        f"time-stamp order (last={previous}, new={stamp})"
+                    )
+                previous = stamp
+
+    def _index_rows(
+        self,
+        types: Sequence[EventType],
+        oids: Sequence[Any],
+        stamps: Sequence[Timestamp],
+    ) -> frozenset[EventType]:
+        """Index a validated, non-empty batch of ``(event type, OID, stamp)`` rows.
+
+        The one routine every batch goes through — an :class:`EventBase`
+        ``extend``, an :class:`EventWindow`'s construction, a worker mirror's
+        delta — in a single pass: each row appends its stamp and log
+        position to its type's index and its stamp to the type's per-OID
+        list.  The rows must continue the log (:meth:`_check_batch`).  New
+        types drop the pattern-match cache once for the batch.  Returns the
+        batch's type signature.
+        """
+        by_type = self._by_type
+        registered = len(by_type)
+        position = len(self._all_timestamps)
+        for event_type, oid, stamp in zip(types, oids, stamps):
+            index = by_type.get(event_type)
+            if index is None:
+                index = by_type[event_type] = _TypeIndex()
+            index.timestamps.append(stamp)
+            index.positions.append(position)
+            index.per_oid[oid].append(stamp)
+            position += 1
+        if len(by_type) != registered:
+            # New concrete types may be matched by previously resolved
+            # class-level patterns.
+            self._match_cache.clear()
         self._all_timestamps.extend(stamps)
         # Non-decreasing stamps make duplicates adjacent, so an order-keeping
         # dedup of the batch is the new distinct suffix — minus a leading
@@ -247,51 +230,15 @@ class _OccurrenceStore:
         if distinct and unique[0] == distinct[-1]:
             del unique[0]
         distinct.extend(unique)
-        segments: defaultdict[EventType, list[EventOccurrence]] = defaultdict(list)
-        for occurrence in batch:
-            segments[occurrence.event_type].append(occurrence)
-        by_type = self._by_type
-        new_types = [event_type for event_type in segments if event_type not in by_type]
-        if new_types:
-            # New concrete types may be matched by previously resolved
-            # class-level patterns: one cache drop covers the whole batch.
-            self._match_cache.clear()
-            for event_type in new_types:
-                by_type[event_type] = _TypeIndex()
-        for event_type, segment in segments.items():
-            by_type[event_type].extend_ordered(segment)
-        self._oids.update(occurrence.oid for occurrence in batch)
-        return frozenset(segments)
+        return frozenset(types)
 
     # -- basic introspection -------------------------------------------
     def __len__(self) -> int:
-        return len(self._occurrences)
+        return len(self._all_timestamps)
 
-    def __iter__(self) -> Iterator[EventOccurrence]:
-        return iter(self._occurrences)
-
-    def __bool__(self) -> bool:
-        return bool(self._occurrences)
-
-    @property
-    def occurrences(self) -> tuple[EventOccurrence, ...]:
-        """All stored occurrences in insertion order (cached, read-only)."""
-        if self._occurrences_cache is None:
-            self._occurrences_cache = tuple(self._occurrences)
-        return self._occurrences_cache
-
-    def occurrence_at(self, position: int) -> EventOccurrence:
-        """The occurrence at ``position`` in insertion order."""
-        return self._occurrences[position]
-
-    def occurrences_between(self, start: int, stop: int) -> list[EventOccurrence]:
-        """The occurrences at positions ``[start, stop)`` in insertion order.
-
-        Costs the slice, not the log: what per-block readers (the Event
-        Handler's flush, the row log's encoder) use instead of
-        :attr:`occurrences`, which materializes every row.
-        """
-        return self._occurrences[start:stop]
+    def is_empty(self) -> bool:
+        """True when no occurrence is stored (``R = {}``)."""
+        return not self._all_timestamps
 
     def event_types(self) -> set[EventType]:
         """The set of event types with at least one stored occurrence."""
@@ -299,7 +246,7 @@ class _OccurrenceStore:
 
     def oids(self) -> set[Any]:
         """The set of OIDs affected by at least one stored occurrence."""
-        return set(self._oids)
+        return set().union(*[index.per_oid for index in self._by_type.values()])
 
     def timestamps(self) -> list[Timestamp]:
         """All time stamps present, sorted and deduplicated."""
@@ -309,10 +256,6 @@ class _OccurrenceStore:
         """The distinct time stamps strictly greater than ``lower``."""
         position = bisect.bisect_right(self._distinct_timestamps, lower)
         return self._distinct_timestamps[position:]
-
-    def is_empty(self) -> bool:
-        """True when no occurrence is stored (``R = {}``)."""
-        return not self._occurrences
 
     def latest_timestamp(self) -> Timestamp | None:
         """The greatest time stamp stored, or None when empty."""
@@ -325,7 +268,7 @@ class _OccurrenceStore:
         """Indexes whose concrete type matches the (possibly class-level) pattern.
 
         Resolutions are memoized; the cache is dropped whenever a new event
-        type registers an index (see :meth:`_insert`).
+        type registers an index.
         """
         cached = self._match_cache.get(event_type)
         if cached is not None:
@@ -365,21 +308,6 @@ class _OccurrenceStore:
                 best = candidate
         return best
 
-    def occurrences_of(
-        self,
-        event_type: EventType,
-        until: Timestamp | None = None,
-    ) -> list[EventOccurrence]:
-        """All occurrences matching ``event_type`` (optionally at/before ``until``)."""
-        matched: list[EventOccurrence] = []
-        for index in self._indexes_matching(event_type):
-            if until is None:
-                matched.extend(index.occurrences)
-            else:
-                matched.extend(index.occurrences_at_or_before(until))
-        matched.sort(key=lambda occurrence: (occurrence.timestamp, occurrence.eid))
-        return matched
-
     def objects_affected_by(
         self,
         event_types: Iterable[EventType],
@@ -402,6 +330,71 @@ class _OccurrenceStore:
                         if times[0] <= until:
                             affected.add(oid)
         return affected
+
+
+class _OccurrenceStore(StampIndex):
+    """A :class:`StampIndex` that also keeps the occurrences, in log order.
+
+    The indexes' log positions point into ``_occurrences``, which answers the
+    queries that return occurrence objects; :attr:`occurrences` caches its
+    tuple form, so repeated access (window construction, iteration-heavy
+    analyses) does not copy the log each time.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._occurrences: list[EventOccurrence] = []
+        self._occurrences_cache: tuple[EventOccurrence, ...] | None = None
+
+    def _append_batch(
+        self, batch: Sequence[EventOccurrence], stamps: Sequence[Timestamp]
+    ) -> frozenset[EventType]:
+        """Store a validated, non-empty batch (``stamps`` its time stamps)."""
+        self._occurrences.extend(batch)
+        self._occurrences_cache = None
+        return self._index_rows(
+            [occurrence.event_type for occurrence in batch],
+            [occurrence.oid for occurrence in batch],
+            stamps,
+        )
+
+    # -- basic introspection -------------------------------------------
+    def __iter__(self) -> Iterator[EventOccurrence]:
+        return iter(self._occurrences)
+
+    @property
+    def occurrences(self) -> tuple[EventOccurrence, ...]:
+        """All stored occurrences in insertion order (cached, read-only)."""
+        if self._occurrences_cache is None:
+            self._occurrences_cache = tuple(self._occurrences)
+        return self._occurrences_cache
+
+    def occurrence_at(self, position: int) -> EventOccurrence:
+        """The occurrence at ``position`` in insertion order."""
+        return self._occurrences[position]
+
+    def occurrences_between(self, start: int, stop: int) -> list[EventOccurrence]:
+        """The occurrences at positions ``[start, stop)`` in insertion order.
+
+        Costs the slice, not the log: what per-block readers (the Event
+        Handler's flush, the row log's encoder) use instead of
+        :attr:`occurrences`, which materializes every row.
+        """
+        return self._occurrences[start:stop]
+
+    def occurrences_of(
+        self,
+        event_type: EventType,
+        until: Timestamp | None = None,
+    ) -> list[EventOccurrence]:
+        """All occurrences matching ``event_type`` (optionally at/before ``until``)."""
+        matched: list[EventOccurrence] = []
+        at = self._occurrences.__getitem__
+        for index in self._indexes_matching(event_type):
+            _start, stop = index.span(None, until)
+            matched.extend(map(at, index.positions[:stop]))
+        matched.sort(key=lambda occurrence: (occurrence.timestamp, occurrence.eid))
+        return matched
 
     def select(
         self, predicate: Callable[[EventOccurrence], bool]
@@ -444,70 +437,64 @@ class EventBase(_OccurrenceStore):
         return occurrence
 
     def append(self, occurrence: EventOccurrence) -> None:
-        """Store a fully formed occurrence (EIDs must be unique)."""
+        """Store a fully formed occurrence (EIDs must be unique).
+
+        The one-row spelling of :meth:`StampIndex._index_rows`: a single
+        occurrence (every operation of a transaction) skips the batch
+        set-up.
+        """
         if occurrence.eid in self._by_eid:
             raise EventCalculusError(f"duplicate EID {occurrence.eid}")
-        if self._occurrences and occurrence.timestamp < self._occurrences[-1].timestamp:
+        stamp = occurrence.timestamp
+        stamps = self._all_timestamps
+        if stamps and stamp < stamps[-1]:
             # The EB is a log: later entries may share a time stamp with
             # earlier ones but never precede them.
             raise EventCalculusError(
                 "event occurrences must be appended in non-decreasing time-stamp order "
-                f"(last={self._occurrences[-1].timestamp}, new={occurrence.timestamp})"
+                f"(last={stamps[-1]}, new={stamp})"
             )
-        self._insert(occurrence)
+        position = len(stamps)
+        self._occurrences.append(occurrence)
+        self._occurrences_cache = None
         self._by_eid[occurrence.eid] = occurrence
+        stamps.append(stamp)
+        distinct = self._distinct_timestamps
+        if not distinct or stamp > distinct[-1]:
+            distinct.append(stamp)
+        index = self._by_type.get(occurrence.event_type)
+        if index is None:
+            index = self._by_type[occurrence.event_type] = _TypeIndex()
+            self._match_cache.clear()
+        index.timestamps.append(stamp)
+        index.positions.append(position)
+        index.per_oid[occurrence.oid].append(stamp)
 
-    def extend(
-        self, occurrences: Iterable[EventOccurrence]
-    ) -> frozenset[EventType] | None:
+    def extend(self, occurrences: Iterable[EventOccurrence]) -> frozenset[EventType]:
         """Bulk-append a batch of occurrences.
 
         Validates the whole batch up front (unique EIDs, non-decreasing time
-        stamps continuing the log order) and only then inserts it through the
-        segmented bulk path, so the indexes and caches are maintained once per
-        batch instead of once per occurrence — and a rejected batch leaves the
-        EB untouched (the old per-append loop applied a prefix before
-        failing).
+        stamps continuing the log order) and only then indexes it in one pass
+        (:meth:`StampIndex._index_rows`) — so a rejected batch leaves the EB
+        untouched.
 
-        Returns the set of event types in the batch when the bulk path
-        grouped it by type — the block's type signature, which the Event
-        Handler passes on instead of hashing every occurrence's type a second
-        time — and ``None`` for a batch too small to be segmented.
+        Returns the batch's type signature (the set of its event types),
+        which the Event Handler passes on instead of hashing every
+        occurrence's type a second time.
         """
         batch = occurrences if isinstance(occurrences, (list, tuple)) else list(
             occurrences
         )
-        if not batch:
-            return None
-        if len(batch) == 1:
-            self.append(batch[0])
-            return None
+        if len(batch) <= 1:
+            if batch:
+                self.append(batch[0])
+            return frozenset(occurrence.event_type for occurrence in batch)
         eids = [occurrence.eid for occurrence in batch]
-        if len(set(eids)) != len(eids) or not self._by_eid.keys().isdisjoint(eids):
-            seen: set[int] = set(self._by_eid)
-            duplicate = next(eid for eid in eids if eid in seen or seen.add(eid))
-            raise EventCalculusError(f"duplicate EID {duplicate}")
         stamps = [occurrence.timestamp for occurrence in batch]
-        previous = self._occurrences[-1].timestamp if self._occurrences else stamps[0]
-        if stamps[0] < previous or any(map(_stamp_decreases, stamps, stamps[1:])):
-            for stamp in stamps:
-                if stamp < previous:
-                    raise EventCalculusError(
-                        "event occurrences must be appended in non-decreasing "
-                        f"time-stamp order (last={previous}, new={stamp})"
-                    )
-                previous = stamp
-        grouped = None
-        if len(batch) < _BULK_SEGMENT_THRESHOLD:
-            # Tiny batches: the per-type segmentation overhead exceeds what it
-            # amortizes — validated per-item inserts are faster and equally
-            # atomic (validation already happened above).
-            for occurrence in batch:
-                self._insert(occurrence)
-        else:
-            grouped = self._extend_ordered(batch, stamps)
+        self._check_batch(eids, self._by_eid.keys(), stamps)
+        signature = self._append_batch(batch, stamps)
         self._by_eid.update(zip(eids, batch))
-        return grouped
+        return signature
 
     # -- Fig. 4 accessor functions ---------------------------------------
     def get(self, eid: int) -> EventOccurrence:
@@ -599,9 +586,12 @@ class EventWindow(_OccurrenceStore):
             if (after is None or occurrence.timestamp > after)
             and (until is None or occurrence.timestamp <= until)
         ]
+        # Sorting makes the selection a valid log: the indexes only append.
         selected.sort(key=lambda occurrence: (occurrence.timestamp, occurrence.eid))
-        for occurrence in selected:
-            self._insert(occurrence)
+        if selected:
+            self._append_batch(
+                selected, [occurrence.timestamp for occurrence in selected]
+            )
 
     @classmethod
     def of(cls, occurrences: Iterable[EventOccurrence]) -> "EventWindow":
@@ -793,9 +783,10 @@ class BoundedView:
         """In-bounds occurrences matching ``event_type`` (optionally at/before ``until``)."""
         bound = self._effective_until(until)
         matched: list[EventOccurrence] = []
+        at = self._parent._occurrences.__getitem__
         for index in self._parent._indexes_matching(event_type):
             start, stop = index.span(self.after, bound)
-            matched.extend(index.occurrences[start:stop])
+            matched.extend(map(at, index.positions[start:stop]))
         matched.sort(key=lambda occurrence: (occurrence.timestamp, occurrence.eid))
         return matched
 
@@ -821,166 +812,6 @@ class BoundedView:
     ) -> list[EventOccurrence]:
         """All in-bounds occurrences satisfying ``predicate`` (in log order)."""
         return [occurrence for occurrence in self if predicate(occurrence)]
-
-
-# ---------------------------------------------------------------------------
-# Fixed-width row codec: the wire format of occurrence rows.
-# ---------------------------------------------------------------------------
-
-#: One row: eid (int64), timestamp (int64), event-type index (uint32),
-#: OID kind (uint8), OID length (uint8), OID bytes (fixed field).  48 bytes —
-#: cache-line friendly, and wide enough that the common OIDs of every shipped
-#: workload (small ints, short strings) encode inline.
-_ROW_STRUCT = struct.Struct("<qqIBB26s")
-
-#: Same 48-byte layout, with the OID field typed as a little-endian int64
-#: plus 18 zero pad bytes — lets the int-OID hot path pack the OID without
-#: the ``int.to_bytes`` round trip while producing byte-identical rows.
-_ROW_STRUCT_INT = struct.Struct("<qqIBBq18x")
-assert _ROW_STRUCT_INT.size == _ROW_STRUCT.size
-
-ROW_WIDTH = _ROW_STRUCT.size
-
-#: OID kinds.  ``FALLBACK`` marks a placeholder row: the occurrence did not
-#: fit the fixed-width form (payload present, wide OID, exotic types) and its
-#: full snapshot tuple travels out of band — the placeholder keeps the slot
-#: arithmetic at exactly one row per occurrence.
-_ROW_FALLBACK = 0
-_ROW_INT_OID = 1
-_ROW_STR_OID = 2
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-_OID_BYTES = 26
-
-
-class SnapshotRowCodec:
-    """Fixed-width encoder/decoder for ``EventOccurrence.snapshot()`` rows.
-
-    The process pool's row log (``repro.cluster.transport``) ships the Event
-    Base delta as fixed-width rows:
-    payload-free occurrences with small-int or short-string OIDs pack into
-    one :data:`ROW_WIDTH`-byte slot each, with the event type interned into a
-    side table that crosses to the worker once per new type.  Decoded rows
-    are the exact ``EventOccurrence.snapshot()`` tuples the fallback rows
-    carry, so a mirror is the same whichever form a row took
-    (``tests/events/test_row_codec.py`` pins the round trip).
-
-    Encoder and decoder each hold one codec: the encoder grows
-    ``type_snapshots`` as it meets new event types (shipping
-    ``type_snapshots[seen:]`` slices), the decoder appends those slices via
-    :meth:`extend_types`.  The decoder's table must therefore always be a
-    prefix of the encoder's — a row referencing an unknown index is codec
-    divergence and raises :class:`SnapshotError`.
-    """
-
-    __slots__ = ("type_snapshots", "_type_ids", "_type_refs")
-
-    width = ROW_WIDTH
-
-    def __init__(self) -> None:
-        #: Event-type snapshot tuples, indexed by the rows' type field.
-        self.type_snapshots: list[tuple[str, str, str | None]] = []
-        # Keyed by object identity (int hash, no per-row dataclass __hash__);
-        # _type_refs pins every interned type so ids can never be reused.
-        # Equal-but-distinct EventType objects cost one duplicate table entry
-        # — harmless, the decoder interns by snapshot value.
-        self._type_ids: dict[int, int] = {}
-        self._type_refs: list[EventType] = []
-
-    # -- encoding ------------------------------------------------------------
-    def encode_into(self, buffer, offset: int, occurrence: EventOccurrence) -> bool:
-        """Pack one occurrence at ``buffer[offset:offset + ROW_WIDTH]``.
-
-        Returns ``False`` when the occurrence needs the fallback path (a
-        placeholder row is still written, so positions stay one row per
-        occurrence either way).
-        """
-        eid = occurrence.eid
-        timestamp = occurrence.timestamp
-        oid = occurrence.oid
-        # Hot path: payload-free row with int64 fields packs the OID straight
-        # into the 26-byte slot (little-endian, zero-padded — byte-identical
-        # to the generic encoding below, which the decoder reads either way).
-        if (
-            type(oid) is int
-            and type(eid) is int
-            and type(timestamp) is int
-            and not occurrence.payload
-            and _INT64_MIN <= oid <= _INT64_MAX
-            and _INT64_MIN <= eid <= _INT64_MAX
-            and timestamp <= _INT64_MAX
-        ):
-            index = self._type_ids.get(id(occurrence.event_type))
-            if index is None:
-                index = self._intern_type(occurrence.event_type)
-            _ROW_STRUCT_INT.pack_into(
-                buffer, offset, eid, timestamp, index, _ROW_INT_OID, 8, oid
-            )
-            return True
-        if (
-            occurrence.payload
-            or type(eid) is not int
-            or type(timestamp) is not int
-            or not _INT64_MIN <= eid <= _INT64_MAX
-            or timestamp > _INT64_MAX
-            or type(oid) is not str
-        ):
-            _ROW_STRUCT.pack_into(buffer, offset, 0, 0, 0, _ROW_FALLBACK, 0, b"")
-            return False
-        oid_raw = oid.encode("utf-8")
-        if len(oid_raw) > _OID_BYTES:
-            _ROW_STRUCT.pack_into(buffer, offset, 0, 0, 0, _ROW_FALLBACK, 0, b"")
-            return False
-        event_type = occurrence.event_type
-        index = self._type_ids.get(id(event_type))
-        if index is None:
-            index = self._intern_type(event_type)
-        _ROW_STRUCT.pack_into(
-            buffer, offset, eid, timestamp, index, _ROW_STR_OID, len(oid_raw), oid_raw
-        )
-        return True
-
-    def _intern_type(self, event_type: EventType) -> int:
-        index = self._type_ids[id(event_type)] = len(self.type_snapshots)
-        self.type_snapshots.append(event_type.snapshot())
-        self._type_refs.append(event_type)
-        return index
-
-    # -- decoding ------------------------------------------------------------
-    def extend_types(self, snapshots: Iterable[tuple[str, str, str | None]]) -> None:
-        """Append type-table entries shipped by the encoding side."""
-        self.type_snapshots.extend(snapshots)
-
-    def decode_from(self, buffer, offset: int) -> tuple | None:
-        """The snapshot tuple at ``offset``, or ``None`` for a placeholder.
-
-        A row whose type index or OID kind the decoder cannot resolve means
-        the two codecs diverged (or the bytes were corrupted) — that raises
-        :class:`SnapshotError` so the transport can fail loudly instead of
-        rebuilding a wrong mirror.
-        """
-        eid, timestamp, type_index, kind, oid_len, oid_raw = _ROW_STRUCT.unpack_from(
-            buffer, offset
-        )
-        if kind == _ROW_FALLBACK:
-            return None
-        if kind == _ROW_INT_OID:
-            oid: Any = int.from_bytes(oid_raw[:8], "little", signed=True)
-        elif kind == _ROW_STR_OID:
-            oid = oid_raw[:oid_len].decode("utf-8")
-        else:
-            raise SnapshotError(
-                f"row codec divergence: unknown OID kind {kind} "
-                f"at byte offset {offset}"
-            )
-        if type_index >= len(self.type_snapshots):
-            raise SnapshotError(
-                f"row codec divergence: row references event "
-                f"type {type_index} but only {len(self.type_snapshots)} types "
-                f"were shipped"
-            )
-        return (eid, self.type_snapshots[type_index], oid, timestamp, None)
 
 
 #: The structures the calculus (``ts``/``ots``, condition formulas, traces)

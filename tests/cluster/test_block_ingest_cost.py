@@ -2,8 +2,8 @@
 
 A block's ingest must cost the block, not the log: the Event Handler and the
 process pool read the Event Base by position, the Occurred-Events tree is fed
-when somebody reads it, and a block large enough for the Event Base to segment
-by type carries that segmentation as its signature.  How fast that is belongs
+when somebody reads it, and every block carries the type signature the Event
+Base's ``extend`` returned while indexing it.  How fast that is belongs
 to ``benchmarks/e2e``; that it *is* so is asserted here.
 """
 
@@ -32,8 +32,8 @@ RULES = 120
 def test_stream_blocks_never_copy_the_log_or_feed_the_tree(placement, monkeypatch):
     log_copies: list[int] = []
     tree_stores: list[int] = []
-    #: ``(occurrences, signature handed to BlockIngest)`` of every large block.
-    large_blocks: list[tuple[tuple, frozenset | None]] = []
+    #: ``(occurrences, signature handed to BlockIngest)`` of every stream block.
+    blocks: list[tuple[tuple, frozenset | None]] = []
 
     whole_log = _OccurrenceStore.occurrences.fget
 
@@ -51,8 +51,8 @@ def test_stream_blocks_never_copy_the_log_or_feed_the_tree(placement, monkeypatc
 
     def spied_init(batch, occurrences, type_signature=None):
         original_init(batch, occurrences, type_signature)
-        if len(batch) >= 128:
-            large_blocks.append((batch.occurrences, type_signature))
+        if batch:
+            blocks.append((batch.occurrences, type_signature))
 
     monkeypatch.setattr(_OccurrenceStore, "occurrences", property(spied_occurrences))
     monkeypatch.setattr(OccurredEventsTree, "store", spied_store)
@@ -60,6 +60,8 @@ def test_stream_blocks_never_copy_the_log_or_feed_the_tree(placement, monkeypatc
 
     universe = build_scaling_universe(RULES)
     stream = build_shaped_blocks(universe, blocks=70, events_per_block=130)
+    # Small blocks too: every size gets its signature from the Event Base.
+    stream[:35] = [block[:24] for block in stream[:35]]
     db = ChimeraDatabase(**placement)
     try:
         for rule in build_scaling_rules(RULES, universe):
@@ -76,7 +78,7 @@ def test_stream_blocks_never_copy_the_log_or_feed_the_tree(placement, monkeypatc
     assert considered > 0 and rules_checked > 0  # the pipeline did its work
     assert log_copies == []
     assert tree_stores == []
-    assert [list(occurrences) for occurrences, _ in large_blocks] == stream
-    for occurrences, handed_signature in large_blocks:
-        # Handed over by the Event Base's segmentation, not derived per row.
+    assert [list(occurrences) for occurrences, _ in blocks] == stream
+    for occurrences, handed_signature in blocks:
+        # Handed over by the Event Base's extend, not derived per row.
         assert handed_signature == frozenset(o.event_type for o in occurrences)

@@ -188,8 +188,8 @@ class TestBoundedViewBasics:
 
 class TestTypeIndexFastPath:
     def test_out_of_order_window_construction_still_sorts(self):
-        # EventWindow.of sorts, but the _TypeIndex bisect path must also cope
-        # with genuinely unsorted input fed directly.
+        # The indexes only ever append, so EventWindow must sort unsorted
+        # input before indexing it.
         occurrences = [
             EventOccurrence(eid=1, event_type=A, oid="o1", timestamp=5),
             EventOccurrence(eid=2, event_type=A, oid="o1", timestamp=2),

@@ -7,6 +7,7 @@ from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase, EventWindow
 
 from tests.conftest import A, B, C, event_base_from, history
+from tests.events.test_row_codec import index_state
 
 MODIFY_STOCK_QTY = EventType(Operation.MODIFY, "stock", "quantity")
 MODIFY_STOCK = EventType(Operation.MODIFY, "stock")
@@ -52,8 +53,8 @@ class TestEventBaseRecording:
 
 
 class TestBulkExtend:
-    """The segmented bulk ``extend`` fast path must be indistinguishable from
-    a per-occurrence ``append`` loop — same indexes, same query answers — and
+    """The single-pass bulk ``extend`` must be indistinguishable from a
+    per-occurrence ``append`` loop — same indexes, same query answers — and
     must reject a bad batch atomically."""
 
     def stream(self, count: int, start_eid: int = 1, start_stamp: int = 1):
@@ -69,7 +70,6 @@ class TestBulkExtend:
         ]
 
     def test_bulk_matches_per_append(self):
-        # Above the segmentation threshold so the bulk path actually runs.
         batch = self.stream(300)
         bulk, loop = EventBase(), EventBase()
         bulk.extend(batch)
@@ -125,8 +125,7 @@ class TestBulkExtend:
             eb.extend(batch)
         assert len(eb) == 0
 
-    def test_small_batches_take_the_per_item_path(self):
-        # Below the threshold the behaviour must still be atomic + identical.
+    def test_small_batches_are_atomic_too(self):
         eb = EventBase()
         batch = self.stream(5)
         eb.extend(batch)
@@ -135,6 +134,29 @@ class TestBulkExtend:
         with pytest.raises(EventCalculusError):
             eb.extend(bad)
         assert len(eb) == 5
+
+    def test_decreasing_stamp_leaves_every_index_untouched(self):
+        # Nothing reorders rows inside the indexes: append and extend must
+        # refuse a stamp that goes backwards before anything is indexed.
+        eb = EventBase()
+        eb.extend(self.stream(5, start_stamp=4))
+        before = index_state(eb)
+        with pytest.raises(EventCalculusError):
+            eb.append(EventOccurrence(90, A, "o1", 3))
+        with pytest.raises(EventCalculusError):
+            eb.extend(
+                [EventOccurrence(91, A, "o1", 6), EventOccurrence(92, B, "o2", 5)]
+            )
+        assert index_state(eb) == before
+        assert eb.occurrences == tuple(self.stream(5, start_stamp=4))
+
+    def test_extend_returns_the_type_signature_at_every_size(self):
+        eb = EventBase()
+        start = 1
+        for size in (0, 1, 2, 24, 127, 128, 300):
+            batch = self.stream(size, start_eid=start, start_stamp=start)
+            start += size
+            assert eb.extend(batch) == frozenset(o.event_type for o in batch)
 
     def test_bulk_extend_registers_new_types_for_class_patterns(self):
         # A class-level pattern resolved before the bulk insert must see the

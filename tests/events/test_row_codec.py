@@ -1,14 +1,16 @@
-"""The row codec: fixed-width wire format of occurrence rows.
+"""The row format: fixed-width wire rows of the process pool's delta log.
 
 Property tests pin the contract the row log rests on: every row that
-:class:`SnapshotRowCodec` encodes inline decodes to the *exact*
-``EventOccurrence.snapshot()`` tuple a fallback row carries, so a worker
-mirror is the same whichever form a row took.  Rows the codec cannot
-inline (payloads, exotic OIDs, out-of-range integers) must be classified as
-fallbacks deterministically — a placeholder row that decodes to ``None`` —
-and corrupted or diverged rows must raise :class:`SnapshotError`, never
-rebuild a wrong mirror.  (The log built on the codec — offsets, type-table
-slices, resets, the unpicklable-payload guard — is pinned in
+``_RowEncoder`` writes inline, ``_FrameReader`` decodes to the *exact*
+``(EID, event type, OID, time stamp)`` a fallback row's
+``EventOccurrence.snapshot()`` tuple carries, so a worker mirror is the same
+whichever form a row took.  Rows the encoder cannot inline (payloads, exotic
+OIDs, out-of-range integers) must be classified as fallbacks
+deterministically — a placeholder row the reader refuses to decode without
+its out-of-band tuple — and corrupted or diverged rows must raise
+:class:`SnapshotError` and leave the mirror as it was, never build a wrong
+one.  (The log built on the format — offsets, type-table slices, resets, the
+other refusals, the unpicklable-payload guard — is pinned in
 ``tests/cluster/test_row_log.py``.)
 """
 
@@ -19,9 +21,10 @@ import struct
 
 import pytest
 
+from repro.cluster.transport import ROW_WIDTH, _FrameReader, _RowEncoder
 from repro.errors import SnapshotError
 from repro.events.event import EventOccurrence, EventType, Operation
-from repro.events.event_base import ROW_WIDTH, SnapshotRowCodec
+from repro.events.event_base import StampIndex
 
 UNIVERSE = (
     EventType(Operation.CREATE, "alpha"),
@@ -72,57 +75,101 @@ def expect_inline(occurrence: EventOccurrence) -> bool:
     return False
 
 
-def encode_batch(
-    encoder: SnapshotRowCodec, occurrences: list[EventOccurrence]
-) -> tuple[bytearray, list[bool]]:
+def encode_frame(
+    encoder: _RowEncoder,
+    occurrences: list[EventOccurrence],
+    start: int = 0,
+    shipped_types: int = 0,
+) -> tuple[tuple, list[bool]]:
+    """The delta a row log would ship for ``occurrences`` at ``start``.
+
+    Returns the delta and, per row, whether it encoded inline.  Unlike the
+    row log this neither validates nor pickles: tests feed it rows the log
+    would never produce.
+    """
     buffer = bytearray(len(occurrences) * ROW_WIDTH)
-    inline = [
-        encoder.encode_into(buffer, index * ROW_WIDTH, occurrence)
-        for index, occurrence in enumerate(occurrences)
+    inline: list[bool] = []
+    fallbacks: list[tuple[int, tuple]] = []
+    for index, occurrence in enumerate(occurrences):
+        inline.append(encoder.encode_into(buffer, index * ROW_WIDTH, occurrence))
+        if not inline[-1]:
+            fallbacks.append((start + index, occurrence.snapshot()))
+    delta = (
+        start,
+        len(occurrences),
+        bytes(buffer),
+        tuple(fallbacks),
+        tuple(encoder.type_snapshots[shipped_types:]),
+    )
+    return delta, inline
+
+
+def decoded_rows(reader: _FrameReader, delta: tuple) -> list[tuple]:
+    """The reader's columns of ``delta``, as ``(eid, type snapshot, oid, stamp)``."""
+    eids, types, oids, stamps = reader.decode(delta)
+    return [
+        (eid, event_type.snapshot(), oid, stamp)
+        for eid, event_type, oid, stamp in zip(eids, types, oids, stamps)
     ]
-    return buffer, inline
+
+
+def index_state(store: StampIndex) -> tuple:
+    """Everything the compiled kernels can read from ``store``, as plain data."""
+    return (
+        list(store._all_timestamps),
+        list(store._distinct_timestamps),
+        [
+            (
+                event_type,
+                list(index.timestamps),
+                list(index.positions),
+                {oid: list(times) for oid, times in index.per_oid.items()},
+            )
+            for event_type, index in store._by_type.items()
+        ],
+    )
 
 
 def test_round_trip_matches_fallback_form_property():
-    """Inline rows decode to the exact tuples fallback rows carry."""
+    """Inline rows decode to the exact fields fallback rows carry."""
     for seed in range(30):
         rng = random.Random(seed)
         occurrences = [
             random_occurrence(rng, eid) for eid in range(1, rng.randint(2, 40))
         ]
-        encoder = SnapshotRowCodec()
-        decoder = SnapshotRowCodec()
-        shipped = 0
-        buffer, inline = encode_batch(encoder, occurrences)
-        # Ship the incremental type-table slice exactly like the transport.
-        decoder.extend_types(encoder.type_snapshots[shipped:])
-        shipped = len(encoder.type_snapshots)
+        delta, inline = encode_frame(_RowEncoder(), occurrences)
+        reader = _FrameReader()
+        rows = decoded_rows(reader, delta)
         for index, occurrence in enumerate(occurrences):
             assert inline[index] == expect_inline(occurrence), (
                 f"seed {seed}: eid {occurrence.eid} classified wrongly"
             )
-            decoded = decoder.decode_from(buffer, index * ROW_WIDTH)
-            if not inline[index]:
-                assert decoded is None, f"seed {seed}: fallback row decoded"
-                continue
-            snapshot = occurrence.snapshot()
-            assert decoded == snapshot, f"seed {seed}: eid {occurrence.eid}"
-            # The decoded tuple rebuilds an equal occurrence object, exactly
-            # like a fallback row does on the worker side.
-            assert EventOccurrence.from_snapshot(decoded) == occurrence
+            assert rows[index] == occurrence.snapshot()[:4], (
+                f"seed {seed}: eid {occurrence.eid}"
+            )
+            assert type(rows[index][2]) is type(occurrence.oid)
+        # Equal type snapshots decode to one shared EventType object, whether
+        # the row named it by id or carried it out of band.
+        _eids, types, _oids, _stamps = _FrameReader().decode(delta)
+        interned = {}
+        for event_type in types:
+            assert interned.setdefault(event_type, event_type) is event_type
 
 
 def test_fallback_classification_is_deterministic():
     alpha = EventType(Operation.CREATE, "alpha")
-    codec = SnapshotRowCodec()
-    buffer = bytearray(ROW_WIDTH)
+    encoder = _RowEncoder()
 
     def encodes(occurrence: EventOccurrence) -> bool:
-        inline = codec.encode_into(buffer, 0, occurrence)
+        delta, (inline,) = encode_frame(encoder, [occurrence])
         if not inline:
-            # A placeholder row is still written: it must decode to None so
-            # slot arithmetic stays one row per occurrence.
-            assert codec.decode_from(buffer, 0) is None
+            # A placeholder row is still written, so slot arithmetic stays
+            # one row per occurrence — and it decodes only with its
+            # out-of-band tuple.
+            start, count, packed, _fallbacks, types = delta
+            with pytest.raises(SnapshotError, match="no out-of-band row"):
+                _FrameReader().decode((start, count, packed, (), types))
+        assert decoded_rows(_FrameReader(), delta) == [occurrence.snapshot()[:4]]
         return inline
 
     def occurrence(**overrides) -> EventOccurrence:
@@ -157,25 +204,22 @@ def test_fallback_classification_is_deterministic():
 
 def test_int64_boundary_values_encode_inline():
     alpha = EventType(Operation.MODIFY, "alpha", "size")
-    encoder = SnapshotRowCodec()
-    decoder = SnapshotRowCodec()
     occurrences = [
         EventOccurrence(eid=INT64_MAX, event_type=alpha, oid=INT64_MAX, timestamp=1),
         EventOccurrence(eid=INT64_MIN, event_type=alpha, oid=INT64_MIN, timestamp=1),
         EventOccurrence(eid=3, event_type=alpha, oid="", timestamp=INT64_MAX),
     ]
-    buffer, inline = encode_batch(encoder, occurrences)
+    delta, inline = encode_frame(_RowEncoder(), occurrences)
     assert all(inline)
-    decoder.extend_types(encoder.type_snapshots)
-    for index, occurrence in enumerate(occurrences):
-        assert decoder.decode_from(buffer, index * ROW_WIDTH) == occurrence.snapshot()
+    expected = [occurrence.snapshot()[:4] for occurrence in occurrences]
+    assert decoded_rows(_FrameReader(), delta) == expected
 
 
 def test_type_table_grows_incrementally_and_ships_as_prefix_slices():
-    """The encoder interns each type once; the decoder consumes the slices."""
+    """The encoder interns each type once; the reader consumes the slices."""
     rng = random.Random(99)
-    encoder = SnapshotRowCodec()
-    decoder = SnapshotRowCodec()
+    encoder = _RowEncoder()
+    reader = _FrameReader()
     shipped = 0
     seen_types: list[EventType] = []
     for eid in range(1, 60):
@@ -183,41 +227,45 @@ def test_type_table_grows_incrementally_and_ships_as_prefix_slices():
         occurrence = EventOccurrence(
             eid=eid, event_type=event_type, oid=eid, timestamp=eid
         )
-        buffer = bytearray(ROW_WIDTH)
-        assert encoder.encode_into(buffer, 0, occurrence)
+        # Ship only the incremental slice; the reader's table stays a prefix
+        # of the encoder's and every row decodes mid-stream.
+        delta, (inline,) = encode_frame(encoder, [occurrence], eid - 1, shipped)
+        assert inline
         if event_type not in seen_types:
             seen_types.append(event_type)
         # The table holds exactly the distinct types met so far, in
         # first-met order — re-encoding a known type must not grow it.
         assert encoder.type_snapshots == [t.snapshot() for t in seen_types]
-        # Ship only the incremental slice; the decoder's table stays a
-        # prefix of the encoder's and every row decodes mid-stream.
-        decoder.extend_types(encoder.type_snapshots[shipped:])
         shipped = len(encoder.type_snapshots)
-        assert decoder.decode_from(buffer, 0) == occurrence.snapshot()
+        assert decoded_rows(reader, delta) == [occurrence.snapshot()[:4]]
+        assert reader.types == seen_types
     assert len(encoder.type_snapshots) == len(UNIVERSE)
 
 
 def test_unknown_oid_kind_raises_snapshot_error():
     buffer = bytearray(ROW_WIDTH)
     struct.pack_into("<qqIBB26s", buffer, 0, 1, 1, 0, 7, 0, b"")  # kind 7
-    codec = SnapshotRowCodec()
+    delta = (0, 1, bytes(buffer), (), (UNIVERSE[0].snapshot(),))
+    mirror = StampIndex()
+    before = index_state(mirror)
     with pytest.raises(SnapshotError, match="unknown OID kind"):
-        codec.decode_from(buffer, 0)
+        _FrameReader().apply(delta, mirror)
+    assert index_state(mirror) == before
 
 
 def test_unshipped_type_index_raises_snapshot_error():
-    encoder = SnapshotRowCodec()
     occurrence = EventOccurrence(
         eid=1, event_type=EventType(Operation.RAISE, "tick"), oid=1, timestamp=1
     )
-    buffer = bytearray(ROW_WIDTH)
-    assert encoder.encode_into(buffer, 0, occurrence)
-    # A decoder that never received the type-table slice must refuse the row
+    delta, _ = encode_frame(_RowEncoder(), [occurrence])
+    start, count, packed, fallbacks, _types = delta
+    # A reader that never received the type-table slice must refuse the row
     # (codec divergence) instead of fabricating a type.
-    fresh = SnapshotRowCodec()
+    mirror = StampIndex()
+    before = index_state(mirror)
     with pytest.raises(SnapshotError, match="codec divergence"):
-        fresh.decode_from(buffer, 0)
+        _FrameReader().apply((start, count, packed, fallbacks, ()), mirror)
+    assert index_state(mirror) == before
 
 
 def test_fallback_rows_are_compact_builtins():
