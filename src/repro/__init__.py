@@ -13,7 +13,7 @@ Chimera, extended with the paper's composite event calculus:
   language, conditions with ``occurred``/``at`` event formulas, actions, the
   Event Handler / Trigger Support / Block Executor pipeline);
 * :mod:`repro.cluster` — the scale-out subsystem (sharded rule table, shard
-  coordinator, pipelined stream ingestion);
+  coordinator, process shard workers);
 * :mod:`repro.baselines` — naive, automaton-style and tree-style detectors
   used as benchmark baselines;
 * :mod:`repro.workloads` — the stock-management scenario and synthetic

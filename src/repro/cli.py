@@ -21,17 +21,16 @@ Installed as the ``chimera-events`` console script (or run with
     rule and Trigger Support statistics.
 ``workload``
     Drive a synthetic rule/stream workload through a
-    :class:`~repro.oodb.database.ChimeraDatabase` — the engine's own
-    ``run_stream_blocks`` pipeline, or its stream ingestor with
-    ``--adaptive-batch``.  The engine flags map one-to-one onto
-    :class:`repro.config.EngineConfig` fields (``--shards``, ``--shard-mode``,
-    ``--plan-cache-size``, ``--batch-blocks``, ``--transport``,
-    ``--adaptive-batch``); a flag left out falls back to its ``CHIMERA_*``
-    variable and then the default.  The report prints the resolved record,
-    the Trigger Support (and coordinator) counts, and the phase timings of
-    the ``obs`` registry (``block.check``, ``trip.plan`` / ``dispatch`` /
-    ``check`` / ``apply``); ``--metrics`` prints the whole registry.  Speed is
-    measured by ``benchmarks/e2e``, not here.
+    :class:`~repro.oodb.database.ChimeraDatabase`, one
+    ``RuleEngine.run_stream_block`` per block.  The engine flags map
+    one-to-one onto :class:`repro.config.EngineConfig` fields (``--shards``,
+    ``--shard-mode``, ``--plan-cache-size``, ``--transport``); a flag left
+    out falls back to its ``CHIMERA_*`` variable and then the default.  The
+    report prints the resolved record, the Trigger Support (and coordinator)
+    counts, and the phase timings of the ``obs`` registry (``block.check``,
+    ``trip.plan`` / ``dispatch`` / ``check`` / ``apply``, a trip being one
+    block); ``--metrics`` prints the whole registry.  Speed is measured by
+    ``benchmarks/e2e``, not here.
 ``worker``
     Run one TCP shard worker against a coordinator started with
     ``--transport tcp`` and ``CHIMERA_TCP_SPAWN=0``.
@@ -157,30 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU bound of the coordinator route cache and shard plan caches",
     )
     workload_parser.add_argument(
-        "--batch-blocks",
-        type=int,
-        default=None,
-        help=(
-            "coalesce this many stream blocks per trigger-check dispatch trip "
-            "(amortizes the process-mode worker round trip; 1 = per-block)"
-        ),
-    )
-    workload_parser.add_argument(
         "--transport",
         choices=TRANSPORTS,
         default=None,
         help=(
             "where the processes shard mode's workers live: forked on pipes, "
             "or behind length-prefixed socket frames"
-        ),
-    )
-    workload_parser.add_argument(
-        "--adaptive-batch",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "size dispatch trips with the closed-loop controller instead of "
-            "the static --batch-blocks bound"
         ),
     )
     workload_parser.add_argument(
@@ -326,21 +307,13 @@ def _command_workload(args: argparse.Namespace) -> int:
         shards=args.shards,
         shard_mode=args.shard_mode,
         plan_cache_size=args.plan_cache_size,
-        batch_blocks=args.batch_blocks,
         transport=args.transport,
-        adaptive_batch=args.adaptive_batch,
     )
     try:
         for rule in build_scaling_rules(args.rules, universe, seed=args.seed):
             db.define_rule(rule)
-        config = db.config
-        if config.adaptive_batch:
-            with db.stream_ingestor() as ingestor:
-                for block in stream:
-                    ingestor.submit(block)
-        else:
-            for start in range(0, len(stream), config.batch_blocks):
-                db.engine.run_stream_blocks(stream[start : start + config.batch_blocks])
+        for block in stream:
+            db.engine.run_stream_block(block)
         print(
             render_kv(
                 {
@@ -352,9 +325,9 @@ def _command_workload(args: argparse.Namespace) -> int:
                 title="workload",
             )
         )
-        print(render_kv(dataclasses.asdict(config), title="EngineConfig"))
+        print(render_kv(dataclasses.asdict(db.config), title="EngineConfig"))
         print(render_kv(db.trigger_statistics(), title="Trigger Support"))
-        if config.shards > 0:
+        if db.config.shards > 0:
             table = db.rule_table
             support = db.engine.trigger_support
             cluster = dict(support.cluster_stats.as_dict())
@@ -368,11 +341,6 @@ def _command_workload(args: argparse.Namespace) -> int:
             cluster["shard_population"] = "/".join(str(count) for count in population)
             cluster["shard_skew"] = round(
                 max(population) / max(1.0, mean_population), 2
-            )
-            # Dispatch amortization: with --batch-blocks N the trips stay
-            # roughly flat while blocks grow, so blocks_per_trip -> N.
-            cluster["blocks_per_trip"] = round(
-                cluster["blocks_dispatched"] / max(1, cluster["dispatch_trips"]), 2
             )
             if support.process_pool is not None:
                 for key, value in support.process_pool.transport_stats().items():

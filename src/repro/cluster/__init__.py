@@ -1,4 +1,4 @@
-"""Scale-out subsystem: sharded trigger planning and pipelined ingestion.
+"""Scale-out subsystem: sharded trigger planning and process shard workers.
 
 The paper's Event Handler / Trigger Support split (§5) is the seam this
 package scales along:
@@ -14,17 +14,14 @@ package scales along:
   and merges the triggered sets back deterministically;
 * :mod:`repro.cluster.process_pool` — :class:`ProcessShardPool`, the
   long-lived worker processes that own their shard's expressions and
-  incremental memos plus a mirror Event Base grown from per-trip log
+  incremental memos plus a mirror Event Base grown from per-block log
   deltas — the one execution mode where trigger checking uses multiple
-  cores;
-* :mod:`repro.cluster.streaming` — :class:`StreamIngestor`, the bounded-queue
-  pipeline that decouples producers from rule evaluation and coalesces
-  backlogged blocks into micro-batched dispatch trips
-  (``EngineConfig.batch_blocks``).
+  cores.
 
-See PERFORMANCE.md ("Sharded trigger planning", "Multi-process shard
-workers" and "Batched worker dispatch") for the architecture notes and the
-dated per-layer figures (BENCH_PR3.json / BENCH_PR4.json / BENCH_PR5.json);
+Every block is checked on its own, right after it is flushed, exactly as
+the paper's Block Executor does.  See PERFORMANCE.md ("Sharded trigger
+planning" and "Multi-process shard workers") for the architecture notes and
+the dated per-layer figures (BENCH_PR3.json / BENCH_PR4.json);
 ``benchmarks/e2e`` measures the end-to-end cost.
 """
 
@@ -38,7 +35,6 @@ from repro.cluster.sharding import (
     home_shard,
     shard_of_bucket,
 )
-from repro.cluster.streaming import StreamIngestStats, StreamIngestor
 
 __all__ = [
     "DEFAULT_PLAN_CACHE_SIZE",
@@ -47,8 +43,6 @@ __all__ = [
     "ShardCoordinatorStats",
     "ShardedPlan",
     "ShardedRuleTable",
-    "StreamIngestStats",
-    "StreamIngestor",
     "home_shard",
     "shard_of_bucket",
 ]

@@ -27,12 +27,12 @@ modes (``shard_mode``):
 * **processes** — the coordinator is the evaluator of home 0 and a
   :class:`~repro.cluster.process_pool.ProcessShardPool` of N − 1 long-lived
   workers evaluates homes 1 … N − 1: each worker owns its home's expressions
-  and memos plus a mirror Event Base grown from per-trip log deltas, and
-  replies with decisions.  The coordinator sends the trip, checks its own
-  share through the serial kernels while the workers check theirs, then
-  drains the replies — so ``shards=2`` runs two evaluators on two cores,
-  and ``shards=1`` spawns nothing.  A trip whose candidates are all homed
-  on the coordinator never contacts the pool.
+  and memos plus a mirror Event Base grown from per-block log deltas, and
+  replies with decisions.  The coordinator sends the block's items, checks
+  its own share through the serial kernels while the workers check theirs,
+  then drains the replies — so ``shards=2`` runs two evaluators on two
+  cores, and ``shards=1`` spawns nothing.  A block whose candidates are all
+  homed on the coordinator never contacts the pool.
 
 Whatever the mode, the decisions are **applied serially in definition
 order**, so the triggered set, the priority heaps, every counter and the
@@ -77,10 +77,6 @@ class ShardedPlan:
     pending: int
     #: Untriggered rules no shard needs to look at for this block.
     bypassed: int
-    #: Names of the pending-full-check riders (not signature-routed) — the
-    #: batched dispatch skips these in later trip blocks once they saw a
-    #: non-empty window, mirroring the per-block pending-set semantics.
-    pending_only: frozenset[str] = frozenset()
 
     @property
     def candidates(self) -> int:
@@ -100,12 +96,8 @@ class ShardCoordinatorStats(MergeableStats):
     max_shards_per_block: int = 0
     #: Worker batches dispatched to process workers.
     parallel_batches: int = 0
-    #: Check rounds that had at least one candidate to evaluate — with
-    #: micro-batching one trip covers a whole block batch, so
-    #: ``blocks_dispatched / dispatch_trips`` is the realized amortization.
+    #: Blocks that had at least one candidate to evaluate.
     dispatch_trips: int = 0
-    #: Blocks that contributed candidates to some trip.
-    blocks_dispatched: int = 0
     #: Route-cache entries evicted by the LRU bound (adversarial signatures).
     route_cache_evictions: int = 0
 
@@ -146,7 +138,7 @@ class ShardCoordinator(TriggerSupport):
         self._route_epoch: tuple[int, int] | None = None
         self.cluster_stats = ShardCoordinatorStats()
         self.metrics.register_source("cluster", self.cluster_stats)
-        #: Dispatch = dealing a planned trip to home workers; plan/check/apply
+        #: Dispatch = dealing a planned block to home workers; plan/check/apply
         #: histograms are inherited from the base Trigger Support.
         self._dispatch_hist = self.metrics.histogram("trip.dispatch")
         #: Per-shard candidate counts — the skew signal.  Planning is
@@ -202,21 +194,15 @@ class ShardCoordinator(TriggerSupport):
                 routed += len(local)
                 batches[shard_id] = local
         pending = 0
-        pending_only: set[str] = set()
         for name, state in table.pending_full_check_states().items():
             if state.enabled and not state.triggered and name not in chosen:
                 chosen.add(name)
                 pending += 1
-                pending_only.add(name)
                 batches.setdefault(table.home_shard_of(name), []).append(state)
         per_shard = sorted(batches.items())
         bypassed = table.untriggered_count() - routed - pending
         return ShardedPlan(
-            per_shard=per_shard,
-            routed=routed,
-            pending=pending,
-            bypassed=bypassed,
-            pending_only=frozenset(pending_only),
+            per_shard=per_shard, routed=routed, pending=pending, bypassed=bypassed
         )
 
     # -- the sharded check ------------------------------------------------------
@@ -237,11 +223,9 @@ class ShardCoordinator(TriggerSupport):
         if not new_occurrences:
             return newly_triggered
         with self._plan_hist.time():
-            plan = self._plan_segment(new_occurrences, type_signature)
-        cluster = self.cluster_stats
+            plan = self._plan_block(new_occurrences, type_signature)
         if plan.candidates:
-            cluster.dispatch_trips += 1
-            cluster.blocks_dispatched += 1
+            self.cluster_stats.dispatch_trips += 1
 
         with self._check_hist.time():
             evaluated, merged_stats = self._evaluate_states(
@@ -277,7 +261,7 @@ class ShardCoordinator(TriggerSupport):
             )
         return decisions, local_stats
 
-    def _plan_segment(self, occurrences, type_signature=None) -> ShardedPlan:
+    def _plan_block(self, occurrences, type_signature=None) -> ShardedPlan:
         """Plan one non-empty block through the shard fan-out (stats included).
 
         The coordinator's override of the base helper: same signature
@@ -305,168 +289,6 @@ class ShardCoordinator(TriggerSupport):
         for shard_id, states in plan.per_shard:
             counters[shard_id].inc(len(states))
         return plan
-
-    # -- the micro-batched check -------------------------------------------------
-    def check_after_blocks(
-        self,
-        blocks: Sequence[tuple[Sequence[EventOccurrence], Timestamp]],
-        transaction_start: Timestamp,
-    ) -> list[RuleState]:
-        """Check a trip of consecutive, already-ingested blocks in one dispatch.
-
-        The batched counterpart of :meth:`check_after_block`, with the exact
-        semantics of :meth:`TriggerSupport.check_after_blocks` (plans for the
-        whole trip resolved up front against the trip-start state; per-block
-        evaluation that skips earlier-triggered rules and pending-only
-        riders that already saw a non-empty window in the trip; decisions
-        applied block by block in definition order).  What the coordinator adds is
-        the dispatch amortization: in ``processes`` mode every consulted
-        worker is contacted **once per trip** — one combined EB delta plus N
-        ordered work segments — instead of once per block, so worker round
-        trips scale with trips rather than blocks.  The serial mode evaluates
-        the same per-home dealing inline.
-        """
-        if not self.use_static_optimization:
-            return super().check_after_blocks(blocks, transaction_start)
-        if len(blocks) == 1:
-            occurrences, now = blocks[0]
-            return self.check_after_block(
-                occurrences,
-                now,
-                transaction_start,
-                getattr(occurrences, "type_signature", None),
-            )
-        cluster = self.cluster_stats
-        segments: list[tuple[Timestamp, ShardedPlan]] = []
-        with self._plan_hist.time():
-            for occurrences, now in blocks:
-                self.stats.blocks += 1
-                if not occurrences:
-                    continue
-                segments.append((now, self._plan_segment(occurrences)))
-        planned_blocks = sum(1 for _, plan in segments if plan.candidates)
-        if planned_blocks:
-            cluster.dispatch_trips += 1
-            cluster.blocks_dispatched += planned_blocks
-        with self._check_hist.time():
-            per_segment = self._evaluate_segments(segments, transaction_start)
-        newly_triggered: list[RuleState] = []
-        with self._apply_hist.time():
-            for (now, _), rows in zip(segments, per_segment):
-                rows.sort(key=lambda pair: pair[0].definition_order)
-                for state, decision in rows:
-                    self.stats.rules_checked += 1
-                    if self._apply_decision(state, decision, now):
-                        newly_triggered.append(state)
-        return newly_triggered
-
-    def _trip_assignments(
-        self,
-        segments: list[tuple[Timestamp, ShardedPlan]],
-        transaction_start: Timestamp,
-    ) -> dict[int, dict[int, list[tuple[RuleState, Timestamp, bool]]]]:
-        """Deal one trip's work items: evaluation home -> block index -> items.
-
-        The same fixed-home dealing as the per-block dispatch (a rule's memo
-        must stay resident with one evaluator), extended over the trip: each
-        rule's items appear in block order within its home's map, which is
-        what lets the evaluator apply the trip-local skips (rules it already
-        found triggered; pending-only riders that already saw a non-empty
-        window) with purely local knowledge.  Each item carries its block's
-        pending-only flag.
-        """
-        assignments: dict[int, dict[int, list[tuple[RuleState, Timestamp, bool]]]] = {}
-        for index, (_, plan) in enumerate(segments):
-            for _, states in plan.per_shard:
-                for state in states:
-                    home = self._worker_of(state)
-                    assignments.setdefault(home, {}).setdefault(index, []).append(
-                        (
-                            state,
-                            state.triggering_window_start(transaction_start),
-                            state.rule.name in plan.pending_only,
-                        )
-                    )
-        return assignments
-
-    def _evaluate_segments(
-        self,
-        segments: list[tuple[Timestamp, ShardedPlan]],
-        transaction_start: Timestamp,
-    ) -> list[list[tuple[RuleState, TriggeringDecision]]]:
-        """Evaluate a trip, one batch per evaluation home.
-
-        Each home batch holds its rules' items across all segments in block
-        order, so a single pass can apply the skip-after-triggered rule with
-        purely local knowledge.  The serial mode runs every batch inline; the
-        processes mode ships homes 1 … N − 1 to the pool, one message per
-        worker, and runs home 0 inline while the workers check.
-        """
-        nows = [now for now, _ in segments]
-        self._prune_worker_defs()
-        with self._dispatch_hist.time():
-            assignments = self._trip_assignments(segments, transaction_start)
-        remote = (
-            {home - 1: assignments.pop(home) for home in sorted(assignments) if home}
-            if self.shard_mode == "processes"
-            else {}
-        )
-
-        def evaluate_inline():
-            per_segment: list[list[tuple[RuleState, TriggeringDecision]]] = [
-                [] for _ in segments
-            ]
-            stats = EvaluationStats()
-            for home in sorted(assignments):
-                rows, local_stats = self._evaluate_home_batch(assignments[home], nows)
-                stats.merge(local_stats)
-                for index, state, decision in rows:
-                    per_segment[index].append((state, decision))
-            return per_segment, stats
-
-        if remote:
-            pool = self._ensure_process_pool()
-            self.cluster_stats.parallel_batches += len(remote)
-            per_segment, merged_stats = pool.evaluate_trip(
-                self.event_base, remote, nows, evaluate_inline
-            )
-        else:
-            per_segment, merged_stats = evaluate_inline()
-        self.stats.evaluation.merge(merged_stats)
-        return per_segment
-
-    def _evaluate_home_batch(
-        self,
-        segment_items: dict[int, list[tuple[RuleState, Timestamp, bool]]],
-        nows: list[Timestamp],
-    ) -> tuple[list[tuple[int, RuleState, TriggeringDecision]], EvaluationStats]:
-        """Evaluate one evaluation home's share of a trip, inline.
-
-        The batch regroups rule-major and runs each rule's ordered trip
-        entries through one :meth:`~repro.core.compile.CompiledCheck.check_trip`
-        pass — the in-trip skips key on the rule name alone.  The final
-        per-segment ordering is definition order either way (the caller
-        sorts before applying).
-        """
-        local_stats = EvaluationStats()
-        rows: list[tuple[int, RuleState, TriggeringDecision]] = []
-        per_rule: dict[
-            str, tuple[RuleState, Timestamp, list[tuple[int, Timestamp, bool]]]
-        ] = {}
-        for index in sorted(segment_items):
-            now = nows[index]
-            for state, window_start, pending_only in segment_items[index]:
-                name = state.rule.name
-                entry = per_rule.get(name)
-                if entry is None:
-                    entry = per_rule[name] = (state, window_start, [])
-                entry[2].append((index, now, pending_only))
-        for state, window_start, items in per_rule.values():
-            decisions = self._check_rule_trip(state, window_start, items, local_stats)
-            for (index, _now, _pending), decision in zip(items, decisions):
-                if decision is not None:
-                    rows.append((index, state, decision))
-        return rows, local_stats
 
     # -- the evaluation homes ---------------------------------------------------
     def _worker_of(self, state: RuleState) -> int:

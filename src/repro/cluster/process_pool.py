@@ -1,4 +1,4 @@
-"""Process shard workers: the pool, its trip protocol and the worker loop.
+"""Process shard workers: the pool, its block protocol and the worker loop.
 
 With ``shard_mode="processes"`` and N shards the coordinator's
 evaluate/apply split runs across N evaluators: the coordinator itself checks
@@ -12,36 +12,27 @@ Event Base's time-stamp indexes (a
 no occurrence objects) grown from the deltas of
 :mod:`repro.cluster.transport`.
 
-Per *trip* — one block, or a micro-batch of consecutive blocks — the
-coordinator sends each consulted worker one message, evaluates its own share
-(the ``inline`` callback of :meth:`ProcessShardPool.evaluate_trip`) while the
-workers check theirs, and only then reads the replies::
+A *trip* is one block: per block the coordinator sends each consulted
+worker one message, evaluates its own share (the ``inline`` callback of
+:meth:`ProcessShardPool.evaluate`) while the workers check theirs, and only
+then reads the replies::
 
     ("check",
      delta of the EB log the worker has not seen (or None),
      new/changed rule definitions, dropped rule names,
-     N ordered work segments (block index, work items, now))
+     work items ((rule name, window start), ...), now)
 
-A work segment carries one block's ``(rule name, window start,
-pending-only)`` items and its ``now``; the block's type *signature* stays
-coordinator-side, where it keys the route cache that chose the items.  The
-one delta covers every block of the trip: the batched check evaluates each
-block over the *complete* trip log bounded by that block's ``now`` — what
-the serial mode sees through its zero-copy views — so cross-block time-stamp
-ties resolve identically in and out of process.  The worker groups the items
-by rule and runs each rule's entries through one ``check_trip`` call, which
-skips what the per-block path would no longer have planned once the earlier
-decisions applied: rules already found triggered in this trip, and
-pending-only riders that already saw a non-empty window.  It replies with
-**per-block** decision lists (compact
-:class:`~repro.core.triggering.TriggeringDecision` rows) plus its local
-:class:`~repro.core.evaluation.EvaluationStats` — pickled as one body, so the
-``worker.reply`` probe can time that encode — and its metrics delta.  All
-writes (counters, the triggered flag, heap pushes) stay in the coordinator,
-which applies the decisions **serially, block by block in definition
-order** — so the serial and process modes are behaviourally identical
-for every batch size (``tests/cluster/test_mode_equivalence.py`` pins it,
-stats included).
+The block's type *signature* stays coordinator-side, where it keys the route
+cache that chose the items.  The worker runs one compiled ``check`` per item
+and replies with one compact :class:`~repro.core.triggering.TriggeringDecision`
+row per item, in item order (the coordinator knows which rule each row
+answers), plus its local :class:`~repro.core.evaluation.EvaluationStats` —
+pickled as one body, so the ``worker.reply`` probe can time that encode —
+and its metrics delta.  All writes (counters, the triggered flag, heap
+pushes) stay in the coordinator, which applies the decisions **serially in
+definition order** — so the serial and process modes are behaviourally
+identical (``tests/cluster/test_mode_equivalence.py`` pins it, stats
+included).
 
 What makes the equivalence exact:
 
@@ -53,7 +44,7 @@ What makes the equivalence exact:
   precedence sub-expressions read occurrences of types other shards own), so
   a worker-side window is equivalent to the coordinator's zero-copy view;
 * **synchronous failure** — the delta is encoded in the coordinator and
-  nothing is sent until every message of the trip encoded, so an unpicklable
+  nothing is sent until every message of the block encoded, so an unpicklable
   user payload raises :class:`~repro.errors.SnapshotError` naming the
   occurrence at the call site, with every worker left where it was.
 
@@ -62,7 +53,7 @@ coordinator-side as the original exception type with the worker traceback
 chained (:class:`~repro.errors.ShardWorkerError`), after every other reply
 was drained; a worker that died, or failed before applying a message's
 state, poisons the pool, which then refuses further work.  A worker whose
-channel was replaced between trips (:meth:`ShardTransport.poll_refreshed
+channel was replaced between blocks (:meth:`ShardTransport.poll_refreshed
 <repro.cluster.transport.ShardTransport.poll_refreshed>`, tcp reconnects)
 is re-sent its definitions and the log from position 0.  Removed rules are
 dropped worker-side by names piggybacked on the next message.  Workers are
@@ -76,7 +67,7 @@ import pickle
 import time
 import traceback
 import weakref
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.cluster.transport import _FrameReader, create_transport
 from repro.config import EngineConfig
@@ -120,7 +111,7 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
     registry = MetricsRegistry(enabled=metrics_enabled)
     trips_counter = registry.counter("worker.trips")
     rules_counter = registry.counter("worker.rules_evaluated")
-    # Per trip: the delta applied to the mirror, the checks, the reply encode.
+    # Per block: the delta applied to the mirror, the checks, the reply encode.
     hists = (
         registry.histogram("worker.mirror"),
         registry.histogram("worker.check"),
@@ -167,7 +158,7 @@ def _worker_loop(
                 binder.invalidate()
                 connection.send_bytes(pickle.dumps(("ok", None, None), _PROTOCOL))
                 continue
-            _, delta, defs, drops, segments = request
+            _, delta, defs, drops, items, now = request
             with mirror_hist.time():
                 if delta is not None:
                     frame_reader.apply(delta, mirror)
@@ -179,56 +170,28 @@ def _worker_loop(
                 rules[name] = (TriggerMemo(), binder.bind(expression))
             state_applied = True
             stats = EvaluationStats()
-            replies: list[tuple[int, tuple]] = []
             trips_counter.inc()
-            # Rule-major regroup: each rule's trip entries go through one
-            # check_trip call, which applies the trip-local skips — exactly
-            # the rules whose later-segment plans would be gone had the
-            # earlier decisions applied per-block: rules found triggered
-            # earlier in this trip, and pending-only riders that already saw
-            # a non-empty window (they would have left the
-            # pending-full-check set).  The skips key on the rule name
-            # alone, so per-rule batching equals a segment-major walk; the
-            # per-segment replies are then rebuilt in the original item
-            # order.
-            entries_by_rule: dict[str, list[tuple]] = {}
-            positions_by_rule: dict[str, list[int]] = {}
-            for segment_index, items, now in segments:
-                for name, window_start, pending_only in items:
-                    entries_by_rule.setdefault(name, []).append(
-                        (window_start, now, pending_only)
-                    )
-                    positions_by_rule.setdefault(name, []).append(segment_index)
-            decided: dict[tuple[int, str], tuple] = {}
+            decisions = []
             with check_hist.time():
-                for name, entries in entries_by_rule.items():
+                for name, window_start in items:
                     memo, compiled = rules[name]
-                    decisions_for_rule = compiled.check_trip(
-                        mirror, entries, memo=memo, stats=stats
+                    decision = compiled.check(
+                        mirror, window_start, now, memo=memo, stats=stats
                     )
-                    for segment_index, decision in zip(
-                        positions_by_rule[name], decisions_for_rule
-                    ):
-                        if decision is not None:
-                            decided[(segment_index, name)] = (
-                                decision.triggered,
-                                decision.instant,
-                                decision.ts_value,
-                                decision.window_size,
-                                decision.instants_sampled,
-                            )
-            rules_counter.inc(len(decided))
+                    decisions.append(
+                        (
+                            decision.triggered,
+                            decision.instant,
+                            decision.ts_value,
+                            decision.window_size,
+                            decision.instants_sampled,
+                        )
+                    )
+            rules_counter.inc(len(decisions))
             with reply_hist.time():
-                for segment_index, items, _now in segments:
-                    decisions = [
-                        (name, decided[(segment_index, name)])
-                        for name, _ws, _po in items
-                        if (segment_index, name) in decided
-                    ]
-                    replies.append((segment_index, tuple(decisions)))
-                body = pickle.dumps((tuple(replies), stats), _PROTOCOL)
-            # Drained after the reply timer stopped, so this trip's
-            # observations all ride on this trip's reply.
+                body = pickle.dumps((tuple(decisions), stats), _PROTOCOL)
+            # Drained after the reply timer stopped, so this block's
+            # observations all ride on this block's reply.
             connection.send_bytes(
                 pickle.dumps(("ok", body, registry.drain_delta()), _PROTOCOL)
             )
@@ -292,14 +255,13 @@ class _WorkerHandle:
         self.pending_drops.clear()
 
 
-#: One staged send of ``evaluate_trip``: the consulted handle, its encoded
-#: request, the definitions riding along and the type watermark to advance to.
-_PreparedSend = tuple[_WorkerHandle, bytes, list[tuple[str, int]], int]
+#: One staged send of ``evaluate``: the consulted handle, its encoded request,
+#: the definitions riding along, the type watermark to advance to, and the
+#: states its reply rows answer, in item order.
+_PreparedSend = tuple[_WorkerHandle, bytes, list[tuple[str, int]], int, list[RuleState]]
 
-#: One block's ``(state, decision)`` rows and the stats they cost; a trip's
-#: rows are grouped by block index.
+#: One block's ``(state, decision)`` rows and the stats they cost.
 _BlockResult = tuple[list[tuple[RuleState, TriggeringDecision]], EvaluationStats]
-_TripResult = tuple[list[list[tuple[RuleState, TriggeringDecision]]], EvaluationStats]
 
 
 class ProcessShardPool:
@@ -352,18 +314,14 @@ class ProcessShardPool:
         #: coordinator's bookkeeping — the pool then refuses further work.
         self._broken = False
         # -- transport observability (fed into the workload reports) --
-        #: Trips: one per evaluate/evaluate_trip call, however many blocks
-        #: the trip coalesced.
+        #: Blocks that contacted the pool: one per :meth:`evaluate` call.
         self.dispatches = 0
         self.worker_round_trips = 0
-        #: Blocks that shipped work items in some trip — ``dispatches <
-        #: blocks_dispatched`` is micro-batching visibly amortizing.
-        self.blocks_dispatched = 0
         self.bytes_shipped = 0
         self.bytes_received = 0
         #: Rule definitions shipped to workers, cumulatively.  With a stable
         #: table this equals "each live rule once per owning worker" however
-        #: many trips run (``test_definition_shipped_once_per_trip``).
+        #: many blocks run (``test_definition_shipped_once_across_blocks``).
         self.defs_shipped = 0
         #: Worker channels replaced by a reconnect (tcp transport), each
         #: followed by a defs + mirror re-sync on the next contact.
@@ -378,7 +336,7 @@ class ProcessShardPool:
         self.deltas_framed = 0
         self._finalizer = weakref.finalize(self, self._transport.shutdown)
 
-    # -- the per-trip round trip ------------------------------------------------
+    # -- the per-block round trip ---------------------------------------------
     def evaluate(
         self,
         event_base: EventBase,
@@ -388,69 +346,22 @@ class ProcessShardPool:
     ) -> _BlockResult:
         """Evaluate one block's work items on the workers.
 
-        The single-block spelling of :meth:`evaluate_trip`: ``assignments``
-        maps worker id -> ``(state, window start)`` pairs, and ``inline``
-        returns the caller's own ``(state, decision)`` pairs and stats.
-        Returns the evaluated pairs (in worker order — the coordinator sorts
-        by definition order before applying) plus the merged evaluation
-        stats.
-        """
-        trip_inline = None
-        if inline is not None:
-
-            def trip_inline() -> _TripResult:
-                rows, stats = inline()
-                return [rows], stats
-
-        per_segment, merged = self.evaluate_trip(
-            event_base,
-            {
-                worker_id: {
-                    0: [(state, window_start, False) for state, window_start in items]
-                }
-                for worker_id, items in assignments.items()
-            },
-            [now],
-            trip_inline,
-        )
-        return per_segment[0], merged
-
-    def evaluate_trip(
-        self,
-        event_base: EventBase,
-        assignments: dict[int, dict[int, list[tuple[RuleState, Timestamp, bool]]]],
-        nows: Sequence[Timestamp],
-        inline: Callable[[], _TripResult] | None = None,
-    ) -> _TripResult:
-        """Evaluate a micro-batch of blocks on the workers, one trip per worker.
-
-        ``assignments`` maps worker id -> block index -> ``(state, window
-        start, pending-only)`` triples; ``nows`` holds each block's check
-        instant (indexed by block index).  A rule must always be assigned to
-        the same worker (the coordinator's fixed-home dealing) so its memo
-        stays resident, and a rule's items must appear in block order — the
-        worker walks segments in order, skipping rules already triggered
-        earlier in the trip and pending-only riders that already saw a
-        non-empty window (the per-block pending-set semantics).
-
-        Every consulted worker receives exactly **one** message for the whole
-        trip (one combined EB delta + its work segments), which is the
-        dispatch amortization this pool exists for: round trips scale with
-        trips, not blocks.  ``inline`` — the coordinator's own share of the
-        trip — runs after every message is sent and before any reply is
-        read, so it overlaps the workers' checks; its rows and stats (same
-        shape as this method's result) are folded in.  Returns the evaluated
-        ``(state, decision)`` pairs grouped by block index (each group in
-        evaluator order — the coordinator sorts by definition order before
-        applying) plus the merged stats.
+        ``assignments`` maps worker id -> ``(state, window start)`` pairs.  A
+        rule must always be assigned to the same worker (the coordinator's
+        fixed-home dealing) so its memo stays resident.  Every consulted
+        worker receives exactly one message: the EB delta it has not seen
+        plus its items.  ``inline`` — the coordinator's own share of the
+        block — runs after every message is sent and before any reply is
+        read, so it overlaps the workers' checks; it returns
+        ``(state, decision)`` pairs and stats, which are folded in.  Returns
+        the evaluated pairs (in evaluator order — the coordinator sorts by
+        definition order before applying) plus the merged evaluation stats.
         """
         self._require_usable()
         self._absorb_reconnects()
         transport = self._transport
         total = len(event_base)
-        by_name: dict[str, RuleState] = {}
         prepared: list[_PreparedSend] = []
-        covered_blocks: set[int] = set()
         started = time.perf_counter()
         # Encode the unseen tail of the log once — every lagging worker's
         # delta is then a slice of the same encoded log.
@@ -459,28 +370,18 @@ class ProcessShardPool:
         self.delta_encode_seconds += time.perf_counter() - encode_started
         for worker_id in sorted(assignments):
             handle = self._workers[worker_id]
-            segment_items = assignments[worker_id]
             defs: list[tuple[str, int, object]] = []
             new_defs: list[tuple[str, int]] = []
-            shipping_now: set[str] = set()
-            segments: list[tuple[int, tuple, Timestamp]] = []
-            for segment_index in sorted(segment_items):
-                items: list[tuple[str, Timestamp, bool]] = []
-                for state, window_start, pending_only in segment_items[segment_index]:
-                    name = state.rule.name
-                    order = state.definition_order
-                    if (
-                        handle.shipped_defs.get(name) != order
-                        and name not in shipping_now
-                    ):
-                        defs.append((name, order, state.rule.events))
-                        new_defs.append((name, order))
-                        shipping_now.add(name)
-                    items.append((name, window_start, pending_only))
-                    by_name[name] = state
-                if items:
-                    segments.append((segment_index, tuple(items), nows[segment_index]))
-                    covered_blocks.add(segment_index)
+            items: list[tuple[str, Timestamp]] = []
+            states: list[RuleState] = []
+            for state, window_start in assignments[worker_id]:
+                name = state.rule.name
+                order = state.definition_order
+                if handle.shipped_defs.get(name) != order:
+                    defs.append((name, order, state.rule.events))
+                    new_defs.append((name, order))
+                items.append((name, window_start))
+                states.append(state)
             delta: tuple | None = None
             advance_types = handle.shipped_types
             if handle.shipped_events < total:
@@ -495,13 +396,16 @@ class ProcessShardPool:
                 delta,
                 tuple(defs),
                 tuple(handle.pending_drops),
-                tuple(segments),
+                tuple(items),
+                now,
             )
-            prepared.append((handle, self._encode(message), new_defs, advance_types))
+            prepared.append(
+                (handle, self._encode(message), new_defs, advance_types, states)
+            )
         self.encode_seconds += time.perf_counter() - started
         # Nothing is sent until every message encoded cleanly: an encode
         # failure therefore leaves every worker exactly where it was.
-        for handle, payload, new_defs, advance_types in prepared:
+        for handle, payload, new_defs, advance_types, _states in prepared:
             self._send(handle, payload)
             handle.shipped_events = total
             handle.pending_drops.clear()
@@ -511,21 +415,18 @@ class ProcessShardPool:
             self.defs_shipped += len(new_defs)
         self.dispatches += 1
         self.worker_round_trips += len(prepared)
-        self.blocks_dispatched += len(covered_blocks)
-        per_segment: list[list[tuple[RuleState, TriggeringDecision]]] = [
-            [] for _ in nows
-        ]
+        rows: list[tuple[RuleState, TriggeringDecision]] = []
         merged = EvaluationStats()
         first_error: BaseException | None = None
         if inline is not None:
             try:
-                per_segment, merged = inline()
+                rows, merged = inline()
             except BaseException as exc:
                 first_error = exc
         # Drain every worker's reply even when one fails: an unread reply
         # left in a pipe would pair with the *next* request and desync the
         # pool permanently.  The first failure is re-raised afterwards.
-        for handle, _, _, _ in prepared:
+        for handle, _, _, _, states in prepared:
             try:
                 body, metrics_delta = self._receive(handle)
             except BaseException as exc:  # transport death poisons in _receive
@@ -534,19 +435,17 @@ class ProcessShardPool:
                 continue
             if first_error is not None:
                 continue
-            reply_segments, worker_stats = pickle.loads(body)
+            decisions, worker_stats = pickle.loads(body)
             merged.merge(worker_stats)
             if metrics_delta and self.metrics is not None:
                 # Deltas are commutative (sums and maxima), so the reply
                 # order cannot change the merged snapshot.
                 self.metrics.merge_delta(metrics_delta)
-            for segment_index, decisions in reply_segments:
-                rows = per_segment[segment_index]
-                for name, row in decisions:
-                    rows.append((by_name[name], TriggeringDecision(*row)))
+            for state, row in zip(states, decisions):
+                rows.append((state, TriggeringDecision(*row)))
         if first_error is not None:
             raise first_error
-        return per_segment, merged
+        return rows, merged
 
     def prune(self, is_live) -> int:
         """Forget definitions of rules that left the table.
@@ -660,7 +559,7 @@ class ProcessShardPool:
                 # there, with the worker traceback chained as the cause.
                 raise original from cause
             raise cause
-        # ``("ok", pickled (segments, stats) body, metrics delta)``; a reset
+        # ``("ok", pickled (decision rows, stats) body, metrics delta)``; a reset
         # reply carries neither.
         return reply[1], reply[2]
 
@@ -671,7 +570,6 @@ class ProcessShardPool:
             "workers": self.num_workers,
             "dispatches": self.dispatches,
             "worker_round_trips": self.worker_round_trips,
-            "blocks_dispatched": self.blocks_dispatched,
             "bytes_shipped": self.bytes_shipped,
             "bytes_received": self.bytes_received,
             "defs_shipped": self.defs_shipped,

@@ -401,7 +401,7 @@ class ShardTransport:
 
     Built from the engine's :class:`~repro.config.EngineConfig` record
     (:func:`create_transport`), which it also ships to every worker.  The
-    pool calls, in order: :meth:`launch` once; then per trip
+    pool calls, in order: :meth:`launch` once; then per block
     :meth:`poll_refreshed` (reconnect bookkeeping), :meth:`begin_trip`
     (encode the unseen log tail once), and :meth:`delta_for` per lagging
     worker; :meth:`note_reset` when the coordinator's EB is rebound; and

@@ -5,9 +5,9 @@ act on is a field of :class:`EngineConfig`.  The record is built at the top —
 ``defaults → os.environ → explicit keywords`` in
 :meth:`EngineConfig.from_env` — validated in one place, and then handed down
 unchanged: the Trigger Support, the shard coordinator, the process pool, the
-transports (the TCP handshake ships it to remote workers) and the stream
-ingestor read their settings from it and never consult the environment
-themselves.  A malformed or out-of-range value raises
+transports (the TCP handshake ships it to remote workers) read their
+settings from it and never consult the environment themselves.  A malformed
+or out-of-range value — or a ``CHIMERA_*`` variable no field owns — raises
 :class:`~repro.errors.ConfigError` naming the field (and the environment
 variable, when the value came from one) instead of falling back silently.
 
@@ -102,12 +102,6 @@ class EngineConfig:
     tcp_spawn: bool = _knob(
         True, bool, "CHIMERA_TCP_SPAWN", "fork localhost tcp workers (off = external)"
     )
-    batch_blocks: int = _knob(
-        1, (1, None), "CHIMERA_BATCH_BLOCKS", "stream blocks coalesced per trip"
-    )
-    adaptive_batch: bool = _knob(
-        False, bool, "CHIMERA_ADAPTIVE_BATCH", "size trips with the dispatch controller"
-    )
     metrics_path: str = _knob(
         "", str, "CHIMERA_METRICS", "JSON-lines metrics export path (empty = off)"
     )
@@ -140,12 +134,25 @@ class EngineConfig:
 
         A blank variable counts as unset; an override left at ``None`` counts
         as not given (CLI flags and harness parameters default to ``None``).
+        A set ``CHIMERA_*`` variable that names no field is an error, like an
+        unknown keyword: a typo or a retired knob must not pass for a default.
         """
         environ = os.environ if environ is None else environ
         specs = {spec.name: spec for spec in dataclasses.fields(cls)}
         unknown = sorted(set(overrides) - set(specs))
         if unknown:
             raise ConfigError(f"unknown engine setting(s): {', '.join(unknown)}")
+        known = set(ENV_NAMES.values())
+        stray = sorted(
+            variable
+            for variable, raw in environ.items()
+            if variable.startswith("CHIMERA_") and variable not in known and raw.strip()
+        )
+        if stray:
+            raise ConfigError(
+                f"unknown engine variable(s): {', '.join('$' + v for v in stray)} "
+                f"(known: {', '.join(sorted(known))})"
+            )
         values: dict[str, Any] = {}
         for name, variable in ENV_NAMES.items():
             raw = environ.get(variable, "").strip()

@@ -42,14 +42,14 @@ rules are bound; each binding re-resolves lazily on its next check.  The
 counting cells of a non-rigid kernel live on the stack of the check that
 uses them.
 
-On top of the per-instant closures, :meth:`CompiledCheck.check_trip`
-evaluates all of a trip's blocks for one rule in a single pass over the
-store's sorted timestamp arrays, reusing :class:`TriggerMemo`'s coverage
-bookkeeping — candidate instants are sliced out of ``_distinct_timestamps``
-by bisection instead of re-entering ``is_triggered`` per block.
+On top of the per-instant closures, :meth:`CompiledCheck.check` runs one
+block's exact check in a single pass over the store's sorted timestamp
+arrays, reusing :class:`TriggerMemo`'s coverage bookkeeping — candidate
+instants are sliced out of ``_distinct_timestamps`` by bisection instead of
+re-entering ``is_triggered``.
 
 Equivalence contract: for every expression, mode and history, the compiled
-``ts``/``ots``/``check``/``check_trip`` return the same values, the same
+``ts``/``ots``/``check`` return the same values, the same
 :class:`TriggeringDecision` fields and the same ``EvaluationStats`` totals
 as the reference (pinned by tests/core/test_compiled_equivalence.py and the
 cross-mode differential harnesses).  The only intended difference is *when*
@@ -441,12 +441,11 @@ class CheckBinder:
 
 
 class CompiledCheck:
-    """A rule's binding to its shape kernel: the batched exact check.
+    """A rule's binding to its shape kernel: the compiled exact check.
 
-    Holds no closure of its own — ``ts``/``ots``/``check``/``check_trip`` run
-    the binder's shared kernel over this rule's handles.  One binding is
-    evaluated by one caller at a time (fixed-home dealing guarantees one
-    evaluator per rule per trip).
+    Holds no closure of its own — ``ts``/``ots``/``check`` run the binder's
+    shared kernel over this rule's handles.  One binding is evaluated by one
+    caller at a time (fixed-home dealing guarantees one evaluator per rule).
     """
 
     __slots__ = ("expression", "binder", "_kernel", "_types", "_handles", "_epoch")
@@ -550,7 +549,7 @@ class CompiledCheck:
         kernel, _ = self.binder._kernel(self.expression, True)
         return self._point(kernel, event_base, window_start, instant, oid, stats)
 
-    # -- the batched exact check ----------------------------------------------
+    # -- the exact check -----------------------------------------------------
     def check(
         self,
         event_base: StampIndex,
@@ -559,110 +558,65 @@ class CompiledCheck:
         memo: TriggerMemo | None = None,
         stats: EvaluationStats | None = None,
     ) -> TriggeringDecision:
-        """Exact triggering check of one block (single-entry :meth:`check_trip`)."""
-        entries = ((window_start, now, False),)
-        return self.check_trip(event_base, entries, memo, stats)[0]
-
-    def check_trip(
-        self,
-        event_base: StampIndex,
-        entries: Sequence["tuple[Timestamp | None, Timestamp, bool]"],
-        memo: TriggerMemo | None = None,
-        stats: EvaluationStats | None = None,
-    ) -> "list[TriggeringDecision | None]":
-        """Evaluate one rule against every block of a trip in a single pass.
-
-        ``entries`` is the rule's ordered trip: one ``(window_start, now,
-        pending_only)`` triple per block the trip's plans routed it to, over
-        the already fully ingested Event Base.  The in-trip skip semantics of
-        ``TriggerSupport.check_after_blocks`` are reproduced exactly —
-        a block after an in-trip triggering, or a pending-only rider after an
-        in-trip non-empty window, yields ``None`` (no decision row) — and the
-        memo ends in the same state the reference per-block sequence leaves
-        it in: cleared on triggering, untouched by empty windows, otherwise
-        recording the last negative block's frontier once, at the end.
+        """Exact triggering check of one block over ``(window_start, now]``.
 
         Candidate instants come straight from the store's deduplicated
-        timestamp array: within a trip each block only samples the distinct
-        stamps past the previous block's frontier (plus its own ``now``), so
-        the whole trip costs one bounded sweep over the new instants instead
-        of one evaluator re-entry per block.
+        timestamp array: the check samples only the distinct stamps past the
+        memo's frontier (plus ``now`` itself), so a rule checked after every
+        block costs one bounded sweep over the new instants.  The memo ends
+        in the state the reference ``is_triggered`` leaves it in: cleared on
+        triggering, untouched by an empty window, otherwise recording this
+        check's frontier.
         """
-        kernel = self._kernel
         handles = self._resolve(event_base)
+        all_stamps = event_base._all_timestamps
+        after = _NEG_INF if window_start is None else window_start
+        size = bisect_right(all_stamps, now) - bisect_right(all_stamps, after)
+        if size == 0:
+            return TriggeringDecision(False, None, None, 0)
+        kernel = self._kernel
         cells = _NO_CELLS
         if kernel.counts:
             cells = [0, 0, 0]
             handles += (cells,)
-        all_stamps = event_base._all_timestamps
         distinct = event_base._distinct_timestamps
         total = len(all_stamps)
         fn = kernel.fn
-        bisect = bisect_right
-        decisions: "list[TriggeringDecision | None]" = []
-        triggered = False
-        saw_nonempty = False
-        sampled_total = 0
-        frontier: Timestamp | None = None
-        frontier_set = False
-        recorded_ws: Timestamp | None = None
-        for window_start, now, pending_only in entries:
-            if triggered or (pending_only and saw_nonempty):
-                decisions.append(None)
-                continue
-            after = _NEG_INF if window_start is None else window_start
-            size = bisect(all_stamps, now) - bisect(all_stamps, after)
-            if size == 0:
-                decisions.append(TriggeringDecision(False, None, None, 0))
-                continue
-            saw_nonempty = True
-            if frontier_set:
-                lower: Timestamp | None = frontier
-            else:
-                lower = None
-                if memo is not None and memo.covers(window_start):
-                    lower = memo.last_sampled
-                    if memo.seen_events < total:
-                        first_new = all_stamps[memo.seen_events]
-                        if first_new <= lower:
-                            lower = first_new - 1
-            lo_bound = after if lower is None or lower < after else lower
-            start = bisect(distinct, lo_bound)
-            stop = bisect(distinct, now)
-            sampled = 0
-            hit_instant: Timestamp | None = None
-            hit_value = 0
-            for instant in distinct[start:stop]:
-                sampled += 1
-                value = fn(handles, after, instant, None)
-                if value > 0:
-                    hit_instant = instant
-                    hit_value = value
-                    break
-            if hit_instant is None and (start == stop or distinct[stop - 1] != now):
-                sampled += 1
-                value = fn(handles, after, now, None)
-                if value > 0:
-                    hit_instant = now
-                    hit_value = value
-            sampled_total += sampled
-            if hit_instant is not None:
-                if memo is not None:
-                    memo.clear()
-                triggered = True
-                decisions.append(
-                    TriggeringDecision(True, hit_instant, hit_value, size, sampled)
-                )
-            else:
-                frontier = now
-                frontier_set = True
-                recorded_ws = window_start
-                decisions.append(TriggeringDecision(False, None, None, size, sampled))
-        if not triggered and frontier_set and memo is not None:
-            memo.record(recorded_ws, frontier, total)
+        lower: Timestamp | None = None
+        if memo is not None and memo.covers(window_start):
+            lower = memo.last_sampled
+            if memo.seen_events < total:
+                first_new = all_stamps[memo.seen_events]
+                if first_new <= lower:
+                    lower = first_new - 1
+        lo_bound = after if lower is None or lower < after else lower
+        start = bisect_right(distinct, lo_bound)
+        stop = bisect_right(distinct, now)
+        sampled = 0
+        hit_instant: Timestamp | None = None
+        hit_value = 0
+        for instant in distinct[start:stop]:
+            sampled += 1
+            value = fn(handles, after, instant, None)
+            if value > 0:
+                hit_instant = instant
+                hit_value = value
+                break
+        if hit_instant is None and (start == stop or distinct[stop - 1] != now):
+            sampled += 1
+            value = fn(handles, after, now, None)
+            if value > 0:
+                hit_instant = now
+                hit_value = value
         if stats is not None:
-            _flush(stats, kernel, sampled_total, cells)
-        return decisions
+            _flush(stats, kernel, sampled, cells)
+        if hit_instant is not None:
+            if memo is not None:
+                memo.clear()
+            return TriggeringDecision(True, hit_instant, hit_value, size, sampled)
+        if memo is not None:
+            memo.record(window_start, now, total)
+        return TriggeringDecision(False, None, None, size, sampled)
 
 
 def _flush(

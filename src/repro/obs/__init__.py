@@ -16,7 +16,7 @@ bench-local timers.  ``repro.obs`` gives them one spine:
   logical engine in every shard mode.
 * :mod:`repro.obs.stats` — :class:`MergeableStats`, the shared
   ``as_dict()`` / ``merge()`` protocol behind ``TriggerSupportStats``,
-  ``ShardCoordinatorStats``, ``EvaluationStats`` and ``StreamIngestStats``.
+  ``ShardCoordinatorStats`` and ``EvaluationStats``.
   The live stats objects are registered as snapshot *sources*, so the
   workload report and the metrics export read the same numbers by
   construction.

@@ -60,8 +60,8 @@ LATENCY_BUCKETS: tuple[float, ...] = (
     3.16,
 )
 
-#: Default histogram bounds for small integer sizes (batch widths, coalesce
-#: sizes): powers of two up to 1024.
+#: Default histogram bounds for small integer sizes (batch widths, candidate
+#: counts): powers of two up to 1024.
 COUNT_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
@@ -121,8 +121,8 @@ class Histogram:
     ``bounds`` are the inclusive upper edges of the finite buckets; one
     overflow bucket is appended implicitly.  Observing costs one ``bisect``
     plus a handful of attribute stores — cheap enough for per-block spans,
-    and the :meth:`quantile` estimate is bucket-resolution (fine for the
-    latency signals the adaptive-dispatch controller needs).
+    and the :meth:`quantile` estimate is bucket-resolution (fine for latency
+    read-outs).
     """
 
     __slots__ = (
@@ -315,22 +315,6 @@ class MetricsRegistry:
             with self._lock:
                 instrument = self._histograms.setdefault(name, Histogram(name, bounds))
         return instrument
-
-    def counter_values(self, prefix: str) -> dict[str, int]:
-        """Live values of the counters whose names start with ``prefix``.
-
-        A cheap probe for control loops (e.g. the dispatch controller reading
-        the ``shard.candidates.N`` family) — no source folding, no snapshot
-        cost.  Empty when disabled.
-        """
-        if not self.enabled:
-            return {}
-        with self._lock:
-            return {
-                name: counter.value
-                for name, counter in self._counters.items()
-                if name.startswith(prefix)
-            }
 
     # -- spans ----------------------------------------------------------------
     def span(self, name: str, **attributes: int):

@@ -1,7 +1,7 @@
 """The shared ``as_dict()`` / ``merge()`` protocol of the pipeline stats.
 
-``TriggerSupportStats``, ``ShardCoordinatorStats``, ``EvaluationStats`` and
-``StreamIngestStats`` grew up separately, each with its own hand-rolled
+``TriggerSupportStats``, ``ShardCoordinatorStats`` and ``EvaluationStats``
+grew up separately, each with its own hand-rolled
 plain-dict view (and, for some, its own merge).  This mixin unifies them:
 
 * :meth:`MergeableStats.as_dict` walks the dataclass fields; a field whose

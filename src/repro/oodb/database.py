@@ -82,33 +82,6 @@ class ChimeraDatabase:
         """Release engine worker pools (idempotent; also runs via finalizers)."""
         self.engine.close()
 
-    def stream_ingestor(
-        self,
-        max_pending: int = 64,
-        batch_blocks: int | None = None,
-        adaptive_batch: bool | None = None,
-    ):
-        """A pipelined (and optionally coalescing) ingestor over this engine.
-
-        Returns a :class:`~repro.cluster.streaming.StreamIngestor` bound to
-        the database's rule engine: producers submit pre-stamped occurrence
-        batches, the consumer thread runs them through the stream-block
-        pipeline, draining up to ``batch_blocks`` queued blocks per dispatch
-        trip.  With ``adaptive_batch`` the per-trip bound is sized by the
-        closed-loop :class:`~repro.cluster.streaming.DispatchController`
-        instead of staying static.  Both default to the database's
-        :class:`~repro.config.EngineConfig` record.  The engine must not be
-        driven through transactions while the ingestor is open.
-        """
-        from repro.cluster.streaming import StreamIngestor
-
-        return StreamIngestor(
-            self.engine,
-            max_pending=max_pending,
-            max_batch_blocks=batch_blocks,
-            adaptive_batch=adaptive_batch,
-        )
-
     # ------------------------------------------------------------------
     # Schema and rule definition
     # ------------------------------------------------------------------
@@ -255,9 +228,9 @@ class ChimeraDatabase:
         """One metrics snapshot covering the whole logical engine.
 
         Counters fold in every registered stats source (``trigger.*``,
-        ``cluster.*``, ``ingest.*``, ``pool.*``) plus the live counters —
-        including ``worker.*`` deltas merged back from process shard workers
-        — alongside the pipeline gauges and span histograms.
+        ``cluster.*``, ``pool.*``) plus the live counters — including
+        ``worker.*`` deltas merged back from process shard workers —
+        alongside the span histograms.
         """
         return self.engine.metrics_snapshot()
 

@@ -20,8 +20,8 @@ exactly once at the block boundary.  The signature is what the
 :class:`~repro.rules.trigger_support.TriggerPlanner` routes on, so it is never
 re-derived from the window downstream.  Externally produced batches
 (synthetic workloads, streaming sources) enter through :meth:`store_external`
-and the Event Base's bulk ``extend``, whose by-type segmentation *is* the
-signature of a large block.
+and the Event Base's bulk ``extend``, which returns the batch's signature
+while it indexes the rows.
 """
 
 from __future__ import annotations
@@ -55,10 +55,9 @@ class BlockIngest(Sequence[EventOccurrence]):
             type_signature = frozenset(
                 occurrence.event_type for occurrence in self.occurrences
             )
-        #: Callers that already know the signature (the Event Base segmented
-        #: the batch by type, a streaming producer computed it off the
-        #: checking thread) pass it through; it must describe exactly these
-        #: occurrences.
+        #: A caller that already knows the signature (the Event Base's
+        #: ``extend`` returned it) passes it through; it must describe exactly
+        #: these occurrences.
         self.type_signature: frozenset[EventType] = type_signature
 
     def __len__(self) -> int:
@@ -101,16 +100,14 @@ class EventHandler:
             self._stored_count = self._flushed_count
         return self._occurred_events
 
-    def flush_block(
-        self, type_signature: frozenset[EventType] | None = None
-    ) -> BlockIngest:
+    def flush_block(self) -> BlockIngest:
         """Collect the occurrences generated since the previous flush.
 
         Returns the batch (possibly empty) with its type signature.
-        ``type_signature`` may be supplied when the caller knows it covers
-        exactly the pending slice (the streaming path computes it
-        producer-side); it is derived here otherwise.
         """
+        return self._flush(None)
+
+    def _flush(self, type_signature: frozenset[EventType] | None) -> BlockIngest:
         total = len(self.event_base)
         batch = BlockIngest(
             self.event_base.occurrences_between(self._flushed_count, total),
@@ -132,23 +129,14 @@ class EventHandler:
         self._stored_count = self._flushed_count = len(self.event_base)
         self.blocks_processed = 0
 
-    def store_external(
-        self,
-        occurrences: Sequence[EventOccurrence],
-        type_signature: frozenset[EventType] | None = None,
-    ) -> BlockIngest:
+    def store_external(self, occurrences: Sequence[EventOccurrence]) -> BlockIngest:
         """Store externally produced occurrences as one block and flush it.
 
-        A ``type_signature`` — the caller's, or else the one the Event Base's
-        bulk ``extend`` obtained by segmenting the batch — is honoured only
-        when the flushed block is exactly this batch (nothing else was
+        The signature the Event Base's bulk ``extend`` returns is honoured
+        only when the flushed block is exactly this batch (nothing else was
         pending); otherwise it would mislabel the wider block and the
         signature is re-derived.
         """
         alone = self.pending_count() == 0
-        segmented = self.event_base.extend(occurrences)
-        if not alone:
-            type_signature = None
-        elif type_signature is None:
-            type_signature = segmented
-        return self.flush_block(type_signature=type_signature)
+        signature = self.event_base.extend(occurrences)
+        return self._flush(signature if alone else None)

@@ -15,7 +15,7 @@ A rule is detriggered as soon as it is considered; only new event occurrences
 can trigger it again.  Immediate rules are processed during the transaction,
 deferred rules when the transaction commits.  An execution budget
 (``max_rule_executions``) guards against non-terminating rule sets: one per
-transaction, and one per stream block or micro-batch on the stream path.
+transaction, and one per stream block on the stream path.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Callable, Sequence
 from repro.config import EngineConfig
 from repro.errors import NonTerminationError
 from repro.events.clock import Timestamp, TransactionClock
-from repro.events.event import EventOccurrence, EventType
+from repro.events.event import EventOccurrence
 from repro.events.event_base import EventBase
 from repro.obs.export import JsonLinesExporter
 from repro.obs.registry import MetricsRegistry
@@ -69,7 +69,7 @@ class RuleEngine:
     rule_table: RuleTable | None = None
     #: The engine's settings; ``None`` resolves them from the environment
     #: (``EngineConfig.from_env()``).  This record is what every layer below
-    #: — Trigger Support, coordinator, pool, transports, ingestor — reads.
+    #: — Trigger Support, coordinator, pool, transports — reads.
     config: EngineConfig | None = None
     #: The engine's metrics registry — threaded through the Trigger Support /
     #: Shard Coordinator (and from there the process pool), so one
@@ -166,76 +166,18 @@ class RuleEngine:
         self._after_block(ECCoupling.IMMEDIATE, phase="transaction")
         return outcome
 
-    def run_stream_block(
-        self,
-        occurrences: Sequence[EventOccurrence],
-        type_signature: frozenset[EventType] | None = None,
-    ) -> None:
+    def run_stream_block(self, occurrences: Sequence[EventOccurrence]) -> None:
         """Ingest externally produced occurrences as one execution block.
 
         The batch enters the Event Base through its bulk ``extend``, is
-        flushed as a single block and processed exactly like a user block —
-        the streaming seam the ROADMAP's batch-ingestion item calls for.  A
-        pipelining producer (:class:`repro.cluster.streaming.StreamIngestor`)
-        may pass the batch's ``type_signature`` so it is never derived on the
-        checking thread; it is ignored when other occurrences are pending.
-        A stream is not a transaction: the execution budget guards one
-        quiescence loop, so every block starts with a fresh one.
+        flushed as a single block and processed exactly like a user block:
+        checked on its own, then its triggered rules considered before the
+        next block arrives.  A stream is not a transaction: the execution
+        budget guards one quiescence loop, so every block starts with a
+        fresh one.
         """
         self._budget_spent = 0
-        batch = self._ingest_stream_batch(occurrences, type_signature)
-        self._check_block(batch)
-        self._processing_loop(ECCoupling.IMMEDIATE, phase="stream")
-        self._export_metrics()
-
-    def run_stream_blocks(
-        self,
-        batches: Sequence[Sequence[EventOccurrence]],
-        type_signatures: Sequence[frozenset[EventType] | None] | None = None,
-    ) -> None:
-        """Ingest a micro-batch of blocks, checking them as one dispatch trip.
-
-        Every batch is flushed as its **own** execution block (own type
-        signature, own Occurred-Events entry, own trigger check at its own
-        clock instant), exactly like consecutive :meth:`run_stream_block`
-        calls — but the trigger checks for the whole micro-batch are handed
-        to the Trigger Support in one ``check_after_blocks`` trip, so the
-        shard coordinator's process mode contacts each consulted worker once
-        per trip instead of once per block (the dispatch amortization
-        PERFORMANCE.md "Batched worker dispatch" measures).  Two visible
-        differences from block-at-a-time processing, both inherent to
-        micro-batching: the whole batch is ingested before the first check
-        runs (each check still bounds the complete log by its block's
-        ``now``), and triggered rules are considered once the batch's checks
-        finish rather than between blocks.  A one-element micro-batch is
-        byte-identical to :meth:`run_stream_block`
-        (fresh execution budget included: one per trip).
-        """
-        if type_signatures is not None and len(type_signatures) != len(batches):
-            raise ValueError(
-                f"type_signatures must align with batches "
-                f"(got {len(type_signatures)} for {len(batches)})"
-            )
-        self._budget_spent = 0
-        segments: list[tuple[BlockIngest, Timestamp]] = []
-        for index, occurrences in enumerate(batches):
-            signature = type_signatures[index] if type_signatures is not None else None
-            batch = self._ingest_stream_batch(occurrences, signature)
-            segments.append((batch, self.clock.now()))
-        if segments:
-            self.trigger_support.check_after_blocks(segments, self.transaction_start)
-        self._processing_loop(ECCoupling.IMMEDIATE, phase="stream")
-        self._export_metrics()
-
-    def _ingest_stream_batch(
-        self,
-        occurrences: Sequence[EventOccurrence],
-        type_signature: frozenset[EventType] | None,
-    ) -> BlockIngest:
-        """Store one stream batch as a flushed block and catch the clock up."""
-        batch = self.event_handler.store_external(
-            occurrences, type_signature=type_signature
-        )
+        batch = self.event_handler.store_external(occurrences)
         if batch:
             # Pre-stamped streams outrun the transaction clock; the check's
             # window is (start, clock.now()], so catch the clock up or the
@@ -243,7 +185,9 @@ class RuleEngine:
             last = batch.occurrences[-1].timestamp
             if last > self.clock.now():
                 self.clock.advance_to(last)
-        return batch
+        self._check_block(batch)
+        self._processing_loop(ECCoupling.IMMEDIATE, phase="stream")
+        self._export_metrics()
 
     def process_commit(self) -> None:
         """Process deferred (and any remaining triggered) rules at commit time."""

@@ -57,8 +57,11 @@ __all__ = [
 
 @dataclass
 class TriggerSupportStats(MergeableStats):
-    """Aggregate counters used by the X1 benchmark (optimized vs. naive).
+    """Aggregate counters of the exact checks, folded into every snapshot.
 
+    The registry exports them as ``trigger.*``; the cross-mode differential
+    tests compare them byte for byte, and ``benchmarks/e2e`` derives its
+    per-candidate figures from them.
     ``as_dict()``/``merge()`` come from the shared stats protocol; the nested
     ``evaluation`` record is flattened into the view, so the dict exposes the
     evaluator counters (``primitive_lookups``, ``node_visits``, …) directly.
@@ -102,14 +105,6 @@ class TriggerPlan:
     #: Untriggered rules the index proved irrelevant — a full scan would have
     #: visited each and skipped it via its individual filter.
     bypassed: int
-    #: Names of candidates planned *only* because their filter is not
-    #: applicable yet (the pending-full-check riders, not signature-routed).
-    #: The batched dispatch path uses this to reproduce the per-block
-    #: pending-set semantics within a trip: once such a rule has seen a
-    #: non-empty window in an earlier block of the trip, later blocks that
-    #: planned it only as a pending rider skip it — exactly when the
-    #: per-block path would have dropped it from the pending set.
-    pending_only: frozenset[str] = frozenset()
 
 
 class TriggerPlanner:
@@ -138,19 +133,12 @@ class TriggerPlanner:
             if state.enabled and not state.triggered
         }
         routed = len(chosen)
-        pending_only: set[str] = set()
         for name, state in table.pending_full_check_states().items():
             if state.enabled and not state.triggered and name not in chosen:
                 chosen[name] = state
-                pending_only.add(name)
         candidates = sorted(chosen.values(), key=lambda state: state.definition_order)
         bypassed = table.untriggered_count() - len(candidates)
-        return TriggerPlan(
-            candidates=candidates,
-            routed=routed,
-            bypassed=bypassed,
-            pending_only=frozenset(pending_only),
-        )
+        return TriggerPlan(candidates=candidates, routed=routed, bypassed=bypassed)
 
 
 class TriggerSupport:
@@ -179,7 +167,7 @@ class TriggerSupport:
         # snapshot covers the whole pipeline.  The stats record is folded into
         # snapshots as a *source* — the report and the export can never
         # disagree with the benchmark counters.  Histogram handles are cached
-        # here because the hot loops probe them per trip, not per rule.
+        # here because the hot loops probe them per block, not per rule.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.register_source("trigger", self.stats)
         self._plan_hist = self.metrics.histogram("trip.plan")
@@ -216,7 +204,7 @@ class TriggerSupport:
 
         with self._block_hist.time():
             if self.use_static_optimization:
-                plan = self._plan_segment(new_occurrences, type_signature)
+                plan = self._plan_block(new_occurrences, type_signature)
                 candidates = plan.candidates
             else:
                 candidates = self.rule_table.untriggered_states()
@@ -226,16 +214,15 @@ class TriggerSupport:
                     newly_triggered.append(state)
             return newly_triggered
 
-    def _plan_segment(self, occurrences, type_signature=None):
+    def _plan_block(self, occurrences, type_signature=None):
         """Plan one non-empty block and account the plan-time stats.
 
         The one place the signature is derived (when the caller does not
-        already carry it) and the routed/bypassed counters move — shared by
-        the per-block check and every block of a batched trip, and
-        overridden by the shard coordinator with its fan-out planning.  A
-        bypass is the ``V(E)`` filter applied wholesale: the index proved no
-        occurrence of the block can flip those rules' ``ts`` positive, which
-        is exactly what the per-rule filter would have concluded.
+        already carry it) and the routed/bypassed counters move; overridden
+        by the shard coordinator with its fan-out planning.  A bypass is the
+        ``V(E)`` filter applied wholesale: the index proved no occurrence of
+        the block can flip those rules' ``ts`` positive, which is exactly
+        what the per-rule filter would have concluded.
         """
         if type_signature is None:
             type_signature = getattr(occurrences, "type_signature", None)
@@ -248,135 +235,6 @@ class TriggerSupport:
         self.stats.rules_bypassed_by_index += plan.bypassed
         self.stats.ts_skipped_by_filter += plan.bypassed
         return plan
-
-    # -- the micro-batched check ---------------------------------------------
-    def check_after_blocks(
-        self,
-        blocks: Sequence[tuple[Sequence[EventOccurrence], Timestamp]],
-        transaction_start: Timestamp,
-    ) -> list[RuleState]:
-        """Check a *trip* of consecutive, already-ingested execution blocks.
-
-        ``blocks`` is an ordered sequence of ``(occurrences, now)`` pairs, one
-        per execution block, all of which are already stored in the Event Base
-        (the batched streaming path ingests a whole micro-batch before
-        checking).  Each block keeps its own check: its own type signature,
-        its own plan and its own ``now`` — but the plans for every block of
-        the trip are resolved **up front**, against the triggered/enabled
-        state at the start of the trip, which is what lets the shard
-        coordinator ship the whole trip to each process worker in one round
-        trip.  The batched semantics, identical in every execution mode:
-
-        * plans are computed per block against the trip-start state (no
-          decisions applied in between);
-        * candidates are evaluated block by block, in definition order, each
-          against its block's ``(window start, now]`` view of the (complete)
-          Event Base; later blocks of the trip skip the rules their plans
-          would no longer contain had the earlier decisions applied
-          per-block — rules that came out triggered earlier in the trip,
-          and pending-full-check riders that saw a non-empty window earlier
-          in the trip (they would have left the pending set);
-        * all decisions are applied after the trip evaluates, block by block
-          in definition order, so counters, heaps and the newly-triggered
-          order line up across serial and process execution.
-
-        A single-block trip delegates to :meth:`check_after_block` and is
-        byte-identical to the per-block path.  The exhaustive scan has no
-        up-front planning to batch, so its trip degrades to consecutive
-        per-block checks.
-        """
-        if len(blocks) == 1:
-            occurrences, now = blocks[0]
-            return self.check_after_block(
-                occurrences,
-                now,
-                transaction_start,
-                getattr(occurrences, "type_signature", None),
-            )
-        if not self.use_static_optimization:
-            newly_triggered: list[RuleState] = []
-            for occurrences, now in blocks:
-                newly_triggered.extend(
-                    self.check_after_block(
-                        occurrences,
-                        now,
-                        transaction_start,
-                        getattr(occurrences, "type_signature", None),
-                    )
-                )
-            return newly_triggered
-        planned: list[tuple[Timestamp, TriggerPlan]] = []
-        with self._plan_hist.time():
-            for occurrences, now in blocks:
-                self.stats.blocks += 1
-                if not occurrences:
-                    continue
-                planned.append((now, self._plan_segment(occurrences)))
-        with self._check_hist.time():
-            evaluated = self._evaluate_trip(planned, transaction_start)
-        newly_triggered = []
-        with self._apply_hist.time():
-            for now, rows in evaluated:
-                for state, decision in rows:
-                    self.stats.rules_checked += 1
-                    if self._apply_decision(state, decision, now):
-                        newly_triggered.append(state)
-        return newly_triggered
-
-    def _evaluate_trip(
-        self,
-        planned: "list[tuple[Timestamp, TriggerPlan]]",
-        transaction_start: Timestamp,
-    ) -> "list[tuple[Timestamp, list[tuple[RuleState, object]]]]":
-        """Rule-major evaluation of a planned trip.
-
-        The in-trip skips (triggered earlier in the trip; pending-only rider
-        after an in-trip non-empty window) key on the rule name alone, so
-        regrouping the trip by rule preserves them exactly; each rule's
-        ordered entries then evaluate in a single :meth:`CompiledCheck.check_trip`
-        pass over the timestamp arrays.  Decision rows are re-assembled in
-        every block's plan order, so the apply loop observes the rows a
-        block-major walk would produce, in the same order.
-        """
-        per_rule: dict[str, tuple[RuleState, list[tuple[int, Timestamp, bool]]]] = {}
-        for block_index, (now, plan) in enumerate(planned):
-            for state in plan.candidates:
-                name = state.rule.name
-                entry = per_rule.get(name)
-                if entry is None:
-                    entry = per_rule[name] = (state, [])
-                entry[1].append((block_index, now, name in plan.pending_only))
-        decided: dict[tuple[int, str], object] = {}
-        for name, (state, items) in per_rule.items():
-            window_start = state.triggering_window_start(transaction_start)
-            decisions = self._check_rule_trip(
-                state, window_start, items, self.stats.evaluation
-            )
-            for (block_index, _now, _pending), decision in zip(items, decisions):
-                if decision is not None:
-                    decided[(block_index, name)] = decision
-        evaluated: list[tuple[Timestamp, list[tuple[RuleState, object]]]] = []
-        for block_index, (now, plan) in enumerate(planned):
-            rows = [
-                (state, decided[(block_index, state.rule.name)])
-                for state in plan.candidates
-                if (block_index, state.rule.name) in decided
-            ]
-            evaluated.append((now, rows))
-        return evaluated
-
-    def _check_rule_trip(
-        self,
-        state: RuleState,
-        window_start: Timestamp,
-        items: "list[tuple[int, Timestamp, bool]]",
-        evaluation_stats: EvaluationStats,
-    ) -> "list[object]":
-        """One rule's ordered trip entries -> decisions (None = skipped)."""
-        entries = [(window_start, now, pending) for _index, now, pending in items]
-        return self._binding(state).check_trip(
-            self.event_base, entries, state.trigger_memo, evaluation_stats
-        )
 
     def recheck_all(
         self, now: Timestamp, transaction_start: Timestamp
@@ -420,28 +278,13 @@ class TriggerSupport:
         ``evaluation_stats``, so independent rules can be evaluated
         concurrently — the shard coordinator's worker pool relies on this
         split, handing each worker its own stats and applying the decisions
-        serially afterwards (:meth:`_apply_decision`).
-        """
-        window_start = state.triggering_window_start(transaction_start)
-        return self._evaluate_item(state, window_start, now, evaluation_stats)
-
-    def _evaluate_item(
-        self,
-        state: RuleState,
-        window_start: Timestamp,
-        now: Timestamp,
-        evaluation_stats: EvaluationStats,
-    ):
-        """Evaluate one planned work item (an explicit ``(window start, now)``).
-
-        The batched dispatch path plans whole trips up front, so window
-        starts are resolved at planning time; this and
-        :meth:`_check_rule_trip` are the two evaluation kernels every check
-        path — per block, per trip, commit-time recheck — ends in.
+        serially afterwards (:meth:`_apply_decision`).  Every in-process
+        check — per block, commit-time recheck, the coordinator's own
+        share — ends here.
         """
         return self._binding(state).check(
             self.event_base,
-            window_start,
+            state.triggering_window_start(transaction_start),
             now,
             memo=state.trigger_memo,
             stats=evaluation_stats,

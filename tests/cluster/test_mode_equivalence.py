@@ -24,11 +24,6 @@ import random
 
 from repro.config import EngineConfig
 from repro.oodb.database import ChimeraDatabase
-from repro.workloads.scaling import (
-    build_scaling_universe,
-    build_shaped_blocks,
-    build_shard_rules,
-)
 
 from tests.cluster.test_shard_equivalence import run_scenario
 from tests.rules.test_planner_equivalence import build_scenario
@@ -86,259 +81,51 @@ def test_larger_pool_process_mode():
 
 
 # ---------------------------------------------------------------------------
-# Micro-batched dispatch (PR 5): batch sizes 1-8, every mode byte-identical
-# ---------------------------------------------------------------------------
-
-
-def test_batch_size_one_is_byte_identical_to_per_block():
-    """``check_after_blocks`` with one-block trips == the PR-3/PR-4 path."""
-    for seed in (0, 7):
-        scenario = build_scenario(seed)
-        per_block = run_scenario(scenario)
-        assert run_scenario(scenario, batch_blocks=1) == per_block
-        for mode in MODES:
-            assert (
-                run_scenario(scenario, shards=4, shard_mode=mode, batch_blocks=1)
-                == per_block
-            ), f"seed {seed}, {mode}: batch_blocks=1 diverged from per-block"
-
-
-def test_batched_dispatch_identical_across_modes_for_batch_sizes_1_to_8():
-    """For every batch size 1-8: serial == processes == unsharded.
-
-    The unsharded batched run is the reference — traces, per-rule counters
-    and Trigger Support stats (``instants_sampled`` included) must be
-    byte-identical in every coordinator execution mode at the same batch
-    size.
-    """
-    for seed in (2, 9):
-        scenario = build_scenario(seed)
-        for batch_blocks in range(1, 9):
-            reference = run_scenario(scenario, batch_blocks=batch_blocks)
-            for mode in MODES:
-                result = run_scenario(
-                    scenario, shards=4, shard_mode=mode, batch_blocks=batch_blocks
-                )
-                for key in ("trace", "counters", "stats"):
-                    assert result[key] == reference[key], (
-                        f"seed {seed}, batch {batch_blocks}, {mode}: {key} diverged"
-                    )
-
-
-def test_batched_dispatch_across_shard_counts():
-    """Batched trips stay identical as the worker count follows the shards."""
-    scenario = build_scenario(13)
-    for batch_blocks in (3, 8):
-        reference = run_scenario(scenario, batch_blocks=batch_blocks)
-        for shards in (1, 2, 5, 8):
-            result = run_scenario(
-                scenario,
-                shards=shards,
-                shard_mode="processes",
-                batch_blocks=batch_blocks,
-            )
-            assert result == reference, (
-                f"batch {batch_blocks}, {shards} shards: batched dispatch diverged"
-            )
-
-
-def test_batched_dispatch_with_periodic_exhaustive_recheck():
-    """Commit-style rechecks between trips keep the worker memos in lockstep."""
-    scenario = build_scenario(11)
-    for batch_blocks in (2, 4):
-        reference = run_scenario(
-            scenario, recheck_every=batch_blocks * 2, batch_blocks=batch_blocks
-        )
-        for mode in MODES:
-            result = run_scenario(
-                scenario,
-                shards=4,
-                shard_mode=mode,
-                recheck_every=batch_blocks * 2,
-                batch_blocks=batch_blocks,
-            )
-            assert result == reference, (
-                f"batch {batch_blocks}, {mode}: recheck between trips diverged"
-            )
-
-
-# ---------------------------------------------------------------------------
-# Bursty arrivals: variable trips x transports x modes byte-identical
+# Worker placement: pipe and tcp byte-identical, rechecks and the oracle
 # ---------------------------------------------------------------------------
 
 TRANSPORTS = ("pipe", "tcp")
 
 
-def _bursty_trip_sizes(seed: int, max_batch: int = 8) -> tuple[int, ...]:
-    """A Poisson-ish arrival pattern as a trip partition.
+def test_tcp_transport_across_modes_and_shard_counts():
+    """The socket transport is pinned exactly like the pipe one.
 
-    Idle gaps realize as per-block trips; bursts realize as multi-block
-    trips up to ``max_batch`` — exactly the partitions the adaptive
-    dispatch controller produces, made deterministic so every execution
-    mode and transport can replay the identical structure.
+    ``--transport tcp`` over localhost workers must produce byte-identical
+    traces / per-rule counters / stats / snapshot counters to the unsharded
+    reference (and hence to ``pipe``, which earlier tests pin against the
+    same reference) across coordinator modes and shard counts 1-8.
     """
-    rng = random.Random(seed)
-    sizes = []
-    for _ in range(32):
-        if rng.random() < 0.5:
-            sizes.append(1)  # idle gap: the consumer keeps up
-        else:
-            sizes.append(min(max_batch, 1 + int(rng.expovariate(0.4))))
-    return tuple(sizes)
-
-
-def test_bursty_trips_identical_across_modes_and_transports():
-    """Variable-size trips (bursts + idle gaps, churn at trip boundaries):
-    serial / processes x pipe / tcp must all match the unsharded
-    reference replaying the same partition, byte for byte."""
-    for seed in (3, 17):
+    for seed in (3, 9):
         scenario = build_scenario(seed)
-        sizes = _bursty_trip_sizes(seed * 7 + 1)
-        reference = run_scenario(scenario, trip_sizes=sizes)
-        assert len({size for size in sizes}) > 1  # genuinely bursty
+        reference = run_scenario(scenario)
         for mode in MODES:
-            for transport in TRANSPORTS:
-                result = run_scenario(
-                    scenario,
-                    shards=4,
-                    shard_mode=mode,
-                    transport=transport,
-                    trip_sizes=sizes,
-                )
-                for key in ("trace", "counters", "stats", "metrics"):
-                    assert result[key] == reference[key], (
-                        f"seed {seed}, {mode} x {transport}: {key} diverged "
-                        f"on the bursty partition"
-                    )
+            result = run_scenario(scenario, shards=4, shard_mode=mode, transport="tcp")
+            assert result == reference, f"seed {seed}, tcp x {mode} diverged"
+    scenario = build_scenario(9)
+    reference = run_scenario(scenario)
+    for shards in (1, 2, 5, 8):
+        for mode in MODES:
+            result = run_scenario(
+                scenario, shards=shards, shard_mode=mode, transport="tcp"
+            )
+            assert result == reference, f"tcp: {mode} x {shards} shards diverged"
 
 
-def test_bursty_trips_with_recheck_match_the_oracle():
-    """The bursty partition composes with commit-style rechecks without
-    losing equivalence — to the single table, and to the reference
-    evaluator replaying the same partition."""
+def test_rechecks_match_the_oracle_on_every_transport():
+    """Commit-style rechecks between blocks keep every placement equal to
+    the single table, and to the reference evaluator."""
     scenario = build_scenario(11)
-    sizes = _bursty_trip_sizes(29)
-    reference = run_scenario(scenario, trip_sizes=sizes, recheck_every=6, oracle=True)
-    assert run_scenario(scenario, trip_sizes=sizes, recheck_every=6) == reference
+    reference = run_scenario(scenario, recheck_every=6, oracle=True)
+    assert run_scenario(scenario, recheck_every=6) == reference
     for transport in TRANSPORTS:
         result = run_scenario(
             scenario,
             shards=3,
             shard_mode="processes",
             transport=transport,
-            trip_sizes=sizes,
             recheck_every=6,
         )
-        assert result == reference, (
-            f"{transport}: bursty partition with rechecks diverged"
-        )
-
-
-def test_tcp_transport_across_modes_shard_counts_and_batch_sizes():
-    """The socket transport is pinned exactly like the pipe one.
-
-    ``--transport tcp`` over localhost workers must produce byte-identical
-    traces / per-rule counters / stats to the unsharded reference (and hence
-    to ``pipe``, which earlier tests pin against the same reference) across
-    coordinator modes, shard counts 1-8 and batch sizes 1-8.
-    """
-    scenario = build_scenario(9)
-    for batch_blocks in range(1, 9):
-        reference = run_scenario(scenario, batch_blocks=batch_blocks)
-        result = run_scenario(
-            scenario,
-            shards=4,
-            shard_mode="processes",
-            transport="tcp",
-            batch_blocks=batch_blocks,
-        )
-        assert result == reference, f"tcp: batch {batch_blocks} diverged"
-    reference = run_scenario(scenario, batch_blocks=3)
-    for shards in (1, 2, 5, 8):
-        for mode in MODES:
-            result = run_scenario(
-                scenario,
-                shards=shards,
-                shard_mode=mode,
-                transport="tcp",
-                batch_blocks=3,
-            )
-            assert result == reference, f"tcp: {mode} x {shards} shards diverged"
-
-
-def _stream_database(rules, **settings) -> ChimeraDatabase:
-    """A database holding ``rules``, to be fed through its stream seam."""
-    db = ChimeraDatabase(**settings)
-    for rule in rules:
-        db.define_rule(rule)
-    return db
-
-
-def _stream_outcome(db: ChimeraDatabase) -> dict:
-    return {
-        "triggerings": {
-            state.rule.name: state.times_triggered for state in db.rule_table.states()
-        },
-        "considerations": [record.rule_name for record in db.considerations],
-        "stats": db.trigger_statistics(),
-    }
-
-
-def _replay_partition(rules, blocks, partition: list[int]) -> dict:
-    """Run ``blocks`` through an unsharded database in the given trip sizes."""
-    assert sum(partition) == len(blocks)
-    db = _stream_database(rules, shards=0)
-    try:
-        index = 0
-        for size in partition:
-            chunk = blocks[index : index + size]
-            if size == 1:
-                db.engine.run_stream_block(chunk[0])
-            else:
-                db.engine.run_stream_blocks(chunk)
-            index += size
-        return _stream_outcome(db)
-    finally:
-        db.close()
-
-
-def test_adaptive_ingestor_matches_unsharded_replay_of_realized_trips():
-    """The real closed-loop pipeline, pinned end to end: a backlog and then
-    an idle tail through an adaptive ``StreamIngestor`` over process shards.
-    The controller must widen under the backlog and shrink back once it
-    drains, and the *realized* trip partition replayed on an unsharded engine
-    must give identical triggerings, consideration order and stats."""
-    backlog, idle = 24, 12
-    universe = build_scaling_universe(160)
-    rules = build_shard_rules(160, universe, seed=23)
-    blocks = build_shaped_blocks(universe, backlog + idle, events_per_block=6, seed=5)
-    db = _stream_database(rules, shards=2, shard_mode="processes")
-    try:
-        with db.stream_ingestor(batch_blocks=8, adaptive_batch=True) as ingestor:
-            # The first trip spawns the worker pool, so the rest of the burst
-            # is queued by the time the consumer looks again.
-            for block in blocks[:backlog]:
-                ingestor.submit(block)
-            ingestor.flush()
-            # Idle: every block finds the queue drained behind it.
-            for block in blocks[backlog:]:
-                ingestor.submit(block)
-                ingestor.flush()
-            partition = list(ingestor.trip_sizes)
-            controller = ingestor.controller
-        counters = db.metrics_snapshot()["counters"]
-        assert counters["controller.widened"] >= 1, partition
-        assert counters["controller.shrunk"] >= 1, partition
-        assert max(partition[:-idle]) > 1, partition  # backlog drained in batches
-        assert partition[-idle:] == [1] * idle, partition  # idle never coalesced
-        assert controller.batch_blocks == 1
-        pipelined = _stream_outcome(db)
-    finally:
-        db.close()
-    replay = _replay_partition(rules, blocks, partition)
-    assert pipelined == replay, (
-        f"adaptive pipeline diverged from its replay (partition {partition})"
-    )
+        assert result == reference, f"{transport}: rechecks diverged"
 
 
 # ---------------------------------------------------------------------------
@@ -346,25 +133,22 @@ def test_adaptive_ingestor_matches_unsharded_replay_of_realized_trips():
 # ---------------------------------------------------------------------------
 
 
-def test_snapshot_counters_identical_across_modes_and_batches():
+def test_snapshot_counters_identical_across_modes():
     """The PR-8 snapshot counters are as mode-invariant as the stats they fold.
 
     ``run_scenario`` returns the registry's deterministic ``trigger.*``
-    snapshot counters; for every batch size 1-8 each coordinator mode must
-    match the reference evaluator on the single table byte for byte — the
-    observability layer inherits the equivalence guarantee instead of
-    weakening it.
+    snapshot counters; each coordinator mode must match the reference
+    evaluator on the single table byte for byte — the observability layer
+    inherits the equivalence guarantee instead of weakening it.
     """
-    scenario = build_scenario(2)
-    for batch_blocks in range(1, 9):
-        reference = run_scenario(scenario, batch_blocks=batch_blocks, oracle=True)
+    for seed in (2, 7):
+        scenario = build_scenario(seed)
+        reference = run_scenario(scenario, oracle=True)
         assert reference["metrics"], "snapshot must carry trigger.* counters"
         for mode in MODES:
-            result = run_scenario(
-                scenario, shards=4, shard_mode=mode, batch_blocks=batch_blocks
-            )
+            result = run_scenario(scenario, shards=4, shard_mode=mode)
             assert result["metrics"] == reference["metrics"], (
-                f"batch {batch_blocks}, {mode}: snapshot counters diverged"
+                f"seed {seed}, {mode}: snapshot counters diverged"
             )
 
 
@@ -398,11 +182,11 @@ def test_per_shard_candidate_counters_identical_across_modes():
 
 
 def test_zero_candidate_trip_merges_empty_stats_in_process_mode():
-    """A trip with no candidate rules must merge a pristine stats record.
+    """A block with no candidate rules must merge a pristine stats record.
 
     ``_evaluate_states`` returns ``[], EvaluationStats()`` without
     contacting (or even spawning) the pool when no rule is assigned; the
-    coordinator still merges that empty record into its trip stats.  Pin both
+    coordinator still merges that empty record into its block stats.  Pin both
     halves: the merge leaves every counter untouched, and a later candidate
     block accumulates on top of it normally.
     """
@@ -456,7 +240,7 @@ def test_zero_candidate_trip_merges_empty_stats_in_process_mode():
         assert baseline.evaluations > 0
         assert support.process_pool is not None
 
-        assert feed("beta", 2) == []  # zero-candidate trip
+        assert feed("beta", 2) == []  # zero-candidate block
         assert support.stats.evaluation == baseline
 
         state.mark_considered(2, executed=False)

@@ -400,18 +400,14 @@ def test_rule_free_database_never_spawns_workers():
 
 def test_processes_coordinator_binds_no_rule_it_never_checks():
     """The bindings live with the evaluator.  In processes mode the
-    coordinator is the evaluator of home 0: per block, per trip and at the
-    commit-time recheck it binds exactly its own home's rules, and leaves
+    coordinator is the evaluator of home 0: per block and at the commit-time
+    recheck it binds exactly its own home's rules, and leaves
     ``RuleState.compiled_check`` unpopulated for every rule a worker
     checks."""
     table, event_base, handler, support = build_support(rule_count=12, homes=(0, 1))
     try:
-        assert feed_block(event_base, handler, support, 1)
-        segments = []
-        for stamp in (2, 3, 4):
-            event_base.record(CREATE_ALPHA, oid="alpha#1", timestamp=stamp)
-            segments.append((handler.flush_block(), stamp))
-        assert support.check_after_blocks(segments, 0)
+        for stamp in (1, 2, 3, 4):
+            assert feed_block(event_base, handler, support, stamp)
         support.recheck_all(4, 0)
         assert sum(state.ts_computations for state in table) >= 24
         own = {state.rule.name for state in table if support._worker_of(state) == 0}
@@ -494,8 +490,8 @@ def test_coordinator_homed_rules_are_never_shipped():
 
 
 def test_trip_of_coordinator_homed_candidates_does_not_contact_the_pool():
-    """Once only home-0 rules are candidates, blocks, trips and rechecks are
-    checked inline: no dispatch, no byte on the wire, no spawn."""
+    """Once only home-0 rules are candidates, blocks are checked inline: no
+    dispatch, no byte on the wire."""
     table, event_base, handler, support = build_support(
         2, expressions=("create(alpha)", "create(gamma)"), homes=(0, 1)
     )
@@ -512,11 +508,13 @@ def test_trip_of_coordinator_homed_candidates_does_not_contact_the_pool():
         assert _run_blocks(support, handler, event_base, [[(CREATE_ALPHA, 2)]], 3) == [
             (local.rule.name,)
         ]
-        segments = []
+        # Left triggered, the local rule is no candidate for the next block.
+        newly = []
         for stamp in (4, 5):
             event_base.record(CREATE_ALPHA, oid="alpha#3", timestamp=stamp)
-            segments.append((handler.flush_block(), stamp))
-        assert support.check_after_blocks(segments, 0) == [local]
+            batch = handler.flush_block()
+            newly += support.check_after_block(batch, stamp, 0)
+        assert newly == [local]
         assert local.ts_computations == checks + 2
         assert (pool.dispatches, pool.bytes_shipped, pool.bytes_received) == contacted
         assert remote.ts_computations == 1

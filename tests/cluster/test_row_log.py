@@ -109,26 +109,31 @@ class _Worker:
             assert _resolved(self.mirror, pattern) == _resolved(event_base, pattern)
 
     def check(self, rng: random.Random, event_base: EventBase) -> None:
-        """One trip per rule over the log and over the mirror: same answers."""
+        """A few per-block checks per rule, over the log and over the mirror.
+
+        Each side keeps one memo per rule across every call, the way a
+        coordinator and a worker each keep theirs: same decisions, same
+        counters.
+        """
         distinct = event_base._distinct_timestamps
         nows = sorted(rng.sample(distinct, min(len(distinct), rng.randint(1, 3))))
         for rule in self.rules:
             on_log, log_memo, on_mirror, mirror_memo, window_start = rule
-            entries = [
-                (window_start, now, rng.random() < 0.2)
-                for now in nows
-                if window_start is None or now >= window_start
-            ]
             log_stats, mirror_stats = EvaluationStats(), EvaluationStats()
-            expected = on_log.check_trip(event_base, entries, log_memo, log_stats)
-            decided = on_mirror.check_trip(
-                self.mirror, entries, mirror_memo, mirror_stats
-            )
-            assert decided == expected
+            for now in nows:
+                if window_start is not None and now < window_start:
+                    continue
+                expected = on_log.check(
+                    event_base, window_start, now, log_memo, log_stats
+                )
+                decided = on_mirror.check(
+                    self.mirror, window_start, now, mirror_memo, mirror_stats
+                )
+                assert decided == expected
+                if expected.triggered:
+                    # A consideration moves the window start.
+                    window_start = rule[4] = expected.instant
             assert mirror_stats == log_stats
-            hits = [d.instant for d in expected if d is not None and d.triggered]
-            if hits:
-                rule[4] = hits[0]
 
 
 def _grow(rng: random.Random, event_base: EventBase, count: int, types: int) -> None:
@@ -355,16 +360,15 @@ def test_a_worker_applies_a_delta_without_building_an_occurrence(monkeypatch):
         construct(occurrence)
 
     monkeypatch.setattr(EventOccurrence, "__post_init__", counted)
-    segments = ((0, (("r", None, False),), now),)
     channel = _ScriptedChannel(
-        ("check", delta, (("r", 1, expression),), (), segments), ("stop",)
+        ("check", delta, (("r", 1, expression),), (), (("r", None),), now), ("stop",)
     )
     _worker_main(channel, EngineConfig(), False)
 
     assert built == []
     (status, body, _metrics), = channel.replies
     assert status == "ok"
-    replies, _stats = pickle.loads(body)
+    rows, _stats = pickle.loads(body)
     row = (
         expected.triggered,
         expected.instant,
@@ -372,7 +376,7 @@ def test_a_worker_applies_a_delta_without_building_an_occurrence(monkeypatch):
         expected.window_size,
         expected.instants_sampled,
     )
-    assert replies == ((0, (("r", row),)),)
+    assert rows == (row,)
 
 
 # ---------------------------------------------------------------------------

@@ -33,32 +33,23 @@ def run_scenario(
     shards: int = 0,
     shard_mode: str = "serial",
     recheck_every: int = 0,
-    batch_blocks: int = 1,
-    trip_sizes: tuple[int, ...] | None = None,
     oracle: bool = False,
     transport: str | None = None,
     metric_prefixes: tuple[str, ...] = ("trigger.",),
 ) -> dict:
-    """Execute a scenario; ``shards=0`` is the single-table reference.
+    """Execute a scenario block by block; ``shards=0`` is the single-table reference.
 
+    Every block is flushed, checked through ``check_after_block`` and its
+    triggered rules considered before the next block's churn applies.
     ``shard_mode`` selects the coordinator's execution mode explicitly;
     ``recheck_every=N`` runs a commit-style ``recheck_all`` after every Nth
     block, exercising the exhaustive path the process mode must also route
-    through its workers.  ``batch_blocks=N`` coalesces the stream into
-    N-block micro-batches checked through ``check_after_blocks`` — one
-    dispatch trip per chunk, with churn applied at trip boundaries and
-    considerations drained once per trip; ``batch_blocks=1`` goes through
-    the same call and is byte-identical to the per-block path.
-    ``trip_sizes`` overrides the fixed batch with an explicit trip
-    partition (cycled if it runs out) — the bursty-arrival replay: the
-    variable-size trips an adaptive consumer realizes under Poisson bursts
-    and idle gaps, still with churn at trip boundaries.
-    ``oracle=True`` (single table only) evaluates every exact check through
-    the reference evaluator instead of the engine's compiled kernels
-    (:class:`tests.oracle.OracleTriggerSupport`).  ``transport`` selects the
-    process mode's worker placement (``pipe`` / ``tcp``); ``None`` leaves the field to
-    ``EngineConfig.from_env()`` — the suite's ``CHIMERA_TRANSPORT`` sweeps
-    reach in that way.
+    through its workers.  ``oracle=True`` (single table only) evaluates every
+    exact check through the reference evaluator instead of the engine's
+    compiled kernels (:class:`tests.oracle.OracleTriggerSupport`).
+    ``transport`` selects the process mode's worker placement (``pipe`` /
+    ``tcp``); ``None`` leaves the field to ``EngineConfig.from_env()`` — the
+    suite's ``CHIMERA_TRANSPORT`` sweeps reach in that way.
     ``metric_prefixes`` filters which snapshot counters of the PR-8 metrics
     registry land in the returned ``"metrics"`` key — the default pins the
     deterministic ``trigger.*`` counters; mode-dependent families
@@ -84,59 +75,41 @@ def run_scenario(
             table, event_base, config
         )
 
-    spans: list[tuple[int, int]] = []
-    position = 0
-    while position < len(scenario.blocks):
-        if trip_sizes:
-            size = max(1, trip_sizes[len(spans) % len(trip_sizes)])
-        else:
-            size = batch_blocks
-        spans.append((position, min(position + size, len(scenario.blocks))))
-        position += size
     trace: list[tuple] = []
-    for start, stop in spans:
-        chunk = scenario.blocks[start:stop]
-        # Churn for every position of the chunk applies at the trip boundary
-        # (no table mutation mid-trip — the trip's plans are resolved up
-        # front against one consistent table state).
-        for position in range(start, start + len(chunk)):
-            for name in scenario.removals.get(position, ()):
-                if name not in removed:
-                    table.remove(name)
-                    removed.add(name)
-            for rule in scenario.readds.get(position, ()):
-                if rule.name in removed:
-                    table.add(rule).reset(0)
-                    removed.discard(rule.name)
-            for name in scenario.flips.get(position, ()):
-                if name in removed:
-                    continue
-                if name in disabled:
-                    table.enable(name)
-                    disabled.discard(name)
-                else:
-                    table.disable(name)
-                    disabled.add(name)
-        segments = []
-        for block in chunk:
-            batch = handler.store_external(block)
-            now = block[-1].timestamp if block else (event_base.latest_timestamp() or 1)
-            segments.append((batch, now))
-        newly = support.check_after_blocks(segments, 0)
-        now = segments[-1][1]
+    for position, block in enumerate(scenario.blocks):
+        for name in scenario.removals.get(position, ()):
+            if name not in removed:
+                table.remove(name)
+                removed.add(name)
+        for rule in scenario.readds.get(position, ()):
+            if rule.name in removed:
+                table.add(rule).reset(0)
+                removed.discard(rule.name)
+        for name in scenario.flips.get(position, ()):
+            if name in removed:
+                continue
+            if name in disabled:
+                table.enable(name)
+                disabled.discard(name)
+            else:
+                table.disable(name)
+                disabled.add(name)
+        batch = handler.store_external(block)
+        now = block[-1].timestamp if block else (event_base.latest_timestamp() or 1)
+        newly = support.check_after_block(batch, now, 0)
         considered: list[str] = []
         while (selected := table.select_for_consideration()) is not None:
             considered.append(selected.rule.name)
             selected.mark_considered(now, executed=False)
         rechecked: list[str] = []
-        if recheck_every and (start + len(chunk)) % recheck_every == 0:
+        if recheck_every and (position + 1) % recheck_every == 0:
             rechecked = [state.rule.name for state in support.recheck_all(now, 0)]
             while (selected := table.select_for_consideration()) is not None:
                 rechecked.append(selected.rule.name)
                 selected.mark_considered(now, executed=False)
         trace.append(
             (
-                start,
+                position,
                 [state.rule.name for state in newly],
                 considered,
                 rechecked,

@@ -2,7 +2,7 @@
 
 The production evaluator (:mod:`repro.core.compile`) lowers each expression
 *shape* into shared closures, binds every rule to its shape's kernel and
-batches a trip's instants into one pass.  Its contract is byte-identical
+sweeps a block's candidate instants in one pass.  Its contract is byte-identical
 behaviour: for any expression, any Event-Base history, any window start and
 both evaluation modes, the compiled ``ts`` / ``ots`` / exact check must agree
 with the recursive reference evaluator on the value, the
@@ -203,25 +203,24 @@ class TestCheckEquivalence:
                         window_start = now
                 assert compiled_stats == interpreted_stats, (mode, expression)
 
-    def test_check_trip_matches_per_block_sequence(self):
-        """One batched trip == the per-block interpreted walk with skip flags."""
+    def test_check_sequence_over_a_complete_log_matches(self):
+        """Checks that run behind the log: every block already ingested, each
+        check bounded by its own ``now``, one memo carried across the
+        sequence (its ``seen_events`` lags the log) — the compiled sequence
+        equals the interpreted one, skipped blocks included."""
         generated, event_base = _history(seed=53, blocks=8)
         nows = [block[-1].timestamp for block in generated]
         rng = random.Random(11)
         for mode in MODES:
             for expression in _expression_pool(seed=37, count=14):
                 compiled = compile_check(expression, mode)
-                entries = [(0, now, rng.random() < 0.4) for now in nows]
                 interpreted_memo, compiled_memo = TriggerMemo(), TriggerMemo()
                 interpreted_stats, compiled_stats = EvaluationStats(), EvaluationStats()
-                expected: list = []
-                tripped = False
-                saw_nonempty = False
-                for window_start, now, pending_only in entries:
-                    if tripped or (pending_only and saw_nonempty):
-                        expected.append(None)
-                        continue
-                    decision = is_triggered(
+                window_start = 0
+                for now in nows:
+                    if rng.random() < 0.4:
+                        continue  # a block that did not route this rule
+                    expected = is_triggered(
                         expression,
                         event_base,
                         window_start,
@@ -230,24 +229,17 @@ class TestCheckEquivalence:
                         interpreted_stats,
                         memo=interpreted_memo,
                     )
-                    tripped = tripped or decision.triggered
-                    saw_nonempty = saw_nonempty or decision.window_size > 0
-                    expected.append(decision)
-                actual = compiled.check_trip(
-                    event_base, entries, memo=compiled_memo, stats=compiled_stats
-                )
-                assert actual == expected, (mode, expression)
-                assert (
-                    compiled_memo.valid,
-                    compiled_memo.window_start,
-                    compiled_memo.last_sampled,
-                    compiled_memo.seen_events,
-                ) == (
-                    interpreted_memo.valid,
-                    interpreted_memo.window_start,
-                    interpreted_memo.last_sampled,
-                    interpreted_memo.seen_events,
-                ), (mode, expression)
+                    actual = compiled.check(
+                        event_base,
+                        window_start,
+                        now,
+                        memo=compiled_memo,
+                        stats=compiled_stats,
+                    )
+                    assert actual == expected, (mode, expression, now)
+                    assert compiled_memo == interpreted_memo, (mode, expression, now)
+                    if expected.triggered:
+                        window_start = now
                 assert compiled_stats == interpreted_stats, (mode, expression)
 
 
@@ -397,22 +389,13 @@ class TestCoordinatorEquivalence:
 
         for seed in (0, 9):
             scenario = build_scenario(seed)
-            for batch_blocks in (1, 4):
-                reference = run_scenario(
-                    scenario, batch_blocks=batch_blocks, oracle=True
+            reference = run_scenario(scenario, oracle=True)
+            assert run_scenario(scenario) == reference
+            for shard_mode in ("serial", "processes"):
+                sharded = run_scenario(scenario, shards=4, shard_mode=shard_mode)
+                assert sharded == reference, (
+                    f"seed {seed}, {shard_mode}: diverged from the oracle"
                 )
-                assert run_scenario(scenario, batch_blocks=batch_blocks) == reference
-                for shard_mode in ("serial", "processes"):
-                    sharded = run_scenario(
-                        scenario,
-                        shards=4,
-                        shard_mode=shard_mode,
-                        batch_blocks=batch_blocks,
-                    )
-                    assert sharded == reference, (
-                        f"seed {seed}, {shard_mode}, batch {batch_blocks}: "
-                        "diverged from the oracle"
-                    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """End-to-end instrumentation tests: the registry wired through the engine.
 
 These drive the real pipeline — :class:`ChimeraDatabase` transactions, the
-stream ingestor, the process-mode shard coordinator, the CLI — and assert
+process-mode shard coordinator, the CLI — and assert
 the metrics snapshot reflects what actually happened: source counters equal
 to the canonical stats, worker deltas merged across the process boundary,
 ambient ``$CHIMERA_METRICS`` exports, and the ``workload`` command's
@@ -16,8 +16,6 @@ import pytest
 
 from repro.cli import main
 from repro.cluster.sharding import home_shard
-from repro.cluster.streaming import StreamIngestor
-from repro.events.event import EventOccurrence, EventType, Operation
 from repro.obs import MetricsRegistry
 from repro.oodb.database import ChimeraDatabase
 from repro.workloads.stock import CHECK_STOCK_QTY_RULE
@@ -122,36 +120,6 @@ class TestDatabaseSnapshot:
             db.close()
 
 
-class TestIngestInstrumentation:
-    def test_ingestor_reports_queue_depth_and_coalesce_sizes(self):
-        stock_created = EventType(Operation.CREATE, "stock")
-        db = _stock_db()
-        try:
-            with db.stream_ingestor(max_pending=4, batch_blocks=2) as ingestor:
-                assert isinstance(ingestor, StreamIngestor)
-                for instant in range(1, 7):
-                    ingestor.submit(
-                        [
-                            EventOccurrence(
-                                eid=instant,
-                                event_type=stock_created,
-                                oid=f"o{instant}",
-                                timestamp=instant,
-                            )
-                        ]
-                    )
-                ingestor.flush()
-            snapshot = db.metrics_snapshot()
-            assert snapshot["counters"]["ingest.processed_blocks"] == 6
-            # One update per submit; the adaptive-batch controller (ambient
-            # $CHIMERA_ADAPTIVE_BATCH) additionally refreshes the gauge on
-            # each consumer drain.
-            assert snapshot["gauges"]["ingest.queue_depth"]["updates"] >= 6
-            assert snapshot["histograms"]["ingest.coalesce_blocks"]["count"] > 0
-        finally:
-            db.close()
-
-
 class TestAmbientExport:
     def test_chimera_metrics_env_writes_json_lines(self, tmp_path, monkeypatch):
         path = tmp_path / "ambient.jsonl"
@@ -218,16 +186,11 @@ class TestWorkloadCliSurfaces:
         "tcp": ["--shards", "2", "--shard-mode", "processes", "--transport", "tcp"],
     }
 
-    @pytest.mark.parametrize("batch", ["1", "3"])
-    def test_one_seed_gives_one_outcome_on_every_placement(
-        self, batch, tmp_path, capsys
-    ):
+    def test_one_seed_gives_one_outcome_on_every_placement(self, tmp_path, capsys):
         outcomes = {}
         for name, flags in self.PLACEMENTS.items():
             path = tmp_path / f"{name}.jsonl"
-            code = main(
-                [*self.ARGS, *flags, "--batch-blocks", batch, "--metrics-json", str(path)]
-            )
+            code = main([*self.ARGS, *flags, "--metrics-json", str(path)])
             output = capsys.readouterr().out
             assert code == 0, name
             assert not multiprocessing.active_children(), f"{name}: workers leaked"
@@ -248,3 +211,15 @@ class TestWorkloadCliSurfaces:
         assert int(reference[0]) > 0 and reference[1]["trigger.rules_triggered"] > 0
         for name, outcome in outcomes.items():
             assert outcome == reference, name
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--batch-blocks", "2"], ["--adaptive-batch"]],
+        ids=["batch-blocks", "adaptive-batch"],
+    )
+    def test_retired_trip_flags_are_argparse_errors(self, flags, capsys):
+        """One block, one check: the micro-batching flags have no alias."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.ARGS, *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -2,17 +2,25 @@
 
 The tree (paper §5) is caught up from the log when it is read instead of on
 every flush; it must be indistinguishable from one fed eagerly at each flush.
+A stream block carries the signature the Event Base's ``extend`` returned —
+unless other occurrences were pending, which the block then also holds.
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from repro.core.parser import parse_expression
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
 from repro.events.event_tree import OccurredEventsTree
+from repro.oodb.database import ChimeraDatabase
+from repro.rules.actions import NO_ACTION
+from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.event_handler import EventHandler
+from repro.rules.rule import Rule
 
 TYPES = [
     EventType(Operation.CREATE, "stock"),
@@ -21,7 +29,7 @@ TYPES = [
     EventType(Operation.DELETE, "order"),
 ]
 
-#: ``extend`` sizes on both sides of the Event Base's segmentation threshold.
+#: ``extend`` sizes from empty to larger than a typical block.
 STEPS = st.one_of(
     st.just(("append",)),
     st.tuples(st.just("extend"), st.sampled_from([0, 2, 7, 130])),
@@ -112,3 +120,49 @@ class TestStoreExternalSignature:
         batch = handler.store_external(self.block(200, first_eid=2))
         assert TYPES[3] in batch.type_signature
         assert len(batch) == 201
+
+    @pytest.mark.parametrize("size", [0, 1, 5, 130])
+    def test_pending_occurrence_joins_the_block_at_every_batch_size(self, size):
+        """Even an empty external batch flushes what was pending: the block —
+        and its signature — hold the pending occurrence first."""
+        event_base = EventBase()
+        handler = EventHandler(event_base)
+        pending = event_base.record(TYPES[3], "o9", 1)
+        external = self.block(size, first_eid=2)
+        batch = handler.store_external(external)
+        assert list(batch) == [pending, *external]
+        assert batch.type_signature == frozenset(
+            occurrence.event_type for occurrence in [pending, *external]
+        )
+        assert handler.pending_count() == 0
+
+    def test_an_empty_external_block_is_still_a_block(self):
+        handler = EventHandler(EventBase())
+        handler.store_external(self.block(3))
+        batch = handler.store_external([])
+        assert len(batch) == 0 and batch.type_signature == frozenset()
+        assert handler.blocks_processed == 2
+
+    def test_stale_pending_occurrences_force_rederivation(self):
+        """Through the engine: an occurrence recorded but never flushed joins
+        the next stream block, so the rule watching only its type triggers."""
+        db = ChimeraDatabase()
+        try:
+            db.define_rule(
+                Rule(
+                    name="order_watch",
+                    events=parse_expression("create(order)"),
+                    condition=TRUE_CONDITION,
+                    action=NO_ACTION,
+                )
+            )
+            # A first block takes the rule out of the pending-full-check set:
+            # from now on only the block signature routes it.
+            db.engine.run_stream_block([EventOccurrence(98, TYPES[0], "o1", 1)])
+            assert db.rule_state("order_watch").ts_computations == 1
+            db.clock.tick()
+            db.event_base.record(EventType(Operation.CREATE, "order"), "o9", 2)
+            db.engine.run_stream_block([EventOccurrence(99, TYPES[0], "o1", 2)])
+            assert db.rule_state("order_watch").times_triggered == 1
+        finally:
+            db.close()

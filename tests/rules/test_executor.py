@@ -258,23 +258,96 @@ class TestStreamExecutionBudget:
         db.define_rule("define immediate tick\nevents create(stock)\nend")
         created = EventType(Operation.CREATE, "stock")
         occurrences = self.stamped(db, created, 1, 50)
-        for occurrence in occurrences[:25]:
+        for occurrence in occurrences:
             db.engine.run_stream_block([occurrence])
-        for occurrence in occurrences[25:]:
-            db.engine.run_stream_blocks([[occurrence]])
         assert db.rule_state("tick").times_executed == 50
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_a_block_that_never_quiesces_still_raises(self, batched):
+    def test_a_block_that_never_quiesces_still_raises(self):
         db = make_db(max_rule_executions=5)
         db.define_rule(self.RUNAWAY)
         counter = db.store.insert("log", {"entries": 0}, timestamp=db.clock.now())
         modified = EventType(Operation.MODIFY, "log", "entries")
         block = self.stamped(db, modified, counter.oid, 1)
         with pytest.raises(NonTerminationError) as raised:
-            if batched:
-                db.engine.run_stream_blocks([block])
-            else:
-                db.engine.run_stream_block(block)
+            db.engine.run_stream_block(block)
         assert raised.value.limit == 5
         assert db.rule_state("runaway").times_executed == 5
+
+
+class TestStreamBlockLoop:
+    """Paper §5 on the stream path: every block is checked on its own and its
+    triggered rules are considered before the next block is stored."""
+
+    PLACEMENTS = {
+        "single": {"shards": 0},
+        "serial": {"shards": 2, "shard_mode": "serial"},
+        "processes": {"shards": 2, "shard_mode": "processes"},
+    }
+
+    MARK = """
+        define immediate markNew for stock
+        events create
+        condition stock(S), occurred(create(stock), S)
+        action modify(stock.onorder, S, S.onorder + 1)
+        end
+        """
+
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    def test_each_block_is_considered_before_the_next_arrives(self, placement):
+        """One object created per block: every consideration binds exactly
+        its own block's object, at its own block's stamp — so no block was
+        checked, or considered, together with another."""
+        db = make_db(**self.PLACEMENTS[placement])
+        try:
+            db.define_rule(self.MARK)
+            start = db.clock.now()
+            objects = [
+                db.store.insert("stock", {"onorder": 0}, timestamp=start)
+                for _ in range(4)
+            ]
+            created = EventType(Operation.CREATE, "stock")
+            for index, obj in enumerate(objects, 1):
+                occurrence = EventOccurrence(
+                    eid=10_000 + index,
+                    event_type=created,
+                    oid=obj.oid,
+                    timestamp=start + index,
+                )
+                db.engine.run_stream_block([occurrence])
+                assert [
+                    (record.instant, record.bindings, record.phase)
+                    for record in db.considerations
+                ] == [(start + n, 1, "stream") for n in range(1, index + 1)]
+                assert not db.rule_state("markNew").triggered
+            assert [db.get(obj.oid).get("onorder") for obj in objects] == [1] * 4
+        finally:
+            db.close()
+
+    def test_an_empty_stream_block_is_still_checked(self):
+        db = make_db()
+        try:
+            db.define_rule("define immediate tick\nevents create(stock)\nend")
+            support = db.engine.trigger_support
+            blocks, now = support.stats.blocks, db.clock.now()
+            db.engine.run_stream_block([])
+            assert support.stats.blocks == blocks + 1
+            assert db.clock.now() == now
+            assert db.considerations == []
+        finally:
+            db.close()
+
+    def test_a_prestamped_block_moves_the_clock_to_its_last_stamp(self):
+        """A block stamped ahead of the clock would fall outside its own
+        check window ``(start, now]``; the clock catches up first."""
+        db = make_db()
+        try:
+            db.define_rule("define immediate tick\nevents create(stock)\nend")
+            late = db.clock.now() + 50
+            created = EventType(Operation.CREATE, "stock")
+            db.engine.run_stream_block(
+                [EventOccurrence(eid=10_001, event_type=created, oid=1, timestamp=late)]
+            )
+            assert db.clock.now() == late
+            assert [record.instant for record in db.considerations] == [late]
+        finally:
+            db.close()

@@ -31,8 +31,6 @@ ENV_CASES = {
     "tcp_host": ("0.0.0.0", "0.0.0.0", "localhost"),
     "tcp_port": ("7411", 7411, 7412),
     "tcp_spawn": ("0", False, True),
-    "batch_blocks": ("6", 6, 2),
-    "adaptive_batch": ("on", True, False),
     "metrics_path": ("/tmp/m.jsonl", "/tmp/m.jsonl", "/tmp/other.jsonl"),
 }
 
@@ -43,15 +41,13 @@ MALFORMED = {
     "CHIMERA_TRANSPORT": ["pipes", "shm", "pickle"],
     "CHIMERA_TCP_PORT": ["abc", "70000", "-1"],
     "CHIMERA_TCP_SPAWN": ["perhaps"],
-    "CHIMERA_BATCH_BLOCKS": ["0", "not-a-number"],
-    "CHIMERA_ADAPTIVE_BATCH": ["sometimes"],
 }
 
 
 def test_every_environment_variable_has_a_precedence_case():
     assert set(ENV_CASES) == set(ENV_NAMES)
-    assert len(ENV_NAMES) == 9
-    assert len(dataclasses.fields(EngineConfig)) == 13
+    assert len(ENV_NAMES) == 7
+    assert len(dataclasses.fields(EngineConfig)) == 11
 
 
 @pytest.mark.parametrize("field", sorted(ENV_CASES))
@@ -72,9 +68,9 @@ def test_explicit_beats_environment_beats_default(field):
 
 
 def test_from_env_reads_the_process_environment_by_default(monkeypatch):
-    monkeypatch.setenv("CHIMERA_BATCH_BLOCKS", "4")
-    assert EngineConfig.from_env().batch_blocks == 4
-    assert EngineConfig().batch_blocks == 1  # the bare constructor never does
+    monkeypatch.setenv("CHIMERA_SHARDS", "4")
+    assert EngineConfig.from_env().shards == 4
+    assert EngineConfig().shards == 0  # the bare constructor never does
 
 
 @pytest.mark.parametrize(
@@ -116,7 +112,6 @@ def test_malformed_environment_fails_database_construction(monkeypatch):
         ("transport", "carrier-pigeon"),
         ("evaluation_mode", "fuzzy"),
         ("plan_cache_size", 0),
-        ("batch_blocks", 0),
         ("tcp_port", 65536),
         ("use_static_optimization", 1),
         ("metrics_path", None),
@@ -132,6 +127,48 @@ def test_unknown_setting_is_rejected_by_every_assembly_point():
         EngineConfig.from_env({}, use_subscription_idx=False)
     with pytest.raises(ConfigError, match="max_workers"):
         ChimeraDatabase(max_workers=2)
+    with pytest.raises(ConfigError, match="batch_blocks"):
+        ChimeraDatabase(batch_blocks=2)
+
+
+@pytest.mark.parametrize(
+    "variable",
+    # Two retired knobs (one block per check is the only execution model)
+    # and a typo of CHIMERA_SHARDS.
+    ["CHIMERA_BATCH_BLOCKS", "CHIMERA_ADAPTIVE_BATCH", "CHIMERA_SHARD"],
+)
+def test_unknown_environment_variable_raises_naming_it(variable, monkeypatch):
+    with pytest.raises(ConfigError, match=rf"\${variable}\b") as excinfo:
+        EngineConfig.from_env({variable: "1", "CHIMERA_SHARDS": "2"})
+    assert "CHIMERA_SHARDS" in str(excinfo.value)  # the known names are listed
+    # Blank counts as unset, like for every known variable.
+    assert EngineConfig.from_env({variable: " "}) == EngineConfig()
+    monkeypatch.setenv(variable, "1")
+    with pytest.raises(ConfigError, match=variable):
+        ChimeraDatabase()
+
+
+def test_every_unknown_variable_is_named_in_one_error():
+    environ = {"CHIMERA_SHARD": "2", "CHIMERA_BATCH_BLOCKS": "4", "CHIMERA_SHARDS": "2"}
+    with pytest.raises(ConfigError) as excinfo:
+        EngineConfig.from_env(environ)
+    message = str(excinfo.value)
+    assert "$CHIMERA_BATCH_BLOCKS, $CHIMERA_SHARD " in message
+    assert "$CHIMERA_SHARDS" not in message.split("(known:")[0]
+
+
+def test_an_explicit_keyword_does_not_excuse_an_unknown_variable():
+    """``shards=2`` is what ``CHIMERA_SHARD=2`` meant, but the typo still fails:
+    the next run without the keyword would otherwise fall back silently."""
+    with pytest.raises(ConfigError, match=r"\$CHIMERA_SHARD\b"):
+        EngineConfig.from_env({"CHIMERA_SHARD": "2"}, shards=2)
+
+
+@pytest.mark.parametrize(
+    "variable", ["CHIMERA", "CHIMERAX_SHARDS", "chimera_shards", "MY_CHIMERA_SHARDS"]
+)
+def test_variables_outside_the_engine_prefix_are_not_read(variable):
+    assert EngineConfig.from_env({variable: "2"}) == EngineConfig()
 
 
 def test_record_is_frozen_hashable_and_repr_round_trips():
@@ -147,15 +184,13 @@ def test_record_is_frozen_hashable_and_repr_round_trips():
 
 def test_database_exposes_the_resolved_record(monkeypatch):
     monkeypatch.setenv("CHIMERA_SHARDS", "2")
-    monkeypatch.setenv("CHIMERA_BATCH_BLOCKS", "3")
-    db = ChimeraDatabase(batch_blocks=5, max_rule_executions=77)
+    db = ChimeraDatabase(plan_cache_size=5, max_rule_executions=77)
     try:
         assert db.config.shards == 2
-        assert db.config.batch_blocks == 5
+        assert db.config.plan_cache_size == 5
         assert db.engine.config is db.config
         assert db.engine.trigger_support.config is db.config
         assert db.rule_table.num_shards == 2
-        assert db.stream_ingestor().max_batch_blocks == 5
     finally:
         db.close()
 
@@ -169,7 +204,7 @@ def test_tcp_handshake_delivers_the_coordinators_record(monkeypatch):
         shards=3,
         shard_mode="processes",
         transport="tcp",
-        batch_blocks=4,
+        plan_cache_size=64,
     )
     received: list[tuple] = []
     monkeypatch.setattr(
