@@ -48,11 +48,19 @@ arrays, reusing :class:`TriggerMemo`'s coverage bookkeeping — candidate
 instants are sliced out of ``_distinct_timestamps`` by bisection instead of
 re-entering ``is_triggered``.
 
+The condition side runs on the same kernels: :meth:`CheckBinder.bind_instance`
+binds an event formula's expression (``occurred`` / ``at``, paper §3.3) to its
+instance-rooted kernel once, and :meth:`CompiledCheck.affected` /
+:meth:`CompiledCheck.arises` evaluate it only for the objects the window's
+rows touched, plus one probe that stands for every untouched object.
+
 Equivalence contract: for every expression, mode and history, the compiled
 ``ts``/``ots``/``check`` return the same values, the same
 :class:`TriggeringDecision` fields and the same ``EvaluationStats`` totals
 as the reference (pinned by tests/core/test_compiled_equivalence.py and the
-cross-mode differential harnesses).  The only intended difference is *when*
+cross-mode differential harnesses), and ``affected`` / ``arises`` the same
+sets and instants as ``active_objects`` / ``activation_instants``
+(tests/core/test_event_formulas.py).  The only intended difference is *when*
 stats are accumulated: per check, in bulk, rather than per node.
 """
 
@@ -80,13 +88,17 @@ from repro.core.ts import unit_step
 from repro.errors import EvaluationError
 from repro.events.clock import Timestamp
 from repro.events.event import EventType
-from repro.events.event_base import StampIndex
+from repro.events.event_base import BoundedView, StampIndex, WindowLike
 
 __all__ = ["CheckBinder", "CompiledCheck", "compile_check"]
 
 #: Neutral lower bound: a window with no start excludes nothing.  Timestamps
 #: are ints, so ``-inf`` compares below every candidate and bisects to 0.
 _NEG_INF = float("-inf")
+
+#: The object no index holds: every primitive misses it, so its ``ots`` is the
+#: value of any object the window's rows of the formula's types never touched.
+_UNTOUCHED = object()
 
 #: What a rigid kernel's check flushes as its dynamic share: nothing.
 _NO_CELLS = (0, 0, 0)
@@ -328,14 +340,15 @@ class _Lowering:
         ):
             cells = h[-1]
             cells[0] += 1
+            # The objects affected in (after, instant]: one slice of each
+            # lifted type's OID column.
             affected = set()
             for slot in _lift_slots:
                 for index in h[slot]:
-                    for obj, times in index.per_oid.items():
-                        if obj not in affected and _bisect(times, instant) > _bisect(
-                            times, after
-                        ):
-                            affected.add(obj)
+                    stamps = index.timestamps
+                    affected.update(
+                        index.oids[_bisect(stamps, after) : _bisect(stamps, instant)]
+                    )
             count = len(affected)
             cells[2] += count
             if not count:
@@ -390,6 +403,8 @@ class CheckBinder:
         self.mode = mode
         #: ``(shape key, instance-rooted?)`` -> the interned kernel.
         self._kernels: "dict[tuple, _Kernel]" = {}
+        #: Instance-rooted bindings, one per expression (:meth:`bind_instance`).
+        self._instances: "dict[EventExpression, CompiledCheck]" = {}
         #: Bindings whose ``_epoch`` differs re-resolve before evaluating.
         self.epoch = 0
         #: The ``(event base, registered type count)`` the epoch describes.
@@ -404,6 +419,26 @@ class CheckBinder:
     def bind(self, expression: EventExpression) -> "CompiledCheck":
         """The binding of ``expression``: shared kernel + its own slot types."""
         return CompiledCheck(expression, self, *self._kernel(expression, False))
+
+    def bind_instance(self, expression: EventExpression) -> "CompiledCheck":
+        """The instance-rooted binding of ``expression``, made once per binder.
+
+        What the event formulas (``occurred`` / ``at``, paper §3.3) and the
+        diagnostic :meth:`CompiledCheck.ots` evaluate: the ``(shape,
+        instance=True)`` kernel over the expression's own slot types.  The
+        expression is validated here, once; repeated calls return the same
+        binding.
+        """
+        binding = self._instances.get(expression)
+        if binding is None:
+            if not expression.may_be_instance_operand():
+                raise EvaluationError(
+                    "ots is only defined for instance-oriented expressions "
+                    f"(got a set-oriented operator in {expression})"
+                )
+            binding = CompiledCheck(expression, self, *self._kernel(expression, True))
+            binding = self._instances.setdefault(expression, binding)
+        return binding
 
     def _kernel(
         self, expression: EventExpression, instance: bool
@@ -446,9 +481,19 @@ class CompiledCheck:
     Holds no closure of its own — ``ts``/``ots``/``check`` run the binder's
     shared kernel over this rule's handles.  One binding is evaluated by one
     caller at a time (fixed-home dealing guarantees one evaluator per rule).
+    An instance-rooted binding (:meth:`CheckBinder.bind_instance`) is an
+    event formula's evaluator: :meth:`affected` and :meth:`arises`.
     """
 
-    __slots__ = ("expression", "binder", "_kernel", "_types", "_handles", "_epoch")
+    __slots__ = (
+        "expression",
+        "binder",
+        "_kernel",
+        "_types",
+        "_handles",
+        "_epoch",
+        "_instance",
+    )
 
     def __init__(
         self,
@@ -463,6 +508,9 @@ class CompiledCheck:
         self._types = types
         self._handles: tuple = ()
         self._epoch = -1
+        #: The instance-rooted binding of the same expression, fetched from
+        #: :meth:`CheckBinder.bind_instance` on the first :meth:`ots`.
+        self._instance: "CompiledCheck | None" = None
 
     # -- index-handle binding -------------------------------------------------
     def _resolve(self, event_base: StampIndex) -> tuple:
@@ -539,15 +587,73 @@ class CompiledCheck:
             raise EvaluationError(
                 f"ots must be evaluated at a positive instant (got {instant})"
             )
-        if not self.expression.may_be_instance_operand():
+        instance = self._instance
+        if instance is None:
+            instance = self._instance = self.binder.bind_instance(self.expression)
+        return instance._point(
+            instance._kernel, event_base, window_start, instant, oid, stats
+        )
+
+    # -- the event formulas (instance-rooted bindings) ------------------------
+    def affected(self, window: WindowLike, instant: Timestamp) -> "set[Any]":
+        """The objects the instance expression is active for (``occurred``).
+
+        Exactly ``evaluation.active_objects(expression, window, instant)``,
+        at the cost of what the window touched.  The kernel runs only for the
+        objects that the window's rows of the expression's slot types name
+        (one slice of each type's OID column).  No primitive sees any row of
+        any other object of the window, so one *probe* with an object no
+        index holds gives all of them their value: when it is positive
+        (instance negation) they join the set wholesale.  Touched objects are
+        evaluated at ``min(instant, until)``: the view holds no row in
+        between, and with no row in between the sign of ``ots`` — all a
+        binding set reads — is the same at both ends.
+        """
+        if instant <= 0:
             raise EvaluationError(
-                "ots is only defined for instance-oriented expressions "
-                f"(got a set-oriented operator in {self.expression})"
+                f"ots must be evaluated at a positive instant (got {instant})"
             )
-        # Diagnostic entry point: the instance-rooted kernel is looked up per
-        # call rather than costing every binding a slot.
-        kernel, _ = self.binder._kernel(self.expression, True)
-        return self._point(kernel, event_base, window_start, instant, oid, stats)
+        store, after, until = _bounds_of(window)
+        handles = self._resolve(store)
+        lower = _NEG_INF if after is None else after
+        bound = instant if until is None or until > instant else until
+        touched: "set[Any]" = set()
+        for indexes in handles:
+            for index in indexes:
+                touched.update(index.oids_between(after, bound))
+        kernel = self._kernel
+        if kernel.counts:
+            handles += ([0, 0, 0],)
+        fn = kernel.fn
+        active = {oid for oid in touched if fn(handles, lower, bound, oid) > 0}
+        if fn(handles, lower, instant, _UNTOUCHED) > 0:
+            active.update(window.oids() - touched)
+        return active
+
+    def arises(
+        self, window: WindowLike, oid: Any, until: Timestamp
+    ) -> "list[Timestamp]":
+        """The instants up to ``until`` at which the event arises for ``oid`` (``at``).
+
+        The window's distinct time stamps ``t*`` with ``ots(t*) == t*``:
+        exactly ``evaluation.activation_instants(expression, window, oid,
+        until)``.
+        """
+        store, after, view_until = _bounds_of(window)
+        handles = self._resolve(store)
+        kernel = self._kernel
+        if kernel.counts:
+            handles += ([0, 0, 0],)
+        fn = kernel.fn
+        lower = _NEG_INF if after is None else after
+        last = until if view_until is None or view_until > until else view_until
+        distinct = store._distinct_timestamps
+        start = bisect_right(distinct, lower)
+        return [
+            instant
+            for instant in distinct[start : bisect_right(distinct, last)]
+            if fn(handles, lower, instant, oid) == instant
+        ]
 
     # -- the exact check -----------------------------------------------------
     def check(
@@ -617,6 +723,19 @@ class CompiledCheck:
         if memo is not None:
             memo.record(window_start, now, total)
         return TriggeringDecision(False, None, None, size, sampled)
+
+
+def _bounds_of(
+    window: WindowLike,
+) -> "tuple[StampIndex, Timestamp | None, Timestamp | None]":
+    """``(store, after, until)``: what a kernel reads for ``window``.
+
+    A bounded view is its parent's indexes inside its bounds; an
+    :class:`EventWindow` or the :class:`EventBase` is its own whole log.
+    """
+    if isinstance(window, BoundedView):
+        return window._parent, window.after, window.until
+    return window, None, None
 
 
 def _flush(

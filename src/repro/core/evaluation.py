@@ -18,7 +18,15 @@ This module implements Section 4 of the paper:
   object to violate it (minimum ``ots``).  This reconstruction follows the
   paper's prose and its stated properties (see DESIGN.md §2, substitution 1).
 * :func:`active_objects` and :func:`activation_instants` — the object bindings
-  and occurrence instants used by the ``occurred`` and ``at`` event formulas.
+  and occurrence instants of the ``occurred`` and ``at`` event formulas.
+
+This module is the **reference oracle**.  Production code evaluates through
+the compiled shape kernels of :mod:`repro.core.compile`: the exact triggering
+check, and — for rule conditions — the instance-rooted bindings whose
+``affected`` / ``arises`` equal :func:`active_objects` /
+:func:`activation_instants` (tests/core/test_event_formulas.py).  The recursive
+evaluator stays public because it is what every differential test, the
+``explain`` derivations and the CLI's ``evaluate`` compare against.
 """
 
 from __future__ import annotations

@@ -56,21 +56,25 @@ _stamp_decreases = operator.gt
 
 
 class _TypeIndex:
-    """Per-event-type index: time stamps and log positions, plus per-OID stamps.
+    """Per-event-type index: time stamps, log positions and OIDs, plus per-OID stamps.
 
-    ``timestamps`` and ``positions`` are parallel and sorted by time stamp,
-    ties in log order (the store only ever appends rows that continue its
-    log order); ``positions`` locate each row in the owning store's log, so
-    occurrence objects are looked up there rather than kept twice.  The keys
-    of ``per_oid`` double as the set of OIDs affected by the type, so
-    affected-object queries never need to materialize occurrence lists.
+    ``timestamps``, ``positions`` and ``oids`` are parallel columns sorted by
+    time stamp, ties in log order (the store only ever appends rows that
+    continue its log order); ``positions`` locate each row in the owning
+    store's log, so occurrence objects are looked up there rather than kept
+    twice.  The ``oids`` column answers "objects of this type in ``(after,
+    until]``" with two bisects on ``timestamps`` and one slice
+    (:meth:`oids_between`), so affected-object queries cost the rows inside
+    the bounds, never every object the log has seen.  ``per_oid`` answers
+    the per-object lookups of ``ots``.
     """
 
-    __slots__ = ("timestamps", "positions", "per_oid")
+    __slots__ = ("timestamps", "positions", "oids", "per_oid")
 
     def __init__(self) -> None:
         self.timestamps: list[Timestamp] = []
         self.positions = array("q")
+        self.oids: list[Any] = []
         self.per_oid: dict[Any, list[Timestamp]] = defaultdict(list)
 
     def last_at_or_before(self, instant: Timestamp) -> Timestamp | None:
@@ -119,18 +123,12 @@ class _TypeIndex:
             return None
         return last
 
-    def oid_in_bounds(
-        self, oid: Any, after: Timestamp | None, until: Timestamp | None
-    ) -> bool:
-        """True when ``oid`` has an occurrence of this type in ``(after, until]``."""
-        times = self.per_oid.get(oid)
-        if not times:
-            return False
-        if after is None and until is None:
-            return True
-        start = 0 if after is None else bisect.bisect_right(times, after)
-        stop = len(times) if until is None else bisect.bisect_right(times, until)
-        return stop > start
+    def oids_between(
+        self, after: Timestamp | None, until: Timestamp | None
+    ) -> list[Any]:
+        """The OID of every occurrence in ``(after, until]`` (repeats kept)."""
+        start, stop = self.span(after, until)
+        return self.oids[start:stop]
 
 
 class StampIndex:
@@ -200,8 +198,8 @@ class StampIndex:
 
         The one routine every batch goes through — an :class:`EventBase`
         ``extend``, an :class:`EventWindow`'s construction, a worker mirror's
-        delta — in a single pass: each row appends its stamp and log
-        position to its type's index and its stamp to the type's per-OID
+        delta — in a single pass: each row appends its stamp, log position
+        and OID to its type's columns and its stamp to the type's per-OID
         list.  The rows must continue the log (:meth:`_check_batch`).  New
         types drop the pattern-match cache once for the batch.  Returns the
         batch's type signature.
@@ -215,6 +213,7 @@ class StampIndex:
                 index = by_type[event_type] = _TypeIndex()
             index.timestamps.append(stamp)
             index.positions.append(position)
+            index.oids.append(oid)
             index.per_oid[oid].append(stamp)
             position += 1
         if len(by_type) != registered:
@@ -315,20 +314,13 @@ class StampIndex:
     ) -> set[Any]:
         """OIDs affected by any of ``event_types`` (optionally at/before ``until``).
 
-        Answered from the per-type OID sub-indexes: with no bound the keys of
-        ``per_oid`` are the affected set, with a bound an OID qualifies when
-        its earliest occurrence is at/before ``until`` — no occurrence list is
-        materialized either way.
+        Answered from each type's OID column: one bisect and one slice per
+        matching type, no occurrence list materialized.
         """
         affected: set[Any] = set()
         for event_type in event_types:
             for index in self._indexes_matching(event_type):
-                if until is None:
-                    affected.update(index.per_oid)
-                else:
-                    for oid, times in index.per_oid.items():
-                        if times[0] <= until:
-                            affected.add(oid)
+                affected.update(index.oids_between(None, until))
         return affected
 
 
@@ -468,6 +460,7 @@ class EventBase(_OccurrenceStore):
             self._match_cache.clear()
         index.timestamps.append(stamp)
         index.positions.append(position)
+        index.oids.append(occurrence.oid)
         index.per_oid[occurrence.oid].append(stamp)
 
     def extend(self, occurrences: Iterable[EventOccurrence]) -> frozenset[EventType]:
@@ -723,11 +716,7 @@ class BoundedView:
         """OIDs affected by at least one occurrence inside the bounds."""
         affected: set[Any] = set()
         for index in self._parent._by_type.values():
-            for oid in index.per_oid:
-                if oid not in affected and index.oid_in_bounds(
-                    oid, self.after, self.until
-                ):
-                    affected.add(oid)
+            affected.update(index.oids_between(self.after, self.until))
         return affected
 
     def timestamps(self) -> list[Timestamp]:
@@ -800,11 +789,7 @@ class BoundedView:
         affected: set[Any] = set()
         for event_type in event_types:
             for index in self._indexes_for(event_type):
-                for oid in index.per_oid:
-                    if oid not in affected and index.oid_in_bounds(
-                        oid, self.after, bound
-                    ):
-                        affected.add(oid)
+                affected.update(index.oids_between(self.after, bound))
         return affected
 
     def select(

@@ -19,6 +19,13 @@ applied to every binding.  The atoms supported here cover the paper's examples:
 The observed window depends on the rule's event-consumption mode and is chosen
 by the caller (the rule engine): consuming rules see the occurrences since the
 rule's last consideration, preserving rules see the whole transaction.
+
+The event formulas run on the compiled instance kernels of
+:mod:`repro.core.compile`, the same evaluator triggering uses: each formula's
+expression is bound once per binder (:meth:`CheckBinder.bind_instance`), and
+its binding set costs the objects the window's rows touched.  The engine owns
+one formula binder and hands it to every context; the interpreter's
+``active_objects`` / ``activation_instants`` are the tests' oracle only.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import ConditionError
-from repro.core.evaluation import activation_instants, active_objects
+from repro.core.compile import CheckBinder
 from repro.core.expressions import EventExpression
 from repro.events.clock import Timestamp
 from repro.events.event_base import WindowLike
@@ -57,6 +64,12 @@ class ConditionContext:
     store: ObjectStore
     window: WindowLike
     now: Timestamp
+    #: Binds the event formulas (logical mode).  The engine passes its own,
+    #: so a formula is bound once per engine; a hand-built context gets a
+    #: private one.
+    formulas: CheckBinder = field(
+        default_factory=CheckBinder, repr=False, compare=False
+    )
     _affected: dict[EventExpression, set[Any]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -70,8 +83,10 @@ class ConditionContext:
         """
         affected = self._affected.get(expression)
         if affected is None:
-            affected = active_objects(expression, self.window, self.now)
-            self._affected[expression] = affected
+            binding = self.formulas.bind_instance(expression)
+            affected = self._affected[expression] = binding.affected(
+                self.window, self.now
+            )
         return affected
 
 
@@ -223,6 +238,7 @@ class AtFormula(ConditionAtom):
         self, bindings: list[dict[str, Any]], context: ConditionContext
     ) -> list[dict[str, Any]]:
         affected = context.affected_by(self.expression)
+        arises = context.formulas.bind_instance(self.expression).arises
         extended: list[dict[str, Any]] = []
         for binding in bindings:
             if self.variable in binding:
@@ -234,10 +250,7 @@ class AtFormula(ConditionAtom):
             else:
                 candidates = sorted(affected, key=str)
             for oid in candidates:
-                instants = activation_instants(
-                    self.expression, context.window, oid, context.now
-                )
-                for instant in instants:
+                for instant in arises(context.window, oid, context.now):
                     grown = dict(binding)
                     grown[self.variable] = oid
                     grown[self.time_variable] = instant

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.config import EngineConfig
+from repro.core.compile import CheckBinder
+from repro.core.evaluation import EvaluationMode
 from repro.errors import NonTerminationError
 from repro.events.clock import Timestamp, TransactionClock
 from repro.events.event import EventOccurrence
@@ -105,6 +107,10 @@ class RuleEngine:
         self.trigger_support: TriggerSupport = support(
             self.rule_table, self.event_base, config, self.metrics
         )
+        #: The condition side's evaluator: every ``occurred`` / ``at`` formula
+        #: is bound through it once.  Conditions evaluate in logical mode
+        #: whatever ``config.evaluation_mode`` says.
+        self.formulas = CheckBinder(EvaluationMode.LOGICAL)
         self.transaction_start: Timestamp = self.clock.now()
         self.considerations: list[ConsiderationRecord] = []
         self._budget_spent = 0
@@ -240,7 +246,11 @@ class RuleEngine:
             until=now,
         )
         context = ConditionContext(
-            schema=self.schema, store=self.store, window=window, now=max(now, 1)
+            schema=self.schema,
+            store=self.store,
+            window=window,
+            now=max(now, 1),
+            formulas=self.formulas,
         )
         bindings = rule.condition.evaluate(context)
         # The consideration time stamp is taken *before* the action runs:

@@ -6,7 +6,8 @@ mirror, a :class:`~repro.events.event_base.StampIndex`.  A differential
 property test drives the pair the way the pool does — several workers at
 their own offsets and type-table watermarks, consulted in random subsets,
 with resets in between — and pins that every mirror indexes exactly what the
-coordinator's Event Base indexes, that the compiled checks decide (and count)
+coordinator's Event Base indexes (the per-type OID column included), that
+the compiled checks decide (and count)
 identically over both, and that no position is ever encoded twice.  Refusal
 tests pin that a frame that does not add up raises and leaves the mirror as
 it was; a structural test that a worker applies a delta without building a
@@ -40,6 +41,7 @@ from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase, StampIndex
 from repro.workloads.generator import ExpressionGenerator
 
+from tests.events.test_event_base import assert_columns
 from tests.events.test_row_codec import (
     UNIVERSE,
     encode_frame,
@@ -73,7 +75,12 @@ def _operators(expression: EventExpression) -> set[str]:
 
 def _resolved(store: StampIndex, pattern: EventType) -> list[tuple]:
     return [
-        (list(index.timestamps), list(index.positions), dict(index.per_oid))
+        (
+            list(index.timestamps),
+            list(index.positions),
+            list(index.oids),
+            dict(index.per_oid),
+        )
         for index in store._indexes_matching(pattern)
     ]
 
@@ -105,6 +112,9 @@ class _Worker:
         self.offset = log.encoded
         self.shipped_types = len(log.encoder.type_snapshots)
         assert index_state(self.mirror) == index_state(event_base)
+        assert assert_columns(
+            self.mirror, lambda position: event_base.occurrence_at(position).oid
+        ) == len(event_base)
         for pattern in PATTERNS:
             assert _resolved(self.mirror, pattern) == _resolved(event_base, pattern)
 

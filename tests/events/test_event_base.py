@@ -171,6 +171,46 @@ class TestBulkExtend:
         assert eb.last_timestamp(MODIFY_STOCK, 1000) == batch[-1].timestamp
 
 
+def assert_columns(store, oid_at) -> int:
+    """Every type index's columns are parallel, and ``oids[i]`` is the OID
+    at log position ``positions[i]`` (``oid_at(position)``).  Returns the
+    number of rows the columns hold, so callers can check nothing is lost."""
+    rows = 0
+    for index in store._by_type.values():
+        assert len(index.oids) == len(index.timestamps) == len(index.positions)
+        assert list(index.oids) == [oid_at(position) for position in index.positions]
+        rows += len(index.oids)
+    return rows
+
+
+class TestTypeColumns:
+    """``_TypeIndex.oids`` rides along with ``timestamps`` / ``positions``."""
+
+    @staticmethod
+    def oid_at(store):
+        return lambda position: store.occurrence_at(position).oid
+
+    def test_after_append(self):
+        eb = EventBase()
+        for eid, occurrence in enumerate(TestBulkExtend().stream(12), start=1):
+            eb.append(occurrence)
+            assert assert_columns(eb, self.oid_at(eb)) == eid
+
+    @pytest.mark.parametrize("size", [0, 1, 5, 130])
+    def test_after_extend(self, size):
+        eb = EventBase()
+        eb.record(A, "first", 1)
+        eb.extend(TestBulkExtend().stream(size, start_eid=10, start_stamp=2))
+        assert assert_columns(eb, self.oid_at(eb)) == size + 1
+
+    def test_after_window_construction(self):
+        eb = EventBase()
+        eb.extend(TestBulkExtend().stream(130))
+        for after, until in ((None, None), (3, 20), (10, None), (None, 1)):
+            window = EventWindow(eb, after=after, until=until)
+            assert assert_columns(window, self.oid_at(window)) == len(window)
+
+
 class TestFigure4Accessors:
     """The ``type / obj / timestamp / event_on_class`` functions of Fig. 4."""
 

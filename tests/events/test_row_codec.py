@@ -123,6 +123,7 @@ def index_state(store: StampIndex) -> tuple:
                 event_type,
                 list(index.timestamps),
                 list(index.positions),
+                list(index.oids),
                 {oid: list(times) for oid, times in index.per_oid.items()},
             )
             for event_type, index in store._by_type.items()

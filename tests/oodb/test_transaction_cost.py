@@ -4,9 +4,11 @@ On a store of 5 000 objects, beginning, running and ending a one-operation
 transaction must not look at the other 4 999 (the whole-store rollback
 snapshot did, on every ``begin``), and considering the paper's
 ``checkStockQty`` after one ``create(stock)`` must not enumerate the extent:
-the class range ranges over what ``occurred`` says was affected.  Speed is
-``benchmarks/e2e``'s business (``tx.stock_orders``); these spies pin the
-mechanism.
+the class range ranges over what ``occurred`` says was affected, and
+``occurred`` runs the compiled instance kernel once per object the window's
+rows touched plus one probe for every untouched object — never the
+interpreter.  Speed is ``benchmarks/e2e``'s business (``tx.stock_orders``);
+these spies pin the mechanism.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 import repro.core.evaluation as evaluation
+from repro.core.compile import CheckBinder, _Kernel
 from repro.core.expressions import EventExpression
 from repro.oodb.objects import OID, ObjectStore
 from repro.rules.conditions import Condition
@@ -80,8 +83,20 @@ class TestTransactionTouchesOnlyItsObjects:
 class TestConsiderationTouchesOnlyAffectedObjects:
     @pytest.fixture
     def spies(self, monkeypatch):
-        """Counts taken while a ``Condition.evaluate`` is running."""
-        counts = {"extent_scans": 0, "ots": 0, "tree_walks": 0, "evaluations": 0}
+        """Counts taken while a ``Condition.evaluate`` is running.
+
+        ``kernel`` counts root calls of every kernel lowered after the spies
+        are installed (the formula's: the engine binds it on first use),
+        ``bindings`` the kernel look-ups a new binding makes.
+        """
+        counts = {
+            "extent_scans": 0,
+            "ots": 0,
+            "tree_walks": 0,
+            "evaluations": 0,
+            "kernel": 0,
+            "bindings": 0,
+        }
         inside = [False]
 
         def counting(key, function):
@@ -114,6 +129,15 @@ class TestConsiderationTouchesOnlyAffectedObjects:
             "contains_set_operator",
             counting("tree_walks", EventExpression.contains_set_operator),
         )
+        monkeypatch.setattr(
+            CheckBinder, "_kernel", counting("bindings", CheckBinder._kernel)
+        )
+        lower = _Kernel.__init__
+
+        def init(kernel, fn, cost):
+            lower(kernel, counting("kernel", fn), cost)
+
+        monkeypatch.setattr(_Kernel, "__init__", init)
         return counts
 
     def test_one_create_builds_one_binding_from_one_lookup(self, big_db, spies):
@@ -129,8 +153,10 @@ class TestConsiderationTouchesOnlyAffectedObjects:
         assert spies == {
             "evaluations": 1,
             "extent_scans": 0,
-            "ots": 1,  # one window OID
-            "tree_walks": 1,  # the expression is validated once, not per OID
+            "ots": 0,  # the interpreter is the tests' oracle only
+            "kernel": 2,  # one touched object, plus the untouched-object probe
+            "bindings": 1,  # the formula, bound on its first consideration
+            "tree_walks": 1,  # the expression is validated once, at binding
         }
         assert ScanCountingDict.scans == 0
 
@@ -147,6 +173,19 @@ class TestConsiderationTouchesOnlyAffectedObjects:
         assert spies == {
             "evaluations": 1,
             "extent_scans": 0,
-            "ots": 4,
+            "ots": 0,
+            "kernel": 5,  # four touched objects, plus one probe
+            "bindings": 1,
             "tree_walks": 1,
         }
+
+    def test_a_formula_is_bound_once_across_many_considerations(self, big_db, spies):
+        for quantity in (140, 10, 150, 20, 160):
+            with big_db.transaction() as tx:
+                tx.create("stock", {"quantity": quantity, "maxquantity": 100})
+        assert len(big_db.considerations) == 5
+        assert spies["evaluations"] == 5
+        # One binding (and one validation) for the engine's lifetime, one
+        # touched object plus one probe per consideration.
+        assert (spies["bindings"], spies["tree_walks"], spies["kernel"]) == (1, 1, 10)
+        assert spies["ots"] == spies["extent_scans"] == 0

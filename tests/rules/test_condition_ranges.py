@@ -18,6 +18,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.core.compile import CompiledCheck
 from repro.core.parser import parse_expression
 from repro.events.event import EventType, Operation
 from repro.events.event_base import EventBase
@@ -296,16 +297,14 @@ class TestRestrictedRange:
         assert naive_fold(atoms, context) == [{"S": 2, "I": items[0].oid}]
 
     def test_the_affected_set_is_computed_once_per_consideration(self, monkeypatch):
-        import repro.rules.conditions as conditions
-
         calls: list[Any] = []
-        real = conditions.active_objects
+        real = CompiledCheck.affected
 
-        def counted(expression, window, instant):
-            calls.append(expression)
-            return real(expression, window, instant)
+        def counted(binding, window, instant):
+            calls.append(binding.expression)
+            return real(binding, window, instant)
 
-        monkeypatch.setattr(conditions, "active_objects", counted)
+        monkeypatch.setattr(CompiledCheck, "affected", counted)
         context, *_ = self.world()
         created = parse_expression("create(stock)")
         condition = Condition((ClassRange("S", "stock"), OccurredFormula(created, "S")))
