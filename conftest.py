@@ -3,10 +3,12 @@
 The options set the same ``CHIMERA_*`` variables the engine's configuration
 record reads (:data:`repro.config.ENV_NAMES`), so every
 :class:`repro.oodb.database.ChimeraDatabase` and every test that resolves
-``EngineConfig.from_env()`` picks them up: ``pytest --shards N`` runs the
-whole suite behind an N-shard coordinator (CI runs it with ``--shards 4``
-alongside the plain run) and ``--shard-mode serial|processes`` selects
-how those shard checks execute.  The record is resolved once here, so a
+``EngineConfig.from_env()`` picks them up: ``pytest --shards N --shard-mode
+processes`` runs the whole suite behind a coordinator checking on N
+evaluators, N − 1 of them worker processes (CI runs it with 4 and, for
+``tests/cluster``, 2 alongside the plain run).  ``--shards N`` alone, or
+with ``--shard-mode serial``, assembles the single table — the same program
+as the plain run.  The record is resolved once here, so a
 bad option — or a malformed ambient ``CHIMERA_*`` value — fails the run before
 collection instead of silently falling back.  Defined here, not in
 ``tests/conftest.py``, because option registration must happen in an initial

@@ -24,12 +24,12 @@ Installed as the ``chimera-events`` console script (or run with
     :class:`~repro.oodb.database.ChimeraDatabase`, one
     ``RuleEngine.run_stream_block`` per block.  The engine flags map
     one-to-one onto :class:`repro.config.EngineConfig` fields (``--shards``,
-    ``--shard-mode``, ``--plan-cache-size``, ``--transport``); a flag left
-    out falls back to its ``CHIMERA_*`` variable and then the default.  The
-    report prints the resolved record, the Trigger Support (and coordinator)
-    counts, and the phase timings of the ``obs`` registry (``block.check``,
-    ``trip.plan`` / ``dispatch`` / ``check`` / ``apply``, a trip being one
-    block); ``--metrics`` prints the whole registry.  Speed is measured by
+    ``--shard-mode``, ``--transport``); a flag left out falls back to its
+    ``CHIMERA_*`` variable and then the default.  The report prints the
+    resolved record, the Trigger Support counts (plus the coordinator's when
+    one exists), and the phase timings of the ``obs`` registry
+    (``block.check``, and ``trip.dispatch`` behind a coordinator);
+    ``--metrics`` prints the whole registry.  Speed is measured by
     ``benchmarks/e2e``, not here.
 ``worker``
     Run one TCP shard worker against a coordinator started with
@@ -138,22 +138,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="partition trigger planning across N shards (0 = single table)",
+        help="with --shard-mode processes: check rules on N evaluators",
     )
     workload_parser.add_argument(
         "--shard-mode",
         choices=SHARD_MODES,
         default=None,
         help=(
-            "how per-shard checks execute: serial inline, or long-lived shard "
-            "worker processes"
+            "where checks run: serial on the single table, or processes on "
+            "the coordinator plus N - 1 shard worker processes"
         ),
-    )
-    workload_parser.add_argument(
-        "--plan-cache-size",
-        type=int,
-        default=None,
-        help="LRU bound of the coordinator route cache and shard plan caches",
     )
     workload_parser.add_argument(
         "--transport",
@@ -294,6 +288,7 @@ def _command_stock_demo(args: argparse.Namespace) -> int:
 
 
 def _command_workload(args: argparse.Namespace) -> int:
+    from repro.cluster.coordinator import ShardCoordinator
     from repro.obs import JsonLinesExporter, render_metrics_report
     from repro.oodb.database import ChimeraDatabase
     from repro.workloads.generator import EventStreamGenerator
@@ -306,7 +301,6 @@ def _command_workload(args: argparse.Namespace) -> int:
     db = ChimeraDatabase(
         shards=args.shards,
         shard_mode=args.shard_mode,
-        plan_cache_size=args.plan_cache_size,
         transport=args.transport,
     )
     try:
@@ -327,16 +321,12 @@ def _command_workload(args: argparse.Namespace) -> int:
         )
         print(render_kv(dataclasses.asdict(db.config), title="EngineConfig"))
         print(render_kv(db.trigger_statistics(), title="Trigger Support"))
-        if db.config.shards > 0:
-            table = db.rule_table
-            support = db.engine.trigger_support
+        support = db.engine.trigger_support
+        if isinstance(support, ShardCoordinator):
             cluster = dict(support.cluster_stats.as_dict())
-            cluster["plan_cache_hits"] = table.plan_cache_hits
-            cluster["plan_cache_misses"] = table.plan_cache_misses
-            cluster["plan_cache_evictions"] = table.plan_cache_evictions
             # Shard balance where the work goes: rules per evaluation home,
-            # home 0 (the coordinator's own in processes mode) first.
-            population = table.home_population()
+            # home 0 (the coordinator's own) first.
+            population = support.home_population()
             mean_population = sum(population) / max(1, len(population))
             cluster["shard_population"] = "/".join(str(count) for count in population)
             cluster["shard_skew"] = round(

@@ -22,27 +22,27 @@ then reads the replies::
      new/changed rule definitions, dropped rule names,
      work items ((rule name, window start), ...), now)
 
-The block's type *signature* stays coordinator-side, where it keys the route
-cache that chose the items.  The worker runs one compiled ``check`` per item
+The block's type *signature* stays coordinator-side, where the one planner
+chose the items from it.  The worker runs one compiled ``check`` per item
 and replies with one compact :class:`~repro.core.triggering.TriggeringDecision`
 row per item, in item order (the coordinator knows which rule each row
 answers), plus its local :class:`~repro.core.evaluation.EvaluationStats` —
 pickled as one body, so the ``worker.reply`` probe can time that encode —
 and its metrics delta.  All writes (counters, the triggered flag, heap
 pushes) stay in the coordinator, which applies the decisions **serially in
-definition order** — so the serial and process modes are behaviourally
-identical (``tests/cluster/test_mode_equivalence.py`` pins it, stats
-included).
+definition order** — so the single table and the process mode are
+behaviourally identical (``tests/cluster/test_mode_equivalence.py`` pins it,
+stats included).
 
 What makes the equivalence exact:
 
 * **memo residency** — a rule is always dealt to the same evaluator (its
-  name's home shard, fixed when the rule is added), so its ``TriggerMemo``
-  sees the sequence of checks the serial mode's memo sees and
-  ``instants_sampled`` comes out identical;
+  name's home shard), so its ``TriggerMemo`` sees the sequence of checks
+  the single table's memo sees and ``instants_sampled`` comes out identical;
 * **full mirror** — every worker indexes *every* EB position (negated or
-  precedence sub-expressions read occurrences of types other shards own), so
-  a worker-side window is equivalent to the coordinator's zero-copy view;
+  precedence sub-expressions read occurrences of types no rule it holds
+  watches), so a worker-side window is equivalent to the coordinator's
+  zero-copy view;
 * **synchronous failure** — the delta is encoded in the coordinator and
   nothing is sent until every message of the block encoded, so an unpicklable
   user payload raises :class:`~repro.errors.SnapshotError` naming the
@@ -197,7 +197,7 @@ def _worker_loop(
             )
         except Exception as exc:
             # Ship the exception object itself when it pickles, so the
-            # coordinator can re-raise the same type the serial mode would
+            # coordinator can re-raise the same type an inline check would
             # have surfaced; fall back to the traceback text otherwise.
             formatted = traceback.format_exc()
             try:
@@ -554,7 +554,7 @@ class ProcessShardPool:
                 f"shard worker {handle.worker_id} failed:\n{formatted}"
             )
             if isinstance(original, BaseException):
-                # Behavioral parity with the serial mode's error path: the
+                # Behavioral parity with an inline check's error path: the
                 # caller sees the same exception type it would have caught
                 # there, with the worker traceback chained as the cause.
                 raise original from cause

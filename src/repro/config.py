@@ -26,8 +26,9 @@ from repro.errors import ConfigError
 
 __all__ = ["ENV_NAMES", "SHARD_MODES", "TRANSPORTS", "EngineConfig", "knob_table"]
 
-#: The coordinator's execution modes: inline in shard order, or long-lived
-#: process workers (``repro.cluster.process_pool``).
+#: Where trigger checks run: inline on the single table, or on ``shards``
+#: evaluators — the shard coordinator plus long-lived process workers
+#: (``repro.cluster.process_pool``).
 SHARD_MODES = ("serial", "processes")
 
 #: Where the process pool's workers live: forked on pipes, or behind sockets.
@@ -82,13 +83,16 @@ class EngineConfig:
         10_000, (0, None), doc="rule execution budget per transaction / stream block"
     )
     shards: int = _knob(
-        0, (0, None), "CHIMERA_SHARDS", "trigger-planning shards (0 = single table)"
+        0,
+        (0, None),
+        "CHIMERA_SHARDS",
+        "processes-mode evaluators: coordinator + N-1 workers (0 = single table)",
     )
     shard_mode: str = _knob(
-        "serial", SHARD_MODES, "CHIMERA_SHARD_MODE", "how per-shard checks execute"
-    )
-    plan_cache_size: int = _knob(
-        4096, (1, None), doc="LRU bound of the route cache and shard plan caches"
+        "serial",
+        SHARD_MODES,
+        "CHIMERA_SHARD_MODE",
+        "processes = shard workers; serial = the single table",
     )
     transport: str = _knob(
         "pipe", TRANSPORTS, "CHIMERA_TRANSPORT", "worker placement of processes mode"

@@ -49,9 +49,10 @@ class ChimeraDatabase:
         **settings: Any,
     ) -> None:
         """``settings`` are :class:`~repro.config.EngineConfig` fields
-        (``shards=4``, ``shard_mode="processes"``, ``max_rule_executions=...``);
-        whatever is not given comes from the ``CHIMERA_*`` environment and then
-        the defaults.  ``metrics=None`` lets the engine create its own enabled
+        (``shards=4, shard_mode="processes"`` checks rules on the coordinator
+        and three worker processes; ``max_rule_executions=...``); whatever is
+        not given comes from the ``CHIMERA_*`` environment and then the
+        defaults.  ``metrics=None`` lets the engine create its own enabled
         registry; pass ``MetricsRegistry(enabled=False)`` to run uninstrumented.
         """
         self.config = EngineConfig.from_env(**settings)

@@ -64,14 +64,15 @@ class RuleEngine:
     event_base: EventBase
     clock: TransactionClock
     operations: OperationExecutor
-    #: ``None`` builds the table ``config`` asks for (sharded when
-    #: ``config.shards > 0``).  A table passed explicitly wins — a
-    #: :class:`ShardedRuleTable` gets a shard coordinator over its own shard
-    #: count, a plain one the single-table Trigger Support.
+    #: ``None`` builds an empty table.  There is one Rule Table whatever the
+    #: shard settings: shards are evaluators, not slices of the table.
     rule_table: RuleTable | None = None
     #: The engine's settings; ``None`` resolves them from the environment
     #: (``EngineConfig.from_env()``).  This record is what every layer below
-    #: — Trigger Support, coordinator, pool, transports — reads.
+    #: — Trigger Support, coordinator, pool, transports — reads.  A shard
+    #: coordinator is built only for ``shard_mode="processes"`` with
+    #: ``shards > 0``; otherwise the single-table Trigger Support checks
+    #: everything inline.
     config: EngineConfig | None = None
     #: The engine's metrics registry — threaded through the Trigger Support /
     #: Shard Coordinator (and from there the process pool), so one
@@ -82,17 +83,12 @@ class RuleEngine:
 
     def __post_init__(self) -> None:
         from repro.cluster.coordinator import ShardCoordinator
-        from repro.cluster.sharding import ShardedRuleTable
 
         if self.config is None:
             self.config = EngineConfig.from_env()
         config = self.config
         if self.rule_table is None:
-            self.rule_table = (
-                ShardedRuleTable(config.shards, config.plan_cache_size)
-                if config.shards > 0
-                else RuleTable()
-            )
+            self.rule_table = RuleTable()
         # Subclass-aware routing/filtering: the table (and every filter it
         # builds) sees the engine's schema.
         self.rule_table.bind_schema(self.schema)
@@ -101,7 +97,7 @@ class RuleEngine:
             self.metrics = MetricsRegistry()
         support = (
             ShardCoordinator
-            if isinstance(self.rule_table, ShardedRuleTable)
+            if config.shard_mode == "processes" and config.shards > 0
             else TriggerSupport
         )
         self.trigger_support: TriggerSupport = support(

@@ -45,7 +45,7 @@ from repro.events.clock import Timestamp
 from repro.events.event import EventType, Operation
 from repro.rules.rule import ECCoupling, Rule, RuleState
 
-__all__ = ["RuleTable", "match_subscribers"]
+__all__ = ["RuleTable"]
 
 #: A subscription bucket: the subscribed states keyed by rule name.
 _StatesByName = dict[str, RuleState]
@@ -58,38 +58,6 @@ _HeapEntry = tuple[int, int, int, str]
 #: Below this heap size a compaction saves too little to pay for the rebuild:
 #: stale entries are discarded lazily by ``_peek`` as they surface.
 _HEAP_COMPACT_THRESHOLD = 32
-
-
-def match_subscribers(
-    exact: dict[EventType, dict[str, "RuleState"]],
-    class_buckets: dict[tuple[Operation, str], dict[str, "RuleState"]],
-    type_signature: Iterable[EventType],
-) -> dict[str, "RuleState"]:
-    """States subscribed to any type of an (already expanded) signature.
-
-    The one definition of the index-lookup semantics — an attribute-specific
-    occurrence reaches its exact subscribers plus the class-level exact
-    subscribers; a class-level occurrence reaches its whole ``(operation,
-    class)`` bucket (it matches any attribute-specific watch).  Shared by the
-    global table and each shard of
-    :class:`repro.cluster.sharding.ShardedRuleTable`, whose equivalence
-    contract (union of shard-local lookups == global lookup) depends on both
-    applying literally the same rules.
-    """
-    matched: dict[str, RuleState] = {}
-    for event_type in type_signature:
-        if event_type.attribute is None:
-            bucket = class_buckets.get((event_type.operation, event_type.class_name))
-            if bucket:
-                matched.update(bucket)
-        else:
-            bucket = exact.get(event_type)
-            if bucket:
-                matched.update(bucket)
-            bucket = exact.get(event_type.class_level)
-            if bucket:
-                matched.update(bucket)
-    return matched
 
 
 class RuleTable:
@@ -112,8 +80,8 @@ class RuleTable:
         self._expansion_cache: dict[EventType, tuple[EventType, ...]] = {}
         self._expansion_schema_version = 0
         #: Bumped whenever the subscription index changes shape (rule added or
-        #: removed).  Derived caches — e.g. the per-shard plan caches of
-        #: :class:`repro.cluster.sharding.ShardedRuleTable` — key on it.
+        #: removed) or a schema is bound.  The planner's signature memo
+        #: (:class:`repro.rules.trigger_support.TriggerPlanner`) keys on it.
         self._index_version = 0
         # -- priority structure over the triggered set --
         self._triggered: dict[str, RuleState] = {}
@@ -178,49 +146,27 @@ class RuleTable:
         — see :func:`repro.core.optimization.expand_event_type`).  Binding is
         idempotent and also rebinds the filters of already-registered rules so
         the routed path and the per-rule scan path keep making identical
-        decisions.
+        decisions.  Another schema may relate the same class names
+        differently at an equal ``version``, so binding one moves
+        :meth:`plan_epoch` too.
         """
         if schema is self._schema:
             return
         self._schema = schema
+        self._index_version += 1
         self._expansion_cache.clear()
         self._expansion_schema_version = schema.version if schema is not None else 0
         for state in self._states.values():
             if state.recomputation_filter is not None:
                 state.recomputation_filter.bind_schema(schema)
 
-    def expand_signature(
-        self, type_signature: Iterable[EventType]
-    ) -> tuple[EventType, ...]:
-        """The signature plus superclass retargets of each type (deduplicated).
-
-        With no schema bound this is the signature itself.  Expansions are
-        memoized per concrete type and invalidated when the schema version
-        moves (a newly defined subclass changes its own chain only, but a
-        wholesale drop keeps the bookkeeping trivially correct).
-        """
-        schema = self._schema
-        if schema is None:
-            return tuple(type_signature)
-        if schema.version != self._expansion_schema_version:
-            self._expansion_cache.clear()
-            self._expansion_schema_version = schema.version
-        cache = self._expansion_cache
-        expanded: dict[EventType, None] = {}
-        for event_type in type_signature:
-            chain = cache.get(event_type)
-            if chain is None:
-                chain = cache[event_type] = expand_event_type(event_type, schema)
-            for candidate in chain:
-                expanded[candidate] = None
-        return tuple(expanded)
-
     def plan_epoch(self) -> tuple[int, int]:
         """Cache-validity token for plan-derived structures.
 
-        Changes whenever the subscription index changes shape (add/remove) or
-        the bound schema gains definitions — exactly the events that can alter
-        the outcome of :meth:`subscribers_for_signature` for a fixed signature.
+        Changes whenever the subscription index changes shape (add/remove), a
+        schema is bound or the bound schema gains definitions — exactly the
+        events that can alter the outcome of :meth:`subscribers_for_signature`
+        for a fixed signature.
         """
         return (
             self._index_version,
@@ -263,12 +209,37 @@ class RuleTable:
         schema bound, each signature type is first expanded with its
         superclass retargets (an occurrence on a subclass counts for watchers
         of any ancestor), mirroring the filter's subclass-aware matching.
+        The expansion of each concrete type is memoized and dropped when the
+        schema version moves (a newly defined subclass changes its own chain
+        only, but a wholesale drop keeps the bookkeeping trivially correct).
         """
-        return match_subscribers(
-            self._subscriptions_exact,
-            self._subscriptions_class,
-            self.expand_signature(type_signature),
-        )
+        schema = self._schema
+        chains = self._expansion_cache
+        if schema is not None and schema.version != self._expansion_schema_version:
+            chains.clear()
+            self._expansion_schema_version = schema.version
+        exact = self._subscriptions_exact
+        class_buckets = self._subscriptions_class
+        matched: dict[str, RuleState] = {}
+        for concrete in type_signature:
+            chain = chains.get(concrete)
+            if chain is None:
+                chain = chains[concrete] = expand_event_type(concrete, schema)
+            for event_type in chain:
+                if event_type.attribute is None:
+                    bucket = class_buckets.get(
+                        (event_type.operation, event_type.class_name)
+                    )
+                    if bucket:
+                        matched.update(bucket)
+                else:
+                    bucket = exact.get(event_type)
+                    if bucket:
+                        matched.update(bucket)
+                    bucket = exact.get(event_type.class_level)
+                    if bucket:
+                        matched.update(bucket)
+        return matched
 
     def pending_full_check_states(self) -> dict[str, RuleState]:
         """States whose ``V(E)`` filter cannot be applied yet (lazily pruned).

@@ -19,21 +19,32 @@ table which untriggered rules are subscribed to any of them, plus the rules
 whose filter is not applicable yet (window never evaluated non-empty — they
 must be visited on every block).  Per-block planning cost therefore scales
 with the rules *actually subscribed* to the block's types, not with the whole
-table.  ``use_static_optimization=False`` is the paper's baseline — the
-exhaustive scan that recomputes ``ts`` for every untriggered rule on every
-block — and the oracle the routed planner is pinned against
-(``tests/rules/test_planner_equivalence.py``).
+table, and a block whose signature recurs skips even that: the planner
+memoises the definition-ordered subscribers per signature (a small LRU,
+validated against the table's ``plan_epoch``).  ``use_static_optimization=
+False`` is the paper's baseline — the exhaustive scan that recomputes ``ts``
+for every untriggered rule on every block — and the oracle the routed planner
+is pinned against (``tests/rules/test_planner_equivalence.py``).
+
+There is one planner and one check path: the candidates (or the exhaustive
+list) are evaluated through :meth:`TriggerSupport._evaluate_states` and the
+decisions applied in definition order.  The shard coordinator
+(:mod:`repro.cluster.coordinator`) plans through this same planner and
+overrides only that evaluation hook.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder, CompiledCheck
 from repro.core.evaluation import EvaluationMode, EvaluationStats
-from repro.core.triggering import is_triggered
+from repro.core.triggering import TriggeringDecision, is_triggered
 from repro.events.clock import Timestamp
 from repro.events.event import EventOccurrence, EventType
 from repro.events.event_base import EventBase
@@ -53,6 +64,15 @@ __all__ = [
     "TriggerSupport",
     "is_triggered",
 ]
+
+#: Capacity of the planner's signature memo.  A steady stream re-issues a
+#: few dozen block signatures (24 on ``stream.check_heavy``, 13 on
+#: ``tx.stock_orders``); a stream whose signatures never repeat only evicts,
+#: and a larger memo would merely retain wide frozensets it never hits
+#: (PERFORMANCE.md, "One planner").
+PLAN_MEMO_SIZE = 64
+
+_definition_order = attrgetter("definition_order")
 
 
 @dataclass
@@ -118,25 +138,67 @@ class TriggerPlanner:
     them).  The routing decision is exactly ``RecomputationFilter.matches``
     evaluated via the index, so a planned visit set is semantically identical
     to the full scan with per-rule filters (pinned by the property tests).
+
+    The subscriber lookup is memoised per signature: an LRU of
+    :data:`PLAN_MEMO_SIZE` definition-ordered subscriber tuples, dropped
+    wholesale whenever the table's ``plan_epoch`` moves (rule added or
+    removed, schema grown or rebound).  Enabled/triggered flags change
+    without touching the subscription shape, so they never key the memo;
+    every block filters them afresh.
     """
 
     def __init__(self, rule_table: RuleTable) -> None:
         self.rule_table = rule_table
+        self._memo: OrderedDict[frozenset[EventType], tuple[RuleState, ...]] = (
+            OrderedDict()
+        )
+        self._memo_epoch: tuple[int, int] | None = None
+
+    def subscribers(self, type_signature: Iterable[EventType]) -> tuple[RuleState, ...]:
+        """Every rule subscribed to the signature, in definition order (memoised)."""
+        table = self.rule_table
+        epoch = table.plan_epoch()
+        memo = self._memo
+        if self._memo_epoch != epoch:
+            memo.clear()
+            self._memo_epoch = epoch
+        key = (
+            type_signature
+            if isinstance(type_signature, frozenset)
+            else frozenset(type_signature)
+        )
+        subscribed = memo.get(key)
+        if subscribed is None:
+            subscribed = memo[key] = tuple(
+                sorted(
+                    table.subscribers_for_signature(key).values(),
+                    key=_definition_order,
+                )
+            )
+            if len(memo) > PLAN_MEMO_SIZE:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+        return subscribed
 
     def plan(self, type_signature: Iterable[EventType]) -> TriggerPlan:
         """The visit plan for one block with the given type signature."""
         table = self.rule_table
-        subscribed = table.subscribers_for_signature(type_signature)
-        chosen: dict[str, RuleState] = {
-            name: state
-            for name, state in subscribed.items()
+        candidates = [
+            state
+            for state in self.subscribers(type_signature)
             if state.enabled and not state.triggered
-        }
-        routed = len(chosen)
-        for name, state in table.pending_full_check_states().items():
-            if state.enabled and not state.triggered and name not in chosen:
-                chosen[name] = state
-        candidates = sorted(chosen.values(), key=lambda state: state.definition_order)
+        ]
+        routed = len(candidates)
+        for state in table.pending_full_check_states().values():
+            if state.enabled and not state.triggered:
+                # A rider joins at its definition-order place, unless the
+                # signature already routed it.
+                at = bisect_left(
+                    candidates, state.definition_order, key=_definition_order
+                )
+                if at == len(candidates) or candidates[at] is not state:
+                    candidates.insert(at, state)
         bypassed = table.untriggered_count() - len(candidates)
         return TriggerPlan(candidates=candidates, routed=routed, bypassed=bypassed)
 
@@ -170,9 +232,6 @@ class TriggerSupport:
         # here because the hot loops probe them per block, not per rule.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.register_source("trigger", self.stats)
-        self._plan_hist = self.metrics.histogram("trip.plan")
-        self._check_hist = self.metrics.histogram("trip.check")
-        self._apply_hist = self.metrics.histogram("trip.apply")
         self._block_hist = self.metrics.histogram("block.check")
 
     # -- the core check -----------------------------------------------------
@@ -194,13 +253,12 @@ class TriggerSupport:
         the transaction start) to ``now``.
         """
         self.stats.blocks += 1
-        newly_triggered: list[RuleState] = []
         if not new_occurrences:
             # Nothing happened in this block: no rule can become triggered
             # (T(r, t) requires at least one new occurrence for untriggered
             # rules whose window was already evaluated; rules whose window was
             # non-empty were evaluated when those occurrences arrived).
-            return newly_triggered
+            return []
 
         with self._block_hist.time():
             if self.use_static_optimization:
@@ -208,20 +266,16 @@ class TriggerSupport:
                 candidates = plan.candidates
             else:
                 candidates = self.rule_table.untriggered_states()
-            for state in candidates:
-                self.stats.rules_checked += 1
-                if self._check_rule(state, now, transaction_start):
-                    newly_triggered.append(state)
-            return newly_triggered
+            self.stats.rules_checked += len(candidates)
+            return self._check_states(candidates, now, transaction_start)
 
-    def _plan_block(self, occurrences, type_signature=None):
+    def _plan_block(self, occurrences, type_signature=None) -> TriggerPlan:
         """Plan one non-empty block and account the plan-time stats.
 
         The one place the signature is derived (when the caller does not
-        already carry it) and the routed/bypassed counters move; overridden
-        by the shard coordinator with its fan-out planning.  A bypass is the
-        ``V(E)`` filter applied wholesale: the index proved no occurrence of
-        the block can flip those rules' ``ts`` positive, which is exactly
+        already carry it) and the routed/bypassed counters move.  A bypass is
+        the ``V(E)`` filter applied wholesale: the index proved no occurrence
+        of the block can flip those rules' ``ts`` positive, which is exactly
         what the per-rule filter would have concluded.
         """
         if type_signature is None:
@@ -244,26 +298,46 @@ class TriggerSupport:
         Used at commit time to make sure deferred processing starts from an
         up-to-date picture even if the last blocks were empty.
         """
+        return self._check_states(
+            self.rule_table.untriggered_states(), now, transaction_start
+        )
+
+    def _check_states(
+        self, states: list[RuleState], now: Timestamp, transaction_start: Timestamp
+    ) -> list[RuleState]:
+        """Run the exact check for ``states`` and return the newly triggered.
+
+        Shared by :meth:`check_after_block` and :meth:`recheck_all`, so the
+        incremental memo, the non-empty-window flag and the counters are
+        maintained consistently whichever path reached the rule: evaluate
+        through :meth:`_evaluate_states`, then apply the decisions in
+        definition order.
+        """
         newly_triggered: list[RuleState] = []
-        for state in self.rule_table.untriggered_states():
-            if self._check_rule(state, now, transaction_start):
+        for state, decision in self._evaluate_states(states, now, transaction_start):
+            if self._apply_decision(state, decision, now):
                 newly_triggered.append(state)
         return newly_triggered
 
-    def _check_rule(
-        self, state: RuleState, now: Timestamp, transaction_start: Timestamp
-    ) -> bool:
-        """Run the exact triggering check for one rule and update all state.
+    def _evaluate_states(
+        self, states: list[RuleState], now: Timestamp, transaction_start: Timestamp
+    ) -> list[tuple[RuleState, TriggeringDecision]]:
+        """The read side of one check round: ``(state, decision)`` pairs in
+        definition order; the evaluator counters accumulate in
+        ``self.stats.evaluation``.
 
-        Shared by :meth:`check_after_block` and :meth:`recheck_all` so the
-        incremental memo, the non-empty-window flag and the counters are
-        maintained consistently whichever path evaluated the rule.  Returns
-        True when the rule became triggered.
+        ``states`` arrive definition-ordered.  This evaluator checks them
+        inline; the shard coordinator overrides this hook to deal them to
+        its evaluation homes.
         """
-        decision = self._evaluate_rule(
-            state, now, transaction_start, self.stats.evaluation
-        )
-        return self._apply_decision(state, decision, now)
+        evaluation_stats = self.stats.evaluation
+        evaluated = []
+        for state in states:
+            decision = self._evaluate_rule(
+                state, now, transaction_start, evaluation_stats
+            )
+            evaluated.append((state, decision))
+        return evaluated
 
     def _evaluate_rule(
         self,

@@ -21,7 +21,6 @@ import pytest
 
 from repro.cluster.coordinator import ShardCoordinator
 from repro.cluster.process_pool import ProcessShardPool
-from repro.cluster.sharding import ShardedRuleTable
 from repro.config import TRANSPORTS, EngineConfig
 from repro.core.compile import CheckBinder
 from repro.core.evaluation import EvaluationMode, EvaluationStats
@@ -58,18 +57,19 @@ def block(eid: int, stamp: int, event_type: EventType = ALPHA) -> list[EventOccu
 class _Pipeline:
     """A tiny handler + Trigger Support pipeline over a fresh Event Base.
 
-    ``shards=0`` is the single table; otherwise a coordinator in
-    ``shard_mode``.
+    Assembled as the engine assembles it: a coordinator for ``processes``
+    with ``shards > 0``, the single table otherwise.
     """
 
     def __init__(self, rules, shards: int = 2, shard_mode: str = "processes"):
         self.event_base = EventBase()
-        self.table = ShardedRuleTable(shards) if shards else RuleTable()
+        self.table = RuleTable()
         for rule in rules:
             self.table.add(rule).reset(0)
         self.handler = EventHandler(self.event_base)
-        config = EngineConfig.from_env(shard_mode=shard_mode)
-        support = ShardCoordinator if shards else TriggerSupport
+        config = EngineConfig.from_env(shards=shards, shard_mode=shard_mode)
+        sharded = shards > 0 and shard_mode == "processes"
+        support = ShardCoordinator if sharded else TriggerSupport
         self.support = support(self.table, self.event_base, config)
 
     def check(self, occurrences, now=None, consider=False):
@@ -166,7 +166,7 @@ class TestPerBlockPlanning:
     def test_triggered_rule_is_not_checked_again_until_considered(self):
         """Only untriggered rules are planned, so ``ts_computations`` counts
         one check however many later blocks the rule's types appear in."""
-        for shards, shard_mode in ((0, "serial"), (2, "serial"), (2, "processes")):
+        for shards, shard_mode in ((0, "serial"), (2, "processes")):
             pipeline = _Pipeline(
                 [watcher(REMOTE[0], "create(alpha)")], shards, shard_mode
             )
@@ -186,7 +186,7 @@ class TestPerBlockPlanning:
         """A beta-watcher riding as a pending-full-check rule on alpha blocks
         is evaluated once (window non-empty, filter becomes applicable) and
         never planned again — in every mode."""
-        for shards, shard_mode in ((0, "serial"), (2, "serial"), (2, "processes")):
+        for shards, shard_mode in ((0, "serial"), (2, "processes")):
             pipeline = _Pipeline(
                 [watcher(REMOTE[0], "create(beta)")], shards, shard_mode
             )

@@ -1,4 +1,4 @@
-"""Cross-mode differential harness: serial == processes.
+"""Cross-mode differential harness: the single table == processes.
 
 The PR-4 process shard workers move the evaluate phase of the trigger check
 out of process (mirror Event Bases, worker-resident memos, decisions shipped
@@ -12,10 +12,12 @@ The scenarios are the seeded PR-3 generators
 class/attribute patterns, pure negations, priority ties, empty blocks,
 removals / re-adds with fresh definitions / disable-enable flips) replayed
 through the *shared* ``run_scenario`` harness of
-``tests/cluster/test_shard_equivalence.py`` — extended, not forked — plus
-engine-level transaction scenarios that exercise the Event-Base rebind
-(worker mirrors must reset) and the commit-time exhaustive recheck (which
-the process mode routes through its workers so the memos stay exact).
+``tests/cluster/test_shard_equivalence.py`` — extended, not forked — in both
+shard modes (``serial`` with N shards assembles the single table, exactly as
+the engine does), plus engine-level transaction scenarios that exercise the
+Event-Base rebind (worker mirrors must reset) and the commit-time exhaustive
+recheck (which the process mode routes through its workers so the memos stay
+exact).
 """
 
 from __future__ import annotations
@@ -152,43 +154,14 @@ def test_snapshot_counters_identical_across_modes():
             )
 
 
-def test_per_shard_candidate_counters_identical_across_modes():
-    """Per-shard candidate counters depend on planning, not execution mode.
-
-    ``shard.candidates.N`` counts plan-time candidates per shard; the plan is
-    computed coordinator-side in every mode, so at a fixed shard count the
-    counters must agree across serial / processes (the unsharded
-    reference has no shards, hence no such counters — compare among modes).
-    """
-    scenario = build_scenario(9)
-    prefixes = ("trigger.", "shard.")
-    results = {
-        mode: run_scenario(
-            scenario, shards=4, shard_mode=mode, metric_prefixes=prefixes
-        )
-        for mode in MODES
-    }
-    reference = results["serial"]["metrics"]
-    candidates = {
-        name: value
-        for name, value in reference.items()
-        if name.startswith("shard.candidates.")
-    }
-    assert len(candidates) == 4 and sum(candidates.values()) > 0
-    for mode, result in results.items():
-        assert result["metrics"] == reference, (
-            f"{mode}: shard candidate counters diverged"
-        )
-
-
 def test_zero_candidate_trip_merges_empty_stats_in_process_mode():
-    """A block with no candidate rules must merge a pristine stats record.
+    """A block with no candidate rules leaves the evaluator counters as
+    they were.
 
-    ``_evaluate_states`` returns ``[], EvaluationStats()`` without
-    contacting (or even spawning) the pool when no rule is assigned; the
-    coordinator still merges that empty record into its block stats.  Pin both
-    halves: the merge leaves every counter untouched, and a later candidate
-    block accumulates on top of it normally.
+    ``_evaluate_states`` returns ``[]`` without contacting (or even
+    spawning) the pool when no rule is assigned.  Pin both halves: the
+    empty round leaves every counter untouched, and a later candidate block
+    accumulates on top of it normally.
     """
     from repro.core.evaluation import EvaluationStats
     from repro.core.parser import parse_expression
@@ -199,10 +172,10 @@ def test_zero_candidate_trip_merges_empty_stats_in_process_mode():
     from repro.rules.event_handler import EventHandler
     from repro.rules.rule import Rule
     from repro.cluster.coordinator import ShardCoordinator
-    from repro.cluster.sharding import ShardedRuleTable
+    from repro.rules.rule_table import RuleTable
     from tests.cluster.test_process_pool import homed_names
 
-    table = ShardedRuleTable(2)
+    table = RuleTable()
     # Homed on the worker: a coordinator-homed rule would never reach the pool.
     (name,) = homed_names([1])
     state = table.add(
@@ -217,7 +190,7 @@ def test_zero_candidate_trip_merges_empty_stats_in_process_mode():
     event_base = EventBase()
     handler = EventHandler(event_base)
     support = ShardCoordinator(
-        table, event_base, EngineConfig.from_env(shard_mode="processes")
+        table, event_base, EngineConfig.from_env(shards=2, shard_mode="processes")
     )
     try:
 
@@ -260,7 +233,7 @@ def test_worker_definitions_pruned_on_rule_removal():
     from repro.rules.event_handler import EventHandler
     from repro.rules.rule import Rule
     from repro.cluster.coordinator import ShardCoordinator
-    from repro.cluster.sharding import ShardedRuleTable
+    from repro.rules.rule_table import RuleTable
 
     def watcher(index: int) -> Rule:
         return Rule(
@@ -270,11 +243,11 @@ def test_worker_definitions_pruned_on_rule_removal():
             action=NO_ACTION,
         )
 
-    table = ShardedRuleTable(2)
+    table = RuleTable()
     event_base = EventBase()
     handler = EventHandler(event_base)
     support = ShardCoordinator(
-        table, event_base, EngineConfig.from_env(shard_mode="processes")
+        table, event_base, EngineConfig.from_env(shards=2, shard_mode="processes")
     )
     try:
         stamp = 0

@@ -35,8 +35,7 @@ import multiprocessing
 
 import pytest
 
-from repro.cluster.coordinator import ShardCoordinator
-from repro.cluster.sharding import ShardedRuleTable, home_shard
+from repro.cluster.coordinator import ShardCoordinator, home_shard
 from repro.config import TRANSPORTS, EngineConfig
 from repro.core.parser import parse_expression
 from repro.errors import ShardWorkerError, SnapshotError
@@ -46,6 +45,8 @@ from repro.rules.actions import NO_ACTION
 from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.event_handler import EventHandler
 from repro.rules.rule import Rule
+from repro.rules.rule_table import RuleTable
+from repro.rules.trigger_support import TriggerSupport
 
 
 CREATE_ALPHA = EventType(Operation.CREATE, "alpha")
@@ -73,8 +74,9 @@ def build_support(
     shards: int = 2,
     homes: tuple[int, ...] = (1,),
 ):
-    """``rule_count`` rules cycling through ``expressions`` and ``homes``."""
-    table = ShardedRuleTable(shards)
+    """``rule_count`` rules cycling through ``expressions`` and ``homes``;
+    ``shard_mode="serial"`` assembles the single table, as the engine does."""
+    table = RuleTable()
     event_base = EventBase()
     names = homed_names(
         [homes[index % len(homes)] for index in range(rule_count)], shards
@@ -89,10 +91,11 @@ def build_support(
             )
         ).reset(0)
     handler = EventHandler(event_base)
-    support = ShardCoordinator(
-        table,
-        event_base,
-        EngineConfig.from_env(shard_mode=shard_mode, transport=transport),
+    config = EngineConfig.from_env(
+        shards=shards, shard_mode=shard_mode, transport=transport
+    )
+    support = (ShardCoordinator if shard_mode == "processes" else TriggerSupport)(
+        table, event_base, config
     )
     return table, event_base, handler, support
 
@@ -313,14 +316,15 @@ def _reset_mid_stream(shard_mode: str, transport: str | None):
             [(CREATE_GAMMA, 8)],
         ]
         trace += _run_blocks(support, handler, event_base, second_log)
-        pool = support.process_pool
-        if pool is not None:
+        if isinstance(support, ShardCoordinator):
+            pool = support.process_pool
             log = pool._transport._row_log
             assert log.encoded == len(event_base.occurrences) == 3
             assert all(handle.shipped_events <= 3 for handle in pool._workers)
         return trace, {state.rule.name: state.times_triggered for state in table}
     finally:
-        support.close()
+        if isinstance(support, ShardCoordinator):
+            support.close()
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -379,11 +383,11 @@ def test_lagging_worker_catches_up_from_the_log(transport):
 
 
 def test_rule_free_database_never_spawns_workers():
-    table = ShardedRuleTable(4)
+    table = RuleTable()
     event_base = EventBase()
     handler = EventHandler(event_base)
     support = ShardCoordinator(
-        table, event_base, EngineConfig.from_env(shard_mode="processes")
+        table, event_base, EngineConfig.from_env(shards=4, shard_mode="processes")
     )
     try:
         for stamp in (1, 2, 3):
@@ -429,20 +433,20 @@ def test_ghost_shape_deals_half_the_rules_to_each_home():
     conjoined with the never-emitted ``create(ghost)`` — on two shards.
     Dealing by lowest owning shard put 5 862 of 6 000 such rules on one
     evaluator (almost every rule owns ghost's shard); dealing by name puts
-    40–60 % on each, and the table's ``home_population`` says so."""
+    40–60 % on each, and the coordinator's ``home_population`` says so."""
     from repro.workloads.scaling import build_scaling_universe, build_shard_rules
 
-    table = ShardedRuleTable(2)
+    table = RuleTable()
     for rule in build_shard_rules(6_000, build_scaling_universe(6_000)):
         table.add(rule)
     support = ShardCoordinator(
-        table, EventBase(), EngineConfig.from_env(shard_mode="processes")
+        table, EventBase(), EngineConfig.from_env(shards=2, shard_mode="processes")
     )
     try:
         homes = [0, 0]
         for state in table:
             homes[support._worker_of(state)] += 1
-        assert homes == table.home_population()
+        assert homes == support.home_population()
         assert all(2_400 <= share <= 3_600 for share in homes), homes
     finally:
         support.close()

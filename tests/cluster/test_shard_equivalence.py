@@ -1,23 +1,24 @@
 """Sharded-vs-unsharded equivalence of the trigger pipeline.
 
-The shard/coordinator subsystem must be *semantically invisible*, exactly
-like the PR-2 subscription index before it: for any stream, any shard count
-and any mid-run table churn, the :class:`ShardCoordinator` must produce the
-same triggered sets, the same per-rule counters and the same priority-order
-firing sequence as the single-table :class:`TriggerSupport`.
+The shard coordinator must be *semantically invisible*, exactly like the
+PR-2 subscription index before it: for any stream, any shard count and any
+mid-run table churn, the :class:`ShardCoordinator` — the inherited planner,
+candidates dealt to their evaluation homes, home 0 checked inline and the
+rest on process workers — must produce the same triggered sets, the same
+per-rule counters and the same priority-order firing sequence as the
+single-table :class:`TriggerSupport`.
 
 The scenarios come from ``tests/rules/test_planner_equivalence.py`` (random
 rules over overlapping class/attribute patterns, pure negations, priority
 ties, empty blocks, removals / re-adds / disable-enable flips mid-run); here
 they are replayed across shard counts 1–8.  ``run_scenario`` is shared with
 ``tests/cluster/test_mode_equivalence.py``, which replays the same churn
-across the serial / processes execution modes.
+across transports, rechecks and the engine's two shard modes.
 """
 
 from __future__ import annotations
 
 from repro.cluster.coordinator import ShardCoordinator
-from repro.cluster.sharding import ShardedRuleTable
 from repro.config import EngineConfig
 from repro.events.event_base import EventBase
 from repro.rules.event_handler import EventHandler
@@ -31,17 +32,20 @@ from tests.rules.test_planner_equivalence import Scenario, build_scenario
 def run_scenario(
     scenario: Scenario,
     shards: int = 0,
-    shard_mode: str = "serial",
+    shard_mode: str = "processes",
     recheck_every: int = 0,
     oracle: bool = False,
     transport: str | None = None,
     metric_prefixes: tuple[str, ...] = ("trigger.",),
+    routed: bool = True,
 ) -> dict:
     """Execute a scenario block by block; ``shards=0`` is the single-table reference.
 
     Every block is flushed, checked through ``check_after_block`` and its
     triggered rules considered before the next block's churn applies.
-    ``shard_mode`` selects the coordinator's execution mode explicitly;
+    ``shards``/``shard_mode`` are assembled the way the engine assembles
+    them: a coordinator for ``processes`` with ``shards > 0``, the single
+    table otherwise (``serial`` with N shards *is* the single table);
     ``recheck_every=N`` runs a commit-style ``recheck_all`` after every Nth
     block, exercising the exhaustive path the process mode must also route
     through its workers.  ``oracle=True`` (single table only) evaluates every
@@ -55,20 +59,24 @@ def run_scenario(
     deterministic ``trigger.*`` counters; mode-dependent families
     (``cluster.*``, ``worker.*``, ``pool.*``) are deliberately excluded so
     whole-result equality across execution modes keeps holding.
+    ``routed=False`` runs the paper's exhaustive scan instead of the planner.
     """
     event_base = EventBase()
-    if shards > 0:
-        table: RuleTable = ShardedRuleTable(shards)
-    else:
-        table = RuleTable()
+    table = RuleTable()
     removed: set[str] = set()
     disabled: set[str] = set()
     for rule in scenario.rules:
         table.add(rule).reset(0)
     handler = EventHandler(event_base)
-    config = EngineConfig.from_env(shard_mode=shard_mode, transport=transport)
-    assert not (oracle and shards), "the oracle replays on the single table"
-    if shards > 0:
+    config = EngineConfig.from_env(
+        shards=shards,
+        shard_mode=shard_mode,
+        transport=transport,
+        use_static_optimization=routed,
+    )
+    sharded = shards > 0 and shard_mode == "processes"
+    assert not (oracle and sharded), "the oracle replays on the single table"
+    if sharded:
         support: TriggerSupport = ShardCoordinator(table, event_base, config)
     else:
         support = (OracleTriggerSupport if oracle else TriggerSupport)(
@@ -126,7 +134,7 @@ def run_scenario(
         for name, value in support.metrics.snapshot()["counters"].items()
         if name.startswith(metric_prefixes)
     }
-    if shards > 0:
+    if sharded:
         support.close()
     return {"trace": trace, "counters": counters, "stats": stats, "metrics": metrics}
 
@@ -160,3 +168,12 @@ def test_newly_triggered_order_is_definition_order():
         reference["trace"], sharded["trace"]
     ):
         assert newly == sharded_newly
+
+
+def test_exhaustive_scan_behind_the_coordinator_equals_the_single_table():
+    """``use_static_optimization=False`` skips the planner, not the homes:
+    the exhaustive list goes through the same evaluation hook."""
+    for seed in (4, 9):
+        scenario = build_scenario(seed)
+        reference = run_scenario(scenario, shards=0, routed=False)
+        assert run_scenario(scenario, shards=3, routed=False) == reference

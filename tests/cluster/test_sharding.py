@@ -1,23 +1,24 @@
-"""Unit tests for the sharded rule table and the shard coordinator plumbing."""
+"""Evaluation homes and the shard coordinator's plumbing.
+
+A shard is an evaluator, not a slice of the subscription index: the
+coordinator plans through the inherited single-table planner and only deals
+the candidates to their homes (``home_shard`` of the rule name).
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.coordinator import ShardCoordinator
-from repro.cluster.sharding import ShardedRuleTable, home_shard, shard_of_bucket
+from repro.cluster.coordinator import ShardCoordinator, home_shard
 from repro.config import EngineConfig
 from repro.core.parser import parse_expression
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
-from repro.oodb.schema import Schema
 from repro.rules.actions import NO_ACTION
 from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.rule import Rule
-
-#: The ambient record (``CHIMERA_TRANSPORT`` and friends reach in) pinned to
-#: the coordinator's inline mode.
-SERIAL = EngineConfig.from_env(shard_mode="serial")
+from repro.rules.rule_table import RuleTable
+from repro.rules.trigger_support import TriggerPlanner, TriggerSupport
 
 
 def make_rule(name: str, events: str, priority: int = 0) -> Rule:
@@ -39,145 +40,67 @@ def occurrence(eid: int, event_type: EventType, stamp: int = 1) -> EventOccurren
     )
 
 
+def processes(shards: int) -> EngineConfig:
+    return EngineConfig.from_env(shards=shards, shard_mode="processes")
+
+
 class TestShardAssignment:
-    def test_bucket_hash_is_stable_and_in_range(self):
+    def test_home_is_stable_and_in_range(self):
         for shards in (1, 2, 4, 8):
-            for class_name in ("stock", "order", "show"):
-                first = shard_of_bucket(Operation.CREATE, class_name, shards)
-                assert first == shard_of_bucket(Operation.CREATE, class_name, shards)
+            for name in ("stock_watch", "order_watch", "neg"):
+                first = home_shard(name, shards)
+                assert first == home_shard(name, shards)
                 assert 0 <= first < shards
 
-    def test_same_class_exact_and_class_watch_share_a_shard(self):
-        # Every index structure one signature type touches is keyed by types
-        # of one (operation, class) pair — the invariant routing relies on.
-        table = ShardedRuleTable(8)
-        table.add(make_rule("attr", "modify(stock.quantity)"))
-        table.add(make_rule("cls", "modify(stock)"))
-        assert table.shards_of_rule("attr") == table.shards_of_rule("cls")
-
-    def test_multi_bucket_rule_is_registered_on_each_owner(self):
-        table = ShardedRuleTable(8)
-        table.add(make_rule("multi", "create(stock) , create(order)"))
-        expected = {
-            shard_of_bucket(Operation.CREATE, "stock", 8),
-            shard_of_bucket(Operation.CREATE, "order", 8),
-        }
-        assert set(table.shards_of_rule("multi")) == expected
-
-    def test_pure_negation_has_no_subscription_shards_but_a_home(self):
-        table = ShardedRuleTable(4)
+    def test_pure_negation_has_a_home(self):
+        table = RuleTable()
         table.add(make_rule("neg", "-create(stock)"))
-        assert table.shards_of_rule("neg") == ()
-        assert table.home_shard_of("neg") == home_shard("neg", 4)
+        coordinator = ShardCoordinator(table, EventBase(), processes(4))
+        assert coordinator._worker_of(table.get("neg")) == home_shard("neg", 4)
 
-    def test_remove_unregisters_from_every_shard(self):
-        table = ShardedRuleTable(8)
-        table.add(make_rule("multi", "create(stock) , create(order)"))
+    def test_removed_rules_leave_the_home_memo(self):
+        table = RuleTable()
+        coordinator = ShardCoordinator(table, EventBase(), processes(1))
+        table.add(make_rule("multi", "create(stock) , create(order)")).reset(0)
+        assert coordinator.home_population() == [1]
+        assert set(coordinator._homes) == {"multi"}
         table.remove("multi")
-        assert table.shards_of_rule("multi") == ()
-        assert sum(table.home_population()) == 0
+        coordinator._evaluate_states([], 1, 0)
+        assert coordinator._homes == {}
+        assert coordinator.home_population() == [0]
 
     def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedRuleTable(0)
-
-    def test_coordinator_requires_sharded_table(self):
-        from repro.rules.rule_table import RuleTable
-
-        with pytest.raises(TypeError):
-            ShardCoordinator(RuleTable(), EventBase())
-
-
-class TestShardPlanCache:
-    def setup_method(self):
-        self.table = ShardedRuleTable(4)
-        self.event_base = EventBase()
-        self.coordinator = ShardCoordinator(self.table, self.event_base, SERIAL)
-        self.stock = EventType(Operation.CREATE, "stock")
-        self.order = EventType(Operation.CREATE, "order")
-
-    def plan_names(self, *types: EventType) -> set[str]:
-        plan = self.coordinator.plan_sharded(frozenset(types))
-        return {state.rule.name for _, states in plan.per_shard for state in states}
-
-    def test_repeated_signature_hits_the_cache(self):
-        self.table.add(make_rule("watcher", "create(stock)"))
-        self.table.get("watcher").had_nonempty_window = True
-        assert self.plan_names(self.stock) == {"watcher"}
-        misses = self.table.plan_cache_misses
-        assert self.plan_names(self.stock) == {"watcher"}
-        assert self.table.plan_cache_misses == misses
-        assert self.table.plan_cache_hits > 0
-
-    def test_rule_add_invalidates_cached_plans(self):
-        self.table.add(make_rule("first", "create(stock)"))
-        self.table.get("first").had_nonempty_window = True
-        assert self.plan_names(self.stock) == {"first"}
-        self.table.add(make_rule("second", "create(stock)"))
-        self.table.get("second").had_nonempty_window = True
-        assert self.plan_names(self.stock) == {"first", "second"}
-
-    def test_rule_removal_invalidates_cached_plans(self):
-        self.table.add(make_rule("first", "create(stock)"))
-        self.table.add(make_rule("second", "create(stock)"))
-        for name in ("first", "second"):
-            self.table.get(name).had_nonempty_window = True
-        assert self.plan_names(self.stock) == {"first", "second"}
-        self.table.remove("second")
-        assert self.plan_names(self.stock) == {"first"}
-
-    def test_disable_is_filtered_without_invalidation(self):
-        self.table.add(make_rule("watcher", "create(stock)"))
-        self.table.get("watcher").had_nonempty_window = True
-        assert self.plan_names(self.stock) == {"watcher"}
-        misses = self.table.plan_cache_misses
-        self.table.disable("watcher")
-        assert self.plan_names(self.stock) == set()
-        self.table.enable("watcher")
-        self.table.get("watcher").had_nonempty_window = True
-        assert self.plan_names(self.stock) == {"watcher"}
-        # Enable/disable changes no subscription shape: the cache survived.
-        assert self.table.plan_cache_misses == misses
-
-    def test_schema_growth_invalidates_cached_plans(self):
-        schema = Schema()
-        schema.define("order")
-        self.table.bind_schema(schema)
-        self.table.add(make_rule("watcher", "create(order)"))
-        self.table.get("watcher").had_nonempty_window = True
-        special = EventType(Operation.CREATE, "special")
-        assert self.plan_names(special) == set()
-        schema.define("special", superclass="order")
-        assert self.plan_names(special) == {"watcher"}
-
-    def test_multi_shard_rule_checked_once_per_block(self):
-        self.table.add(make_rule("multi", "create(stock) , create(order)"))
-        self.table.get("multi").had_nonempty_window = True
-        plan = self.coordinator.plan_sharded(frozenset({self.stock, self.order}))
-        names = [state.rule.name for _, states in plan.per_shard for state in states]
-        assert names.count("multi") == 1
-        assert plan.routed == 1
+        with pytest.raises(ValueError, match="at least 1 shard"):
+            ShardCoordinator(RuleTable(), EventBase(), processes(0))
 
 
 class TestCoordinatorCheck:
-    def test_fanout_checks_only_owning_shards(self):
-        table = ShardedRuleTable(4)
+    def test_coordinator_plans_through_the_inherited_planner(self):
+        """One planner: the coordinator overrides only the evaluation hook."""
+        for method in ("plan", "_plan_block", "check_after_block", "recheck_all"):
+            assert method not in vars(ShardCoordinator), method
+        assert "_evaluate_states" in vars(ShardCoordinator)
+        table = RuleTable()
         event_base = EventBase()
-        coordinator = ShardCoordinator(table, event_base, SERIAL)
-        table.add(make_rule("stock_watch", "create(stock)"))
-        table.add(make_rule("order_watch", "create(order)"))
-        stock = EventType(Operation.CREATE, "stock")
-        event_base.append(occurrence(1, stock, stamp=1))
-        newly = coordinator.check_after_block([occurrence(1, stock, stamp=1)], 1, 0)
-        assert [state.rule.name for state in newly] == ["stock_watch"]
-        assert coordinator.cluster_stats.blocks_fanned_out == 1
+        with ShardCoordinator(table, event_base, processes(1)) as coordinator:
+            assert type(coordinator.planner) is TriggerPlanner
+            table.add(make_rule("stock_watch", "create(stock)"))
+            table.add(make_rule("order_watch", "create(order)"))
+            for state in table:
+                state.had_nonempty_window = True
+            stock = EventType(Operation.CREATE, "stock")
+            event_base.append(occurrence(1, stock, stamp=1))
+            newly = coordinator.check_after_block([occurrence(1, stock, stamp=1)], 1, 0)
+            assert [state.rule.name for state in newly] == ["stock_watch"]
+            assert coordinator.stats.rules_routed == 1
+            assert coordinator.stats.rules_bypassed_by_index == 1
+            assert coordinator.cluster_stats.dispatch_trips == 1
+        assert isinstance(coordinator, TriggerSupport)
 
     def test_parallel_pool_lifecycle(self):
-        table = ShardedRuleTable(4)
+        table = RuleTable()
         event_base = EventBase()
-        with ShardCoordinator(
-            table, event_base, EngineConfig.from_env(shard_mode="processes")
-        ) as coordinator:
+        with ShardCoordinator(table, event_base, processes(4)) as coordinator:
             for index, class_name in enumerate(("stock", "order", "show")):
                 table.add(make_rule(f"w{index}", f"create({class_name})"))
             block = [

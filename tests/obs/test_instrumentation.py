@@ -15,7 +15,7 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.cluster.sharding import home_shard
+from repro.cluster.coordinator import home_shard
 from repro.obs import MetricsRegistry
 from repro.oodb.database import ChimeraDatabase
 from repro.workloads.stock import CHECK_STOCK_QTY_RULE
@@ -74,19 +74,20 @@ class TestDatabaseSnapshot:
         finally:
             db.close()
 
-    def test_sharded_database_folds_cluster_and_candidate_counters(self):
-        db = _stock_db(shards=2, shard_mode="serial")
+    def test_process_database_folds_cluster_counters(self):
+        """The coordinator's dispatch counters fold into the snapshot; the
+        planning counters are the single table's ``trigger.*`` ones."""
+        db = _stock_db(REMOTE_CHECK_STOCK_QTY_RULE, shards=2, shard_mode="processes")
         try:
             _drive(db)
-            counters = db.metrics_snapshot()["counters"]
-            assert counters["cluster.blocks_fanned_out"] > 0
+            snapshot = db.metrics_snapshot()
+            counters = snapshot["counters"]
             assert counters["cluster.dispatch_trips"] > 0
-            candidates = [
-                value
-                for name, value in counters.items()
-                if name.startswith("shard.candidates.")
-            ]
-            assert candidates and sum(candidates) > 0
+            assert counters["cluster.parallel_batches"] > 0
+            assert counters["trigger.rules_routed"] > 0
+            assert not [name for name in counters if name.startswith("shard.")]
+            assert snapshot["histograms"]["block.check"]["count"] > 0
+            assert snapshot["histograms"]["trip.dispatch"]["count"] > 0
         finally:
             db.close()
 
@@ -154,21 +155,26 @@ class TestWorkloadCliSurfaces:
         snapshot = json.loads(lines[0])
         # 8 stream blocks plus the (empty) block every consideration ends.
         assert snapshot["counters"]["trigger.blocks"] >= 8
-        # One timed check per stream block: block.check on the single table,
-        # trip.check behind a coordinator (pytest --shards).
-        histograms = snapshot["histograms"]
-        assert 8 in (
-            histograms["block.check"]["count"],
-            histograms["trip.check"]["count"],
-        )
+        # One timed check per stream block, on every placement.
+        assert snapshot["histograms"]["block.check"]["count"] == 8
 
     def test_skew_row_counts_rules_per_evaluation_home(self, capsys):
         """The workload's pool is the ghost shape: nine rules in ten are
-        conjoined with ``create(ghost)``, so nearly every rule is
-        *registered* on ghost's shard.  The row reports where the checks go
-        instead — each rule once, on its evaluation home, home 0 first."""
+        conjoined with ``create(ghost)``, so nearly every rule watches one
+        bucket.  The row reports where the checks go — each rule once, on
+        its evaluation home, home 0 first."""
         rules = 400
-        argv = ["workload", "--rules", str(rules), "--blocks", "4", "--shards", "2"]
+        argv = [
+            "workload",
+            "--rules",
+            str(rules),
+            "--blocks",
+            "4",
+            "--shards",
+            "2",
+            "--shard-mode",
+            "processes",
+        ]
         assert main(argv) == 0
         output = capsys.readouterr().out
         row = re.search(r"\| shard_population +\| ([\d/]+)", output).group(1)
@@ -204,7 +210,7 @@ class TestWorkloadCliSurfaces:
                 },
             )
             # The timings printed are the registry's own.
-            assert "trip.check" in output or "block.check" in output
+            assert "block.check" in output
             if "processes" in flags:
                 assert snapshot["histograms"]["worker.check"]["count"] > 0
         reference = outcomes.pop("single")
@@ -214,11 +220,12 @@ class TestWorkloadCliSurfaces:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--batch-blocks", "2"], ["--adaptive-batch"]],
-        ids=["batch-blocks", "adaptive-batch"],
+        [["--batch-blocks", "2"], ["--adaptive-batch"], ["--plan-cache-size", "64"]],
+        ids=["batch-blocks", "adaptive-batch", "plan-cache-size"],
     )
     def test_retired_trip_flags_are_argparse_errors(self, flags, capsys):
-        """One block, one check: the micro-batching flags have no alias."""
+        """One block, one check, one planner: the micro-batching flags and
+        the plan-cache bound have no alias."""
         with pytest.raises(SystemExit) as excinfo:
             main([*self.ARGS, *flags])
         assert excinfo.value.code == 2

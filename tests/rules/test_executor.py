@@ -351,3 +351,30 @@ class TestStreamBlockLoop:
             assert [record.instant for record in db.considerations] == [late]
         finally:
             db.close()
+
+
+@pytest.mark.parametrize(
+    "settings, coordinated",
+    [
+        ({"shards": 0, "shard_mode": "serial"}, False),
+        ({"shards": 4, "shard_mode": "serial"}, False),
+        ({"shards": 0, "shard_mode": "processes"}, False),
+        ({"shards": 2, "shard_mode": "processes"}, True),
+    ],
+    ids=["single", "serial-shards", "processes-no-shards", "processes"],
+)
+def test_only_processes_with_shards_builds_a_coordinator(settings, coordinated):
+    """A shard is an evaluator: ``serial`` with N shards is the single table
+    (one Rule Table, one inline Trigger Support); only ``processes`` with
+    shards puts a coordinator in front of the worker pool."""
+    from repro.cluster.coordinator import ShardCoordinator
+    from repro.rules.rule_table import RuleTable
+    from repro.rules.trigger_support import TriggerSupport
+
+    db = ChimeraDatabase(**settings)
+    try:
+        support = db.engine.trigger_support
+        assert type(db.rule_table) is RuleTable
+        assert type(support) is (ShardCoordinator if coordinated else TriggerSupport)
+    finally:
+        db.close()

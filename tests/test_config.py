@@ -47,7 +47,7 @@ MALFORMED = {
 def test_every_environment_variable_has_a_precedence_case():
     assert set(ENV_CASES) == set(ENV_NAMES)
     assert len(ENV_NAMES) == 7
-    assert len(dataclasses.fields(EngineConfig)) == 11
+    assert len(dataclasses.fields(EngineConfig)) == 10
 
 
 @pytest.mark.parametrize("field", sorted(ENV_CASES))
@@ -111,7 +111,6 @@ def test_malformed_environment_fails_database_construction(monkeypatch):
         ("shard_mode", "fibers"),
         ("transport", "carrier-pigeon"),
         ("evaluation_mode", "fuzzy"),
-        ("plan_cache_size", 0),
         ("tcp_port", 65536),
         ("use_static_optimization", 1),
         ("metrics_path", None),
@@ -129,6 +128,9 @@ def test_unknown_setting_is_rejected_by_every_assembly_point():
         ChimeraDatabase(max_workers=2)
     with pytest.raises(ConfigError, match="batch_blocks"):
         ChimeraDatabase(batch_blocks=2)
+    # One planner, one memo of a fixed size: the bound is no setting.
+    with pytest.raises(ConfigError, match="plan_cache_size"):
+        ChimeraDatabase(plan_cache_size=64)
 
 
 @pytest.mark.parametrize(
@@ -184,13 +186,13 @@ def test_record_is_frozen_hashable_and_repr_round_trips():
 
 def test_database_exposes_the_resolved_record(monkeypatch):
     monkeypatch.setenv("CHIMERA_SHARDS", "2")
-    db = ChimeraDatabase(plan_cache_size=5, max_rule_executions=77)
+    db = ChimeraDatabase(shard_mode="processes", max_rule_executions=77)
     try:
         assert db.config.shards == 2
-        assert db.config.plan_cache_size == 5
+        assert db.config.max_rule_executions == 77
         assert db.engine.config is db.config
         assert db.engine.trigger_support.config is db.config
-        assert db.rule_table.num_shards == 2
+        assert db.engine.trigger_support.shards == 2
     finally:
         db.close()
 
@@ -204,7 +206,6 @@ def test_tcp_handshake_delivers_the_coordinators_record(monkeypatch):
         shards=3,
         shard_mode="processes",
         transport="tcp",
-        plan_cache_size=64,
     )
     received: list[tuple] = []
     monkeypatch.setattr(

@@ -101,11 +101,22 @@ def test_retired_trip_target_resolves_to_nothing(target):
     assert not _is_live(*target)
 
 
+def test_retired_sharded_planner_resolves_to_nothing():
+    """One planner: the coordinator's ``plan_sharded`` is gone, so the
+    tracer's ``rules.plan`` layer stays live through ``TriggerPlanner.plan``
+    alone — which the coordinator now calls too."""
+    target = ("repro.cluster.coordinator", "ShardCoordinator", "plan_sharded")
+    assert target in LAYERS["rules.plan"]
+    assert not _is_live(*target)
+    assert _is_live("repro.rules.trigger_support", "TriggerPlanner", "plan")
+
+
 def test_a_subclass_definition_counts_as_live():
-    """``plan_sharded`` lives on the shard coordinator only; the tracer finds
-    it through ``TriggerSupport``'s loaded subclasses, and so must the guard."""
+    """``home_population`` lives on the shard coordinator only; the tracer
+    finds a method like it through ``TriggerSupport``'s loaded subclasses,
+    and so must the guard."""
     from repro.rules.trigger_support import TriggerSupport
 
-    assert "plan_sharded" not in vars(TriggerSupport)
-    assert _is_live("repro.rules.trigger_support", "TriggerSupport", "plan_sharded")
+    assert "home_population" not in vars(TriggerSupport)
+    assert _is_live("repro.rules.trigger_support", "TriggerSupport", "home_population")
     assert not _is_live("repro.rules.trigger_support", "NoSuchSupport", "plan")
