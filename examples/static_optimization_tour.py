@@ -1,24 +1,48 @@
-"""Static optimization tour: V(E) filtering on a synthetic event stream.
+"""Static optimization tour: V(E) routing on a synthetic event stream.
 
 Run with::
 
     python examples/static_optimization_tour.py
 
-The script generates a synthetic stream of primitive event occurrences and a
-pool of composite subscriptions, then runs the naive detector (recompute every
-rule's ts after every block) and the paper's filtered detector (recompute only
-when the block matches the rule's V(E)) side by side, printing the per-rule
-variation sets and the work saved.
+The script generates a pool of composite-event rules and a synthetic stream of
+primitive event occurrences, then streams the blocks through two databases:
+one that routes each block only to the rules whose V(E) it can affect
+(``use_static_optimization=True``, the paper's §5.1 optimization) and one that
+checks every rule after every block.  It prints the per-rule variation sets,
+asserts that both databases consider the same rules at the same instants and
+prints how many rule checks each side ran.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.analysis import render_table
-from repro.baselines import FilteredDetector, NaiveDetector, Subscription
 from repro.core import format_variations, variation_set
+from repro.oodb.database import ChimeraDatabase
+from repro.rules.actions import NO_ACTION
+from repro.rules.conditions import TRUE_CONDITION
+from repro.rules.rule import Rule
 from repro.workloads import EventStreamGenerator, ExpressionGenerator
+
+
+def run(expressions, blocks, optimized: bool):
+    """Stream ``blocks`` through a database with one rule per expression."""
+    db = ChimeraDatabase(use_static_optimization=optimized)
+    try:
+        for index, expression in enumerate(expressions):
+            db.define_rule(
+                Rule(
+                    name=f"r{index}",
+                    events=expression,
+                    condition=TRUE_CONDITION,
+                    action=NO_ACTION,
+                )
+            )
+        for block in blocks:
+            db.engine.run_stream_block(block)
+        considered = [(rec.rule_name, rec.instant) for rec in db.considerations]
+        return considered, db.trigger_statistics()
+    finally:
+        db.close()
 
 
 def main() -> None:
@@ -27,44 +51,42 @@ def main() -> None:
     stream_generator = EventStreamGenerator(seed=11, events_per_block=2)
     blocks = stream_generator.blocks(300)
 
-    print("Subscriptions and their variation sets:")
+    print("Rules and their variation sets:")
     for index, expression in enumerate(expressions):
         print(f"  r{index}: {expression}")
         print(f"      V(E) = {format_variations(variation_set(expression))}")
     print()
 
-    naive = NaiveDetector([Subscription(f"r{i}", e) for i, e in enumerate(expressions)])
-    filtered = FilteredDetector([Subscription(f"r{i}", e) for i, e in enumerate(expressions)])
-
-    start = time.perf_counter()
-    naive_report = naive.feed_stream(blocks)
-    naive_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    filtered_report = filtered.feed_stream(blocks)
-    filtered_seconds = time.perf_counter() - start
+    scanned, scanned_stats = run(expressions, blocks, optimized=False)
+    routed, routed_stats = run(expressions, blocks, optimized=True)
+    assert routed == scanned
 
     rows = [
-        ["naive (no optimization)", naive_report.ts_computations, naive_report.filter_skips,
-         naive_report.triggerings, f"{naive_seconds * 1000:.1f} ms"],
-        ["filtered (V(E) static optimization)", filtered_report.ts_computations,
-         filtered_report.filter_skips, filtered_report.triggerings,
-         f"{filtered_seconds * 1000:.1f} ms"],
+        [
+            label,
+            stats["rules_checked"],
+            stats["rules_bypassed_by_index"],
+            len(considered),
+        ]
+        for label, stats, considered in (
+            ("every rule after every block", scanned_stats, scanned),
+            ("V(E) routing (static optimization)", routed_stats, routed),
+        )
     ]
     print(
         render_table(
-            ["detector", "ts computations", "skipped", "triggerings", "wall clock"],
+            ["database", "rules_checked", "bypassed", "considerations"],
             rows,
-            title=f"{len(blocks)} blocks, {len(expressions)} subscriptions",
+            title=f"{len(blocks)} blocks, {len(expressions)} rules",
         )
     )
 
-    assert naive_report.triggerings == filtered_report.triggerings
-    saved = naive_report.ts_computations - filtered_report.ts_computations
+    saved = scanned_stats["rules_checked"] - routed_stats["rules_checked"]
     print()
     print(
-        f"Identical triggerings; the optimization skipped {saved} ts recomputations "
-        f"({100.0 * saved / max(1, naive_report.ts_computations):.1f}% of the naive work)."
+        f"Identical considerations; routing skipped {saved} rule checks "
+        f"({100.0 * saved / max(1, scanned_stats['rules_checked']):.1f}% of the "
+        "unoptimized work)."
     )
 
 

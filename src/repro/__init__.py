@@ -3,8 +3,8 @@
 The package implements an active object-oriented database in the style of
 Chimera, extended with the paper's composite event calculus:
 
-* :mod:`repro.events` — event occurrences, the Event Base and the
-  Occurred-Events tree;
+* :mod:`repro.events` — event occurrences and the Event Base, whose per-type
+  index is the paper's §5 Occurred-Events structure;
 * :mod:`repro.core` — the event calculus (expressions, ``ts``/``ots``
   semantics, algebraic laws, static optimization, triggering);
 * :mod:`repro.oodb` — the object store (schema, objects, operations,
@@ -12,13 +12,12 @@ Chimera, extended with the paper's composite event calculus:
 * :mod:`repro.rules` — the active-rule system (trigger definitions, the rule
   language, conditions with ``occurred``/``at`` event formulas, actions, the
   Event Handler / Trigger Support / Block Executor pipeline);
-* :mod:`repro.cluster` — the scale-out subsystem (sharded rule table, shard
-  coordinator, process shard workers);
-* :mod:`repro.baselines` — naive, automaton-style and tree-style detectors
-  used as benchmark baselines;
+* :mod:`repro.cluster` — the scale-out subsystem (the shard coordinator, which
+  plans through the one Rule Table and checks on process shard workers, and
+  their transports);
 * :mod:`repro.workloads` — the stock-management scenario and synthetic
   generators;
-* :mod:`repro.analysis` — metrics, ``ts`` traces and report rendering.
+* :mod:`repro.analysis` — ``ts`` traces and report rendering.
 
 Quickstart::
 

@@ -1,14 +1,11 @@
-"""Analysis helpers: ts traces, metrics and plain-text report rendering."""
+"""Analysis helpers: ts traces and plain-text report rendering."""
 
-from repro.analysis.metrics import Sweep, Timer, speedup, summarize, timed
 from repro.analysis.reporting import render_kv, render_table, render_traces
 from repro.analysis.traces import (
     Trace, TracePoint, ots_trace, sample_instants, ts_trace
 )
 
 __all__ = [
-    "Sweep",
-    "Timer",
     "Trace",
     "TracePoint",
     "ots_trace",
@@ -16,8 +13,5 @@ __all__ = [
     "render_table",
     "render_traces",
     "sample_instants",
-    "speedup",
-    "summarize",
-    "timed",
     "ts_trace",
 ]

@@ -1,8 +1,7 @@
-"""Plain-text rendering of tables and traces for the benchmark harness.
+"""Plain-text rendering of tables and traces.
 
-Every benchmark regenerates its paper artefact as a text table printed to
-stdout (so ``pytest benchmarks/ --benchmark-only -s`` shows the reproduced
-figures) and also returns the structured rows so tests can assert on them.
+The CLI prints its reports and the examples print the paper's artefacts
+(Fig. 3 style logs, Fig. 5 traces) through these helpers.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Fig. 5 of the paper plots ``ts`` functions of primitive and composite
 expressions over a shared time axis to *show* that De Morgan's rule holds with
 time stamps taken into account.  :func:`ts_trace` samples an expression at a
 set of instants (by default every occurrence time stamp plus the mid-points
-between them), producing the series the bench renders as a text table.
+between them), producing the series :func:`repro.analysis.reporting.render_traces`
+prints as a text table.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.analysis.reporting import render_kv, render_table
 from repro.config import SHARD_MODES, TRANSPORTS
@@ -210,11 +210,24 @@ def _default_instant(event_base: EventBase, at: int | None) -> int:
     return latest if latest is not None else 1
 
 
+def _logged_oid(event_base: EventBase, text: str) -> Any:
+    """The log's OID that prints as ``text`` (an int, an ``OID``, a string).
+
+    An OID no occurrence touched is passed through as the string: under
+    instance negation an untouched object is a legal argument.
+    """
+    oids = event_base.oids()
+    if text in oids:
+        return text
+    return next((oid for oid in oids if str(oid) == text), text)
+
+
 def _command_evaluate(args: argparse.Namespace) -> int:
     event_base = _load_log(args.log)
     expression = parse_expression(args.expression)
     instant = _default_instant(event_base, args.at)
-    value = evaluate(expression, event_base.full_window(), instant, oid=args.oid)
+    oid = None if args.oid is None else _logged_oid(event_base, args.oid)
+    value = evaluate(expression, event_base.full_window(), instant, oid=oid)
     print(f"expression : {expression}")
     print(f"instant    : t{instant}")
     if args.oid is not None:

@@ -76,9 +76,9 @@ class EvaluationMode(Enum):
 class EvaluationStats(MergeableStats):
     """Counters describing the work done by the evaluator.
 
-    These feed the static-optimization benchmarks: the interesting quantity is
-    how many primitive look-ups and node visits a Trigger Support performs with
-    and without the ``V(E)`` filter.  ``as_dict()``/``merge()`` follow the
+    They measure work in counts rather than time: how many primitive look-ups
+    and node visits a Trigger Support performs with and without the ``V(E)``
+    filter.  ``as_dict()``/``merge()`` follow the
     shared :class:`~repro.obs.stats.MergeableStats` protocol (``merge`` is
     hand-written — it runs once per shard batch on the check path).
     """

@@ -10,8 +10,8 @@ This module provides:
 * :data:`LAWS` — a registry of those equivalences, each as a pair of expression
   builders over operand placeholders;
 * :func:`check_law` — numeric verification of a law instance over a concrete
-  window and instant (used by the hypothesis property tests and by the
-  §4.3 benchmark);
+  window and instant (used by the law tests and the hypothesis property
+  tests);
 * rewriting helpers: double-negation elimination and
   :func:`negation_normal_form`, which pushes negations down to the primitives
   using De Morgan's rules (the transformation the laws justify).

@@ -1,4 +1,9 @@
-"""Event substrate: occurrences, clocks, the Event Base and the Occurred-Events tree."""
+"""Event substrate: occurrences, clocks, the Event Base and its windows.
+
+The Event Base's per-type index (``event_base._TypeIndex``) is the paper's
+§5 Occurred-Events structure: per-type occurrence columns that keep the
+type's latest time stamp.
+"""
 
 from repro.events.clock import SharedTickClock, Timestamp, TransactionClock
 from repro.events.event import (
@@ -9,7 +14,6 @@ from repro.events.event import (
     parse_event_type,
 )
 from repro.events.event_base import BoundedView, EventBase, EventWindow, WindowLike
-from repro.events.event_tree import EventLeaf, OccurredEventsTree
 from repro.events.persistence import (
     load_event_base,
     load_occurrences,
@@ -26,13 +30,11 @@ __all__ = [
     "BoundedView",
     "EidGenerator",
     "EventBase",
-    "EventLeaf",
     "EventOccurrence",
     "EventType",
     "EventWindow",
     "WindowLike",
     "ExternalEventSource",
-    "OccurredEventsTree",
     "Operation",
     "SharedTickClock",
     "TemporalEventPlanner",

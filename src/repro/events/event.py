@@ -66,8 +66,8 @@ class EventType:
 
     ``attribute`` is only meaningful for ``modify`` events; it is ``None`` when
     the event type does not name a specific attribute.  Event types are value
-    objects: hashable, ordered and usable as dictionary keys (the
-    Occurred-Events tree indexes its leaves by event type).
+    objects: hashable, ordered and usable as dictionary keys (the Event Base
+    keeps one ``_TypeIndex`` per event type).
 
     Every index of the engine is keyed by event type, so the hash is computed
     once, at construction, instead of re-hashing the three fields on every

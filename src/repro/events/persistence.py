@@ -2,7 +2,8 @@
 
 The Event Base is transaction-scoped in Chimera, but experiments want to save
 interesting histories (a failing workload, a captured trace) and replay them —
-against the calculus, a detector baseline, or a fresh database.  This module
+against the calculus (``chimera-events evaluate|explain|replay --log``) or a
+fresh database.  This module
 serializes occurrences to JSON lines (one occurrence per line, append-friendly)
 and loads them back.
 
@@ -64,6 +65,10 @@ def occurrence_to_dict(occurrence: EventOccurrence) -> dict[str, Any]:
 
 def occurrence_from_dict(record: dict[str, Any]) -> EventOccurrence:
     """Rebuild an occurrence from :func:`occurrence_to_dict` output."""
+    if not isinstance(record, dict):
+        raise EventCalculusError(
+            f"occurrence record is not a JSON object: {record!r}"
+        )
     try:
         event_type = EventType(
             Operation(record["operation"]), record["class"], record.get("attribute")
@@ -75,7 +80,7 @@ def occurrence_from_dict(record: dict[str, Any]) -> EventOccurrence:
             timestamp=int(record["timestamp"]),
             payload=record.get("payload") or {},
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise EventCalculusError(f"malformed occurrence record: {record!r}") from exc
 
 
@@ -101,7 +106,11 @@ def load_occurrences(stream: TextIO) -> Iterator[EventOccurrence]:
             raise EventCalculusError(
                 f"line {line_number} is not valid JSON: {text[:80]!r}"
             ) from exc
-        yield occurrence_from_dict(record)
+        try:
+            occurrence = occurrence_from_dict(record)
+        except EventCalculusError as exc:
+            raise EventCalculusError(f"line {line_number}: {exc}") from exc
+        yield occurrence
 
 
 def save_event_base(event_base: EventBase, path: str | Path) -> int:

@@ -5,14 +5,14 @@ all the freshly generated event occurrences to the Event Handler, which stores
 them into the Occurred-Events data structure (an event tree whose leaves are
 per-type occurrence lists that also cache the latest time stamp).
 
-In this reproduction the Event Base is the primary log (operations append to
-it directly); the Event Handler tracks the boundary between blocks, so "the
-occurrences generated by the last block" is a well-defined batch, and hands
-that batch to whoever needs it (the Trigger Support).  A flush reads the log
-by position and costs the block, whatever the length of the log.  The
-Occurred-Events tree covers the flushed part of the log; nothing on the block
-path reads it, so it is caught up when it is accessed rather than fed on
-every flush.
+In this reproduction that structure is the Event Base's own index: one
+``_TypeIndex`` per event type holds the type's time-stamp, log-position and
+OID columns, and its last time stamp is the leaf's "latest occurrence"
+(``repro.events.event_base``).  Operations append to the Event Base directly;
+the Event Handler tracks the boundary between blocks, so "the occurrences
+generated by the last block" is a well-defined batch, and hands that batch to
+whoever needs it (the Trigger Support).  A flush reads the log by position and
+costs the block, whatever the length of the log.
 
 Each flushed batch is wrapped in a :class:`BlockIngest`: the occurrences plus
 the block's *type signature* (the set of event types it contains), computed
@@ -30,7 +30,6 @@ from typing import Iterator, Sequence
 
 from repro.events.event import EventOccurrence, EventType
 from repro.events.event_base import EventBase
-from repro.events.event_tree import OccurredEventsTree
 
 __all__ = ["BlockIngest", "EventHandler"]
 
@@ -77,28 +76,13 @@ class BlockIngest(Sequence[EventOccurrence]):
 
 
 class EventHandler:
-    """Collects per-block event batches and maintains the Occurred-Events tree."""
+    """Collects per-block event batches from the Event Base."""
 
     def __init__(self, event_base: EventBase) -> None:
         self.event_base = event_base
-        self._occurred_events = OccurredEventsTree()
-        #: EB positions ``[_stored_count, _flushed_count)`` are flushed but not
-        #: yet in the Occurred-Events tree.
-        self._stored_count = 0
+        #: EB positions below this one have been flushed.
         self._flushed_count = 0
         self.blocks_processed = 0
-
-    @property
-    def occurred_events(self) -> OccurredEventsTree:
-        """The Occurred-Events tree over every occurrence flushed so far."""
-        if self._stored_count < self._flushed_count:
-            self._occurred_events.store_all(
-                self.event_base.occurrences_between(
-                    self._stored_count, self._flushed_count
-                )
-            )
-            self._stored_count = self._flushed_count
-        return self._occurred_events
 
     def flush_block(self) -> BlockIngest:
         """Collect the occurrences generated since the previous flush.
@@ -125,8 +109,7 @@ class EventHandler:
         """Start over at a transaction boundary (optionally with a fresh EB)."""
         if event_base is not None:
             self.event_base = event_base
-        self._occurred_events.clear()
-        self._stored_count = self._flushed_count = len(self.event_base)
+        self._flushed_count = len(self.event_base)
         self.blocks_processed = 0
 
     def store_external(self, occurrences: Sequence[EventOccurrence]) -> BlockIngest:

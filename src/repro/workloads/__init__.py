@@ -10,7 +10,6 @@ from repro.workloads.generator import (
     ExpressionGenerator,
     event_type_universe,
     stream_to_event_base,
-    window_over,
 )
 from repro.workloads.stock import (
     CHECK_STOCK_QTY_RULE,
@@ -34,5 +33,4 @@ __all__ = [
     "build_figure3_event_base",
     "event_type_universe",
     "stream_to_event_base",
-    "window_over",
 ]

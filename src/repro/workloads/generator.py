@@ -1,8 +1,8 @@
 """Synthetic event streams and random composite expressions.
 
-The paper has no quantitative evaluation section, so the performance benches
-characterize the implementation on synthetic workloads.  Two generators are
-provided:
+The paper has no quantitative evaluation section, so the tests, the examples
+and ``chimera-events workload`` exercise the implementation on synthetic
+inputs.  Two generators are provided:
 
 * :class:`EventStreamGenerator` — random streams of primitive event
   occurrences over a configurable universe of event types and objects, grouped
@@ -35,7 +35,7 @@ from repro.core.expressions import (
 )
 from repro.events.clock import SharedTickClock
 from repro.events.event import EventOccurrence, EventType, Operation
-from repro.events.event_base import EventBase, EventWindow
+from repro.events.event_base import EventBase
 
 __all__ = [
     "event_type_universe",
@@ -145,7 +145,7 @@ class ExpressionGenerator:
     #: Probability that a grown leaf position becomes an instance-oriented
     #: sub-expression instead of a primitive.
     instance_probability: float = 0.25
-    #: Set to 0 to generate negation-free expressions (for baseline fragments).
+    #: Set to False to generate negation-free expressions.
     allow_negation: bool = True
 
     def __post_init__(self) -> None:
@@ -221,9 +221,3 @@ class ExpressionGenerator:
             if draw <= cumulative:
                 return name
         return choices[-1][0]
-
-
-def window_over(blocks: Sequence[Sequence[EventOccurrence]]) -> EventWindow:
-    """Convenience: an :class:`EventWindow` over a whole generated stream."""
-    occurrences = [occurrence for block in blocks for occurrence in block]
-    return EventWindow.of(occurrences)

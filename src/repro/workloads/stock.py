@@ -12,7 +12,8 @@ The paper's running examples talk about four kinds of objects:
 This module builds the corresponding schema, provides the rules discussed in
 the paper (``checkStockQty`` plus composite-event variants used in the
 examples), replays the Fig. 3 Event Base, and generates larger synthetic
-transaction streams over the same schema for the benchmarks.
+transaction streams over the same schema for ``stock-demo``, the examples and
+the tests.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def build_figure3_event_base() -> EventBase:
 class StockScenario:
     """Builds and drives a stock-management database.
 
-    Parameters control the synthetic load used by the benchmarks: the number of
+    Parameters control the synthetic load of ``stock-demo``, the examples and
+    the tests: the number of
     stock items and shelf products created up-front and the random seed used by
     :meth:`run_day`, which simulates one business day of quantity updates,
     shelf sales and re-supply deliveries.

@@ -1,8 +1,7 @@
-"""Tests for traces, metrics and text reporting."""
+"""Tests for traces and text reporting."""
 
 import pytest
 
-from repro.analysis.metrics import Sweep, Timer, speedup, summarize, timed
 from repro.analysis.reporting import render_kv, render_table, render_traces
 from repro.analysis.traces import ots_trace, sample_instants, ts_trace
 from repro.core.parser import parse_expression
@@ -75,34 +74,3 @@ class TestReporting:
     def test_render_traces_empty(self):
         assert render_traces([], title="empty") == "empty"
 
-
-class TestMetrics:
-    def test_timer_accumulates(self):
-        timer = Timer()
-        with timer.measure():
-            pass
-        with timer.measure():
-            pass
-        assert timer.sections == 2
-        assert timer.elapsed >= 0
-
-    def test_timed_contextmanager(self):
-        with timed() as timer:
-            sum(range(1000))
-        assert timer.elapsed > 0
-
-    def test_speedup(self):
-        assert speedup(2.0, 1.0) == 2.0
-        assert speedup(1.0, 0.0) == float("inf")
-
-    def test_summarize(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        assert stats["mean"] == 2.0
-        assert stats["min"] == 1.0
-        assert summarize([]) == {"mean": 0.0, "median": 0.0, "min": 0.0, "max": 0.0}
-
-    def test_sweep(self):
-        sweep = Sweep("n", [1, 2, 3])
-        rows = sweep.run(lambda n: {"square": n * n})
-        assert sweep.column("square") == [1, 4, 9]
-        assert rows[0]["n"] == 1

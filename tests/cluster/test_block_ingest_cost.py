@@ -1,10 +1,9 @@
 """What the stream block path may touch: facts, not timings.
 
 A block's ingest must cost the block, not the log: the Event Handler and the
-process pool read the Event Base by position, the Occurred-Events tree is fed
-when somebody reads it, and every block carries the type signature the Event
-Base's ``extend`` returned while indexing it.  How fast that is belongs
-to ``benchmarks/e2e``; that it *is* so is asserted here.
+process pool read the Event Base by position, and every block carries the
+type signature the Event Base's ``extend`` returned while indexing it.  How
+fast that is belongs to ``benchmarks/e2e``; that it *is* so is asserted here.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.events.event_base import _OccurrenceStore
-from repro.events.event_tree import OccurredEventsTree
 from repro.oodb.database import ChimeraDatabase
 from repro.rules.event_handler import BlockIngest
 from repro.workloads.scaling import (
@@ -29,9 +27,8 @@ RULES = 120
     [{"shards": 0}, {"shards": 2, "shard_mode": "processes"}],
     ids=["single-table", "processes"],
 )
-def test_stream_blocks_never_copy_the_log_or_feed_the_tree(placement, monkeypatch):
+def test_stream_blocks_never_copy_the_log(placement, monkeypatch):
     log_copies: list[int] = []
-    tree_stores: list[int] = []
     #: ``(occurrences, signature handed to BlockIngest)`` of every stream block.
     blocks: list[tuple[tuple, frozenset | None]] = []
 
@@ -41,12 +38,6 @@ def test_stream_blocks_never_copy_the_log_or_feed_the_tree(placement, monkeypatc
         log_copies.append(len(store))
         return whole_log(store)
 
-    original_store = OccurredEventsTree.store
-
-    def spied_store(tree, occurrence):
-        tree_stores.append(occurrence.eid)
-        return original_store(tree, occurrence)
-
     original_init = BlockIngest.__init__
 
     def spied_init(batch, occurrences, type_signature=None):
@@ -55,7 +46,6 @@ def test_stream_blocks_never_copy_the_log_or_feed_the_tree(placement, monkeypatc
             blocks.append((batch.occurrences, type_signature))
 
     monkeypatch.setattr(_OccurrenceStore, "occurrences", property(spied_occurrences))
-    monkeypatch.setattr(OccurredEventsTree, "store", spied_store)
     monkeypatch.setattr(BlockIngest, "__init__", spied_init)
 
     universe = build_scaling_universe(RULES)
@@ -75,7 +65,6 @@ def test_stream_blocks_never_copy_the_log_or_feed_the_tree(placement, monkeypatc
 
     assert considered > 0 and rules_checked > 0  # the pipeline did its work
     assert log_copies == []
-    assert tree_stores == []
     assert [list(occurrences) for occurrences, _ in blocks] == stream
     for occurrences, handed_signature in blocks:
         # Handed over by the Event Base's extend, not derived per row.

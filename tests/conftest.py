@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.compile import CheckBinder
+from repro.core.evaluation import EvaluationMode, ots, ts
 from repro.core.expressions import Primitive
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase, EventWindow
@@ -40,6 +42,36 @@ def history(*entries: tuple[EventType, str, int]) -> EventWindow:
         )
     ]
     return EventWindow.of(occurrences)
+
+
+class _Interpreter:
+    """The reference evaluator: ``repro.core.evaluation.ts`` / ``ots``."""
+
+    ts = staticmethod(ts)
+    ots = staticmethod(ots)
+
+
+class _Compiled:
+    """The production evaluator: a fresh binding of the compiled shape kernel."""
+
+    @staticmethod
+    def ts(expression, window, instant, mode=EvaluationMode.LOGICAL):
+        return CheckBinder(mode).bind(expression).ts(window, None, instant)
+
+    @staticmethod
+    def ots(expression, window, instant, oid, mode=EvaluationMode.LOGICAL):
+        binding = CheckBinder(mode).bind_instance(expression)
+        return binding.ots(window, None, instant, oid)
+
+
+@pytest.fixture(params=[_Interpreter, _Compiled], ids=["interpreter", "compiled"])
+def calculus(request):
+    """``ts`` / ``ots`` of one evaluator, called like the interpreter's.
+
+    The paper's worked examples run on both: the recursive evaluator is the
+    oracle, the compiled kernels are what the Trigger Support runs.
+    """
+    return request.param
 
 
 def event_base_from(*entries: tuple[EventType, str, int]) -> EventBase:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.evaluation import EvaluationMode, active_objects, evaluate, ots, ts
+from repro.core.evaluation import EvaluationMode, active_objects, evaluate
 from repro.core.parser import parse_expression
 from repro.errors import EvaluationError
 from repro.events.event import EventType, Operation
@@ -25,25 +25,27 @@ class TestPrimitivePerObject:
     expression = parse_expression("create(stock)")
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_active_only_for_affected_object(self, mode):
-        assert ots(self.expression, self.window, 1, "o1", mode) == 1
-        assert ots(self.expression, self.window, 1, "o2", mode) == -1
+    def test_active_only_for_affected_object(self, calculus, mode):
+        assert calculus.ots(self.expression, self.window, 1, "o1", mode) == 1
+        assert calculus.ots(self.expression, self.window, 1, "o2", mode) == -1
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_each_object_keeps_its_own_timestamp(self, mode):
-        assert ots(self.expression, self.window, 5, "o1", mode) == 1
-        assert ots(self.expression, self.window, 5, "o2", mode) == 2
+    def test_each_object_keeps_its_own_timestamp(self, calculus, mode):
+        assert calculus.ots(self.expression, self.window, 5, "o1", mode) == 1
+        assert calculus.ots(self.expression, self.window, 5, "o2", mode) == 2
 
-    def test_unknown_object_is_inactive(self):
-        assert ots(self.expression, self.window, 5, "o9") == -5
+    def test_unknown_object_is_inactive(self, calculus):
+        assert calculus.ots(self.expression, self.window, 5, "o9") == -5
 
-    def test_requires_positive_instant(self):
+    def test_requires_positive_instant(self, calculus):
         with pytest.raises(EvaluationError):
-            ots(self.expression, self.window, 0, "o1")
+            calculus.ots(self.expression, self.window, 0, "o1")
 
-    def test_set_oriented_operator_rejected(self):
+    def test_set_oriented_operator_rejected(self, calculus):
         with pytest.raises(EvaluationError):
-            ots(parse_expression("create(stock) + delete(stock)"), self.window, 3, "o1")
+            calculus.ots(
+                parse_expression("create(stock) + delete(stock)"), self.window, 3, "o1"
+            )
 
 
 class TestInstanceConjunction:
@@ -51,26 +53,26 @@ class TestInstanceConjunction:
 
     expression = parse_expression("create(stock) += modify(stock.quantity)")
 
-    def test_active_only_when_both_hit_same_object(self):
+    def test_active_only_when_both_hit_same_object(self, calculus):
         window = history(
             (CREATE_STOCK, "o1", 1), (CREATE_STOCK, "o2", 2), (MODIFY_QTY, "o1", 3)
         )
-        assert ots(self.expression, window, 5, "o1") == 3
-        assert ots(self.expression, window, 5, "o2") == -5
+        assert calculus.ots(self.expression, window, 5, "o1") == 3
+        assert calculus.ots(self.expression, window, 5, "o2") == -5
 
-    def test_cross_object_combination_is_not_enough(self):
+    def test_cross_object_combination_is_not_enough(self, calculus):
         window = history((CREATE_STOCK, "o1", 1), (MODIFY_QTY, "o2", 3))
-        assert ots(self.expression, window, 5, "o1") == -5
-        assert ots(self.expression, window, 5, "o2") == -5
+        assert calculus.ots(self.expression, window, 5, "o1") == -5
+        assert calculus.ots(self.expression, window, 5, "o2") == -5
         # ... but the set-oriented conjunction is active in the same history.
         set_conjunction = parse_expression("create(stock) + modify(stock.quantity)")
-        assert ts(set_conjunction, window, 5) == 3
+        assert calculus.ts(set_conjunction, window, 5) == 3
 
-    def test_lifted_value_is_positive_iff_some_object_satisfies(self):
+    def test_lifted_value_is_positive_iff_some_object_satisfies(self, calculus):
         same_object = history((CREATE_STOCK, "o1", 1), (MODIFY_QTY, "o1", 3))
         cross_object = history((CREATE_STOCK, "o1", 1), (MODIFY_QTY, "o2", 3))
-        assert ts(self.expression, same_object, 5) == 3
-        assert ts(self.expression, cross_object, 5) == -5
+        assert calculus.ts(self.expression, same_object, 5) == 3
+        assert calculus.ts(self.expression, cross_object, 5) == -5
 
 
 class TestInstanceDisjunctionTimeline:
@@ -85,18 +87,18 @@ class TestInstanceDisjunctionTimeline:
     expression = parse_expression("create(stock) ,= modify(stock.quantity)")
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_per_object_activation(self, mode):
-        assert ots(self.expression, self.window, 1, "o1", mode) == 1
-        assert ots(self.expression, self.window, 2, "o2", mode) == 2
-        assert ots(self.expression, self.window, 2, "o3", mode) == -2
-        assert ots(self.expression, self.window, 3, "o1", mode) == 3
-        assert ots(self.expression, self.window, 3, "o3", mode) == 3
+    def test_per_object_activation(self, calculus, mode):
+        assert calculus.ots(self.expression, self.window, 1, "o1", mode) == 1
+        assert calculus.ots(self.expression, self.window, 2, "o2", mode) == 2
+        assert calculus.ots(self.expression, self.window, 2, "o3", mode) == -2
+        assert calculus.ots(self.expression, self.window, 3, "o1", mode) == 3
+        assert calculus.ots(self.expression, self.window, 3, "o3", mode) == 3
 
-    def test_elementary_instance_disjunction_equals_set_disjunction(self):
+    def test_elementary_instance_disjunction_equals_set_disjunction(self, calculus):
         # The paper notes the two coincide when the operands are elementary.
         set_disjunction = parse_expression("create(stock) , modify(stock.quantity)")
         for instant in range(1, 6):
-            assert ts(self.expression, self.window, instant) == ts(
+            assert calculus.ts(self.expression, self.window, instant) == calculus.ts(
                 set_disjunction, self.window, instant
             )
 
@@ -106,21 +108,21 @@ class TestInstanceNegation:
 
     expression = parse_expression("-=create(stock)")
 
-    def test_per_object_negation(self):
+    def test_per_object_negation(self, calculus):
         window = history((CREATE_STOCK, "o1", 1), (CREATE_STOCK, "o2", 4))
-        assert ots(self.expression, window, 2, "o1") == -1
-        assert ots(self.expression, window, 2, "o2") == 2
-        assert ots(self.expression, window, 5, "o2") == -4
+        assert calculus.ots(self.expression, window, 2, "o1") == -1
+        assert calculus.ots(self.expression, window, 2, "o2") == 2
+        assert calculus.ots(self.expression, window, 5, "o2") == -4
 
-    def test_elementary_instance_negation_lifts_like_set_negation(self):
+    def test_elementary_instance_negation_lifts_like_set_negation(self, calculus):
         window = history((CREATE_STOCK, "o1", 1), (MODIFY_QTY, "o2", 2))
         set_negation = parse_expression("-create(stock)")
         for instant in range(1, 5):
-            assert ts(self.expression, window, instant) == ts(
+            assert calculus.ts(self.expression, window, instant) == calculus.ts(
                 set_negation, window, instant
             )
 
-    def test_negated_instance_conjunction_vs_pair_of_negations(self):
+    def test_negated_instance_conjunction_vs_pair_of_negations(self, calculus):
         """The paper's §3.2 pair of 'no stock created and modified' examples."""
         cross_object = history(
             (MODIFY_SHOW, "p1", 5), (CREATE_STOCK, "o1", 2), (MODIFY_QTY, "o2", 3)
@@ -132,15 +134,15 @@ class TestInstanceNegation:
             "modify(show.quantity) + -create(stock) + -modify(stock.quantity)"
         )
         # No single object was both created and modified: the first formula holds.
-        assert ts(negated_conjunction, cross_object, 6) > 0
+        assert calculus.ts(negated_conjunction, cross_object, 6) > 0
         # But some object was created and some object was modified: the second fails.
-        assert ts(separate_negations, cross_object, 6) < 0
+        assert calculus.ts(separate_negations, cross_object, 6) < 0
 
         same_object = history(
             (MODIFY_SHOW, "p1", 5), (CREATE_STOCK, "o1", 2), (MODIFY_QTY, "o1", 3)
         )
-        assert ts(negated_conjunction, same_object, 6) < 0
-        assert ts(separate_negations, same_object, 6) < 0
+        assert calculus.ts(negated_conjunction, same_object, 6) < 0
+        assert calculus.ts(separate_negations, same_object, 6) < 0
 
 
 class TestInstancePrecedence:
@@ -152,19 +154,19 @@ class TestInstancePrecedence:
     expression = parse_expression("modify(stock.minquantity) <= modify(stock.quantity)")
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_timeline(self, mode):
-        assert ots(self.expression, self.window, 1, "o1", mode) == -1
-        assert ots(self.expression, self.window, 2, "o1", mode) == -2
-        assert ots(self.expression, self.window, 3, "o1", mode) == 3
-        assert ots(self.expression, self.window, 9, "o1", mode) == 3
+    def test_timeline(self, calculus, mode):
+        assert calculus.ots(self.expression, self.window, 1, "o1", mode) == -1
+        assert calculus.ots(self.expression, self.window, 2, "o1", mode) == -2
+        assert calculus.ots(self.expression, self.window, 3, "o1", mode) == 3
+        assert calculus.ots(self.expression, self.window, 9, "o1", mode) == 3
 
-    def test_requires_same_object(self):
+    def test_requires_same_object(self, calculus):
         cross = history((MODIFY_MIN, "o1", 1), (MODIFY_QTY, "o2", 3))
-        assert ots(self.expression, cross, 5, "o1") == -5
-        assert ots(self.expression, cross, 5, "o2") == -5
-        assert ts(self.expression, cross, 5) == -5
+        assert calculus.ots(self.expression, cross, 5, "o1") == -5
+        assert calculus.ots(self.expression, cross, 5, "o2") == -5
+        assert calculus.ts(self.expression, cross, 5) == -5
 
-    def test_set_level_use_inside_conjunction(self):
+    def test_set_level_use_inside_conjunction(self, calculus):
         """§3.2: shelf change + at least one stock created then modified."""
         expression = parse_expression(
             "modify(show.quantity) + (create(stock) <= modify(stock.quantity))"
@@ -175,33 +177,91 @@ class TestInstancePrecedence:
         cross_object = history(
             (MODIFY_SHOW, "p1", 1), (CREATE_STOCK, "o1", 2), (MODIFY_QTY, "o2", 3)
         )
-        assert ts(expression, satisfying, 4) > 0
-        assert ts(expression, cross_object, 4) < 0
+        assert calculus.ts(expression, satisfying, 4) > 0
+        assert calculus.ts(expression, cross_object, 4) < 0
         # The set-oriented variant accepts the cross-object history.
         set_variant = parse_expression(
             "modify(show.quantity) + (create(stock) < modify(stock.quantity))"
         )
-        assert ts(set_variant, cross_object, 4) > 0
+        assert calculus.ts(set_variant, cross_object, 4) > 0
+
+
+class TestSection32Timelines:
+    """The §3.2 examples per object over one history, and their set-level use.
+
+    History: creations on o1/o2, a minquantity update on o1, quantity updates
+    on o1 and o3 in one block, and a shelf update on p1.
+    """
+
+    window = history(
+        (CREATE_STOCK, "o1", 1),
+        (CREATE_STOCK, "o2", 2),
+        (MODIFY_MIN, "o1", 3),
+        (MODIFY_QTY, "o1", 4),
+        (MODIFY_QTY, "o3", 4),
+        (MODIFY_SHOW, "p1", 5),
+    )
+
+    @pytest.mark.parametrize(
+        "text, oid, timeline",
+        [
+            ("create(stock)", "o1", {1: 1, 2: 1, 5: 1}),
+            ("create(stock)", "o2", {1: -1, 2: 2, 5: 2}),
+            ("create(stock) += modify(stock.quantity)", "o1", {2: -2, 4: 4, 6: 4}),
+            ("create(stock) += modify(stock.quantity)", "o2", {4: -4, 6: -6}),
+            ("create(stock) ,= modify(stock.quantity)", "o3", {2: -2, 4: 4, 6: 4}),
+            ("-=create(stock)", "o3", {2: 2, 6: 6}),
+            ("-=create(stock)", "o1", {2: -1, 6: -1}),
+            (
+                "modify(stock.minquantity) <= modify(stock.quantity)",
+                "o1",
+                {3: -3, 4: 4, 6: 4},
+            ),
+            ("modify(stock.minquantity) <= modify(stock.quantity)", "o3", {6: -6}),
+        ],
+    )
+    def test_per_object_timeline(self, calculus, text, oid, timeline):
+        expression = parse_expression(text)
+        assert {
+            instant: calculus.ots(expression, self.window, instant, oid)
+            for instant in timeline
+        } == timeline
+
+    @pytest.mark.parametrize(
+        "text, active",
+        [
+            ("modify(show.quantity) + (create(stock) <= modify(stock.quantity))", True),
+            ("modify(show.quantity) + (create(stock) += modify(stock.quantity))", True),
+            (
+                "modify(show.quantity) + -=(create(stock) += modify(stock.quantity))",
+                False,
+            ),
+        ],
+    )
+    def test_instance_expression_in_a_set_context(self, calculus, text, active):
+        assert (calculus.ts(parse_expression(text), self.window, 6) > 0) is active
 
 
 class TestLiftingEdgeCases:
-    def test_existential_lift_over_empty_window_is_inactive(self):
+    def test_existential_lift_over_empty_window_is_inactive(self, calculus):
         window = EventWindow.of([])
         expression = parse_expression("create(stock) += modify(stock.quantity)")
-        assert ts(expression, window, 5) == -5
+        assert calculus.ts(expression, window, 5) == -5
 
-    def test_negation_lift_over_empty_window_is_active(self):
+    def test_negation_lift_over_empty_window_is_active(self, calculus):
         window = EventWindow.of([])
         expression = parse_expression("-=create(stock)")
-        assert ts(expression, window, 5) == 5
+        assert calculus.ts(expression, window, 5) == 5
 
-    def test_ots_never_exceeds_ts(self):
+    def test_ots_never_exceeds_ts(self, calculus):
         window = history(
             (CREATE_STOCK, "o1", 1), (CREATE_STOCK, "o2", 4), (MODIFY_QTY, "o1", 6)
         )
         expression = parse_expression("create(stock)")
         for oid in ("o1", "o2"):
-            assert ots(expression, window, 8, oid) <= ts(expression, window, 8)
+            assert calculus.ots(expression, window, 8, oid) <= calculus.ts(
+                expression, window, 8
+            )
 
     def test_evaluate_wrapper_with_oid(self):
         window = history((CREATE_STOCK, "o1", 2))

@@ -14,6 +14,8 @@ from repro.core.expressions import (
 from repro.core.parser import parse_expression
 from repro.errors import EvaluationError
 from repro.events.event import EventType, Operation
+from repro.events.event_base import EventWindow
+from repro.workloads.generator import EventStreamGenerator, ExpressionGenerator
 
 from tests.conftest import A, B, PA, PB, history
 
@@ -34,25 +36,25 @@ class TestPrimitive:
     expression = parse_expression("create(stock)")
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_not_active_before_first_occurrence(self, mode):
+    def test_not_active_before_first_occurrence(self, calculus, mode):
         # The paper evaluates "at time t < t1"; with integer ticks the earliest
         # probe instant before t1=1 does not exist, so probe exactly where the
         # first occurrence is missing by using a window starting later.
         empty = history((CREATE_STOCK, "o1", 5))
-        assert ts(self.expression, empty, 4, mode) == -4
+        assert calculus.ts(self.expression, empty, 4, mode) == -4
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_active_between_first_and_second(self, mode):
-        assert ts(self.expression, self.window, 1, mode) == 1
+    def test_active_between_first_and_second(self, calculus, mode):
+        assert calculus.ts(self.expression, self.window, 1, mode) == 1
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_activation_timestamp_moves_to_latest_occurrence(self, mode):
-        assert ts(self.expression, self.window, 2, mode) == 2
-        assert ts(self.expression, self.window, 10, mode) == 2
+    def test_activation_timestamp_moves_to_latest_occurrence(self, calculus, mode):
+        assert calculus.ts(self.expression, self.window, 2, mode) == 2
+        assert calculus.ts(self.expression, self.window, 10, mode) == 2
 
-    def test_inactive_value_is_minus_t(self):
+    def test_inactive_value_is_minus_t(self, calculus):
         other = parse_expression("delete(stock)")
-        assert ts(other, self.window, 9) == -9
+        assert calculus.ts(other, self.window, 9) == -9
 
     def test_evaluate_wrapper(self):
         value = evaluate(self.expression, self.window, 5)
@@ -64,9 +66,9 @@ class TestPrimitive:
         assert is_active(self.expression, self.window, 5)
         assert not is_active(parse_expression("delete(stock)"), self.window, 5)
 
-    def test_requires_positive_instant(self):
+    def test_requires_positive_instant(self, calculus):
         with pytest.raises(EvaluationError):
-            ts(self.expression, self.window, 0)
+            calculus.ts(self.expression, self.window, 0)
 
 
 class TestDisjunctionTimeline:
@@ -82,12 +84,14 @@ class TestDisjunctionTimeline:
         [(1, 1), (2, 2), (3, 3), (10, 3)],
     )
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_activation_follows_most_recent_component(self, instant, expected, mode):
-        assert ts(self.expression, self.window, instant, mode) == expected
+    def test_activation_follows_most_recent_component(
+        self, calculus, instant, expected, mode
+    ):
+        assert calculus.ts(self.expression, self.window, instant, mode) == expected
 
-    def test_not_active_when_no_component_occurred(self):
+    def test_not_active_when_no_component_occurred(self, calculus):
         window = history((CREATE_ORDER, "o9", 4))
-        assert ts(self.expression, window, 5) == -5
+        assert calculus.ts(self.expression, window, 5) == -5
 
 
 class TestConjunctionTimeline:
@@ -99,14 +103,14 @@ class TestConjunctionTimeline:
     expression = parse_expression("create(stock) + modify(stock.quantity)")
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_not_active_before_second_component(self, mode):
-        assert ts(self.expression, self.window, 1, mode) == -1
-        assert ts(self.expression, self.window, 2, mode) == -2
+    def test_not_active_before_second_component(self, calculus, mode):
+        assert calculus.ts(self.expression, self.window, 1, mode) == -1
+        assert calculus.ts(self.expression, self.window, 2, mode) == -2
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_active_with_highest_component_timestamp(self, mode):
-        assert ts(self.expression, self.window, 3, mode) == 3
-        assert ts(self.expression, self.window, 10, mode) == 3
+    def test_active_with_highest_component_timestamp(self, calculus, mode):
+        assert calculus.ts(self.expression, self.window, 3, mode) == 3
+        assert calculus.ts(self.expression, self.window, 10, mode) == 3
 
 
 class TestNegationTimeline:
@@ -115,20 +119,28 @@ class TestNegationTimeline:
     expression = parse_expression("-create(stock)")
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_active_before_any_occurrence(self, mode):
+    def test_active_before_any_occurrence(self, calculus, mode):
         window = history((CREATE_STOCK, "o1", 5))
-        assert ts(self.expression, window, 3, mode) == 3
+        assert calculus.ts(self.expression, window, 3, mode) == 3
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_not_active_after_occurrence(self, mode):
+    def test_not_active_after_occurrence(self, calculus, mode):
         window = history((CREATE_STOCK, "o1", 5))
-        assert ts(self.expression, window, 5, mode) == -5
-        assert ts(self.expression, window, 9, mode) == -5
+        assert calculus.ts(self.expression, window, 5, mode) == -5
+        assert calculus.ts(self.expression, window, 9, mode) == -5
 
-    def test_negation_activation_is_current_time(self):
+    def test_negation_activation_is_current_time(self, calculus):
         window = history((MODIFY_QTY, "o1", 2))
-        assert ts(self.expression, window, 7) == 7
-        assert ts(self.expression, window, 8) == 8
+        assert calculus.ts(self.expression, window, 7) == 7
+        assert calculus.ts(self.expression, window, 8) == 8
+
+    def test_inactive_value_follows_the_latest_occurrence(self, calculus):
+        # §3.1's history: create(stock) at t1 and t2, modify at t3.
+        window = history(
+            (CREATE_STOCK, "o1", 1), (CREATE_STOCK, "o2", 2), (MODIFY_QTY, "o1", 3)
+        )
+        values = [calculus.ts(self.expression, window, t) for t in (1, 2, 3, 4)]
+        assert values == [-1, -2, -2, -2]
 
 
 class TestPrecedenceTimeline:
@@ -140,16 +152,17 @@ class TestPrecedenceTimeline:
     expression = parse_expression("create(stock) < modify(stock.quantity)")
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_not_active_before_second_component(self, mode):
-        assert ts(self.expression, self.window, 1, mode) == -1
-        assert ts(self.expression, self.window, 2, mode) == -2
+    def test_not_active_before_second_component(self, calculus, mode):
+        assert calculus.ts(self.expression, self.window, 1, mode) == -1
+        assert calculus.ts(self.expression, self.window, 2, mode) == -2
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_active_with_second_component_timestamp(self, mode):
-        assert ts(self.expression, self.window, 3, mode) == 3
+    def test_active_with_second_component_timestamp(self, calculus, mode):
+        assert calculus.ts(self.expression, self.window, 3, mode) == 3
+        assert calculus.ts(self.expression, self.window, 4, mode) == 3
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_later_first_component_does_not_move_activation(self, mode):
+    def test_later_first_component_does_not_move_activation(self, calculus, mode):
         # The paper: "the second creation has a time stamp greater than that of
         # the last modification", so the activation stays at t3.
         later_create = history(
@@ -157,20 +170,20 @@ class TestPrecedenceTimeline:
             (MODIFY_QTY, "o1", 3),
             (CREATE_STOCK, "o2", 4),
         )
-        assert ts(self.expression, later_create, 9, mode) == 3
+        assert calculus.ts(self.expression, later_create, 9, mode) == 3
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_wrong_order_never_activates(self, mode):
+    def test_wrong_order_never_activates(self, calculus, mode):
         window = history((MODIFY_QTY, "o1", 1), (CREATE_STOCK, "o1", 2))
-        assert ts(self.expression, window, 5, mode) == -5
+        assert calculus.ts(self.expression, window, 5, mode) == -5
 
-    def test_missing_first_component(self):
+    def test_missing_first_component(self, calculus):
         window = history((MODIFY_QTY, "o1", 4))
-        assert ts(self.expression, window, 6) == -6
+        assert calculus.ts(self.expression, window, 6) == -6
 
-    def test_missing_second_component(self):
+    def test_missing_second_component(self, calculus):
         window = history((CREATE_STOCK, "o1", 4))
-        assert ts(self.expression, window, 6) == -6
+        assert calculus.ts(self.expression, window, 6) == -6
 
 
 class TestComplexSetExpression:
@@ -182,33 +195,33 @@ class TestComplexSetExpression:
         "(modify(stock.minquantity) < modify(stock.quantity)))"
     )
 
-    def test_active_when_shelf_changed_and_no_inner_sequence(self):
+    def test_active_when_shelf_changed_and_no_inner_sequence(self, calculus):
         window = history((MODIFY_SHOW, "p1", 4))
-        assert ts(self.EXPRESSION, window, 5) > 0
+        assert calculus.ts(self.EXPRESSION, window, 5) > 0
 
-    def test_inactive_when_stock_order_sequence_happened(self):
+    def test_inactive_when_stock_order_sequence_happened(self, calculus):
         window = history(
             (MODIFY_SHOW, "p1", 2), (CREATE_ORDER, "so1", 3), (MODIFY_DEL, "so1", 4)
         )
-        assert ts(self.EXPRESSION, window, 5) < 0
+        assert calculus.ts(self.EXPRESSION, window, 5) < 0
 
-    def test_inactive_when_min_then_quantity_sequence_happened(self):
+    def test_inactive_when_min_then_quantity_sequence_happened(self, calculus):
         window = history(
             (MODIFY_SHOW, "p1", 2), (MODIFY_MIN, "o1", 3), (MODIFY_QTY, "o2", 4)
         )
-        assert ts(self.EXPRESSION, window, 5) < 0
+        assert calculus.ts(self.EXPRESSION, window, 5) < 0
 
-    def test_inactive_without_shelf_change(self):
+    def test_inactive_without_shelf_change(self, calculus):
         window = history((CREATE_ORDER, "so1", 3))
-        assert ts(self.EXPRESSION, window, 5) < 0
+        assert calculus.ts(self.EXPRESSION, window, 5) < 0
 
-    def test_unordered_inner_events_do_not_disable(self):
+    def test_unordered_inner_events_do_not_disable(self, calculus):
         # quantity modified *before* minquantity: the inner precedence is not
         # active, so its negation keeps the whole expression active.
         window = history(
             (MODIFY_QTY, "o2", 2), (MODIFY_MIN, "o1", 3), (MODIFY_SHOW, "p1", 4)
         )
-        assert ts(self.EXPRESSION, window, 5) > 0
+        assert calculus.ts(self.EXPRESSION, window, 5) > 0
 
 
 class TestModesAgree:
@@ -240,3 +253,35 @@ class TestEvaluationStats:
         assert first.primitive_lookups == 3
         first.reset()
         assert first.node_visits == 0
+
+    def test_work_grows_with_expression_size_and_instance_lifts(self):
+        """The cost shape of one ``ts``: node visits grow with the operator
+        count for every operator mix, and lifting instance-oriented
+        sub-expressions over their objects costs primitive look-ups."""
+        blocks = EventStreamGenerator(seed=33, events_per_block=3).blocks(80)
+        window = EventWindow.of(
+            [occurrence for block in blocks for occurrence in block]
+        )
+        latest = window.latest_timestamp()
+        mixes = {
+            "boolean": dict(precedence_weight=0.0, allow_negation=False),
+            "precedence": dict(precedence_weight=3.0, allow_negation=False),
+            "negation": dict(precedence_weight=0.5, negation_weight=3.0),
+            "instance": dict(precedence_weight=0.5, instance_probability=0.6),
+        }
+
+        def cost(mix: str, operators: int) -> EvaluationStats:
+            options = {"instance_probability": 0.0, **mixes[mix]}
+            generator = ExpressionGenerator(seed=operators, **options)
+            stats = EvaluationStats()
+            for expression in generator.expressions(10, operators=operators):
+                for step in range(50):
+                    ts(expression, window, 1 + (step * 7) % latest, stats=stats)
+            return stats
+
+        for mix in mixes:
+            assert cost(mix, 16).node_visits > cost(mix, 1).node_visits, mix
+        assert (
+            cost("instance", 8).primitive_lookups
+            > cost("boolean", 8).primitive_lookups
+        )

@@ -163,6 +163,7 @@ class TestOperatorTable:
             "precedence",
             "disjunction",
         ]
+        assert [info.set_symbol for info in OPERATOR_TABLE] == ["-", "+", "<", ","]
 
     def test_priorities_decrease(self):
         priorities = [info.priority for info in OPERATOR_TABLE]

@@ -97,17 +97,65 @@ class TestLawsOnNegatedOperands:
 class TestDeMorganExplicit:
     """The Fig. 5 identity spelled out: ts(-(A , B)) == ts(-A + -B)."""
 
-    def test_identity_over_all_instants(self):
+    def test_identity_over_all_instants(self, calculus):
         lhs = SetNegation(SetDisjunction(PA, PB))
         rhs = SetConjunction(SetNegation(PA), SetNegation(PB))
         for instant in INSTANTS:
-            assert ts(lhs, WINDOW, instant) == ts(rhs, WINDOW, instant)
+            assert calculus.ts(lhs, WINDOW, instant) == calculus.ts(
+                rhs, WINDOW, instant
+            )
 
-    def test_dual_identity_over_all_instants(self):
+    def test_dual_identity_over_all_instants(self, calculus):
         lhs = SetNegation(SetConjunction(PA, PB))
         rhs = SetDisjunction(SetNegation(PA), SetNegation(PB))
         for instant in INSTANTS:
-            assert ts(lhs, WINDOW, instant) == ts(rhs, WINDOW, instant)
+            assert calculus.ts(lhs, WINDOW, instant) == calculus.ts(
+                rhs, WINDOW, instant
+            )
+
+
+class TestFigure5Traces:
+    """Fig. 5: the ts traces of A, -A, B, A , B, -(A , B) and -A + -B.
+
+    The history interleaves A and B with a bystander C; the traces are
+    sampled at t1..t10.
+    """
+
+    WINDOW = history(
+        (C, "o1", 1),
+        (A, "o1", 2),
+        (C, "o2", 4),
+        (B, "o2", 5),
+        (A, "o3", 7),
+        (B, "o1", 8),
+        (C, "o3", 9),
+    )
+    TRACES = {
+        "A": [-1, 2, 2, 2, 2, 2, 7, 7, 7, 7],
+        "-A": [1, -2, -2, -2, -2, -2, -7, -7, -7, -7],
+        "B": [-1, -2, -3, -4, 5, 5, 5, 8, 8, 8],
+        "A , B": [-1, 2, 2, 2, 5, 5, 7, 8, 8, 8],
+        "-(A , B)": [1, -2, -2, -2, -5, -5, -7, -8, -8, -8],
+        "-A + -B": [1, -2, -2, -2, -5, -5, -7, -8, -8, -8],
+    }
+    EXPRESSIONS = {
+        "A": PA,
+        "-A": SetNegation(PA),
+        "B": PB,
+        "A , B": SetDisjunction(PA, PB),
+        "-(A , B)": SetNegation(SetDisjunction(PA, PB)),
+        "-A + -B": SetConjunction(SetNegation(PA), SetNegation(PB)),
+    }
+
+    def test_traces(self, calculus):
+        traces = {
+            label: [calculus.ts(expression, self.WINDOW, t) for t in range(1, 11)]
+            for label, expression in self.EXPRESSIONS.items()
+        }
+        assert traces == self.TRACES
+        # The identity the figure demonstrates, and negation as a mirror image.
+        assert traces["-(A , B)"] == traces["-A + -B"]
+        assert traces["-A"] == [-value for value in traces["A"]]
 
 
 class TestExpressionsEquivalent:

@@ -1,6 +1,5 @@
 """Static optimization: derivation rules (Fig. 6), simplification (Fig. 7), V(E)."""
 
-
 from repro.core.expressions import (
     InstanceConjunction,
     Primitive,
@@ -21,7 +20,13 @@ from repro.core.optimization import (
     simplify_variations,
     variation_set,
 )
+from repro.core.parser import parse_expression
 from repro.events.event import EventOccurrence, EventType, Operation
+from repro.oodb.database import ChimeraDatabase
+from repro.rules.actions import NO_ACTION
+from repro.rules.conditions import TRUE_CONDITION
+from repro.rules.rule import Rule
+from repro.workloads.generator import EventStreamGenerator, ExpressionGenerator
 
 from tests.conftest import A, B, C, D, PA, PB, PC, PD
 
@@ -225,6 +230,13 @@ class TestPaperExample:
         rendered = format_variations(variation_set(self.EXPRESSION))
         assert rendered == "{Δ+create(C), Δcreate(A), Δcreate(B)}"
 
+    def test_written_form_has_the_same_variation_set(self):
+        written = parse_expression(
+            "(create(A) + create(B)) , (create(C) + -create(A)) , "
+            "((create(A) += create(C)) + -=(create(B) += create(A)))"
+        )
+        assert variation_set(written) == variation_set(self.EXPRESSION)
+
 
 class TestRecomputationFilter:
     def occurrence(self, event_type: EventType, oid: str = "o1", timestamp: int = 1):
@@ -347,3 +359,78 @@ class TestSchemaAwareMatching:
         assert filter_.needs_recomputation(
             [self.occurrence(EventType(Operation.CREATE, "notFilledOrder"))]
         )
+
+
+def run_engine(expressions, blocks, optimized: bool):
+    """Stream ``blocks`` through a database with one rule per expression.
+
+    Returns the ``(rule, instant)`` of every consideration and the Trigger
+    Support counters.
+    """
+    db = ChimeraDatabase(use_static_optimization=optimized)
+    try:
+        for index, expression in enumerate(expressions):
+            db.define_rule(
+                Rule(
+                    name=f"r{index}",
+                    events=expression,
+                    condition=TRUE_CONDITION,
+                    action=NO_ACTION,
+                )
+            )
+        for block in blocks:
+            db.engine.run_stream_block(block)
+        considered = [(rec.rule_name, rec.instant) for rec in db.considerations]
+        return considered, db.trigger_statistics()
+    finally:
+        db.close()
+
+
+class TestEngineRouting:
+    """V(E) on the running engine: routing skips checks, never a triggering."""
+
+    def test_routing_skips_checks_and_the_saving_grows_with_the_rules(self):
+        stream = EventStreamGenerator(seed=42, events_per_block=2).blocks(150)
+        saved = []
+        for rules in (4, 16, 64):
+            expressions = ExpressionGenerator(
+                seed=100 + rules, instance_probability=0.2
+            ).expressions(rules, operators=3)
+            routed, routed_stats = run_engine(expressions, stream, optimized=True)
+            scanned, scanned_stats = run_engine(expressions, stream, optimized=False)
+            assert routed == scanned, rules
+            bypassed = routed_stats["rules_bypassed_by_index"]
+            assert bypassed > 0
+            assert routed_stats["rules_checked"] + bypassed == (
+                scanned_stats["rules_checked"]
+            )
+            assert (
+                routed_stats["primitive_lookups"] <= scanned_stats["primitive_lookups"]
+            )
+            saved.append(bypassed)
+        assert saved == sorted(saved)
+
+    def test_negated_precedence_keeps_the_right_operands_positive_sign(self):
+        """The smallest miss of the literal Fig. 6 reading in a generated pool.
+
+        Read literally, precedence hands the requested sign to its right
+        operand only: under the outer negation ``modify`` would be watched as
+        ``Δ-`` alone, so a block holding only ``modify`` would never be routed
+        to the rule.  Yet that block triggers it.  The new ``modify`` moves
+        the instant the left operand is probed at past the ``delete``, so the
+        precedence stops holding and its negation is active at t21.
+        """
+        expression = parse_expression("-(-delete(cls0) < modify(cls0.attr0))")
+        deleted = EventType(Operation.DELETE, "cls0")
+        modified = EventType(Operation.MODIFY, "cls0", "attr0")
+        assert Variation(modified, Sign.BOTH, Scope.SET) in variation_set(expression)
+        blocks = [
+            [EventOccurrence(14, modified, "cls0#4", 15)],
+            [EventOccurrence(16, deleted, "cls0#5", 17)],
+            [EventOccurrence(20, modified, "cls0#1", 21)],
+        ]
+        routed, stats = run_engine([expression], blocks, optimized=True)
+        scanned, _ = run_engine([expression], blocks, optimized=False)
+        assert routed == scanned == [("r0", 21)]
+        # Only the delete block was skipped.
+        assert stats["rules_bypassed_by_index"] == 1

@@ -156,6 +156,11 @@ class TestRoundTrip:
         "modify(show.quantity) + -(create(stockOrder) < modify(stockOrder.delquantity))",
         "(create(A) , create(B)) + -create(C)",
         "modify(show.quantity) + (create(stock) += (modify(stock.minquantity) ,= modify(stock.quantity)))",
+        # Fig. 1: every operator in one expression.
+        "modify(show.quantity) + -("
+        "(create(stockOrder) < modify(stockOrder.delquantity)) , "
+        "(create(stock) += (-=delete(stock) ,= "
+        "(modify(stock.minquantity) <= modify(stock.quantity)))))",
     ]
 
     @pytest.mark.parametrize("text", EXPRESSIONS)

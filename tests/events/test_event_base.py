@@ -228,6 +228,8 @@ class TestFigure4Accessors:
         assert figure3_eb.timestamp(5) == 5
         assert figure3_eb.timestamp(6) == 6
         assert figure3_eb.timestamp(7) == 7
+        # e3 and e4 were generated by one block.
+        assert figure3_eb.timestamp(3) == figure3_eb.timestamp(4) == 3
 
     def test_event_on_class(self, figure3_eb):
         assert figure3_eb.event_on_class(1) == "stock"
@@ -278,6 +280,54 @@ class TestQueries:
     def test_select_predicate(self, figure3_eb):
         stock_events = figure3_eb.select(lambda occ: occ.event_on_class == "stock")
         assert len(stock_events) == 5
+
+
+class TestOccurredEventsStructure:
+    """Paper §5's Occurred-Events structure is the Event Base's type index.
+
+    Each event type that occurred has one index of its occurrences, which
+    keeps the type's latest time stamp; a class-level pattern reads every
+    matching type.
+    """
+
+    MODIFY_STOCK_MIN = EventType(Operation.MODIFY, "stock", "minquantity")
+    DELETE_STOCK = EventType(Operation.DELETE, "stock")
+
+    @pytest.fixture
+    def eb(self):
+        return event_base_from(
+            (CREATE_STOCK, "o1", 1),
+            (MODIFY_STOCK_QTY, "o1", 3),
+            (self.MODIFY_STOCK_MIN, "o2", 4),
+            (MODIFY_STOCK_QTY, "o2", 6),
+        )
+
+    def test_one_index_per_occurred_type(self, eb):
+        assert eb.event_types() == {
+            CREATE_STOCK,
+            MODIFY_STOCK_QTY,
+            self.MODIFY_STOCK_MIN,
+        }
+
+    def test_each_type_keeps_its_latest_time_stamp(self, eb):
+        latest = eb.latest_timestamp()
+        assert eb.last_timestamp(MODIFY_STOCK_QTY, latest) == 6
+        assert eb.last_timestamp(self.MODIFY_STOCK_MIN, latest) == 4
+        assert eb.last_timestamp(MODIFY_STOCK, latest) == 6
+        assert eb.last_timestamp(self.DELETE_STOCK, latest) is None
+
+    def test_occurrences_of_a_type_since_a_time_stamp(self, eb):
+        def eids(store, event_type):
+            return [occurrence.eid for occurrence in store.occurrences_of(event_type)]
+
+        assert eids(eb, MODIFY_STOCK_QTY) == [2, 4]
+        assert eids(eb, MODIFY_STOCK) == [2, 3, 4]
+        assert eids(eb.view(after=3), MODIFY_STOCK_QTY) == [4]
+        assert eids(eb.view(after=4), self.MODIFY_STOCK_MIN) == []
+
+    def test_objects_affected(self, eb):
+        assert eb.objects_affected_by([MODIFY_STOCK]) == {"o1", "o2"}
+        assert eb.objects_affected_by([CREATE_STOCK]) == {"o1"}
 
 
 class TestEventWindow:

@@ -68,6 +68,26 @@ class TestStreams:
             list(load_occurrences(io.StringIO("not json\n")))
         assert "line 1" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2, 3]",
+            "null",
+            '"create(stock)"',
+            '{"eid": null, "operation": "create", "class": "stock", '
+            '"oid": "o1", "timestamp": 3}',
+            '{"eid": 2, "operation": "create", "class": "stock", '
+            '"oid": {"__oid__": 5}, "timestamp": 3}',
+        ],
+        ids=["array", "null", "string", "null-eid", "bad-oid"],
+    )
+    def test_malformed_record_line_reports_its_number(self, line):
+        good = io.StringIO()
+        dump_occurrences([EventOccurrence(1, MODIFY_QTY, "o1", 1)], good)
+        with pytest.raises(EventCalculusError) as excinfo:
+            list(load_occurrences(io.StringIO(good.getvalue() + line + "\n")))
+        assert "line 2" in str(excinfo.value)
+
 
 class TestFiles:
     def test_save_and_load_event_base(self, tmp_path):

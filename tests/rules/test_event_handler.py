@@ -1,9 +1,9 @@
-"""The Event Handler's lazily fed Occurred-Events tree and block signatures.
+"""The Event Handler's block boundaries and block signatures.
 
-The tree (paper §5) is caught up from the log when it is read instead of on
-every flush; it must be indistinguishable from one fed eagerly at each flush.
-A stream block carries the signature the Event Base's ``extend`` returned —
-unless other occurrences were pending, which the block then also holds.
+A flush hands over exactly the occurrences recorded since the previous flush
+(or reset), however they entered the Event Base.  A stream block carries the
+signature the Event Base's ``extend`` returned — unless other occurrences
+were pending, which the block then also holds.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from repro.core.parser import parse_expression
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
-from repro.events.event_tree import OccurredEventsTree
 from repro.oodb.database import ChimeraDatabase
 from repro.rules.actions import NO_ACTION
 from repro.rules.conditions import TRUE_CONDITION
@@ -34,26 +33,17 @@ STEPS = st.one_of(
     st.just(("append",)),
     st.tuples(st.just("extend"), st.sampled_from([0, 2, 7, 130])),
     st.just(("flush",)),
-    st.just(("read",)),
     st.just(("reset",)),
     st.just(("reset_new_eb",)),
 )
 
 
-def assert_same_tree(tree: OccurredEventsTree, eager: OccurredEventsTree) -> None:
-    assert len(tree) == len(eager)
-    assert tree.all_occurrences() == eager.all_occurrences()
-    for event_type in TYPES:
-        assert tree.latest_timestamp(event_type) == eager.latest_timestamp(event_type)
-
-
-class TestLazyOccurredEvents:
+class TestBlockBoundaries:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(STEPS, max_size=25), st.randoms(use_true_random=False))
-    def test_equals_an_eagerly_fed_tree(self, steps, rng):
+    def test_flush_returns_exactly_what_was_pending(self, steps, rng):
         event_base = EventBase()
         handler = EventHandler(event_base)
-        eager = OccurredEventsTree()
         pending: list[EventOccurrence] = []
         eid = stamp = 0
 
@@ -80,10 +70,7 @@ class TestLazyOccurredEvents:
                 event_base.extend(batch)
             elif step[0] == "flush":
                 assert list(handler.flush_block()) == pending
-                eager.store_all(pending)
                 pending = []
-            elif step[0] == "read":
-                assert_same_tree(handler.occurred_events, eager)
             else:
                 if step[0] == "reset_new_eb":
                     event_base = EventBase()
@@ -91,13 +78,8 @@ class TestLazyOccurredEvents:
                 else:
                     # Whatever was pending belongs to the finished transaction.
                     handler.reset()
-                eager.clear()
                 pending = []
             assert handler.pending_count() == len(pending)
-        # Un-flushed occurrences are in the log but never in the tree.
-        tree = handler.occurred_events
-        assert_same_tree(tree, eager)
-        assert not set(tree.all_occurrences()) & set(pending)
 
 
 class TestStoreExternalSignature:

@@ -1,5 +1,7 @@
 """End-to-end scenarios combining composite events, conditions and actions."""
 
+import pytest
+
 from repro.oodb.database import ChimeraDatabase
 from repro.workloads.stock import REORDER_RULE, SHELF_REFILL_RULE, StockScenario
 
@@ -159,3 +161,74 @@ class TestStockScenarioWorkload:
             str(obj.oid): obj.snapshot() for obj in naive.database.store.all_objects()
         }
         assert left == right
+
+
+class TestCouplingAndConsumptionModes:
+    """One monitoring rule in each EC coupling and consumption mode.
+
+    The composite-event extension leaves rule processing alone (paper §1,
+    design principle 3): coupling moves *when* the rule is considered, and
+    consumption only changes how much history each consideration sees.
+    """
+
+    DAYS = 3
+    OPERATIONS_PER_DAY = 40
+    MONITOR_RULE = """
+        define {coupling} {consumption} monitorQty for stock
+        events modify(quantity)
+        condition stock(S), occurred(modify(stock.quantity), S)
+        action modify(stock.onorder, S, S.onorder + 1)
+        end
+    """
+
+    @pytest.fixture(scope="class")
+    def modes(self):
+        results = {}
+        for coupling in ("immediate", "deferred"):
+            for consumption in ("consuming", "preserving"):
+                scenario = StockScenario(
+                    items=15, shelf_products=5, seed=77, install_rules=False
+                )
+                db = scenario.database
+                try:
+                    db.define_rule(
+                        self.MONITOR_RULE.format(
+                            coupling=coupling, consumption=consumption
+                        )
+                    )
+                    scenario.run_days(self.DAYS, self.OPERATIONS_PER_DAY)
+                    stats = db.rule_statistics()["monitorQty"]
+                    results[coupling, consumption] = {
+                        "considered": stats["considered"],
+                        "executed": stats["executed"],
+                        "at_commit": sum(
+                            record.phase == "commit" for record in db.considerations
+                        ),
+                        "updates": sum(
+                            obj.get("onorder") or 0 for obj in db.select("stock")
+                        ),
+                    }
+                finally:
+                    db.close()
+        return results
+
+    def test_deferred_rules_run_only_at_commit(self, modes):
+        deferred = modes["deferred", "consuming"]
+        immediate = modes["immediate", "consuming"]
+        assert deferred["at_commit"] == deferred["considered"]
+        assert immediate["at_commit"] < immediate["considered"]
+        # At most one consideration per transaction (two per simulated day).
+        assert deferred["considered"] <= self.DAYS * 2
+        assert immediate["considered"] > deferred["considered"]
+
+    def test_preserving_rules_see_the_whole_transaction(self, modes):
+        assert (
+            modes["immediate", "preserving"]["updates"]
+            >= modes["immediate", "consuming"]["updates"]
+        )
+        assert modes["immediate", "preserving"]["considered"] == (
+            modes["immediate", "consuming"]["considered"]
+        )
+
+    def test_every_mode_does_work(self, modes):
+        assert all(result["executed"] > 0 for result in modes.values())

@@ -50,19 +50,6 @@ class TestEventHandler:
         assert handler.pending_count() == 0
         assert handler.blocks_processed == 2
 
-    def test_flush_block_feeds_the_occurred_events_tree(self):
-        event_base, _, handler, _ = setup()
-        event_base.record(CREATE_STOCK, "o1", 1)
-        handler.flush_block()
-        assert handler.occurred_events.latest_timestamp(CREATE_STOCK) == 1
-
-    def test_reset_clears_the_tree(self):
-        event_base, _, handler, _ = setup()
-        event_base.record(CREATE_STOCK, "o1", 1)
-        handler.flush_block()
-        handler.reset()
-        assert len(handler.occurred_events) == 0
-
     def test_store_external(self):
         event_base, _, handler, _ = setup()
         from repro.events.event import EventOccurrence

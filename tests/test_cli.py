@@ -3,7 +3,10 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.events.event import EventType, Operation
+from repro.events.event_base import EventBase
 from repro.events.persistence import save_event_base
+from repro.oodb.objects import OID
 from repro.workloads.stock import build_figure3_event_base
 
 
@@ -67,6 +70,44 @@ class TestEvaluate:
         code = main(["evaluate", "create(", "--log", figure3_log])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["replay", "evaluate", "explain"])
+    def test_malformed_log_reports_an_error(self, tmp_path, command, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1, 2, 3]\n")
+        expression = [] if command == "replay" else ["create(stock)"]
+        code = main([command, *expression, "--log", str(path)])
+        assert code == 1
+        assert "error: line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "oid, argument",
+        [(7, "7"), (OID("stock", 3), "stock#3")],
+        ids=["int", "oid"],
+    )
+    def test_oid_argument_names_the_logged_object(
+        self, tmp_path, oid, argument, capsys
+    ):
+        event_base = EventBase()
+        event_base.record(EventType(Operation.CREATE, "stock"), "o1", 1)
+        event_base.record(EventType(Operation.CREATE, "stock"), oid, 7)
+        path = tmp_path / "oids.jsonl"
+        save_event_base(event_base, path)
+        code = main(
+            ["evaluate", "create(stock)", "--log", str(path), "--oid", argument]
+        )
+        output = capsys.readouterr().out
+        assert code == 0
+        assert f"object     : {argument}" in output
+        assert "ts value   : 7" in output
+
+    def test_oid_the_log_never_touched_is_legal(self, figure3_log, capsys):
+        code = main(
+            ["evaluate", "--log", figure3_log, "--oid", "o9", "--", "-=create(stock)"]
+        )
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "ts value   : 7" in output
 
     def test_missing_log_reports_an_error(self, tmp_path, capsys):
         code = main(

@@ -47,12 +47,11 @@ class TestPublicApi:
         for name in events.__all__:
             assert getattr(events, name) is not None
 
-    def test_workloads_baselines_analysis_exports_resolve(self):
+    def test_workloads_analysis_exports_resolve(self):
         import repro.analysis as analysis
-        import repro.baselines as baselines
         import repro.workloads as workloads
 
-        for module in (analysis, baselines, workloads):
+        for module in (analysis, workloads):
             for name in module.__all__:
                 assert getattr(module, name) is not None
 

@@ -7,7 +7,6 @@ from repro.workloads.generator import (
     ExpressionGenerator,
     event_type_universe,
     stream_to_event_base,
-    window_over,
 )
 from repro.workloads.stock import (
     FIGURE3_ROWS,
@@ -96,12 +95,11 @@ class TestEventStreamGenerator:
         second = [[str(o) for o in b] for b in generator.blocks(5)]
         assert first == second
 
-    def test_stream_to_event_base_and_window(self):
+    def test_stream_to_event_base(self):
         generator = EventStreamGenerator(seed=1)
         blocks = generator.blocks(5)
         eb = stream_to_event_base(blocks)
-        window = window_over(blocks)
-        assert len(eb) == len(window) == sum(len(block) for block in blocks)
+        assert list(eb) == [occurrence for block in blocks for occurrence in block]
 
 
 class TestExpressionGenerator:
