@@ -13,8 +13,8 @@ Chimera, extended with the paper's composite event calculus:
   language, conditions with ``occurred``/``at`` event formulas, actions, the
   Event Handler / Trigger Support / Block Executor pipeline);
 * :mod:`repro.cluster` — the scale-out subsystem (the shard coordinator, which
-  plans through the one Rule Table and checks on process shard workers, and
-  their transports);
+  plans through the one Rule Table and checks on process shard workers forked
+  on pipes);
 * :mod:`repro.workloads` — the stock-management scenario and synthetic
   generators;
 * :mod:`repro.analysis` — ``ts`` traces and report rendering.

@@ -24,16 +24,13 @@ Installed as the ``chimera-events`` console script (or run with
     :class:`~repro.oodb.database.ChimeraDatabase`, one
     ``RuleEngine.run_stream_block`` per block.  The engine flags map
     one-to-one onto :class:`repro.config.EngineConfig` fields (``--shards``,
-    ``--shard-mode``, ``--transport``); a flag left out falls back to its
+    ``--shard-mode``); a flag left out falls back to its
     ``CHIMERA_*`` variable and then the default.  The report prints the
     resolved record, the Trigger Support counts (plus the coordinator's when
     one exists), and the phase timings of the ``obs`` registry
     (``block.check``, and ``trip.dispatch`` behind a coordinator);
     ``--metrics`` prints the whole registry.  Speed is measured by
     ``benchmarks/e2e``, not here.
-``worker``
-    Run one TCP shard worker against a coordinator started with
-    ``--transport tcp`` and ``CHIMERA_TCP_SPAWN=0``.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ import sys
 from typing import Any, Sequence
 
 from repro.analysis.reporting import render_kv, render_table
-from repro.config import SHARD_MODES, TRANSPORTS
+from repro.config import SHARD_MODES
 from repro.core.evaluation import evaluate
 from repro.core.explain import explain
 from repro.core.optimization import format_variations, variation_set
@@ -150,15 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     workload_parser.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default=None,
-        help=(
-            "where the processes shard mode's workers live: forked on pipes, "
-            "or behind length-prefixed socket frames"
-        ),
-    )
-    workload_parser.add_argument(
         "--metrics",
         action="store_true",
         help="print the whole metrics registry, not only its timing histograms",
@@ -170,32 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append the final metrics snapshot to this JSON-lines file",
     )
 
-    worker_parser = commands.add_parser(
-        "worker",
-        help="run one TCP shard worker against a remote coordinator",
-        description=(
-            "Connect to a coordinator endpoint (chimera workload --transport "
-            "tcp with tcp_spawn off) and serve shard checks until the "
-            "coordinator stops it.  The worker id and token must match what "
-            "the coordinator printed at startup."
-        ),
-    )
-    worker_parser.add_argument("--host", required=True, help="coordinator host")
-    worker_parser.add_argument(
-        "--port", type=int, required=True, help="coordinator port"
-    )
-    worker_parser.add_argument(
-        "--worker-id", type=int, required=True, help="shard worker id (0-based)"
-    )
-    worker_parser.add_argument(
-        "--token", required=True, help="pool token printed by the coordinator"
-    )
-    worker_parser.add_argument(
-        "--retry-seconds",
-        type=float,
-        default=10.0,
-        help="keep retrying the connection this long (default: 10)",
-    )
     return parser
 
 
@@ -314,7 +276,6 @@ def _command_workload(args: argparse.Namespace) -> int:
     db = ChimeraDatabase(
         shards=args.shards,
         shard_mode=args.shard_mode,
-        transport=args.transport,
     )
     try:
         for rule in build_scaling_rules(args.rules, universe, seed=args.seed):
@@ -365,19 +326,6 @@ def _command_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_worker(args: argparse.Namespace) -> int:
-    from repro.cluster.net import run_worker
-
-    run_worker(
-        args.host,
-        args.port,
-        args.worker_id,
-        args.token,
-        retry_seconds=args.retry_seconds,
-    )
-    return 0
-
-
 _COMMANDS = {
     "evaluate": _command_evaluate,
     "explain": _command_explain,
@@ -386,7 +334,6 @@ _COMMANDS = {
     "replay": _command_replay,
     "stock-demo": _command_stock_demo,
     "workload": _command_workload,
-    "worker": _command_worker,
 }
 
 

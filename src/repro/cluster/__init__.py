@@ -13,7 +13,10 @@ TriggerPlanner` over one Rule Table:
   long-lived worker processes that own their homes' expressions and
   incremental memos plus a mirror of the Event Base's stamp indexes grown
   from per-block log deltas — the one execution mode where trigger checking
-  uses multiple cores.
+  uses multiple cores;
+* :mod:`repro.cluster.transport` — :class:`~repro.cluster.transport.
+  ShardTransport`, which forks those workers on pipes and owns the row log
+  their deltas are sliced from.
 
 Every block is checked on its own, right after it is flushed, exactly as
 the paper's Block Executor does.  See PERFORMANCE.md ("Multi-process shard

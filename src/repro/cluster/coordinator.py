@@ -23,7 +23,7 @@ The decisions are **applied serially in definition order** by the inherited
 check path, so the triggered set, the priority heaps, every counter and the
 returned newly-triggered list are byte-for-byte identical to the single
 table's — the equivalence ``tests/cluster/test_mode_equivalence.py`` pins for
-shard counts 1–8 under rule churn, on both transports.
+shard counts 1–8 under rule churn.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ class ShardCoordinator(TriggerSupport):
 
     Drop-in for :class:`TriggerSupport`: planning, ``check_after_block``,
     ``recheck_all`` and the decision apply are inherited.  Built by the
-    engine when ``shard_mode="processes"`` and ``shards > 0``;
-    ``config.transport`` decides where the workers live.
+    engine when ``shard_mode="processes"`` and ``shards > 0``.
     """
 
     def __init__(
@@ -198,7 +197,7 @@ class ShardCoordinator(TriggerSupport):
             self._process_pool = ProcessShardPool(
                 self.shards - 1, self.config, metrics=self.metrics
             )
-            # Transport health (messages, bytes, worker restarts) folds into
+            # Transport health (messages, bytes, rows encoded) folds into
             # the same snapshot as everything else.
             self.metrics.register_source("pool", self._process_pool.transport_stats)
         return self._process_pool

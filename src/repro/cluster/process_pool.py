@@ -52,10 +52,7 @@ Failure handling: a worker-side evaluation error is re-raised
 coordinator-side as the original exception type with the worker traceback
 chained (:class:`~repro.errors.ShardWorkerError`), after every other reply
 was drained; a worker that died, or failed before applying a message's
-state, poisons the pool, which then refuses further work.  A worker whose
-channel was replaced between blocks (:meth:`ShardTransport.poll_refreshed
-<repro.cluster.transport.ShardTransport.poll_refreshed>`, tcp reconnects)
-is re-sent its definitions and the log from position 0.  Removed rules are
+state, poisons the pool, which then refuses further work.  Removed rules are
 dropped worker-side by names piggybacked on the next message.  Workers are
 daemonic and additionally reaped by a ``weakref.finalize`` shutdown, so an
 abandoned pool cannot leak processes past its coordinator.
@@ -69,7 +66,7 @@ import traceback
 import weakref
 from typing import Callable
 
-from repro.cluster.transport import _FrameReader, create_transport
+from repro.cluster.transport import ShardTransport, _FrameReader
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder, CompiledCheck
 from repro.core.evaluation import EvaluationMode, EvaluationStats
@@ -87,17 +84,16 @@ _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 # ---------------------------------------------------------------------------
 # Worker side (runs in the child process; must stay module-level so the pool
-# also works under the "spawn" start method — and so the TCP entrypoint in
-# repro.cluster.net can run the identical loop over a socket channel)
+# also works under the "spawn" start method)
 # ---------------------------------------------------------------------------
 
 
 def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> None:
     """One shard worker: stamp-index mirror + per-rule bindings/memos, message loop.
 
-    ``config`` is the coordinator's own record (a fork argument on pipes,
-    the handshake reply on tcp), so a worker can never evaluate under
-    different settings than the engine it serves.
+    ``config`` is the coordinator's own record (a fork argument), so a
+    worker can never evaluate under different settings than the engine it
+    serves.
     """
     # This worker's evaluator: shape kernels shared by every rule dealt to
     # it, and the one epoch its bindings' index handles follow.
@@ -247,13 +243,6 @@ class _WorkerHandle:
         #: on the next message, so churn costs no extra round trip).
         self.pending_drops: list[str] = []
 
-    def forget_shipments(self) -> None:
-        """Reset to never-contacted (the reconnect re-sync path)."""
-        self.shipped_events = 0
-        self.shipped_types = 0
-        self.shipped_defs.clear()
-        self.pending_drops.clear()
-
 
 #: One staged send of ``evaluate``: the consulted handle, its encoded request,
 #: the definitions riding along, the type watermark to advance to, and the
@@ -270,9 +259,9 @@ class ProcessShardPool:
     The coordinator of an N-shard table runs N − 1 of them and checks home 0
     itself.  The pool is protocol + residency bookkeeping only: *which* rules
     are candidates for a block is decided by the coordinator's plan, every
-    state mutation happens back in the coordinator, and worker placement,
-    byte channels and the delta encoding live behind the
-    :class:`~repro.cluster.transport.ShardTransport` seam.  See the module
+    state mutation happens back in the coordinator, and the worker processes,
+    their pipes and the delta encoding belong to its
+    :class:`~repro.cluster.transport.ShardTransport`.  See the module
     docstring for the protocol.
     """
 
@@ -288,12 +277,11 @@ class ProcessShardPool:
             )
         self.num_workers = num_workers
         self.config = config
-        self.transport = config.transport
         #: Coordinator-side registry the workers' reply deltas merge into
         #: (None = discard them).  Workers receive only the enabled *flag* —
         #: registries do not cross the process boundary.
         self.metrics = metrics
-        self._transport = create_transport(config)
+        self._transport = ShardTransport(config)
         try:
             self._transport.launch(
                 num_workers, metrics is not None and metrics.enabled
@@ -323,9 +311,6 @@ class ProcessShardPool:
         #: table this equals "each live rule once per owning worker" however
         #: many blocks run (``test_definition_shipped_once_across_blocks``).
         self.defs_shipped = 0
-        #: Worker channels replaced by a reconnect (tcp transport), each
-        #: followed by a defs + mirror re-sync on the next contact.
-        self.reconnects = 0
         #: Coordinator-side serialization cost (delta + message pickling):
         #: the "encode cost" side of the crossover PERFORMANCE.md discusses.
         self.encode_seconds = 0.0
@@ -358,7 +343,6 @@ class ProcessShardPool:
         definition order before applying) plus the merged evaluation stats.
         """
         self._require_usable()
-        self._absorb_reconnects()
         transport = self._transport
         total = len(event_base)
         prepared: list[_PreparedSend] = []
@@ -471,7 +455,6 @@ class ProcessShardPool:
         if self._closed or not self._workers:
             return
         self._require_usable()
-        self._absorb_reconnects()
         payload = pickle.dumps(("reset",), _PROTOCOL)
         for handle in self._workers:
             self._send(handle, payload)
@@ -491,22 +474,6 @@ class ProcessShardPool:
                 "from the coordinator's bookkeeping); close it and let the "
                 "coordinator spawn a fresh one"
             )
-
-    def _absorb_reconnects(self) -> None:
-        """Fold channel replacements into the shipping bookkeeping.
-
-        A worker that reconnected since the last trip (tcp transport) starts
-        from an empty mirror and an empty rule table: resetting its handle
-        makes the next message re-ship every definition it needs plus the
-        whole log from position 0 — the re-sync that lets it rejoin without
-        a coordinator restart.
-        """
-        for worker_id in self._transport.poll_refreshed():
-            handle = self._workers[worker_id]
-            handle.process = self._transport.process(worker_id)
-            handle.connection = self._transport.channel(worker_id)
-            handle.forget_shipments()
-            self.reconnects += 1
 
     def _encode(self, message: tuple) -> bytes:
         try:
@@ -537,11 +504,6 @@ class ProcessShardPool:
             raise ShardWorkerError(
                 f"shard worker {handle.worker_id} died before replying: {exc}"
             ) from exc
-        except SnapshotError:
-            # A corrupt frame means the byte stream desynced — the channel
-            # can never be trusted again, exactly like a dead peer.
-            self._broken = True
-            raise
         self.bytes_received += len(raw)
         reply = pickle.loads(raw)
         if reply[0] == "error":
@@ -573,7 +535,6 @@ class ProcessShardPool:
             "bytes_shipped": self.bytes_shipped,
             "bytes_received": self.bytes_received,
             "defs_shipped": self.defs_shipped,
-            "reconnects": self.reconnects,
             "encode_ms": round(1e3 * self.encode_seconds, 2),
             "delta_encode_ms": round(1e3 * self.delta_encode_seconds, 2),
             "deltas_framed": self.deltas_framed,
@@ -582,7 +543,7 @@ class ProcessShardPool:
         return stats
 
     def close(self) -> None:
-        """Stop and reap the workers, then release the transport (idempotent)."""
+        """Stop and reap the workers, then close their pipes (idempotent)."""
         if not self._closed:
             self._closed = True
             self._finalizer()

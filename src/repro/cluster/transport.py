@@ -1,11 +1,10 @@
-"""The delta transport of the process shard pool: one row log, two placements.
+"""The delta transport of the process shard pool: pipe workers and one row log.
 
 A shard worker keeps a **mirror** of the coordinator's Event Base — only the
 time-stamp indexes the compiled checks read
 (:class:`~repro.events.event_base.StampIndex`), no occurrence objects — grown
 from the log suffix it has not seen.  That suffix crosses in exactly one
-encoding, whichever way the bytes travel, and this module is the only one
-that knows it:
+encoding, and this module is the only one that knows it:
 
 * the coordinator appends every EB position **once** to a :class:`_RowLog` —
   48-byte rows, the paper's ``(EID, event type, OID, time stamp)`` tuple
@@ -22,16 +21,13 @@ that knows it:
   before the mirror changes.
 
 Nothing is evicted before ``note_reset``: a worker that was not consulted for
-a million events, or one that reconnects with an empty mirror, catches up from
-the same log.  The price is 48 bytes per EB position in the coordinator.
+a million events catches up from the same log.  The price is 48 bytes per EB
+position in the coordinator.
 
-A :class:`ShardTransport` therefore only decides **where workers live**:
-:class:`PipeTransport` forks them on ``multiprocessing`` pipes (the default),
-:class:`repro.cluster.net.TcpTransport` reaches them over sockets.  Both hand
-the pool channels with the ``multiprocessing.Connection`` surface
-(``send_bytes`` / ``recv_bytes`` raising ``EOFError`` / ``OSError`` on a dead
-peer), so the worker loop in :mod:`repro.cluster.process_pool` is the same
-code on either.
+:class:`ShardTransport` forks the workers on ``multiprocessing`` pipes —
+channels with ``send_bytes`` / ``recv_bytes`` raising ``EOFError`` /
+``OSError`` on a dead peer, which the worker loop in
+:mod:`repro.cluster.process_pool` reads — and owns the row log.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from repro.events.clock import Timestamp
 from repro.events.event import EventOccurrence, EventType
 from repro.events.event_base import EventBase, StampIndex
 
-__all__ = ["PipeTransport", "ShardTransport", "create_transport"]
+__all__ = ["ShardTransport"]
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -392,64 +388,82 @@ class _FrameReader:
 
 
 # ---------------------------------------------------------------------------
-# The transport interface
+# The transport: forked workers on pipes, one row log
 # ---------------------------------------------------------------------------
 
 
 class ShardTransport:
-    """Worker placement behind one seam; the delta encoding is shared.
+    """The pool's workers, forked on ``multiprocessing`` pipes, and the row log.
 
-    Built from the engine's :class:`~repro.config.EngineConfig` record
-    (:func:`create_transport`), which it also ships to every worker.  The
-    pool calls, in order: :meth:`launch` once; then per block
-    :meth:`poll_refreshed` (reconnect bookkeeping), :meth:`begin_trip`
-    (encode the unseen log tail once), and :meth:`delta_for` per lagging
-    worker; :meth:`note_reset` when the coordinator's EB is rebound; and
+    Built from the engine's :class:`~repro.config.EngineConfig` record, which
+    it ships to every worker as a fork argument.  The pool calls, in order:
+    :meth:`launch` once; then per block :meth:`begin_trip` (encode the unseen
+    log tail once) and :meth:`delta_for` per lagging worker;
+    :meth:`note_reset` when the coordinator's EB is rebound; and
     :meth:`shutdown` (idempotent — also reached via ``weakref.finalize``
-    when a pool is abandoned) at the end of life.  A placement implements
-    :meth:`launch`, :meth:`channel`, :meth:`process`, :meth:`poll_refreshed`
-    and :meth:`shutdown`; the delta methods are the same row log for all.
+    when a pool is abandoned) at the end of life.
     """
-
-    name = "?"
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
         # fork keeps startup in the low milliseconds and needs no re-imports;
-        # the worker mains stay spawn-compatible for platforms without it.
+        # the worker main stays spawn-compatible for platforms without it.
         methods = multiprocessing.get_all_start_methods()
         self.start_method = "fork" if "fork" in methods else methods[0]
         self._row_log = _RowLog()
+        self._members: list[tuple] = []
 
-    # -- placement ----------------------------------------------------------
+    # -- workers ------------------------------------------------------------
     def launch(self, num_workers: int, metrics_enabled: bool) -> None:
-        """Start (or admit) ``num_workers`` workers and open their channels.
+        """Fork ``num_workers`` workers, each on its own pipe.
 
         Every worker receives the transport's ``config`` record itself plus
         the metrics flag (registries do not cross the process boundary).
         """
-        raise NotImplementedError
+        from repro.cluster.process_pool import _worker_main
+
+        context = multiprocessing.get_context(self.start_method)
+        for worker_id in range(num_workers):
+            parent_end, child_end = context.Pipe()
+            process = context.Process(
+                target=_worker_main,
+                args=(child_end, self.config, metrics_enabled),
+                name=f"shard-worker-{worker_id}",
+                daemon=True,
+            )
+            process.start()
+            child_end.close()
+            self._members.append((process, parent_end))
 
     def channel(self, worker_id: int):
-        """The worker's byte channel (``send_bytes`` / ``recv_bytes``)."""
-        raise NotImplementedError
+        """The worker's pipe end (``send_bytes`` / ``recv_bytes``)."""
+        return self._members[worker_id][1]
 
     def process(self, worker_id: int):
-        """The local process behind the worker, if the transport spawned one."""
-        return None
-
-    def poll_refreshed(self) -> tuple[int, ...]:
-        """Worker ids whose channel was replaced since the last poll.
-
-        Pipes are never replaced; the TCP endpoint reports reconnected
-        workers here so the pool can reset their shipping bookkeeping (defs
-        + mirror re-sync from zero) before the next trip.
-        """
-        return ()
+        """The process behind the worker."""
+        return self._members[worker_id][0]
 
     def shutdown(self) -> None:
-        """Stop workers and release transport resources (idempotent)."""
-        raise NotImplementedError
+        """Best-effort worker teardown (idempotent)."""
+        stop = pickle.dumps(("stop",), _PROTOCOL)
+        for process, connection in self._members:
+            try:
+                if process.is_alive():
+                    connection.send_bytes(stop)
+            except Exception:
+                pass
+        for process, connection in self._members:
+            try:
+                process.join(timeout=2.0)
+                if process.is_alive():
+                    process.terminate()
+                    process.join(timeout=1.0)
+            except Exception:
+                pass
+            try:
+                connection.close()
+            except Exception:
+                pass
 
     # -- deltas -------------------------------------------------------------
     def begin_trip(self, event_base: EventBase, total: int) -> None:
@@ -471,66 +485,3 @@ class ShardTransport:
             "frame_rows_inline": self._row_log.rows_inline,
             "frame_rows_fallback": self._row_log.rows_fallback,
         }
-
-
-class PipeTransport(ShardTransport):
-    """Forked workers on ``multiprocessing`` pipes."""
-
-    name = "pipe"
-
-    def __init__(self, config: EngineConfig) -> None:
-        super().__init__(config)
-        self._members: list[tuple] = []
-
-    def launch(self, num_workers: int, metrics_enabled: bool) -> None:
-        from repro.cluster.process_pool import _worker_main
-
-        context = multiprocessing.get_context(self.start_method)
-        for worker_id in range(num_workers):
-            parent_end, child_end = context.Pipe()
-            process = context.Process(
-                target=_worker_main,
-                args=(child_end, self.config, metrics_enabled),
-                name=f"shard-worker-{worker_id}",
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            self._members.append((process, parent_end))
-
-    def channel(self, worker_id: int):
-        return self._members[worker_id][1]
-
-    def process(self, worker_id: int):
-        return self._members[worker_id][0]
-
-    def shutdown(self) -> None:
-        """Best-effort worker teardown."""
-        stop = pickle.dumps(("stop",), _PROTOCOL)
-        for process, connection in self._members:
-            try:
-                if process.is_alive():
-                    connection.send_bytes(stop)
-            except Exception:
-                pass
-        for process, connection in self._members:
-            try:
-                process.join(timeout=2.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=1.0)
-            except Exception:
-                pass
-            try:
-                connection.close()
-            except Exception:
-                pass
-
-
-def create_transport(config: EngineConfig) -> ShardTransport:
-    """Build the transport ``config.transport`` names."""
-    if config.transport == "pipe":
-        return PipeTransport(config)
-    from repro.cluster.net import TcpTransport
-
-    return TcpTransport(config)

@@ -4,8 +4,8 @@ Every setting the layers below :class:`~repro.oodb.database.ChimeraDatabase`
 act on is a field of :class:`EngineConfig`.  The record is built at the top —
 ``defaults → os.environ → explicit keywords`` in
 :meth:`EngineConfig.from_env` — validated in one place, and then handed down
-unchanged: the Trigger Support, the shard coordinator, the process pool, the
-transports (the TCP handshake ships it to remote workers) read their
+unchanged: the Trigger Support, the shard coordinator, the process pool and
+its workers (the pool ships the record to each one it forks) read their
 settings from it and never consult the environment themselves.  A malformed
 or out-of-range value — or a ``CHIMERA_*`` variable no field owns — raises
 :class:`~repro.errors.ConfigError` naming the field (and the environment
@@ -24,15 +24,12 @@ from typing import Any, Mapping
 
 from repro.errors import ConfigError
 
-__all__ = ["ENV_NAMES", "SHARD_MODES", "TRANSPORTS", "EngineConfig", "knob_table"]
+__all__ = ["ENV_NAMES", "SHARD_MODES", "EngineConfig", "knob_table"]
 
 #: Where trigger checks run: inline on the single table, or on ``shards``
 #: evaluators — the shard coordinator plus long-lived process workers
 #: (``repro.cluster.process_pool``).
 SHARD_MODES = ("serial", "processes")
-
-#: Where the process pool's workers live: forked on pipes, or behind sockets.
-TRANSPORTS = ("pipe", "tcp")
 
 _EVALUATION_MODES = ("logical", "algebraic")
 
@@ -93,18 +90,6 @@ class EngineConfig:
         SHARD_MODES,
         "CHIMERA_SHARD_MODE",
         "processes = shard workers; serial = the single table",
-    )
-    transport: str = _knob(
-        "pipe", TRANSPORTS, "CHIMERA_TRANSPORT", "worker placement of processes mode"
-    )
-    tcp_host: str = _knob(
-        "127.0.0.1", str, "CHIMERA_TCP_HOST", "tcp coordinator bind address"
-    )
-    tcp_port: int = _knob(
-        0, (0, 65535), "CHIMERA_TCP_PORT", "tcp coordinator port (0 = ephemeral)"
-    )
-    tcp_spawn: bool = _knob(
-        True, bool, "CHIMERA_TCP_SPAWN", "fork localhost tcp workers (off = external)"
     )
     metrics_path: str = _knob(
         "", str, "CHIMERA_METRICS", "JSON-lines metrics export path (empty = off)"

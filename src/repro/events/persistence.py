@@ -7,12 +7,17 @@ fresh database.  This module
 serializes occurrences to JSON lines (one occurrence per line, append-friendly)
 and loads them back.
 
-Only plain JSON types are stored; OIDs are serialized through ``str`` unless
-they are :class:`~repro.oodb.objects.OID` instances, which round-trip exactly.
+Only plain JSON types are stored.  :class:`~repro.oodb.objects.OID`
+instances — the occurrence's object, or a reference attribute anywhere inside
+its payload — are tagged ``{"__oid__": [class, serial]}`` and round-trip
+exactly.  Each record is serialized in full before it is written, so a value
+JSON cannot hold raises :class:`~repro.errors.EventCalculusError` naming the
+occurrence's EID and never leaves half a line behind.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
@@ -31,22 +36,32 @@ __all__ = [
 ]
 
 
-def _oid_to_json(oid: Any) -> Any:
+def _to_json(value: Any) -> Any:
+    """``value`` with every OID inside dicts, lists and tuples tagged."""
     # Imported lazily: the events package must not depend on the object store
     # at import time (the store depends on events, not the other way around).
     from repro.oodb.objects import OID
 
-    if isinstance(oid, OID):
-        return {"__oid__": [oid.class_name, oid.serial]}
-    return oid
+    if isinstance(value, OID):
+        return {"__oid__": [value.class_name, value.serial]}
+    if isinstance(value, dict):
+        return {key: _to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_to_json(item) for item in value]
+    return value
 
 
-def _oid_from_json(value: Any) -> Any:
+def _from_json(value: Any) -> Any:
+    """Undo :func:`_to_json`: every ``{"__oid__": ...}`` tag becomes an OID."""
     from repro.oodb.objects import OID
 
-    if isinstance(value, dict) and "__oid__" in value:
-        class_name, serial = value["__oid__"]
-        return OID(class_name, int(serial))
+    if isinstance(value, dict):
+        if "__oid__" in value:
+            class_name, serial = value["__oid__"]
+            return OID(class_name, int(serial))
+        return {key: _from_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_from_json(item) for item in value]
     return value
 
 
@@ -57,9 +72,9 @@ def occurrence_to_dict(occurrence: EventOccurrence) -> dict[str, Any]:
         "operation": occurrence.event_type.operation.value,
         "class": occurrence.event_type.class_name,
         "attribute": occurrence.event_type.attribute,
-        "oid": _oid_to_json(occurrence.oid),
+        "oid": _to_json(occurrence.oid),
         "timestamp": occurrence.timestamp,
-        "payload": dict(occurrence.payload),
+        "payload": _to_json(dict(occurrence.payload)),
     }
 
 
@@ -76,20 +91,29 @@ def occurrence_from_dict(record: dict[str, Any]) -> EventOccurrence:
         return EventOccurrence(
             eid=int(record["eid"]),
             event_type=event_type,
-            oid=_oid_from_json(record["oid"]),
+            oid=_from_json(record["oid"]),
             timestamp=int(record["timestamp"]),
-            payload=record.get("payload") or {},
+            payload=_from_json(record.get("payload") or {}),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise EventCalculusError(f"malformed occurrence record: {record!r}") from exc
 
 
 def dump_occurrences(occurrences: Iterable[EventOccurrence], stream: TextIO) -> int:
-    """Write occurrences as JSON lines; returns the number written."""
+    """Write occurrences as JSON lines; returns the number written.
+
+    Raises :class:`EventCalculusError` naming the first occurrence JSON
+    cannot hold; the lines before it are whole.
+    """
     count = 0
     for occurrence in occurrences:
-        json.dump(occurrence_to_dict(occurrence), stream, sort_keys=True)
-        stream.write("\n")
+        try:
+            line = json.dumps(occurrence_to_dict(occurrence), sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise EventCalculusError(
+                f"occurrence eid={occurrence.eid} cannot be saved as JSON: {exc}"
+            ) from exc
+        stream.write(line + "\n")
         count += 1
     return count
 
@@ -114,10 +138,15 @@ def load_occurrences(stream: TextIO) -> Iterator[EventOccurrence]:
 
 
 def save_event_base(event_base: EventBase, path: str | Path) -> int:
-    """Persist a whole Event Base to ``path``; returns the number of rows written."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as stream:
-        return dump_occurrences(event_base.occurrences, stream)
+    """Persist a whole Event Base to ``path``; returns the number of rows written.
+
+    Every record is serialized before ``path`` is opened, so a failure
+    leaves the file as it was.
+    """
+    buffer = io.StringIO()
+    count = dump_occurrences(event_base.occurrences, buffer)
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8")
+    return count
 
 
 def load_event_base(path: str | Path) -> EventBase:

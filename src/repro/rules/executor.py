@@ -69,7 +69,7 @@ class RuleEngine:
     rule_table: RuleTable | None = None
     #: The engine's settings; ``None`` resolves them from the environment
     #: (``EngineConfig.from_env()``).  This record is what every layer below
-    #: — Trigger Support, coordinator, pool, transports — reads.  A shard
+    #: — Trigger Support, coordinator, pool, workers — reads.  A shard
     #: coordinator is built only for ``shard_mode="processes"`` with
     #: ``shards > 0``; otherwise the single-table Trigger Support checks
     #: everything inline.

@@ -21,7 +21,7 @@ import pytest
 
 from repro.cluster.coordinator import ShardCoordinator
 from repro.cluster.process_pool import ProcessShardPool
-from repro.config import TRANSPORTS, EngineConfig
+from repro.config import EngineConfig
 from repro.core.compile import CheckBinder
 from repro.core.evaluation import EvaluationMode, EvaluationStats
 from repro.core.parser import parse_expression
@@ -213,8 +213,8 @@ WORKER_EXPRESSIONS = (
 )
 
 
-def pool_config(transport: str = "pipe", **overrides) -> EngineConfig:
-    return EngineConfig.from_env(transport=transport, **overrides)
+def pool_config(**overrides) -> EngineConfig:
+    return EngineConfig.from_env(**overrides)
 
 
 def rule_state(name: str, expression: str, order: int) -> RuleState:
@@ -225,8 +225,7 @@ class TestWorkerProtocol:
     """The pool driven directly: what one block sends, and what comes back."""
 
     @pytest.mark.parametrize("mode", ["logical", "algebraic"])
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_rows_equal_the_in_process_check_in_item_order(self, transport, mode):
+    def test_rows_equal_the_in_process_check_in_item_order(self, mode):
         """Random items in random order over a growing log: each row answers
         its own item and equals the compiled check run in-process over the
         Event Base, memo carried across blocks — stats included."""
@@ -240,7 +239,7 @@ class TestWorkerProtocol:
         event_base = EventBase()
         rng = random.Random(13)
         triggered = 0
-        with ProcessShardPool(1, pool_config(transport, evaluation_mode=mode)) as pool:
+        with ProcessShardPool(1, pool_config(evaluation_mode=mode)) as pool:
             for now in range(1, 16):
                 for _ in range(rng.randint(0, 2)):
                     event_base.record(
@@ -331,15 +330,14 @@ class TestWorkerProtocol:
             decision for _, decision in rows
         ]
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_only_consulted_workers_receive_a_message(self, transport):
+    def test_only_consulted_workers_receive_a_message(self):
         """One message per consulted worker per block; a worker left out
         catches up on the whole log in one delta the next time it is."""
         first = rule_state("a", "create(alpha)", 0)
         second = rule_state("b", "create(alpha)", 1)
         event_base = EventBase()
         event_base.record(ALPHA, oid="o1", timestamp=1)
-        with ProcessShardPool(2, pool_config(transport)) as pool:
+        with ProcessShardPool(2, pool_config()) as pool:
             rows, _ = pool.evaluate(event_base, {1: [(second, 0)]}, 1)
             assert [decision.triggered for _, decision in rows] == [True]
             assert (pool.dispatches, pool.worker_round_trips) == (1, 1)

@@ -83,51 +83,18 @@ def test_larger_pool_process_mode():
 
 
 # ---------------------------------------------------------------------------
-# Worker placement: pipe and tcp byte-identical, rechecks and the oracle
+# Rechecks against the oracle
 # ---------------------------------------------------------------------------
 
-TRANSPORTS = ("pipe", "tcp")
 
-
-def test_tcp_transport_across_modes_and_shard_counts():
-    """The socket transport is pinned exactly like the pipe one.
-
-    ``--transport tcp`` over localhost workers must produce byte-identical
-    traces / per-rule counters / stats / snapshot counters to the unsharded
-    reference (and hence to ``pipe``, which earlier tests pin against the
-    same reference) across coordinator modes and shard counts 1-8.
-    """
-    for seed in (3, 9):
-        scenario = build_scenario(seed)
-        reference = run_scenario(scenario)
-        for mode in MODES:
-            result = run_scenario(scenario, shards=4, shard_mode=mode, transport="tcp")
-            assert result == reference, f"seed {seed}, tcp x {mode} diverged"
-    scenario = build_scenario(9)
-    reference = run_scenario(scenario)
-    for shards in (1, 2, 5, 8):
-        for mode in MODES:
-            result = run_scenario(
-                scenario, shards=shards, shard_mode=mode, transport="tcp"
-            )
-            assert result == reference, f"tcp: {mode} x {shards} shards diverged"
-
-
-def test_rechecks_match_the_oracle_on_every_transport():
-    """Commit-style rechecks between blocks keep every placement equal to
+def test_rechecks_match_the_oracle_on_process_workers():
+    """Commit-style rechecks between blocks keep the process mode equal to
     the single table, and to the reference evaluator."""
     scenario = build_scenario(11)
     reference = run_scenario(scenario, recheck_every=6, oracle=True)
     assert run_scenario(scenario, recheck_every=6) == reference
-    for transport in TRANSPORTS:
-        result = run_scenario(
-            scenario,
-            shards=3,
-            shard_mode="processes",
-            transport=transport,
-            recheck_every=6,
-        )
-        assert result == reference, f"{transport}: rechecks diverged"
+    result = run_scenario(scenario, shards=3, shard_mode="processes", recheck_every=6)
+    assert result == reference, "rechecks diverged"
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,7 @@
 
 The happy path is pinned by the cross-mode differential harness
 (``test_mode_equivalence.py``); these tests pin what happens when things go
-wrong out of process, and what the row log owes a worker that fell behind —
-on both worker placements (``pipe`` and ``tcp``) where the placement could
-matter:
+wrong out of process, and what the row log owes a worker that fell behind:
 
 * a worker-side evaluation error surfaces in the coordinator as the
   *original* exception type (behavioral parity with the serial mode's error
@@ -13,8 +11,7 @@ matter:
   reply can pair with a later request;
 * a dead worker poisons the pool: the failing call raises
   ``ShardWorkerError``, every subsequent call fails loudly instead of
-  silently desyncing, and ``close()`` leaves no process, socket or thread
-  behind;
+  silently desyncing, and ``close()`` leaves no process behind;
 * an unpicklable user payload fails in the coordinator, naming the
   occurrence, before any worker hears of the trip;
 * a delta that does not add up is refused worker-side (``SnapshotError``)
@@ -36,7 +33,7 @@ import multiprocessing
 import pytest
 
 from repro.cluster.coordinator import ShardCoordinator, home_shard
-from repro.config import TRANSPORTS, EngineConfig
+from repro.config import EngineConfig
 from repro.core.parser import parse_expression
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.event import EventType, Operation
@@ -68,7 +65,6 @@ def homed_names(homes, shards: int = 2) -> list[str]:
 
 def build_support(
     rule_count: int = 4,
-    transport: str | None = None,
     expressions: tuple[str, ...] = ("create(alpha)",),
     shard_mode: str = "processes",
     shards: int = 2,
@@ -91,9 +87,7 @@ def build_support(
             )
         ).reset(0)
     handler = EventHandler(event_base)
-    config = EngineConfig.from_env(
-        shards=shards, shard_mode=shard_mode, transport=transport
-    )
+    config = EngineConfig.from_env(shards=shards, shard_mode=shard_mode)
     support = (ShardCoordinator if shard_mode == "processes" else TriggerSupport)(
         table, event_base, config
     )
@@ -178,18 +172,14 @@ def test_dead_worker_poisons_the_pool():
         support.close()
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_dead_worker_leaks_nothing_past_close(transport):
-    """Worker death mid-stream: ``close()`` still reaps every process and
-    releases what the placement opened."""
-    table, event_base, handler, support = build_support(transport=transport)
+def test_dead_worker_leaks_nothing_past_close():
+    """Worker death mid-stream: ``close()`` still reaps every process."""
+    table, event_base, handler, support = build_support()
     try:
         assert feed_block(event_base, handler, support, 1)
         pool = support.process_pool
         assert pool is not None
         processes = [handle.process for handle in pool._workers]
-        placement = pool._transport
-        endpoint = getattr(placement, "_endpoint", None)
         for process in processes:
             process.kill()
             process.join(timeout=5.0)
@@ -199,16 +189,11 @@ def test_dead_worker_leaks_nothing_past_close(transport):
         support.close()
     assert support.process_pool is None
     assert all(process.exitcode is not None for process in processes)
-    if endpoint is not None:
-        # tcp: the endpoint's loop thread and the listening socket are gone.
-        assert not endpoint._thread.is_alive()
-        assert placement._endpoint is None and placement._sock is None
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_unpicklable_payload_fails_at_dispatch_not_in_worker(transport):
+def test_unpicklable_payload_fails_at_dispatch_not_in_worker():
     """The coordinator surfaces SnapshotError synchronously, naming the EID."""
-    table, event_base, handler, support = build_support(1, transport)
+    table, event_base, handler, support = build_support(1)
     try:
         event_base.record(CREATE_ALPHA, oid="alpha#0", timestamp=1)
         event_base.record(
@@ -291,10 +276,8 @@ def _run_blocks(support, handler, event_base, blocks, first_stamp=1):
     return trace
 
 
-def _reset_mid_stream(shard_mode: str, transport: str | None):
-    table, event_base, handler, support = build_support(
-        6, transport, ALPHA_OR_GAMMA, shard_mode
-    )
+def _reset_mid_stream(shard_mode: str):
+    table, event_base, handler, support = build_support(6, ALPHA_OR_GAMMA, shard_mode)
     try:
         first_log = [
             [(CREATE_ALPHA, 1)],
@@ -327,22 +310,20 @@ def _reset_mid_stream(shard_mode: str, transport: str | None):
             support.close()
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_reset_mid_stream_restarts_positions_and_type_table(transport):
-    reference = _reset_mid_stream("serial", None)
+def test_reset_mid_stream_restarts_positions_and_type_table():
+    reference = _reset_mid_stream("serial")
     assert any(reference[0][2:])  # the second log triggers something
-    assert _reset_mid_stream("processes", transport) == reference
+    assert _reset_mid_stream("processes") == reference
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_lagging_worker_catches_up_from_the_log(transport):
+def test_lagging_worker_catches_up_from_the_log():
     """A worker nobody consulted for 70 000 events — more than any fixed
     buffer this pool ever had (the old ring held 65 536 rows) — receives the
     whole suffix in one delta when its turn comes, and every EB position
     was still encoded exactly once."""
     # Alpha rules on worker 0 (home 1), gamma rules on worker 1 (home 2).
     table, event_base, handler, support = build_support(
-        4, transport, ALPHA_OR_GAMMA, shards=3, homes=(1, 2)
+        4, ALPHA_OR_GAMMA, shards=3, homes=(1, 2)
     )
     names = [state.rule.name for state in table.states()]
     alpha_rules, gamma_rules = tuple(sorted(names[0::2])), tuple(sorted(names[1::2]))

@@ -395,8 +395,8 @@ def test_a_worker_applies_a_delta_without_building_an_occurrence(monkeypatch):
 
 
 def test_fallback_row_names_the_unpicklable_eid_and_the_log_stays_consistent():
-    """Same synchronous-failure contract on every placement: the log is
-    where it is enforced."""
+    """The synchronous-failure contract is enforced by the log itself,
+    before any worker message exists."""
     alpha = EventType(Operation.CREATE, "alpha")
     event_base = EventBase()
     event_base.record(alpha, oid="alpha#1", timestamp=1)

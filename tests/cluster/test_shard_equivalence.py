@@ -13,7 +13,7 @@ rules over overlapping class/attribute patterns, pure negations, priority
 ties, empty blocks, removals / re-adds / disable-enable flips mid-run); here
 they are replayed across shard counts 1–8.  ``run_scenario`` is shared with
 ``tests/cluster/test_mode_equivalence.py``, which replays the same churn
-across transports, rechecks and the engine's two shard modes.
+across rechecks and the engine's two shard modes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ def run_scenario(
     shard_mode: str = "processes",
     recheck_every: int = 0,
     oracle: bool = False,
-    transport: str | None = None,
     metric_prefixes: tuple[str, ...] = ("trigger.",),
     routed: bool = True,
 ) -> dict:
@@ -51,9 +50,6 @@ def run_scenario(
     through its workers.  ``oracle=True`` (single table only) evaluates every
     exact check through the reference evaluator instead of the engine's
     compiled kernels (:class:`tests.oracle.OracleTriggerSupport`).
-    ``transport`` selects the process mode's worker placement (``pipe`` /
-    ``tcp``); ``None`` leaves the field to ``EngineConfig.from_env()`` — the
-    suite's ``CHIMERA_TRANSPORT`` sweeps reach in that way.
     ``metric_prefixes`` filters which snapshot counters of the PR-8 metrics
     registry land in the returned ``"metrics"`` key — the default pins the
     deterministic ``trigger.*`` counters; mode-dependent families
@@ -71,7 +67,6 @@ def run_scenario(
     config = EngineConfig.from_env(
         shards=shards,
         shard_mode=shard_mode,
-        transport=transport,
         use_static_optimization=routed,
     )
     sharded = shards > 0 and shard_mode == "processes"

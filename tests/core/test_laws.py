@@ -1,12 +1,15 @@
 """Algebraic laws of §4.3: De Morgan, commutativity, associativity, factoring."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.evaluation import ts
 from repro.core.expressions import (
     InstanceConjunction,
     InstanceDisjunction,
     InstanceNegation,
+    InstancePrecedence,
     Primitive,
     SetConjunction,
     SetDisjunction,
@@ -21,6 +24,11 @@ from repro.core.laws import (
     law_by_name,
     negation_normal_form,
 )
+from repro.oodb.database import ChimeraDatabase
+from repro.rules.actions import NO_ACTION
+from repro.rules.conditions import TRUE_CONDITION
+from repro.rules.rule import Rule
+from repro.workloads.generator import EventStreamGenerator, event_type_universe
 
 from tests.conftest import A, B, C, PA, PB, PC, history
 
@@ -213,3 +221,96 @@ class TestRewriting:
     def test_nnf_leaves_primitives_alone(self):
         assert negation_normal_form(PA) == PA
         assert negation_normal_form(Primitive(C)) == PC
+
+
+# ---------------------------------------------------------------------------
+# §4.3 at the engine level: a law rewrite changes no consideration
+# ---------------------------------------------------------------------------
+
+#: One class — a create, a delete and two modifies — so instance operators
+#: find their operands on the same objects.
+UNIVERSE = event_type_universe(classes=1, attributes_per_class=2)
+
+_stream_primitives = st.sampled_from([Primitive(t) for t in UNIVERSE])
+
+
+def _law_operands(negation_free: bool) -> st.SearchStrategy:
+    """Operand trees over the stream's types; instance operators at the
+    bottom, set operators above, negations only where the law allows them."""
+    instance_ops = [InstanceConjunction, InstanceDisjunction, InstancePrecedence]
+    set_ops = [SetConjunction, SetDisjunction, SetPrecedence]
+
+    def extend(operators, negation):
+        def build(children):
+            options = [st.builds(op, children, children) for op in operators]
+            if not negation_free:
+                options.append(st.builds(negation, children))
+            return st.one_of(options)
+
+        return build
+
+    instance_trees = st.recursive(
+        _stream_primitives, extend(instance_ops, InstanceNegation), max_leaves=3
+    )
+    return st.recursive(instance_trees, extend(set_ops, SetNegation), max_leaves=4)
+
+
+@st.composite
+def law_rewrites(draw) -> tuple:
+    """``(law, lhs, rhs)``: one law instance within its operand restriction."""
+    law = draw(st.sampled_from(LAWS))
+    operands = draw(
+        st.lists(
+            _law_operands(law.negation_free_operands_only),
+            min_size=law.arity,
+            max_size=law.arity,
+        )
+    )
+    return law, law.lhs(*operands), law.rhs(*operands)
+
+
+def _considerations(expressions, seed: int, routed: bool) -> list[tuple]:
+    """Condition-free rules ``r0…`` over ``expressions``, fed one generated
+    stream block by block; every consideration record, in order."""
+    db = ChimeraDatabase(use_static_optimization=routed)
+    try:
+        for index, expression in enumerate(expressions):
+            db.define_rule(
+                Rule(
+                    name=f"r{index}",
+                    events=expression,
+                    condition=TRUE_CONDITION,
+                    action=NO_ACTION,
+                )
+            )
+        stream = EventStreamGenerator(
+            event_types=UNIVERSE, objects_per_class=2, events_per_block=3, seed=seed
+        )
+        for block in stream.blocks(16):
+            db.engine.run_stream_block(block)
+        return [
+            (r.rule_name, r.instant, r.bindings, r.executed, r.phase)
+            for r in db.considerations
+        ]
+    finally:
+        db.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rewrites=st.lists(law_rewrites(), min_size=1, max_size=4),
+    seed=st.integers(0, 999),
+)
+def test_a_law_rewrite_changes_no_consideration(rewrites, seed):
+    """Rules whose expressions are rewritten by §4.3 laws are considered at
+    the same instants, in the same order, as the originals — under the
+    routed planner (each side planned by its own V(E)) and under the
+    paper's exhaustive scan."""
+    originals = [lhs for _law, lhs, _rhs in rewrites]
+    rewritten = [rhs for _law, _lhs, rhs in rewrites]
+    reference = _considerations(originals, seed, routed=False)
+    assert _considerations(originals, seed, routed=True) == reference
+    for routed in (False, True):
+        assert _considerations(rewritten, seed, routed) == reference, [
+            law.name for law, _lhs, _rhs in rewrites
+        ]

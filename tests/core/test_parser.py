@@ -1,6 +1,8 @@
 """Tests for the textual event-expression parser."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.core.expressions import (
     InstanceConjunction,
@@ -15,6 +17,7 @@ from repro.core.expressions import (
 )
 from repro.core.parser import format_expression, parse_expression, tokenize
 from repro.errors import CompositionError, ExpressionSyntaxError
+from repro.events.event import EventType, Operation
 
 from tests.conftest import PA, PB, PC
 
@@ -142,6 +145,47 @@ class TestInstanceOperators:
         assert isinstance(parsed.right, InstancePrecedence)
 
 
+#: Primitives over every operation; modify events with and without an
+#: attribute (only they may name one).
+_primitives = st.one_of(
+    st.builds(
+        lambda operation, class_name: Primitive(EventType(operation, class_name)),
+        st.sampled_from(list(Operation)),
+        st.sampled_from(["stock", "show", "A"]),
+    ),
+    st.builds(
+        lambda attribute: Primitive(EventType(Operation.MODIFY, "stock", attribute)),
+        st.sampled_from(["quantity", "minquantity"]),
+    ),
+)
+
+
+def _instance_operators(children):
+    return st.one_of(
+        st.builds(InstanceConjunction, children, children),
+        st.builds(InstanceDisjunction, children, children),
+        st.builds(InstancePrecedence, children, children),
+        st.builds(InstanceNegation, children),
+    )
+
+
+def _set_operators(children):
+    return st.one_of(
+        st.builds(SetConjunction, children, children),
+        st.builds(SetDisjunction, children, children),
+        st.builds(SetPrecedence, children, children),
+        st.builds(SetNegation, children),
+    )
+
+
+#: Instance trees (instance operators over instance operands only, §3.2),
+#: then set trees whose leaves are primitives or instance trees.
+_instance_expressions = st.recursive(_primitives, _instance_operators, max_leaves=6)
+any_expressions = st.recursive(
+    st.one_of(_primitives, _instance_expressions), _set_operators, max_leaves=8
+)
+
+
 class TestRoundTrip:
     EXPRESSIONS = [
         "create(stock)",
@@ -167,6 +211,20 @@ class TestRoundTrip:
     def test_parse_format_parse_is_identity(self, text):
         first = parse_expression(text)
         assert parse_expression(format_expression(first)) == first
+
+    @settings(max_examples=400, deadline=None)
+    @given(expression=any_expressions)
+    @example(SetPrecedence(PA, SetPrecedence(PB, PC)))
+    @example(SetDisjunction(PA, SetConjunction(PB, SetNegation(SetNegation(PC)))))
+    @example(InstancePrecedence(PA, InstanceConjunction(PB, PC)))
+    @example(SetConjunction(InstanceNegation(InstanceNegation(PA)), PB))
+    @example(SetNegation(InstanceDisjunction(PA, InstanceDisjunction(PB, PC))))
+    def test_printing_any_tree_parses_back_to_it(self, expression):
+        """Every tree over the eight operators — right-nested chains of equal
+        priority, instance operators under set operators, stacked negations —
+        prints to text that parses back to the same tree."""
+        assert parse_expression(str(expression)) == expression
+        assert parse_expression(format_expression(expression)) == expression
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(ExpressionSyntaxError) as excinfo:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import EventCalculusError
 from repro.events.event import EventOccurrence, EventType, Operation
+from repro.events.event_base import EventBase
 from repro.events.persistence import (
     dump_occurrences,
     load_event_base,
@@ -14,6 +15,7 @@ from repro.events.persistence import (
     occurrence_to_dict,
     save_event_base,
 )
+from repro.oodb.database import ChimeraDatabase
 from repro.oodb.objects import OID
 from repro.workloads.stock import build_figure3_event_base
 
@@ -110,3 +112,49 @@ class TestFiles:
         assert ts(expression, restored.full_window(), 7) == ts(
             expression, eb.full_window(), 7
         )
+
+
+class TestReferenceAttributes:
+    """Chimera objects reference each other: an OID inside a payload."""
+
+    @staticmethod
+    def stock_then_order() -> EventBase:
+        db = ChimeraDatabase()
+        db.define_class("stock", {"name": str, "quantity": int})
+        db.define_class("order", {"item": object, "lines": list})
+        with db.transaction() as tx:
+            stock = tx.create("stock", {"name": "bolt", "quantity": 3})
+            tx.create(
+                "order", {"item": stock.oid, "lines": [stock.oid, {"of": stock.oid}]}
+            )
+            event_base = db.event_base
+        return event_base
+
+    def test_oid_in_a_payload_round_trips(self, tmp_path):
+        event_base = self.stock_then_order()
+        path = tmp_path / "orders.jsonl"
+        assert save_event_base(event_base, path) == 2
+        restored = load_event_base(path)
+        assert list(restored.occurrences) == list(event_base.occurrences)
+        assert [dict(o.payload) for o in restored.occurrences] == [
+            dict(o.payload) for o in event_base.occurrences
+        ]
+        (order,) = [o for o in restored.occurrences if o.oid.class_name == "order"]
+        assert isinstance(order.payload["values"]["item"], OID)
+
+    def test_unencodable_value_names_its_eid_and_writes_nothing(self, tmp_path):
+        good = EventOccurrence(1, MODIFY_QTY, "o1", 1, {"new_value": 2})
+        bad = EventOccurrence(2, MODIFY_QTY, "o1", 2, {"new_value": object()})
+        event_base = EventBase()
+        event_base.append(good)
+        event_base.append(bad)
+        path = tmp_path / "broken.jsonl"
+        with pytest.raises(EventCalculusError, match="eid=2"):
+            save_event_base(event_base, path)
+        assert not path.exists()
+        buffer = io.StringIO()
+        with pytest.raises(EventCalculusError, match="eid=2"):
+            dump_occurrences([good, bad], buffer)
+        # Only whole records reach a stream.
+        assert buffer.getvalue().count("\n") == 1
+        assert list(load_occurrences(io.StringIO(buffer.getvalue()))) == [good]

@@ -189,7 +189,6 @@ class TestWorkloadCliSurfaces:
         "single": [],
         "serial": ["--shards", "4"],
         "pipe": ["--shards", "2", "--shard-mode", "processes"],
-        "tcp": ["--shards", "2", "--shard-mode", "processes", "--transport", "tcp"],
     }
 
     def test_one_seed_gives_one_outcome_on_every_placement(self, tmp_path, capsys):

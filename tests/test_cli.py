@@ -32,6 +32,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["workload", "--bulk-ingest"])
 
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (
+                ["worker", "--host", "127.0.0.1", "--port", "7411"],
+                "invalid choice: 'worker'",
+            ),
+            (["workload", "--transport", "pipe"], "unrecognized arguments"),
+        ],
+        ids=["worker", "workload-transport"],
+    )
+    def test_retired_worker_placement_exits_non_zero(self, argv, complaint, capsys):
+        # Pipes are the only worker placement: the remote-worker command and
+        # the flag that chose a placement are usage errors.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code != 0
+        assert complaint in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_active_expression(self, figure3_log, capsys):

@@ -4,9 +4,10 @@
 is pinned here: explicit keyword > environment > default for every field that
 has a variable; a malformed or out-of-range value raises ``ConfigError``
 naming the variable instead of silently falling back; the record is frozen,
-hashable and ``repr``-round-trippable; the TCP handshake delivers the
-coordinator's own record to a ``chimera-events worker``; and the knob table in
-PERFORMANCE.md is the one ``knob_table()`` renders from the dataclass.
+hashable and ``repr``-round-trippable; a forked worker receives the
+coordinator's own record; a retired field or variable fails loudly instead
+of passing for a default; and the knob table in PERFORMANCE.md is the one
+``knob_table()`` renders from the dataclass.
 """
 
 from __future__ import annotations
@@ -16,21 +17,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.transport import ShardTransport
 from repro.config import ENV_NAMES, EngineConfig, knob_table
 from repro.errors import ChimeraError, ConfigError
 from repro.oodb.database import ChimeraDatabase
-
-from tests.cluster.test_tcp_transport import cli_worker, launch_in_background
 
 #: field -> (a valid environment spelling, its parsed value, an explicit
 #: override that differs from both it and the default).
 ENV_CASES = {
     "shards": ("3", 3, 5),
     "shard_mode": ("PROCESSES", "processes", "serial"),
-    "transport": ("TCP", "tcp", "pipe"),
-    "tcp_host": ("0.0.0.0", "0.0.0.0", "localhost"),
-    "tcp_port": ("7411", 7411, 7412),
-    "tcp_spawn": ("0", False, True),
     "metrics_path": ("/tmp/m.jsonl", "/tmp/m.jsonl", "/tmp/other.jsonl"),
 }
 
@@ -38,16 +34,13 @@ ENV_CASES = {
 MALFORMED = {
     "CHIMERA_SHARDS": ["abc", "-1", "1.5"],
     "CHIMERA_SHARD_MODE": ["fibers", "threads"],
-    "CHIMERA_TRANSPORT": ["pipes", "shm", "pickle"],
-    "CHIMERA_TCP_PORT": ["abc", "70000", "-1"],
-    "CHIMERA_TCP_SPAWN": ["perhaps"],
 }
 
 
 def test_every_environment_variable_has_a_precedence_case():
     assert set(ENV_CASES) == set(ENV_NAMES)
-    assert len(ENV_NAMES) == 7
-    assert len(dataclasses.fields(EngineConfig)) == 10
+    assert len(ENV_NAMES) == 3
+    assert len(dataclasses.fields(EngineConfig)) == 6
 
 
 @pytest.mark.parametrize("field", sorted(ENV_CASES))
@@ -84,21 +77,9 @@ def test_malformed_environment_value_raises_naming_the_variable(variable, raw):
     assert isinstance(excinfo.value, ValueError)
 
 
-@pytest.mark.parametrize("retired", ["shm", "pickle"])
-def test_retired_transport_names_have_no_alias(retired):
-    """One delta encoding: the names that used to pick one are plain errors,
-    answered with the values that exist."""
-    for build in (
-        lambda: EngineConfig.from_env({"CHIMERA_TRANSPORT": retired}),
-        lambda: EngineConfig(transport=retired),
-    ):
-        with pytest.raises(ConfigError, match="pipe / tcp"):
-            build()
-
-
 def test_malformed_environment_fails_database_construction(monkeypatch):
-    monkeypatch.setenv("CHIMERA_TRANSPORT", "pipes")
-    with pytest.raises(ConfigError, match="CHIMERA_TRANSPORT"):
+    monkeypatch.setenv("CHIMERA_SHARD_MODE", "fibers")
+    with pytest.raises(ConfigError, match="CHIMERA_SHARD_MODE"):
         ChimeraDatabase()
 
 
@@ -109,9 +90,7 @@ def test_malformed_environment_fails_database_construction(monkeypatch):
         ("shards", True),
         ("shards", "4"),
         ("shard_mode", "fibers"),
-        ("transport", "carrier-pigeon"),
         ("evaluation_mode", "fuzzy"),
-        ("tcp_port", 65536),
         ("use_static_optimization", 1),
         ("metrics_path", None),
     ],
@@ -131,21 +110,36 @@ def test_unknown_setting_is_rejected_by_every_assembly_point():
     # One planner, one memo of a fixed size: the bound is no setting.
     with pytest.raises(ConfigError, match="plan_cache_size"):
         ChimeraDatabase(plan_cache_size=64)
+    # One worker placement: pipes.  The fields that chose another are gone.
+    for retired in ("transport", "tcp_port", "tcp_spawn"):
+        with pytest.raises(ConfigError, match=f"unknown engine setting.*{retired}"):
+            EngineConfig.from_env({}, **{retired: "pipe"})
+
+
+#: Values the retired placement variables used to accept (others take "1").
+RETIRED_VALUES = {"CHIMERA_TRANSPORT": "pipe", "CHIMERA_TCP_PORT": "7411"}
 
 
 @pytest.mark.parametrize(
     "variable",
-    # Two retired knobs (one block per check is the only execution model)
-    # and a typo of CHIMERA_SHARDS.
-    ["CHIMERA_BATCH_BLOCKS", "CHIMERA_ADAPTIVE_BATCH", "CHIMERA_SHARD"],
+    # Retired knobs (one block per check is the only execution model, pipes
+    # the only worker placement) and a typo of CHIMERA_SHARDS.
+    [
+        "CHIMERA_BATCH_BLOCKS",
+        "CHIMERA_ADAPTIVE_BATCH",
+        "CHIMERA_TRANSPORT",
+        "CHIMERA_TCP_PORT",
+        "CHIMERA_SHARD",
+    ],
 )
 def test_unknown_environment_variable_raises_naming_it(variable, monkeypatch):
+    raw = RETIRED_VALUES.get(variable, "1")
     with pytest.raises(ConfigError, match=rf"\${variable}\b") as excinfo:
-        EngineConfig.from_env({variable: "1", "CHIMERA_SHARDS": "2"})
+        EngineConfig.from_env({variable: raw, "CHIMERA_SHARDS": "2"})
     assert "CHIMERA_SHARDS" in str(excinfo.value)  # the known names are listed
     # Blank counts as unset, like for every known variable.
     assert EngineConfig.from_env({variable: " "}) == EngineConfig()
-    monkeypatch.setenv(variable, "1")
+    monkeypatch.setenv(variable, raw)
     with pytest.raises(ConfigError, match=variable):
         ChimeraDatabase()
 
@@ -174,7 +168,7 @@ def test_variables_outside_the_engine_prefix_are_not_read(variable):
 
 
 def test_record_is_frozen_hashable_and_repr_round_trips():
-    config = EngineConfig(shards=4, shard_mode="processes", transport="tcp")
+    config = EngineConfig(shards=4, shard_mode="processes", evaluation_mode="algebraic")
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.shards = 2
     assert hash(config) == hash(dataclasses.replace(config))
@@ -197,34 +191,24 @@ def test_database_exposes_the_resolved_record(monkeypatch):
         db.close()
 
 
-def test_tcp_handshake_delivers_the_coordinators_record(monkeypatch):
-    """A ``chimera-events worker`` has no engine flags: it must end up with
-    the coordinator's record, shipped in the handshake reply."""
-    record = EngineConfig(
-        tcp_spawn=False,
-        evaluation_mode="algebraic",
-        shards=3,
-        shard_mode="processes",
-        transport="tcp",
-    )
-    received: list[tuple] = []
+def test_forked_worker_receives_the_coordinators_record(monkeypatch):
+    """A worker has no engine settings of its own: it must evaluate under
+    the coordinator's record, handed over when it is forked."""
+    record = EngineConfig(evaluation_mode="algebraic", shards=3, shard_mode="processes")
     monkeypatch.setattr(
         "repro.cluster.process_pool._worker_main",
-        lambda connection, config, metrics_enabled: received.append(
+        lambda connection, config, metrics_enabled: connection.send(
             (config, metrics_enabled)
         ),
     )
-    transport, thread, errors = launch_in_background(1, record, metrics_enabled=True)
+    transport = ShardTransport(record)
     try:
-        host, port, token = transport.wait_rendezvous(10.0)
-        assert cli_worker(host, port, 0, token) == 0
-        thread.join(timeout=10.0)
-        assert not thread.is_alive() and not errors, errors
+        transport.launch(1, metrics_enabled=True)
+        assert transport.channel(0).poll(10.0)
+        assert transport.channel(0).recv() == (record, True)
     finally:
         transport.shutdown()
-        thread.join(timeout=5.0)
-    assert received == [(record, True)]
-    assert repr(received[0][0]) == repr(record)
+    assert transport.process(0).exitcode is not None
 
 
 def test_performance_md_carries_the_generated_knob_table():
