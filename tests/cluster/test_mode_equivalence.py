@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.config import EngineConfig
 from repro.oodb.database import ChimeraDatabase
 
@@ -80,6 +82,27 @@ def test_larger_pool_process_mode():
     scenario = build_scenario(202, rule_count=40, block_count=30)
     reference = run_scenario(scenario)
     assert run_scenario(scenario, shards=4, shard_mode="processes") == reference
+
+
+@pytest.mark.parametrize("evaluation_mode", ["logical", "algebraic"])
+@pytest.mark.parametrize("seed", [3, 9])
+def test_process_mode_equals_the_single_table_in_either_evaluation_mode(
+    seed, evaluation_mode
+):
+    """The workers' compiled checks run in either ts semantics: churn on
+    2–8 shards equals the single table under the same semantics.  (That a
+    worker gets the coordinator's record at all is
+    ``tests/test_config.py::test_forked_worker_receives_the_coordinators_record``.)"""
+    scenario = build_scenario(seed)
+    reference = run_scenario(scenario, evaluation_mode=evaluation_mode)
+    for shards in (2, 5, 8):
+        result = run_scenario(
+            scenario,
+            shards=shards,
+            shard_mode="processes",
+            evaluation_mode=evaluation_mode,
+        )
+        assert result == reference, f"{evaluation_mode} x {shards} shards diverged"
 
 
 # ---------------------------------------------------------------------------

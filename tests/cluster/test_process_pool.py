@@ -9,9 +9,11 @@ wrong out of process, and what the row log owes a worker that fell behind:
   path), with the worker traceback chained as a ``ShardWorkerError`` cause,
   and the pool survives — every other worker's reply is drained so no stale
   reply can pair with a later request;
-* a dead worker poisons the pool: the failing call raises
-  ``ShardWorkerError``, every subsequent call fails loudly instead of
-  silently desyncing, and ``close()`` leaves no process behind;
+* a dead worker poisons the pool — killed between blocks or after its
+  message went out: the failing call raises ``ShardWorkerError``, every
+  subsequent call fails loudly instead of silently desyncing, and
+  ``close()`` leaves no process behind; a closed pool refuses work, and
+  workers leave through the ``stop`` message rather than ``terminate``;
 * an unpicklable user payload fails in the coordinator, naming the
   occurrence, before any worker hears of the trip;
 * a delta that does not add up is refused worker-side (``SnapshotError``)
@@ -29,10 +31,14 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
+import signal
 
 import pytest
 
 from repro.cluster.coordinator import ShardCoordinator, home_shard
+from repro.cluster.process_pool import ProcessShardPool
+from repro.cluster.transport import ShardTransport
 from repro.config import EngineConfig
 from repro.core.parser import parse_expression
 from repro.errors import ShardWorkerError, SnapshotError
@@ -189,6 +195,91 @@ def test_dead_worker_leaks_nothing_past_close():
         support.close()
     assert support.process_pool is None
     assert all(process.exitcode is not None for process in processes)
+
+
+def test_worker_killed_mid_trip_poisons_the_pool():
+    """The message reached the worker, the reply never comes: the read
+    fails loudly, the pool refuses the next block, and ``close()`` reaps."""
+    table, event_base, handler, support = build_support()
+    try:
+        assert feed_block(event_base, handler, support, 1)
+        pool = support.process_pool
+        (handle,) = pool._workers
+        send = pool._send
+
+        def send_then_kill(target, payload):
+            # Stopped first, so the worker cannot have answered before it dies.
+            os.kill(target.process.pid, signal.SIGSTOP)
+            send(target, payload)
+            target.process.kill()
+            target.process.join(timeout=5.0)
+
+        pool._send = send_then_kill
+        with pytest.raises(ShardWorkerError, match="died before replying"):
+            feed_block(event_base, handler, support, 2)
+        assert handle.shipped_events == 2  # the message did go out
+        pool._send = send
+        with pytest.raises(ShardWorkerError, match="broken"):
+            feed_block(event_base, handler, support, 3)
+    finally:
+        support.close()
+    assert handle.process.exitcode is not None
+
+
+def test_shutdown_stops_every_worker_with_its_message_and_is_idempotent():
+    """Workers leave through the ``stop`` message (exit code 0), not through
+    ``terminate``; a second shutdown finds nothing left to do."""
+    transport = ShardTransport(EngineConfig())
+    transport.launch(2, metrics_enabled=False)
+    processes = [transport.process(worker_id) for worker_id in (0, 1)]
+    assert all(process.is_alive() for process in processes)
+    transport.shutdown()
+    assert [process.exitcode for process in processes] == [0, 0]
+    transport.shutdown()
+    assert [process.exitcode for process in processes] == [0, 0]
+
+
+def test_closed_pool_refuses_work_and_closes_once():
+    pool = ProcessShardPool(1)
+    (handle,) = pool._workers
+    pool.close()
+    assert handle.process.exitcode == 0
+    with pytest.raises(ShardWorkerError, match="closed"):
+        pool.evaluate(EventBase(), {}, 1)
+    pool.reset()  # nothing to forget on a closed pool
+    pool.close()
+
+
+def test_pool_needs_at_least_one_worker():
+    before = set(multiprocessing.active_children())
+    with pytest.raises(ValueError, match="at least 1 worker"):
+        ProcessShardPool(0)
+    assert set(multiprocessing.active_children()) == before
+
+
+def test_transport_stats_are_the_pipe_counters():
+    """One placement, one set of wire counters: no reconnect count."""
+    table, event_base, handler, support = build_support()
+    try:
+        assert feed_block(event_base, handler, support, 1)
+        stats = support.process_pool.transport_stats()
+    finally:
+        support.close()
+    assert set(stats) == {
+        "workers",
+        "dispatches",
+        "worker_round_trips",
+        "bytes_shipped",
+        "bytes_received",
+        "defs_shipped",
+        "encode_ms",
+        "delta_encode_ms",
+        "deltas_framed",
+        "frame_rows_inline",
+        "frame_rows_fallback",
+    }
+    assert stats["workers"] == stats["dispatches"] == stats["worker_round_trips"] == 1
+    assert stats["frame_rows_inline"] == 1
 
 
 def test_unpicklable_payload_fails_at_dispatch_not_in_worker():

@@ -37,6 +37,7 @@ def run_scenario(
     oracle: bool = False,
     metric_prefixes: tuple[str, ...] = ("trigger.",),
     routed: bool = True,
+    evaluation_mode: str = "logical",
 ) -> dict:
     """Execute a scenario block by block; ``shards=0`` is the single-table reference.
 
@@ -55,7 +56,9 @@ def run_scenario(
     deterministic ``trigger.*`` counters; mode-dependent families
     (``cluster.*``, ``worker.*``, ``pool.*``) are deliberately excluded so
     whole-result equality across execution modes keeps holding.
-    ``routed=False`` runs the paper's exhaustive scan instead of the planner.
+    ``routed=False`` runs the paper's exhaustive scan instead of the planner;
+    ``evaluation_mode`` is the record's ts semantics, which the coordinator
+    hands to every worker it forks.
     """
     event_base = EventBase()
     table = RuleTable()
@@ -68,6 +71,7 @@ def run_scenario(
         shards=shards,
         shard_mode=shard_mode,
         use_static_optimization=routed,
+        evaluation_mode=evaluation_mode,
     )
     sharded = shards > 0 and shard_mode == "processes"
     assert not (oracle and sharded), "the oracle replays on the single table"

@@ -142,6 +142,40 @@ class TestReferenceAttributes:
         (order,) = [o for o in restored.occurrences if o.oid.class_name == "order"]
         assert isinstance(order.payload["values"]["item"], OID)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"item": OID("stock", 1)},
+            {"lines": [OID("stock", 1), OID("stock", 2)]},
+            {"values": {"item": OID("stock", 1), "quantity": 3}},
+            {"lines": [{"of": OID("stock", 1)}, 4, "bolt"]},
+            {"old_value": OID("stock", 1), "new_value": OID("supplier", 7)},
+        ],
+        ids=["top", "list", "nested-dict", "dict-in-list", "old-and-new"],
+    )
+    def test_every_oid_placement_round_trips(self, payload):
+        occurrence = EventOccurrence(5, MODIFY_QTY, OID("order", 2), 3, payload)
+        buffer = io.StringIO()
+        assert dump_occurrences([occurrence], buffer) == 1
+        (restored,) = load_occurrences(io.StringIO(buffer.getvalue()))
+        assert restored == occurrence
+        assert dict(restored.payload) == payload
+
+    @pytest.mark.parametrize(
+        "value",
+        [object(), {1, 2}, b"bytes", 1j, {OID("stock", 1): 3}],
+        ids=["object", "set", "bytes", "complex", "oid-key"],
+    )
+    def test_a_value_json_cannot_hold_is_named_by_its_eid(self, value, tmp_path):
+        event_base = EventBase()
+        event_base.append(EventOccurrence(1, MODIFY_QTY, "o1", 1, {"new_value": 2}))
+        event_base.append(EventOccurrence(2, MODIFY_QTY, "o1", 2, {"new_value": value}))
+        path = tmp_path / "log.jsonl"
+        path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(EventCalculusError, match="eid=2"):
+            save_event_base(event_base, path)
+        assert path.read_text(encoding="utf-8") == "kept\n"  # left as it was
+
     def test_unencodable_value_names_its_eid_and_writes_nothing(self, tmp_path):
         good = EventOccurrence(1, MODIFY_QTY, "o1", 1, {"new_value": 2})
         bad = EventOccurrence(2, MODIFY_QTY, "o1", 2, {"new_value": object()})

@@ -33,7 +33,8 @@ ENV_CASES = {
 #: variable -> values the old per-module resolvers swallowed.
 MALFORMED = {
     "CHIMERA_SHARDS": ["abc", "-1", "1.5"],
-    "CHIMERA_SHARD_MODE": ["fibers", "threads"],
+    # The retired worker placements are no shard mode either.
+    "CHIMERA_SHARD_MODE": ["fibers", "threads", "tcp", "pipe"],
 }
 
 
@@ -92,6 +93,11 @@ def test_malformed_environment_fails_database_construction(monkeypatch):
         ("shard_mode", "fibers"),
         ("evaluation_mode", "fuzzy"),
         ("use_static_optimization", 1),
+        # A keyword is the value itself: the environment's spellings of a
+        # boolean are not parsed here.
+        ("use_static_optimization", "yes"),
+        ("max_rule_executions", -1),
+        ("max_rule_executions", 2.5),
         ("metrics_path", None),
     ],
 )
@@ -116,8 +122,33 @@ def test_unknown_setting_is_rejected_by_every_assembly_point():
             EngineConfig.from_env({}, **{retired: "pipe"})
 
 
+#: The fields of the retired tcp placement, each with a value it used to
+#: accept.
+RETIRED_PLACEMENT = {
+    "transport": "pipe",
+    "tcp_host": "127.0.0.1",
+    "tcp_port": 7411,
+    "tcp_spawn": False,
+}
+
+
+@pytest.mark.parametrize("field", sorted(RETIRED_PLACEMENT))
+def test_retired_placement_setting_fails_database_construction(field):
+    """Pipes are the only worker placement: a database asked for another
+    one refuses to start instead of quietly forking pipe workers."""
+    with pytest.raises(ConfigError, match=f"unknown engine setting.*{field}"):
+        ChimeraDatabase(
+            shards=2, shard_mode="processes", **{field: RETIRED_PLACEMENT[field]}
+        )
+
+
 #: Values the retired placement variables used to accept (others take "1").
-RETIRED_VALUES = {"CHIMERA_TRANSPORT": "pipe", "CHIMERA_TCP_PORT": "7411"}
+RETIRED_VALUES = {
+    "CHIMERA_TRANSPORT": "pipe",
+    "CHIMERA_TCP_HOST": "127.0.0.1",
+    "CHIMERA_TCP_PORT": "7411",
+    "CHIMERA_TCP_SPAWN": "0",
+}
 
 
 @pytest.mark.parametrize(
@@ -128,7 +159,9 @@ RETIRED_VALUES = {"CHIMERA_TRANSPORT": "pipe", "CHIMERA_TCP_PORT": "7411"}
         "CHIMERA_BATCH_BLOCKS",
         "CHIMERA_ADAPTIVE_BATCH",
         "CHIMERA_TRANSPORT",
+        "CHIMERA_TCP_HOST",
         "CHIMERA_TCP_PORT",
+        "CHIMERA_TCP_SPAWN",
         "CHIMERA_SHARD",
     ],
 )
