@@ -47,7 +47,7 @@ def build_history() -> EventBase:
 
 def main() -> None:
     eb = build_history()
-    window = eb.full_window()
+    window = eb.full_view()
 
     section("Set-oriented operators (paper §3.1)")
     expressions = [

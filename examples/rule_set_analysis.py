@@ -70,7 +70,7 @@ def show_explanation() -> None:
     )
     for instant in (5, 7):
         print(f"-- evaluated at t={instant}")
-        print(explain(expression, eb.full_window(), instant).render())
+        print(explain(expression, eb.full_view(), instant).render())
         print()
 
 

@@ -56,7 +56,6 @@ from repro.events import (
     EventBase,
     EventOccurrence,
     EventType,
-    EventWindow,
     Operation,
     TransactionClock,
     WindowLike,
@@ -74,7 +73,6 @@ __all__ = [
     "EventExpression",
     "EventOccurrence",
     "EventType",
-    "EventWindow",
     "Operation",
     "Primitive",
     "RecomputationFilter",

@@ -168,7 +168,7 @@ def _load_log(path: str) -> EventBase:
 def _default_instant(event_base: EventBase, at: int | None) -> int:
     if at is not None:
         return at
-    latest = event_base.full_window().latest_timestamp()
+    latest = event_base.latest_timestamp()
     return latest if latest is not None else 1
 
 
@@ -189,7 +189,7 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     expression = parse_expression(args.expression)
     instant = _default_instant(event_base, args.at)
     oid = None if args.oid is None else _logged_oid(event_base, args.oid)
-    value = evaluate(expression, event_base.full_window(), instant, oid=oid)
+    value = evaluate(expression, event_base, instant, oid=oid)
     print(f"expression : {expression}")
     print(f"instant    : t{instant}")
     if args.oid is not None:
@@ -203,7 +203,7 @@ def _command_explain(args: argparse.Namespace) -> int:
     event_base = _load_log(args.log)
     expression = parse_expression(args.expression)
     instant = _default_instant(event_base, args.at)
-    print(explain(expression, event_base.full_window(), instant).render())
+    print(explain(expression, event_base, instant).render())
     return 0
 
 

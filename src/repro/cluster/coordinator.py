@@ -141,7 +141,7 @@ class ShardCoordinator(TriggerSupport):
                 home = self._worker_of(state)
                 if home:
                     remote.setdefault(home - 1, []).append(
-                        (state, state.triggering_window_start(transaction_start))
+                        (state, state.trigger_window_start(transaction_start))
                     )
                 else:
                     local.append(state)

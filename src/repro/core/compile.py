@@ -730,8 +730,8 @@ def _bounds_of(
 ) -> "tuple[StampIndex, Timestamp | None, Timestamp | None]":
     """``(store, after, until)``: what a kernel reads for ``window``.
 
-    A bounded view is its parent's indexes inside its bounds; an
-    :class:`EventWindow` or the :class:`EventBase` is its own whole log.
+    A bounded view is its parent's indexes inside its bounds; the
+    :class:`EventBase` is its own whole log, the window ``(None, None]``.
     """
     if isinstance(window, BoundedView):
         return window._parent, window.after, window.until

@@ -303,7 +303,7 @@ def _lift(
     satisfy negation-only conjunctions).  An empty candidate set makes
     existential lifts inactive and negation vacuously active.
     """
-    oids = window.objects_affected_by(expression.event_types(), until=instant)
+    oids = window.objects_affected_by(expression.event_types(), instant)
     stats.lifted_objects += len(oids)
     if isinstance(expression, InstanceNegation):
         if not oids:

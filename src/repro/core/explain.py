@@ -105,7 +105,7 @@ class Explanation:
 def _last_occurrence(
     window: WindowLike, primitive: Primitive, instant: Timestamp, oid: Any | None
 ) -> EventOccurrence | None:
-    occurrences = window.occurrences_of(primitive.event_type, until=instant)
+    occurrences = window.occurrences_of(primitive.event_type, instant)
     if oid is not None:
         occurrences = [
             occurrence for occurrence in occurrences if occurrence.oid == oid
@@ -122,9 +122,11 @@ def explain(
 ) -> Explanation:
     """Build the explanation tree of ``expression`` at ``instant``.
 
-    With ``oid`` the explanation is instance-oriented (``ots``); without it,
-    set-oriented (``ts``), and instance-oriented sub-expressions record the
-    witness object their lift selected.
+    ``window`` is the occurrence set ``R``: the Event Base (the whole log) or
+    a :class:`~repro.events.event_base.BoundedView` of it.  With ``oid`` the
+    explanation is instance-oriented (``ots``); without it, set-oriented
+    (``ts``), and instance-oriented sub-expressions record the witness object
+    their lift selected.
     """
     if oid is None and expression.is_instance_oriented:
         return _explain_lifted(expression, window, instant, mode)
@@ -186,7 +188,7 @@ def _explain_lifted(
 ) -> Explanation:
     """Explain an instance-oriented sub-expression appearing in a set context."""
     value = ts(expression, window, instant, mode)
-    candidates = window.objects_affected_by(expression.event_types(), until=instant)
+    candidates = window.objects_affected_by(expression.event_types(), instant)
     witness: Any | None = None
     if candidates:
         per_object = {

@@ -10,16 +10,13 @@ The ``R != {}`` side condition keeps the system *reactive*: a rule whose event
 expression is a pure negation would otherwise fire spontaneously, with no new
 event occurrence to react to.
 
-Two evaluation strategies are provided:
-
-* :func:`is_triggered` — the exact predicate: the existential over ``t1`` is
-  decided by sampling ``ts`` at every distinct occurrence time stamp in the
-  window and at ``t`` itself (``ts`` can only change value at occurrence time
-  stamps, so this sampling is complete);
-* :func:`is_triggered_now` — the incremental approximation used by the running
-  system, which only looks at the current instant.  The Trigger Support calls
-  it after every execution block, so the sampling over blocks converges to the
-  exact predicate whenever blocks are the unit of event generation.
+:func:`is_triggered` is the exact predicate: the existential over ``t1`` is
+decided by sampling ``ts`` at every distinct occurrence time stamp in the
+window and at ``t`` itself (``ts`` can only change value at occurrence time
+stamps, so this sampling is complete; sampling ``t`` alone would miss an
+activation that was transient inside the window).  It is the reference the
+compiled check (:meth:`repro.core.compile.CompiledCheck.check`), which the
+Trigger Support runs, must agree with.
 
 The exact predicate additionally supports *incremental* evaluation via
 :class:`TriggerMemo`.  Between two checks of the same rule (same window start)
@@ -43,14 +40,12 @@ from dataclasses import dataclass
 from repro.core.evaluation import EvaluationMode, EvaluationStats, ts
 from repro.core.expressions import EventExpression
 from repro.events.clock import Timestamp
-from repro.events.event_base import BoundedView, EventBase, EventWindow, WindowLike
+from repro.events.event_base import BoundedView, EventBase, WindowLike
 
 __all__ = [
     "TriggeringDecision",
     "TriggerMemo",
     "is_triggered",
-    "is_triggered_now",
-    "triggering_window",
 ]
 
 
@@ -111,22 +106,9 @@ class TriggerMemo:
         self.seen_events = 0
 
 
-def triggering_window(
-    event_base: EventBase,
-    last_consideration: Timestamp | None,
-    now: Timestamp,
-) -> BoundedView:
-    """The window ``R`` of occurrences newer than the last consideration.
-
-    Returned as a zero-copy :class:`BoundedView`; use
-    :meth:`EventBase.window` when a detached, materialized copy is needed.
-    """
-    return event_base.view(after=last_consideration, until=now)
-
-
 def is_triggered(
     expression: EventExpression,
-    event_base: EventBase | WindowLike,
+    event_base: WindowLike,
     last_consideration: Timestamp | None,
     now: Timestamp,
     mode: EvaluationMode = EvaluationMode.LOGICAL,
@@ -135,14 +117,15 @@ def is_triggered(
 ) -> TriggeringDecision:
     """Exact evaluation of the triggering predicate ``T(r, t)``.
 
-    ``event_base`` may be the full EB (a zero-copy view is carved out of it)
-    or an already-built window/view.  The existential over ``t1`` is decided
-    by sampling every distinct time stamp in the window plus ``now``.
+    ``event_base`` may be the full EB (the view ``(last_consideration, now]``
+    is carved out of it) or an already-built view.  The existential over
+    ``t1`` is decided by sampling every distinct time stamp in the window
+    plus ``now``.
 
     When ``memo`` is given *and* ``event_base`` is the EB itself, the check is
     incremental: instants the memo proves were already sampled negative are
     skipped, and the memo is updated to cover this check.  The memo is ignored
-    (left untouched) for pre-built windows, whose relation to previous checks
+    (left untouched) for pre-built views, whose relation to previous checks
     is unknown.
     """
     window = _as_window(event_base, last_consideration, now)
@@ -179,29 +162,11 @@ def is_triggered(
     return TriggeringDecision(False, None, None, len(window), sampled)
 
 
-def is_triggered_now(
-    expression: EventExpression,
-    event_base: EventBase | WindowLike,
-    last_consideration: Timestamp | None,
-    now: Timestamp,
-    mode: EvaluationMode = EvaluationMode.LOGICAL,
-    stats: EvaluationStats | None = None,
-) -> TriggeringDecision:
-    """Incremental approximation: evaluate ``ts`` only at the current instant."""
-    window = _as_window(event_base, last_consideration, now)
-    if window.is_empty():
-        return TriggeringDecision(False, None, None, 0)
-    value = ts(expression, window, now, mode, stats)
-    if value > 0:
-        return TriggeringDecision(True, now, value, len(window), 1)
-    return TriggeringDecision(False, None, None, len(window), 1)
-
-
 def _as_window(
-    event_base: EventBase | WindowLike,
+    event_base: WindowLike,
     last_consideration: Timestamp | None,
     now: Timestamp,
-) -> WindowLike:
-    if isinstance(event_base, (EventWindow, BoundedView)):
+) -> BoundedView:
+    if isinstance(event_base, BoundedView):
         return event_base
-    return triggering_window(event_base, last_consideration, now)
+    return event_base.view(after=last_consideration, until=now)

@@ -1,4 +1,4 @@
-"""Event substrate: occurrences, clocks, the Event Base and its windows.
+"""Event substrate: occurrences, clocks, the Event Base and its bounded views.
 
 The Event Base's per-type index (``event_base._TypeIndex``) is the paper's
 §5 Occurred-Events structure: per-type occurrence columns that keep the
@@ -13,7 +13,7 @@ from repro.events.event import (
     Operation,
     parse_event_type,
 )
-from repro.events.event_base import BoundedView, EventBase, EventWindow, WindowLike
+from repro.events.event_base import BoundedView, EventBase, WindowLike
 from repro.events.persistence import (
     load_event_base,
     load_occurrences,
@@ -32,7 +32,6 @@ __all__ = [
     "EventBase",
     "EventOccurrence",
     "EventType",
-    "EventWindow",
     "WindowLike",
     "ExternalEventSource",
     "Operation",

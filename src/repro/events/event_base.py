@@ -1,4 +1,4 @@
-"""The Event Base (EB), event windows and zero-copy bounded views.
+"""The Event Base (EB) and its zero-copy bounded views.
 
 The Event Base is "the log containing all the event occurrences since the
 beginning of the transaction" (paper §4.1, Fig. 3).  The composite-event
@@ -7,21 +7,18 @@ semantics (paper §4.5) selects a *window* ``R`` of occurrences — typically th
 occurrences newer than a rule's last consideration — and the ``ts`` / ``ots``
 functions are computed over that window.
 
-Two window structures are provided:
+There is one store and one implementation of every calculus query: each
+takes optional ``(after, until]`` bounds, and the whole log is ``(None,
+None]``.  A :class:`BoundedView` is the store plus a pair of bounds — O(1)
+to build, O(log n) per query — whose every method passes its bounds to the
+store's.  It is what the Trigger Support and the condition formulas read
+(see PERFORMANCE.md).
 
-* :class:`EventWindow` — a materialized, re-indexed copy of the slice.  Useful
-  for building ad-hoc histories in tests and for detached analysis, but O(n)
-  to construct;
-* :class:`BoundedView` — a zero-copy lazy view that answers every calculus
-  query by bisecting its ``(after, until]`` bounds against the parent store's
-  sorted indexes.  O(1) to construct, O(log n) per query.  This is what the
-  Trigger Support uses on its hot path (see PERFORMANCE.md).
+The store indexes occurrences by event type and by (event type, OID) so that
+the calculus can answer its two fundamental questions in O(log n):
 
-Both structures index occurrences by event type and by (event type, OID) so
-that the calculus can answer its two fundamental questions in O(log n):
-
-* the most recent occurrence of a type at or before time ``t``;
-* the most recent occurrence of a type *on a given object* at or before ``t``.
+* the most recent occurrence of a type in ``(after, t]``;
+* the most recent occurrence of a type *on a given object* in ``(after, t]``.
 
 Those indexes need only each row's ``(event type, OID, time stamp)``, so they
 live in :class:`StampIndex` on their own — which is all a process shard
@@ -39,20 +36,30 @@ from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.errors import EventCalculusError
 from repro.events.clock import Timestamp
-from repro.events.event import EidGenerator, EventOccurrence, EventType
+from repro.events.event import EventOccurrence, EventType
 
-__all__ = [
-    "EventBase",
-    "EventWindow",
-    "BoundedView",
-    "StampIndex",
-    "WindowLike",
-]
+__all__ = ["EventBase", "BoundedView", "StampIndex", "WindowLike"]
 
 #: ``True`` where an adjacent time-stamp pair decreases — used with ``map``
 #: over a batch and its one-shifted self to order-check in C instead of a
 #: Python comparison loop.
 _stamp_decreases = operator.gt
+
+
+def _bisect_span(
+    stamps: Sequence[Timestamp], after: Timestamp | None, until: Timestamp | None
+) -> tuple[int, int]:
+    """Index range ``[start, stop)`` of the sorted ``stamps`` in ``(after, until]``."""
+    start = 0 if after is None else bisect.bisect_right(stamps, after)
+    stop = len(stamps) if until is None else bisect.bisect_right(stamps, until)
+    return start, max(start, stop)
+
+
+def _tighter(instant: Timestamp | None, until: Timestamp | None) -> Timestamp | None:
+    """The earlier of a query's ``instant`` and a window's ``until`` (None: none)."""
+    if until is None or (instant is not None and instant < until):
+        return instant
+    return until
 
 
 class _TypeIndex:
@@ -77,51 +84,9 @@ class _TypeIndex:
         self.oids: list[Any] = []
         self.per_oid: dict[Any, list[Timestamp]] = defaultdict(list)
 
-    def last_at_or_before(self, instant: Timestamp) -> Timestamp | None:
-        position = bisect.bisect_right(self.timestamps, instant)
-        if position == 0:
-            return None
-        return self.timestamps[position - 1]
-
-    def last_on_oid_at_or_before(
-        self, oid: Any, instant: Timestamp
-    ) -> Timestamp | None:
-        times = self.per_oid.get(oid)
-        if not times:
-            return None
-        position = bisect.bisect_right(times, instant)
-        if position == 0:
-            return None
-        return times[position - 1]
-
-    # -- bounded access (used by BoundedView) ---------------------------------
     def span(self, after: Timestamp | None, until: Timestamp | None) -> tuple[int, int]:
         """Index range ``[start, stop)`` of the occurrences in ``(after, until]``."""
-        start = 0 if after is None else bisect.bisect_right(self.timestamps, after)
-        stop = (
-            len(self.timestamps)
-            if until is None
-            else bisect.bisect_right(self.timestamps, until)
-        )
-        return start, stop
-
-    def last_in_bounds(
-        self, after: Timestamp | None, instant: Timestamp
-    ) -> Timestamp | None:
-        """Most recent time stamp in ``(after, instant]``, or None."""
-        last = self.last_at_or_before(instant)
-        if last is None or (after is not None and last <= after):
-            return None
-        return last
-
-    def last_on_oid_in_bounds(
-        self, oid: Any, after: Timestamp | None, instant: Timestamp
-    ) -> Timestamp | None:
-        """Most recent time stamp on ``oid`` in ``(after, instant]``, or None."""
-        last = self.last_on_oid_at_or_before(oid, instant)
-        if last is None or (after is not None and last <= after):
-            return None
-        return last
+        return _bisect_span(self.timestamps, after, until)
 
     def oids_between(
         self, after: Timestamp | None, until: Timestamp | None
@@ -129,6 +94,21 @@ class _TypeIndex:
         """The OID of every occurrence in ``(after, until]`` (repeats kept)."""
         start, stop = self.span(after, until)
         return self.oids[start:stop]
+
+
+def _last_in(
+    stamps: Sequence[Timestamp], after: Timestamp | None, instant: Timestamp
+) -> Timestamp | None:
+    """The greatest of the sorted ``stamps`` in ``(after, instant]``, or None.
+
+    The one bounded lookup, by type (a type's ``timestamps``) and by type and
+    OID (a ``per_oid`` list).
+    """
+    position = bisect.bisect_right(stamps, instant)
+    last = stamps[position - 1] if position else None
+    if last is None or (after is not None and last <= after):
+        return None
+    return last
 
 
 class StampIndex:
@@ -141,16 +121,17 @@ class StampIndex:
     * ``_by_type`` — one :class:`_TypeIndex` per concrete event type;
     * ``_all_timestamps`` — the time stamp of every log position (always
       non-decreasing: every batch is validated to continue the log), so
-      bounded views can locate a slice by bisection;
+      bounds locate a slice of the log by bisection;
     * ``_distinct_timestamps`` — the sorted, deduplicated time stamps, so
-      :meth:`timestamps` is O(1) per call instead of O(n log n);
+      :meth:`timestamps` is two bisects and a slice;
     * a cache of :meth:`_indexes_matching` resolutions, invalidated whenever a
       new event type is registered (class-level patterns may match it).
 
-    A process shard worker's mirror of the Event Base is a bare
-    ``StampIndex`` fed straight from the wire rows
-    (:mod:`repro.cluster.transport`); :class:`EventBase` and
-    :class:`EventWindow` add the occurrence objects on top.
+    Every query takes optional ``(after, until]`` window bounds; leaving both
+    out asks the whole log.  A process shard worker's mirror of the Event
+    Base is a bare ``StampIndex`` fed straight from the wire rows
+    (:mod:`repro.cluster.transport`); :class:`EventBase` adds the occurrence
+    objects on top.
     """
 
     def __init__(self) -> None:
@@ -197,12 +178,11 @@ class StampIndex:
         """Index a validated, non-empty batch of ``(event type, OID, stamp)`` rows.
 
         The one routine every batch goes through — an :class:`EventBase`
-        ``extend``, an :class:`EventWindow`'s construction, a worker mirror's
-        delta — in a single pass: each row appends its stamp, log position
-        and OID to its type's columns and its stamp to the type's per-OID
-        list.  The rows must continue the log (:meth:`_check_batch`).  New
-        types drop the pattern-match cache once for the batch.  Returns the
-        batch's type signature.
+        ``extend``, a worker mirror's delta — in a single pass: each row
+        appends its stamp, log position and OID to its type's columns and its
+        stamp to the type's per-OID list.  The rows must continue the log
+        (:meth:`_check_batch`).  New types drop the pattern-match cache once
+        for the batch.  Returns the batch's type signature.
         """
         by_type = self._by_type
         registered = len(by_type)
@@ -235,32 +215,61 @@ class StampIndex:
     def __len__(self) -> int:
         return len(self._all_timestamps)
 
-    def is_empty(self) -> bool:
-        """True when no occurrence is stored (``R = {}``)."""
-        return not self._all_timestamps
+    def _span(
+        self, after: Timestamp | None = None, until: Timestamp | None = None
+    ) -> tuple[int, int]:
+        """Log positions ``[start, stop)`` of the occurrences in ``(after, until]``."""
+        return _bisect_span(self._all_timestamps, after, until)
 
-    def event_types(self) -> set[EventType]:
-        """The set of event types with at least one stored occurrence."""
-        return set(self._by_type)
+    def is_empty(
+        self, after: Timestamp | None = None, until: Timestamp | None = None
+    ) -> bool:
+        """True when no occurrence falls in ``(after, until]`` (``R = {}``)."""
+        start, stop = self._span(after, until)
+        return start == stop
 
-    def oids(self) -> set[Any]:
-        """The set of OIDs affected by at least one stored occurrence."""
-        return set().union(*[index.per_oid for index in self._by_type.values()])
+    def event_types(
+        self, after: Timestamp | None = None, until: Timestamp | None = None
+    ) -> set[EventType]:
+        """The event types with at least one occurrence in ``(after, until]``."""
+        present: set[EventType] = set()
+        for event_type, index in self._by_type.items():
+            start, stop = index.span(after, until)
+            if stop > start:
+                present.add(event_type)
+        return present
 
-    def timestamps(self) -> list[Timestamp]:
-        """All time stamps present, sorted and deduplicated."""
-        return list(self._distinct_timestamps)
+    def oids(
+        self, after: Timestamp | None = None, until: Timestamp | None = None
+    ) -> set[Any]:
+        """The OIDs affected by at least one occurrence in ``(after, until]``."""
+        affected: set[Any] = set()
+        for index in self._by_type.values():
+            affected.update(index.oids_between(after, until))
+        return affected
 
-    def timestamps_after(self, lower: Timestamp) -> list[Timestamp]:
-        """The distinct time stamps strictly greater than ``lower``."""
-        position = bisect.bisect_right(self._distinct_timestamps, lower)
-        return self._distinct_timestamps[position:]
+    def timestamps(
+        self, after: Timestamp | None = None, until: Timestamp | None = None
+    ) -> list[Timestamp]:
+        """The distinct time stamps in ``(after, until]``, sorted."""
+        start, stop = _bisect_span(self._distinct_timestamps, after, until)
+        return self._distinct_timestamps[start:stop]
 
-    def latest_timestamp(self) -> Timestamp | None:
-        """The greatest time stamp stored, or None when empty."""
-        if not self._distinct_timestamps:
-            return None
-        return self._distinct_timestamps[-1]
+    def timestamps_after(
+        self,
+        lower: Timestamp,
+        after: Timestamp | None = None,
+        until: Timestamp | None = None,
+    ) -> list[Timestamp]:
+        """The distinct time stamps in ``(after, until]`` greater than ``lower``."""
+        return self.timestamps(lower if after is None else max(lower, after), until)
+
+    def latest_timestamp(
+        self, after: Timestamp | None = None, until: Timestamp | None = None
+    ) -> Timestamp | None:
+        """The greatest time stamp in ``(after, until]``, or None when empty."""
+        start, stop = self._span(after, until)
+        return self._all_timestamps[stop - 1] if stop > start else None
 
     # -- matching over type patterns -------------------------------------
     def _indexes_matching(self, event_type: EventType) -> tuple[_TypeIndex, ...]:
@@ -286,23 +295,34 @@ class StampIndex:
 
     # -- queries used by the calculus ------------------------------------
     def last_timestamp(
-        self, event_type: EventType, instant: Timestamp
+        self,
+        event_type: EventType,
+        instant: Timestamp,
+        after: Timestamp | None = None,
+        until: Timestamp | None = None,
     ) -> Timestamp | None:
-        """Time stamp of the most recent occurrence of ``event_type`` at/before ``instant``."""
+        """Latest stamp of ``event_type`` in ``(after, min(instant, until)]``."""
+        bound = _tighter(instant, until)
         best: Timestamp | None = None
         for index in self._indexes_matching(event_type):
-            candidate = index.last_at_or_before(instant)
+            candidate = _last_in(index.timestamps, after, bound)
             if candidate is not None and (best is None or candidate > best):
                 best = candidate
         return best
 
     def last_timestamp_on(
-        self, event_type: EventType, oid: Any, instant: Timestamp
+        self,
+        event_type: EventType,
+        oid: Any,
+        instant: Timestamp,
+        after: Timestamp | None = None,
+        until: Timestamp | None = None,
     ) -> Timestamp | None:
-        """Most recent occurrence of ``event_type`` on ``oid`` at/before ``instant``."""
+        """Latest ``event_type`` on ``oid`` in ``(after, min(instant, until)]``."""
+        bound = _tighter(instant, until)
         best: Timestamp | None = None
         for index in self._indexes_matching(event_type):
-            candidate = index.last_on_oid_at_or_before(oid, instant)
+            candidate = _last_in(index.per_oid.get(oid, ()), after, bound)
             if candidate is not None and (best is None or candidate > best):
                 best = candidate
         return best
@@ -310,104 +330,40 @@ class StampIndex:
     def objects_affected_by(
         self,
         event_types: Iterable[EventType],
+        instant: Timestamp | None = None,
+        after: Timestamp | None = None,
         until: Timestamp | None = None,
     ) -> set[Any]:
-        """OIDs affected by any of ``event_types`` (optionally at/before ``until``).
+        """OIDs affected by any of ``event_types`` in ``(after, min(instant, until)]``.
 
         Answered from each type's OID column: one bisect and one slice per
         matching type, no occurrence list materialized.
         """
+        bound = _tighter(instant, until)
         affected: set[Any] = set()
         for event_type in event_types:
             for index in self._indexes_matching(event_type):
-                affected.update(index.oids_between(None, until))
+                affected.update(index.oids_between(after, bound))
         return affected
 
 
-class _OccurrenceStore(StampIndex):
-    """A :class:`StampIndex` that also keeps the occurrences, in log order.
+class EventBase(StampIndex):
+    """The transaction-scoped log of all event occurrences (paper Fig. 3).
 
-    The indexes' log positions point into ``_occurrences``, which answers the
-    queries that return occurrence objects; :attr:`occurrences` caches its
-    tuple form, so repeated access (window construction, iteration-heavy
-    analyses) does not copy the log each time.
+    Occurrences can be appended either fully formed (:meth:`append`,
+    :meth:`extend`) or built from their parts (:meth:`record`), in which case
+    the EB assigns the EID: one above the largest it holds, whoever stored
+    it.  The indexes' log positions point into the occurrence list, which
+    answers the queries that return occurrence objects.  The EB also exposes
+    the Fig. 4 accessor functions (``type_of``, ``obj``, ``timestamp``,
+    ``event_on_class``) keyed by EID.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._occurrences: list[EventOccurrence] = []
-        self._occurrences_cache: tuple[EventOccurrence, ...] | None = None
-
-    def _append_batch(
-        self, batch: Sequence[EventOccurrence], stamps: Sequence[Timestamp]
-    ) -> frozenset[EventType]:
-        """Store a validated, non-empty batch (``stamps`` its time stamps)."""
-        self._occurrences.extend(batch)
-        self._occurrences_cache = None
-        return self._index_rows(
-            [occurrence.event_type for occurrence in batch],
-            [occurrence.oid for occurrence in batch],
-            stamps,
-        )
-
-    # -- basic introspection -------------------------------------------
-    def __iter__(self) -> Iterator[EventOccurrence]:
-        return iter(self._occurrences)
-
-    @property
-    def occurrences(self) -> tuple[EventOccurrence, ...]:
-        """All stored occurrences in insertion order (cached, read-only)."""
-        if self._occurrences_cache is None:
-            self._occurrences_cache = tuple(self._occurrences)
-        return self._occurrences_cache
-
-    def occurrence_at(self, position: int) -> EventOccurrence:
-        """The occurrence at ``position`` in insertion order."""
-        return self._occurrences[position]
-
-    def occurrences_between(self, start: int, stop: int) -> list[EventOccurrence]:
-        """The occurrences at positions ``[start, stop)`` in insertion order.
-
-        Costs the slice, not the log: what per-block readers (the Event
-        Handler's flush, the row log's encoder) use instead of
-        :attr:`occurrences`, which materializes every row.
-        """
-        return self._occurrences[start:stop]
-
-    def occurrences_of(
-        self,
-        event_type: EventType,
-        until: Timestamp | None = None,
-    ) -> list[EventOccurrence]:
-        """All occurrences matching ``event_type`` (optionally at/before ``until``)."""
-        matched: list[EventOccurrence] = []
-        at = self._occurrences.__getitem__
-        for index in self._indexes_matching(event_type):
-            _start, stop = index.span(None, until)
-            matched.extend(map(at, index.positions[:stop]))
-        matched.sort(key=lambda occurrence: (occurrence.timestamp, occurrence.eid))
-        return matched
-
-    def select(
-        self, predicate: Callable[[EventOccurrence], bool]
-    ) -> list[EventOccurrence]:
-        """All occurrences satisfying ``predicate`` (in insertion order)."""
-        return [occurrence for occurrence in self._occurrences if predicate(occurrence)]
-
-
-class EventBase(_OccurrenceStore):
-    """The transaction-scoped log of all event occurrences (paper Fig. 3).
-
-    Occurrences can be appended either fully formed (:meth:`append`) or built
-    from their parts (:meth:`record`), in which case the EB assigns the EID.
-    The EB also exposes the Fig. 4 accessor functions (``type_of``, ``obj``,
-    ``timestamp``, ``event_on_class``) keyed by EID.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._eids = EidGenerator()
         self._by_eid: dict[int, EventOccurrence] = {}
+        self._max_eid = 0
 
     # -- recording -------------------------------------------------------
     def record(
@@ -419,7 +375,7 @@ class EventBase(_OccurrenceStore):
     ) -> EventOccurrence:
         """Create an occurrence with a fresh EID and store it."""
         occurrence = EventOccurrence(
-            eid=self._eids.next(),
+            eid=self._max_eid + 1,
             event_type=event_type,
             oid=oid,
             timestamp=timestamp,
@@ -435,8 +391,9 @@ class EventBase(_OccurrenceStore):
         occurrence (every operation of a transaction) skips the batch
         set-up.
         """
-        if occurrence.eid in self._by_eid:
-            raise EventCalculusError(f"duplicate EID {occurrence.eid}")
+        eid = occurrence.eid
+        if eid in self._by_eid:
+            raise EventCalculusError(f"duplicate EID {eid}")
         stamp = occurrence.timestamp
         stamps = self._all_timestamps
         if stamps and stamp < stamps[-1]:
@@ -448,8 +405,9 @@ class EventBase(_OccurrenceStore):
             )
         position = len(stamps)
         self._occurrences.append(occurrence)
-        self._occurrences_cache = None
-        self._by_eid[occurrence.eid] = occurrence
+        self._by_eid[eid] = occurrence
+        if eid > self._max_eid:
+            self._max_eid = eid
         stamps.append(stamp)
         distinct = self._distinct_timestamps
         if not distinct or stamp > distinct[-1]:
@@ -485,9 +443,67 @@ class EventBase(_OccurrenceStore):
         eids = [occurrence.eid for occurrence in batch]
         stamps = [occurrence.timestamp for occurrence in batch]
         self._check_batch(eids, self._by_eid.keys(), stamps)
-        signature = self._append_batch(batch, stamps)
+        self._occurrences.extend(batch)
+        signature = self._index_rows(
+            [occurrence.event_type for occurrence in batch],
+            [occurrence.oid for occurrence in batch],
+            stamps,
+        )
         self._by_eid.update(zip(eids, batch))
+        self._max_eid = max(self._max_eid, max(eids))
         return signature
+
+    # -- the occurrence log ----------------------------------------------
+    def __iter__(self) -> Iterator[EventOccurrence]:
+        return iter(self._occurrences)
+
+    @property
+    def occurrences(self) -> tuple[EventOccurrence, ...]:
+        """All stored occurrences in insertion order (a copy of the log)."""
+        return tuple(self._occurrences)
+
+    def occurrence_at(self, position: int) -> EventOccurrence:
+        """The occurrence at ``position`` in insertion order."""
+        return self._occurrences[position]
+
+    def occurrences_between(self, start: int, stop: int) -> list[EventOccurrence]:
+        """The occurrences at positions ``[start, stop)`` in insertion order.
+
+        Costs the slice, not the log: what per-block readers (the Event
+        Handler's flush, the row log's encoder) use instead of
+        :attr:`occurrences`, which materializes every row.
+        """
+        return self._occurrences[start:stop]
+
+    def occurrences_of(
+        self,
+        event_type: EventType,
+        instant: Timestamp | None = None,
+        after: Timestamp | None = None,
+        until: Timestamp | None = None,
+    ) -> list[EventOccurrence]:
+        """Occurrences matching ``event_type`` in ``(after, min(instant, until)]``."""
+        bound = _tighter(instant, until)
+        matched: list[EventOccurrence] = []
+        at = self._occurrences.__getitem__
+        for index in self._indexes_matching(event_type):
+            start, stop = index.span(after, bound)
+            matched.extend(map(at, index.positions[start:stop]))
+        matched.sort(key=lambda occurrence: (occurrence.timestamp, occurrence.eid))
+        return matched
+
+    def select(
+        self,
+        predicate: Callable[[EventOccurrence], bool],
+        after: Timestamp | None = None,
+        until: Timestamp | None = None,
+    ) -> list[EventOccurrence]:
+        """Occurrences in ``(after, until]`` satisfying ``predicate``, in log order."""
+        return [
+            occurrence
+            for occurrence in self.occurrences_between(*self._span(after, until))
+            if predicate(occurrence)
+        ]
 
     # -- Fig. 4 accessor functions ---------------------------------------
     def get(self, eid: int) -> EventOccurrence:
@@ -514,32 +530,18 @@ class EventBase(_OccurrenceStore):
         return self.get(eid).event_on_class
 
     # -- windows ----------------------------------------------------------
-    def window(
-        self,
-        after: Timestamp | None = None,
-        until: Timestamp | None = None,
-    ) -> "EventWindow":
-        """Materialize the window ``R`` of occurrences with ``after < timestamp <= until``.
-
-        ``after=None`` means "since the beginning of the transaction";
-        ``until=None`` means "up to the latest recorded occurrence".  This is
-        exactly the set the triggering predicate ``T(r, t)`` quantifies over:
-        ``R = {e in EB | last_consideration < timestamp(e) <= t}``.  Prefer
-        :meth:`view` when the window is only queried, not kept: it answers the
-        same questions without copying the log.
-        """
-        return EventWindow(self, after=after, until=until)
-
-    def full_window(self) -> "EventWindow":
-        """Materialized window spanning the whole transaction."""
-        return self.window(after=None, until=None)
-
     def view(
         self,
         after: Timestamp | None = None,
         until: Timestamp | None = None,
     ) -> "BoundedView":
-        """Zero-copy view of the occurrences with ``after < timestamp <= until``."""
+        """The window ``R`` of occurrences with ``after < timestamp <= until``.
+
+        ``after=None`` means "since the beginning of the transaction";
+        ``until=None`` means "up to the latest recorded occurrence".  This is
+        exactly the set the triggering predicate ``T(r, t)`` quantifies over:
+        ``R = {e in EB | last_consideration < timestamp(e) <= t}``.
+        """
         return BoundedView(self, after=after, until=until)
 
     def full_view(self) -> "BoundedView":
@@ -547,78 +549,25 @@ class EventBase(_OccurrenceStore):
         return self.view(after=None, until=None)
 
 
-class EventWindow(_OccurrenceStore):
-    """An immutable, materialized view over a slice of the Event Base.
-
-    The window copies (and re-indexes) the occurrences that fall in the
-    half-open interval ``(after, until]``; the calculus then only ever talks to
-    the window.  Keeping the window explicit mirrors the paper's remark that
-    "the event calculus can be applied to a generic set of event occurrences;
-    orthogonally, the triggering semantics defines this set".  Construction is
-    O(n): on hot paths use :class:`BoundedView` instead, which answers the
-    same query API by bisecting the parent's indexes.
-    """
-
-    def __init__(
-        self,
-        source: EventBase | Iterable[EventOccurrence],
-        after: Timestamp | None = None,
-        until: Timestamp | None = None,
-    ) -> None:
-        super().__init__()
-        if after is not None and until is not None and after > until:
-            raise EventCalculusError(
-                f"invalid window bounds: after={after} is later than until={until}"
-            )
-        self.after = after
-        self.until = until
-        occurrences = source.occurrences if isinstance(source, EventBase) else source
-        selected = [
-            occurrence
-            for occurrence in occurrences
-            if (after is None or occurrence.timestamp > after)
-            and (until is None or occurrence.timestamp <= until)
-        ]
-        # Sorting makes the selection a valid log: the indexes only append.
-        selected.sort(key=lambda occurrence: (occurrence.timestamp, occurrence.eid))
-        if selected:
-            self._append_batch(
-                selected, [occurrence.timestamp for occurrence in selected]
-            )
-
-    @classmethod
-    def of(cls, occurrences: Iterable[EventOccurrence]) -> "EventWindow":
-        """Window over an explicit collection of occurrences (no bounds)."""
-        return cls(list(occurrences))
-
-
-#: ``BoundedView``'s memo of the parent's index resolution: the parent's
-#: epoch when resolved, plus the per-type index tuples resolved so far.
-_ResolvedIndexes = tuple[int, dict[EventType, tuple[_TypeIndex, ...]]]
-
-
 class BoundedView:
-    """A zero-copy lazy window over a shared occurrence store.
+    """The window ``(after, until]`` of an :class:`EventBase`, without a copy.
 
-    The view holds only its ``(after, until]`` bounds plus a reference to the
-    parent store (usually the :class:`EventBase`); every query is answered by
-    bisecting the bounds against the parent's sorted indexes.  It supports the
-    full query API of :class:`EventWindow` — ``ts``/``ots`` and the condition
-    formulas accept either structure — but costs O(1) to build, which is what
-    makes per-rule, per-block triggering checks affordable on large event
-    bases (see PERFORMANCE.md).
+    The view is its parent, its bounds and one-line delegations: every query
+    passes the bounds to the parent's one implementation.  The calculus takes
+    it wherever it takes the EB, the window ``(None, None]``.  O(1) to build,
+    which makes per-rule, per-block checks affordable (see PERFORMANCE.md).
 
     The view is *live*: occurrences appended to the parent afterwards become
     visible when they fall inside the bounds.  With ``until`` set this cannot
-    happen for EB parents (the log grows in non-decreasing time-stamp order),
-    so a bounded view over an EB behaves exactly like a frozen window.
+    happen (the log grows in non-decreasing time-stamp order), so a bounded
+    view behaves exactly like a frozen window.
     """
 
-    __slots__ = ("_parent", "after", "until", "_resolved")
+    __slots__ = ("_parent", "after", "until")
 
     def __init__(
         self,
-        parent: _OccurrenceStore,
+        parent: EventBase,
         after: Timestamp | None = None,
         until: Timestamp | None = None,
     ) -> None:
@@ -629,178 +578,71 @@ class BoundedView:
         self._parent = parent
         self.after = after
         self.until = until
-        self._resolved: _ResolvedIndexes | None = None
-
-    def _indexes_for(self, event_type: EventType) -> tuple[_TypeIndex, ...]:
-        """View-local memo of the parent's ``_indexes_matching`` resolution.
-
-        The per-instant calculus loops (``ts`` sampling a window at every
-        candidate instant, precedence re-probing its left operand, lifting
-        over affected objects) hit the same few event types over and over;
-        resolving through the parent each time pays a dict probe per call.
-        The memo is validated against the parent's type count — a resolution
-        can only change when a *new* type index registers (exactly when the
-        parent drops its own match cache), so the count pins it while the
-        view stays live.
-        """
-        parent = self._parent
-        resolved = self._resolved
-        count = len(parent._by_type)
-        if resolved is None or resolved[0] != count:
-            resolved = self._resolved = (count, {})
-        cache = resolved[1]
-        indexes = cache.get(event_type)
-        if indexes is None:
-            indexes = cache[event_type] = parent._indexes_matching(event_type)
-        return indexes
-
-    # -- bound helpers -----------------------------------------------------
-    def _effective_until(self, instant: Timestamp | None) -> Timestamp | None:
-        """Tighter of the view's ``until`` and a per-query ``instant`` bound."""
-        if instant is None:
-            return self.until
-        if self.until is None:
-            return instant
-        return min(instant, self.until)
-
-    def _span(self) -> tuple[int, int]:
-        """Index range ``[start, stop)`` of the view inside the parent log."""
-        stamps = self._parent._all_timestamps
-        start = 0 if self.after is None else bisect.bisect_right(stamps, self.after)
-        stop = len(stamps) if self.until is None else bisect.bisect_right(
-            stamps, self.until
-        )
-        return start, max(start, stop)
 
     # -- basic introspection ------------------------------------------------
     def __len__(self) -> int:
-        start, stop = self._span()
+        start, stop = self._parent._span(self.after, self.until)
         return stop - start
 
     def __iter__(self) -> Iterator[EventOccurrence]:
-        start, stop = self._span()
-        occurrences = self._parent._occurrences
-        for position in range(start, stop):
-            yield occurrences[position]
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        return iter(self.occurrences)
 
     @property
     def occurrences(self) -> tuple[EventOccurrence, ...]:
         """The occurrences inside the bounds (materializes the slice)."""
-        start, stop = self._span()
-        return tuple(self._parent._occurrences[start:stop])
+        parent = self._parent
+        return tuple(parent.occurrences_between(*parent._span(self.after, self.until)))
 
     def is_empty(self) -> bool:
-        """True when no occurrence falls inside the bounds (``R = {}``)."""
-        return len(self) == 0
+        return self._parent.is_empty(self.after, self.until)
 
     def latest_timestamp(self) -> Timestamp | None:
-        """The greatest time stamp in the view, or None when empty."""
-        start, stop = self._span()
-        if stop == start:
-            return None
-        return self._parent._all_timestamps[stop - 1]
+        return self._parent.latest_timestamp(self.after, self.until)
 
     def event_types(self) -> set[EventType]:
-        """Event types with at least one occurrence inside the bounds."""
-        present: set[EventType] = set()
-        for event_type, index in self._parent._by_type.items():
-            start, stop = index.span(self.after, self.until)
-            if stop > start:
-                present.add(event_type)
-        return present
+        return self._parent.event_types(self.after, self.until)
 
     def oids(self) -> set[Any]:
-        """OIDs affected by at least one occurrence inside the bounds."""
-        affected: set[Any] = set()
-        for index in self._parent._by_type.values():
-            affected.update(index.oids_between(self.after, self.until))
-        return affected
+        return self._parent.oids(self.after, self.until)
 
     def timestamps(self) -> list[Timestamp]:
-        """Distinct time stamps inside the bounds, sorted."""
-        distinct = self._parent._distinct_timestamps
-        start = 0 if self.after is None else bisect.bisect_right(distinct, self.after)
-        stop = len(distinct) if self.until is None else bisect.bisect_right(
-            distinct, self.until
-        )
-        return distinct[start:stop]
+        return self._parent.timestamps(self.after, self.until)
 
     def timestamps_after(self, lower: Timestamp) -> list[Timestamp]:
-        """Distinct in-bounds time stamps strictly greater than ``lower``."""
-        if self.after is not None and self.after > lower:
-            lower = self.after
-        distinct = self._parent._distinct_timestamps
-        start = bisect.bisect_right(distinct, lower)
-        stop = len(distinct) if self.until is None else bisect.bisect_right(
-            distinct, self.until
-        )
-        return distinct[start:stop]
+        return self._parent.timestamps_after(lower, self.after, self.until)
 
     # -- queries used by the calculus ----------------------------------------
     def last_timestamp(
         self, event_type: EventType, instant: Timestamp
     ) -> Timestamp | None:
-        """Most recent in-bounds occurrence of ``event_type`` at/before ``instant``."""
-        bound = self._effective_until(instant)
-        best: Timestamp | None = None
-        for index in self._indexes_for(event_type):
-            candidate = index.last_in_bounds(self.after, bound)
-            if candidate is not None and (best is None or candidate > best):
-                best = candidate
-        return best
+        return self._parent.last_timestamp(event_type, instant, self.after, self.until)
 
     def last_timestamp_on(
         self, event_type: EventType, oid: Any, instant: Timestamp
     ) -> Timestamp | None:
-        """Most recent in-bounds occurrence of ``event_type`` on ``oid`` at/before ``instant``."""
-        bound = self._effective_until(instant)
-        best: Timestamp | None = None
-        for index in self._indexes_for(event_type):
-            candidate = index.last_on_oid_in_bounds(oid, self.after, bound)
-            if candidate is not None and (best is None or candidate > best):
-                best = candidate
-        return best
+        return self._parent.last_timestamp_on(
+            event_type, oid, instant, self.after, self.until
+        )
 
     def occurrences_of(
-        self,
-        event_type: EventType,
-        until: Timestamp | None = None,
+        self, event_type: EventType, instant: Timestamp | None = None
     ) -> list[EventOccurrence]:
-        """In-bounds occurrences matching ``event_type`` (optionally at/before ``until``)."""
-        bound = self._effective_until(until)
-        matched: list[EventOccurrence] = []
-        at = self._parent._occurrences.__getitem__
-        for index in self._parent._indexes_matching(event_type):
-            start, stop = index.span(self.after, bound)
-            matched.extend(map(at, index.positions[start:stop]))
-        matched.sort(key=lambda occurrence: (occurrence.timestamp, occurrence.eid))
-        return matched
+        return self._parent.occurrences_of(event_type, instant, self.after, self.until)
 
     def objects_affected_by(
-        self,
-        event_types: Iterable[EventType],
-        until: Timestamp | None = None,
+        self, event_types: Iterable[EventType], instant: Timestamp | None = None
     ) -> set[Any]:
-        """OIDs affected in-bounds by any of ``event_types`` (optionally at/before ``until``)."""
-        bound = self._effective_until(until)
-        affected: set[Any] = set()
-        for event_type in event_types:
-            for index in self._indexes_for(event_type):
-                affected.update(index.oids_between(self.after, bound))
-        return affected
+        return self._parent.objects_affected_by(
+            event_types, instant, self.after, self.until
+        )
 
     def select(
         self, predicate: Callable[[EventOccurrence], bool]
     ) -> list[EventOccurrence]:
-        """All in-bounds occurrences satisfying ``predicate`` (in log order)."""
-        return [occurrence for occurrence in self if predicate(occurrence)]
+        return self._parent.select(predicate, self.after, self.until)
 
 
-#: The structures the calculus (``ts``/``ots``, condition formulas, traces)
-#: accepts as its occurrence set ``R``.  The full :class:`EventBase` also
-#: satisfies the same query protocol and may be passed wherever a whole-log
-#: window is intended.
-WindowLike = EventWindow | BoundedView
+#: The occurrence sets ``R`` the calculus (``ts``/``ots``, condition
+#: formulas, traces) accepts: the whole :class:`EventBase` or a
+#: :class:`BoundedView` of it.
+WindowLike = EventBase | BoundedView

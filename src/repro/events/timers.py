@@ -27,7 +27,7 @@ from typing import Any, Mapping, Sequence
 from repro.errors import EventCalculusError
 from repro.events.clock import Timestamp, TransactionClock
 from repro.events.event import EventOccurrence, EventType, Operation
-from repro.events.event_base import BoundedView, EventBase, EventWindow
+from repro.events.event_base import BoundedView, EventBase
 
 __all__ = ["external_event_type", "ExternalEventSource", "TemporalEventPlanner"]
 
@@ -119,7 +119,7 @@ class TemporalEventPlanner:
         name: str,
         delay: int,
         after: EventType,
-        history: EventBase | EventWindow | BoundedView | Sequence[EventOccurrence],
+        history: EventBase | BoundedView | Sequence[EventOccurrence],
         until: Timestamp | None = None,
     ) -> list[EventOccurrence]:
         """One occurrence of ``name`` a fixed ``delay`` after each ``after`` occurrence.
@@ -130,7 +130,7 @@ class TemporalEventPlanner:
         """
         if delay <= 0:
             raise EventCalculusError("the delay of a relative event must be positive")
-        if isinstance(history, (EventBase, EventWindow, BoundedView)):
+        if isinstance(history, (EventBase, BoundedView)):
             references = history.occurrences_of(after)
         else:
             references = [

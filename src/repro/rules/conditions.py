@@ -17,8 +17,10 @@ applied to every binding.  The atoms supported here cover the paper's examples:
 * comparisons between terms — ``S.quantity > S.maxquantity``.
 
 The observed window depends on the rule's event-consumption mode and is chosen
-by the caller (the rule engine): consuming rules see the occurrences since the
-rule's last consideration, preserving rules see the whole transaction.
+by the caller (the rule engine): a :class:`~repro.events.event_base.BoundedView`
+of the Event Base, whose lower bound is the rule's last consumption for
+consuming rules and the transaction start for preserving ones.  A hand-built
+context may pass the Event Base itself, the whole log.
 
 The event formulas run on the compiled instance kernels of
 :mod:`repro.core.compile`, the same evaluator triggering uses: each formula's

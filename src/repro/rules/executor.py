@@ -176,7 +176,9 @@ class RuleEngine:
         checked on its own, then its triggered rules considered before the
         next block arrives.  A stream is not a transaction: the execution
         budget guards one quiescence loop, so every block starts with a
-        fresh one.
+        fresh one.  The occurrences the actions record take EIDs above the
+        largest the Event Base holds; a later block that reuses one of them
+        is refused as a duplicate EID, like any other.
         """
         self._budget_spent = 0
         batch = self.event_handler.store_external(occurrences)

@@ -140,8 +140,6 @@ class RuleState:
     times_considered: int = 0
     times_executed: int = 0
     ts_computations: int = 0
-    ts_skipped: int = 0
-    history: list[tuple[str, Timestamp]] = field(default_factory=list, repr=False)
 
     def _notify(self) -> None:
         if self.observer is not None:
@@ -151,7 +149,6 @@ class RuleState:
         """Record the rule's transition to the triggered state."""
         self.triggered = True
         self.times_triggered += 1
-        self.history.append(("triggered", instant))
         self._notify()
 
     def mark_considered(self, instant: Timestamp, executed: bool) -> None:
@@ -165,9 +162,6 @@ class RuleState:
             self.last_consumption = instant
         if executed:
             self.times_executed += 1
-            self.history.append(("executed", instant))
-        else:
-            self.history.append(("considered", instant))
         self._notify()
 
     def reset(self, transaction_start: Timestamp) -> None:
@@ -187,7 +181,7 @@ class RuleState:
             return transaction_start
         return max(self.last_consumption, transaction_start)
 
-    def triggering_window_start(self, transaction_start: Timestamp) -> Timestamp:
+    def trigger_window_start(self, transaction_start: Timestamp) -> Timestamp:
         """Lower bound of the window used by the triggering predicate ``T(r, t)``."""
         if self.last_consideration is None:
             return transaction_start

@@ -358,7 +358,7 @@ class TriggerSupport:
         """
         return self._binding(state).check(
             self.event_base,
-            state.triggering_window_start(transaction_start),
+            state.trigger_window_start(transaction_start),
             now,
             memo=state.trigger_memo,
             stats=evaluation_stats,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.events.event_base import _OccurrenceStore
+from repro.events.event_base import EventBase
 from repro.oodb.database import ChimeraDatabase
 from repro.rules.event_handler import BlockIngest
 from repro.workloads.scaling import (
@@ -32,7 +32,7 @@ def test_stream_blocks_never_copy_the_log(placement, monkeypatch):
     #: ``(occurrences, signature handed to BlockIngest)`` of every stream block.
     blocks: list[tuple[tuple, frozenset | None]] = []
 
-    whole_log = _OccurrenceStore.occurrences.fget
+    whole_log = EventBase.occurrences.fget
 
     def spied_occurrences(store):
         log_copies.append(len(store))
@@ -45,7 +45,7 @@ def test_stream_blocks_never_copy_the_log(placement, monkeypatch):
         if batch:
             blocks.append((batch.occurrences, type_signature))
 
-    monkeypatch.setattr(_OccurrenceStore, "occurrences", property(spied_occurrences))
+    monkeypatch.setattr(EventBase, "occurrences", property(spied_occurrences))
     monkeypatch.setattr(BlockIngest, "__init__", spied_init)
 
     universe = build_scaling_universe(RULES)

@@ -8,7 +8,7 @@ from repro.core.compile import CheckBinder
 from repro.core.evaluation import EvaluationMode, ots, ts
 from repro.core.expressions import Primitive
 from repro.events.event import EventOccurrence, EventType, Operation
-from repro.events.event_base import EventBase, EventWindow
+from repro.events.event_base import EventBase
 from repro.oodb.database import ChimeraDatabase
 from repro.workloads.stock import build_figure3_event_base
 
@@ -27,8 +27,15 @@ PC = Primitive(C)
 PD = Primitive(D)
 
 
-def history(*entries: tuple[EventType, str, int]) -> EventWindow:
-    """Build a window from ``(event_type, oid, timestamp)`` tuples.
+def event_base_of(occurrences) -> EventBase:
+    """An Event Base holding ``occurrences``, in log order by (time stamp, EID)."""
+    event_base = EventBase()
+    event_base.extend(sorted(occurrences, key=lambda row: (row.timestamp, row.eid)))
+    return event_base
+
+
+def history(*entries: tuple[EventType, str, int]) -> EventBase:
+    """Build an Event Base from ``(event_type, oid, timestamp)`` tuples.
 
     The helper used throughout the calculus tests to spell event histories
     compactly: ``history((A, "o1", 1), (B, "o2", 3))``.
@@ -41,7 +48,7 @@ def history(*entries: tuple[EventType, str, int]) -> EventWindow:
             sorted(entries, key=lambda entry: entry[2])
         )
     ]
-    return EventWindow.of(occurrences)
+    return event_base_of(occurrences)
 
 
 class _Interpreter:

@@ -6,7 +6,7 @@ from repro.core.evaluation import EvaluationMode, active_objects, evaluate
 from repro.core.parser import parse_expression
 from repro.errors import EvaluationError
 from repro.events.event import EventType, Operation
-from repro.events.event_base import EventWindow
+from repro.events.event_base import EventBase
 
 from tests.conftest import history
 
@@ -244,12 +244,12 @@ class TestSection32Timelines:
 
 class TestLiftingEdgeCases:
     def test_existential_lift_over_empty_window_is_inactive(self, calculus):
-        window = EventWindow.of([])
+        window = EventBase()
         expression = parse_expression("create(stock) += modify(stock.quantity)")
         assert calculus.ts(expression, window, 5) == -5
 
     def test_negation_lift_over_empty_window_is_active(self, calculus):
-        window = EventWindow.of([])
+        window = EventBase()
         expression = parse_expression("-=create(stock)")
         assert calculus.ts(expression, window, 5) == 5
 

@@ -14,10 +14,9 @@ from repro.core.expressions import (
 from repro.core.parser import parse_expression
 from repro.errors import EvaluationError
 from repro.events.event import EventType, Operation
-from repro.events.event_base import EventWindow
 from repro.workloads.generator import EventStreamGenerator, ExpressionGenerator
 
-from tests.conftest import A, B, PA, PB, history
+from tests.conftest import A, B, PA, PB, event_base_of, history
 
 CREATE_STOCK = EventType(Operation.CREATE, "stock")
 MODIFY_QTY = EventType(Operation.MODIFY, "stock", "quantity")
@@ -259,9 +258,7 @@ class TestEvaluationStats:
         count for every operator mix, and lifting instance-oriented
         sub-expressions over their objects costs primitive look-ups."""
         blocks = EventStreamGenerator(seed=33, events_per_block=3).blocks(80)
-        window = EventWindow.of(
-            [occurrence for block in blocks for occurrence in block]
-        )
+        window = event_base_of([occurrence for block in blocks for occurrence in block])
         latest = window.latest_timestamp()
         mixes = {
             "boolean": dict(precedence_weight=0.0, allow_negation=False),

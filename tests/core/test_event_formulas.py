@@ -6,9 +6,9 @@ Conditions evaluate the formulas through the compiled instance kernel
 ``activation_instants`` are the oracle.  Every example below asks both, and a
 differential property test pins them equal over random instance expressions
 (all four instance operators, negation included), random histories and every
-window structure — the Event Base itself, a materialized :class:`EventWindow`
-and a zero-copy :class:`BoundedView` — with random ``(after, until]`` bounds
-and an evaluation instant at or past ``until``.
+window structure — the Event Base itself and a zero-copy :class:`BoundedView`
+with random ``(after, until]`` bounds — and an evaluation instant at or past
+``until``.
 """
 
 from __future__ import annotations
@@ -199,10 +199,9 @@ def _operators(expression) -> set[str]:
 
 
 def _windows(event_base: EventBase, after, until) -> dict:
-    """The three structures the calculus accepts, over the same rows."""
+    """The two structures the calculus accepts, over the same rows."""
     return {
         "event base": event_base,
-        "event window": event_base.window(after=after, until=until),
         "bounded view": event_base.view(after=after, until=until),
     }
 
@@ -241,7 +240,7 @@ def worlds(draw):
     seed=st.integers(0, 10_000),
     operators=st.integers(0, 4),
     mode=st.sampled_from(MODES),
-    kind=st.sampled_from(["event base", "event window", "bounded view"]),
+    kind=st.sampled_from(["event base", "bounded view"]),
 )
 def test_compiled_formulas_equal_the_oracle(world, seed, operators, mode, kind):
     event_base, after, until, now, at_until = world

@@ -3,17 +3,19 @@
 Two equivalences are asserted here:
 
 * ``ts``/``ots``/``is_triggered`` computed over the zero-copy
-  :class:`BoundedView` agree with the same functions computed over a
-  materialized :class:`EventWindow` of the same bounds, on random histories,
-  random expressions and random ``(after, until]`` bounds (hypothesis);
+  :class:`BoundedView` agree with the same functions computed over a separate
+  Event Base holding only the rows inside the same bounds, on random
+  histories, random expressions and random ``(after, until]`` bounds
+  (hypothesis);
 * the memoized, incremental ``is_triggered`` that the Trigger Support runs
   block-after-block returns *exactly* the decision of the seed implementation
-  (full window materialization + full instant scan) at every step of a random
-  multi-block simulation, including time-stamp ties that force the sampling
-  frontier to rewind, skipped checks (as the ``V(E)`` filter causes), rule
-  considerations that move the window start, checks without new events
-  (commit-time ``recheck_all``), empty windows and pure-negation reactivity
-  (seeded random, in the style of ``tests/core/test_properties.py``).
+  (the window copied into its own Event Base + full instant scan) at every
+  step of a random multi-block simulation, including time-stamp ties that
+  force the sampling frontier to rewind, skipped checks (as the ``V(E)``
+  filter causes), rule considerations that move the window start, checks
+  without new events (commit-time ``recheck_all``), empty windows and
+  pure-negation reactivity (seeded random, in the style of
+  ``tests/core/test_properties.py``).
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ from repro.core.expressions import (
 from repro.core.parser import parse_expression
 from repro.core.triggering import TriggerMemo, is_triggered
 from repro.events.event import EventType, Operation
-from repro.events.event_base import EventBase, EventWindow
+from repro.events.event_base import EventBase
 from repro.workloads.generator import ExpressionGenerator, event_type_universe
+
+from tests.conftest import event_base_of
 
 A = EventType(Operation.CREATE, "A")
 B = EventType(Operation.CREATE, "B")
@@ -106,8 +110,18 @@ def bounded_histories(draw) -> tuple[EventBase, int | None, int | None]:
     return event_base, after, until
 
 
+def _copied(event_base: EventBase, after, until) -> EventBase:
+    """A separate Event Base holding the rows of ``(after, until]``."""
+    return event_base_of(
+        occurrence
+        for occurrence in event_base
+        if (after is None or occurrence.timestamp > after)
+        and (until is None or occurrence.timestamp <= until)
+    )
+
+
 # ---------------------------------------------------------------------------
-# View vs. window: the calculus cannot tell them apart
+# View vs. copied window: the calculus cannot tell them apart
 # ---------------------------------------------------------------------------
 
 
@@ -116,7 +130,7 @@ def bounded_histories(draw) -> tuple[EventBase, int | None, int | None]:
 def test_ts_agrees_between_view_and_window(expression, pair, instant):
     event_base, after, until = pair
     view = event_base.view(after=after, until=until)
-    window = event_base.window(after=after, until=until)
+    window = _copied(event_base, after, until)
     for mode in EvaluationMode:
         assert ts(expression, view, instant, mode) == ts(
             expression, window, instant, mode
@@ -133,7 +147,7 @@ def test_ts_agrees_between_view_and_window(expression, pair, instant):
 def test_ots_agrees_between_view_and_window(expression, pair, instant, oid):
     event_base, after, until = pair
     view = event_base.view(after=after, until=until)
-    window = event_base.window(after=after, until=until)
+    window = _copied(event_base, after, until)
     for mode in EvaluationMode:
         assert ots(expression, view, instant, oid, mode) == ots(
             expression, window, instant, oid, mode
@@ -146,9 +160,9 @@ def test_is_triggered_agrees_between_view_and_window(expression, pair, now):
     event_base, after, _ = pair
     # The triggering path never looks backwards: last_consideration <= now.
     after = None if after is None else min(after, now)
-    # The EB path carves the (after, now] view internally; compare against an
-    # explicitly materialized window of the same bounds.
-    window = event_base.window(after=after, until=now)
+    # The EB path carves the (after, now] view internally; compare against a
+    # copy of the same rows.
+    window = _copied(event_base, after, now)
     from_view = is_triggered(expression, event_base, after, now)
     from_window = is_triggered(expression, window, after, now)
     assert from_view.triggered == from_window.triggered
@@ -163,8 +177,8 @@ def test_is_triggered_agrees_between_view_and_window(expression, pair, now):
 
 
 def _full_rescan(expression, event_base, last_consideration, now):
-    """The seed implementation: materialize the window, scan every instant."""
-    window = EventWindow(event_base, after=last_consideration, until=now)
+    """The seed implementation: copy the window, scan every instant."""
+    window = _copied(event_base, last_consideration, now)
     return is_triggered(expression, window, last_consideration, now)
 
 
@@ -350,7 +364,7 @@ class TestMemoCornerCases:
     def test_memo_is_ignored_for_prebuilt_windows(self):
         event_base = EventBase()
         event_base.record(A, "o1", 2)
-        window = event_base.full_window()
+        window = event_base.full_view()
         memo = TriggerMemo()
         decision = is_triggered(
             parse_expression("create(A)"), window, None, 3, memo=memo

@@ -22,7 +22,9 @@ from repro.core.laws import LAWS, check_law
 from repro.core.optimization import variation_set
 from repro.core.triggering import is_triggered
 from repro.events.event import EventOccurrence, EventType, Operation
-from repro.events.event_base import EventWindow
+from repro.events.event_base import EventBase
+
+from tests.conftest import event_base_of
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -42,8 +44,8 @@ instants = st.integers(min_value=1, max_value=30)
 
 
 @st.composite
-def histories(draw, min_size: int = 0, max_size: int = 12) -> EventWindow:
-    """A random event window with non-decreasing, possibly repeated time stamps."""
+def histories(draw, min_size: int = 0, max_size: int = 12) -> EventBase:
+    """A random Event Base with non-decreasing, possibly repeated time stamps."""
     entries = draw(
         st.lists(
             st.tuples(event_types, oids, instants),
@@ -58,7 +60,7 @@ def histories(draw, min_size: int = 0, max_size: int = 12) -> EventWindow:
         )
         for index, (event_type, oid, timestamp) in enumerate(entries)
     ]
-    return EventWindow.of(occurrences)
+    return event_base_of(occurrences)
 
 
 def _primitives() -> st.SearchStrategy[EventExpression]:
@@ -202,7 +204,7 @@ def test_negation_restricted_laws_hold_on_primitive_operands(window, instant):
 @given(expression=set_expressions, window=histories(), instant=instants)
 def test_evaluation_only_depends_on_past_occurrences(expression, window, instant):
     """ts at instant t ignores occurrences with a later time stamp."""
-    truncated = EventWindow.of(
+    truncated = event_base_of(
         [occurrence for occurrence in window if occurrence.timestamp <= instant]
     )
     assert ts(expression, window, instant) == ts(expression, truncated, instant)
@@ -249,7 +251,7 @@ def test_variation_set_is_sound_for_triggering(expression, window, new_type, new
         )
     ]
     after = is_triggered(
-        expression, EventWindow.of(appended), last_consideration=None, now=now
+        expression, event_base_of(appended), last_consideration=None, now=now
     )
     assert not after.triggered, (
         f"occurrence of {new_type} activated {expression} although V(E) said it could not"

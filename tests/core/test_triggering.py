@@ -1,7 +1,8 @@
 """The triggering predicate T(r, t) of paper §4.5."""
 
 from repro.core.parser import parse_expression
-from repro.core.triggering import is_triggered, is_triggered_now, triggering_window
+from repro.core.evaluation import ts
+from repro.core.triggering import is_triggered
 from repro.events.event import EventType, Operation
 
 from tests.conftest import event_base_from
@@ -14,13 +15,17 @@ CREATE_ORDER = EventType(Operation.CREATE, "order")
 class TestWindowConstruction:
     def test_window_excludes_already_considered_occurrences(self):
         eb = event_base_from((CREATE_STOCK, "o1", 1), (CREATE_STOCK, "o2", 5))
-        window = triggering_window(eb, last_consideration=1, now=10)
+        window = eb.view(after=1, until=10)
         assert [occurrence.timestamp for occurrence in window] == [5]
+        decision = is_triggered(parse_expression("create(stock)"), eb, 1, 10)
+        assert decision.window_size == len(window) == 1
 
     def test_window_with_no_prior_consideration(self):
         eb = event_base_from((CREATE_STOCK, "o1", 1))
-        window = triggering_window(eb, last_consideration=None, now=10)
+        window = eb.view(after=None, until=10)
         assert len(window) == 1
+        decision = is_triggered(parse_expression("create(stock)"), eb, None, 10)
+        assert decision.window_size == 1
 
 
 class TestEmptyWindowRule:
@@ -80,7 +85,7 @@ class TestBasicTriggering:
 
     def test_accepts_prebuilt_window(self):
         eb = event_base_from((CREATE_STOCK, "o1", 2))
-        window = eb.full_window()
+        window = eb.full_view()
         assert is_triggered(
             parse_expression("create(stock)"), window, None, 3
         ).triggered
@@ -99,28 +104,19 @@ class TestExistentialSemantics:
             (CREATE_ORDER, "o3", 5),
         )
         exact = is_triggered(expression, eb, last_consideration=None, now=6)
-        now_only = is_triggered_now(expression, eb, last_consideration=None, now=6)
         assert exact.triggered
         assert exact.instant == 2
-        assert not now_only.triggered
+        # Sampling ts at ``now`` alone misses the transient activation.
+        assert ts(expression, eb.view(None, 6), 6) < 0
 
     def test_incremental_check_converges_when_run_per_block(self):
         expression = parse_expression("modify(stock.quantity) + -create(order)")
         eb = event_base_from((MODIFY_QTY, "o1", 2), (CREATE_ORDER, "o3", 5))
-        # Evaluating after the first block (t=2) already reports the triggering.
-        first_block = is_triggered_now(expression, eb, last_consideration=None, now=2)
-        assert first_block.triggered
+        # Sampling at the end of the first block (t=2) already sees it active.
+        assert ts(expression, eb.view(None, 2), 2) > 0
 
     def test_exact_check_reports_first_triggering_instant(self):
         expression = parse_expression("create(stock) , modify(stock.quantity)")
         eb = event_base_from((CREATE_STOCK, "o1", 3), (MODIFY_QTY, "o1", 7))
         decision = is_triggered(expression, eb, None, 9)
         assert decision.instant == 3
-
-    def test_now_check_reports_current_value(self):
-        expression = parse_expression("create(stock)")
-        eb = event_base_from((CREATE_STOCK, "o1", 3))
-        decision = is_triggered_now(expression, eb, None, 9)
-        assert decision.triggered
-        assert decision.instant == 9
-        assert decision.ts_value == 3

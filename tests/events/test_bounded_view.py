@@ -1,5 +1,10 @@
-"""The zero-copy :class:`BoundedView` must be indistinguishable from
-:class:`EventWindow` under the whole query API the calculus uses."""
+"""Every query of the Event Base, over the whole log or a :class:`BoundedView`,
+against a brute-force scan of the occurrence list.
+
+The reference shares no code with the store: it filters the log by
+``after < timestamp <= until`` and matches types with ``EventType.matches``.
+The whole log is the window ``(None, None]``, asked of the Event Base itself.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from hypothesis import given, settings
 
 from repro.errors import EventCalculusError
 from repro.events.event import EventOccurrence, EventType, Operation
-from repro.events.event_base import BoundedView, EventBase, EventWindow
+from repro.events.event_base import BoundedView, EventBase
 
 A = EventType(Operation.CREATE, "A")
 B = EventType(Operation.CREATE, "B")
@@ -56,73 +61,85 @@ def bounded_pairs(draw) -> tuple[EventBase, int | None, int | None]:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence with the materialized window
+# The brute-force reference
 # ---------------------------------------------------------------------------
+
+
+def scan(event_base: EventBase, after, until) -> list[EventOccurrence]:
+    """The occurrences of ``(after, until]``, in log order, by a linear scan."""
+    return [
+        occurrence
+        for occurrence in event_base
+        if (after is None or occurrence.timestamp > after)
+        and (until is None or occurrence.timestamp <= until)
+    ]
+
+
+def last_of(rows: list[EventOccurrence]):
+    return max((occurrence.timestamp for occurrence in rows), default=None)
+
+
+def windows(event_base: EventBase, after, until):
+    """What answers for ``(after, until]``: a view, and for the whole log the EB."""
+    view = event_base.view(after=after, until=until)
+    if after is None and until is None:
+        return [view, event_base]
+    return [view]
 
 
 @settings(max_examples=200, deadline=None)
 @given(pair=bounded_pairs())
-def test_view_and_window_agree_on_contents(pair):
+def test_contents_match_a_scan(pair):
     event_base, after, until = pair
-    view = event_base.view(after=after, until=until)
-    window = event_base.window(after=after, until=until)
-    assert len(view) == len(window)
-    assert view.is_empty() == window.is_empty()
-    assert bool(view) == bool(window)
-    assert list(view.occurrences) == list(window.occurrences)
-    assert [occurrence.eid for occurrence in view] == [
-        occurrence.eid for occurrence in window
-    ]
-    assert view.latest_timestamp() == window.latest_timestamp()
-    assert view.timestamps() == window.timestamps()
-    assert view.oids() == window.oids()
-    assert view.event_types() == window.event_types()
+    rows = scan(event_base, after, until)
+    for window in windows(event_base, after, until):
+        assert len(window) == len(rows)
+        assert window.is_empty() == (not rows)
+        assert bool(window) == bool(rows)
+        assert list(window.occurrences) == rows
+        assert list(window) == rows
+        assert window.latest_timestamp() == last_of(rows)
+        assert window.timestamps() == sorted({row.timestamp for row in rows})
+        assert window.oids() == {row.oid for row in rows}
+        assert window.event_types() == {row.event_type for row in rows}
 
 
 @settings(max_examples=200, deadline=None)
 @given(pair=bounded_pairs(), instant=instants, oid=oids)
-def test_view_and_window_agree_on_calculus_queries(pair, instant, oid):
+def test_calculus_queries_match_a_scan(pair, instant, oid):
     event_base, after, until = pair
-    view = event_base.view(after=after, until=until)
-    window = event_base.window(after=after, until=until)
-    for event_type in QUERY_TYPES:
-        assert view.last_timestamp(event_type, instant) == window.last_timestamp(
-            event_type, instant
-        )
-        assert (
-            view.last_timestamp_on(event_type, oid, instant)
-            == window.last_timestamp_on(event_type, oid, instant)
-        )
-        assert [occurrence.eid for occurrence in view.occurrences_of(event_type)] == [
-            occurrence.eid for occurrence in window.occurrences_of(event_type)
+    rows = scan(event_base, after, until)
+    for window in windows(event_base, after, until):
+        for event_type in QUERY_TYPES:
+            typed = [row for row in rows if event_type.matches(row.event_type)]
+            typed_early = [row for row in typed if row.timestamp <= instant]
+            on_oid = [row for row in typed_early if row.oid == oid]
+            assert window.last_timestamp(event_type, instant) == last_of(typed_early)
+            assert window.last_timestamp_on(event_type, oid, instant) == last_of(on_oid)
+            assert window.occurrences_of(event_type) == typed
+            assert window.occurrences_of(event_type, instant) == typed_early
+        matching = [
+            row
+            for row in rows
+            if any(event_type.matches(row.event_type) for event_type in QUERY_TYPES)
         ]
-        assert [
-            occurrence.eid
-            for occurrence in view.occurrences_of(event_type, until=instant)
-        ] == [
-            occurrence.eid
-            for occurrence in window.occurrences_of(event_type, until=instant)
+        assert window.objects_affected_by(QUERY_TYPES) == {row.oid for row in matching}
+        assert window.objects_affected_by(QUERY_TYPES, instant) == {
+            row.oid for row in matching if row.timestamp <= instant
+        }
+        assert window.select(lambda row: row.oid == oid) == [
+            row for row in rows if row.oid == oid
         ]
-    assert view.objects_affected_by(QUERY_TYPES) == window.objects_affected_by(
-        QUERY_TYPES
-    )
-    assert (
-        view.objects_affected_by(QUERY_TYPES, until=instant)
-        == window.objects_affected_by(QUERY_TYPES, until=instant)
-    )
-    assert [
-        occurrence.eid for occurrence in view.select(lambda o: o.oid == oid)
-    ] == [occurrence.eid for occurrence in window.select(lambda o: o.oid == oid)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(pair=bounded_pairs(), lower=st.integers(min_value=0, max_value=32))
-def test_timestamps_after_matches_filtered_timestamps(pair, lower):
+def test_timestamps_after_match_a_scan(pair, lower):
     event_base, after, until = pair
-    view = event_base.view(after=after, until=until)
-    assert view.timestamps_after(lower) == [
-        stamp for stamp in view.timestamps() if stamp > lower
-    ]
+    rows = scan(event_base, after, until)
+    expected = sorted({row.timestamp for row in rows if row.timestamp > lower})
+    for window in windows(event_base, after, until):
+        assert window.timestamps_after(lower) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +188,6 @@ class TestBoundedViewBasics:
         event_base.record(MOD_AY, "o1", 5)
         assert view.last_timestamp(MOD_A, 10) == 5
 
-    def test_occurrences_property_is_cached_until_mutation(self):
-        event_base = build_event_base([(A, "o1", 1)])
-        first = event_base.occurrences
-        assert event_base.occurrences is first
-        event_base.record(B, "o2", 2)
-        second = event_base.occurrences
-        assert second is not first
-        assert len(second) == 2
-
     def test_occurrence_at_returns_log_order(self):
         event_base = build_event_base([(A, "o1", 1), (B, "o2", 2)])
         assert event_base.occurrence_at(0).event_type == A
@@ -187,19 +195,6 @@ class TestBoundedViewBasics:
 
 
 class TestTypeIndexFastPath:
-    def test_out_of_order_window_construction_still_sorts(self):
-        # The indexes only ever append, so EventWindow must sort unsorted
-        # input before indexing it.
-        occurrences = [
-            EventOccurrence(eid=1, event_type=A, oid="o1", timestamp=5),
-            EventOccurrence(eid=2, event_type=A, oid="o1", timestamp=2),
-            EventOccurrence(eid=3, event_type=A, oid="o2", timestamp=9),
-        ]
-        window = EventWindow.of(occurrences)
-        assert window.timestamps() == [2, 5, 9]
-        assert window.last_timestamp(A, 6) == 5
-        assert window.last_timestamp_on(A, "o1", 9) == 5
-
     def test_tied_timestamps_keep_insertion_order(self):
         event_base = EventBase()
         event_base.record(A, "o1", 3)

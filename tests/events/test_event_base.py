@@ -1,10 +1,10 @@
-"""Tests for the Event Base and event windows (paper Fig. 3 / Fig. 4)."""
+"""Tests for the Event Base and its windows (paper Fig. 3 / Fig. 4)."""
 
 import pytest
 
 from repro.errors import EventCalculusError
 from repro.events.event import EventOccurrence, EventType, Operation
-from repro.events.event_base import EventBase, EventWindow
+from repro.events.event_base import EventBase
 
 from tests.conftest import A, B, C, event_base_from, history
 from tests.events.test_row_codec import index_state
@@ -43,6 +43,27 @@ class TestEventBaseRecording:
         eb = EventBase()
         eb.extend([EventOccurrence(1, A, "o1", 1), EventOccurrence(2, B, "o2", 2)])
         assert len(eb) == 2
+
+    def test_record_mints_above_the_eids_extend_stored(self):
+        eb = EventBase()
+        eb.extend([EventOccurrence(1, A, "o1", 1), EventOccurrence(2, B, "o2", 2)])
+        assert eb.record(C, "o3", 3).eid == 3
+        assert [occurrence.eid for occurrence in eb] == [1, 2, 3]
+
+    def test_record_mints_above_the_eid_append_stored(self):
+        eb = EventBase()
+        eb.record(A, "o1", 1)
+        eb.append(EventOccurrence(7, B, "o2", 2))
+        assert eb.record(C, "o3", 3).eid == 8
+
+    def test_refused_batch_does_not_move_the_minted_eid(self):
+        eb = EventBase()
+        eb.record(A, "o1", 5)
+        with pytest.raises(EventCalculusError):
+            eb.extend(
+                [EventOccurrence(50, B, "o1", 6), EventOccurrence(51, B, "o1", 4)]
+            )
+        assert eb.record(C, "o2", 6).eid == 2
 
     def test_len_and_bool(self):
         eb = EventBase()
@@ -203,13 +224,6 @@ class TestTypeColumns:
         eb.extend(TestBulkExtend().stream(size, start_eid=10, start_stamp=2))
         assert assert_columns(eb, self.oid_at(eb)) == size + 1
 
-    def test_after_window_construction(self):
-        eb = EventBase()
-        eb.extend(TestBulkExtend().stream(130))
-        for after, until in ((None, None), (3, 20), (10, None), (None, 1)):
-            window = EventWindow(eb, after=after, until=until)
-            assert assert_columns(window, self.oid_at(window)) == len(window)
-
 
 class TestFigure4Accessors:
     """The ``type / obj / timestamp / event_on_class`` functions of Fig. 4."""
@@ -330,41 +344,39 @@ class TestOccurredEventsStructure:
         assert eb.objects_affected_by([CREATE_STOCK]) == {"o1"}
 
 
-class TestEventWindow:
+class TestWindows:
+    """``EventBase.view``: the window ``(after, until]`` of paper §4.5."""
+
     def test_window_bounds_are_half_open(self, figure3_eb):
-        window = figure3_eb.window(after=2, until=6)
+        window = figure3_eb.view(after=2, until=6)
         assert [occurrence.eid for occurrence in window] == [3, 4, 5, 6]
 
     def test_window_with_no_bounds_is_full(self, figure3_eb):
-        assert len(figure3_eb.full_window()) == len(figure3_eb)
+        assert len(figure3_eb.full_view()) == len(figure3_eb)
 
     def test_window_after_only(self, figure3_eb):
-        window = figure3_eb.window(after=5)
+        window = figure3_eb.view(after=5)
         assert [occurrence.eid for occurrence in window] == [6, 7]
 
     def test_window_until_only(self, figure3_eb):
-        window = figure3_eb.window(until=2)
+        window = figure3_eb.view(until=2)
         assert [occurrence.eid for occurrence in window] == [1, 2]
 
     def test_invalid_bounds_rejected(self, figure3_eb):
         with pytest.raises(EventCalculusError):
-            figure3_eb.window(after=5, until=3)
+            figure3_eb.view(after=5, until=3)
 
     def test_empty_window(self, figure3_eb):
-        window = figure3_eb.window(after=7)
+        window = figure3_eb.view(after=7)
         assert window.is_empty()
         assert window.latest_timestamp() is None
 
     def test_latest_timestamp(self, figure3_eb):
-        assert figure3_eb.full_window().latest_timestamp() == 7
-
-    def test_window_of_explicit_occurrences(self):
-        window = EventWindow.of([EventOccurrence(1, A, "o1", 2)])
-        assert len(window) == 1
-        assert window.last_timestamp(A, 5) == 2
+        assert figure3_eb.latest_timestamp() == 7
+        assert figure3_eb.full_view().latest_timestamp() == 7
 
     def test_window_queries_ignore_out_of_range_events(self, figure3_eb):
-        window = figure3_eb.window(after=2, until=6)
+        window = figure3_eb.view(after=2, until=6)
         # create(stock) occurrences are at t1 and t2, both excluded.
         assert window.last_timestamp(CREATE_STOCK, 10) is None
 

@@ -109,9 +109,13 @@ class TestFiles:
         save_event_base(eb, path)
         restored = load_event_base(path)
         expression = parse_expression("create(stock) < modify(stock.quantity)")
-        assert ts(expression, restored.full_window(), 7) == ts(
-            expression, eb.full_window(), 7
-        )
+        assert ts(expression, restored, 7) == ts(expression, eb, 7)
+
+    def test_record_after_load_mints_a_fresh_eid(self, tmp_path):
+        path = tmp_path / "figure3.jsonl"
+        save_event_base(build_figure3_event_base(), path)
+        restored = load_event_base(path)
+        assert restored.record(MODIFY_QTY, "o1", 8).eid == len(restored) == 8
 
 
 class TestReferenceAttributes:

@@ -55,7 +55,7 @@ class TestExternalEventSource:
         event_base.record(CREATE_STOCK, "o1", clock.tick())
         source.raise_event("deadline")
         expression = parse_expression("create(stock) < raise(deadline)")
-        assert ts(expression, event_base.full_window(), clock.now()) > 0
+        assert ts(expression, event_base, clock.now()) > 0
 
 
 class TestTemporalEventPlanner:
@@ -117,7 +117,7 @@ class TestTemporalEventPlanner:
         watchdog = parse_expression(
             "(create(stock) < raise(timeout)) + -modify(stock.quantity)"
         )
-        assert ts(watchdog, merged.full_window(), 8) > 0
+        assert ts(watchdog, merged, 8) > 0
 
         answered = event_base_from(
             (CREATE_STOCK, "o1", 2),
@@ -127,4 +127,4 @@ class TestTemporalEventPlanner:
             answered,
             planner.relative("timeout", delay=5, after=CREATE_STOCK, history=answered),
         )
-        assert ts(watchdog, merged_answered.full_window(), 8) < 0
+        assert ts(watchdog, merged_answered, 8) < 0

@@ -44,7 +44,7 @@ assert fresh in {oid} and oid in {fresh}
 assert occurrence.oid == fresh and hash(occurrence.oid) == hash(fresh)
 event_base = EventBase()
 event_base.append(occurrence)
-window = event_base.full_window()
+window = event_base.full_view()
 assert fresh in window.oids()
 assert window.last_timestamp_on(occurrence.event_type, fresh, 5) == 3
 print("ok")

@@ -19,7 +19,7 @@ class OracleTriggerSupport(TriggerSupport):
         return is_triggered(
             state.rule.events,
             self.event_base,
-            state.triggering_window_start(transaction_start),
+            state.trigger_window_start(transaction_start),
             now,
             self.mode,
             evaluation_stats,

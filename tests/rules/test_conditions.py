@@ -39,8 +39,8 @@ def environment():
     context = ConditionContext(
         schema=schema,
         store=store,
-        window=event_base.full_window(),
-        now=event_base.full_window().latest_timestamp(),
+        window=event_base.full_view(),
+        now=event_base.latest_timestamp(),
     )
     return context, high, low
 

@@ -143,8 +143,9 @@ class TestStoreExternalSignature:
             db.engine.run_stream_block([EventOccurrence(98, TYPES[0], "o1", 1)])
             assert db.rule_state("order_watch").ts_computations == 1
             db.clock.tick()
+            # record mints EID 99, one above the stream's; the block goes on.
             db.event_base.record(EventType(Operation.CREATE, "order"), "o9", 2)
-            db.engine.run_stream_block([EventOccurrence(99, TYPES[0], "o1", 2)])
+            db.engine.run_stream_block([EventOccurrence(100, TYPES[0], "o1", 2)])
             assert db.rule_state("order_watch").times_triggered == 1
         finally:
             db.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NonTerminationError
+from repro.errors import EventCalculusError, NonTerminationError
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.oodb.database import ChimeraDatabase
 from repro.workloads.stock import CHECK_STOCK_QTY_RULE
@@ -307,8 +307,10 @@ class TestStreamBlockLoop:
             ]
             created = EventType(Operation.CREATE, "stock")
             for index, obj in enumerate(objects, 1):
+                # Each action's modify takes the EID above the block's, so the
+                # stream's EIDs leave room for it.
                 occurrence = EventOccurrence(
-                    eid=10_000 + index,
+                    eid=10_000 * index,
                     event_type=created,
                     oid=obj.oid,
                     timestamp=start + index,
@@ -378,3 +380,36 @@ def test_only_processes_with_shards_builds_a_coordinator(settings, coordinated):
         assert type(support) is (ShardCoordinator if coordinated else TriggerSupport)
     finally:
         db.close()
+
+
+class TestStreamEids:
+    """An action's occurrence takes an EID the log does not hold yet."""
+
+    ON_ITEM = """
+        define immediate onItem
+        events create(item)
+        action create(audit, n = 1)
+        end
+        """
+
+    def test_action_after_a_stream_block_mints_above_its_eids(self):
+        db = ChimeraDatabase()
+        try:
+            db.define_class("item", {})
+            db.define_class("audit", {"n": int})
+            db.define_rule(self.ON_ITEM)
+            created = EventType(Operation.CREATE, "item")
+            db.engine.run_stream_block(
+                [
+                    EventOccurrence(1, created, "i1", 1),
+                    EventOccurrence(2, created, "i2", 2),
+                ]
+            )
+            assert [occurrence.eid for occurrence in db.event_base] == [1, 2, 3]
+            assert db.event_base.type_of(3) == EventType(Operation.CREATE, "audit")
+            assert db.rule_statistics()["onItem"]["executed"] == 1
+            # A later block that reuses the minted EID is refused.
+            with pytest.raises(EventCalculusError, match="duplicate EID 3"):
+                db.engine.run_stream_block([EventOccurrence(3, created, "i3", 4)])
+        finally:
+            db.close()

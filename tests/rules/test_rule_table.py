@@ -55,8 +55,10 @@ class TestRuleState:
         state.mark_considered(6, executed=True)
         assert not state.triggered
         assert state.last_consideration == 6
+        assert (state.times_triggered, state.times_considered) == (1, 1)
         assert state.times_executed == 1
-        assert [kind for kind, _ in state.history] == ["triggered", "executed"]
+        state.mark_considered(7, executed=False)
+        assert (state.times_considered, state.times_executed) == (2, 1)
 
     def test_consuming_rule_advances_last_consumption(self):
         state = RuleState(rule=make_rule("r", consumption=ConsumptionMode.CONSUMING))
@@ -89,7 +91,7 @@ class TestRuleState:
         state.reset(transaction_start=10)
         assert not state.triggered
         assert not state.had_nonempty_window
-        assert state.triggering_window_start(10) == 10
+        assert state.trigger_window_start(10) == 10
 
 
 class TestRuleTable:
