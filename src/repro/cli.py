@@ -297,7 +297,7 @@ def _command_workload(args: argparse.Namespace) -> int:
         print(render_kv(db.trigger_statistics(), title="Trigger Support"))
         support = db.engine.trigger_support
         if isinstance(support, ShardCoordinator):
-            cluster = dict(support.cluster_stats.as_dict())
+            cluster = dataclasses.asdict(support.cluster_stats)
             # Shard balance where the work goes: rules per evaluation home,
             # home 0 (the coordinator's own) first.
             population = support.home_population()

@@ -32,13 +32,11 @@ import zlib
 from dataclasses import dataclass
 
 from repro.config import EngineConfig
-from repro.core.evaluation import EvaluationStats
 from repro.core.triggering import TriggeringDecision
 from repro.cluster.process_pool import ProcessShardPool
 from repro.events.clock import Timestamp
 from repro.events.event_base import EventBase
 from repro.obs.registry import MetricsRegistry
-from repro.obs.stats import MergeableStats
 from repro.rules.rule import RuleState
 from repro.rules.rule_table import RuleTable
 from repro.rules.trigger_support import TriggerSupport
@@ -59,7 +57,7 @@ def home_shard(rule_name: str, num_shards: int) -> int:
 
 
 @dataclass
-class ShardCoordinatorStats(MergeableStats):
+class ShardCoordinatorStats:
     """Dispatch observability, on top of the inherited TriggerSupport stats."""
 
     #: Worker batches dispatched to process workers.
@@ -128,8 +126,7 @@ class ShardCoordinator(TriggerSupport):
 
         Remote homes get their items, home 0 is checked inline meanwhile (the
         inherited evaluator), and the pool is contacted only when some
-        candidate lives on a worker; the workers' evaluator counters are
-        folded into ``self.stats.evaluation`` beside the inline share's.
+        candidate lives on a worker.
         """
         self._prune_worker_defs()
         if states:
@@ -150,17 +147,14 @@ class ShardCoordinator(TriggerSupport):
         if not remote:
             return evaluate(local, now, transaction_start)
 
-        def evaluate_inline():
-            # Counted in place; the pool merges the workers' stats into the
-            # empty record returned alongside.
-            return evaluate(local, now, transaction_start), EvaluationStats()
-
         pool = self._ensure_process_pool()
         self.cluster_stats.parallel_batches += len(remote)
-        evaluated, worker_stats = pool.evaluate(
-            self.event_base, remote, now, evaluate_inline
+        evaluated = pool.evaluate(
+            self.event_base,
+            remote,
+            now,
+            lambda: evaluate(local, now, transaction_start),
         )
-        self.stats.evaluation.merge(worker_stats)
         evaluated.sort(key=lambda pair: pair[0].definition_order)
         return evaluated
 

@@ -26,9 +26,8 @@ The block's type *signature* stays coordinator-side, where the one planner
 chose the items from it.  The worker runs one compiled ``check`` per item
 and replies with one compact :class:`~repro.core.triggering.TriggeringDecision`
 row per item, in item order (the coordinator knows which rule each row
-answers), plus its local :class:`~repro.core.evaluation.EvaluationStats` —
-pickled as one body, so the ``worker.reply`` probe can time that encode —
-and its metrics delta.  All writes (counters, the triggered flag, heap
+answers) — pickled as one body, so the ``worker.reply`` probe can time that
+encode — and its metrics delta.  All writes (counters, the triggered flag, heap
 pushes) stay in the coordinator, which applies the decisions **serially in
 definition order** — so the single table and the process mode are
 behaviourally identical (``tests/cluster/test_mode_equivalence.py`` pins it,
@@ -69,7 +68,6 @@ from typing import Callable
 from repro.cluster.transport import ShardTransport, _FrameReader
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder, CompiledCheck
-from repro.core.evaluation import EvaluationMode, EvaluationStats
 from repro.core.triggering import TriggerMemo, TriggeringDecision
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.clock import Timestamp
@@ -97,7 +95,7 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
     """
     # This worker's evaluator: shape kernels shared by every rule dealt to
     # it, and the one epoch its bindings' index handles follow.
-    binder = CheckBinder(EvaluationMode(config.evaluation_mode))
+    binder = CheckBinder()
     # The worker accumulates its own registry and ships compact deltas
     # piggybacked on every reply (drain-and-reset keeps the payload small);
     # the coordinator merges them, so one snapshot covers the whole logical
@@ -165,15 +163,12 @@ def _worker_loop(
             for name, _order, expression in defs:
                 rules[name] = (TriggerMemo(), binder.bind(expression))
             state_applied = True
-            stats = EvaluationStats()
             trips_counter.inc()
             decisions = []
             with check_hist.time():
                 for name, window_start in items:
                     memo, compiled = rules[name]
-                    decision = compiled.check(
-                        mirror, window_start, now, memo=memo, stats=stats
-                    )
+                    decision = compiled.check(mirror, window_start, now, memo=memo)
                     decisions.append(
                         (
                             decision.triggered,
@@ -185,7 +180,7 @@ def _worker_loop(
                     )
             rules_counter.inc(len(decisions))
             with reply_hist.time():
-                body = pickle.dumps((tuple(decisions), stats), _PROTOCOL)
+                body = pickle.dumps(tuple(decisions), _PROTOCOL)
             # Drained after the reply timer stopped, so this block's
             # observations all ride on this block's reply.
             connection.send_bytes(
@@ -249,8 +244,8 @@ class _WorkerHandle:
 #: states its reply rows answer, in item order.
 _PreparedSend = tuple[_WorkerHandle, bytes, list[tuple[str, int]], int, list[RuleState]]
 
-#: One block's ``(state, decision)`` rows and the stats they cost.
-_BlockResult = tuple[list[tuple[RuleState, TriggeringDecision]], EvaluationStats]
+#: One block's ``(state, decision)`` rows.
+_BlockResult = list[tuple[RuleState, TriggeringDecision]]
 
 
 class ProcessShardPool:
@@ -338,9 +333,9 @@ class ProcessShardPool:
         plus its items.  ``inline`` — the coordinator's own share of the
         block — runs after every message is sent and before any reply is
         read, so it overlaps the workers' checks; it returns
-        ``(state, decision)`` pairs and stats, which are folded in.  Returns
-        the evaluated pairs (in evaluator order — the coordinator sorts by
-        definition order before applying) plus the merged evaluation stats.
+        ``(state, decision)`` pairs, which are folded in.  Returns the
+        evaluated pairs (in evaluator order — the coordinator sorts by
+        definition order before applying).
         """
         self._require_usable()
         transport = self._transport
@@ -399,12 +394,11 @@ class ProcessShardPool:
             self.defs_shipped += len(new_defs)
         self.dispatches += 1
         self.worker_round_trips += len(prepared)
-        rows: list[tuple[RuleState, TriggeringDecision]] = []
-        merged = EvaluationStats()
+        rows: _BlockResult = []
         first_error: BaseException | None = None
         if inline is not None:
             try:
-                rows, merged = inline()
+                rows = inline()
             except BaseException as exc:
                 first_error = exc
         # Drain every worker's reply even when one fails: an unread reply
@@ -419,8 +413,7 @@ class ProcessShardPool:
                 continue
             if first_error is not None:
                 continue
-            decisions, worker_stats = pickle.loads(body)
-            merged.merge(worker_stats)
+            decisions = pickle.loads(body)
             if metrics_delta and self.metrics is not None:
                 # Deltas are commutative (sums and maxima), so the reply
                 # order cannot change the merged snapshot.
@@ -429,7 +422,7 @@ class ProcessShardPool:
                 rows.append((state, TriggeringDecision(*row)))
         if first_error is not None:
             raise first_error
-        return rows, merged
+        return rows
 
     def prune(self, is_live) -> int:
         """Forget definitions of rules that left the table.
@@ -521,7 +514,7 @@ class ProcessShardPool:
                 # there, with the worker traceback chained as the cause.
                 raise original from cause
             raise cause
-        # ``("ok", pickled (decision rows, stats) body, metrics delta)``; a reset
+        # ``("ok", pickled decision rows, metrics delta)``; a reset
         # reply carries neither.
         return reply[1], reply[2]
 

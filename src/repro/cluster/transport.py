@@ -392,6 +392,22 @@ class _FrameReader:
 # ---------------------------------------------------------------------------
 
 
+def _worker_entry(connection, inherited, config: EngineConfig, metrics_enabled):
+    """A worker's first step: close the coordinator's pipe ends, then serve.
+
+    A forked child holds a copy of every pipe end the coordinator held at the
+    fork — its own worker's and each earlier worker's.  While any copy stays
+    open, closing the coordinator's ends is no EOF to the worker, so a
+    coordinator that dies without sending ``stop`` (killed by a signal) would
+    leave it blocked in ``recv_bytes`` for good.
+    """
+    for end in inherited:
+        end.close()
+    from repro.cluster import process_pool
+
+    process_pool._worker_main(connection, config, metrics_enabled)
+
+
 class ShardTransport:
     """The pool's workers, forked on ``multiprocessing`` pipes, and the row log.
 
@@ -418,16 +434,23 @@ class ShardTransport:
         """Fork ``num_workers`` workers, each on its own pipe.
 
         Every worker receives the transport's ``config`` record itself plus
-        the metrics flag (registries do not cross the process boundary).
+        the metrics flag (registries do not cross the process boundary).  A
+        forked worker also gets the coordinator-side ends it inherits, to
+        close (:func:`_worker_entry`); a spawned one inherits none.
         """
-        from repro.cluster.process_pool import _worker_main
-
         context = multiprocessing.get_context(self.start_method)
+        forked = self.start_method == "fork"
         for worker_id in range(num_workers):
             parent_end, child_end = context.Pipe()
+            inherited = [end for _, end in self._members] + [parent_end]
             process = context.Process(
-                target=_worker_main,
-                args=(child_end, self.config, metrics_enabled),
+                target=_worker_entry,
+                args=(
+                    child_end,
+                    inherited if forked else [],
+                    self.config,
+                    metrics_enabled,
+                ),
                 name=f"shard-worker-{worker_id}",
                 daemon=True,
             )

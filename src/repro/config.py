@@ -31,8 +31,6 @@ __all__ = ["ENV_NAMES", "SHARD_MODES", "EngineConfig", "knob_table"]
 #: (``repro.cluster.process_pool``).
 SHARD_MODES = ("serial", "processes")
 
-_EVALUATION_MODES = ("logical", "algebraic")
-
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 _FALSY = frozenset({"0", "false", "no", "off"})
 
@@ -72,9 +70,6 @@ class EngineConfig:
 
     use_static_optimization: bool = _knob(
         True, bool, doc="V(E) routed planning; off = the paper's exhaustive scan"
-    )
-    evaluation_mode: str = _knob(
-        "logical", _EVALUATION_MODES, doc="ts semantics of the exact check"
     )
     max_rule_executions: int = _knob(
         10_000, (0, None), doc="rule execution budget per transaction / stream block"

@@ -9,23 +9,20 @@ expression **shape** and leaves a rule with nothing but a small binding.
 
 *Compile* (once per shape per evaluator).  A shape is the operator tree with
 every primitive replaced by a slot number (one slot per distinct event type,
-in first-appearance order).  :class:`CheckBinder` interns one :class:`_Kernel`
-per shape — a tree of small Python closures with everything the shape decides
-folded in:
+in first-appearance order).  :class:`CheckBinder` interns one *kernel* per
+shape — a tree of small Python closures, its root standing for the whole,
+with everything the shape decides folded in:
 
 * **operator dispatch** — each node is a direct nested call;
-* **evaluation mode** — the :class:`EvaluationMode` combine formulas are baked
-  in (both the logical case analysis and the exact algebraic ``unit_step``
-  arithmetic — the two styles are *not* universally value-equal, so each is
-  compiled literally);
+* **combine formulas** — the paper's logical case analysis (§4) for
+  conjunction, disjunction and precedence.  Its algebraic style, sums of
+  products of the unit step ``u``, is the same function on every value a
+  ``ts`` takes (a non-zero integer), so one combine set serves both
+  formulations (tests/core/test_properties.py::
+  test_combines_agree_in_both_modes_exhaustively);
 * **lift boundaries** — whether an instance-oriented subtree must be lifted
   over affected objects, whether the lift is existential (max) or universal
-  (min, instance negation) and which slots it enumerates;
-* **stats plumbing** — *rigid* subtrees (no precedence, no lift: their node
-  visit and primitive lookup counts per evaluation are constants of the
-  shape) do no counting at all; the constants are folded into their nearest
-  non-rigid ancestor (or into the per-check flush for a rigid root), so the
-  reference counters are reproduced exactly, in bulk.
+  (min, instance negation) and which slots it enumerates.
 
 Kernels hold no mutable state and no event type: every closure takes the
 calling rule's *handles* as its first argument, so thousands of rules over
@@ -38,9 +35,7 @@ valid for one binder *epoch*: the binder moves the epoch whenever the Event
 Base it last saw changes identity or registers a new event type (exactly the
 condition under which the store drops its own match cache), and
 :meth:`CheckBinder.invalidate` moves it unconditionally — O(1) however many
-rules are bound; each binding re-resolves lazily on its next check.  The
-counting cells of a non-rigid kernel live on the stack of the check that
-uses them.
+rules are bound; each binding re-resolves lazily on its next check.
 
 On top of the per-instant closures, :meth:`CompiledCheck.check` runs one
 block's exact check in a single pass over the store's sorted timestamp
@@ -54,23 +49,22 @@ instance-rooted kernel once, and :meth:`CompiledCheck.affected` /
 :meth:`CompiledCheck.arises` evaluate it only for the objects the window's
 rows touched, plus one probe that stands for every untouched object.
 
-Equivalence contract: for every expression, mode and history, the compiled
-``ts``/``ots``/``check`` return the same values, the same
-:class:`TriggeringDecision` fields and the same ``EvaluationStats`` totals
-as the reference (pinned by tests/core/test_compiled_equivalence.py and the
-cross-mode differential harnesses), and ``affected`` / ``arises`` the same
-sets and instants as ``active_objects`` / ``activation_instants``
-(tests/core/test_event_formulas.py).  The only intended difference is *when*
-stats are accumulated: per check, in bulk, rather than per node.
+Equivalence contract: for every expression and history, the compiled
+``ts``/``ots``/``check`` return the same values and the same
+:class:`TriggeringDecision` fields as the reference in either mode, each
+sampled instant being one reference evaluation (pinned by
+tests/core/test_compiled_equivalence.py and the cross-mode differential
+harnesses), and ``affected`` / ``arises`` the same sets and instants as
+``active_objects`` / ``activation_instants`` (tests/core/test_event_formulas.py).
+The kernels count nothing but the instants a check samples.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
-from repro.core.evaluation import EvaluationMode, EvaluationStats
 from repro.core.expressions import (
     EventExpression,
     InstanceConjunction,
@@ -84,7 +78,6 @@ from repro.core.expressions import (
     SetPrecedence,
 )
 from repro.core.triggering import TriggeringDecision, TriggerMemo
-from repro.core.ts import unit_step
 from repro.errors import EvaluationError
 from repro.events.clock import Timestamp
 from repro.events.event import EventType
@@ -100,16 +93,10 @@ _NEG_INF = float("-inf")
 #: value of any object the window's rows of the formula's types never touched.
 _UNTOUCHED = object()
 
-#: What a rigid kernel's check flushes as its dynamic share: nothing.
-_NO_CELLS = (0, 0, 0)
-
 #: A kernel closure: ``fn(handles, after, instant, oid) -> signed ts value``.
-#: ``handles[slot]`` is the resolved index tuple of the slot's event type;
-#: non-rigid kernels find their ``[visits, lookups, lifted]`` counting cells
-#: appended as ``handles[-1]``.  Set-oriented closures ignore ``oid``.
+#: ``handles[slot]`` is the resolved index tuple of the slot's event type.
+#: Set-oriented closures ignore ``oid``.
 _Fn = Callable[[tuple, Any, Timestamp, Any], int]
-#: Static per-evaluation cost of a rigid subtree: (node visits, lookups).
-_Cost = "tuple[int, int] | None"
 
 _NEGATIONS = (SetNegation, InstanceNegation)
 _CONJUNCTIONS = (SetConjunction, InstanceConjunction)
@@ -128,28 +115,17 @@ def _shape_key(node: EventExpression, slots: "dict[EventType, int]"):
 
 
 class _Lowering:
-    """One lowering pass over the exemplar expression of a shape.
+    """One lowering pass over the exemplar expression of a shape."""
 
-    Produces closures plus, for *rigid* subtrees, their static
-    ``(node_visits, primitive_lookups)`` per-evaluation cost.  A subtree is
-    rigid when it contains no precedence operator (which conditionally skips
-    its left operand) and no lifted instance subtree (whose cost scales with
-    the affected-object set) — then its reference counter increments are a
-    constant of the shape and the closure does no counting at all.  Non-rigid
-    closures absorb their rigid children's constants and self-count into the
-    check's counting cells (``handles[-1]``), flushed in bulk once per check.
-    """
+    __slots__ = ("slots",)
 
-    __slots__ = ("algebraic", "slots")
-
-    def __init__(self, mode: EvaluationMode, slots: "dict[EventType, int]") -> None:
-        self.algebraic = mode is EvaluationMode.ALGEBRAIC
+    def __init__(self, slots: "dict[EventType, int]") -> None:
         self.slots = slots
 
-    def lower(self, node: EventExpression, instance: bool) -> "tuple[_Fn, _Cost]":
+    def lower(self, node: EventExpression, instance: bool) -> _Fn:
         """Mirror of ``evaluation._ts`` (``instance=False``) / ``_ots``."""
         if isinstance(node, Primitive):
-            return self._primitive(self.slots[node.event_type], instance), (1, 1)
+            return self._primitive(self.slots[node.event_type], instance)
         if node.is_instance_oriented and not instance:
             return self._lift(node)
         if instance and not node.is_instance_oriented:
@@ -158,22 +134,20 @@ class _Lowering:
                 "instance-oriented evaluation"
             )
         if isinstance(node, _NEGATIONS):
-            operand, cost = self.lower(node.operand, instance)
+            operand = self.lower(node.operand, instance)
 
             def fn(h, after, instant, oid, _operand=operand):
                 return -_operand(h, after, instant, oid)
 
-            if cost is not None:
-                return fn, (cost[0] + 1, cost[1])
-            return _counted(fn, 1, 0), None
+            return fn
         if isinstance(node, _PRECEDENCES):
             return self._precedence(
-                *self.lower(node.left, instance), *self.lower(node.right, instance)
+                self.lower(node.left, instance), self.lower(node.right, instance)
             )
         if isinstance(node, _CONJUNCTIONS + _DISJUNCTIONS):
             return self._combine(
-                *self.lower(node.left, instance),
-                *self.lower(node.right, instance),
+                self.lower(node.left, instance),
+                self.lower(node.right, instance),
                 conjunction=isinstance(node, _CONJUNCTIONS),
             )
         raise EvaluationError(f"cannot compile node of type {type(node).__name__}")
@@ -210,121 +184,44 @@ class _Lowering:
         return fn
 
     # -- conjunction / disjunction ------------------------------------------
-    def _combine(
-        self, left: _Fn, left_cost, right: _Fn, right_cost, conjunction: bool
-    ) -> "tuple[_Fn, _Cost]":
+    @staticmethod
+    def _combine(left: _Fn, right: _Fn, conjunction: bool) -> _Fn:
         if conjunction:
-            if self.algebraic:
 
-                def core(h, after, instant, oid, _l=left, _r=right, _u=unit_step):
-                    lv = _l(h, after, instant, oid)
-                    rv = _r(h, after, instant, oid)
-                    both = _u(lv) * _u(rv)
-                    return min(lv, rv) * (1 - both) + max(lv, rv) * both
-
-            else:
-
-                def core(h, after, instant, oid, _l=left, _r=right):
-                    lv = _l(h, after, instant, oid)
-                    rv = _r(h, after, instant, oid)
-                    if lv > 0 and rv > 0:
-                        return lv if lv > rv else rv
-                    return lv if lv < rv else rv
-
-        else:
-            if self.algebraic:
-
-                def core(h, after, instant, oid, _l=left, _r=right, _u=unit_step):
-                    lv = _l(h, after, instant, oid)
-                    rv = _r(h, after, instant, oid)
-                    neither = _u(-lv) * _u(-rv)
-                    return max(lv, rv) * (1 - neither) + min(lv, rv) * neither
-
-            else:
-
-                def core(h, after, instant, oid, _l=left, _r=right):
-                    lv = _l(h, after, instant, oid)
-                    rv = _r(h, after, instant, oid)
-                    if lv > 0 or rv > 0:
-                        return lv if lv > rv else rv
-                    return lv if lv < rv else rv
-
-        left_visits, left_lookups = left_cost or (0, 0)
-        right_visits, right_lookups = right_cost or (0, 0)
-        visits = 1 + left_visits + right_visits
-        lookups = left_lookups + right_lookups
-        if left_cost is not None and right_cost is not None:
-            return core, (visits, lookups)
-        return _counted(core, visits, lookups), None
-
-    # -- precedence (never rigid: the left operand is conditionally skipped) --
-    def _precedence(
-        self, left: _Fn, left_cost, right: _Fn, right_cost
-    ) -> "tuple[_Fn, _Cost]":
-        left_visits, left_lookups = left_cost or (0, 0)
-        right_visits, right_lookups = right_cost or (0, 0)
-        right_visits += 1
-        if self.algebraic:
-
-            def fn(
-                h,
-                after,
-                instant,
-                oid,
-                _l=left,
-                _r=right,
-                _u=unit_step,
-                _rv=right_visits,
-                _rk=right_lookups,
-                _lv=left_visits,
-                _lk=left_lookups,
-            ):
-                cells = h[-1]
-                cells[0] += _rv
-                cells[1] += _rk
-                right_value = _r(h, after, instant, oid)
-                if right_value > 0:
-                    cells[0] += _lv
-                    cells[1] += _lk
-                    left_at_right = _l(h, after, right_value, oid)
-                else:
-                    left_at_right = -instant
-                satisfied = _u(right_value) * _u(left_at_right)
-                return -instant * (1 - satisfied) + right_value * satisfied
+            def fn(h, after, instant, oid, _l=left, _r=right):
+                lv = _l(h, after, instant, oid)
+                rv = _r(h, after, instant, oid)
+                if lv > 0 and rv > 0:
+                    return lv if lv > rv else rv
+                return lv if lv < rv else rv
 
         else:
 
-            def fn(
-                h,
-                after,
-                instant,
-                oid,
-                _l=left,
-                _r=right,
-                _rv=right_visits,
-                _rk=right_lookups,
-                _lv=left_visits,
-                _lk=left_lookups,
-            ):
-                cells = h[-1]
-                cells[0] += _rv
-                cells[1] += _rk
-                right_value = _r(h, after, instant, oid)
-                if right_value > 0:
-                    cells[0] += _lv
-                    cells[1] += _lk
-                    if _l(h, after, right_value, oid) > 0:
-                        return right_value
-                return -instant
+            def fn(h, after, instant, oid, _l=left, _r=right):
+                lv = _l(h, after, instant, oid)
+                rv = _r(h, after, instant, oid)
+                if lv > 0 or rv > 0:
+                    return lv if lv > rv else rv
+                return lv if lv < rv else rv
 
-        return fn, None
+        return fn
+
+    # -- precedence: the left operand is probed at the right one's stamp ------
+    @staticmethod
+    def _precedence(left: _Fn, right: _Fn) -> _Fn:
+        def fn(h, after, instant, oid, _l=left, _r=right):
+            right_value = _r(h, after, instant, oid)
+            if right_value > 0 and _l(h, after, right_value, oid) > 0:
+                return right_value
+            return -instant
+
+        return fn
 
     # -- lifting an instance subtree into a set context ----------------------
-    def _lift(self, node: EventExpression) -> "tuple[_Fn, _Cost]":
-        inst, inst_cost = self.lower(node, instance=True)
+    def _lift(self, node: EventExpression) -> _Fn:
+        inst = self.lower(node, instance=True)
         lift_slots = tuple(sorted({self.slots[t] for t in node.event_types()}))
         universal = isinstance(node, InstanceNegation)
-        inst_visits, inst_lookups = inst_cost or (0, 0)
 
         def fn(
             h,
@@ -335,11 +232,7 @@ class _Lowering:
             _lift_slots=lift_slots,
             _bisect=bisect_right,
             _universal=universal,
-            _iv=inst_visits,
-            _ik=inst_lookups,
         ):
-            cells = h[-1]
-            cells[0] += 1
             # The objects affected in (after, instant]: one slice of each
             # lifted type's OID column.
             affected = set()
@@ -349,45 +242,13 @@ class _Lowering:
                     affected.update(
                         index.oids[_bisect(stamps, after) : _bisect(stamps, instant)]
                     )
-            count = len(affected)
-            cells[2] += count
-            if not count:
+            if not affected:
                 return instant if _universal else -instant
-            cells[0] += count * _iv
-            cells[1] += count * _ik
             if _universal:
                 return min(_inst(h, after, instant, obj) for obj in affected)
             return max(_inst(h, after, instant, obj) for obj in affected)
 
-        return fn, None
-
-
-def _counted(core: _Fn, visits: int, lookups: int) -> _Fn:
-    """Wrap a non-rigid closure to self-count a static prologue into the cells."""
-
-    def fn(h, after, instant, oid, _core=core, _v=visits, _k=lookups):
-        cells = h[-1]
-        cells[0] += _v
-        cells[1] += _k
-        return _core(h, after, instant, oid)
-
-    return fn
-
-
-class _Kernel:
-    """One lowered shape: the root closure and its per-evaluation static cost.
-
-    ``visits``/``lookups`` are the whole tree's constants when the root is
-    rigid (``counts`` False, nothing counted at evaluation time) and zero
-    otherwise (``counts`` True: the closures count into ``handles[-1]``).
-    """
-
-    __slots__ = ("fn", "visits", "lookups", "counts")
-
-    def __init__(self, fn: _Fn, cost) -> None:
-        self.fn = fn
-        self.visits, self.lookups = cost or (0, 0)
-        self.counts = cost is None
+        return fn
 
 
 class CheckBinder:
@@ -399,10 +260,9 @@ class CheckBinder:
     builds its own.
     """
 
-    def __init__(self, mode: EvaluationMode = EvaluationMode.LOGICAL) -> None:
-        self.mode = mode
-        #: ``(shape key, instance-rooted?)`` -> the interned kernel.
-        self._kernels: "dict[tuple, _Kernel]" = {}
+    def __init__(self) -> None:
+        #: ``(shape key, instance-rooted?)`` -> the interned kernel's root.
+        self._kernels: "dict[tuple, _Fn]" = {}
         #: Instance-rooted bindings, one per expression (:meth:`bind_instance`).
         self._instances: "dict[EventExpression, CompiledCheck]" = {}
         #: Bindings whose ``_epoch`` differs re-resolve before evaluating.
@@ -442,13 +302,13 @@ class CheckBinder:
 
     def _kernel(
         self, expression: EventExpression, instance: bool
-    ) -> "tuple[_Kernel, tuple[EventType, ...]]":
+    ) -> "tuple[_Fn, tuple[EventType, ...]]":
         """The interned kernel of ``expression``'s shape, and its slot types."""
         slots: "dict[EventType, int]" = {}
         key = (_shape_key(expression, slots), instance)
         kernel = self._kernels.get(key)
         if kernel is None:
-            lowered = _Kernel(*_Lowering(self.mode, slots).lower(expression, instance))
+            lowered = _Lowering(slots).lower(expression, instance)
             # Should two threads lower a shape concurrently, the first insert
             # wins so every binding shares the interned kernel.
             kernel = self._kernels.setdefault(key, lowered)
@@ -499,7 +359,7 @@ class CompiledCheck:
         self,
         expression: EventExpression,
         binder: CheckBinder,
-        kernel: _Kernel,
+        kernel: _Fn,
         types: "tuple[EventType, ...]",
     ) -> None:
         self.expression = expression
@@ -542,37 +402,26 @@ class CompiledCheck:
     # -- point evaluation (compiled ts / ots) ---------------------------------
     def _point(
         self,
-        kernel: _Kernel,
         event_base: StampIndex,
         window_start: Timestamp | None,
         instant: Timestamp,
         oid: Any,
-        stats: EvaluationStats | None,
     ) -> int:
-        handles = self._resolve(event_base)
-        cells = _NO_CELLS
-        if kernel.counts:
-            cells = [0, 0, 0]
-            handles += (cells,)
         after = _NEG_INF if window_start is None else window_start
-        value = kernel.fn(handles, after, instant, oid)
-        if stats is not None:
-            _flush(stats, kernel, 1, cells)
-        return value
+        return self._kernel(self._resolve(event_base), after, instant, oid)
 
     def ts(
         self,
         event_base: StampIndex,
         window_start: Timestamp | None,
         instant: Timestamp,
-        stats: EvaluationStats | None = None,
     ) -> int:
         """Compiled ``ts`` over the window ``(window_start, instant]``."""
         if instant <= 0:
             raise EvaluationError(
                 f"ts must be evaluated at a positive instant (got {instant})"
             )
-        return self._point(self._kernel, event_base, window_start, instant, None, stats)
+        return self._point(event_base, window_start, instant, None)
 
     def ots(
         self,
@@ -580,7 +429,6 @@ class CompiledCheck:
         window_start: Timestamp | None,
         instant: Timestamp,
         oid: Any,
-        stats: EvaluationStats | None = None,
     ) -> int:
         """Compiled ``ots`` for ``oid`` over the window ``(window_start, instant]``."""
         if instant <= 0:
@@ -590,9 +438,7 @@ class CompiledCheck:
         instance = self._instance
         if instance is None:
             instance = self._instance = self.binder.bind_instance(self.expression)
-        return instance._point(
-            instance._kernel, event_base, window_start, instant, oid, stats
-        )
+        return instance._point(event_base, window_start, instant, oid)
 
     # -- the event formulas (instance-rooted bindings) ------------------------
     def affected(self, window: WindowLike, instant: Timestamp) -> "set[Any]":
@@ -621,10 +467,7 @@ class CompiledCheck:
         for indexes in handles:
             for index in indexes:
                 touched.update(index.oids_between(after, bound))
-        kernel = self._kernel
-        if kernel.counts:
-            handles += ([0, 0, 0],)
-        fn = kernel.fn
+        fn = self._kernel
         active = {oid for oid in touched if fn(handles, lower, bound, oid) > 0}
         if fn(handles, lower, instant, _UNTOUCHED) > 0:
             active.update(window.oids() - touched)
@@ -641,10 +484,7 @@ class CompiledCheck:
         """
         store, after, view_until = _bounds_of(window)
         handles = self._resolve(store)
-        kernel = self._kernel
-        if kernel.counts:
-            handles += ([0, 0, 0],)
-        fn = kernel.fn
+        fn = self._kernel
         lower = _NEG_INF if after is None else after
         last = until if view_until is None or view_until > until else view_until
         distinct = store._distinct_timestamps
@@ -662,7 +502,6 @@ class CompiledCheck:
         window_start: Timestamp | None,
         now: Timestamp,
         memo: TriggerMemo | None = None,
-        stats: EvaluationStats | None = None,
     ) -> TriggeringDecision:
         """Exact triggering check of one block over ``(window_start, now]``.
 
@@ -680,14 +519,9 @@ class CompiledCheck:
         size = bisect_right(all_stamps, now) - bisect_right(all_stamps, after)
         if size == 0:
             return TriggeringDecision(False, None, None, 0)
-        kernel = self._kernel
-        cells = _NO_CELLS
-        if kernel.counts:
-            cells = [0, 0, 0]
-            handles += (cells,)
         distinct = event_base._distinct_timestamps
         total = len(all_stamps)
-        fn = kernel.fn
+        fn = self._kernel
         lower: Timestamp | None = None
         if memo is not None and memo.covers(window_start):
             lower = memo.last_sampled
@@ -714,8 +548,6 @@ class CompiledCheck:
             if value > 0:
                 hit_instant = now
                 hit_value = value
-        if stats is not None:
-            _flush(stats, kernel, sampled, cells)
         if hit_instant is not None:
             if memo is not None:
                 memo.clear()
@@ -738,18 +570,6 @@ def _bounds_of(
     return window, None, None
 
 
-def _flush(
-    stats: EvaluationStats, kernel: _Kernel, sampled: int, cells: Sequence[int]
-) -> None:
-    """Accumulate one check's counters in bulk."""
-    stats.evaluations += sampled
-    stats.node_visits += cells[0] + kernel.visits * sampled
-    stats.primitive_lookups += cells[1] + kernel.lookups * sampled
-    stats.lifted_objects += cells[2]
-
-
-def compile_check(
-    expression: EventExpression, mode: EvaluationMode = EvaluationMode.LOGICAL
-) -> CompiledCheck:
-    """A stand-alone binding of ``expression`` (own one-off binder) for ``mode``."""
-    return CheckBinder(mode).bind(expression)
+def compile_check(expression: EventExpression) -> CompiledCheck:
+    """A stand-alone binding of ``expression`` (own one-off binder)."""
+    return CheckBinder().bind(expression)

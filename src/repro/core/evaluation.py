@@ -16,7 +16,9 @@ This module implements Section 4 of the paper:
   existential operators (conjunction, disjunction, precedence) take the best
   (maximum) ``ots`` over the objects, while instance negation requires *no*
   object to violate it (minimum ``ots``).  This reconstruction follows the
-  paper's prose and its stated properties (see DESIGN.md §2, substitution 1).
+  paper's prose and its stated properties; the lift tests of
+  tests/core/test_evaluation_instance.py (``TestLiftingEdgeCases``,
+  ``TestInstanceNegation``) pin it.
 * :func:`active_objects` and :func:`activation_instants` — the object bindings
   and occurrence instants of the ``occurred`` and ``at`` event formulas.
 
@@ -51,7 +53,6 @@ from repro.core.expressions import (
 from repro.core.ts import TsValue, unit_step
 from repro.events.clock import Timestamp
 from repro.events.event_base import WindowLike
-from repro.obs.stats import MergeableStats
 
 __all__ = [
     "EvaluationMode",
@@ -73,14 +74,13 @@ class EvaluationMode(Enum):
 
 
 @dataclass
-class EvaluationStats(MergeableStats):
-    """Counters describing the work done by the evaluator.
+class EvaluationStats:
+    """Counters describing the work done by the reference evaluator.
 
-    They measure work in counts rather than time: how many primitive look-ups
-    and node visits a Trigger Support performs with and without the ``V(E)``
-    filter.  ``as_dict()``/``merge()`` follow the
-    shared :class:`~repro.obs.stats.MergeableStats` protocol (``merge`` is
-    hand-written — it runs once per shard batch on the check path).
+    They measure work in counts rather than time: node visits, primitive
+    look-ups, lifted objects and point evaluations (one per ``ts`` / ``ots``
+    call).  The compiled kernels count none of them; the oracle's own tests
+    read them.
     """
 
     node_visits: int = 0

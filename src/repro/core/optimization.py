@@ -10,7 +10,8 @@ A variation is written ``Δ+E`` (positive: ``ts`` may switch from negative to
 positive when ``E`` occurs), ``Δ−E`` (negative), ``ΔE`` (either), and carries a
 granularity: set-level (``Δ…E``) or object-level (``Δ…O E``).
 
-Derivation rules (Fig. 6, reconstructed — see DESIGN.md §2):
+Derivation rules (Fig. 6, reconstructed; tests/core/test_optimization.py's
+``TestDerivationRules`` and ``TestPaperExample`` pin each one):
 
 * negation flips the sign of the requested variation;
 * conjunction and disjunction propagate the variation to both operands;

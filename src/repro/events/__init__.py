@@ -7,7 +7,6 @@ type's latest time stamp.
 
 from repro.events.clock import SharedTickClock, Timestamp, TransactionClock
 from repro.events.event import (
-    EidGenerator,
     EventOccurrence,
     EventType,
     Operation,
@@ -28,7 +27,6 @@ from repro.events.timers import (
 
 __all__ = [
     "BoundedView",
-    "EidGenerator",
     "EventBase",
     "EventOccurrence",
     "EventType",

@@ -10,11 +10,10 @@ of the affected object and the time stamp at which it arose.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.errors import EventCalculusError
 from repro.events.clock import Timestamp
@@ -23,7 +22,6 @@ __all__ = [
     "Operation",
     "EventType",
     "EventOccurrence",
-    "EidGenerator",
     "parse_event_type",
 ]
 
@@ -243,19 +241,3 @@ class EventOccurrence:
             self.timestamp,
             dict(self.payload) if self.payload else None,
         )
-
-
-class EidGenerator:
-    """Produces unique, monotonically increasing event identifiers."""
-
-    def __init__(self, start: int = 1) -> None:
-        if start <= 0:
-            raise ValueError("EIDs start at 1")
-        self._counter = itertools.count(start)
-
-    def next(self) -> int:
-        """Return the next unused EID."""
-        return next(self._counter)
-
-    def __iter__(self) -> Iterator[int]:  # pragma: no cover - convenience
-        return self._counter

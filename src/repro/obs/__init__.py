@@ -1,8 +1,8 @@
 """Runtime observability: one registry for the whole logical engine.
 
 The engine's pipeline stages (ingest → plan → dispatch → check → apply) run
-across three shard execution modes and two evaluator paths; before this
-package their only telemetry was four disjoint ad-hoc stats dataclasses plus
+on the single table or behind the shard coordinator; before this package
+their only telemetry was four disjoint ad-hoc stats dataclasses plus
 bench-local timers.  ``repro.obs`` gives them one spine:
 
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`, a dependency-free
@@ -13,11 +13,9 @@ bench-local timers.  ``repro.obs`` gives them one spine:
   (:meth:`MetricsRegistry.drain_delta`) piggybacked on the existing trip
   reply messages; the coordinator merges them
   (:meth:`MetricsRegistry.merge_delta`) so one snapshot covers the whole
-  logical engine in every shard mode.
-* :mod:`repro.obs.stats` — :class:`MergeableStats`, the shared
-  ``as_dict()`` / ``merge()`` protocol behind ``TriggerSupportStats``,
-  ``ShardCoordinatorStats`` and ``EvaluationStats``.
-  The live stats objects are registered as snapshot *sources*, so the
+  logical engine in every shard mode.  The live stats dataclasses
+  (``TriggerSupportStats``, ``ShardCoordinatorStats``) are registered as
+  snapshot *sources* and read through ``dataclasses.asdict``, so the
   workload report and the metrics export read the same numbers by
   construction.
 * :mod:`repro.obs.export` — the human text report
@@ -41,7 +39,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.stats import MergeableStats
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -50,7 +47,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonLinesExporter",
-    "MergeableStats",
     "MetricsRegistry",
     "render_metrics_report",
 ]

@@ -29,10 +29,11 @@ writes its own registry).
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from bisect import bisect_right
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -257,8 +258,9 @@ _NULL_COUNTER = _NullCounter("null")
 _NULL_GAUGE = _NullGauge("null")
 _NULL_HISTOGRAM = _NullHistogram("null", bounds=())
 
-#: A snapshot source: an object with ``as_dict()`` (the stats dataclasses)
-#: or a zero-argument callable returning a mapping (``transport_stats``).
+#: A snapshot source: a stats dataclass instance, read through
+#: ``dataclasses.asdict``, or a zero-argument callable returning a mapping
+#: (``transport_stats``).
 Source = Any
 
 
@@ -340,11 +342,11 @@ class MetricsRegistry:
     def register_source(self, prefix: str, source: Source) -> None:
         """Fold ``source`` into every snapshot under ``prefix.<key>`` counters.
 
-        ``source`` is an object with ``as_dict()`` (the pipeline stats
-        dataclasses) or a zero-argument callable returning a mapping (e.g.
-        ``ProcessShardPool.transport_stats``).  Sources are read at snapshot
-        time — the report and the export can never disagree with the live
-        stats.  Registering a prefix again replaces the source.
+        ``source`` is a stats dataclass instance (``TriggerSupportStats``,
+        ``ShardCoordinatorStats``) or a zero-argument callable returning a
+        mapping (e.g. ``ProcessShardPool.transport_stats``).  Sources are
+        read at snapshot time — the report and the export can never disagree
+        with the live stats.  Registering a prefix again replaces the source.
         """
         with self._lock:
             self._sources[prefix] = source
@@ -354,8 +356,9 @@ class MetricsRegistry:
         with self._lock:
             sources = list(self._sources.items())
         for prefix, source in sources:
-            as_dict = getattr(source, "as_dict", None)
-            values: Mapping[str, Any] = as_dict() if as_dict is not None else source()
+            values: Mapping[str, Any] = (
+                source() if callable(source) else dataclasses.asdict(source)
+            )
             for key, value in values.items():
                 items.append((f"{prefix}.{key}", value))
         return items

@@ -19,6 +19,7 @@ rules are processed; the Event Base is transaction-scoped.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.config import EngineConfig
@@ -223,7 +224,7 @@ class ChimeraDatabase:
 
     def trigger_statistics(self) -> dict[str, int]:
         """Counters of the Trigger Support (ts computations, filter skips, ...)."""
-        return self.engine.trigger_support.stats.as_dict()
+        return dataclasses.asdict(self.engine.trigger_support.stats)
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """One metrics snapshot covering the whole logical engine.

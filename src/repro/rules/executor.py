@@ -25,7 +25,6 @@ from typing import Any, Callable, Sequence
 
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder
-from repro.core.evaluation import EvaluationMode
 from repro.errors import NonTerminationError
 from repro.events.clock import Timestamp, TransactionClock
 from repro.events.event import EventOccurrence
@@ -104,9 +103,8 @@ class RuleEngine:
             self.rule_table, self.event_base, config, self.metrics
         )
         #: The condition side's evaluator: every ``occurred`` / ``at`` formula
-        #: is bound through it once.  Conditions evaluate in logical mode
-        #: whatever ``config.evaluation_mode`` says.
-        self.formulas = CheckBinder(EvaluationMode.LOGICAL)
+        #: is bound through it once.
+        self.formulas = CheckBinder()
         self.transaction_start: Timestamp = self.clock.now()
         self.considerations: list[ConsiderationRecord] = []
         self._budget_spent = 0

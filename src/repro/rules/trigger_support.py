@@ -37,19 +37,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder, CompiledCheck
-from repro.core.evaluation import EvaluationMode, EvaluationStats
 from repro.core.triggering import TriggeringDecision, is_triggered
 from repro.events.clock import Timestamp
 from repro.events.event import EventOccurrence, EventType
 from repro.events.event_base import EventBase
 from repro.obs.registry import MetricsRegistry
-from repro.obs.stats import MergeableStats
 from repro.rules.rule import RuleState
 from repro.rules.rule_table import RuleTable
 
@@ -76,15 +74,13 @@ _definition_order = attrgetter("definition_order")
 
 
 @dataclass
-class TriggerSupportStats(MergeableStats):
+class TriggerSupportStats:
     """Aggregate counters of the exact checks, folded into every snapshot.
 
-    The registry exports them as ``trigger.*``; the cross-mode differential
-    tests compare them byte for byte, and ``benchmarks/e2e`` derives its
-    per-candidate figures from them.
-    ``as_dict()``/``merge()`` come from the shared stats protocol; the nested
-    ``evaluation`` record is flattened into the view, so the dict exposes the
-    evaluator counters (``primitive_lookups``, ``node_visits``, …) directly.
+    The registry exports them as ``trigger.*`` (read through
+    ``dataclasses.asdict``); the cross-mode differential tests compare them
+    byte for byte, and ``benchmarks/e2e`` derives its per-candidate figures
+    from them.
     """
 
     blocks: int = 0
@@ -107,7 +103,6 @@ class TriggerSupportStats(MergeableStats):
     #: Untriggered rules the index proved irrelevant to a block — the rules a
     #: full scan would have iterated (and filter-skipped) one at a time.
     rules_bypassed_by_index: int = 0
-    evaluation: EvaluationStats = field(default_factory=EvaluationStats)
 
 
 @dataclass
@@ -217,10 +212,9 @@ class TriggerSupport:
         self.event_base = event_base
         self.config = config
         self.use_static_optimization = config.use_static_optimization
-        self.mode = EvaluationMode(config.evaluation_mode)
         #: This evaluator's shape kernels and handle epoch; rules are bound
         #: to it on their first check (:meth:`_binding`).
-        self.binder = CheckBinder(self.mode)
+        self.binder = CheckBinder()
         self.planner = TriggerPlanner(rule_table)
         self.stats = TriggerSupportStats()
         # Metrics are opt-in per engine: callers that do not pass a registry
@@ -323,45 +317,33 @@ class TriggerSupport:
         self, states: list[RuleState], now: Timestamp, transaction_start: Timestamp
     ) -> list[tuple[RuleState, TriggeringDecision]]:
         """The read side of one check round: ``(state, decision)`` pairs in
-        definition order; the evaluator counters accumulate in
-        ``self.stats.evaluation``.
+        definition order.
 
         ``states`` arrive definition-ordered.  This evaluator checks them
         inline; the shard coordinator overrides this hook to deal them to
         its evaluation homes.
         """
-        evaluation_stats = self.stats.evaluation
-        evaluated = []
-        for state in states:
-            decision = self._evaluate_rule(
-                state, now, transaction_start, evaluation_stats
-            )
-            evaluated.append((state, decision))
-        return evaluated
+        return [
+            (state, self._evaluate_rule(state, now, transaction_start))
+            for state in states
+        ]
 
     def _evaluate_rule(
-        self,
-        state: RuleState,
-        now: Timestamp,
-        transaction_start: Timestamp,
-        evaluation_stats: EvaluationStats,
-    ):
+        self, state: RuleState, now: Timestamp, transaction_start: Timestamp
+    ) -> TriggeringDecision:
         """The exact check's read side: compute the triggering decision.
 
-        Touches only per-rule state (the incremental memo) plus the caller's
-        ``evaluation_stats``, so independent rules can be evaluated
-        concurrently — the shard coordinator's worker pool relies on this
-        split, handing each worker its own stats and applying the decisions
-        serially afterwards (:meth:`_apply_decision`).  Every in-process
-        check — per block, commit-time recheck, the coordinator's own
-        share — ends here.
+        Touches only per-rule state (the incremental memo), so independent
+        rules can be evaluated concurrently — the shard coordinator's worker
+        pool relies on this split, applying the decisions serially afterwards
+        (:meth:`_apply_decision`).  Every in-process check — per block,
+        commit-time recheck, the coordinator's own share — ends here.
         """
         return self._binding(state).check(
             self.event_base,
             state.trigger_window_start(transaction_start),
             now,
             memo=state.trigger_memo,
-            stats=evaluation_stats,
         )
 
     def _binding(self, state: RuleState) -> CompiledCheck:

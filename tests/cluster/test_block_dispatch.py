@@ -23,7 +23,6 @@ from repro.cluster.coordinator import ShardCoordinator
 from repro.cluster.process_pool import ProcessShardPool
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder
-from repro.core.evaluation import EvaluationMode, EvaluationStats
 from repro.core.parser import parse_expression
 from repro.core.triggering import TriggerMemo, TriggeringDecision
 from repro.events.event import EventOccurrence, EventType, Operation
@@ -224,22 +223,22 @@ def rule_state(name: str, expression: str, order: int) -> RuleState:
 class TestWorkerProtocol:
     """The pool driven directly: what one block sends, and what comes back."""
 
-    @pytest.mark.parametrize("mode", ["logical", "algebraic"])
-    def test_rows_equal_the_in_process_check_in_item_order(self, mode):
+    def test_rows_equal_the_in_process_check_in_item_order(self):
         """Random items in random order over a growing log: each row answers
         its own item and equals the compiled check run in-process over the
-        Event Base, memo carried across blocks — stats included."""
+        Event Base, memo carried across blocks — ``instants_sampled``
+        included."""
         states = [
             rule_state(f"r{index}", expression, index)
             for index, expression in enumerate(WORKER_EXPRESSIONS)
         ]
-        binder = CheckBinder(EvaluationMode(mode))
+        binder = CheckBinder()
         local = [(binder.bind(state.rule.events), TriggerMemo()) for state in states]
         window_starts = [0] * len(states)
         event_base = EventBase()
         rng = random.Random(13)
         triggered = 0
-        with ProcessShardPool(1, pool_config(evaluation_mode=mode)) as pool:
+        with ProcessShardPool(1, pool_config()) as pool:
             for now in range(1, 16):
                 for _ in range(rng.randint(0, 2)):
                     event_base.record(
@@ -249,23 +248,17 @@ class TestWorkerProtocol:
                     )
                 picked = rng.sample(range(len(states)), rng.randint(1, len(states)))
                 items = [(states[index], window_starts[index]) for index in picked]
-                rows, stats = pool.evaluate(event_base, {0: items}, now)
+                rows = pool.evaluate(event_base, {0: items}, now)
                 assert [state for state, _ in rows] == [states[i] for i in picked]
-                expected_stats = EvaluationStats()
                 for (state, decision), index in zip(rows, picked):
                     compiled, memo = local[index]
                     expected = compiled.check(
-                        event_base,
-                        window_starts[index],
-                        now,
-                        memo=memo,
-                        stats=expected_stats,
+                        event_base, window_starts[index], now, memo=memo
                     )
                     assert decision == expected, (state.rule.name, now)
                     if expected.triggered:
                         triggered += 1
                         window_starts[index] = now
-                assert stats == expected_stats, now
         assert triggered > 0
 
     def test_each_item_is_checked_from_its_own_window_start(self):
@@ -277,7 +270,7 @@ class TestWorkerProtocol:
         event_base.record(ALPHA, oid="o1", timestamp=1)
         event_base.record(BETA, oid="o1", timestamp=2)
         with ProcessShardPool(1, pool_config()) as pool:
-            rows, _ = pool.evaluate(event_base, {0: [(late, 1), (early, 0)]}, 2)
+            rows = pool.evaluate(event_base, {0: [(late, 1), (early, 0)]}, 2)
         assert [state for state, _ in rows] == [late, early]
         assert rows[0][1] == TriggeringDecision(False, None, None, 1, 1)
         assert rows[1][1].triggered and rows[1][1].instant == 1
@@ -318,11 +311,9 @@ class TestWorkerProtocol:
                 return body, metrics_delta
 
             pool._receive = capture
-            rows, _ = pool.evaluate(
-                event_base, {0: [(state, 0) for state in states]}, 1
-            )
+            rows = pool.evaluate(event_base, {0: [(state, 0) for state in states]}, 1)
         (body,) = bodies
-        decisions, _stats = pickle.loads(body)
+        decisions = pickle.loads(body)
         assert len(decisions) == len(states)
         assert all(len(row) == 5 for row in decisions)
         assert not any(isinstance(value, str) for row in decisions for value in row)
@@ -338,14 +329,12 @@ class TestWorkerProtocol:
         event_base = EventBase()
         event_base.record(ALPHA, oid="o1", timestamp=1)
         with ProcessShardPool(2, pool_config()) as pool:
-            rows, _ = pool.evaluate(event_base, {1: [(second, 0)]}, 1)
+            rows = pool.evaluate(event_base, {1: [(second, 0)]}, 1)
             assert [decision.triggered for _, decision in rows] == [True]
             assert (pool.dispatches, pool.worker_round_trips) == (1, 1)
             assert [handle.shipped_events for handle in pool._workers] == [0, 1]
             event_base.record(ALPHA, oid="o1", timestamp=2)
-            rows, _ = pool.evaluate(
-                event_base, {0: [(first, 0)], 1: [(second, 1)]}, 2
-            )
+            rows = pool.evaluate(event_base, {0: [(first, 0)], 1: [(second, 1)]}, 2)
             assert {state.rule.name: decision.instant for state, decision in rows} == {
                 "a": 1,
                 "b": 2,
@@ -355,8 +344,8 @@ class TestWorkerProtocol:
             assert pool.deltas_framed == 3
 
     def test_inline_share_runs_between_send_and_receive(self):
-        """The coordinator's own rows come first and its stats are merged;
-        it runs once every message is out and before any reply is read."""
+        """The coordinator's own rows come first; its share runs once every
+        message is out and before any reply is read."""
         remote = rule_state("remote", "create(alpha)", 0)
         own = rule_state("own", "create(alpha)", 1)
         event_base = EventBase()
@@ -367,14 +356,12 @@ class TestWorkerProtocol:
             def inline():
                 (handle,) = pool._workers
                 seen.append((handle.shipped_events, pool.bytes_received))
-                stats = EvaluationStats(evaluations=7)
-                return [(own, TriggeringDecision(False, None, None, 1, 1))], stats
+                return [(own, TriggeringDecision(False, None, None, 1, 1))]
 
-            rows, stats = pool.evaluate(event_base, {0: [(remote, 0)]}, 1, inline)
+            rows = pool.evaluate(event_base, {0: [(remote, 0)]}, 1, inline)
         assert seen == [(1, 0)]
         assert [state for state, _ in rows] == [own, remote]
         assert rows[1][1].triggered
-        assert stats.evaluations == 7 + rows[1][1].instants_sampled
 
     def test_inline_failure_drains_every_reply_and_keeps_the_pool(self):
         """A failing coordinator share is re-raised after the worker replies
@@ -391,7 +378,7 @@ class TestWorkerProtocol:
                 pool.evaluate(event_base, {0: [(remote, 0)]}, 1, inline)
             assert pool.bytes_received > 0  # the reply was drained
             event_base.record(BETA, oid="o1", timestamp=2)
-            rows, _ = pool.evaluate(event_base, {0: [(remote, 1)]}, 2)
+            rows = pool.evaluate(event_base, {0: [(remote, 1)]}, 2)
             assert [decision for _, decision in rows] == [
                 TriggeringDecision(False, None, None, 1, 1)
             ]

@@ -239,6 +239,22 @@ def test_shutdown_stops_every_worker_with_its_message_and_is_idempotent():
     assert [process.exitcode for process in processes] == [0, 0]
 
 
+def test_workers_exit_on_eof_when_the_coordinator_ends_close_without_stop():
+    """A coordinator killed by a signal sends no ``stop``; closing its pipe
+    ends must still reach every worker as EOF, so none outlives it."""
+    transport = ShardTransport(EngineConfig())
+    try:
+        transport.launch(2, metrics_enabled=False)
+        for worker_id in (0, 1):
+            transport.channel(worker_id).close()
+        for worker_id in (0, 1):
+            process = transport.process(worker_id)
+            process.join(timeout=5.0)
+            assert process.exitcode == 0, worker_id
+    finally:
+        transport.shutdown()
+
+
 def test_closed_pool_refuses_work_and_closes_once():
     pool = ProcessShardPool(1)
     (handle,) = pool._workers

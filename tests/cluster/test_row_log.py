@@ -32,7 +32,6 @@ from repro.cluster.transport import (
 )
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder, compile_check
-from repro.core.evaluation import EvaluationStats
 from repro.core.expressions import EventExpression, SetConjunction, SetNegation
 from repro.core.parser import parse_expression
 from repro.core.triggering import TriggerMemo
@@ -122,28 +121,22 @@ class _Worker:
         """A few per-block checks per rule, over the log and over the mirror.
 
         Each side keeps one memo per rule across every call, the way a
-        coordinator and a worker each keep theirs: same decisions, same
-        counters.
+        coordinator and a worker each keep theirs: same decisions,
+        ``instants_sampled`` included.
         """
         distinct = event_base._distinct_timestamps
         nows = sorted(rng.sample(distinct, min(len(distinct), rng.randint(1, 3))))
         for rule in self.rules:
             on_log, log_memo, on_mirror, mirror_memo, window_start = rule
-            log_stats, mirror_stats = EvaluationStats(), EvaluationStats()
             for now in nows:
                 if window_start is not None and now < window_start:
                     continue
-                expected = on_log.check(
-                    event_base, window_start, now, log_memo, log_stats
-                )
-                decided = on_mirror.check(
-                    self.mirror, window_start, now, mirror_memo, mirror_stats
-                )
+                expected = on_log.check(event_base, window_start, now, log_memo)
+                decided = on_mirror.check(self.mirror, window_start, now, mirror_memo)
                 assert decided == expected
                 if expected.triggered:
                     # A consideration moves the window start.
                     window_start = rule[4] = expected.instant
-            assert mirror_stats == log_stats
 
 
 def _grow(rng: random.Random, event_base: EventBase, count: int, types: int) -> None:
@@ -378,7 +371,7 @@ def test_a_worker_applies_a_delta_without_building_an_occurrence(monkeypatch):
     assert built == []
     (status, body, _metrics), = channel.replies
     assert status == "ok"
-    rows, _stats = pickle.loads(body)
+    rows = pickle.loads(body)
     row = (
         expected.triggered,
         expected.instant,

@@ -18,8 +18,11 @@ across rechecks and the engine's two shard modes.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.cluster.coordinator import ShardCoordinator
 from repro.config import EngineConfig
+from repro.core.evaluation import EvaluationMode
 from repro.events.event_base import EventBase
 from repro.rules.event_handler import EventHandler
 from repro.rules.rule_table import RuleTable
@@ -37,7 +40,7 @@ def run_scenario(
     oracle: bool = False,
     metric_prefixes: tuple[str, ...] = ("trigger.",),
     routed: bool = True,
-    evaluation_mode: str = "logical",
+    oracle_mode: EvaluationMode = EvaluationMode.LOGICAL,
 ) -> dict:
     """Execute a scenario block by block; ``shards=0`` is the single-table reference.
 
@@ -50,15 +53,14 @@ def run_scenario(
     block, exercising the exhaustive path the process mode must also route
     through its workers.  ``oracle=True`` (single table only) evaluates every
     exact check through the reference evaluator instead of the engine's
-    compiled kernels (:class:`tests.oracle.OracleTriggerSupport`).
+    compiled kernels (:class:`tests.oracle.OracleTriggerSupport`), in the
+    paper's ``oracle_mode`` formulation.
     ``metric_prefixes`` filters which snapshot counters of the PR-8 metrics
     registry land in the returned ``"metrics"`` key — the default pins the
     deterministic ``trigger.*`` counters; mode-dependent families
     (``cluster.*``, ``worker.*``, ``pool.*``) are deliberately excluded so
     whole-result equality across execution modes keeps holding.
-    ``routed=False`` runs the paper's exhaustive scan instead of the planner;
-    ``evaluation_mode`` is the record's ts semantics, which the coordinator
-    hands to every worker it forks.
+    ``routed=False`` runs the paper's exhaustive scan instead of the planner.
     """
     event_base = EventBase()
     table = RuleTable()
@@ -71,16 +73,15 @@ def run_scenario(
         shards=shards,
         shard_mode=shard_mode,
         use_static_optimization=routed,
-        evaluation_mode=evaluation_mode,
     )
     sharded = shards > 0 and shard_mode == "processes"
     assert not (oracle and sharded), "the oracle replays on the single table"
     if sharded:
         support: TriggerSupport = ShardCoordinator(table, event_base, config)
+    elif oracle:
+        support = OracleTriggerSupport(table, event_base, config, mode=oracle_mode)
     else:
-        support = (OracleTriggerSupport if oracle else TriggerSupport)(
-            table, event_base, config
-        )
+        support = TriggerSupport(table, event_base, config)
 
     trace: list[tuple] = []
     for position, block in enumerate(scenario.blocks):
@@ -127,7 +128,7 @@ def run_scenario(
         state.rule.name: (state.times_triggered, state.times_considered)
         for state in table.states()
     }
-    stats = support.stats.as_dict()
+    stats = dataclasses.asdict(support.stats)
     metrics = {
         name: value
         for name, value in support.metrics.snapshot()["counters"].items()

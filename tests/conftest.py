@@ -59,15 +59,19 @@ class _Interpreter:
 
 
 class _Compiled:
-    """The production evaluator: a fresh binding of the compiled shape kernel."""
+    """The production evaluator: a fresh binding of the compiled shape kernel.
+
+    ``mode`` keeps the interpreter's call shape: the kernels compile one
+    combine set, which equals both of the paper's formulations.
+    """
 
     @staticmethod
     def ts(expression, window, instant, mode=EvaluationMode.LOGICAL):
-        return CheckBinder(mode).bind(expression).ts(window, None, instant)
+        return CheckBinder().bind(expression).ts(window, None, instant)
 
     @staticmethod
     def ots(expression, window, instant, oid, mode=EvaluationMode.LOGICAL):
-        binding = CheckBinder(mode).bind_instance(expression)
+        binding = CheckBinder().bind_instance(expression)
         return binding.ots(window, None, instant, oid)
 
 

@@ -3,12 +3,13 @@
 The production evaluator (:mod:`repro.core.compile`) lowers each expression
 *shape* into shared closures, binds every rule to its shape's kernel and
 sweeps a block's candidate instants in one pass.  Its contract is byte-identical
-behaviour: for any expression, any Event-Base history, any window start and
-both evaluation modes, the compiled ``ts`` / ``ots`` / exact check must agree
-with the recursive reference evaluator on the value, the
-:class:`TriggeringDecision` (``instants_sampled`` included), the
-:class:`TriggerMemo` transitions and the :class:`EvaluationStats` counters
-(accumulated in bulk per check, but summing to the same totals).
+behaviour: for any expression, any Event-Base history and any window start,
+the compiled ``ts`` / ``ots`` / exact check — one combine set — must agree
+with the recursive reference evaluator in either of the paper's evaluation
+modes on the value, the :class:`TriggeringDecision` and the
+:class:`TriggerMemo` transitions.  The work pin: the instants a compiled check
+samples (``instants_sampled``) are the reference's point evaluations
+(``EvaluationStats.evaluations``), one per ``ts`` / ``ots``.
 
 The expression pool mixes randomized trees over all eight set/instance
 operators with hand-built shapes the random generator reaches rarely: pure
@@ -102,7 +103,7 @@ def _history(seed: int, blocks: int = 10):
 
 
 class TestPointEquivalence:
-    """Compiled ``ts``/``ots`` == interpreted, value and stats, both modes."""
+    """Compiled ``ts``/``ots`` == interpreted in both modes, one evaluation each."""
 
     def test_ts_matches_interpreted(self):
         generated, event_base = _history(seed=17)
@@ -110,8 +111,8 @@ class TestPointEquivalence:
         rng = random.Random(5)
         for mode in MODES:
             for expression in _expression_pool():
-                compiled = compile_check(expression, mode)
-                interpreted_stats, compiled_stats = EvaluationStats(), EvaluationStats()
+                compiled = compile_check(expression)
+                interpreted_stats = EvaluationStats()
                 for _ in range(6):
                     instant = rng.choice(stamps)
                     window_start = rng.choice(
@@ -121,11 +122,9 @@ class TestPointEquivalence:
                     expected = interpreted_ts(
                         expression, window, instant, mode, interpreted_stats
                     )
-                    actual = compiled.ts(
-                        event_base, window_start, instant, compiled_stats
-                    )
+                    actual = compiled.ts(event_base, window_start, instant)
                     assert actual == expected, (mode, expression, window_start, instant)
-                assert compiled_stats == interpreted_stats, (mode, expression)
+                assert interpreted_stats.evaluations == 6, (mode, expression)
 
     def test_ots_matches_interpreted(self):
         generated, event_base = _history(seed=29)
@@ -137,8 +136,8 @@ class TestPointEquivalence:
             for expression in _expression_pool():
                 if not expression.may_be_instance_operand():
                     continue
-                compiled = compile_check(expression, mode)
-                interpreted_stats, compiled_stats = EvaluationStats(), EvaluationStats()
+                compiled = compile_check(expression)
+                interpreted_stats = EvaluationStats()
                 for oid in oids:
                     instant = rng.choice(stamps)
                     window_start = rng.choice((None, instant - 3))
@@ -146,24 +145,22 @@ class TestPointEquivalence:
                     expected = interpreted_ots(
                         expression, window, instant, oid, mode, interpreted_stats
                     )
-                    actual = compiled.ots(
-                        event_base, window_start, instant, oid, compiled_stats
-                    )
+                    actual = compiled.ots(event_base, window_start, instant, oid)
                     assert actual == expected, (mode, expression, oid, instant)
-                assert compiled_stats == interpreted_stats, (mode, expression)
+                assert interpreted_stats.evaluations == len(oids), (mode, expression)
 
 
 class TestCheckEquivalence:
-    """The incremental exact check: decisions, memo transitions and stats."""
+    """The incremental exact check: decisions, memo transitions and work."""
 
     def test_incremental_check_sequence_matches(self):
         generated, _ = _history(seed=41, blocks=12)
         for mode in MODES:
             for expression in _expression_pool(seed=31, count=16):
-                compiled = compile_check(expression, mode)
+                compiled = compile_check(expression)
                 event_base = EventBase()
                 interpreted_memo, compiled_memo = TriggerMemo(), TriggerMemo()
-                interpreted_stats, compiled_stats = EvaluationStats(), EvaluationStats()
+                interpreted_stats, sampled = EvaluationStats(), 0
                 window_start = 0
                 for block in generated:
                     for occurrence in block:
@@ -179,12 +176,9 @@ class TestCheckEquivalence:
                         memo=interpreted_memo,
                     )
                     actual = compiled.check(
-                        event_base,
-                        window_start,
-                        now,
-                        memo=compiled_memo,
-                        stats=compiled_stats,
+                        event_base, window_start, now, memo=compiled_memo
                     )
+                    sampled += actual.instants_sampled
                     assert actual == expected, (mode, expression, now)
                     assert (
                         compiled_memo.valid,
@@ -201,7 +195,7 @@ class TestCheckEquivalence:
                         # Mimic a consideration: the window start moves and
                         # both memos were already cleared by the check.
                         window_start = now
-                assert compiled_stats == interpreted_stats, (mode, expression)
+                assert sampled == interpreted_stats.evaluations, (mode, expression)
 
     def test_check_sequence_over_a_complete_log_matches(self):
         """Checks that run behind the log: every block already ingested, each
@@ -213,9 +207,9 @@ class TestCheckEquivalence:
         rng = random.Random(11)
         for mode in MODES:
             for expression in _expression_pool(seed=37, count=14):
-                compiled = compile_check(expression, mode)
+                compiled = compile_check(expression)
                 interpreted_memo, compiled_memo = TriggerMemo(), TriggerMemo()
-                interpreted_stats, compiled_stats = EvaluationStats(), EvaluationStats()
+                interpreted_stats, sampled = EvaluationStats(), 0
                 window_start = 0
                 for now in nows:
                     if rng.random() < 0.4:
@@ -230,17 +224,14 @@ class TestCheckEquivalence:
                         memo=interpreted_memo,
                     )
                     actual = compiled.check(
-                        event_base,
-                        window_start,
-                        now,
-                        memo=compiled_memo,
-                        stats=compiled_stats,
+                        event_base, window_start, now, memo=compiled_memo
                     )
+                    sampled += actual.instants_sampled
                     assert actual == expected, (mode, expression, now)
                     assert compiled_memo == interpreted_memo, (mode, expression, now)
                     if expected.triggered:
                         window_start = now
-                assert compiled_stats == interpreted_stats, (mode, expression)
+                assert sampled == interpreted_stats.evaluations, (mode, expression)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +266,10 @@ class TestSharedKernels:
         self, shape, mode, type_rows, seed, picks
     ):
         """Rules of one shape over different types, checked in an arbitrary
-        interleaving through one binder: every decision, memo and the
-        EvaluationStats totals equal the oracle's."""
+        interleaving through one binder: every decision and memo equals the
+        oracle's in ``mode``, and the instants sampled are its evaluations."""
         expressions = [shape(*map(Primitive, row)) for row in type_rows]
-        binder = CheckBinder(mode)
+        binder = CheckBinder()
         bindings = [binder.bind(expression) for expression in expressions]
         generated, _ = _history(seed, blocks=len(picks))
         event_base = EventBase()
@@ -286,7 +277,7 @@ class TestSharedKernels:
         oracle_memos = [TriggerMemo() for _ in range(count)]
         compiled_memos = [TriggerMemo() for _ in range(count)]
         window_starts = [0] * count
-        oracle_stats, compiled_stats = EvaluationStats(), EvaluationStats()
+        oracle_stats, sampled = EvaluationStats(), 0
         for block, pick in zip(generated, picks):
             for occurrence in block:
                 event_base.append(occurrence)
@@ -304,17 +295,14 @@ class TestSharedKernels:
                     memo=oracle_memos[index],
                 )
                 actual = bindings[index].check(
-                    event_base,
-                    window_starts[index],
-                    now,
-                    memo=compiled_memos[index],
-                    stats=compiled_stats,
+                    event_base, window_starts[index], now, memo=compiled_memos[index]
                 )
+                sampled += actual.instants_sampled
                 assert actual == expected, (mode, expressions[index], now)
                 assert compiled_memos[index] == oracle_memos[index]
                 if expected.triggered:
                     window_starts[index] = now
-        assert compiled_stats == oracle_stats
+        assert sampled == oracle_stats.evaluations
         # Rows that repeat a type in different positions are different shapes
         # (the slot pattern is part of the key); equal patterns share.
         patterns = {tuple(row.index(t) for t in row) for row in type_rows}
@@ -345,7 +333,7 @@ class TestSharedKernels:
             # evaluator asks; fill it before measuring the bindings.
             event_base._indexes_matching(event_type)
         now = len(types)
-        binder = CheckBinder(EvaluationMode.LOGICAL)
+        binder = CheckBinder()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -359,9 +347,9 @@ class TestSharedKernels:
         assert binder.kernels_compiled == 1
         assert (after - before) / rules <= 512, (after - before) / rules
 
-    def test_kernels_are_keyed_by_shape_mode_and_root_granularity(self):
+    def test_kernels_are_keyed_by_shape_and_root_granularity(self):
         a, b, c, d = (Primitive(UNIVERSE[index]) for index in (0, 1, 2, 3))
-        binder = CheckBinder(EvaluationMode.LOGICAL)
+        binder = CheckBinder()
         first = binder.bind(InstanceConjunction(a, b))
         second = binder.bind(InstanceConjunction(c, d))
         assert first._kernel is second._kernel and binder.kernels_compiled == 1
@@ -375,8 +363,8 @@ class TestSharedKernels:
         # A repeated type is a different slot pattern, hence a different shape.
         binder.bind(InstanceConjunction(a, a))
         assert binder.kernels_compiled == 3
-        # Another evaluator (another mode) interns its own.
-        other = CheckBinder(EvaluationMode.ALGEBRAIC)
+        # Another evaluator interns its own.
+        other = CheckBinder()
         assert other.bind(InstanceConjunction(a, b))._kernel is not first._kernel
 
 
@@ -579,14 +567,14 @@ class TestBindingInvariants:
             event_base = EventBase()
             event_base.record(ALPHA, oid="alpha#1", timestamp=1)
             state = RuleState(rule=_watcher(), definition_order=0)
-            rows, _ = pool.evaluate(event_base, {0: [(state, 0)]}, 1)
+            rows = pool.evaluate(event_base, {0: [(state, 0)]}, 1)
             assert rows[0][1].triggered
             # Same name, higher definition order, different expression: the
             # coordinator re-ships and the worker must replace the entry.
             replacement = RuleState(
                 rule=_watcher(pattern="create(beta)"), definition_order=1
             )
-            rows, _ = pool.evaluate(event_base, {0: [(replacement, 0)]}, 1)
+            rows = pool.evaluate(event_base, {0: [(replacement, 0)]}, 1)
             assert not rows[0][1].triggered
         finally:
             pool.close()
@@ -601,11 +589,11 @@ class TestBindingInvariants:
             first = EventBase()
             first.record(ALPHA, oid="alpha#1", timestamp=1)
             state = RuleState(rule=_watcher(), definition_order=0)
-            rows, _ = pool.evaluate(first, {0: [(state, 0)]}, 1)
+            rows = pool.evaluate(first, {0: [(state, 0)]}, 1)
             assert rows[0][1].triggered
             pool.reset()
             second = EventBase()  # a fresh log with *no* alpha occurrence
-            rows, _ = pool.evaluate(second, {0: [(state, 0)]}, 2)
+            rows = pool.evaluate(second, {0: [(state, 0)]}, 2)
             assert not rows[0][1].triggered
         finally:
             pool.close()

@@ -207,7 +207,7 @@ def _windows(event_base: EventBase, after, until) -> dict:
 
 
 def assert_formulas_match(expression, window, now, at_until, mode) -> None:
-    binding = CheckBinder(mode).bind_instance(expression)
+    binding = CheckBinder().bind_instance(expression)
     expected = active_objects(expression, window, now, mode=mode)
     assert binding.affected(window, now) == expected, (expression, now)
     for oid in [*OIDS, "ghost"]:

@@ -5,7 +5,14 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.evaluation import EvaluationMode, ots, ts
+from repro.core.evaluation import (
+    EvaluationMode,
+    _combine_conjunction,
+    _combine_disjunction,
+    _combine_precedence,
+    ots,
+    ts,
+)
 from repro.core.expressions import (
     EventExpression,
     InstanceConjunction,
@@ -116,6 +123,42 @@ def test_logical_and_algebraic_ots_agree(expression, window, instant, oid):
     logical = ots(expression, window, instant, oid, EvaluationMode.LOGICAL)
     algebraic = ots(expression, window, instant, oid, EvaluationMode.ALGEBRAIC)
     assert logical == algebraic
+
+
+def _combined(left: int, right: int, instant: int, mode: EvaluationMode) -> tuple:
+    return (
+        _combine_conjunction(left, right, mode),
+        _combine_disjunction(left, right, mode),
+        _combine_precedence(left, right, instant, mode),
+    )
+
+
+def test_combines_agree_in_both_modes_exhaustively():
+    """Each combine is one function of its operands in both formulations.
+
+    Every pair of operands in -6..6, zero included, at every instant 1..6:
+    the algebraic sums of products of ``u`` equal the logical case analysis
+    on every non-zero pair, which is why the compiled kernels build one
+    combine set.  The one disagreement is disjunction of a zero and a
+    negative operand (``u(-0)`` is 0, so the algebraic form takes the max),
+    and zero is no ``ts`` value (``test_ts_value_is_bounded_by_the_instant``).
+    """
+    names = ("conjunction", "disjunction", "precedence")
+    operands = range(-6, 7)
+    disagreements = set()
+    for left in operands:
+        for right in operands:
+            for instant in range(1, 7):
+                logical = _combined(left, right, instant, EvaluationMode.LOGICAL)
+                algebraic = _combined(left, right, instant, EvaluationMode.ALGEBRAIC)
+                for name, one, other in zip(names, logical, algebraic):
+                    if one != other:
+                        disagreements.add((name, left, right))
+    assert disagreements == {
+        ("disjunction", *pair)
+        for negative in range(-6, 0)
+        for pair in ((0, negative), (negative, 0))
+    }
 
 
 @settings(max_examples=120, deadline=None)

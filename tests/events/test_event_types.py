@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import EventCalculusError
 from repro.events.event import (
-    EidGenerator,
     EventOccurrence,
     EventType,
     Operation,
@@ -143,16 +142,3 @@ class TestEventOccurrence:
         )
         assert dict(occurrence.payload) == {}
 
-
-class TestEidGenerator:
-    def test_sequential_ids(self):
-        generator = EidGenerator()
-        assert [generator.next() for _ in range(3)] == [1, 2, 3]
-
-    def test_custom_start(self):
-        generator = EidGenerator(start=10)
-        assert generator.next() == 10
-
-    def test_start_must_be_positive(self):
-        with pytest.raises(ValueError):
-            EidGenerator(start=0)

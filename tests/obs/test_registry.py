@@ -1,11 +1,10 @@
 """Unit tests for the metrics registry primitives (PR 8).
 
 Covers the instrument basics, the disabled-registry null path, span
-sampling, the drain/merge cross-process round trip, snapshot sources and
-the :class:`~repro.obs.stats.MergeableStats` protocol.
+sampling, the drain/merge cross-process round trip and snapshot sources.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pytest
 
@@ -17,7 +16,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.stats import MergeableStats
 
 
 class TestInstruments:
@@ -193,25 +191,19 @@ class TestDrainAndMerge:
 
 
 @dataclass
-class _InnerStats(MergeableStats):
+class _Stats:
+    blocks: int = 0
     lookups: int = 0
 
 
-@dataclass
-class _OuterStats(MergeableStats):
-    blocks: int = 0
-    max_depth: int = 0
-    inner: _InnerStats = field(default_factory=_InnerStats)
-
-
-class TestSourcesAndMergeableStats:
+class TestSources:
     def test_sources_fold_into_snapshot_counters(self):
         registry = MetricsRegistry()
-        stats = _OuterStats(blocks=2, max_depth=3, inner=_InnerStats(lookups=7))
+        stats = _Stats(blocks=2, lookups=7)
         registry.register_source("pipe", stats)
         counters = registry.snapshot()["counters"]
         assert counters["pipe.blocks"] == 2
-        assert counters["pipe.lookups"] == 7  # nested record flattened
+        assert counters["pipe.lookups"] == 7
         stats.blocks = 9
         # Sources are read at snapshot time, never cached.
         assert registry.snapshot()["counters"]["pipe.blocks"] == 9
@@ -223,14 +215,6 @@ class TestSourcesAndMergeableStats:
 
     def test_sources_are_not_drained(self):
         registry = MetricsRegistry()
-        registry.register_source("pipe", _OuterStats(blocks=2))
+        registry.register_source("pipe", _Stats(blocks=2))
         assert registry.drain_delta() is None
         assert registry.snapshot()["counters"]["pipe.blocks"] == 2
-
-    def test_mergeable_stats_merge_semantics(self):
-        left = _OuterStats(blocks=2, max_depth=3, inner=_InnerStats(lookups=1))
-        right = _OuterStats(blocks=5, max_depth=1, inner=_InnerStats(lookups=4))
-        left.merge(right)
-        assert left.blocks == 7  # plain fields sum
-        assert left.max_depth == 3  # max_* fields keep the high-water mark
-        assert left.inner.lookups == 5  # nested records merge recursively

@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 import repro.core.evaluation as evaluation
-from repro.core.compile import CheckBinder, _Kernel
+from repro.core.compile import CheckBinder
 from repro.core.expressions import EventExpression
 from repro.oodb.objects import OID, ObjectStore
 from repro.rules.conditions import Condition
@@ -85,9 +85,9 @@ class TestConsiderationTouchesOnlyAffectedObjects:
     def spies(self, monkeypatch):
         """Counts taken while a ``Condition.evaluate`` is running.
 
-        ``kernel`` counts root calls of every kernel lowered after the spies
-        are installed (the formula's: the engine binds it on first use),
-        ``bindings`` the kernel look-ups a new binding makes.
+        ``kernel`` counts root calls of the kernel of every binding made
+        after the spies are installed (the formula's: the engine binds it on
+        first use), ``bindings`` the kernel look-ups a new binding makes.
         """
         counts = {
             "extent_scans": 0,
@@ -129,15 +129,13 @@ class TestConsiderationTouchesOnlyAffectedObjects:
             "contains_set_operator",
             counting("tree_walks", EventExpression.contains_set_operator),
         )
-        monkeypatch.setattr(
-            CheckBinder, "_kernel", counting("bindings", CheckBinder._kernel)
-        )
-        lower = _Kernel.__init__
+        look_up = counting("bindings", CheckBinder._kernel)
 
-        def init(kernel, fn, cost):
-            lower(kernel, counting("kernel", fn), cost)
+        def kernel(binder, expression, instance):
+            fn, types = look_up(binder, expression, instance)
+            return counting("kernel", fn), types
 
-        monkeypatch.setattr(_Kernel, "__init__", init)
+        monkeypatch.setattr(CheckBinder, "_kernel", kernel)
         return counts
 
     def test_one_create_builds_one_binding_from_one_lookup(self, big_db, spies):

@@ -41,7 +41,7 @@ MALFORMED = {
 def test_every_environment_variable_has_a_precedence_case():
     assert set(ENV_CASES) == set(ENV_NAMES)
     assert len(ENV_NAMES) == 3
-    assert len(dataclasses.fields(EngineConfig)) == 6
+    assert len(dataclasses.fields(EngineConfig)) == 5
 
 
 @pytest.mark.parametrize("field", sorted(ENV_CASES))
@@ -91,7 +91,6 @@ def test_malformed_environment_fails_database_construction(monkeypatch):
         ("shards", True),
         ("shards", "4"),
         ("shard_mode", "fibers"),
-        ("evaluation_mode", "fuzzy"),
         ("use_static_optimization", 1),
         # A keyword is the value itself: the environment's spellings of a
         # boolean are not parsed here.
@@ -120,6 +119,9 @@ def test_unknown_setting_is_rejected_by_every_assembly_point():
     for retired in ("transport", "tcp_port", "tcp_spawn"):
         with pytest.raises(ConfigError, match=f"unknown engine setting.*{retired}"):
             EngineConfig.from_env({}, **{retired: "pipe"})
+    # One combine set: the exact check has no ts semantics to choose.
+    with pytest.raises(ConfigError, match="unknown engine setting.*evaluation_mode"):
+        ChimeraDatabase(evaluation_mode="algebraic")
 
 
 #: The fields of the retired tcp placement, each with a value it used to
@@ -201,7 +203,9 @@ def test_variables_outside_the_engine_prefix_are_not_read(variable):
 
 
 def test_record_is_frozen_hashable_and_repr_round_trips():
-    config = EngineConfig(shards=4, shard_mode="processes", evaluation_mode="algebraic")
+    config = EngineConfig(
+        shards=4, shard_mode="processes", use_static_optimization=False
+    )
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.shards = 2
     assert hash(config) == hash(dataclasses.replace(config))
@@ -227,7 +231,9 @@ def test_database_exposes_the_resolved_record(monkeypatch):
 def test_forked_worker_receives_the_coordinators_record(monkeypatch):
     """A worker has no engine settings of its own: it must evaluate under
     the coordinator's record, handed over when it is forked."""
-    record = EngineConfig(evaluation_mode="algebraic", shards=3, shard_mode="processes")
+    record = EngineConfig(
+        use_static_optimization=False, shards=3, shard_mode="processes"
+    )
     monkeypatch.setattr(
         "repro.cluster.process_pool._worker_main",
         lambda connection, config, metrics_enabled: connection.send(
