@@ -223,11 +223,13 @@ def rule_state(name: str, expression: str, order: int) -> RuleState:
 class TestWorkerProtocol:
     """The pool driven directly: what one block sends, and what comes back."""
 
-    def test_rows_equal_the_in_process_check_in_item_order(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_the_in_process_check_in_item_order(self, workers):
         """Random items in random order over a growing log: each row answers
         its own item and equals the compiled check run in-process over the
         Event Base, memo carried across blocks — ``instants_sampled``
-        included."""
+        included.  Each rule keeps one home worker; the rows come back worker
+        by worker, each worker's in the order its items were sent."""
         states = [
             rule_state(f"r{index}", expression, index)
             for index, expression in enumerate(WORKER_EXPRESSIONS)
@@ -238,7 +240,7 @@ class TestWorkerProtocol:
         event_base = EventBase()
         rng = random.Random(13)
         triggered = 0
-        with ProcessShardPool(1, pool_config()) as pool:
+        with ProcessShardPool(workers, pool_config()) as pool:
             for now in range(1, 16):
                 for _ in range(rng.randint(0, 2)):
                     event_base.record(
@@ -247,8 +249,13 @@ class TestWorkerProtocol:
                         timestamp=now,
                     )
                 picked = rng.sample(range(len(states)), rng.randint(1, len(states)))
-                items = [(states[index], window_starts[index]) for index in picked]
-                rows = pool.evaluate(event_base, {0: items}, now)
+                assignments: dict[int, list] = {}
+                for index in picked:
+                    assignments.setdefault(index % workers, []).append(
+                        (states[index], window_starts[index])
+                    )
+                picked.sort(key=lambda index: index % workers)  # stable
+                rows = pool.evaluate(event_base, assignments, now)
                 assert [state for state, _ in rows] == [states[i] for i in picked]
                 for (state, decision), index in zip(rows, picked):
                     compiled, memo = local[index]

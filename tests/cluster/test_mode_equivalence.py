@@ -85,16 +85,19 @@ def test_larger_pool_process_mode():
     assert run_scenario(scenario, shards=4, shard_mode="processes") == reference
 
 
+@pytest.mark.parametrize("evaluation_mode", ["logical", "algebraic"])
 @pytest.mark.parametrize("seed", [3, 9])
-def test_process_mode_equals_the_algebraic_oracle(seed):
+def test_process_mode_equals_the_single_table_in_either_evaluation_mode(
+    seed, evaluation_mode
+):
     """One combine set serves both of the paper's formulations: churn on the
     single table and on 2–8 shards equals the reference evaluator replayed in
-    the algebraic style.  (That a worker gets the coordinator's record at
+    either ts semantics.  (That a worker gets the coordinator's record at
     all is
     ``tests/test_config.py::test_forked_worker_receives_the_coordinators_record``.)"""
     scenario = build_scenario(seed)
     reference = run_scenario(
-        scenario, oracle=True, oracle_mode=EvaluationMode.ALGEBRAIC
+        scenario, oracle=True, oracle_mode=EvaluationMode(evaluation_mode)
     )
     assert run_scenario(scenario) == reference, "single table diverged"
     for shards in (2, 5, 8):

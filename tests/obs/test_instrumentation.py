@@ -8,6 +8,7 @@ ambient ``$CHIMERA_METRICS`` exports, and the ``workload`` command's
 ``--metrics`` / ``--metrics-json`` surfaces.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import re
@@ -18,6 +19,7 @@ from repro.cli import main
 from repro.cluster.coordinator import home_shard
 from repro.obs import MetricsRegistry
 from repro.oodb.database import ChimeraDatabase
+from repro.rules.trigger_support import TriggerSupportStats
 from repro.workloads.stock import CHECK_STOCK_QTY_RULE
 
 
@@ -63,6 +65,31 @@ class TestDatabaseSnapshot:
             assert off.trigger_statistics() == stats
         finally:
             off.close()
+
+    @pytest.mark.parametrize(
+        "placement",
+        [{}, {"shards": 2, "shard_mode": "processes"}],
+        ids=["single-table", "processes"],
+    )
+    def test_trigger_family_is_exactly_the_stats_record(self, placement):
+        """The ``trigger.*`` counters are the ``TriggerSupportStats`` fields
+        and nothing more on every placement: the retired evaluator counters
+        (``node_visits``, ``primitive_lookups``, ``lifted_objects``,
+        ``evaluations``) come back from no worker reply."""
+        db = _stock_db(REMOTE_CHECK_STOCK_QTY_RULE, **placement)
+        try:
+            _drive(db)
+            counters = db.metrics_snapshot()["counters"]
+        finally:
+            db.close()
+        exported = {name for name in counters if name.startswith("trigger.")}
+        assert exported == {
+            f"trigger.{field.name}" for field in dataclasses.fields(TriggerSupportStats)
+        }
+        assert counters["trigger.instants_sampled"] > 0
+        retired = ("node_visits", "primitive_lookups", "lifted_objects", "evaluations")
+        for name in retired:
+            assert f"trigger.{name}" not in counters
 
     def test_commit_path_is_instrumented(self):
         db = _stock_db()
