@@ -93,8 +93,7 @@ def _worker_main(connection, config: EngineConfig, metrics_enabled: bool) -> Non
     worker can never evaluate under different settings than the engine it
     serves.
     """
-    # This worker's evaluator: shape kernels shared by every rule dealt to
-    # it, and the one epoch its bindings' index handles follow.
+    # This worker's evaluator: shape kernels shared by every rule dealt to it.
     binder = CheckBinder()
     # The worker accumulates its own registry and ships compact deltas
     # piggybacked on every reply (drain-and-reset keeps the payload small);
@@ -142,14 +141,13 @@ def _worker_loop(
         try:
             if kind == "reset":
                 # New EB log (transaction boundary): the mirror and every
-                # memo describe the old one.  Definitions survive; one epoch
-                # bump makes every binding drop its index handles (they point
-                # into the abandoned mirror) and re-resolve on its next check.
+                # memo describe the old one.  Definitions survive; every
+                # binding re-resolves its handles when it first meets the
+                # new mirror.
                 mirror = StampIndex()
                 frame_reader = _FrameReader()
                 for memo, _compiled in rules.values():
                     memo.clear()
-                binder.invalidate()
                 connection.send_bytes(pickle.dumps(("ok", None, None), _PROTOCOL))
                 continue
             _, delta, defs, drops, items, now = request

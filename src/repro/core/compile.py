@@ -26,16 +26,14 @@ with everything the shape decides folded in:
 
 Kernels hold no mutable state and no event type: every closure takes the
 calling rule's *handles* as its first argument, so thousands of rules over
-different types — and threads evaluating them concurrently — share one.
+different types share one.
 
 *Bind* (once per rule).  :class:`CompiledCheck` is the per-rule binding: the
-shared kernel, the rule's slot types and a tuple of per-type index handles
-(``StampIndex._indexes_matching`` resolutions, one per slot).  The handles are
-valid for one binder *epoch*: the binder moves the epoch whenever the Event
-Base it last saw changes identity or registers a new event type (exactly the
-condition under which the store drops its own match cache), and
-:meth:`CheckBinder.invalidate` moves it unconditionally — O(1) however many
-rules are bound; each binding re-resolves lazily on its next check.
+shared kernel, the rule's slot types and a tuple of index handles, one per
+slot.  A handle is the store's own live list of the indexes the slot's
+pattern matches (``StampIndex._indexes_matching``): the store appends every
+newly registered type to it, so it stays valid for the life of the store,
+and a binding resolves once per store it is checked against.
 
 On top of the per-instant closures, :meth:`CompiledCheck.check` runs one
 block's exact check in a single pass over the store's sorted timestamp
@@ -61,7 +59,6 @@ The kernels count nothing but the instants a check samples.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from typing import Any, Callable
 
@@ -252,12 +249,11 @@ class _Lowering:
 
 
 class CheckBinder:
-    """One evaluator's compile state: kernels by shape, and the handle epoch.
+    """One evaluator's compile state: kernels interned by shape.
 
     Every exact-check evaluator — a Trigger Support (the shard coordinator
     included) and each process shard worker — owns one binder and binds its
-    rules through it.  Not picklable; a worker
-    builds its own.
+    rules through it.  Not picklable; a worker builds its own.
     """
 
     def __init__(self) -> None:
@@ -265,11 +261,6 @@ class CheckBinder:
         self._kernels: "dict[tuple, _Fn]" = {}
         #: Instance-rooted bindings, one per expression (:meth:`bind_instance`).
         self._instances: "dict[EventExpression, CompiledCheck]" = {}
-        #: Bindings whose ``_epoch`` differs re-resolve before evaluating.
-        self.epoch = 0
-        #: The ``(event base, registered type count)`` the epoch describes.
-        self._bound: "tuple[StampIndex | None, int]" = (None, -1)
-        self._lock = threading.Lock()
 
     @property
     def kernels_compiled(self) -> int:
@@ -296,8 +287,9 @@ class CheckBinder:
                     "ots is only defined for instance-oriented expressions "
                     f"(got a set-oriented operator in {expression})"
                 )
-            binding = CompiledCheck(expression, self, *self._kernel(expression, True))
-            binding = self._instances.setdefault(expression, binding)
+            binding = self._instances[expression] = CompiledCheck(
+                expression, self, *self._kernel(expression, True)
+            )
         return binding
 
     def _kernel(
@@ -308,39 +300,16 @@ class CheckBinder:
         key = (_shape_key(expression, slots), instance)
         kernel = self._kernels.get(key)
         if kernel is None:
-            lowered = _Lowering(slots).lower(expression, instance)
-            # Should two threads lower a shape concurrently, the first insert
-            # wins so every binding shares the interned kernel.
-            kernel = self._kernels.setdefault(key, lowered)
+            kernel = self._kernels[key] = _Lowering(slots).lower(expression, instance)
         return kernel, tuple(slots)
-
-    def invalidate(self) -> None:
-        """Make every binding re-resolve its handles before its next check.
-
-        O(1): one epoch bump, and the reference to the last-seen Event Base
-        (possibly a whole abandoned transaction log) is dropped.
-        """
-        with self._lock:
-            self.epoch += 1
-            self._bound = (None, -1)
-
-    def _rebind(self, event_base: StampIndex) -> None:
-        """Move the epoch to ``event_base``'s current set of registered types."""
-        with self._lock:
-            count = len(event_base._by_type)
-            if self._bound[0] is not event_base or self._bound[1] != count:
-                # Epoch first: a thread that sees the new ``_bound`` on its
-                # fast path must also see the epoch that goes with it.
-                self.epoch += 1
-                self._bound = (event_base, count)
 
 
 class CompiledCheck:
     """A rule's binding to its shape kernel: the compiled exact check.
 
     Holds no closure of its own — ``ts``/``ots``/``check`` run the binder's
-    shared kernel over this rule's handles.  One binding is evaluated by one
-    caller at a time (fixed-home dealing guarantees one evaluator per rule).
+    shared kernel over this rule's handles, the live pattern lists of the
+    last store it was checked against (:meth:`_resolve`).
     An instance-rooted binding (:meth:`CheckBinder.bind_instance`) is an
     event formula's evaluator: :meth:`affected` and :meth:`arises`.
     """
@@ -351,7 +320,7 @@ class CompiledCheck:
         "_kernel",
         "_types",
         "_handles",
-        "_epoch",
+        "_store",
         "_instance",
     )
 
@@ -367,37 +336,26 @@ class CompiledCheck:
         self._kernel = kernel
         self._types = types
         self._handles: tuple = ()
-        self._epoch = -1
+        #: The serial of the store the handles belong to (-1: none yet).
+        self._store = -1
         #: The instance-rooted binding of the same expression, fetched from
         #: :meth:`CheckBinder.bind_instance` on the first :meth:`ots`.
         self._instance: "CompiledCheck | None" = None
 
     # -- index-handle binding -------------------------------------------------
     def _resolve(self, event_base: StampIndex) -> tuple:
-        """This rule's handles for ``event_base`` (re-resolved per epoch).
+        """This rule's handles for ``event_base``, resolved once per store.
 
-        Two comparisons on the hot path: the binder's epoch only moves when
-        the store registers a new event type (``len(_by_type)`` grows — the
-        exact condition under which the store drops its own match cache),
-        when the Event Base itself is swapped, or on :meth:`CheckBinder.
-        invalidate`.  The resolved tuples come from the store's match cache,
-        so rules watching one type share one handle.
+        One comparison on the hot path: the handles are the store's live
+        pattern lists, which never go stale while the store lives, so only
+        a different store (its serial) makes the binding resolve again.
+        Rules watching one pattern share one handle.
         """
-        binder = self.binder
-        bound = binder._bound
-        if bound[0] is not event_base or bound[1] != len(event_base._by_type):
-            binder._rebind(event_base)
-        if self._epoch != binder.epoch:
-            epoch = binder.epoch
+        if self._store != event_base._serial:
             resolve = event_base._indexes_matching
             self._handles = tuple([resolve(event_type) for event_type in self._types])
-            self._epoch = epoch
+            self._store = event_base._serial
         return self._handles
-
-    @property
-    def is_bound(self) -> bool:
-        """True while the handles are valid for the binder's current epoch."""
-        return self._epoch == self.binder.epoch
 
     # -- point evaluation (compiled ts / ots) ---------------------------------
     def _point(

@@ -29,6 +29,7 @@ single-pass routine, :meth:`StampIndex._index_rows`.
 from __future__ import annotations
 
 import bisect
+import itertools
 import operator
 from array import array
 from collections import defaultdict
@@ -44,6 +45,9 @@ __all__ = ["EventBase", "BoundedView", "StampIndex", "WindowLike"]
 #: over a batch and its one-shifted self to order-check in C instead of a
 #: Python comparison loop.
 _stamp_decreases = operator.gt
+
+#: Source of :attr:`StampIndex._serial`.
+_store_serials = itertools.count()
 
 
 def _bisect_span(
@@ -124,8 +128,10 @@ class StampIndex:
       bounds locate a slice of the log by bisection;
     * ``_distinct_timestamps`` — the sorted, deduplicated time stamps, so
       :meth:`timestamps` is two bisects and a slice;
-    * a cache of :meth:`_indexes_matching` resolutions, invalidated whenever a
-      new event type is registered (class-level patterns may match it).
+    * ``_by_pattern`` — per pattern, the live list of the indexes it matches
+      (:meth:`_indexes_matching`).  A concrete type ``T`` only satisfies
+      ``T`` and ``T.class_level``, so registering it appends its index to
+      those two lists and no resolution is ever redone.
 
     Every query takes optional ``(after, until]`` window bounds; leaving both
     out asks the whole log.  A process shard worker's mirror of the Event
@@ -136,9 +142,12 @@ class StampIndex:
 
     def __init__(self) -> None:
         self._by_type: dict[EventType, _TypeIndex] = {}
+        self._by_pattern: dict[EventType, list[_TypeIndex]] = {}
         self._all_timestamps: list[Timestamp] = []
         self._distinct_timestamps: list[Timestamp] = []
-        self._match_cache: dict[EventType, tuple[_TypeIndex, ...]] = {}
+        #: Unique per store for the life of the process: what a binding's
+        #: handles are checked against (a reference would pin a dead log).
+        self._serial = next(_store_serials)
 
     # -- mutation ------------------------------------------------------
     def _check_batch(
@@ -181,25 +190,19 @@ class StampIndex:
         ``extend``, a worker mirror's delta — in a single pass: each row
         appends its stamp, log position and OID to its type's columns and its
         stamp to the type's per-OID list.  The rows must continue the log
-        (:meth:`_check_batch`).  New types drop the pattern-match cache once
-        for the batch.  Returns the batch's type signature.
+        (:meth:`_check_batch`).  Returns the batch's type signature.
         """
         by_type = self._by_type
-        registered = len(by_type)
         position = len(self._all_timestamps)
         for event_type, oid, stamp in zip(types, oids, stamps):
             index = by_type.get(event_type)
             if index is None:
-                index = by_type[event_type] = _TypeIndex()
+                index = self._register(event_type)
             index.timestamps.append(stamp)
             index.positions.append(position)
             index.oids.append(oid)
             index.per_oid[oid].append(stamp)
             position += 1
-        if len(by_type) != registered:
-            # New concrete types may be matched by previously resolved
-            # class-level patterns.
-            self._match_cache.clear()
         self._all_timestamps.extend(stamps)
         # Non-decreasing stamps make duplicates adjacent, so an order-keeping
         # dedup of the batch is the new distinct suffix — minus a leading
@@ -210,6 +213,15 @@ class StampIndex:
             del unique[0]
         distinct.extend(unique)
         return frozenset(types)
+
+    def _register(self, event_type: EventType) -> _TypeIndex:
+        """A new concrete type's index, appended to the patterns it satisfies."""
+        index = self._by_type[event_type] = _TypeIndex()
+        by_pattern = self._by_pattern
+        by_pattern.setdefault(event_type, []).append(index)
+        if event_type.attribute is not None:
+            by_pattern.setdefault(event_type.class_level, []).append(index)
+        return index
 
     # -- basic introspection -------------------------------------------
     def __len__(self) -> int:
@@ -272,26 +284,16 @@ class StampIndex:
         return self._all_timestamps[stop - 1] if stop > start else None
 
     # -- matching over type patterns -------------------------------------
-    def _indexes_matching(self, event_type: EventType) -> tuple[_TypeIndex, ...]:
-        """Indexes whose concrete type matches the (possibly class-level) pattern.
+    def _indexes_matching(self, event_type: EventType) -> list[_TypeIndex]:
+        """The live list of indexes whose concrete type matches the pattern.
 
-        Resolutions are memoized; the cache is dropped whenever a new event
-        type registers an index.
+        The list is the store's own: later registrations append to it, so a
+        caller may keep it for the life of the store but must not mutate it.
         """
-        cached = self._match_cache.get(event_type)
-        if cached is not None:
-            return cached
-        matched: list[_TypeIndex] = []
-        exact = self._by_type.get(event_type)
-        if exact is not None:
-            matched.append(exact)
-        if event_type.attribute is None:
-            for stored_type, index in self._by_type.items():
-                if stored_type != event_type and event_type.matches(stored_type):
-                    matched.append(index)
-        resolved = tuple(matched)
-        self._match_cache[event_type] = resolved
-        return resolved
+        matched = self._by_pattern.get(event_type)
+        if matched is None:
+            matched = self._by_pattern[event_type] = []
+        return matched
 
     # -- queries used by the calculus ------------------------------------
     def last_timestamp(
@@ -414,8 +416,7 @@ class EventBase(StampIndex):
             distinct.append(stamp)
         index = self._by_type.get(occurrence.event_type)
         if index is None:
-            index = self._by_type[occurrence.event_type] = _TypeIndex()
-            self._match_cache.clear()
+            index = self._register(occurrence.event_type)
         index.timestamps.append(stamp)
         index.positions.append(position)
         index.oids.append(occurrence.oid)

@@ -127,8 +127,7 @@ class RuleState:
     #: The rule's binding to its evaluator's shape kernels, made by the
     #: Trigger Support on the rule's first check (None until then, and for
     #: good on the coordinator of the ``processes`` mode when a worker
-    #: process is the rule's evaluation home and holds the binding).  Its
-    #: index handles follow the binder's epoch.
+    #: process is the rule's evaluation home and holds the binding).
     compiled_check: "CompiledCheck | None" = field(
         default=None, repr=False, compare=False
     )

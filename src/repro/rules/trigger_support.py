@@ -212,8 +212,8 @@ class TriggerSupport:
         self.event_base = event_base
         self.config = config
         self.use_static_optimization = config.use_static_optimization
-        #: This evaluator's shape kernels and handle epoch; rules are bound
-        #: to it on their first check (:meth:`_binding`).
+        #: This evaluator's shape kernels; rules are bound to it on their
+        #: first check (:meth:`_binding`).
         self.binder = CheckBinder()
         self.planner = TriggerPlanner(rule_table)
         self.stats = TriggerSupportStats()
@@ -378,9 +378,9 @@ class TriggerSupport:
         """Drop every rule's trigger memo (e.g. after rebinding the Event Base).
 
         The memo records how much of a specific EB log a check has seen; a new
-        log invalidates that bookkeeping even if the rule state survives — and
-        so do the bindings' resolved index handles, all at once.
+        log invalidates that bookkeeping even if the rule state survives.  The
+        bindings need nothing: each re-resolves when it first meets the new
+        store.
         """
         for state in self.rule_table:
             state.trigger_memo.clear()
-        self.binder.invalidate()

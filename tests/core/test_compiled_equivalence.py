@@ -17,13 +17,16 @@ negation, nested precedence, instance lifts with inner negations (the
 universal and existential domain-growth cases) and instance-oriented roots.
 Then: many rules of one shape sharing a kernel (a hypothesis property and a
 memory budget), whole churn scenarios replayed through every coordinator
-against the oracle Trigger Support, and the binding/epoch invariants.
+against the oracle Trigger Support, and the binding invariants: a handle is
+the store's live pattern list, resolved once per store.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import tracemalloc
+import weakref
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -329,8 +332,8 @@ class TestSharedKernels:
         for stamp, event_type in enumerate(types, start=1):
             event_base.record(event_type, oid="o#1", timestamp=stamp)
         for event_type in types:
-            # The store's own match cache is the store's cost, whichever
-            # evaluator asks; fill it before measuring the bindings.
+            # The store's pattern lists are the store's cost, whichever
+            # evaluator asks; make them before measuring the bindings.
             event_base._indexes_matching(event_type)
         now = len(types)
         binder = CheckBinder()
@@ -343,7 +346,9 @@ class TestSharedKernels:
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(binding.is_bound for binding in bindings)
+        for binding in bindings:  # each handle *is* the store's list
+            for handle, event_type in zip(binding._handles, binding._types):
+                assert handle is event_base._indexes_matching(event_type)
         assert binder.kernels_compiled == 1
         assert (after - before) / rules <= 512, (after - before) / rules
 
@@ -441,7 +446,9 @@ class TestBindingInvariants:
         assert state.compiled_check is None
         feed_block()
         assert state.compiled_check.binder is support.binder
-        assert state.compiled_check.is_bound
+        assert state.compiled_check._handles[0] is (
+            support.event_base._indexes_matching(ALPHA)
+        )
         assert state.times_triggered == 1
 
     def test_bare_rule_engine_never_enters_the_oracle(self, monkeypatch):
@@ -486,24 +493,67 @@ class TestBindingInvariants:
             assert state.compiled_check.binder is engine.trigger_support.binder
             assert state.ts_computations > 0
 
-    def test_forget_incremental_state_is_one_epoch_bump(self):
-        table, state, support, feed_block = self._support(watchers=40)
-        feed_block()
+    def test_a_binding_resolves_once_per_store(self):
+        """After a rebind to a fresh log every binding re-resolves on its next
+        check and not again while new types register; the evaluator keeps
+        the abandoned log alive no longer."""
+        table, state, support, feed_block = self._support("modify(alpha)", 40)
+        feed_block(EventType(Operation.MODIFY, "alpha", "a0"))
         bindings = [entry.compiled_check for entry in table]
-        assert all(binding.is_bound for binding in bindings)
-        epoch = support.binder.epoch
+        abandoned = weakref.ref(support.event_base)
+        fresh = EventBase()
+        live_lists = fresh._indexes_matching
+        resolved = []
+        fresh._indexes_matching = lambda pattern: (
+            resolved.append(pattern) or live_lists(pattern)
+        )
+        support.event_base = fresh
         support.forget_incremental_state()
-        assert support.binder.epoch == epoch + 1
-        assert not any(binding.is_bound for binding in bindings)
-        # ... and the abandoned log is not kept alive by the evaluator.
-        assert support.binder._bound[0] is None
-        feed_block()
-        assert all(binding.is_bound for binding in bindings)
+        for attribute in ("a0", "a1", "a2", "a3"):
+            feed_block(EventType(Operation.MODIFY, "alpha", attribute))
+            assert len(resolved) == len(bindings)
+        assert state.times_triggered == 5
+        class_level = EventType(Operation.MODIFY, "alpha")
+        assert len(live_lists(class_level)) == 4
+        assert all(b._handles[0] is live_lists(class_level) for b in bindings)
+        gc.collect()
+        assert abandoned() is None
+
+    def test_new_types_cost_no_resolution_and_no_scan(self, monkeypatch):
+        """K bindings over a class-level pattern, N new attribute types one
+        block each, every binding checked after every block: K resolutions
+        in all, and no registered type is ever scanned for a match."""
+        rules, blocks = 25, 12
+        pattern = EventType(Operation.MODIFY, "stock")
+        binder = CheckBinder()
+        bindings = [binder.bind(Primitive(pattern)) for _ in range(rules)]
+        event_base = EventBase()
+        live_lists = event_base._indexes_matching
+        resolved = []
+        event_base._indexes_matching = lambda asked: (
+            resolved.append(asked) or live_lists(asked)
+        )
+        scans = []
+        matches = EventType.matches
+        monkeypatch.setattr(
+            EventType,
+            "matches",
+            lambda self, other: scans.append(other) or matches(self, other),
+        )
+        for stamp in range(1, blocks + 1):
+            attribute = EventType(Operation.MODIFY, "stock", f"a{stamp}")
+            event_base.record(attribute, oid="stock#1", timestamp=stamp)
+            for binding in bindings:
+                assert binding.check(event_base, stamp - 1, stamp).triggered
+        assert len(resolved) == rules
+        assert scans == []
+        assert len(live_lists(pattern)) == blocks
 
     def test_fresh_event_base_with_the_same_types_never_reads_the_old_log(self):
         """A new log that registers the same types in the same order has the
         same type *count* as the old one — the handles must still move, with
-        the invalidation (the engine's transaction path) and without it."""
+        ``forget_incremental_state`` (the engine's transaction path) and
+        without it."""
         for forget in (True, False):
             table, state, support, feed_block = self._support()
             feed_block()

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 
 from repro.errors import EventCalculusError
 from repro.events.event import EventOccurrence, EventType, Operation
-from repro.events.event_base import BoundedView, EventBase
+from repro.events.event_base import BoundedView, EventBase, StampIndex
 
 A = EventType(Operation.CREATE, "A")
 B = EventType(Operation.CREATE, "B")
@@ -30,6 +30,27 @@ event_types = st.sampled_from(EVENT_TYPES)
 oids = st.sampled_from(OIDS)
 instants = st.integers(min_value=1, max_value=30)
 bounds = st.one_of(st.none(), st.integers(min_value=0, max_value=32))
+
+
+#: Patterns and concrete types for the live-list invariant: a class-level
+#: ``modify`` occurs as a concrete type too, and ``B`` has no exact type
+#: beside its attribute types.
+MOD_BX = EventType(Operation.MODIFY, "B", "x")
+MOD_B = EventType(Operation.MODIFY, "B")
+PATTERNS = QUERY_TYPES + [MOD_BX, MOD_B]
+REGISTERED = EVENT_TYPES + [MOD_A, MOD_BX]
+
+#: One step of a store's life: ``(kind, type rows or pattern)``.
+store_steps = st.one_of(
+    st.tuples(st.sampled_from(["record", "append"]), st.sampled_from(REGISTERED)),
+    st.tuples(
+        st.sampled_from(["extend", "mirror rows"]),
+        st.lists(st.sampled_from(REGISTERED), min_size=2, max_size=4),
+    ),
+    st.tuples(
+        st.sampled_from(["resolve", "resolve on mirror"]), st.sampled_from(PATTERNS)
+    ),
+)
 
 
 def build_event_base(entries: list[tuple[EventType, str, int]]) -> EventBase:
@@ -181,12 +202,51 @@ class TestBoundedViewBasics:
         assert view.last_timestamp(A, 10) is None
 
     def test_class_level_pattern_sees_types_registered_after_first_query(self):
-        """The _indexes_matching cache must be invalidated by new types."""
+        """A class-level pattern's live list grows with new types."""
         event_base = build_event_base([(MOD_AX, "o1", 1)])
         view = event_base.full_view()
-        assert view.last_timestamp(MOD_A, 10) == 1  # caches the resolution
+        assert view.last_timestamp(MOD_A, 10) == 1
         event_base.record(MOD_AY, "o1", 5)
         assert view.last_timestamp(MOD_A, 10) == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(store_steps, max_size=20))
+    def test_every_pattern_list_is_exactly_the_matching_indexes(self, steps):
+        """However a type registers (``record`` / ``append``, a multi-row
+        ``extend``, a worker mirror's ``_index_rows``) and whether a pattern
+        was resolved before or after its types occurred, its live list holds
+        each matching index once and nothing else."""
+        event_base, mirror = EventBase(), StampIndex()
+        resolved = {id(event_base): {}, id(mirror): {}}
+        stamp = 0
+        for kind, arg in steps:
+            stamp += 1
+            if kind == "record":
+                event_base.record(arg, "o1", stamp)
+            elif kind == "append":
+                eid = event_base._max_eid + 1
+                event_base.append(EventOccurrence(eid, arg, "o2", stamp))
+            elif kind == "extend":
+                first = event_base._max_eid + 1
+                event_base.extend(
+                    EventOccurrence(first + offset, event_type, "o3", stamp)
+                    for offset, event_type in enumerate(arg)
+                )
+            elif kind == "mirror rows":
+                mirror._index_rows(arg, ["o1"] * len(arg), [stamp] * len(arg))
+            else:
+                store = mirror if kind == "resolve on mirror" else event_base
+                resolved[id(store)][arg] = store._indexes_matching(arg)
+        for store in (event_base, mirror):
+            for pattern in PATTERNS:
+                live = store._indexes_matching(pattern)
+                expected = {
+                    id(index)
+                    for event_type, index in store._by_type.items()
+                    if pattern.matches(event_type)
+                }
+                assert sorted(map(id, live)) == sorted(expected), pattern
+                assert resolved[id(store)].get(pattern, live) is live
 
     def test_occurrence_at_returns_log_order(self):
         event_base = build_event_base([(A, "o1", 1), (B, "o2", 2)])

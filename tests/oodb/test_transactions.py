@@ -1,9 +1,13 @@
 """Tests for transactions, transaction lines and commit/rollback."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import TransactionError
 from repro.oodb.transactions import TransactionStatus
+from repro.workloads.stock import CHECK_STOCK_QTY_RULE
 
 
 class TestLifecycle:
@@ -53,6 +57,18 @@ class TestLifecycle:
         with stock_db.transaction() as tx:
             tx.create("stock", {"quantity": 6})
         assert stock_db.event_base is not first_eb
+
+    def test_an_ended_transaction_log_is_not_kept_alive(self, stock_db):
+        """Once the next transaction begins, no evaluator of the engine (the
+        Trigger Support's, the condition formulas') holds the old log."""
+        stock_db.define_rule(CHECK_STOCK_QTY_RULE)
+        with stock_db.transaction() as tx:
+            tx.create("stock", {"quantity": 140, "maxquantity": 100})
+        first_eb = weakref.ref(stock_db.event_base)
+        tx = stock_db.transaction()
+        gc.collect()
+        assert first_eb() is None
+        tx.commit()
 
 
 class TestOperations:
