@@ -37,11 +37,14 @@ What makes the equivalence exact:
 
 * **memo residency** — a rule is always dealt to the same evaluator (its
   name's home shard), so its ``TriggerMemo`` sees the sequence of checks
-  the single table's memo sees and ``instants_sampled`` comes out identical;
-* **full mirror** — every worker indexes *every* EB position (negated or
-  precedence sub-expressions read occurrences of types no rule it holds
-  watches), so a worker-side window is equivalent to the coordinator's
-  zero-copy view;
+  the single table's memo sees: the resume range, its first stamp and the
+  rule's own stamps in it — the instants a check samples — and with them
+  ``instants_sampled`` come out identical;
+* **full mirror** — every worker indexes *every* EB position: a check reads
+  the window's size, the memo's rewind and the resume range's first stamp
+  off the whole log, and negated or precedence sub-expressions read types no
+  routing signature names, so a worker-side window is equivalent to the
+  coordinator's zero-copy view;
 * **synchronous failure** — the delta is encoded in the coordinator and
   nothing is sent until every message of the block encoded, so an unpicklable
   user payload raises :class:`~repro.errors.SnapshotError` naming the

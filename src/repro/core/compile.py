@@ -36,10 +36,13 @@ newly registered type to it, so it stays valid for the life of the store,
 and a binding resolves once per store it is checked against.
 
 On top of the per-instant closures, :meth:`CompiledCheck.check` runs one
-block's exact check in a single pass over the store's sorted timestamp
-arrays, reusing :class:`TriggerMemo`'s coverage bookkeeping — candidate
-instants are sliced out of ``_distinct_timestamps`` by bisection instead of
-re-entering ``is_triggered``.
+block's exact check over the rule's own stamps, reusing :class:`TriggerMemo`'s
+coverage bookkeeping.  By §3.1–3.2 the sign of ``ts`` over one window changes
+only at stamps of the expression's own (matching) types, so the candidate
+instants are the resume range's first distinct stamp plus one bisected slice
+of each handle's ``timestamps``: the check never visits the stamps of the
+types the rule does not watch (tests/core/test_properties.py::
+test_the_restricted_candidates_find_the_first_positive_instant).
 
 The condition side runs on the same kernels: :meth:`CheckBinder.bind_instance`
 binds an event formula's expression (``occurred`` / ``at``, paper §3.3) to its
@@ -49,10 +52,13 @@ rows touched, plus one probe that stands for every untouched object.
 
 Equivalence contract: for every expression and history, the compiled
 ``ts``/``ots``/``check`` return the same values and the same
-:class:`TriggeringDecision` fields as the reference in either mode, each
-sampled instant being one reference evaluation (pinned by
-tests/core/test_compiled_equivalence.py and the cross-mode differential
-harnesses), and ``affected`` / ``arises`` the same sets and instants as
+:class:`TriggeringDecision` fields as the reference in either mode, except
+``instants_sampled``: the reference samples every distinct stamp of the
+resume range and ``now``, a compiled check only its candidates, which a
+brute-force scan of the log counts (``tests/oracle.py::restricted_samples``;
+pinned by tests/core/test_compiled_equivalence.py, the cross-mode
+differential harnesses and tests/core/test_sampled_instants.py).
+``affected`` / ``arises`` return the same sets and instants as
 ``active_objects`` / ``activation_instants`` (tests/core/test_event_formulas.py).
 The kernels count nothing but the instants a check samples.
 """
@@ -438,7 +444,9 @@ class CompiledCheck:
 
         The window's distinct time stamps ``t*`` with ``ots(t*) == t*``:
         exactly ``evaluation.activation_instants(expression, window, oid,
-        until)``.
+        until)``.  Every distinct stamp is a candidate, unlike in
+        :meth:`check`: arising is an equality, not a sign, and ``-=E``
+        arises for an untouched object at the stamps of any type.
         """
         store, after, view_until = _bounds_of(window)
         handles = self._resolve(store)
@@ -463,13 +471,17 @@ class CompiledCheck:
     ) -> TriggeringDecision:
         """Exact triggering check of one block over ``(window_start, now]``.
 
-        Candidate instants come straight from the store's deduplicated
-        timestamp array: the check samples only the distinct stamps past the
-        memo's frontier (plus ``now`` itself), so a rule checked after every
-        block costs one bounded sweep over the new instants.  The memo ends
-        in the state the reference ``is_triggered`` leaves it in: cleared on
-        triggering, untouched by an empty window, otherwise recording this
-        check's frontier.
+        Samples, in ascending order up to the first positive value, the
+        distinct stamps past the memo's frontier (``lo_bound``) that can
+        change the sign of ``ts``: the first of them (the ``R != {}`` case,
+        and a negation that is active from the start) and the stamps of the
+        rule's own types, one bisected slice of each handle.  Every other
+        instant of the range, ``now`` included, has the sign of the candidate
+        before it (§3.1–3.2), so a rule checked after every block costs the
+        new rows of the types it watches, not every new stamp of the log.
+        The decision is the reference ``is_triggered``'s, and the memo ends in
+        the state it leaves: cleared on triggering, untouched by an empty
+        window, otherwise recording this check's frontier.
         """
         handles = self._resolve(event_base)
         all_stamps = event_base._all_timestamps
@@ -490,26 +502,24 @@ class CompiledCheck:
         lo_bound = after if lower is None or lower < after else lower
         start = bisect_right(distinct, lo_bound)
         stop = bisect_right(distinct, now)
+        if stop - start > 1:
+            candidates = {distinct[start]}
+            for indexes in handles:
+                for index in indexes:
+                    stamps = index.timestamps
+                    low = bisect_right(stamps, lo_bound)
+                    candidates.update(stamps[low : bisect_right(stamps, now)])
+            candidates = sorted(candidates)
+        else:  # at most one stamp: the range's first is the only candidate
+            candidates = distinct[start:stop]
         sampled = 0
-        hit_instant: Timestamp | None = None
-        hit_value = 0
-        for instant in distinct[start:stop]:
+        for instant in candidates:
             sampled += 1
             value = fn(handles, after, instant, None)
             if value > 0:
-                hit_instant = instant
-                hit_value = value
-                break
-        if hit_instant is None and (start == stop or distinct[stop - 1] != now):
-            sampled += 1
-            value = fn(handles, after, now, None)
-            if value > 0:
-                hit_instant = now
-                hit_value = value
-        if hit_instant is not None:
-            if memo is not None:
-                memo.clear()
-            return TriggeringDecision(True, hit_instant, hit_value, size, sampled)
+                if memo is not None:
+                    memo.clear()
+                return TriggeringDecision(True, instant, value, size, sampled)
         if memo is not None:
             memo.record(window_start, now, total)
         return TriggeringDecision(False, None, None, size, sampled)

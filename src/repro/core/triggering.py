@@ -16,7 +16,11 @@ window and at ``t`` itself (``ts`` can only change value at occurrence time
 stamps, so this sampling is complete; sampling ``t`` alone would miss an
 activation that was transient inside the window).  It is the reference the
 compiled check (:meth:`repro.core.compile.CompiledCheck.check`), which the
-Trigger Support runs, must agree with.
+Trigger Support runs, must agree with.  The compiled check samples fewer
+instants to the same decision: the *sign* of ``ts`` changes only at stamps
+of the expression's own types (§3.1–3.2), so it samples the window's first
+stamp and those stamps only (tests/core/test_properties.py::
+test_the_restricted_candidates_find_the_first_positive_instant).
 
 The exact predicate additionally supports *incremental* evaluation via
 :class:`TriggerMemo`.  Between two checks of the same rule (same window start)
@@ -59,7 +63,11 @@ class TriggeringDecision:
     window_size: int
     #: How many candidate instants ``ts`` was sampled at to reach the outcome
     #: (0 for an empty window).  With a valid :class:`TriggerMemo` this is the
-    #: incremental cost of the check.
+    #: incremental cost of the check.  :func:`is_triggered` samples every
+    #: distinct stamp past the memo's frontier and ``now``; the compiled check
+    #: (:meth:`repro.core.compile.CompiledCheck.check`) only the first of those
+    #: stamps and the stamps of the expression's own types, so the two agree
+    #: on every other field and differ here.
     instants_sampled: int = 0
 
     def __bool__(self) -> bool:
@@ -72,7 +80,12 @@ class TriggerMemo:
 
     ``last_sampled`` is the frontier: every distinct window time stamp at or
     before it (and ``last_sampled`` itself, which was the previous ``now``)
-    has already been sampled with ``ts <= 0``.  ``seen_events`` is the length
+    is known to have ``ts <= 0``.  :func:`is_triggered` knows it by sampling
+    each of them; the compiled check samples only the instants where ``ts``
+    can change sign (the first stamp and the expression's own types'
+    stamps), and the sign property of §3.1–3.2 carries the rest — an
+    instant between two candidates has the sign of the one before it.
+    ``seen_events`` is the length
     of the EB log at that moment, so a later check can detect occurrences that
     arrived bearing an already-sampled time stamp (the EB allows ties) and
     rewind the frontier below them.  The memo is only meaningful for a fixed

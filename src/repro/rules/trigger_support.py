@@ -92,9 +92,11 @@ class TriggerSupportStats:
     #: the seed this also counts empty windows seen by recheck_all).
     ts_skipped_empty_window: int = 0
     rules_triggered: int = 0
-    #: Candidate instants actually sampled across all exact checks.  With the
-    #: incremental memo this stays proportional to the number of new
-    #: occurrences rather than to the window size (see PERFORMANCE.md).
+    #: Candidate instants actually sampled across all exact checks: per check,
+    #: the first distinct stamp past the memo's frontier and the rule's own
+    #: types' stamps after it, up to the first positive one.  It grows with
+    #: the new rows of the types a rule watches, not with the window or the
+    #: log (see PERFORMANCE.md).
     instants_sampled: int = 0
     #: Untriggered rules reached through the subscription index (visited
     #: because the block's type signature matched their ``V(E)``, or because

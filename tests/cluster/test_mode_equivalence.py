@@ -4,7 +4,9 @@ The PR-4 process shard workers move the evaluate phase of the trigger check
 out of process (mirror Event Bases, worker-resident memos, decisions shipped
 back); the correctness bar is the one PR 3 set and this harness pins:
 **byte-identical traces, per-rule counters, Trigger Support stats — the
-incremental ``instants_sampled`` counter included — and firing order** across
+incremental ``instants_sampled`` counter included, which the oracle reports
+as the brute-force count of the restricted check
+(``tests/oracle.py::restricted_samples``) — and firing order** across
 every execution mode, for any stream and any mid-run rule churn.
 
 The scenarios are the seeded PR-3 generators

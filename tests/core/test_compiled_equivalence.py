@@ -7,9 +7,12 @@ behaviour: for any expression, any Event-Base history and any window start,
 the compiled ``ts`` / ``ots`` / exact check — one combine set — must agree
 with the recursive reference evaluator in either of the paper's evaluation
 modes on the value, the :class:`TriggeringDecision` and the
-:class:`TriggerMemo` transitions.  The work pin: the instants a compiled check
-samples (``instants_sampled``) are the reference's point evaluations
-(``EvaluationStats.evaluations``), one per ``ts`` / ``ots``.
+:class:`TriggerMemo` transitions.  The work pins: a compiled ``ts`` / ``ots``
+is one of the reference's point evaluations (``EvaluationStats.evaluations``),
+and the instants a compiled check samples (``instants_sampled``) are the
+brute-force count of :func:`tests.oracle.restricted_samples` — the resume
+range's first stamp and the stamps of the expression's own types, up to the
+first positive one.
 
 The expression pool mixes randomized trees over all eight set/instance
 operators with hand-built shapes the random generator reaches rarely: pure
@@ -27,6 +30,7 @@ import gc
 import random
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -64,6 +68,8 @@ from repro.workloads.generator import (
     event_type_universe,
     stream_to_event_base,
 )
+
+from tests.oracle import restricted_samples
 
 MODES = (EvaluationMode.LOGICAL, EvaluationMode.ALGEBRAIC)
 
@@ -163,25 +169,27 @@ class TestCheckEquivalence:
                 compiled = compile_check(expression)
                 event_base = EventBase()
                 interpreted_memo, compiled_memo = TriggerMemo(), TriggerMemo()
-                interpreted_stats, sampled = EvaluationStats(), 0
                 window_start = 0
                 for block in generated:
                     for occurrence in block:
                         event_base.append(occurrence)
                     now = block[-1].timestamp
+                    before = replace(interpreted_memo)
                     expected = is_triggered(
                         expression,
                         event_base,
                         window_start,
                         now,
                         mode,
-                        interpreted_stats,
                         memo=interpreted_memo,
                     )
                     actual = compiled.check(
                         event_base, window_start, now, memo=compiled_memo
                     )
-                    sampled += actual.instants_sampled
+                    sampled = restricted_samples(
+                        expression, event_base, window_start, now, before, expected
+                    )
+                    expected = replace(expected, instants_sampled=sampled)
                     assert actual == expected, (mode, expression, now)
                     assert (
                         compiled_memo.valid,
@@ -198,7 +206,6 @@ class TestCheckEquivalence:
                         # Mimic a consideration: the window start moves and
                         # both memos were already cleared by the check.
                         window_start = now
-                assert sampled == interpreted_stats.evaluations, (mode, expression)
 
     def test_check_sequence_over_a_complete_log_matches(self):
         """Checks that run behind the log: every block already ingested, each
@@ -212,29 +219,30 @@ class TestCheckEquivalence:
             for expression in _expression_pool(seed=37, count=14):
                 compiled = compile_check(expression)
                 interpreted_memo, compiled_memo = TriggerMemo(), TriggerMemo()
-                interpreted_stats, sampled = EvaluationStats(), 0
                 window_start = 0
                 for now in nows:
                     if rng.random() < 0.4:
                         continue  # a block that did not route this rule
+                    before = replace(interpreted_memo)
                     expected = is_triggered(
                         expression,
                         event_base,
                         window_start,
                         now,
                         mode,
-                        interpreted_stats,
                         memo=interpreted_memo,
                     )
                     actual = compiled.check(
                         event_base, window_start, now, memo=compiled_memo
                     )
-                    sampled += actual.instants_sampled
+                    sampled = restricted_samples(
+                        expression, event_base, window_start, now, before, expected
+                    )
+                    expected = replace(expected, instants_sampled=sampled)
                     assert actual == expected, (mode, expression, now)
                     assert compiled_memo == interpreted_memo, (mode, expression, now)
                     if expected.triggered:
                         window_start = now
-                assert sampled == interpreted_stats.evaluations, (mode, expression)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +278,8 @@ class TestSharedKernels:
     ):
         """Rules of one shape over different types, checked in an arbitrary
         interleaving through one binder: every decision and memo equals the
-        oracle's in ``mode``, and the instants sampled are its evaluations."""
+        oracle's in ``mode``, and the instants sampled are the brute-force
+        count of the restricted check."""
         expressions = [shape(*map(Primitive, row)) for row in type_rows]
         binder = CheckBinder()
         bindings = [binder.bind(expression) for expression in expressions]
@@ -280,7 +289,6 @@ class TestSharedKernels:
         oracle_memos = [TriggerMemo() for _ in range(count)]
         compiled_memos = [TriggerMemo() for _ in range(count)]
         window_starts = [0] * count
-        oracle_stats, sampled = EvaluationStats(), 0
         for block, pick in zip(generated, picks):
             for occurrence in block:
                 event_base.append(occurrence)
@@ -288,24 +296,31 @@ class TestSharedKernels:
             # Two different rules per block, so checks of one kernel alternate
             # between handle tuples (and memos) within a single instant.
             for index in {pick % count, (pick * 7 + 3) % count}:
+                before = replace(oracle_memos[index])
                 expected = is_triggered(
                     expressions[index],
                     event_base,
                     window_starts[index],
                     now,
                     mode,
-                    oracle_stats,
                     memo=oracle_memos[index],
                 )
                 actual = bindings[index].check(
                     event_base, window_starts[index], now, memo=compiled_memos[index]
                 )
-                sampled += actual.instants_sampled
+                sampled = restricted_samples(
+                    expressions[index],
+                    event_base,
+                    window_starts[index],
+                    now,
+                    before,
+                    expected,
+                )
+                expected = replace(expected, instants_sampled=sampled)
                 assert actual == expected, (mode, expressions[index], now)
                 assert compiled_memos[index] == oracle_memos[index]
                 if expected.triggered:
                     window_starts[index] = now
-        assert sampled == oracle_stats.evaluations
         # Rows that repeat a type in different positions are different shapes
         # (the slot pattern is part of the key); equal patterns share.
         patterns = {tuple(row.index(t) for t in row) for row in type_rows}

@@ -188,6 +188,22 @@ class TestAtOccurrenceInstants:
         primitive = parse_expression("modify(stock.quantity)")
         assert at(primitive, window, "o1", until=9) == [2, 7]
 
+    def test_a_negation_arises_at_the_stamps_of_other_types(self):
+        """``at`` is no sign test: ``ots(t) == t`` holds for an untouched
+        object at *every* stamp, other types' included, so the instants
+        ``arises`` samples cannot be narrowed to the formula's own stamps the
+        way the exact check's are."""
+        create_a = EventType(Operation.CREATE, "a")
+        create_b = EventType(Operation.CREATE, "b")
+        window = history(
+            (create_a, "o1", 1),
+            (create_b, "o3", 2),
+            (create_b, "o4", 3),
+            (create_a, "o1", 4),
+        )
+        negation = parse_expression("-=create(a)")
+        assert at(negation, window, "o2", until=5) == [1, 2, 3, 4]
+
 
 # ---------------------------------------------------------------------------
 # The compiled formulas equal the oracle

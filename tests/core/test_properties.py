@@ -299,3 +299,133 @@ def test_variation_set_is_sound_for_triggering(expression, window, new_type, new
     assert not after.triggered, (
         f"occurrence of {new_type} activated {expression} although V(E) said it could not"
     )
+
+
+# ---------------------------------------------------------------------------
+# Where ts can change sign: the exact check's candidate instants
+# ---------------------------------------------------------------------------
+
+#: Patterns an expression may name: the concrete types plus a class-level
+#: ``modify(A)``, which matches ``modify(A.x)`` and ``modify(A.y)`` rows.
+SIGN_PATTERNS = EVENT_TYPES + [EventType(Operation.MODIFY, "A")]
+#: Types a log row may have: also ``modify(A.y)``, which only the class-level
+#: pattern matches, and ``create(D)``, which no expression names.
+SIGN_LOG_TYPES = EVENT_TYPES + [
+    EventType(Operation.MODIFY, "A", "y"),
+    EventType(Operation.CREATE, "D"),
+]
+
+_pattern_primitives = st.builds(Primitive, st.sampled_from(SIGN_PATTERNS))
+pattern_instance_expressions = st.recursive(
+    _pattern_primitives, _extend_instance, max_leaves=4
+)
+pattern_set_expressions = st.recursive(
+    st.one_of(_pattern_primitives, pattern_instance_expressions),
+    _extend_set,
+    max_leaves=5,
+)
+bounds = st.one_of(st.none(), instants)
+
+
+@st.composite
+def mixed_logs(draw, max_size: int = 14) -> EventBase:
+    """A random Event Base whose rows are often of types no expression names."""
+    entries = draw(
+        st.lists(
+            st.tuples(st.sampled_from(SIGN_LOG_TYPES), oids, instants),
+            max_size=max_size,
+        )
+    )
+    entries.sort(key=lambda entry: entry[2])
+    return event_base_of(
+        EventOccurrence(eid=index + 1, event_type=event_type, oid=oid, timestamp=stamp)
+        for index, (event_type, oid, stamp) in enumerate(entries)
+    )
+
+
+def _own_stamps(expression: EventExpression, window) -> set[int]:
+    """The stamps of the window's rows that one of the expression's types matches."""
+    patterns = expression.event_types()
+    return {
+        row.timestamp
+        for row in window
+        if any(pattern.matches(row.event_type) for pattern in patterns)
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression=pattern_set_expressions, log=mixed_logs(), after=bounds)
+def test_ts_changes_sign_only_at_the_expressions_own_stamps(expression, log, after):
+    """Between consecutive distinct stamps of a window, the sign of ``ts``
+    stays put unless a row of one of the expression's types sits at the later
+    one: primitives move at their own stamps, negation, conjunction and
+    disjunction combine signs, precedence moves with its right operand and a
+    lift's affected set grows only at its types' stamps."""
+    window = log.view(after=after)
+    stamps = window.timestamps()
+    own = _own_stamps(expression, window)
+    for earlier, later in zip(stamps, stamps[1:]):
+        if later not in own:
+            active = ts(expression, window, earlier) > 0
+            assert (ts(expression, window, later) > 0) == active, (earlier, later)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    expression=pattern_instance_expressions, log=mixed_logs(), after=bounds, oid=oids
+)
+def test_ots_changes_sign_only_at_the_expressions_own_stamps(
+    expression, log, after, oid
+):
+    window = log.view(after=after)
+    stamps = window.timestamps()
+    own = _own_stamps(expression, window)
+    for earlier, later in zip(stamps, stamps[1:]):
+        if later not in own:
+            active = ots(expression, window, earlier, oid) > 0
+            assert (ots(expression, window, later, oid) > 0) == active, (earlier, later)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    expression=pattern_set_expressions,
+    log=mixed_logs(),
+    after=bounds,
+    resume=bounds,
+    now=instants,
+)
+def test_the_restricted_candidates_find_the_first_positive_instant(
+    expression, log, after, resume, now
+):
+    """The compiled check's candidates decide what sampling every instant does.
+
+    A check of ``(after, now]`` resumes above a bound ``lo`` (a memo's
+    frontier; ``resume=None`` is no memo, ``lo = after``).  The reference
+    samples every distinct stamp in ``(lo, now]`` and ``now``; the compiled
+    check only the first of those stamps and the stamps of the expression's
+    own types.  Whenever nothing at or below ``lo`` is positive — what a memo
+    records — both find the same first positive instant, and a positive
+    ``ts(E, now)`` always has a positive candidate before or at it: ``now``
+    itself never needs a sample of its own.
+    """
+    if after is not None and after >= now:
+        return
+    window = log.view(after=after, until=now)
+    stamps = window.timestamps()
+    if not stamps:
+        return  # an empty window triggers nothing, whatever is sampled
+    lo = after if resume is None else min(max(resume, after or 0), now)
+    resumed = [stamp for stamp in stamps if lo is None or stamp > lo]
+    exhaustive = resumed if resumed and resumed[-1] == now else resumed + [now]
+    own = _own_stamps(expression, window)
+    candidates = sorted(set(resumed[:1]) | (own & set(resumed)))
+
+    def first_positive(instants):
+        return next((t for t in instants if ts(expression, window, t) > 0), None)
+
+    sampled_before = [stamp for stamp in stamps if stamp not in resumed]
+    if any(ts(expression, window, stamp) > 0 for stamp in sampled_before):
+        return  # a memo never stands on a positive instant
+    assert first_positive(candidates) == first_positive(exhaustive)
+    if ts(expression, window, now) > 0:
+        assert first_positive(candidates) is not None
