@@ -65,7 +65,7 @@ def main() -> None:
         [
             label,
             stats["rules_checked"],
-            stats["rules_bypassed_by_index"],
+            stats["ts_skipped_by_filter"],
             len(considered),
         ]
         for label, stats, considered in (
@@ -75,7 +75,7 @@ def main() -> None:
     ]
     print(
         render_table(
-            ["database", "rules_checked", "bypassed", "considerations"],
+            ["database", "rules_checked", "ts_skipped_by_filter", "considerations"],
             rows,
             title=f"{len(blocks)} blocks, {len(expressions)} rules",
         )

@@ -40,7 +40,6 @@ from repro.core import (
     EvaluationMode,
     EventExpression,
     Primitive,
-    RecomputationFilter,
     TsValue,
     active_objects,
     evaluate,
@@ -49,6 +48,7 @@ from repro.core import (
     parse_expression,
     ts,
     variation_set,
+    watched_event_types,
 )
 from repro.errors import ChimeraError
 from repro.events import (
@@ -75,7 +75,6 @@ __all__ = [
     "EventType",
     "Operation",
     "Primitive",
-    "RecomputationFilter",
     "TransactionClock",
     "TsValue",
     "WindowLike",
@@ -88,6 +87,7 @@ __all__ = [
     "parse_expression",
     "ts",
     "variation_set",
+    "watched_event_types",
 ]
 
 

@@ -93,7 +93,7 @@ class ShardCoordinator(TriggerSupport):
         #: the workers' definitions when the table changes shape.
         self._homes: dict[str, int] = {}
         #: Plan epoch at the last prune of homes and worker definitions.
-        self._pruned_epoch: tuple[int, int] | None = None
+        self._pruned_epoch: int | None = None
         self.cluster_stats = ShardCoordinatorStats()
         self.metrics.register_source("cluster", self.cluster_stats)
         #: Dispatch = dealing a round's candidates to their homes.
@@ -162,7 +162,7 @@ class ShardCoordinator(TriggerSupport):
         """Forget homes and queue worker-side eviction of removed rules.
 
         The plan epoch moves on every add/remove, so the scan only runs under
-        table churn — steady state pays one tuple comparison per round, and a
+        table churn — steady state pays one integer comparison per round, and a
         long-lived pool stays bounded by the live rule population (pruning
         touches no worker — drops piggyback on the next send).  A pool
         spawned later starts with nothing shipped.

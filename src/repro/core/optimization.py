@@ -40,19 +40,25 @@ Simplification rules (Fig. 7) merge variations of the same primitive type:
 opposite signs collapse to ``Δ``, and a set-level variation absorbs an
 object-level variation of the same type (the set level is the coarser view).
 
-The run-time counterpart is :class:`RecomputationFilter`: new event
-occurrences are positive variations of their own type (at both granularities),
-so a recomputation is required only when some arrived occurrence matches a
-variation of ``V(E)`` whose sign includes ``+``.  Skipping negative variations
-is sound for *triggering* because a rule, once triggered, stays triggered until
-it is considered: a variation that can only drive ``ts`` downwards can never
-create a missed triggering.
+The run-time counterpart is the Rule Table's subscription index
+(:mod:`repro.rules.rule_table`).  A new occurrence is a positive variation of
+its own type, so a block can flip a rule's ``ts`` positive only when one of
+its types matches an entry of :func:`watched_event_types` — the ``V(E)``
+entries whose sign includes ``+``.  Skipping the negative ones is sound for
+*triggering* because a rule, once triggered, stays triggered until it is
+considered: a variation that can only drive ``ts`` downwards can never create
+a missed triggering.  Matching is :meth:`EventType.matches` in either
+direction (a class-level ``modify(stock)`` and ``modify(stock.quantity)``
+reach each other) and nothing more: the calculus compares class names
+exactly, so ``create(rush)`` is no ``create(order)`` occurrence whatever the
+schema says.  The triggering graph of :mod:`repro.rules.analysis` reads the
+same entries.
 
 One caveat (found by the property tests and enforced by the Trigger Support,
-not by the filter itself): the triggering predicate also requires a non-empty
+not by ``V(E)`` itself): the triggering predicate also requires a non-empty
 window ``R``.  A rule whose expression is vacuously active — e.g. a pure
 negation — is blocked only by that condition, and then *any* new occurrence
-can trigger it regardless of its type.  The filter is therefore only applied
+can trigger it regardless of its type.  The index is therefore only trusted
 once the rule's window has been evaluated non-empty since its last
 consideration (see :mod:`repro.rules.trigger_support`).
 """
@@ -61,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.core.expressions import (
     EventExpression,
@@ -75,7 +81,7 @@ from repro.core.expressions import (
     SetNegation,
     SetPrecedence,
 )
-from repro.events.event import EventOccurrence, EventType
+from repro.events.event import EventType
 
 __all__ = [
     "Sign",
@@ -85,8 +91,7 @@ __all__ = [
     "simplify_variations",
     "variation_set",
     "format_variations",
-    "expand_event_type",
-    "RecomputationFilter",
+    "watched_event_types",
 ]
 
 
@@ -270,119 +275,27 @@ def variation_set(expression: EventExpression) -> set[Variation]:
     return simplify_variations(derive_variations(expression))
 
 
+def watched_event_types(expression: EventExpression) -> tuple[EventType, ...]:
+    """The positive side of ``V(E)``: types whose new occurrences may trigger.
+
+    The one reading of "which occurrences can trigger this rule": the Rule
+    Table indexes a rule under these types and the triggering graph matches
+    action types against them.  Sorted, so no consumer depends on the
+    interpreter's hash order.
+    """
+    return tuple(
+        sorted(
+            (
+                variation.event_type
+                for variation in variation_set(expression)
+                if variation.sign.includes_positive()
+            ),
+            key=str,
+        )
+    )
+
+
 def format_variations(variations: Iterable[Variation]) -> str:
     """Render a variation set as ``{ΔA, ΔB, Δ+C}`` (sorted, for reports/tests)."""
     rendered = sorted(str(variation) for variation in variations)
     return "{" + ", ".join(rendered) + "}"
-
-
-# ---------------------------------------------------------------------------
-# Run-time filter
-# ---------------------------------------------------------------------------
-
-
-def expand_event_type(event_type: EventType, schema) -> tuple[EventType, ...]:
-    """The occurrence type plus its superclass retargets under ``schema``.
-
-    An occurrence on class ``c`` is also an occurrence on every ancestor of
-    ``c`` (creating a ``notFilledOrder`` creates an ``order``), so matching an
-    occurrence type against watched patterns must consider the retargeted
-    types ``operation(ancestor[.attribute])`` as well.  ``schema`` is any
-    object with ``__contains__`` and ``ancestors(name)`` (duck-typed to keep
-    the calculus layer free of an oodb dependency); classes the schema does
-    not know — abstract test universes, external ``raise`` events — expand to
-    just themselves.  The expansion goes upward only: an occurrence on a
-    superclass is *not* an occurrence on its specializations.
-    """
-    if schema is None or event_type.class_name not in schema:
-        return (event_type,)
-    expanded = [event_type]
-    for ancestor in schema.ancestors(event_type.class_name):
-        expanded.append(EventType(event_type.operation, ancestor, event_type.attribute))
-    return tuple(expanded)
-
-
-class RecomputationFilter:
-    """Decides whether newly arrived occurrences require a ``ts`` recomputation.
-
-    Built once per rule from ``V(E)``.  A new occurrence is an upward (positive)
-    variation of its own event type, so recomputation is needed only when the
-    occurrence's type matches a ``V(E)`` entry whose sign includes ``+``.
-    Class-level entries (``modify(stock)``) match attribute-specific
-    occurrences (``modify(stock.quantity)``) and vice versa, mirroring the
-    subscription semantics of primitive event types.
-
-    With a schema bound (:meth:`bind_schema`) the matching is additionally
-    subclass-aware: an occurrence on a class also counts for watched patterns
-    on any of its ancestors (see :func:`expand_event_type`).  Memoized
-    verdicts then carry the schema version they were computed at — a schema
-    that gains a subclass after a verdict was cached would otherwise keep
-    serving the stale ``False``.
-    """
-
-    def __init__(self, expression: EventExpression, schema=None) -> None:
-        self.expression = expression
-        self.variations = variation_set(expression)
-        self._positive_types: tuple[EventType, ...] = tuple(
-            variation.event_type
-            for variation in self.variations
-            if variation.sign.includes_positive()
-        )
-        # The watched set is fixed at construction, so the verdict per concrete
-        # event type only changes when the bound schema does: memoize it
-        # instead of re-running the O(|V(E)|) pattern loop for every
-        # occurrence type of every block, and stamp the cache with the schema
-        # version so hierarchy growth invalidates it.
-        self._match_cache: dict[EventType, bool] = {}
-        self._schema = schema
-        self._cached_schema_version = schema.version if schema is not None else 0
-        self.checks = 0
-        self.skipped = 0
-
-    def bind_schema(self, schema) -> None:
-        """Make matching subclass-aware under ``schema`` (idempotent)."""
-        if schema is self._schema:
-            return
-        self._schema = schema
-        self._match_cache.clear()
-        self._cached_schema_version = schema.version if schema is not None else 0
-
-    def relevant_event_types(self) -> set[EventType]:
-        """Event types whose new occurrences can possibly trigger the rule."""
-        return set(self._positive_types)
-
-    def matches(self, event_type: EventType) -> bool:
-        """True when a new occurrence of ``event_type`` may activate the rule."""
-        schema = self._schema
-        if schema is not None and schema.version != self._cached_schema_version:
-            self._match_cache.clear()
-            self._cached_schema_version = schema.version
-        verdict = self._match_cache.get(event_type)
-        if verdict is None:
-            verdict = any(
-                watched.matches(candidate) or candidate.matches(watched)
-                for candidate in expand_event_type(event_type, schema)
-                for watched in self._positive_types
-            )
-            self._match_cache[event_type] = verdict
-        return verdict
-
-    def needs_recomputation(
-        self, occurrences: Iterable[EventOccurrence | EventType]
-    ) -> bool:
-        """True when any of the new occurrences may flip the rule's ``ts`` positive."""
-        self.checks += 1
-        for item in occurrences:
-            event_type = item.event_type if isinstance(item, EventOccurrence) else item
-            if self.matches(event_type):
-                return True
-        self.skipped += 1
-        return False
-
-    @property
-    def statistics(self) -> Mapping[str, int]:
-        """Counters: how many batches were checked and how many were skipped."""
-        return {"checks": self.checks, "skipped": self.skipped}
-
-    def __str__(self) -> str:
-        return f"RecomputationFilter({format_variations(self.variations)})"

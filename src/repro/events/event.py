@@ -125,7 +125,12 @@ class EventType:
         A class-level ``modify(stock)`` subscription matches any
         ``modify(stock.<attr>)`` occurrence; an attribute-specific type only
         matches the same attribute.  Operations and class names must match
-        exactly.
+        exactly: the schema's hierarchy plays no part, so an occurrence of
+        ``create(rush)`` is no ``create(order)`` occurrence even when ``rush``
+        specializes ``order``.  This is the one matching rule of the engine —
+        the calculus, the ``V(E)`` index and the triggering graph all read it
+        (``tests/rules/test_planner_equivalence.py::
+        test_a_subclass_create_never_triggers_a_superclass_rule``).
         """
         if self.operation is not other.operation or self.class_name != other.class_name:
             return False

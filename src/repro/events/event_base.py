@@ -88,15 +88,11 @@ class _TypeIndex:
         self.oids: list[Any] = []
         self.per_oid: dict[Any, list[Timestamp]] = defaultdict(list)
 
-    def span(self, after: Timestamp | None, until: Timestamp | None) -> tuple[int, int]:
-        """Index range ``[start, stop)`` of the occurrences in ``(after, until]``."""
-        return _bisect_span(self.timestamps, after, until)
-
     def oids_between(
         self, after: Timestamp | None, until: Timestamp | None
     ) -> list[Any]:
         """The OID of every occurrence in ``(after, until]`` (repeats kept)."""
-        start, stop = self.span(after, until)
+        start, stop = _bisect_span(self.timestamps, after, until)
         return self.oids[start:stop]
 
 
@@ -246,7 +242,7 @@ class StampIndex:
         """The event types with at least one occurrence in ``(after, until]``."""
         present: set[EventType] = set()
         for event_type, index in self._by_type.items():
-            start, stop = index.span(after, until)
+            start, stop = _bisect_span(index.timestamps, after, until)
             if stop > start:
                 present.add(event_type)
         return present
@@ -488,7 +484,7 @@ class EventBase(StampIndex):
         matched: list[EventOccurrence] = []
         at = self._occurrences.__getitem__
         for index in self._indexes_matching(event_type):
-            start, stop = index.span(after, bound)
+            start, stop = _bisect_span(index.timestamps, after, bound)
             matched.extend(map(at, index.positions[start:stop]))
         matched.sort(key=lambda occurrence: (occurrence.timestamp, occurrence.eid))
         return matched

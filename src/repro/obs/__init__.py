@@ -6,12 +6,12 @@ their only telemetry was four disjoint ad-hoc stats dataclasses plus
 bench-local timers.  ``repro.obs`` gives them one spine:
 
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`, a dependency-free
-  registry of counters, gauges and fixed-bucket histograms with a sampled
-  ``span()`` timing API.  A disabled registry hands out shared null
-  instruments, so metrics-off costs one attribute lookup per probe.  Worker
-  processes accumulate their own registries and ship compact **deltas**
-  (:meth:`MetricsRegistry.drain_delta`) piggybacked on the existing trip
-  reply messages; the coordinator merges them
+  registry of counters, gauges and fixed-bucket histograms (a histogram
+  times a section: ``with histogram.time():``).  A disabled registry hands
+  out shared null instruments, so metrics-off costs one attribute lookup
+  per probe.  Worker processes accumulate their own registries and ship
+  compact **deltas** (:meth:`MetricsRegistry.drain_delta`) piggybacked on
+  the existing trip reply messages; the coordinator merges them
   (:meth:`MetricsRegistry.merge_delta`) so one snapshot covers the whole
   logical engine in every shard mode.  The live stats dataclasses
   (``TriggerSupportStats``, ``ShardCoordinatorStats``) are registered as
@@ -22,7 +22,7 @@ bench-local timers.  ``repro.obs`` gives them one spine:
   (:func:`render_metrics_report`) and the JSON-lines periodic exporter
   (``workload --metrics-json PATH``; ``EngineConfig.metrics_path``).
 
-Instrumentation points and the sampling model are documented in
+Instrumentation points are documented in
 PERFORMANCE.md ("Observability"), with the overhead measured at PR 8
 (BENCH_PR8.json: at worst +0.27%).
 """

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, fixed-bucket histograms, spans.
+"""The metrics registry: counters, gauges and fixed-bucket histograms.
 
 Design constraints, in order:
 
@@ -218,7 +218,7 @@ class Histogram:
 
 
 class _NullTimer:
-    """Shared no-op context manager (what a disabled/sampled-out span costs)."""
+    """Shared no-op context manager (what timing on a disabled registry costs)."""
 
     __slots__ = ()
 
@@ -269,24 +269,18 @@ class MetricsRegistry:
 
     ``enabled=False`` returns shared null instruments from every factory —
     instrumented code needs no conditionals, and metrics-off runs at
-    effectively uninstrumented speed.  ``sample_every=N`` samples the
-    :meth:`span` API: only every Nth span is timed (and has its attribute
-    counters bumped), which bounds span overhead on hot call sites; direct
-    counter/histogram probes are never sampled, so semantic counters stay
-    exact.
+    effectively uninstrumented speed.  A section is timed through a cached
+    histogram handle (``with histogram.time():``), and no probe is sampled,
+    so every count is exact.
     """
 
-    def __init__(self, enabled: bool = True, sample_every: int = 1) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be positive (got {sample_every})")
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.sample_every = sample_every
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._sources: dict[str, Source] = {}
-        self._spans_seen = 0
 
     # -- instrument factories -------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -317,26 +311,6 @@ class MetricsRegistry:
             with self._lock:
                 instrument = self._histograms.setdefault(name, Histogram(name, bounds))
         return instrument
-
-    # -- spans ----------------------------------------------------------------
-    def span(self, name: str, **attributes: int):
-        """Time a pipeline section: ``with registry.span("trip", rules=n):``.
-
-        Returns a context manager observing the section's wall-clock time
-        into the ``name`` histogram; keyword attributes increment
-        ``<name>.<attribute>`` counters by their value.  Subject to
-        ``sample_every`` (attributes included) — use a cached
-        :meth:`histogram` / :meth:`counter` directly where exact counts
-        matter.
-        """
-        if not self.enabled:
-            return _NULL_TIMER
-        self._spans_seen += 1
-        if self.sample_every > 1 and self._spans_seen % self.sample_every:
-            return _NULL_TIMER
-        for key, value in attributes.items():
-            self.counter(f"{name}.{key}").inc(value)
-        return self.histogram(name).time()
 
     # -- sources --------------------------------------------------------------
     def register_source(self, prefix: str, source: Source) -> None:

@@ -84,21 +84,18 @@ def _normalize_attributes(
 
 
 class Schema:
-    """The set of class definitions known to the database."""
+    """The set of class definitions known to the database.
+
+    The hierarchy serves the store (``specialize`` / ``generalize``, class
+    extents with their subclasses, inherited attributes) and conditions'
+    class ranges.  It does not reach event matching: an event type names one
+    class exactly (:meth:`repro.events.event.EventType.matches`), so a
+    ``create(rush)`` occurrence is no ``create(order)`` occurrence even when
+    ``rush`` specializes ``order``.
+    """
 
     def __init__(self) -> None:
         self._classes: dict[str, ClassDefinition] = {}
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotonic counter bumped on every definition.
-
-        Consumers that memoize schema-derived facts (e.g. the subclass-aware
-        event-type matching of :class:`repro.core.optimization.RecomputationFilter`)
-        compare this counter to detect that the hierarchy changed under them.
-        """
-        return self._version
 
     # -- definition -------------------------------------------------------
     def define(
@@ -118,7 +115,6 @@ class Schema:
             name, _normalize_attributes(attributes), superclass
         )
         self._classes[name] = definition
-        self._version += 1
         return definition
 
     # -- lookups ----------------------------------------------------------

@@ -10,10 +10,11 @@ occurrence that may trigger ``r2``.
 
 With composite events the edge test becomes more interesting: ``r2`` is
 triggerable by ``r1`` when some event type that ``r1``'s action can generate
-matches a *positive variation* of ``r2``'s event expression (the same ``V(E)``
-analysis the Trigger Support uses at run time), or when ``r2``'s expression is
-vacuously activatable (a pure negation blocked only by the ``R != {}``
-condition — then any event unblocks it).
+matches a *positive variation* of ``r2``'s event expression — the same
+:func:`~repro.core.optimization.watched_event_types` the Rule Table routes
+blocks by, matched with the same :meth:`EventType.matches` — or when ``r2``'s
+expression is vacuously active (active over a log without any of its types,
+blocked only by the ``R != {}`` condition — then any event unblocks it).
 
 The module is self-contained (no third-party graph library needed) but can
 export the graph to :mod:`networkx` when available, for further analysis or
@@ -25,8 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.optimization import Sign, variation_set
+from repro.core.evaluation import ts
+from repro.core.optimization import watched_event_types
 from repro.events.event import EventType, Operation
+from repro.events.event_base import EventBase
 from repro.rules.actions import (
     Action,
     CallableStatement,
@@ -72,11 +75,7 @@ def action_event_types(action: Action) -> set[EventType]:
 
 def positive_trigger_types(rule: Rule) -> set[EventType]:
     """Event types whose new occurrences may trigger ``rule`` (positive V(E) entries)."""
-    return {
-        variation.event_type
-        for variation in variation_set(rule.events)
-        if variation.sign is not Sign.NEGATIVE
-    }
+    return set(watched_event_types(rule.events))
 
 
 def _event_types_may_match(generated: EventType, watched: EventType) -> bool:
@@ -86,32 +85,48 @@ def _event_types_may_match(generated: EventType, watched: EventType) -> bool:
 
 
 def _is_vacuously_activatable(rule: Rule) -> bool:
-    """True when the rule's expression can be active over a window of unrelated events.
+    """True when the rule's expression is active over a log of unrelated events.
 
-    Such a rule (e.g. one triggered by a pure negation) is blocked only by the
-    ``R != {}`` condition, so *any* generated occurrence can trigger it.
+    Such a rule (``-create(a)``, and also ``-create(a) , create(b)``, which
+    has a positive ``V(E)`` entry) is blocked only by the ``R != {}``
+    condition, so *any* generated occurrence can trigger it.  Occurrences of
+    types the expression does not name change none of its values, so the
+    exact test is its sign over the empty log, on the reference interpreter;
+    the sign does not depend on the instant (``tests/rules/test_analysis.py``).
     """
-    positives = positive_trigger_types(rule)
-    return not positives
+    return ts(rule.events, EventBase(), 1) > 0
+
+
+def _target_profile(rule: Rule) -> tuple[bool, tuple[EventType, ...]]:
+    """What the edge test reads of a target: its vacuity and watched types."""
+    return _is_vacuously_activatable(rule), watched_event_types(rule.events)
+
+
+def _edge(
+    source: Rule, target: Rule, profile: tuple[bool, tuple[EventType, ...]]
+) -> TriggeringEdge | None:
+    """The edge ``source -> target`` when the source's action may trigger it."""
+    vacuous, watched = profile
+    generated = action_event_types(source.action)
+    if vacuous:
+        # Any occurrence unblocks the R != {} condition.
+        if not source.action.statements:
+            return None
+        via = generated
+    else:
+        via = {
+            generated_type
+            for generated_type in generated
+            if any(_event_types_may_match(generated_type, w) for w in watched)
+        }
+        if not via:
+            return None
+    return TriggeringEdge(source.name, target.name, tuple(sorted(via, key=str)))
 
 
 def can_trigger(source: Rule, target: Rule) -> bool:
     """True when ``source``'s action may generate an event that triggers ``target``."""
-    generated = action_event_types(source.action)
-    if not generated and not any(
-        isinstance(statement, CallableStatement)
-        for statement in source.action.statements
-    ):
-        return False
-    if _is_vacuously_activatable(target):
-        # Any occurrence unblocks the R != {} condition.
-        return bool(generated) or bool(source.action.statements)
-    watched = positive_trigger_types(target)
-    return any(
-        _event_types_may_match(generated_type, watched_type)
-        for generated_type in generated
-        for watched_type in watched
-    )
+    return _edge(source, target, _target_profile(target)) is not None
 
 
 @dataclass(frozen=True)
@@ -251,31 +266,18 @@ class TriggeringGraph:
 def analyze_rules(rules: Sequence[Rule] | Iterable[Rule]) -> TriggeringGraph:
     """Build the triggering graph of a rule set."""
     rule_list = tuple(rules)
-    edges: list[TriggeringEdge] = []
-    has_opaque = False
-    for source in rule_list:
-        generated = action_event_types(source.action)
-        if any(isinstance(s, CallableStatement) for s in source.action.statements):
-            has_opaque = True
-        for target in rule_list:
-            if not can_trigger(source, target):
-                continue
-            if _is_vacuously_activatable(target):
-                via: tuple[EventType, ...] = tuple(sorted(generated, key=str))
-            else:
-                watched = positive_trigger_types(target)
-                via = tuple(
-                    sorted(
-                        {
-                            generated_type
-                            for generated_type in generated
-                            for watched_type in watched
-                            if _event_types_may_match(generated_type, watched_type)
-                        },
-                        key=str,
-                    )
-                )
-            edges.append(TriggeringEdge(source.name, target.name, via))
+    profiles = [_target_profile(rule) for rule in rule_list]
+    edges = [
+        edge
+        for source in rule_list
+        for target, profile in zip(rule_list, profiles)
+        if (edge := _edge(source, target, profile)) is not None
+    ]
+    has_opaque = any(
+        isinstance(statement, CallableStatement)
+        for rule in rule_list
+        for statement in rule.action.statements
+    )
     return TriggeringGraph(
         rules=rule_list, edges=tuple(edges), has_opaque_actions=has_opaque
     )

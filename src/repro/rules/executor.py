@@ -88,9 +88,6 @@ class RuleEngine:
         config = self.config
         if self.rule_table is None:
             self.rule_table = RuleTable()
-        # Subclass-aware routing/filtering: the table (and every filter it
-        # builds) sees the engine's schema.
-        self.rule_table.bind_schema(self.schema)
         self.event_handler = EventHandler(self.event_base)
         if self.metrics is None:
             self.metrics = MetricsRegistry()

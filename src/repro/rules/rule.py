@@ -17,10 +17,10 @@ if TYPE_CHECKING:
     from repro.core.compile import CompiledCheck
 
 from repro.core.expressions import EventExpression
-from repro.core.optimization import RecomputationFilter
 from repro.core.triggering import TriggerMemo
 from repro.errors import RuleDefinitionError
 from repro.events.clock import Timestamp
+from repro.events.event import EventType
 from repro.rules.actions import Action
 from repro.rules.conditions import Condition
 
@@ -94,7 +94,7 @@ class RuleStateObserver(Protocol):
 
     The Rule Table registers itself as the observer of every state it owns so
     its derived structures (the priority queue of triggered rules and the set
-    of rules whose ``V(E)`` filter is not yet applicable) stay consistent
+    of rules the ``V(E)`` index cannot route yet) stay consistent
     without rescanning the whole table.  States created outside a table have
     no observer and behave exactly as before.
     """
@@ -112,10 +112,13 @@ class RuleState:
     last_consideration: Timestamp | None = None
     last_consumption: Timestamp | None = None
     definition_order: int = 0
-    recomputation_filter: RecomputationFilter | None = None
+    #: The positive side of the rule's ``V(E)``
+    #: (:func:`repro.core.optimization.watched_event_types`), set by the Rule
+    #: Table, which indexes the rule under these types.
+    watched_types: tuple[EventType, ...] = ()
     #: True once the rule's triggering window has been evaluated non-empty
-    #: since the last consideration.  Until then the V(E) filter must not be
-    #: used: a rule whose expression is (vacuously) active — e.g. a pure
+    #: since the last consideration.  Until then the index must not be
+    #: trusted: a rule whose expression is (vacuously) active — e.g. a pure
     #: negation — is only blocked by the ``R != {}`` condition, so *any* new
     #: occurrence can trigger it, whatever its type.
     had_nonempty_window: bool = False

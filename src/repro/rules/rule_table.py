@@ -11,7 +11,8 @@ of the triggered set on every selection.
 The table additionally maintains the *inverted subscription index* that the
 :class:`~repro.rules.trigger_support.TriggerPlanner` consults after every
 execution block: for every primitive event type a rule's ``V(E)`` watches
-(``RecomputationFilter.relevant_event_types()``), the rule is registered under
+(:func:`repro.core.optimization.watched_event_types`, kept on the state as
+``watched_types``), the rule is registered under
 
 * the exact watched type, and
 * the ``(operation, class name)`` bucket of that type,
@@ -20,15 +21,15 @@ so a block's type signature can be routed to the subscribed rules without
 scanning the whole table.  Class-level patterns such as ``modify(stock)``
 reach attribute-specific occurrences (``modify(stock.quantity)``) through the
 class bucket, and attribute-specific patterns are reached by class-level
-occurrences the same way — mirroring :meth:`EventType.matches` in both
-directions, which is exactly the matching the ``V(E)`` run-time filter
-performs one rule at a time.
+occurrences the same way — :meth:`EventType.matches` in both directions and
+nothing more.  Class names are compared exactly, as the calculus compares
+them: an occurrence on a subclass does not reach a superclass watcher.
 
 Consistency is kept through the observer hook on :class:`RuleState`: every
 ``mark_triggered`` / ``mark_considered`` / ``reset`` notifies the owning
 table, which updates the triggered set, pushes fresh heap entries and re-arms
-the *pending-full-check* set (rules whose ``V(E)`` filter is not applicable
-yet and therefore must be visited on every block — see
+the *pending-full-check* set (rules the ``V(E)`` index cannot route yet,
+which therefore must be visited on every block — see
 :mod:`repro.core.optimization` for why).  Heap entries are invalidated lazily:
 a stale entry (rule considered, disabled, removed or re-triggered since it was
 pushed) is discarded when it surfaces.
@@ -39,7 +40,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator
 
-from repro.core.optimization import RecomputationFilter, expand_event_type
+from repro.core.optimization import watched_event_types
 from repro.errors import DuplicateRuleError, UnknownRuleError
 from repro.events.clock import Timestamp
 from repro.events.event import EventType, Operation
@@ -69,19 +70,13 @@ class RuleTable:
         # -- inverted subscription index (event type -> subscribed states) --
         self._subscriptions_exact: dict[EventType, _StatesByName] = {}
         self._subscriptions_class: dict[tuple[Operation, str], _StatesByName] = {}
-        #: Rules that must be visited on *every* non-empty block because their
-        #: V(E) filter is not applicable yet (window never evaluated non-empty
+        #: Rules that must be visited on *every* non-empty block because the
+        #: V(E) index cannot route them yet (window never evaluated non-empty
         #: since the last consideration).  Over-approximating: entries whose
         #: flag has since been set are pruned lazily by the planner accessor.
         self._pending_full_check: dict[str, RuleState] = {}
-        #: Optional schema for subclass-aware signature routing (see
-        #: :meth:`bind_schema`); version-stamped expansion memo alongside.
-        self._schema = None
-        self._expansion_cache: dict[EventType, tuple[EventType, ...]] = {}
-        self._expansion_schema_version = 0
         #: Bumped whenever the subscription index changes shape (rule added or
-        #: removed) or a schema is bound.  The planner's signature memo
-        #: (:class:`repro.rules.trigger_support.TriggerPlanner`) keys on it.
+        #: removed): :meth:`plan_epoch`.
         self._index_version = 0
         # -- priority structure over the triggered set --
         self._triggered: dict[str, RuleState] = {}
@@ -112,9 +107,7 @@ class RuleTable:
             raise DuplicateRuleError(rule.name)
         state = RuleState(rule=rule, definition_order=self._definition_counter)
         self._definition_counter += 1
-        state.recomputation_filter = RecomputationFilter(
-            rule.events, schema=self._schema
-        )
+        state.watched_types = watched_event_types(rule.events)
         state.observer = self
         self._states[rule.name] = state
         self._index_subscriptions(state)
@@ -138,52 +131,27 @@ class RuleTable:
         self._disabled.discard(name)
         return state.rule
 
-    # -- schema binding -------------------------------------------------------
-    def bind_schema(self, schema) -> None:
-        """Make signature routing and the per-rule filters subclass-aware.
-
-        ``schema`` is duck-typed (``__contains__``, ``ancestors``, ``version``
-        — see :func:`repro.core.optimization.expand_event_type`).  Binding is
-        idempotent and also rebinds the filters of already-registered rules so
-        the routed path and the per-rule scan path keep making identical
-        decisions.  Another schema may relate the same class names
-        differently at an equal ``version``, so binding one moves
-        :meth:`plan_epoch` too.
-        """
-        if schema is self._schema:
-            return
-        self._schema = schema
-        self._index_version += 1
-        self._expansion_cache.clear()
-        self._expansion_schema_version = schema.version if schema is not None else 0
-        for state in self._states.values():
-            if state.recomputation_filter is not None:
-                state.recomputation_filter.bind_schema(schema)
-
-    def plan_epoch(self) -> tuple[int, int]:
+    def plan_epoch(self) -> int:
         """Cache-validity token for plan-derived structures.
 
-        Changes whenever the subscription index changes shape (add/remove), a
-        schema is bound or the bound schema gains definitions — exactly the
-        events that can alter the outcome of :meth:`subscribers_for_signature`
-        for a fixed signature.
+        The index version: it moves on every add and remove, the only events
+        that can alter :meth:`subscribers_for_signature` for a fixed
+        signature.  The planner's signature memo
+        (:class:`repro.rules.trigger_support.TriggerPlanner`) keys on it.
         """
-        return (
-            self._index_version,
-            self._schema.version if self._schema is not None else 0,
-        )
+        return self._index_version
 
     # -- subscription index ---------------------------------------------------
     def _index_subscriptions(self, state: RuleState) -> None:
         name = state.rule.name
-        for watched in state.recomputation_filter.relevant_event_types():
+        for watched in state.watched_types:
             self._subscriptions_exact.setdefault(watched, {})[name] = state
             class_key = (watched.operation, watched.class_name)
             self._subscriptions_class.setdefault(class_key, {})[name] = state
 
     def _unindex_subscriptions(self, state: RuleState) -> None:
         name = state.rule.name
-        for watched in state.recomputation_filter.relevant_event_types():
+        for watched in state.watched_types:
             bucket = self._subscriptions_exact.get(watched)
             if bucket is not None:
                 bucket.pop(name, None)
@@ -201,48 +169,33 @@ class RuleTable:
     ) -> dict[str, RuleState]:
         """States whose ``V(E)`` may match an occurrence of any signature type.
 
-        Exactly the rules for which ``RecomputationFilter.matches`` would
-        return True for some type of the signature: an attribute-specific
+        Rule ``r`` is routed iff some signature type ``t`` and watched type
+        ``w`` satisfy ``w.matches(t) or t.matches(w)``: an attribute-specific
         occurrence reaches exact subscribers plus class-level subscribers; a
         class-level occurrence reaches every subscriber of its ``(operation,
-        class)`` bucket (it matches any attribute-specific watch).  With a
-        schema bound, each signature type is first expanded with its
-        superclass retargets (an occurrence on a subclass counts for watchers
-        of any ancestor), mirroring the filter's subclass-aware matching.
-        The expansion of each concrete type is memoized and dropped when the
-        schema version moves (a newly defined subclass changes its own chain
-        only, but a wholesale drop keeps the bookkeeping trivially correct).
+        class)`` bucket (it matches any attribute-specific watch).
         """
-        schema = self._schema
-        chains = self._expansion_cache
-        if schema is not None and schema.version != self._expansion_schema_version:
-            chains.clear()
-            self._expansion_schema_version = schema.version
         exact = self._subscriptions_exact
         class_buckets = self._subscriptions_class
         matched: dict[str, RuleState] = {}
-        for concrete in type_signature:
-            chain = chains.get(concrete)
-            if chain is None:
-                chain = chains[concrete] = expand_event_type(concrete, schema)
-            for event_type in chain:
-                if event_type.attribute is None:
-                    bucket = class_buckets.get(
-                        (event_type.operation, event_type.class_name)
-                    )
-                    if bucket:
-                        matched.update(bucket)
-                else:
-                    bucket = exact.get(event_type)
-                    if bucket:
-                        matched.update(bucket)
-                    bucket = exact.get(event_type.class_level)
-                    if bucket:
-                        matched.update(bucket)
+        for event_type in type_signature:
+            if event_type.attribute is None:
+                bucket = class_buckets.get(
+                    (event_type.operation, event_type.class_name)
+                )
+                if bucket:
+                    matched.update(bucket)
+            else:
+                bucket = exact.get(event_type)
+                if bucket:
+                    matched.update(bucket)
+                bucket = exact.get(event_type.class_level)
+                if bucket:
+                    matched.update(bucket)
         return matched
 
     def pending_full_check_states(self) -> dict[str, RuleState]:
-        """States whose ``V(E)`` filter cannot be applied yet (lazily pruned).
+        """States the ``V(E)`` index cannot route yet (lazily pruned).
 
         A state leaves the set as soon as its window has been evaluated
         non-empty (the flag is set by the Trigger Support without a

@@ -7,24 +7,24 @@ over the window of occurrences newer than the rule's last consideration; when
 the value is positive the rule becomes triggered (the flag is cleared again
 only when the rule is considered).
 
-The static optimization of §5.1 plugs in here: each rule carries a
-:class:`~repro.core.optimization.RecomputationFilter` built from ``V(E)``, and
-the ``ts`` recomputation is skipped whenever the block's occurrences cannot
-possibly flip the rule's ``ts`` positive.
+The static optimization of §5.1 plugs in here: the ``ts`` recomputation is
+skipped whenever the block's occurrences cannot possibly flip the rule's
+``ts`` positive, i.e. when no type of the block matches the positive side of
+the rule's ``V(E)`` (:func:`repro.core.optimization.watched_event_types`).
 
-Since PR 2 the filter is applied *wholesale* through the Rule Table's inverted
-subscription index instead of rule by rule: the :class:`TriggerPlanner` takes
-the block's type signature (the set of event types it contains) and asks the
+The test is applied *wholesale* through the Rule Table's inverted
+subscription index, never rule by rule: the :class:`TriggerPlanner` takes the
+block's type signature (the set of event types it contains) and asks the
 table which untriggered rules are subscribed to any of them, plus the rules
-whose filter is not applicable yet (window never evaluated non-empty — they
-must be visited on every block).  Per-block planning cost therefore scales
-with the rules *actually subscribed* to the block's types, not with the whole
-table, and a block whose signature recurs skips even that: the planner
-memoises the definition-ordered subscribers per signature (a small LRU,
-validated against the table's ``plan_epoch``).  ``use_static_optimization=
-False`` is the paper's baseline — the exhaustive scan that recomputes ``ts``
-for every untriggered rule on every block — and the oracle the routed planner
-is pinned against (``tests/rules/test_planner_equivalence.py``).
+the index cannot route yet (window never evaluated non-empty — they must be
+visited on every block).  Per-block planning cost therefore scales with the
+rules *actually subscribed* to the block's types, not with the whole table,
+and a block whose signature recurs skips even that: the planner memoises the
+definition-ordered subscribers per signature (a small LRU, validated against
+the table's ``plan_epoch``).  ``use_static_optimization=False`` is the
+paper's baseline — the exhaustive scan that recomputes ``ts`` for every
+untriggered rule on every block — and the oracle the routed planner is pinned
+against (``tests/rules/test_planner_equivalence.py``).
 
 There is one planner and one check path: the candidates (or the exhaustive
 list) are evaluated through :meth:`TriggerSupport._evaluate_states` and the
@@ -86,6 +86,8 @@ class TriggerSupportStats:
     blocks: int = 0
     rules_checked: int = 0
     ts_computations: int = 0
+    #: Untriggered rules the index proved irrelevant to a block — the checks
+    #: the exhaustive scan would have run and the ``V(E)`` test skips.
     ts_skipped_by_filter: int = 0
     #: Exact checks that observed an empty window, on *either* path (per-block
     #: checks and commit-time rechecks share one helper since PR 1, so unlike
@@ -98,13 +100,9 @@ class TriggerSupportStats:
     #: the new rows of the types a rule watches, not with the window or the
     #: log (see PERFORMANCE.md).
     instants_sampled: int = 0
-    #: Untriggered rules reached through the subscription index (visited
-    #: because the block's type signature matched their ``V(E)``, or because
-    #: their filter was not applicable yet).
+    #: Untriggered rules the subscription index routed to a block (the
+    #: block's type signature matched their ``V(E)``).
     rules_routed: int = 0
-    #: Untriggered rules the index proved irrelevant to a block — the rules a
-    #: full scan would have iterated (and filter-skipped) one at a time.
-    rules_bypassed_by_index: int = 0
 
 
 @dataclass
@@ -116,11 +114,11 @@ class TriggerPlan:
     #: the newly-triggered list, counters — line up exactly).
     candidates: list[RuleState]
     #: How many candidates the subscription index routed (signature matched
-    #: their ``V(E)``; the rest are full-check rules whose filter is not
-    #: applicable yet).
+    #: their ``V(E)``; the rest are full-check rules the index cannot route
+    #: yet).
     routed: int
-    #: Untriggered rules the index proved irrelevant — a full scan would have
-    #: visited each and skipped it via its individual filter.
+    #: Untriggered rules the index proved irrelevant — the exhaustive scan
+    #: would have checked each.
     bypassed: int
 
 
@@ -129,19 +127,18 @@ class TriggerPlanner:
 
     Thin façade over the Rule Table's inverted subscription index: given the
     set of event types a block produced, it returns the untriggered rules
-    whose ``V(E)`` may match any of them — plus every rule whose filter is not
-    applicable yet (those are blocked only by ``R != {}`` and can be
-    triggered by an occurrence of *any* type, so the index must not hide
-    them).  The routing decision is exactly ``RecomputationFilter.matches``
-    evaluated via the index, so a planned visit set is semantically identical
-    to the full scan with per-rule filters (pinned by the property tests).
+    whose ``V(E)`` may match any of them — plus every rule the index cannot
+    route yet (those are blocked only by ``R != {}`` and can be triggered by
+    an occurrence of *any* type, so the index must not hide them).  A planned
+    visit set makes the decisions of the exhaustive scan (pinned by the
+    property tests of ``tests/rules/test_planner_equivalence.py``).
 
     The subscriber lookup is memoised per signature: an LRU of
     :data:`PLAN_MEMO_SIZE` definition-ordered subscriber tuples, dropped
     wholesale whenever the table's ``plan_epoch`` moves (rule added or
-    removed, schema grown or rebound).  Enabled/triggered flags change
-    without touching the subscription shape, so they never key the memo;
-    every block filters them afresh.
+    removed).  Enabled/triggered flags change without touching the
+    subscription shape, so they never key the memo; every block filters them
+    afresh.
     """
 
     def __init__(self, rule_table: RuleTable) -> None:
@@ -149,7 +146,7 @@ class TriggerPlanner:
         self._memo: OrderedDict[frozenset[EventType], tuple[RuleState, ...]] = (
             OrderedDict()
         )
-        self._memo_epoch: tuple[int, int] | None = None
+        self._memo_epoch: int | None = None
 
     def subscribers(self, type_signature: Iterable[EventType]) -> tuple[RuleState, ...]:
         """Every rule subscribed to the signature, in definition order (memoised)."""
@@ -241,12 +238,13 @@ class TriggerSupport:
         """Update the triggered flag of every untriggered rule; return the new ones.
 
         ``new_occurrences`` is the batch produced by the block that just
-        finished; with static optimization enabled it drives the ``V(E)``
-        filter.  ``type_signature`` is the set of event types in the batch —
-        pass it when already known (``BlockIngest`` computes it at ingestion
-        time) so it is never re-derived; it is derived here otherwise.  The
-        triggering window of each rule spans from its last consideration (or
-        the transaction start) to ``now``.
+        finished; with static optimization enabled its type signature is
+        routed through the ``V(E)`` index.  ``type_signature`` is the set of
+        event types in the batch — pass it when already known
+        (``BlockIngest`` computes it at ingestion time) so it is never
+        re-derived; it is derived here otherwise.  The triggering window of
+        each rule spans from its last consideration (or the transaction
+        start) to ``now``.
         """
         self.stats.blocks += 1
         if not new_occurrences:
@@ -269,10 +267,9 @@ class TriggerSupport:
         """Plan one non-empty block and account the plan-time stats.
 
         The one place the signature is derived (when the caller does not
-        already carry it) and the routed/bypassed counters move.  A bypass is
-        the ``V(E)`` filter applied wholesale: the index proved no occurrence
-        of the block can flip those rules' ``ts`` positive, which is exactly
-        what the per-rule filter would have concluded.
+        already carry it) and the routed/skipped counters move.  A bypass is
+        the ``V(E)`` test applied wholesale: the index proved no occurrence
+        of the block can flip those rules' ``ts`` positive.
         """
         if type_signature is None:
             type_signature = getattr(occurrences, "type_signature", None)
@@ -282,14 +279,13 @@ class TriggerSupport:
             )
         plan = self.planner.plan(type_signature)
         self.stats.rules_routed += plan.routed
-        self.stats.rules_bypassed_by_index += plan.bypassed
         self.stats.ts_skipped_by_filter += plan.bypassed
         return plan
 
     def recheck_all(
         self, now: Timestamp, transaction_start: Timestamp
     ) -> list[RuleState]:
-        """Force a full re-evaluation of every untriggered rule (no filter).
+        """Force a full re-evaluation of every untriggered rule (no routing).
 
         Used at commit time to make sure deferred processing starts from an
         up-to-date picture even if the last blocks were empty.

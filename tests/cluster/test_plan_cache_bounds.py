@@ -5,17 +5,14 @@ signature in an LRU of ``PLAN_MEMO_SIZE`` entries, validated against the
 table's ``plan_epoch``.  Pinned here: a stream whose signatures never repeat
 holds the memo at the constant (memory stays flat), recurring signatures
 survive eviction, a memo of one entry is semantically invisible, and every
-change that can alter a signature's subscribers — rule add/remove, schema
-growth, a schema rebind — drops the memo, while enable/disable (filtered per
-block) does not.
+change that can alter a signature's subscribers — rule add/remove — drops the
+memo, while enable/disable (filtered per block) does not.
 """
 
 from __future__ import annotations
 
 from repro.core.parser import parse_expression
-from repro.events.event import EventOccurrence, EventType, Operation
-from repro.oodb.database import ChimeraDatabase
-from repro.oodb.schema import Schema
+from repro.events.event import EventType, Operation
 from repro.rules import trigger_support
 from repro.rules.actions import NO_ACTION
 from repro.rules.conditions import TRUE_CONDITION
@@ -24,7 +21,6 @@ from repro.rules.rule_table import RuleTable
 from repro.rules.trigger_support import PLAN_MEMO_SIZE, TriggerPlanner
 
 STOCK = EventType(Operation.CREATE, "stock")
-RUSH = EventType(Operation.CREATE, "rush")
 
 
 def watcher(name: str, events: str) -> Rule:
@@ -123,6 +119,23 @@ def test_add_and_remove_invalidate_the_memo():
     assert planned(planner, STOCK) == {"first"}
 
 
+def test_the_epoch_moves_on_add_and_remove_only():
+    table = RuleTable()
+    epochs = [table.plan_epoch()]
+    state = table.add(watcher("watcher", "create(stock)"))
+    epochs.append(table.plan_epoch())
+    table.disable("watcher")
+    table.enable("watcher")
+    state.mark_triggered(1)
+    state.mark_considered(2, executed=False)
+    epochs.append(table.plan_epoch())
+    table.remove("watcher")
+    epochs.append(table.plan_epoch())
+    assert epochs[1] != epochs[0]
+    assert epochs[2] == epochs[1]
+    assert epochs[3] != epochs[2]
+
+
 def test_disable_is_filtered_without_invalidation(monkeypatch):
     table = RuleTable()
     planner = TriggerPlanner(table)
@@ -136,68 +149,6 @@ def test_disable_is_filtered_without_invalidation(monkeypatch):
     assert planned(planner, STOCK) == {"watcher"}
     # Enable/disable changes no subscription shape: the memo survived.
     assert lookups == [0]
-
-
-def test_schema_growth_invalidates_the_memo():
-    schema = Schema()
-    schema.define("order")
-    table = RuleTable()
-    table.bind_schema(schema)
-    planner = TriggerPlanner(table)
-    table.add(watcher("watcher", "create(order)")).had_nonempty_window = True
-    special = EventType(Operation.CREATE, "special")
-    assert planned(planner, special) == set()
-    schema.define("special", superclass="order")
-    assert planned(planner, special) == {"watcher"}
-
-
-def _rebound_schemas() -> tuple[Schema, Schema]:
-    """Two schemas of one ``version``: ``rush`` is an ``order`` only in the
-    second."""
-    apart, related = Schema(), Schema()
-    apart.define("order")
-    apart.define("rush")
-    related.define("order")
-    related.define("rush", superclass="order")
-    assert apart.version == related.version
-    return apart, related
-
-
-def test_schema_rebind_invalidates_the_memo():
-    apart, related = _rebound_schemas()
-    table = RuleTable()
-    table.bind_schema(apart)
-    planner = TriggerPlanner(table)
-    table.add(watcher("r", "create(order)")).had_nonempty_window = True
-    assert planned(planner, RUSH) == set()
-    table.bind_schema(related)
-    assert list(table.subscribers_for_signature({RUSH})) == ["r"]
-    assert planned(planner, RUSH) == {"r"}
-
-
-def test_schema_rebind_reaches_the_engine_plan():
-    """Through the engine, on any shard setting: after a rebind to a schema
-    of equal version, a block the rule's ``V(E)`` filter now matches must
-    visit the rule."""
-    apart, related = _rebound_schemas()
-    db = ChimeraDatabase(shards=2)
-    try:
-        db.rule_table.bind_schema(apart)
-        db.define_rule(watcher("r", "create(order)"))
-        state = db.rule_state("r")
-        db.engine.run_stream_block(
-            [EventOccurrence(eid=1, event_type=RUSH, oid="rush#1", timestamp=1)]
-        )
-        assert state.ts_computations == 1  # the fresh rule's pending check
-        assert not state.recomputation_filter.matches(RUSH)
-        db.rule_table.bind_schema(related)
-        assert state.recomputation_filter.matches(RUSH)
-        db.engine.run_stream_block(
-            [EventOccurrence(eid=2, event_type=RUSH, oid="rush#2", timestamp=2)]
-        )
-        assert state.ts_computations == 2
-    finally:
-        db.close()
 
 
 def test_pending_riders_join_a_memoised_plan_in_definition_order():

@@ -93,7 +93,7 @@ class TestCoordinatorCheck:
             newly = coordinator.check_after_block([occurrence(1, stock, stamp=1)], 1, 0)
             assert [state.rule.name for state in newly] == ["stock_watch"]
             assert coordinator.stats.rules_routed == 1
-            assert coordinator.stats.rules_bypassed_by_index == 1
+            assert coordinator.stats.ts_skipped_by_filter == 1
             assert coordinator.cluster_stats.dispatch_trips == 1
         assert isinstance(coordinator, TriggerSupport)
 

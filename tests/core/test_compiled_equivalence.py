@@ -603,16 +603,12 @@ class TestBindingInvariants:
         finally:
             db.close()
 
-    def test_schema_rebind_and_reenable_still_resolve_the_live_indexes(self):
-        """Neither transition pokes the bindings any more; a class-level
-        watcher must still see a concrete type first stored while the schema
-        was rebound and the rule sat disabled."""
-        from repro.oodb.schema import Schema
-
+    def test_reenable_still_resolves_the_live_indexes(self):
+        """Re-enabling pokes no binding; a class-level watcher must still see
+        a concrete type first stored while the rule sat disabled."""
         table, state, support, feed_block = self._support("modify(alpha)")
         feed_block(EventType(Operation.MODIFY, "alpha", "x"))
         assert state.times_triggered == 1
-        table.bind_schema(Schema())
         table.disable("w")
         late = EventType(Operation.MODIFY, "alpha", "y")
         feed_block(late)  # no check runs for a disabled rule

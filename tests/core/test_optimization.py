@@ -1,5 +1,11 @@
 """Static optimization: derivation rules (Fig. 6), simplification (Fig. 7), V(E)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.core.expressions import (
     InstanceConjunction,
     Primitive,
@@ -11,7 +17,6 @@ from repro.core.expressions import (
     SetPrecedence,
 )
 from repro.core.optimization import (
-    RecomputationFilter,
     Scope,
     Sign,
     Variation,
@@ -19,6 +24,7 @@ from repro.core.optimization import (
     format_variations,
     simplify_variations,
     variation_set,
+    watched_event_types,
 )
 from repro.core.parser import parse_expression
 from repro.events.event import EventOccurrence, EventType, Operation
@@ -26,9 +32,12 @@ from repro.oodb.database import ChimeraDatabase
 from repro.rules.actions import NO_ACTION
 from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.rule import Rule
+from repro.rules.rule_table import RuleTable
 from repro.workloads.generator import EventStreamGenerator, ExpressionGenerator
 
 from tests.conftest import A, B, C, D, PA, PB, PC, PD
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 def names(variations) -> set[str]:
@@ -238,127 +247,78 @@ class TestPaperExample:
         assert variation_set(written) == variation_set(self.EXPRESSION)
 
 
-class TestRecomputationFilter:
-    def occurrence(self, event_type: EventType, oid: str = "o1", timestamp: int = 1):
-        return EventOccurrence(
-            eid=1, event_type=event_type, oid=oid, timestamp=timestamp
+class TestWatchedTypes:
+    """The positive side of V(E), as the Rule Table routes a block by it."""
+
+    def routed(self, expression, *types: EventType) -> bool:
+        table = RuleTable()
+        table.add(
+            Rule(
+                name="r",
+                events=expression,
+                condition=TRUE_CONDITION,
+                action=NO_ACTION,
+            )
         )
+        return "r" in table.subscribers_for_signature(frozenset(types))
 
     def test_irrelevant_types_are_skipped(self):
-        filter_ = RecomputationFilter(SetConjunction(PA, PB))
-        assert not filter_.needs_recomputation([self.occurrence(C)])
-        assert filter_.statistics["skipped"] == 1
+        assert not self.routed(SetConjunction(PA, PB), C)
 
     def test_relevant_types_require_recomputation(self):
-        filter_ = RecomputationFilter(SetConjunction(PA, PB))
-        assert filter_.needs_recomputation([self.occurrence(B)])
+        assert self.routed(SetConjunction(PA, PB), B)
 
     def test_negated_types_are_skipped(self):
-        filter_ = RecomputationFilter(SetConjunction(PA, SetNegation(PB)))
-        assert not filter_.needs_recomputation([self.occurrence(B)])
-        assert filter_.needs_recomputation([self.occurrence(A)])
+        expression = SetConjunction(PA, SetNegation(PB))
+        assert not self.routed(expression, B)
+        assert self.routed(expression, A)
 
     def test_precedence_left_operand_is_skipped(self):
-        filter_ = RecomputationFilter(SetPrecedence(PA, PB))
-        assert not filter_.needs_recomputation([self.occurrence(A)])
-        assert filter_.needs_recomputation([self.occurrence(B)])
+        expression = SetPrecedence(PA, PB)
+        assert not self.routed(expression, A)
+        assert self.routed(expression, B)
 
     def test_class_level_subscription_matches_attribute_specific_occurrence(self):
         modify_stock = EventType(Operation.MODIFY, "stock")
         modify_qty = EventType(Operation.MODIFY, "stock", "quantity")
-        from repro.core.expressions import Primitive
+        assert self.routed(Primitive(modify_stock), modify_qty)
 
-        filter_ = RecomputationFilter(Primitive(modify_stock))
-        assert filter_.needs_recomputation([self.occurrence(modify_qty)])
+    def test_disjunction_watches_both_operands(self):
+        expression = SetDisjunction(PA, PD)
+        assert self.routed(expression, D)
+        assert not self.routed(expression, B)
 
-    def test_accepts_plain_event_types(self):
-        filter_ = RecomputationFilter(SetDisjunction(PA, PD))
-        assert filter_.needs_recomputation([D])
-        assert not filter_.needs_recomputation([B])
+    def test_watched_event_types(self):
+        assert watched_event_types(SetConjunction(PA, SetNegation(PB))) == (A,)
 
-    def test_relevant_event_types(self):
-        filter_ = RecomputationFilter(SetConjunction(PA, SetNegation(PB)))
-        assert filter_.relevant_event_types() == {A}
+    def test_mixed_signature_requires_recomputation(self):
+        assert self.routed(PA, C, A)
 
-    def test_mixed_batch_requires_recomputation(self):
-        filter_ = RecomputationFilter(PA)
-        batch = [self.occurrence(C), self.occurrence(A, timestamp=2)]
-        assert filter_.needs_recomputation(batch)
+    def test_watched_types_are_the_positive_variations(self):
+        assert "Δ+create(A)" in format_variations(variation_set(PA))
+        assert watched_event_types(PA) == (A,)
 
-    def test_str_shows_variations(self):
-        filter_ = RecomputationFilter(PA)
-        assert "Δ+create(A)" in str(filter_)
-
-
-class TestSchemaAwareMatching:
-    """Subclass-aware matching and its memo invalidation (the stale-cache fix)."""
-
-    def occurrence(self, event_type: EventType, timestamp: int = 1):
-        return EventOccurrence(
-            eid=1, event_type=event_type, oid="o1", timestamp=timestamp
+    def test_watched_order_does_not_depend_on_the_hash_seed(self):
+        """``V(E)`` is a set; its watched tuple must not inherit the
+        interpreter's string-hash order."""
+        script = (
+            "from repro.core.optimization import watched_event_types\n"
+            "from repro.core.parser import parse_expression\n"
+            "expression = parse_expression("
+            "'create(b) , modify(a.x) , create(a) , delete(c) , modify(a)')\n"
+            "print([str(t) for t in watched_event_types(expression)])\n"
         )
-
-    def _schema(self):
-        from repro.oodb.schema import Schema
-
-        schema = Schema()
-        schema.define("order", {"amount": int})
-        return schema
-
-    def test_subclass_occurrence_matches_superclass_watch(self):
-        schema = self._schema()
-        schema.define("notFilledOrder", superclass="order")
-        watch = EventType(Operation.CREATE, "order")
-        filter_ = RecomputationFilter(Primitive(watch), schema=schema)
-        assert filter_.matches(EventType(Operation.CREATE, "notFilledOrder"))
-
-    def test_superclass_occurrence_does_not_match_subclass_watch(self):
-        schema = self._schema()
-        schema.define("notFilledOrder", superclass="order")
-        watch = EventType(Operation.CREATE, "notFilledOrder")
-        filter_ = RecomputationFilter(Primitive(watch), schema=schema)
-        assert not filter_.matches(EventType(Operation.CREATE, "order"))
-
-    def test_attribute_specific_watch_matches_subclass_attribute_occurrence(self):
-        schema = self._schema()
-        schema.define("notFilledOrder", superclass="order")
-        watch = EventType(Operation.MODIFY, "order", "amount")
-        filter_ = RecomputationFilter(Primitive(watch), schema=schema)
-        assert filter_.matches(EventType(Operation.MODIFY, "notFilledOrder", "amount"))
-        assert not filter_.matches(
-            EventType(Operation.MODIFY, "notFilledOrder", "other")
-        )
-
-    def test_memo_invalidated_when_schema_gains_subclass_after_first_use(self):
-        """Regression: a verdict cached before the subclass existed must not stick."""
-        schema = self._schema()
-        watch = EventType(Operation.CREATE, "order")
-        filter_ = RecomputationFilter(Primitive(watch), schema=schema)
-        special = EventType(Operation.CREATE, "special")
-        # First use caches False: "special" is unknown to the schema.
-        assert not filter_.matches(special)
-        schema.define("special", superclass="order")
-        assert filter_.matches(special)
-
-    def test_bind_schema_after_construction_drops_stale_verdicts(self):
-        schema = self._schema()
-        schema.define("notFilledOrder", superclass="order")
-        watch = EventType(Operation.CREATE, "order")
-        filter_ = RecomputationFilter(Primitive(watch))
-        sub = EventType(Operation.CREATE, "notFilledOrder")
-        assert not filter_.matches(sub)  # schema-less: exact class names only
-        filter_.bind_schema(schema)
-        assert filter_.matches(sub)
-
-    def test_needs_recomputation_sees_subclass_occurrences(self):
-        schema = self._schema()
-        schema.define("notFilledOrder", superclass="order")
-        filter_ = RecomputationFilter(
-            Primitive(EventType(Operation.CREATE, "order")), schema=schema
-        )
-        assert filter_.needs_recomputation(
-            [self.occurrence(EventType(Operation.CREATE, "notFilledOrder"))]
-        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert len(outputs) == 1, outputs
 
 
 def run_engine(expressions, blocks, optimized: bool):
@@ -399,7 +359,7 @@ class TestEngineRouting:
             routed, routed_stats = run_engine(expressions, stream, optimized=True)
             scanned, scanned_stats = run_engine(expressions, stream, optimized=False)
             assert routed == scanned, rules
-            bypassed = routed_stats["rules_bypassed_by_index"]
+            bypassed = routed_stats["ts_skipped_by_filter"]
             assert bypassed > 0
             assert routed_stats["rules_checked"] + bypassed == (
                 scanned_stats["rules_checked"]
@@ -433,4 +393,4 @@ class TestEngineRouting:
         scanned, _ = run_engine([expression], blocks, optimized=False)
         assert routed == scanned == [("r0", 21)]
         # Only the delete block was skipped.
-        assert stats["rules_bypassed_by_index"] == 1
+        assert stats["ts_skipped_by_filter"] == 1

@@ -1,7 +1,7 @@
 """Unit tests for the metrics registry primitives (PR 8).
 
-Covers the instrument basics, the disabled-registry null path, span
-sampling, the drain/merge cross-process round trip and snapshot sources.
+Covers the instrument basics, the disabled-registry null path, the
+drain/merge cross-process round trip and snapshot sources.
 """
 
 from dataclasses import dataclass
@@ -86,7 +86,7 @@ class TestDisabledRegistry:
         registry.counter("c").inc(10)
         registry.gauge("g").set(10.0)
         registry.histogram("h").observe(10.0)
-        with registry.span("s", items=3):
+        with registry.histogram("s").time():
             pass
         snapshot = registry.snapshot()
         assert snapshot["enabled"] is False
@@ -121,27 +121,6 @@ class TestEnabledRegistry:
         assert values["count"] == 1
         assert values["sum"] == pytest.approx(0.25)
         assert len(values["buckets"]) == len(values["bounds"]) + 1
-
-    def test_span_times_and_counts_attributes(self):
-        registry = MetricsRegistry()
-        with registry.span("trip", blocks=4):
-            pass
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["trip.blocks"] == 4
-        assert snapshot["histograms"]["trip"]["count"] == 1
-
-    def test_span_sampling_observes_every_nth(self):
-        registry = MetricsRegistry(sample_every=4)
-        for _ in range(8):
-            with registry.span("trip", blocks=1):
-                pass
-        snapshot = registry.snapshot()
-        assert snapshot["histograms"]["trip"]["count"] == 2
-        assert snapshot["counters"]["trip.blocks"] == 2
-
-    def test_sample_every_must_be_positive(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry(sample_every=0)
 
 
 class TestDrainAndMerge:

@@ -1,7 +1,15 @@
 """Tests for the rule-set static analysis (triggering graph, termination)."""
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
 
+from repro.core.evaluation import ts
+from repro.core.optimization import watched_event_types
 from repro.core.parser import parse_expression
+from repro.errors import NonTerminationError
+from repro.events.event_base import EventBase
+from repro.oodb.database import ChimeraDatabase
 from repro.events.event import EventType, Operation
 from repro.rules.actions import (
     Action,
@@ -21,6 +29,7 @@ from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.language import parse_rule
 from repro.rules.rule import Rule
 from repro.rules.terms import Const, VarRef
+from repro.workloads.generator import ExpressionGenerator
 from repro.workloads.stock import CHECK_STOCK_QTY_RULE, REORDER_RULE, SHELF_REFILL_RULE
 
 
@@ -210,3 +219,86 @@ class TestPaperRuleSet:
         # reorderStock only creates stockOrder objects and touches
         # stock.onorder; neither can activate the other rules.
         assert graph.successors("reorderStock") == set()
+
+
+#: Active over a log that holds none of its types: the negated branch of the
+#: disjunction is vacuously active, though ``create(b)`` is a positive V(E)
+#: entry.
+VACUOUS_DISJUNCTION = "define r2 events -create(a) , create(b) action create(e) end"
+
+#: One source per statement kind, and one without a statement.
+SOURCES = [
+    rule("modifier", "create(stock)", MODIFY_QTY_ACTION),
+    rule("creator", "create(stock)", CREATE_ORDER_ACTION),
+    rule("deleter", "create(stock)", Action((DeleteStatement(VarRef("S")),))),
+    rule(
+        "opaque",
+        "create(stock)",
+        Action((CallableStatement(lambda binding, ops: None),)),
+    ),
+]
+SILENT = rule("silent", "create(stock)")
+
+
+def empty_log_sign(expression, instant: int) -> bool:
+    return ts(expression, EventBase(), instant) > 0
+
+
+class TestVacuousTargets:
+    """A target active over the empty log is reached by any statement."""
+
+    def test_a_vacuously_active_disjunction_never_terminates(self):
+        r2 = parse_rule(VACUOUS_DISJUNCTION)
+        graph = analyze_rules([r2])
+        assert graph.cycles() == [["r2"]]
+        assert not graph.guaranteed_to_terminate()
+        # The engine agrees: any transaction that creates an object loops.
+        db = ChimeraDatabase(max_rule_executions=25)
+        try:
+            for name in ("a", "b", "e", "thing"):
+                db.define_class(name)
+            db.define_rule(r2)
+            with pytest.raises(NonTerminationError):
+                with db.transaction() as tx:
+                    tx.create("thing")
+        finally:
+            db.close()
+
+    def test_the_empty_log_finds_every_vacuous_expression_of_a_pool(self):
+        """392 of 2 000 generated expressions are vacuously active; "no
+        positive V(E) entry", a coarser test, finds 68 of them and no
+        other."""
+        generator = ExpressionGenerator(seed=3, instance_probability=0.3)
+        expressions = generator.expressions(2_000, operators=3)
+        vacuous = [e for e in expressions if empty_log_sign(e, 1)]
+        unwatched = [e for e in expressions if not watched_event_types(e)]
+        assert len(vacuous) == 392
+        assert len(unwatched) == 68
+        assert all(empty_log_sign(e, 1) for e in unwatched)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        operators=st.integers(0, 4),
+        instance_probability=st.sampled_from((0.0, 0.3, 0.7)),
+    )
+    def test_vacuity_is_instant_independent_and_opens_every_edge(
+        self, seed, operators, instance_probability
+    ):
+        generator = ExpressionGenerator(
+            seed=seed, instance_probability=instance_probability
+        )
+        expression = generator.expression(operators)
+        vacuous = empty_log_sign(expression, 1)
+        assert all(
+            empty_log_sign(expression, instant) == vacuous for instant in (2, 5, 9)
+        )
+        target = Rule(
+            name="target",
+            events=expression,
+            condition=TRUE_CONDITION,
+            action=NO_ACTION,
+        )
+        if vacuous:
+            assert all(can_trigger(source, target) for source in SOURCES)
+        assert not can_trigger(SILENT, target)

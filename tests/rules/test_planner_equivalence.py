@@ -18,7 +18,10 @@ exhaustive scan without the static optimization.  The scenarios include
 overlapping class-level / attribute-specific patterns in both the rules and
 the stream, pure negations (rules any occurrence can
 unblock), priority ties, rule removals and disable/enable flips mid-run, and
-empty blocks.
+empty blocks.  A database whose schema holds a subclass chain streams
+subclass occurrences at rules on the superclass: routing compares class
+names exactly, as the calculus does, so the routed database must still
+decide like the exhaustive scan.
 """
 
 from __future__ import annotations
@@ -26,10 +29,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import pytest
+
 from repro.config import EngineConfig
 from repro.core.parser import parse_expression
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
+from repro.oodb.database import ChimeraDatabase
 from repro.rules.actions import NO_ACTION
 from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.event_handler import EventHandler
@@ -273,3 +279,159 @@ def test_removal_of_triggered_rule_mid_run():
     assert table.select_for_consideration().rule.name == "low"
     table.remove("low")
     assert table.select_for_consideration() is None
+
+
+#: A subclass chain: ``express`` specializes ``rush``, which specializes
+#: ``order``; only ``order`` declares ``amount``.
+CHAIN = (("order", None), ("rush", "order"), ("express", "rush"))
+
+
+def chain_universe() -> list[EventType]:
+    types: list[EventType] = []
+    for name, _ in CHAIN:
+        types.append(EventType(Operation.CREATE, name))
+        types.append(EventType(Operation.DELETE, name))
+        types.append(EventType(Operation.MODIFY, name, "amount"))
+    return types
+
+
+def run_schema_scenario(seed: int, routed: bool) -> dict:
+    """Stream subclass-heavy blocks at superclass rules through a database
+    whose schema holds :data:`CHAIN`; return its decisions."""
+    rng = random.Random(seed)
+    universe = chain_universe()
+    superclass = [
+        event_type for event_type in universe if event_type.class_name == "order"
+    ]
+    generator = ExpressionGenerator(
+        event_types=superclass, seed=seed * 31 + 1, instance_probability=0.3
+    )
+    expressions = generator.expressions(10, operators=rng.randint(1, 3))
+    db = ChimeraDatabase(use_static_optimization=routed)
+    try:
+        for name, parent in CHAIN:
+            attributes = {"amount": int} if parent is None else None
+            db.define_class(name, attributes, superclass=parent)
+        for index, expression in enumerate(expressions):
+            db.define_rule(
+                Rule(
+                    name=f"r{index}",
+                    events=expression,
+                    condition=TRUE_CONDITION,
+                    action=NO_ACTION,
+                    priority=rng.randint(0, 3),
+                )
+            )
+        eid = 0
+        for stamp in range(1, 31):
+            block = []
+            for _ in range(rng.randint(1, 4)):
+                event_type = rng.choice(universe)
+                eid += 1
+                block.append(
+                    EventOccurrence(
+                        eid=eid,
+                        event_type=event_type,
+                        oid=f"{event_type.class_name}#{rng.randint(1, 3)}",
+                        timestamp=stamp,
+                    )
+                )
+            db.engine.run_stream_block(block)
+        return {
+            "considered": [(rec.rule_name, rec.instant) for rec in db.considerations],
+            "triggered": {
+                state.rule.name: state.times_triggered
+                for state in db.rule_table.states()
+            },
+        }
+    finally:
+        db.close()
+
+
+def test_routed_equals_exhaustive_scan_under_a_subclass_chain():
+    for seed in range(8):
+        routed = run_schema_scenario(seed, routed=True)
+        assert routed == run_schema_scenario(seed, routed=False), f"seed {seed}"
+        assert routed["considered"], f"seed {seed}: nothing was considered"
+
+
+def test_a_database_routes_subclass_occurrences_by_exact_class():
+    """The schema's hierarchy does not reach the index: a ``create(rush)``
+    block is routed to no ``create(order)`` watcher, so it costs that rule no
+    check."""
+    db = ChimeraDatabase()
+    try:
+        for name, parent in CHAIN:
+            db.define_class(name, superclass=parent)
+        db.define_rule("define on_order events create(order) end")
+        table = db.rule_table
+        for name, _ in CHAIN:
+            signature = {EventType(Operation.CREATE, name)}
+            expected = ["on_order"] if name == "order" else []
+            assert list(table.subscribers_for_signature(signature)) == expected
+    finally:
+        db.close()
+
+
+#: The single table, and the benchmark's process placement.
+PLACEMENTS = {
+    "single": {"shards": 0},
+    "processes": {"shards": 2, "shard_mode": "processes"},
+}
+
+
+@pytest.mark.parametrize("entry", ["transaction", "stream"])
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+def test_a_subclass_create_never_triggers_a_superclass_rule(placement, entry):
+    """``create(rush)`` is no ``create(order)`` occurrence, though ``rush``
+    specializes ``order``: the calculus compares class names exactly
+    (:meth:`EventType.matches`), on every placement, whether the occurrence
+    comes from a transaction or from a stream block."""
+    from tests.cluster.test_process_pool import homed_names
+
+    # Both rules are checked by the worker when there is one.
+    order_watch, rush_watch = homed_names([1, 1])
+    db = ChimeraDatabase(**PLACEMENTS[placement])
+    try:
+        db.define_class("order", {"amount": int})
+        db.define_class("rush", superclass="order")
+        watches = ((order_watch, "create(order)"), (rush_watch, "create(rush)"))
+        for name, events in watches:
+            db.define_rule(
+                Rule(
+                    name=name,
+                    events=parse_expression(events),
+                    condition=TRUE_CONDITION,
+                    action=NO_ACTION,
+                )
+            )
+        stamps = iter(range(1, 100))
+
+        def create(class_name: str) -> None:
+            if entry == "transaction":
+                with db.transaction() as tx:
+                    tx.create(class_name, {"amount": 1})
+            else:
+                stamp = next(stamps)
+                event_type = EventType(Operation.CREATE, class_name)
+                occurrence = EventOccurrence(
+                    eid=stamp,
+                    event_type=event_type,
+                    oid=f"{class_name}#{stamp}",
+                    timestamp=stamp,
+                )
+                db.engine.run_stream_block([occurrence])
+
+        def triggered() -> tuple[int, int]:
+            return tuple(
+                db.rule_state(name).times_triggered
+                for name in (order_watch, rush_watch)
+            )
+
+        for _ in range(3):
+            create("rush")
+        assert triggered() == (0, 3)
+        create("order")
+        assert triggered() == (1, 3)
+    finally:
+        db.close()

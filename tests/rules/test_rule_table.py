@@ -1,7 +1,13 @@
 """Tests for rule definitions, rule state and the Rule Table."""
 
-import pytest
+import gc
+import tracemalloc
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.core.optimization import watched_event_types
 from repro.core.parser import parse_expression
 from repro.errors import DuplicateRuleError, RuleDefinitionError, UnknownRuleError
 from repro.events.event import EventType, Operation
@@ -9,6 +15,9 @@ from repro.rules.actions import NO_ACTION
 from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.rule import ConsumptionMode, ECCoupling, Rule, RuleState
 from repro.rules.rule_table import RuleTable
+from repro.workloads.generator import ExpressionGenerator
+
+from tests.rules.test_planner_equivalence import overlap_universe
 
 
 def make_rule(
@@ -269,6 +278,52 @@ class TestSubscriptionIndex:
         assert "on_create" in table.pending_full_check_states()
 
 
+class TestRoutingProperty:
+    """The index routes exactly what a brute-force reading of V(E) routes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    def test_subscribers_equal_the_brute_force_reading(self, seed, data):
+        universe = overlap_universe()
+        generator = ExpressionGenerator(
+            event_types=universe, seed=seed, instance_probability=0.3
+        )
+        pool = generator.expressions(8, operators=data.draw(st.integers(0, 3)))
+        table = RuleTable()
+        live: set[str] = set()
+        for step in range(data.draw(st.integers(1, 24))):
+            if live and data.draw(st.booleans()):
+                name = data.draw(st.sampled_from(sorted(live)))
+                table.remove(name)
+                live.discard(name)
+            else:
+                name = f"r{step}"
+                expression = data.draw(st.sampled_from(pool))
+                state = table.add(
+                    Rule(
+                        name=name,
+                        events=expression,
+                        condition=TRUE_CONDITION,
+                        action=NO_ACTION,
+                    )
+                )
+                assert state.watched_types == watched_event_types(expression)
+                live.add(name)
+            signature = frozenset(
+                data.draw(st.lists(st.sampled_from(universe), max_size=5))
+            )
+            expected = {
+                name
+                for name in live
+                if any(
+                    watched.matches(event_type) or event_type.matches(watched)
+                    for event_type in signature
+                    for watched in table.get(name).watched_types
+                )
+            }
+            assert set(table.subscribers_for_signature(signature)) == expected
+
+
 class TestPriorityHeaps:
     """Lazy-invalidation heap selection against re-trigger/disable/remove churn."""
 
@@ -427,3 +482,25 @@ class TestHeapCompaction:
                 0 if table._entry_valid(entry) else 1
                 for entry in table._heaps[coupling]
             )
+
+
+def test_a_rule_costs_its_state_and_a_tuple_of_watched_types():
+    """What ``RuleTable.add`` retains per rule: the state, its index entries
+    and a tuple of watched types — no per-rule matching object (one cost
+    about 600 B more on this shape)."""
+    rules = [
+        make_rule(f"r{index}", f"create(c{index}) , modify(c{index}.x)")
+        for index in range(2_000)
+    ]
+    table = RuleTable()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for rule in rules:
+            table.add(rule)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(type(state.watched_types) is tuple for state in table)
+    assert (after - before) / len(rules) <= 1_750, (after - before) / len(rules)
