@@ -178,9 +178,8 @@ class ShardCoordinator(TriggerSupport):
         if self._process_pool is not None:
             self._process_pool.prune(table.__contains__)
 
-    def forget_incremental_state(self) -> None:
-        """Drop the coordinator's memos *and* the workers' mirrors/memos."""
-        super().forget_incremental_state()
+    def reset_worker_mirrors(self) -> None:
+        """Empty every worker's mirror and memos with the coordinator's log."""
         if self._process_pool is not None:
             self._process_pool.reset()
 

@@ -143,11 +143,9 @@ def _worker_loop(
         state_applied = kind == "reset"
         try:
             if kind == "reset":
-                # New EB log (transaction boundary): the mirror and every
-                # memo describe the old one.  Definitions survive; every
-                # binding re-resolves its handles when it first meets the
-                # new mirror.
-                mirror = StampIndex()
+                # The coordinator's log was emptied: so is the mirror (its
+                # live lists stay bound); the memos describe the old log.
+                mirror.clear()
                 frame_reader = _FrameReader()
                 for memo, _compiled in rules.values():
                     memo.clear()
@@ -445,7 +443,7 @@ class ProcessShardPool:
         return pruned
 
     def reset(self) -> None:
-        """Forget every mirror and memo (the coordinator's EB was rebound)."""
+        """Empty every mirror and memo (the coordinator's EB was emptied)."""
         if self._closed or not self._workers:
             return
         self._require_usable()

@@ -243,7 +243,7 @@ class _RowLog:
         )
 
     def reset(self) -> None:
-        """Forget the encoded log (the coordinator's EB was rebound)."""
+        """Forget the encoded log (the coordinator's EB was emptied)."""
         self.encoder = _RowEncoder()
         self.rows.clear()
         self.encoded = 0
@@ -415,7 +415,7 @@ class ShardTransport:
     it ships to every worker as a fork argument.  The pool calls, in order:
     :meth:`launch` once; then per block :meth:`begin_trip` (encode the unseen
     log tail once) and :meth:`delta_for` per lagging worker;
-    :meth:`note_reset` when the coordinator's EB is rebound; and
+    :meth:`note_reset` when the coordinator's EB is emptied; and
     :meth:`shutdown` (idempotent — also reached via ``weakref.finalize``
     when a pool is abandoned) at the end of life.
     """
@@ -499,7 +499,7 @@ class ShardTransport:
         return log.delta(offset, shipped_types), len(log.encoder.type_snapshots)
 
     def note_reset(self) -> None:
-        """The coordinator's EB was rebound: forget the encoded log."""
+        """The coordinator's EB was emptied: forget the encoded log."""
         self._row_log.reset()
 
     def extra_stats(self) -> dict:

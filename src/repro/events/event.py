@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Any, Mapping
 
 from repro.errors import EventCalculusError
@@ -58,7 +58,8 @@ class Operation(str, Enum):
             ) from exc
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class EventType:
     """A primitive event type: ``operation(class_name[.attribute])``.
 
@@ -96,6 +97,12 @@ class EventType:
 
     def __reduce__(self):
         return (type(self), (self.operation, self.class_name, self.attribute))
+
+    def __lt__(self, other: "EventType") -> bool:
+        if not isinstance(other, EventType):
+            return NotImplemented
+        key = (self.operation, self.class_name, self.attribute or "")
+        return key < (other.operation, other.class_name, other.attribute or "")
 
     def __str__(self) -> str:
         if self.attribute is None:

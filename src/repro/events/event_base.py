@@ -1,11 +1,12 @@
 """The Event Base (EB) and its zero-copy bounded views.
 
 The Event Base is "the log containing all the event occurrences since the
-beginning of the transaction" (paper §4.1, Fig. 3).  The composite-event
-calculus, however, is never applied to the whole EB directly: the triggering
-semantics (paper §4.5) selects a *window* ``R`` of occurrences — typically the
-occurrences newer than a rule's last consideration — and the ``ts`` / ``ots``
-functions are computed over that window.
+beginning of the transaction" (paper §4.1, Fig. 3): a database's one EB is
+emptied in place when a transaction begins (:meth:`StampIndex.clear`).  The
+composite-event calculus, however, is never applied to the whole EB directly:
+the triggering semantics (paper §4.5) selects a *window* ``R`` of occurrences
+— typically the occurrences newer than a rule's last consideration — and the
+``ts`` / ``ots`` functions are computed over that window.
 
 There is one store and one implementation of every calculus query: each
 takes optional ``(after, until]`` bounds, and the whole log is ``(None,
@@ -210,6 +211,13 @@ class StampIndex:
         distinct.extend(unique)
         return frozenset(types)
 
+    def clear(self) -> None:
+        """Empty the log in place; the type table and pattern lists stay live."""
+        for index in self._by_type.values():
+            index.__init__()  # empty columns, same object: handles hold it
+        self._all_timestamps.clear()
+        self._distinct_timestamps.clear()
+
     def _register(self, event_type: EventType) -> _TypeIndex:
         """A new concrete type's index, appended to the patterns it satisfies."""
         index = self._by_type[event_type] = _TypeIndex()
@@ -361,6 +369,13 @@ class EventBase(StampIndex):
         super().__init__()
         self._occurrences: list[EventOccurrence] = []
         self._by_eid: dict[int, EventOccurrence] = {}
+        self._max_eid = 0
+
+    def clear(self) -> None:
+        """Empty the log in place; the next :meth:`record` mints EID 1."""
+        super().clear()
+        self._occurrences.clear()
+        self._by_eid.clear()
         self._max_eid = 0
 
     # -- recording -------------------------------------------------------

@@ -131,10 +131,7 @@ class ChimeraDatabase:
         """Start a transaction (at most one can be active at a time)."""
         if self._active_transaction is not None:
             raise TransactionError("a transaction is already active")
-        # A fresh Event Base per transaction: the EB is the log of the events
-        # occurred since the beginning of the transaction (paper §4.1).
-        self.event_base = EventBase()
-        self.engine.rebind_event_base(self.event_base)
+        # The EB is the transaction's log (paper §4.1): emptied, not replaced.
         self.engine.begin_transaction()
         self.store.begin()
         transaction = Transaction(self)

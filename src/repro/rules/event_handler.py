@@ -105,10 +105,8 @@ class EventHandler:
         """Occurrences recorded in the Event Base but not yet flushed."""
         return len(self.event_base) - self._flushed_count
 
-    def reset(self, event_base: EventBase | None = None) -> None:
-        """Start over at a transaction boundary (optionally with a fresh EB)."""
-        if event_base is not None:
-            self.event_base = event_base
+    def reset(self) -> None:
+        """Start over at a transaction boundary: nothing recorded is pending."""
         self._flushed_count = len(self.event_base)
         self.blocks_processed = 0
 

@@ -116,21 +116,13 @@ class RuleEngine:
 
     # -- transaction boundaries ------------------------------------------------
     def begin_transaction(self) -> None:
-        """Reset per-transaction state (rule flags, counters, block boundary)."""
+        """The one transaction boundary: empty the log in place, reset rules."""
+        self.event_base.clear()
+        self.trigger_support.reset_worker_mirrors()
         self.transaction_start = self.clock.now()
         self.rule_table.reset_all(self.transaction_start)
-        self.event_handler.reset(self.event_base)
+        self.event_handler.reset()
         self._budget_spent = 0
-
-    def rebind_event_base(self, event_base: EventBase) -> None:
-        """Point the engine at a fresh Event Base (new transaction log)."""
-        self.event_base = event_base
-        self.operations.event_base = event_base
-        self.trigger_support.event_base = event_base
-        # Incremental trigger memos describe the old log; drop them (the
-        # shard coordinator also resets its process workers' mirrors here).
-        self.trigger_support.forget_incremental_state()
-        self.event_handler.reset(event_base)
 
     def close(self) -> None:
         """Release worker pools held by the Trigger Support (idempotent).

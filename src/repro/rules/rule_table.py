@@ -282,9 +282,10 @@ class RuleTable:
 
     # -- enable / disable -------------------------------------------------------
     def enable(self, name: str) -> None:
-        """Re-enable a disabled rule."""
+        """Re-enable a rule as a rider: its window may hold a triggering."""
         state = self.get(name)
         state.enabled = True
+        state.had_nonempty_window = False
         self._disabled.discard(name)
         self.state_changed(state)
 

@@ -372,13 +372,5 @@ class TriggerSupport:
             return True
         return False
 
-    def forget_incremental_state(self) -> None:
-        """Drop every rule's trigger memo (e.g. after rebinding the Event Base).
-
-        The memo records how much of a specific EB log a check has seen; a new
-        log invalidates that bookkeeping even if the rule state survives.  The
-        bindings need nothing: each re-resolves when it first meets the new
-        store.
-        """
-        for state in self.rule_table:
-            state.trigger_memo.clear()
+    def reset_worker_mirrors(self) -> None:
+        """Empty the process workers' mirrors with the log (none in-process)."""

@@ -391,13 +391,13 @@ def _reset_mid_stream(shard_mode: str):
             [(CREATE_GAMMA, "gamma#1"), (CREATE_ALPHA, 2)],
         ]
         trace = _run_blocks(support, handler, event_base, first_log)
-        # A new EB log, as at a transaction boundary — and it meets the event
-        # types in the opposite order, so a worker still holding the old
-        # log's type table or positions would rebuild a wrong mirror.
-        event_base = EventBase()
-        handler = EventHandler(event_base)
-        support.event_base = event_base
-        support.forget_incremental_state()
+        # The log emptied in place, as at a transaction boundary — and it
+        # meets the event types in the opposite order, so a worker still
+        # holding the old log's positions or type ids would build a wrong
+        # mirror.
+        event_base.clear()
+        support.reset_worker_mirrors()
+        handler.reset()
         for state in table.states():
             state.reset(0)
         second_log = [

@@ -407,7 +407,7 @@ class TestCoordinatorEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Binding invariants: bound on first use, no handle survives a rebind
+# Binding invariants: bound on first use, a handle is its store's live list
 # ---------------------------------------------------------------------------
 
 ALPHA = EventType(Operation.CREATE, "alpha")
@@ -441,10 +441,10 @@ class TestBindingInvariants:
         stamp = 0
 
         def feed_block(event_type: EventType = ALPHA) -> None:
-            nonlocal stamp
+            nonlocal handler, stamp
             stamp += 1
             if handler.event_base is not support.event_base:
-                handler.reset(support.event_base)
+                handler = EventHandler(support.event_base)
             support.event_base.record(event_type, oid="alpha#1", timestamp=stamp)
             batch = handler.flush_block()
             support.check_after_block(
@@ -509,9 +509,9 @@ class TestBindingInvariants:
             assert state.ts_computations > 0
 
     def test_a_binding_resolves_once_per_store(self):
-        """After a rebind to a fresh log every binding re-resolves on its next
-        check and not again while new types register; the evaluator keeps
-        the abandoned log alive no longer."""
+        """Checked against a second log, every binding re-resolves on its
+        next check and not again while new types register; the evaluator
+        keeps the abandoned log alive no longer."""
         table, state, support, feed_block = self._support("modify(alpha)", 40)
         feed_block(EventType(Operation.MODIFY, "alpha", "a0"))
         bindings = [entry.compiled_check for entry in table]
@@ -523,7 +523,9 @@ class TestBindingInvariants:
             resolved.append(pattern) or live_lists(pattern)
         )
         support.event_base = fresh
-        support.forget_incremental_state()
+        for entry in table:
+            entry.reset(0)
+        support.reset_worker_mirrors()
         for attribute in ("a0", "a1", "a2", "a3"):
             feed_block(EventType(Operation.MODIFY, "alpha", attribute))
             assert len(resolved) == len(bindings)
@@ -567,24 +569,27 @@ class TestBindingInvariants:
     def test_fresh_event_base_with_the_same_types_never_reads_the_old_log(self):
         """A new log that registers the same types in the same order has the
         same type *count* as the old one — the handles must still move, with
-        ``forget_incremental_state`` (the engine's transaction path) and
-        without it."""
-        for forget in (True, False):
+        the rule's state reset (as at a transaction boundary) and without
+        it."""
+        for reset in (True, False):
             table, state, support, feed_block = self._support()
             feed_block()
             old_indexes = _handle_indexes(state)
             assert old_indexes == [support.event_base._by_type[ALPHA]]
             fresh = EventBase()
             support.event_base = fresh
-            if forget:
-                support.forget_incremental_state()
+            if reset:
+                state.reset(0)
+                support.reset_worker_mirrors()
             state.trigger_memo.clear()
             feed_block()
             assert _handle_indexes(state) == [fresh._by_type[ALPHA]]
             assert _handle_indexes(state)[0] is not old_indexes[0]
             assert state.times_triggered == 2
 
-    def test_database_transactions_rebind_every_time(self):
+    def test_database_transactions_share_one_log_and_resolve_once(self):
+        """Three transactions run on one Event Base, emptied at each
+        boundary, so the binding resolves its handles once in all."""
         from repro.oodb.database import ChimeraDatabase
 
         db = ChimeraDatabase(shard_mode="serial")  # bindings stay in-process
@@ -592,13 +597,18 @@ class TestBindingInvariants:
             db.define_class("alpha", ["x"])
             db.define_rule(_watcher())
             state = db.rule_state("w")
-            logs = []
+            log = db.event_base
+            live_lists = log._indexes_matching
+            resolved = []
+            log._indexes_matching = lambda pattern: (
+                resolved.append(pattern) or live_lists(pattern)
+            )
             for _ in range(3):
                 with db.transaction() as tx:
                     tx.create("alpha", {"x": 1})
-                    logs.append(db.event_base)
-                assert _handle_indexes(state) == [db.event_base._by_type[ALPHA]]
-            assert len({id(log) for log in logs}) == 3
+                assert db.event_base is log
+                assert _handle_indexes(state) == [log._by_type[ALPHA]]
+            assert resolved == [ALPHA]
             assert state.times_triggered == 3
         finally:
             db.close()

@@ -112,6 +112,9 @@ class TestValueSemanticsUnchanged:
             EventType(Operation.CREATE, "stock"),
             EventType(Operation.MODIFY, "stock", "minquantity"),
             EventType(Operation.CREATE, "order"),
+            # A class-level type beside its attribute types: the order is
+            # total, not a comparison of None with a string.
+            EventType(Operation.MODIFY, "stock"),
         ]
         assert sorted(types) == sorted(
             types, key=lambda t: (t.operation, t.class_name, t.attribute or "")
@@ -119,6 +122,11 @@ class TestValueSemanticsUnchanged:
         assert EventType(Operation.CREATE, "order") < EventType(
             Operation.CREATE, "stock"
         )
+        attribute = EventType(Operation.MODIFY, "cls2", "attr1")
+        class_level = EventType(Operation.MODIFY, "cls2")
+        assert sorted([attribute, class_level]) == [class_level, attribute]
+        assert class_level < attribute and attribute > class_level
+        assert class_level <= class_level and not attribute <= class_level
 
     def test_class_level(self):
         class_level = EventType(Operation.MODIFY, "stock")

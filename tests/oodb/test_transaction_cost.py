@@ -187,3 +187,37 @@ class TestConsiderationTouchesOnlyAffectedObjects:
         # touched object plus one probe per consideration.
         assert (spies["bindings"], spies["tree_walks"], spies["kernel"]) == (1, 1, 10)
         assert spies["ots"] == spies["extent_scans"] == 0
+
+
+class TestOneLogPerDatabase:
+    def test_k_rules_over_n_transactions_resolve_k_times(self, monkeypatch):
+        """The Event Base is emptied at each transaction, not replaced, so a
+        binding resolves its handles once for the database's life: K rules
+        over N transactions cost K resolutions, not one per rule per
+        transaction (N·K)."""
+        from repro.events.event_base import StampIndex
+        from repro.oodb.database import ChimeraDatabase
+
+        rules, transactions = 5, 4
+        resolved = []
+        live_lists = StampIndex._indexes_matching
+
+        def spy(store, pattern):
+            resolved.append(pattern)
+            return live_lists(store, pattern)
+
+        monkeypatch.setattr(StampIndex, "_indexes_matching", spy)
+        db = ChimeraDatabase(shard_mode="serial")  # bindings stay in-process
+        try:
+            for index in range(rules):
+                db.define_class(f"c{index}", ["x"])
+                db.define_rule(f"define r{index} events create(c{index}) end")
+            for _ in range(transactions):
+                with db.transaction() as tx:
+                    for index in range(rules):
+                        tx.create(f"c{index}", {"x": 1})
+            assert len(resolved) == rules
+            for index in range(rules):
+                assert db.rule_state(f"r{index}").times_triggered == transactions
+        finally:
+            db.close()

@@ -1,8 +1,5 @@
 """Tests for transactions, transaction lines and commit/rollback."""
 
-import gc
-import weakref
-
 import pytest
 
 from repro.errors import TransactionError
@@ -50,24 +47,37 @@ class TestLifecycle:
         tx.commit()
         stock_db.transaction().commit()
 
-    def test_new_transaction_after_commit_starts_fresh_event_base(self, stock_db):
+    def test_new_transaction_after_commit_empties_the_same_event_base(self, stock_db):
+        """One log per database (§4.1): the next transaction empties it in
+        place, so it holds only that transaction's rows and EIDs restart."""
         with stock_db.transaction() as tx:
             tx.create("stock", {"quantity": 5})
         first_eb = stock_db.event_base
         with stock_db.transaction() as tx:
-            tx.create("stock", {"quantity": 6})
-        assert stock_db.event_base is not first_eb
+            second = tx.create("stock", {"quantity": 6})
+        assert stock_db.event_base is first_eb
+        assert [(row.eid, row.oid) for row in first_eb] == [(1, second.oid)]
 
-    def test_an_ended_transaction_log_is_not_kept_alive(self, stock_db):
-        """Once the next transaction begins, no evaluator of the engine (the
-        Trigger Support's, the condition formulas') holds the old log."""
+    def test_a_new_transaction_empties_every_index_of_the_ended_log(self, stock_db):
+        """Once the next transaction begins, no row of the ended one is
+        left in any index; only the type table survives."""
         stock_db.define_rule(CHECK_STOCK_QTY_RULE)
         with stock_db.transaction() as tx:
             tx.create("stock", {"quantity": 140, "maxquantity": 100})
-        first_eb = weakref.ref(stock_db.event_base)
+        event_base = stock_db.event_base
+        assert len(event_base) > 0
         tx = stock_db.transaction()
-        gc.collect()
-        assert first_eb() is None
+        assert len(event_base) == 0
+        assert event_base._by_type  # the type table is kept
+        for index in event_base._by_type.values():
+            assert not index.timestamps
+            assert not index.positions
+            assert not index.oids
+            assert not index.per_oid
+        assert not event_base._by_eid
+        assert not event_base._occurrences
+        assert not event_base._all_timestamps
+        assert not event_base._distinct_timestamps
         tx.commit()
 
 

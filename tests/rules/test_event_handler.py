@@ -34,7 +34,7 @@ STEPS = st.one_of(
     st.tuples(st.just("extend"), st.sampled_from([0, 2, 7, 130])),
     st.just(("flush",)),
     st.just(("reset",)),
-    st.just(("reset_new_eb",)),
+    st.just(("reset_cleared_eb",)),
 )
 
 
@@ -72,12 +72,11 @@ class TestBlockBoundaries:
                 assert list(handler.flush_block()) == pending
                 pending = []
             else:
-                if step[0] == "reset_new_eb":
-                    event_base = EventBase()
-                    handler.reset(event_base)
-                else:
-                    # Whatever was pending belongs to the finished transaction.
-                    handler.reset()
+                if step[0] == "reset_cleared_eb":
+                    # A transaction boundary: the log is emptied in place.
+                    event_base.clear()
+                # Whatever was pending belongs to the finished transaction.
+                handler.reset()
                 pending = []
             assert handler.pending_count() == len(pending)
 

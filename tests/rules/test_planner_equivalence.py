@@ -281,6 +281,87 @@ def test_removal_of_triggered_rule_mid_run():
     assert table.select_for_consideration() is None
 
 
+def _disable_enable_trace(routed: bool) -> list[list[str]]:
+    """Rule ``r`` on ``create(a)``; blocks ``create(a)``, then (disabled)
+    ``create(c)``, then (re-enabled) ``create(c)``; triggered per block."""
+    event_base = EventBase()
+    table = RuleTable()
+    table.add(
+        Rule(
+            name="r",
+            events=parse_expression("create(a)"),
+            condition=TRUE_CONDITION,
+            action=NO_ACTION,
+        )
+    ).reset(0)
+    handler = EventHandler(event_base)
+    support = TriggerSupport(
+        table, event_base, EngineConfig.from_env(use_static_optimization=routed)
+    )
+    trace = []
+    for stamp, (flip, class_name) in enumerate(
+        ((None, "a"), (table.disable, "c"), (table.enable, "c")), 1
+    ):
+        if flip is not None:
+            flip("r")
+        event_base.record(
+            EventType(Operation.CREATE, class_name), f"{class_name}#1", stamp
+        )
+        batch = handler.flush_block()
+        newly = support.check_after_block(
+            batch, stamp, 0, type_signature=batch.type_signature
+        )
+        trace.append([state.rule.name for state in newly])
+    return trace
+
+
+@pytest.mark.parametrize("routed", [True, False], ids=["routed", "exhaustive"])
+def test_reenabling_rechecks_a_window_that_still_holds_a_triggering(routed):
+    """ROADMAP.md item 15, reading 10: what disable does to a pending triggering.
+
+    *Paper:* a rule is triggered at ``t`` when ``ts`` over the occurrences
+    since its last consideration is positive (§4.5, ``T(r, t)``), and only a
+    consideration detriggers it (§5).  The paper has no disable; the Rule
+    Table's is this reproduction's.
+    *Alternative reading:* disabling consumes the window, as a consideration
+    would, so a re-enabled rule waits for a new occurrence of its own types:
+    ``[['r'], [], []]`` on both paths.
+    *Chosen reading:* disabling only hides the rule.  It clears the
+    triggered flag but not the window, which still starts at the last
+    consideration, so the re-enabled rule triggers again on the next
+    non-empty block while the window holds ``create(a)``: ``[['r'], [],
+    ['r']]``, the exhaustive scan's answer.  The routed planner agrees
+    because ``enable`` re-arms the rule as a rider for one check; no later
+    block's signature need route it.  Under the alternative this test fails
+    on both paths.
+    """
+    assert _disable_enable_trace(routed) == [["r"], [], ["r"]]
+
+
+@pytest.mark.parametrize("routed", [True, False], ids=["routed", "exhaustive"])
+def test_a_deferred_rule_reenabled_mid_transaction_is_triggered_before_commit(routed):
+    """Reading 10 through the database: a deferred rule disabled and re-enabled
+    inside the transaction is triggered again before commit, so the commit's
+    exhaustive ``recheck_all`` is not what finds it."""
+    db = ChimeraDatabase(use_static_optimization=routed)
+    try:
+        db.define_class("a", ["x"])
+        db.define_class("c", ["x"])
+        db.define_rule("define deferred r events create(a) end")
+        with db.transaction() as tx:
+            tx.create("a", {"x": 1})
+            assert db.rule_state("r").triggered
+            db.disable_rule("r")
+            tx.create("c", {"x": 1})
+            db.enable_rule("r")
+            assert not db.rule_state("r").triggered
+            tx.create("c", {"x": 2})
+            assert db.rule_state("r").triggered
+        assert [record.rule_name for record in db.considerations] == ["r"]
+    finally:
+        db.close()
+
+
 #: A subclass chain: ``express`` specializes ``rush``, which specializes
 #: ``order``; only ``order`` declares ``amount``.
 CHAIN = (("order", None), ("rush", "order"), ("express", "rush"))
