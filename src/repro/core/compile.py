@@ -86,7 +86,14 @@ from repro.events.clock import Timestamp
 from repro.events.event import EventType
 from repro.events.event_base import BoundedView, StampIndex, WindowLike
 
-__all__ = ["CheckBinder", "CompiledCheck", "compile_check"]
+__all__ = [
+    "CheckBinder",
+    "CompiledCheck",
+    "Shape",
+    "compile_check",
+    "is_vacuous",
+    "shape_of",
+]
 
 #: Neutral lower bound: a window with no start excludes nothing.  Timestamps
 #: are ints, so ``-inf`` compares below every candidate and bisects to 0.
@@ -114,7 +121,41 @@ def _shape_key(node: EventExpression, slots: "dict[EventType, int]"):
         if slot is None:
             slot = slots[node.event_type] = len(slots)
         return slot
-    return (type(node), *[_shape_key(child, slots) for child in node.children()])
+    if isinstance(node, _NEGATIONS):
+        return (type(node), _shape_key(node.operand, slots))
+    return (type(node), _shape_key(node.left, slots), _shape_key(node.right, slots))
+
+
+#: ``(shape key, slot types)``: what one walk of an expression yields.
+Shape = tuple[Any, tuple[EventType, ...]]
+
+
+def shape_of(expression: EventExpression) -> Shape:
+    """``(shape key, slot types)`` of ``expression``, in one walk.
+
+    Expressions of equal keys are the same tree up to a renaming of their
+    types, which the slot types undo: they share a kernel, their ``V(E)``
+    and their vacuity.
+    """
+    slots: "dict[EventType, int]" = {}
+    key = _shape_key(expression, slots)
+    return key, tuple(slots)
+
+
+def is_vacuous(expression: EventExpression) -> bool:
+    """Is ``expression`` active over an empty log, ``ts(E, {}, 1) > 0``?
+
+    The set-rooted kernel of its shape over all-empty handles at instant 1:
+    every primitive is inactive, so the sign is the shape's alone, and it is
+    the same at every instant.
+    """
+    _, types = shape_of(expression)
+    kernel = _Lowering(_slot_map(types)).lower(expression, False)
+    return kernel(((),) * len(types), _NEG_INF, 1, None) > 0
+
+
+def _slot_map(types: "tuple[EventType, ...]") -> "dict[EventType, int]":
+    return {event_type: slot for slot, event_type in enumerate(types)}
 
 
 class _Lowering:
@@ -273,9 +314,16 @@ class CheckBinder:
         """How many distinct shapes this evaluator has lowered."""
         return len(self._kernels)
 
-    def bind(self, expression: EventExpression) -> "CompiledCheck":
-        """The binding of ``expression``: shared kernel + its own slot types."""
-        return CompiledCheck(expression, self, *self._kernel(expression, False))
+    def bind(
+        self, expression: EventExpression, shape: Shape | None = None
+    ) -> "CompiledCheck":
+        """The binding of ``expression``: shared kernel + its own slot types.
+
+        ``shape`` is ``shape_of(expression)`` when the caller already holds
+        it (the Rule Table keeps it on every rule state), so binding a rule
+        does not walk its expression again.
+        """
+        return CompiledCheck(expression, self, *self._kernel(expression, False, shape))
 
     def bind_instance(self, expression: EventExpression) -> "CompiledCheck":
         """The instance-rooted binding of ``expression``, made once per binder.
@@ -299,15 +347,15 @@ class CheckBinder:
         return binding
 
     def _kernel(
-        self, expression: EventExpression, instance: bool
+        self, expression: EventExpression, instance: bool, shape: Shape | None = None
     ) -> "tuple[_Fn, tuple[EventType, ...]]":
         """The interned kernel of ``expression``'s shape, and its slot types."""
-        slots: "dict[EventType, int]" = {}
-        key = (_shape_key(expression, slots), instance)
-        kernel = self._kernels.get(key)
+        key, types = shape_of(expression) if shape is None else shape
+        kernel = self._kernels.get((key, instance))
         if kernel is None:
-            kernel = self._kernels[key] = _Lowering(slots).lower(expression, instance)
-        return kernel, tuple(slots)
+            lowering = _Lowering(_slot_map(types))
+            kernel = self._kernels[key, instance] = lowering.lower(expression, instance)
+        return kernel, types
 
 
 class CompiledCheck:

@@ -54,13 +54,21 @@ exactly, so ``create(rush)`` is no ``create(order)`` occurrence whatever the
 schema says.  The triggering graph of :mod:`repro.rules.analysis` reads the
 same entries.
 
-One caveat (found by the property tests and enforced by the Trigger Support,
-not by ``V(E)`` itself): the triggering predicate also requires a non-empty
-window ``R``.  A rule whose expression is vacuously active — e.g. a pure
-negation — is blocked only by that condition, and then *any* new occurrence
-can trigger it regardless of its type.  The index is therefore only trusted
-once the rule's window has been evaluated non-empty since its last
-consideration (see :mod:`repro.rules.trigger_support`).
+One caveat (found by the property tests and enforced by the Rule Table and
+the Trigger Support, not by ``V(E)`` itself): the triggering predicate also
+requires a non-empty window ``R``.  A rule whose expression is *vacuous* —
+active over an empty log, ``ts(E, {}, 1) > 0``, e.g. a pure negation — is
+blocked only by that condition, and then *any* new occurrence can trigger it
+regardless of its type.  Such a rule is a *rider*, checked on every block,
+until a check sees its window non-empty, and again after each consideration
+or reset.  A non-vacuous rule's ``ts`` over an empty window is negative, so
+from an empty window on only its positive variations can flip it
+(``tests/core/test_properties.py::test_variation_set_is_sound_for_triggering``
+covers empty windows): it rides only after an add or an enable, whose window
+may already hold rows no later block routes, and only until one check
+(see :mod:`repro.rules.rule_table`).  Both facts are functions of the
+expression's shape alone, so the table derives them once per shape
+(:func:`watched_slots`).
 """
 
 from __future__ import annotations
@@ -92,6 +100,7 @@ __all__ = [
     "variation_set",
     "format_variations",
     "watched_event_types",
+    "watched_slots",
 ]
 
 
@@ -293,6 +302,21 @@ def watched_event_types(expression: EventExpression) -> tuple[EventType, ...]:
             key=str,
         )
     )
+
+
+def watched_slots(
+    expression: EventExpression, slot_types: tuple[EventType, ...]
+) -> tuple[int, ...]:
+    """Where :func:`watched_event_types` falls among the expression's slots.
+
+    ``slot_types`` are the expression's distinct types in first-appearance
+    order (:func:`repro.core.compile.shape_of`).  ``V(E)`` is derived from
+    the tree and from type identity only, so every expression of one shape
+    watches the same slots: the Rule Table derives them once per shape and
+    reads each rule's watched types off its own slot types.
+    """
+    slot_of = {event_type: slot for slot, event_type in enumerate(slot_types)}
+    return tuple(slot_of[event_type] for event_type in watched_event_types(expression))
 
 
 def format_variations(variations: Iterable[Variation]) -> str:

@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.evaluation import ts
+from repro.core.compile import is_vacuous
 from repro.core.optimization import watched_event_types
 from repro.events.event import EventType, Operation
-from repro.events.event_base import EventBase
 from repro.rules.actions import (
     Action,
     CallableStatement,
@@ -91,10 +90,11 @@ def _is_vacuously_activatable(rule: Rule) -> bool:
     has a positive ``V(E)`` entry) is blocked only by the ``R != {}``
     condition, so *any* generated occurrence can trigger it.  Occurrences of
     types the expression does not name change none of its values, so the
-    exact test is its sign over the empty log, on the reference interpreter;
-    the sign does not depend on the instant (``tests/rules/test_analysis.py``).
+    exact test is its sign over the empty log — the vacuity the Rule Table
+    reads for its riders; the sign does not depend on the instant
+    (``tests/rules/test_analysis.py``).
     """
-    return ts(rule.events, EventBase(), 1) > 0
+    return is_vacuous(rule.events)
 
 
 def _target_profile(rule: Rule) -> tuple[bool, tuple[EventType, ...]]:

@@ -54,8 +54,6 @@ from repro.rules.terms import AttrRef, BinOp, Const, Term, VarRef
 __all__ = ["parse_rule", "parse_rules"]
 
 
-_CLAUSE_KEYWORDS = ("events", "condition", "action", "priority", "consumption", "end")
-_OPERATION_NAMES = {member.value for member in Operation}
 
 
 def _split_top_level(text: str, separator: str = ",") -> list[str]:
@@ -84,31 +82,41 @@ def _split_top_level(text: str, separator: str = ",") -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+_CLAUSE_KEYWORD = re.compile(
+    r"\b(events|condition|action|priority|consumption|end)\b", flags=re.IGNORECASE
+)
+
+
+def _clause_keywords(text: str) -> list[re.Match[str]]:
+    """``text``'s clause keywords at parenthesis depth 0 and not after a ``.``
+    (``create(events)``, ``O.end`` name a class and an attribute)."""
+    return [
+        match
+        for match in _CLAUSE_KEYWORD.finditer(text)
+        if text.count("(", 0, match.start()) <= text.count(")", 0, match.start())
+        and not text[: match.start()].rstrip().endswith(".")
+    ]
+
+
 def _split_clauses(text: str) -> dict[str, str]:
     """Split a rule definition into its clauses keyed by keyword."""
     stripped = text.strip()
     if not stripped.lower().startswith("define"):
         raise RuleDefinitionError("a rule definition must start with 'define'")
-    pattern = re.compile(
-        r"\b(" + "|".join(_CLAUSE_KEYWORDS) + r")\b", flags=re.IGNORECASE
-    )
-    clauses: dict[str, str] = {}
-    matches = list(pattern.finditer(stripped))
+    matches = _clause_keywords(stripped)
     if not matches or matches[-1].group(1).lower() != "end":
         raise RuleDefinitionError("a rule definition must finish with 'end'")
-    clauses["define"] = stripped[len("define") : matches[0].start()].strip()
-    for match, following in zip(matches, matches[1:] + [None]):
+    clauses = {"define": stripped[len("define") : matches[0].start()].strip()}
+    for match, following in zip(matches, [*matches[1:], None]):
         keyword = match.group(1).lower()
         if keyword == "end":
             trailing = stripped[match.end() :].strip()
             if trailing:
                 raise RuleDefinitionError(f"unexpected text after 'end': {trailing!r}")
-            continue
-        end = following.start() if following is not None else len(stripped)
-        body = stripped[match.end() : end].strip()
-        if keyword in clauses:
+        elif keyword in clauses:
             raise RuleDefinitionError(f"duplicate clause {keyword!r}")
-        clauses[keyword] = body
+        else:  # the last keyword is "end", so a clause has a following one
+            clauses[keyword] = stripped[match.end() : following.start()].strip()
     return clauses
 
 
@@ -163,6 +171,13 @@ def _parse_header(text: str) -> _Header:
 # ---------------------------------------------------------------------------
 
 
+_BARE_OPERATION = re.compile(
+    r"\b(?P<op>"
+    + "|".join(sorted(member.value for member in Operation))
+    + r")\b\s*(?:\(\s*(?P<arg>[A-Za-z_][A-Za-z_0-9.]*)\s*\))?"
+)
+
+
 def _qualify_events(text: str, target_class: str | None) -> str:
     """Qualify bare operation names with the target class of a targeted rule.
 
@@ -190,12 +205,7 @@ def _qualify_events(text: str, target_class: str | None) -> str:
         # it alone so the Rule validation can report the class mismatch.
         return f"{operation}({inner})"
 
-    pattern = re.compile(
-        r"\b(?P<op>"
-        + "|".join(sorted(_OPERATION_NAMES))
-        + r")\b\s*(?:\(\s*(?P<arg>[A-Za-z_][A-Za-z_0-9.]*)\s*\))?"
-    )
-    return pattern.sub(qualify, text)
+    return _BARE_OPERATION.sub(qualify, text)
 
 
 def _parse_events(text: str, target_class: str | None) -> EventExpression:
@@ -275,10 +285,8 @@ def _parse_condition_atom(text: str, target_class: str | None) -> ConditionAtom:
             raise RuleDefinitionError(
                 f"{keyword} needs an event expression and a variable: {stripped!r}"
             )
-        variable = pieces[-1]
-        expression_text = ", ".join(pieces[:-1])
-        expression = parse_expression(_qualify_events(expression_text, target_class))
-        return OccurredFormula(expression, variable, keyword=keyword)
+        expression = _parse_events(", ".join(pieces[:-1]), target_class)
+        return OccurredFormula(expression, pieces[-1], keyword=keyword)
     if lowered.startswith(("at(", "at (")):
         inner = stripped[stripped.index("(") + 1 : stripped.rindex(")")]
         pieces = _split_top_level(inner)
@@ -286,11 +294,8 @@ def _parse_condition_atom(text: str, target_class: str | None) -> ConditionAtom:
             raise RuleDefinitionError(
                 f"at needs an event expression, a variable and a time variable: {stripped!r}"
             )
-        time_variable = pieces[-1]
-        variable = pieces[-2]
-        expression_text = ", ".join(pieces[:-2])
-        expression = parse_expression(_qualify_events(expression_text, target_class))
-        return AtFormula(expression, variable, time_variable)
+        expression = _parse_events(", ".join(pieces[:-2]), target_class)
+        return AtFormula(expression, pieces[-2], pieces[-1])
     range_match = _CLASS_RANGE_PATTERN.match(stripped)
     if range_match and not _COMPARISON_PATTERN.search(stripped):
         return ClassRange(
@@ -429,9 +434,6 @@ def parse_rule(text: str) -> Rule:
 
 def parse_rules(text: str) -> list[Rule]:
     """Parse several rule definitions from one string (``define ... end`` blocks)."""
-    chunks = re.split(r"(?<=\bend\b)", text)
-    rules: list[Rule] = []
-    for chunk in chunks:
-        if chunk.strip():
-            rules.append(parse_rule(chunk))
-    return rules
+    ends = [m.end() for m in _clause_keywords(text) if m.group(1).lower() == "end"]
+    chunks = [text[start:end] for start, end in zip([0, *ends], [*ends, len(text)])]
+    return [parse_rule(chunk) for chunk in chunks if chunk.strip()]

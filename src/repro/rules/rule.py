@@ -14,7 +14,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:
-    from repro.core.compile import CompiledCheck
+    from repro.core.compile import CompiledCheck, Shape
 
 from repro.core.expressions import EventExpression
 from repro.core.triggering import TriggerMemo
@@ -104,7 +104,14 @@ class RuleStateObserver(Protocol):
 
 @dataclass
 class RuleState:
-    """The dynamic part of a rule (paper §5: Rule Table entry)."""
+    """The dynamic part of a rule (paper §5: Rule Table entry).
+
+    Beside the paper's flag and time stamps, a state carries what the
+    ``V(E)`` routing needs: the watched types, the expression's shape, its
+    vacuity and the *rider* flag.  A rider is checked on every block whatever
+    the block's types; a rule is one from its add or enable until one check,
+    and again after each consideration or reset only when it is vacuous.
+    """
 
     rule: Rule
     triggered: bool = False
@@ -116,12 +123,24 @@ class RuleState:
     #: (:func:`repro.core.optimization.watched_event_types`), set by the Rule
     #: Table, which indexes the rule under these types.
     watched_types: tuple[EventType, ...] = ()
-    #: True once the rule's triggering window has been evaluated non-empty
-    #: since the last consideration.  Until then the index must not be
-    #: trusted: a rule whose expression is (vacuously) active — e.g. a pure
-    #: negation — is only blocked by the ``R != {}`` condition, so *any* new
-    #: occurrence can trigger it, whatever its type.
-    had_nonempty_window: bool = False
+    #: ``(shape key, slot types)`` of the rule's expression
+    #: (:func:`repro.core.compile.shape_of`), set by the Rule Table: the first
+    #: binding reads it instead of walking the expression again.
+    shape: "Shape | None" = field(default=None, repr=False, compare=False)
+    #: True when the expression is active over an empty log (``ts(E, {}, 1) >
+    #: 0``, e.g. a pure negation): only ``R != {}`` blocks it, so *any* new
+    #: occurrence can trigger it, whatever its type.  Set by the Rule Table
+    #: from the shape; a state built without a table is taken as vacuous.
+    vacuous: bool = True
+    #: True while the rule is a *rider*: the planner checks it on every block,
+    #: whatever the block's types, because the ``V(E)`` index cannot be
+    #: trusted for it yet.  A rule is armed when it is added or re-enabled
+    #: (its window may hold rows no later block routes again), and re-armed
+    #: by a consideration or a reset only if it is vacuous (the window is
+    #: then empty, and a non-vacuous rule's ``ts`` over it is negative).  A
+    #: check disarms a non-vacuous rule, and a vacuous one once its window
+    #: was non-empty.
+    rider: bool = True
     #: Incremental state of the exact triggering check: which instants of the
     #: current window have already been sampled negative.  Only valid between
     #: considerations — cleared by mark_considered/reset (the window start
@@ -158,7 +177,7 @@ class RuleState:
         self.triggered = False
         self.times_considered += 1
         self.last_consideration = instant
-        self.had_nonempty_window = False
+        self.rider = self.vacuous
         self.trigger_memo.clear()
         if self.rule.consumption is ConsumptionMode.CONSUMING:
             self.last_consumption = instant
@@ -167,11 +186,16 @@ class RuleState:
         self._notify()
 
     def reset(self, transaction_start: Timestamp) -> None:
-        """Reset the state at a transaction boundary."""
+        """Reset the state at a transaction boundary.
+
+        The windows restart at ``transaction_start``, past which the log
+        holds no row yet (a new transaction's, or a rule defined "now"), so
+        only a vacuous rule rides.
+        """
         self.triggered = False
         self.last_consideration = transaction_start
         self.last_consumption = transaction_start
-        self.had_nonempty_window = False
+        self.rider = self.vacuous
         self.trigger_memo.clear()
         self._notify()
 

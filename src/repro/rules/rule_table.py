@@ -25,22 +25,36 @@ occurrences the same way — :meth:`EventType.matches` in both directions and
 nothing more.  Class names are compared exactly, as the calculus compares
 them: an occurrence on a subclass does not reach a superclass watcher.
 
+``V(E)`` is derived once per expression *shape* (the operator tree with its
+types replaced by slots, :func:`repro.core.compile.shape_of`), not once per
+rule: the table keeps, per shape, the watched slots and whether the shape is
+*vacuous* (active over an empty log), and reads each rule's watched types off
+its own slot types.  Twenty thousand rules of two shapes derive ``V(E)``
+twice.
+
 Consistency is kept through the observer hook on :class:`RuleState`: every
 ``mark_triggered`` / ``mark_considered`` / ``reset`` notifies the owning
-table, which updates the triggered set, pushes fresh heap entries and re-arms
-the *pending-full-check* set (rules the ``V(E)`` index cannot route yet,
-which therefore must be visited on every block — see
-:mod:`repro.core.optimization` for why).  Heap entries are invalidated lazily:
-a stale entry (rule considered, disabled, removed or re-triggered since it was
-pushed) is discarded when it surfaces.
+table, which updates the triggered set, pushes fresh heap entries and keeps
+the *pending-full-check* set: the *riders*, rules the ``V(E)`` index cannot
+route yet, which the planner visits on every block whatever its types.
+:meth:`add` and :meth:`enable` arm a rider, because its window may hold rows
+no later block routes again.  A consideration or a reset re-arms it only if
+it is vacuous: its window is then empty, and a non-vacuous rule's ``ts``
+over an empty window is negative, so only a positive ``V(E)`` variation can
+flip it — which the index routes (:mod:`repro.core.optimization`).  So a
+rule defined through ``ChimeraDatabase.define_rule`` (an add, then a reset
+at "now") is never a rider unless it is vacuous.  Heap entries are
+invalidated lazily: a stale entry (rule considered, disabled, removed or
+re-triggered since it was pushed) is discarded when it surfaces.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
-from repro.core.optimization import watched_event_types
+from repro.core.compile import is_vacuous, shape_of
+from repro.core.optimization import watched_slots
 from repro.errors import DuplicateRuleError, UnknownRuleError
 from repro.events.clock import Timestamp
 from repro.events.event import EventType, Operation
@@ -67,13 +81,17 @@ class RuleTable:
     def __init__(self) -> None:
         self._states: dict[str, RuleState] = {}
         self._definition_counter = 0
+        #: Per expression shape (:func:`repro.core.compile.shape_of`'s key):
+        #: ``(key, watched slots, vacuous)``, derived by the first rule of the
+        #: shape; every later one reads them and shares that rule's key.
+        self._shapes: dict[Any, tuple[Any, tuple[int, ...], bool]] = {}
         # -- inverted subscription index (event type -> subscribed states) --
         self._subscriptions_exact: dict[EventType, _StatesByName] = {}
         self._subscriptions_class: dict[tuple[Operation, str], _StatesByName] = {}
-        #: Rules that must be visited on *every* non-empty block because the
-        #: V(E) index cannot route them yet (window never evaluated non-empty
-        #: since the last consideration).  Over-approximating: entries whose
-        #: flag has since been set are pruned lazily by the planner accessor.
+        #: The riders: rules that must be visited on *every* non-empty block
+        #: because the V(E) index cannot route them yet (``RuleState.rider``).
+        #: Over-approximating: a check disarms a rider without a
+        #: notification, and the planner's accessor prunes it lazily.
         self._pending_full_check: dict[str, RuleState] = {}
         #: Bumped whenever the subscription index changes shape (rule added or
         #: removed): :meth:`plan_epoch`.
@@ -105,14 +123,28 @@ class RuleTable:
         """Register a rule; raises :class:`DuplicateRuleError` on name clashes."""
         if rule.name in self._states:
             raise DuplicateRuleError(rule.name)
-        state = RuleState(rule=rule, definition_order=self._definition_counter)
+        key, types = shape_of(rule.events)
+        facts = self._shapes.get(key)
+        if facts is None:
+            facts = self._shapes[key] = (
+                key,
+                watched_slots(rule.events, types),
+                is_vacuous(rule.events),
+            )
+        key, watched, vacuous = facts
+        state = RuleState(
+            rule=rule,
+            definition_order=self._definition_counter,
+            watched_types=tuple(sorted([types[slot] for slot in watched], key=str)),
+            shape=(key, types),
+            vacuous=vacuous,
+            observer=self,
+        )
         self._definition_counter += 1
-        state.watched_types = watched_event_types(rule.events)
-        state.observer = self
         self._states[rule.name] = state
         self._index_subscriptions(state)
         self._index_version += 1
-        # A fresh rule has never seen a non-empty window: full-check until then.
+        # Armed: its window may already hold rows no later block routes again.
         self._pending_full_check[rule.name] = state
         return state
 
@@ -195,25 +227,26 @@ class RuleTable:
         return matched
 
     def pending_full_check_states(self) -> dict[str, RuleState]:
-        """States the ``V(E)`` index cannot route yet (lazily pruned).
+        """The riders: states the ``V(E)`` index cannot route yet (lazily pruned).
 
-        A state leaves the set as soon as its window has been evaluated
-        non-empty (the flag is set by the Trigger Support without a
-        notification; pruning here keeps the set tight) and re-enters it on
-        consideration / reset through the observer hook.
+        A state leaves the set once a check disarms it (the Trigger Support
+        clears ``rider`` without a notification; pruning here keeps the set
+        tight) and re-enters it through the observer hook when enabled, or,
+        if vacuous, when considered or reset.
         """
         pending = self._pending_full_check
         pruned = [
             name
             for name, state in pending.items()
-            if state.had_nonempty_window or self._states.get(name) is not state
+            if not state.rider or self._states.get(name) is not state
         ]
         if 4 * len(pruned) >= len(pending):
-            # Heavy prune (the common case: every fresh rule leaves the set
-            # after its first checked block).  Rebuild instead of deleting in
-            # place: a CPython dict never shrinks its slot table, so a
-            # once-huge pending dict would make every later iteration O(peak
-            # size) — the planner walks this set on every block.
+            # Heavy prune (rules added by a bare add or re-enabled in bulk
+            # leave the set after their first checked block).  Rebuild
+            # instead of deleting in place: a CPython dict never shrinks its
+            # slot table, so a once-huge pending dict would make every later
+            # iteration O(peak size) — the planner walks this set on every
+            # block.
             if pruned:
                 dropped = set(pruned)
                 self._pending_full_check = {
@@ -247,12 +280,11 @@ class RuleTable:
                 # The rule's current heap entry just went stale (considered,
                 # disabled or detriggered before surfacing in _peek).
                 self._note_stale(state.rule.coupling)
-        if state.enabled and not state.triggered and not state.had_nonempty_window:
+        if state.enabled and not state.triggered and state.rider:
             self._pending_full_check[name] = state
-        elif not state.enabled:
-            # A disabled rule is never a candidate; without this the planner
-            # would keep re-scanning it every block (it is re-armed by the
-            # enable() notification).
+        else:
+            # Disarmed, triggered or disabled: not a rider candidate now (a
+            # consideration, a reset or enable() arms it again).
             self._pending_full_check.pop(name, None)
 
     # -- access ---------------------------------------------------------------
@@ -285,7 +317,7 @@ class RuleTable:
         """Re-enable a rule as a rider: its window may hold a triggering."""
         state = self.get(name)
         state.enabled = True
-        state.had_nonempty_window = False
+        state.rider = True
         self._disabled.discard(name)
         self.state_changed(state)
 

@@ -15,9 +15,13 @@ the rule's ``V(E)`` (:func:`repro.core.optimization.watched_event_types`).
 The test is applied *wholesale* through the Rule Table's inverted
 subscription index, never rule by rule: the :class:`TriggerPlanner` takes the
 block's type signature (the set of event types it contains) and asks the
-table which untriggered rules are subscribed to any of them, plus the rules
-the index cannot route yet (window never evaluated non-empty — they must be
-visited on every block).  Per-block planning cost therefore scales with the
+table which untriggered rules are subscribed to any of them, plus the
+*riders*, rules the index cannot route yet, which must be visited on every
+block: a rule added or re-enabled until its first check, and a vacuous rule
+(active over an empty log, so any occurrence can trigger it) until a check
+sees its window non-empty.  A rule defined over an empty log that is not
+vacuous never rides, so the first block after defining thousands of rules
+checks only the rules its types route.  Per-block planning cost therefore scales with the
 rules *actually subscribed* to the block's types, not with the whole table,
 and a block whose signature recurs skips even that: the planner memoises the
 definition-ordered subscribers per signature (a small LRU, validated against
@@ -127,9 +131,10 @@ class TriggerPlanner:
 
     Thin façade over the Rule Table's inverted subscription index: given the
     set of event types a block produced, it returns the untriggered rules
-    whose ``V(E)`` may match any of them — plus every rule the index cannot
-    route yet (those are blocked only by ``R != {}`` and can be triggered by
-    an occurrence of *any* type, so the index must not hide them).  A planned
+    whose ``V(E)`` may match any of them — plus every rider (a rule whose
+    window may hold rows no block routes again, or a vacuous rule, blocked
+    only by ``R != {}``, which an occurrence of *any* type can trigger), so
+    the index hides nothing the exhaustive scan would trigger.  A planned
     visit set makes the decisions of the exhaustive scan (pinned by the
     property tests of ``tests/rules/test_planner_equivalence.py``).
 
@@ -354,18 +359,23 @@ class TriggerSupport:
         """
         compiled = state.compiled_check
         if compiled is None or compiled.binder is not self.binder:
-            compiled = state.compiled_check = self.binder.bind(state.rule.events)
+            compiled = state.compiled_check = self.binder.bind(
+                state.rule.events, state.shape
+            )
         return compiled
 
     def _apply_decision(self, state: RuleState, decision, now: Timestamp) -> bool:
-        """The exact check's write side: counters, window flag, triggering."""
+        """The exact check's write side: counters, rider flag, triggering."""
         state.ts_computations += 1
         self.stats.ts_computations += 1
         self.stats.instants_sampled += decision.instants_sampled
         if decision.window_size == 0:
             self.stats.ts_skipped_empty_window += 1
-        else:
-            state.had_nonempty_window = True
+        if decision.window_size or not state.vacuous:
+            # Checked once: from here on the index routes every row that can
+            # flip the rule's ts (a vacuous rule only once its window holds
+            # a row, which is what R != {} waits for).
+            state.rider = False
         if decision.triggered:
             state.mark_triggered(now)
             self.stats.rules_triggered += 1

@@ -6,7 +6,8 @@ block costs the process pool: one message per consulted worker, each
 definition shipped once however many blocks follow, no contact at all for a
 block without remote candidates — and the per-block planning facts every
 mode shares: a triggered rule is not checked again until considered, and a
-pending-full-check rider leaves the pending set after one non-empty window.
+vacuous pending-full-check rider leaves the pending set after one non-empty
+window.
 Last, the pool's message protocol itself: ``("check", delta, defs, drops,
 items, now)`` with ``(name, window start)`` items, answered by one nameless
 decision row per item, in item order, equal to the in-process check.
@@ -38,6 +39,7 @@ from tests.cluster.test_process_pool import homed_names
 
 ALPHA = EventType(Operation.CREATE, "alpha")
 BETA = EventType(Operation.CREATE, "beta")
+GAMMA = EventType(Operation.CREATE, "gamma")
 
 
 def watcher(name: str, expression: str) -> Rule:
@@ -130,12 +132,11 @@ class TestBlockTransport:
             pipeline.close()
 
     def test_candidate_free_block_never_contacts_the_pool(self):
-        pipeline = _Pipeline([watcher(REMOTE[0], "create(beta)")])
+        pipeline = _Pipeline([watcher(REMOTE[0], "create(beta) + create(gamma)")])
         try:
-            # First block: the rule's V(E) filter is not applicable yet (no
-            # window evaluated non-empty), so it rides along and the pool is
-            # contacted once.
-            pipeline.check(block(1, 1))
+            # A beta block routes the rule (it needs gamma too, so it stays
+            # untriggered): the pool is contacted once.
+            pipeline.check(block(1, 1, BETA))
             pool = pipeline.support.process_pool
             assert pool is not None
             contacted = (pool.dispatches, pool.bytes_shipped, pool.bytes_received)
@@ -182,24 +183,29 @@ class TestPerBlockPlanning:
                 pipeline.close()
 
     def test_pending_rider_leaves_after_its_first_nonempty_window(self):
-        """A beta-watcher riding as a pending-full-check rule on alpha blocks
-        is evaluated once (window non-empty, filter becomes applicable) and
-        never planned again — in every mode."""
+        """A vacuous rule rides as a pending-full-check rule on alpha blocks:
+        it is evaluated once (window non-empty, filter becomes applicable)
+        and never planned again.  A beta-watcher defined over an empty
+        window never rides at all — in every mode."""
         for shards, shard_mode in ((0, "serial"), (2, "processes")):
             pipeline = _Pipeline(
-                [watcher(REMOTE[0], "create(beta)")], shards, shard_mode
+                [
+                    watcher(REMOTE[0], "-create(alpha)"),
+                    watcher(REMOTE[1], "create(beta)"),
+                ],
+                shards,
+                shard_mode,
             )
             try:
                 for eid in (1, 2, 3):
                     assert pipeline.check(block(eid, eid)) == []
-                state = pipeline.table.get(REMOTE[0])
-                assert not state.triggered
-                assert state.ts_computations == 1, shard_mode
+                absence = pipeline.table.get(REMOTE[0])
+                assert not absence.triggered
+                assert absence.ts_computations == 1, shard_mode
+                assert pipeline.table.get(REMOTE[1]).ts_computations == 0
             finally:
                 pipeline.close()
 
-
-GAMMA = EventType(Operation.CREATE, "gamma")
 
 #: Rigid, precedence, negation and instance-lifted shapes over three types.
 WORKER_EXPRESSIONS = (

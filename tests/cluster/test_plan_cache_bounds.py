@@ -40,7 +40,7 @@ def build_planner(classes: int) -> tuple[RuleTable, TriggerPlanner, list[EventTy
         universe.append(EventType(Operation.CREATE, name))
         table.add(watcher(f"watch_{name}", f"create({name})")).reset(0)
     for state in table:
-        state.had_nonempty_window = True  # routed, not pending full checks
+        state.rider = False  # routed, not pending full checks
     return table, TriggerPlanner(table), universe
 
 
@@ -111,9 +111,9 @@ def test_memo_of_one_entry_stays_semantically_invisible(monkeypatch):
 def test_add_and_remove_invalidate_the_memo():
     table = RuleTable()
     planner = TriggerPlanner(table)
-    table.add(watcher("first", "create(stock)")).had_nonempty_window = True
+    table.add(watcher("first", "create(stock)")).rider = False
     assert planned(planner, STOCK) == {"first"}
-    table.add(watcher("second", "create(stock)")).had_nonempty_window = True
+    table.add(watcher("second", "create(stock)")).rider = False
     assert planned(planner, STOCK) == {"first", "second"}
     table.remove("second")
     assert planned(planner, STOCK) == {"first"}
@@ -139,13 +139,13 @@ def test_the_epoch_moves_on_add_and_remove_only():
 def test_disable_is_filtered_without_invalidation(monkeypatch):
     table = RuleTable()
     planner = TriggerPlanner(table)
-    table.add(watcher("watcher", "create(stock)")).had_nonempty_window = True
+    table.add(watcher("watcher", "create(stock)")).rider = False
     assert planned(planner, STOCK) == {"watcher"}
     lookups = count_lookups(table, monkeypatch)
     table.disable("watcher")
     assert planned(planner, STOCK) == set()
     table.enable("watcher")
-    table.get("watcher").had_nonempty_window = True
+    table.get("watcher").rider = False
     assert planned(planner, STOCK) == {"watcher"}
     # Enable/disable changes no subscription shape: the memo survived.
     assert lookups == [0]
@@ -156,13 +156,13 @@ def test_pending_riders_join_a_memoised_plan_in_definition_order():
     candidates stay definition-ordered when one joins mid-tuple."""
     table = RuleTable()
     planner = TriggerPlanner(table)
-    table.add(watcher("early", "create(stock)")).had_nonempty_window = True
+    table.add(watcher("early", "create(stock)")).rider = False
     table.add(watcher("rider", "create(order)"))  # fresh: a pending full check
-    table.add(watcher("late", "create(stock)")).had_nonempty_window = True
+    table.add(watcher("late", "create(stock)")).rider = False
     first = planner.plan(frozenset({STOCK}))
     assert [state.rule.name for state in first.candidates] == ["early", "rider", "late"]
     assert (first.routed, first.bypassed) == (2, 0)
-    table.get("rider").had_nonempty_window = True  # its first window was seen
+    table.get("rider").rider = False  # its first window was seen
     second = planner.plan(frozenset({STOCK}))
     assert [state.rule.name for state in second.candidates] == ["early", "late"]
     assert (second.routed, second.bypassed) == (2, 1)

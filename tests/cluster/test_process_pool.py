@@ -444,17 +444,17 @@ def test_lagging_worker_catches_up_from_the_log():
         )
         assert alpha_home != gamma_home, "alpha and gamma must not share a worker"
         lagging = pool._workers[gamma_home]
-        # Once considered, the gamma rules ride along with the next block as
-        # pending full checks; after that nothing routes to their worker.
+        # Once considered, the gamma rules are not vacuous and do not ride:
+        # nothing routes to their worker.
         _run_blocks(support, handler, event_base, [[(CREATE_ALPHA, 2)]], 2)
-        assert lagging.shipped_events == 3
+        assert lagging.shipped_events == 2
 
         backlog = [[(CREATE_ALPHA, oid) for oid in range(35_000)]] * 2
         assert _run_blocks(support, handler, event_base, backlog, 3) == [
             alpha_rules,
             alpha_rules,
         ]
-        assert lagging.shipped_events == 3  # never consulted, never contacted
+        assert lagging.shipped_events == 2  # never consulted, never contacted
         assert pool._workers[alpha_home].shipped_events == 70_003
         trips_before = pool.dispatches
 
@@ -462,7 +462,7 @@ def test_lagging_worker_catches_up_from_the_log():
             gamma_rules
         ]
         assert lagging.shipped_events == 70_004
-        assert pool.dispatches == trips_before + 1  # one trip, one 70 001-row delta
+        assert pool.dispatches == trips_before + 1  # one trip, one 70 002-row delta
         stats = pool.transport_stats()
         assert stats["frame_rows_inline"] == 70_004
         assert stats["frame_rows_fallback"] == 0
@@ -589,10 +589,15 @@ def test_trip_of_coordinator_homed_candidates_does_not_contact_the_pool():
     )
     local, remote = table.states()
     try:
-        # First block: both rules are fresh pending full checks, so the
-        # gamma watcher (home 1) rides along and the pool is contacted once;
-        # its window was non-empty, so it never rides again.
-        _run_blocks(support, handler, event_base, [[(CREATE_ALPHA, 1)]] * 2)
+        # First block: its gamma row routes the gamma watcher (home 1), so the
+        # pool is contacted once; considered, the watcher is not vacuous and
+        # never rides along with an alpha block.
+        _run_blocks(
+            support,
+            handler,
+            event_base,
+            [[(CREATE_ALPHA, 1), (CREATE_GAMMA, 1)], [(CREATE_ALPHA, 1)]],
+        )
         pool = support.process_pool
         assert pool is not None
         contacted = (pool.dispatches, pool.bytes_shipped, pool.bytes_received)

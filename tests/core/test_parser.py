@@ -16,10 +16,12 @@ from repro.core.expressions import (
     SetPrecedence,
 )
 from repro.core.parser import format_expression, parse_expression, tokenize
-from repro.errors import CompositionError, ExpressionSyntaxError
+from repro.errors import CompositionError, EventCalculusError, ExpressionSyntaxError
 from repro.events.event import EventType, Operation
+from repro.workloads.generator import ExpressionGenerator, event_type_universe
 
 from tests.conftest import PA, PB, PC
+from tests.oracle import reference_parse_expression, reference_tokenize
 
 
 class TestTokenizer:
@@ -230,3 +232,59 @@ class TestRoundTrip:
         with pytest.raises(ExpressionSyntaxError) as excinfo:
             parse_expression("create(stock) +")
         assert "position" in str(excinfo.value)
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the tree, or the error it raises."""
+    try:
+        return parse(text)
+    except EventCalculusError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _variants(text):
+    """``text``, and ``text`` with each reference token deleted or doubled."""
+    yield text
+    for token in reference_tokenize(text)[:-1]:
+        end = token.position + len(token.text)
+        yield text[: token.position] + text[end:]
+        yield text[:end] + " " + token.text + text[end:]
+
+
+class TestParserDifferential:
+    """Precedence climbing against the recursive descent it replaced
+    (``tests/oracle.py``): the same tree, or the same error at the same
+    position, on well-formed texts over all eight operators and on every
+    one-token deletion or duplication of them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**16), operators=st.integers(0, 5))
+    @example(seed=0, operators=0)
+    def test_both_parsers_agree_on_generated_texts(self, seed, operators):
+        generator = ExpressionGenerator(
+            event_types=event_type_universe(2, 1),
+            seed=seed,
+            instance_probability=0.5,
+        )
+        for text in _variants(str(generator.expression(operators))):
+            expected = _outcome(reference_parse_expression, text)
+            assert _outcome(parse_expression, text) == expected, text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "CREATE ( stock . quantity )",
+            "modify(stock.quantity",
+            "frobnicate(stock) + create(stock)",
+            "create(stock.quantity)",
+            "create(stock) += -create(show)",
+            "-=(create(A) + create(B))",
+            "create(stock) - create(show)",
+            "((create(stock))",
+            "create(stock) ? delete(stock)",
+            "",
+        ],
+    )
+    def test_both_parsers_agree_on_malformed_texts(self, text):
+        expected = _outcome(reference_parse_expression, text)
+        assert _outcome(parse_expression, text) == expected

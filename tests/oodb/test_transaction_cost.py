@@ -131,8 +131,8 @@ class TestConsiderationTouchesOnlyAffectedObjects:
         )
         look_up = counting("bindings", CheckBinder._kernel)
 
-        def kernel(binder, expression, instance):
-            fn, types = look_up(binder, expression, instance)
+        def kernel(binder, expression, instance, shape=None):
+            fn, types = look_up(binder, expression, instance, shape)
             return counting("kernel", fn), types
 
         monkeypatch.setattr(CheckBinder, "_kernel", kernel)

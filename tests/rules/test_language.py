@@ -113,6 +113,40 @@ class TestHeaderVariants:
             parse_rule("define r for stock events create priority high end")
 
 
+class TestClauseKeywordsInsideNames:
+    """A clause keyword splits a rule only at parenthesis depth 0 and not
+    after a ``.``: inside an event type or after a dot it is a name."""
+
+    def test_keyword_as_an_attribute_of_an_event_type(self):
+        rule = parse_rule("define r events modify(stock.priority) end")
+        assert str(rule.events) == "modify(stock.priority)"
+        assert rule.priority == 0
+
+    def test_keyword_as_the_class_of_an_event_type(self):
+        rule = parse_rule("define r events create(events) end")
+        assert str(rule.events) == "create(events)"
+
+    def test_keyword_as_an_attribute_in_a_condition(self):
+        rule = parse_rule(
+            "define r events create(order) condition order(O), O.end > 3 end"
+        )
+        range_atom, comparison = rule.condition.atoms
+        assert isinstance(range_atom, ClassRange)
+        assert isinstance(comparison, Comparison)
+        assert str(comparison) == "O.end > 3"
+
+    def test_parse_rules_does_not_split_inside_an_event_type(self):
+        (rule,) = parse_rules("define a events create(end) end")
+        assert str(rule.events) == "create(end)"
+
+    def test_parse_rules_splits_at_each_closing_end(self):
+        rules = parse_rules(
+            "define a events create(end) end\n"
+            "define b events modify(stock.end) condition stock(S), S.end > 1 end"
+        )
+        assert [rule.name for rule in rules] == ["a", "b"]
+
+
 class TestEventClause:
     def test_bare_attribute_modify_is_qualified(self):
         rule = parse_rule(

@@ -7,10 +7,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.core import optimization
+from repro.core.evaluation import ts
+from repro.core.expressions import Primitive
 from repro.core.optimization import watched_event_types
 from repro.core.parser import parse_expression
 from repro.errors import DuplicateRuleError, RuleDefinitionError, UnknownRuleError
-from repro.events.event import EventType, Operation
+from repro.events.event import EventOccurrence, EventType, Operation
+from repro.events.event_base import EventBase
+from repro.oodb.database import ChimeraDatabase
 from repro.rules.actions import NO_ACTION
 from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.rule import ConsumptionMode, ECCoupling, Rule, RuleState
@@ -94,13 +99,23 @@ class TestRuleState:
         assert preserving.observation_window_start(transaction_start=2) == 2
 
     def test_reset_clears_flags(self):
+        # A state built without a table is taken as vacuous: a reset re-arms it.
         state = RuleState(rule=make_rule("r"))
         state.mark_triggered(3)
-        state.had_nonempty_window = True
+        state.rider = False
         state.reset(transaction_start=10)
         assert not state.triggered
-        assert not state.had_nonempty_window
+        assert state.rider
         assert state.trigger_window_start(10) == 10
+
+    def test_reset_arms_only_a_vacuous_rule(self):
+        table = RuleTable()
+        plain = table.add(make_rule("plain", "create(stock)"))
+        absence = table.add(make_rule("absence", "-create(stock)"))
+        assert (plain.vacuous, absence.vacuous) == (False, True)
+        assert plain.rider and absence.rider  # armed by the add
+        table.reset_all(transaction_start=10)
+        assert (plain.rider, absence.rider) == (False, True)
 
 
 class TestRuleTable:
@@ -270,12 +285,16 @@ class TestSubscriptionIndex:
 
     def test_pending_full_check_prunes_and_rearms(self):
         table = self.build()
-        state = table.get("on_create")
-        state.had_nonempty_window = True
-        assert "on_create" not in table.pending_full_check_states()
-        # Consideration clears the flag: the rule must be full-checked again.
-        state.mark_considered(5, executed=False)
-        assert "on_create" in table.pending_full_check_states()
+        table.add(make_rule("on_absence", "-create(stock)"))
+        for name in ("on_create", "on_absence"):
+            table.get(name).rider = False
+            assert name not in table.pending_full_check_states()
+            table.get(name).mark_considered(5, executed=False)
+        # A consideration re-arms only the vacuous rule: the other one's
+        # window is empty, and V(E) routes whatever can flip its ts.
+        pending = table.pending_full_check_states()
+        assert "on_absence" in pending
+        assert "on_create" not in pending
 
 
 class TestRoutingProperty:
@@ -460,7 +479,7 @@ class TestHeapCompaction:
             table.add(make_rule(f"r{index}"))
         peak = sys.getsizeof(table._pending_full_check)
         for state in table:
-            state.had_nonempty_window = True
+            state.rider = False
         remaining = table.pending_full_check_states()
         assert not remaining
         assert sys.getsizeof(table._pending_full_check) < peak / 10
@@ -504,3 +523,101 @@ def test_a_rule_costs_its_state_and_a_tuple_of_watched_types():
         tracemalloc.stop()
     assert all(type(state.watched_types) is tuple for state in table)
     assert (after - before) / len(rules) <= 1_750, (after - before) / len(rules)
+
+
+def renamed(expression, mapping):
+    """``expression`` with every primitive type replaced through ``mapping``."""
+    if isinstance(expression, Primitive):
+        return Primitive(mapping[expression.event_type])
+    children = [renamed(child, mapping) for child in expression.children()]
+    return type(expression)(*children)
+
+
+class TestShapeTable:
+    """``V(E)`` and vacuity are derived once per expression shape."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**16), operators=st.integers(0, 4), data=st.data())
+    def test_per_shape_facts_equal_the_per_rule_derivation(self, seed, operators, data):
+        """A rule whose shape the table already holds gets the watched types
+        and the vacuity a derivation of its own expression gives: the
+        positive ``V(E)`` and the reference ``ts(E, {}, 1) > 0``."""
+        universe = overlap_universe()
+        generator = ExpressionGenerator(
+            event_types=universe, seed=seed, instance_probability=0.3
+        )
+        table = RuleTable()
+        for index in range(4):
+            expression = generator.expression(operators)
+            own = sorted(expression.event_types())
+            image = data.draw(st.permutations(universe))[: len(own)]
+            for name, events in (
+                (f"first{index}", expression),
+                (f"renamed{index}", renamed(expression, dict(zip(own, image)))),
+            ):
+                state = table.add(
+                    Rule(
+                        name=name,
+                        events=events,
+                        condition=TRUE_CONDITION,
+                        action=NO_ACTION,
+                    )
+                )
+                assert state.watched_types == watched_event_types(events)
+                assert state.vacuous == (ts(events, EventBase(), 1) > 0)
+            first, second = table.get(f"first{index}"), table.get(f"renamed{index}")
+            assert first.shape[0] is second.shape[0]
+        assert len(table._shapes) <= 4
+
+    def test_k_shapes_derive_v_of_e_k_times(self, monkeypatch):
+        """2 000 rules of 4 shapes, defined through the database: ``V(E)`` is
+        derived (a top-level ``derive_variations``) once per shape."""
+        derivations = [0]
+        depth = [0]
+        derive = optimization.derive_variations
+
+        def spy(*args, **kwargs):
+            derivations[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return derive(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(optimization, "derive_variations", spy)
+        shapes = (
+            "create(c{i})",
+            "create(c{i}) , modify(c{i}.x)",
+            "(create(c{i}) , delete(d{i})) + -modify(c{i}.x)",
+            "-=modify(c{i}.x) < delete(d{i})",
+        )
+        db = ChimeraDatabase()
+        try:
+            for index in range(2_000):
+                events = shapes[index % len(shapes)].format(i=index)
+                db.define_rule(f"define r{index} events {events} end")
+            assert derivations == [len(shapes)]
+            for index in range(8):
+                state = db.rule_state(f"r{index}")
+                assert state.watched_types == watched_event_types(state.rule.events)
+        finally:
+            db.close()
+
+    def test_the_first_block_checks_only_routed_rules_and_vacuous_riders(self):
+        """N rules defined over an empty log are routed only; the one vacuous
+        rule rides along with the first block whatever its types."""
+        db = ChimeraDatabase()
+        try:
+            for index in range(50):
+                db.define_rule(f"define w{index} events create(c{index}) end")
+            db.define_rule("define absent events -create(z) end")
+            assert len(db.rule_table.pending_full_check_states()) == 1
+            create_c0 = EventType(Operation.CREATE, "c0")
+            db.engine.run_stream_block([EventOccurrence(1, create_c0, "o1", 1)])
+            stats = db.trigger_statistics()
+            assert stats["rules_routed"] == 1
+            assert stats["rules_checked"] == stats["rules_routed"] + 1
+            assert db.rule_state("w0").times_triggered == 1
+            assert db.rule_state("absent").times_triggered == 1
+        finally:
+            db.close()

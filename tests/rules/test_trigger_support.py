@@ -74,14 +74,37 @@ class TestTriggerSupport:
     def test_non_matching_event_is_filtered_without_recomputation(self):
         event_base, table, handler, support = setup(make_rule("r", "create(stock)"))
         event_base.record(CREATE_ORDER, "o9", 1)
-        # First block: the filter is not applicable yet (window never seen),
-        # so one computation happens; the second irrelevant block is skipped.
+        # The rule was defined over an empty window and is not vacuous, so
+        # the filter applies from the first block: both irrelevant blocks
+        # are skipped.
         support.check_after_block(handler.flush_block(), now=1, transaction_start=0)
         event_base.record(CREATE_ORDER, "o9", 2)
         support.check_after_block(handler.flush_block(), now=2, transaction_start=0)
-        assert support.stats.ts_computations == 1
-        assert support.stats.ts_skipped_by_filter == 1
+        assert support.stats.ts_computations == 0
+        assert support.stats.ts_skipped_by_filter == 2
         assert not table.get("r").triggered
+
+    def test_a_rule_added_over_a_nonempty_log_is_checked_once(self):
+        """A bare add leaves the rule's window at the transaction start, over
+        rows no later block routes again: it rides for one check (and that
+        check triggers it), as the exhaustive scan would.  The same rule
+        declared over an empty window (a reset at ``now``) is routed only."""
+        event_base, table, handler, support = setup()
+        for stamp in (1, 2):
+            event_base.record(CREATE_ORDER, f"o{stamp}", stamp)
+            support.check_after_block(
+                handler.flush_block(), now=stamp, transaction_start=0
+            )
+        late = table.add(make_rule("late", "create(order)"))
+        declared = table.add(make_rule("declared", "create(order)"))
+        declared.reset(2)
+        event_base.record(CREATE_STOCK, "s1", 3)
+        newly = support.check_after_block(
+            handler.flush_block(), now=3, transaction_start=0
+        )
+        assert newly == [late]
+        assert (late.ts_computations, declared.ts_computations) == (1, 0)
+        assert not late.rider
 
     def test_without_optimization_every_block_recomputes(self):
         event_base, table, handler, support = setup(
@@ -177,17 +200,17 @@ class TestTriggerPlannerRouting:
             make_rule("stock_rule", "create(stock)"),
             make_rule("order_rule", "create(order) + modify(stock.quantity)"),
         )
-        # First block: both rules are pending full-check (no window seen yet).
+        # Both rules were defined over an empty window and neither is
+        # vacuous: from the first block on, only the subscribed rule is
+        # visited and the other is bypassed by the index.
         event_base.record(CREATE_ORDER, "o1", 1)
         support.check_after_block(handler.flush_block(), now=1, transaction_start=0)
         assert support.stats.rules_routed == 1  # order_rule, via the index
-        assert support.stats.rules_checked == 2  # + stock_rule, full-check
-        # Second block: both windows were seen non-empty, so only the
-        # subscribed rule is visited and the other is bypassed by the index.
+        assert support.stats.rules_checked == 1
         event_base.record(CREATE_ORDER, "o2", 2)
         support.check_after_block(handler.flush_block(), now=2, transaction_start=0)
-        assert support.stats.rules_checked == 3
-        assert support.stats.ts_skipped_by_filter == 1
+        assert support.stats.rules_checked == 2
+        assert support.stats.ts_skipped_by_filter == 2
 
     def test_index_routes_class_level_patterns_to_attribute_occurrences(self):
         event_base, table, handler, support = setup(

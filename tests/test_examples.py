@@ -45,11 +45,11 @@ EXAMPLES = {
     "static_optimization_tour.py": [
         "V(E) = {Δ+create(cls1), Δ+delete(cls2), Δmodify(cls0.attr1)}",
         "| every rule after every block | 2400 | 0 | 296 |",
-        "| V(E) routing (static optimization) | 1121 | 1279 | 296 |",
+        "| V(E) routing (static optimization) | 951 | 1449 | 296 |",
     ],
     "stock_management.py": [
         "| checkStockQty | 59 | 59 | 15 |",
-        "The V(E) filter avoided 655/990 (66.2%) of the ts recomputations.",
+        "The V(E) filter avoided 708/990 (71.5%) of the ts recomputations.",
     ],
 }
 
