@@ -20,7 +20,7 @@ spawns nothing.  A round whose candidates are all homed on the coordinator
 never contacts the pool.
 
 The decisions are **applied serially in definition order** by the inherited
-check path, so the triggered set, the priority heaps, every counter and the
+check path, so the triggered set, the priority queues, every counter and the
 returned newly-triggered list are byte-for-byte identical to the single
 table's — the equivalence ``tests/cluster/test_mode_equivalence.py`` pins for
 shard counts 1–8 under rule churn.

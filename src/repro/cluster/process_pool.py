@@ -27,8 +27,8 @@ chose the items from it.  The worker runs one compiled ``check`` per item
 and replies with one compact :class:`~repro.core.triggering.TriggeringDecision`
 row per item, in item order (the coordinator knows which rule each row
 answers) — pickled as one body, so the ``worker.reply`` probe can time that
-encode — and its metrics delta.  All writes (counters, the triggered flag, heap
-pushes) stay in the coordinator, which applies the decisions **serially in
+encode — and its metrics delta.  All writes (counters, the triggered flag, the
+priority queues) stay in the coordinator, which applies the decisions **serially in
 definition order** — so the single table and the process mode are
 behaviourally identical (``tests/cluster/test_mode_equivalence.py`` pins it,
 stats included).

@@ -54,26 +54,39 @@ from repro.rules.terms import AttrRef, BinOp, Const, Term, VarRef
 __all__ = ["parse_rule", "parse_rules"]
 
 
+_QUOTED = re.compile(r"'[^']*'|\"[^\"]*\"")
 
 
-def _split_top_level(text: str, separator: str = ",") -> list[str]:
-    """Split on ``separator`` ignoring occurrences nested inside parentheses."""
+def _opaque(text: str) -> str:
+    """``text`` with the inside of every quoted string blanked out.
+
+    Every scan for structure (commas, parentheses, clause keywords,
+    operators) reads this copy and slices ``text`` where it found them, so a
+    string constant is one opaque token: ``'a, b'``, ``'the end'`` and
+    ``'x<y'`` split nothing.  An unmatched quote is left as it is.
+    """
+
+    def blank(match: re.Match[str]) -> str:
+        quote = match[0][0]
+        return quote + "_" * (len(match[0]) - 2) + quote
+
+    return _QUOTED.sub(blank, text)
+
+
+def _split_top_level(text: str) -> list[str]:
+    """Split on the commas outside parentheses and quoted strings."""
     parts: list[str] = []
     depth = 0
-    current: list[str] = []
-    for char in text:
+    start = 0
+    for index, char in enumerate(_opaque(text)):
         if char == "(":
             depth += 1
         elif char == ")":
             depth = max(0, depth - 1)
-        if char == separator and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
+        elif char == "," and depth == 0:
+            parts.append(text[start:index].strip())
+            start = index + 1
+    parts.append(text[start:].strip())
     return [part for part in parts if part]
 
 
@@ -88,13 +101,15 @@ _CLAUSE_KEYWORD = re.compile(
 
 
 def _clause_keywords(text: str) -> list[re.Match[str]]:
-    """``text``'s clause keywords at parenthesis depth 0 and not after a ``.``
-    (``create(events)``, ``O.end`` name a class and an attribute)."""
+    """``text``'s clause keywords at parenthesis depth 0, outside quoted
+    strings and not after a ``.`` (``create(events)``, ``O.end`` name a class
+    and an attribute)."""
+    opaque = _opaque(text)
     return [
         match
-        for match in _CLAUSE_KEYWORD.finditer(text)
-        if text.count("(", 0, match.start()) <= text.count(")", 0, match.start())
-        and not text[: match.start()].rstrip().endswith(".")
+        for match in _CLAUSE_KEYWORD.finditer(opaque)
+        if opaque.count("(", 0, match.start()) <= opaque.count(")", 0, match.start())
+        and not opaque[: match.start()].rstrip().endswith(".")
     ]
 
 
@@ -220,6 +235,7 @@ def _parse_events(text: str, target_class: str | None) -> EventExpression:
 
 
 _NUMBER_PATTERN = re.compile(r"^-?\d+(\.\d+)?$")
+_ARITHMETIC_PATTERN = re.compile(r"\s*([+*/-])\s*")
 _IDENT_PATTERN = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 _ATTR_PATTERN = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\.([A-Za-z_][A-Za-z_0-9]*)$")
 
@@ -250,16 +266,14 @@ def _parse_term(text: str) -> Term:
     if _NUMBER_PATTERN.match(stripped):
         # Negative literals would otherwise be split on the leading minus.
         return _parse_simple_term(stripped)
-    pieces = re.split(r"\s*([+*/-])\s*", stripped)
-    if len(pieces) == 1:
+    operators = list(_ARITHMETIC_PATTERN.finditer(_opaque(stripped)))
+    if not operators:
         return _parse_simple_term(stripped)
-    term = _parse_simple_term(pieces[0])
-    index = 1
-    while index < len(pieces) - 1:
-        operator_symbol = pieces[index]
-        operand = _parse_simple_term(pieces[index + 1])
-        term = BinOp(operator_symbol, term, operand)
-        index += 2
+    term = _parse_simple_term(stripped[: operators[0].start()])
+    for operator_match, following in zip(operators, [*operators[1:], None]):
+        end = following.start() if following is not None else len(stripped)
+        operand = _parse_simple_term(stripped[operator_match.end() : end])
+        term = BinOp(operator_match.group(1), term, operand)
     return term
 
 
@@ -297,11 +311,11 @@ def _parse_condition_atom(text: str, target_class: str | None) -> ConditionAtom:
         expression = _parse_events(", ".join(pieces[:-2]), target_class)
         return AtFormula(expression, pieces[-2], pieces[-1])
     range_match = _CLASS_RANGE_PATTERN.match(stripped)
-    if range_match and not _COMPARISON_PATTERN.search(stripped):
+    if range_match:
         return ClassRange(
             variable=range_match.group(2), class_name=range_match.group(1)
         )
-    comparison_match = _COMPARISON_PATTERN.search(stripped)
+    comparison_match = _COMPARISON_PATTERN.search(_opaque(stripped))
     if comparison_match:
         operator_symbol = comparison_match.group(1)
         left_text = stripped[: comparison_match.start()].strip()

@@ -92,11 +92,12 @@ class Rule:
 class RuleStateObserver(Protocol):
     """Who gets told when a rule state's triggering flags change.
 
-    The Rule Table registers itself as the observer of every state it owns so
-    its derived structures (the priority queue of triggered rules and the set
-    of rules the ``V(E)`` index cannot route yet) stay consistent
-    without rescanning the whole table.  States created outside a table have
-    no observer and behave exactly as before.
+    The Rule Table registers itself as the observer of every state it owns.
+    Every change of the ``triggered`` or ``rider`` flag notifies it
+    (``mark_triggered``, ``mark_considered``, ``disarm``, ``reset``), so its
+    priority queue of triggered rules and its set of riders are exact at all
+    times without a rescan of the table.  States created outside a table
+    have no observer.
     """
 
     def state_changed(self, state: "RuleState") -> None: ...
@@ -139,7 +140,7 @@ class RuleState:
     #: by a consideration or a reset only if it is vacuous (the window is
     #: then empty, and a non-vacuous rule's ``ts`` over it is negative).  A
     #: check disarms a non-vacuous rule, and a vacuous one once its window
-    #: was non-empty.
+    #: was non-empty (:meth:`disarm`).
     rider: bool = True
     #: Incremental state of the exact triggering check: which instants of the
     #: current window have already been sampled negative.  Only valid between
@@ -170,6 +171,11 @@ class RuleState:
         """Record the rule's transition to the triggered state."""
         self.triggered = True
         self.times_triggered += 1
+        self._notify()
+
+    def disarm(self) -> None:
+        """A check saw the rule's window: the ``V(E)`` index routes it now."""
+        self.rider = False
         self._notify()
 
     def mark_considered(self, instant: Timestamp, executed: bool) -> None:

@@ -4,9 +4,10 @@ Paper §5: "The Trigger Support maintains in the Rule Table the current status
 of all defined rules; this table is managed by means of a hash table for fast
 access, but rules are also linked together by means of a queue on the basis of
 the priority order."  Here the hash table is a dict keyed by rule name; the
-priority queue is a real structure — one lazily-invalidated binary heap per
-coupling mode keyed on ``(-priority, definition_order)`` — instead of a sort
-of the triggered set on every selection.
+priority queue is the triggered set itself, kept as one sorted list per
+coupling mode of ``(-priority, definition_order, name)`` entries: a rule is
+inserted when it triggers and deleted when it leaves the set, so the head of
+a list is the next rule to consider.
 
 The table additionally maintains the *inverted subscription index* that the
 :class:`~repro.rules.trigger_support.TriggerPlanner` consults after every
@@ -33,24 +34,23 @@ its own slot types.  Twenty thousand rules of two shapes derive ``V(E)``
 twice.
 
 Consistency is kept through the observer hook on :class:`RuleState`: every
-``mark_triggered`` / ``mark_considered`` / ``reset`` notifies the owning
-table, which updates the triggered set, pushes fresh heap entries and keeps
-the *pending-full-check* set: the *riders*, rules the ``V(E)`` index cannot
-route yet, which the planner visits on every block whatever its types.
+``mark_triggered`` / ``mark_considered`` / ``disarm`` / ``reset`` notifies the
+owning table, which updates the triggered queues and the *pending-full-check*
+set: the *riders*, rules the ``V(E)`` index cannot route yet, which the
+planner visits on every block whatever its types.  Both are exact at all
+times.
 :meth:`add` and :meth:`enable` arm a rider, because its window may hold rows
 no later block routes again.  A consideration or a reset re-arms it only if
 it is vacuous: its window is then empty, and a non-vacuous rule's ``ts``
 over an empty window is negative, so only a positive ``V(E)`` variation can
 flip it — which the index routes (:mod:`repro.core.optimization`).  So a
 rule defined through ``ChimeraDatabase.define_rule`` (an add, then a reset
-at "now") is never a rider unless it is vacuous.  Heap entries are
-invalidated lazily: a stale entry (rule considered, disabled, removed or
-re-triggered since it was pushed) is discarded when it surfaces.
+at "now") is never a rider unless it is vacuous.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from typing import Any, Iterable, Iterator
 
 from repro.core.compile import is_vacuous, shape_of
@@ -65,14 +65,10 @@ __all__ = ["RuleTable"]
 #: A subscription bucket: the subscribed states keyed by rule name.
 _StatesByName = dict[str, RuleState]
 
-#: A heap entry: ``(-priority, definition_order, token, rule name)``.  The
-#: token makes entries of superseded pushes (rule re-triggered after a
-#: consideration) detectably stale.
-_HeapEntry = tuple[int, int, int, str]
-
-#: Below this heap size a compaction saves too little to pay for the rebuild:
-#: stale entries are discarded lazily by ``_peek`` as they surface.
-_HEAP_COMPACT_THRESHOLD = 32
+#: A triggered rule's queue entry: ``(-priority, definition_order, name)``.
+#: Definition orders are unique, so entries order exactly as the paper's
+#: priority queue and never tie.
+_QueueEntry = tuple[int, int, str]
 
 
 class RuleTable:
@@ -88,35 +84,21 @@ class RuleTable:
         # -- inverted subscription index (event type -> subscribed states) --
         self._subscriptions_exact: dict[EventType, _StatesByName] = {}
         self._subscriptions_class: dict[tuple[Operation, str], _StatesByName] = {}
-        #: The riders: rules that must be visited on *every* non-empty block
-        #: because the V(E) index cannot route them yet (``RuleState.rider``).
-        #: Over-approximating: a check disarms a rider without a
-        #: notification, and the planner's accessor prunes it lazily.
+        #: The riders: enabled, untriggered rules whose ``RuleState.rider`` is
+        #: set, which must be visited on *every* non-empty block because the
+        #: V(E) index cannot route them yet.
         self._pending_full_check: dict[str, RuleState] = {}
         #: Bumped whenever the subscription index changes shape (rule added or
         #: removed): :meth:`plan_epoch`.
         self._index_version = 0
-        # -- priority structure over the triggered set --
-        self._triggered: dict[str, RuleState] = {}
-        self._heaps: dict[ECCoupling, list[_HeapEntry]] = {
+        # -- the priority queue: the triggered set, sorted per coupling --
+        #: Each triggered rule's queue entry, as inserted (its removal
+        #: deletes exactly that entry).
+        self._triggered: dict[str, _QueueEntry] = {}
+        self._queues: dict[ECCoupling, list[_QueueEntry]] = {
             coupling: [] for coupling in ECCoupling
         }
-        self._heap_tokens: dict[str, int] = {}
-        #: Table-global monotonic source of heap tokens.  Global, not
-        #: per-name: if a rule is removed and its name re-added, a per-name
-        #: counter would restart and a surviving stale entry (old rule's
-        #: priority, same token value) could pass the validity check.
-        self._token_counter = 0
         self._disabled: set[str] = set()
-        #: Per-coupling count of heap entries known stale (their rule left the
-        #: triggered set or was removed since the push).  Drives
-        #: :meth:`_maybe_compact`: when stale entries outnumber live ones the
-        #: heap is rebuilt instead of leaking until they surface in ``_peek``.
-        self._stale_counts: dict[ECCoupling, int] = {
-            coupling: 0 for coupling in ECCoupling
-        }
-        #: How many counter-driven heap compactions have run (observability).
-        self.heap_compactions = 0
 
     # -- registration -------------------------------------------------------
     def add(self, rule: Rule) -> RuleState:
@@ -156,10 +138,8 @@ class RuleTable:
         state.observer = None
         self._unindex_subscriptions(state)
         self._index_version += 1
-        self._pending_full_check.pop(name, None)
-        if self._triggered.pop(name, None) is not None:
-            self._note_stale(state.rule.coupling)
-        self._heap_tokens.pop(name, None)  # surviving heap entries go stale
+        self._drop_rider(name)
+        self._dequeue(state)
         self._disabled.discard(name)
         return state.rule
 
@@ -227,65 +207,52 @@ class RuleTable:
         return matched
 
     def pending_full_check_states(self) -> dict[str, RuleState]:
-        """The riders: states the ``V(E)`` index cannot route yet (lazily pruned).
+        """The riders: states the ``V(E)`` index cannot route yet.
 
-        A state leaves the set once a check disarms it (the Trigger Support
-        clears ``rider`` without a notification; pruning here keeps the set
-        tight) and re-enters it through the observer hook when enabled, or,
-        if vacuous, when considered or reset.
+        A state leaves the set when a check disarms it, or when it triggers,
+        is disabled or removed; it re-enters through the observer hook when
+        enabled, or, if vacuous, when considered or reset.
         """
-        pending = self._pending_full_check
-        pruned = [
-            name
-            for name, state in pending.items()
-            if not state.rider or self._states.get(name) is not state
-        ]
-        if 4 * len(pruned) >= len(pending):
-            # Heavy prune (rules added by a bare add or re-enabled in bulk
-            # leave the set after their first checked block).  Rebuild
-            # instead of deleting in place: a CPython dict never shrinks its
-            # slot table, so a once-huge pending dict would make every later
-            # iteration O(peak size) — the planner walks this set on every
-            # block.
-            if pruned:
-                dropped = set(pruned)
-                self._pending_full_check = {
-                    name: state
-                    for name, state in pending.items()
-                    if name not in dropped
-                }
-        else:
-            for name in pruned:
-                del pending[name]
         return self._pending_full_check
 
     # -- observer hook (called by RuleState on flag transitions) ----------------
     def state_changed(self, state: RuleState) -> None:
-        """Re-derive the triggered set, heaps and pending set for one state."""
+        """Re-derive one state's membership of the queues and the rider set."""
         name = state.rule.name
         if self._states.get(name) is not state:
             return  # detached state (removed rule): nothing to maintain
         if state.enabled and state.triggered:
             if name not in self._triggered:
-                self._triggered[name] = state
-                self._token_counter += 1
-                token = self._token_counter
-                self._heap_tokens[name] = token
-                heapq.heappush(
-                    self._heaps[state.rule.coupling],
-                    (-state.rule.priority, state.definition_order, token, name),
-                )
+                entry = (-state.rule.priority, state.definition_order, name)
+                self._triggered[name] = entry
+                insort(self._queues[state.rule.coupling], entry)
         else:
-            if self._triggered.pop(name, None) is not None:
-                # The rule's current heap entry just went stale (considered,
-                # disabled or detriggered before surfacing in _peek).
-                self._note_stale(state.rule.coupling)
+            self._dequeue(state)
         if state.enabled and not state.triggered and state.rider:
             self._pending_full_check[name] = state
         else:
-            # Disarmed, triggered or disabled: not a rider candidate now (a
+            # Disarmed, triggered or disabled: not a rider now (a
             # consideration, a reset or enable() arms it again).
-            self._pending_full_check.pop(name, None)
+            self._drop_rider(name)
+
+    def _dequeue(self, state: RuleState) -> None:
+        """Take ``state`` out of the triggered set, if it is there."""
+        entry = self._triggered.pop(state.rule.name, None)
+        if entry is not None:
+            queue = self._queues[state.rule.coupling]
+            del queue[bisect_left(queue, entry)]
+
+    def _drop_rider(self, name: str) -> None:
+        """Take ``name`` out of the rider set, if it is there.
+
+        The set that a removal empties is replaced by a fresh one: a CPython
+        dict never shrinks its slot table, and the planner walks this set on
+        every block (after 20 000 bare adds, walking the emptied dict costs
+        11 µs against 0.2 µs for a fresh one).
+        """
+        pending = self._pending_full_check
+        if pending.pop(name, None) is not None and not pending:
+            self._pending_full_check = {}
 
     # -- access ---------------------------------------------------------------
     def __contains__(self, name: str) -> bool:
@@ -310,7 +277,9 @@ class RuleTable:
 
     def states(self) -> list[RuleState]:
         """Every state record, in definition order."""
-        return sorted(self._states.values(), key=lambda state: state.definition_order)
+        # Insertion order is definition order: ``add`` appends under a rising
+        # counter, and a remove + re-add moves the name to the end.
+        return list(self._states.values())
 
     # -- enable / disable -------------------------------------------------------
     def enable(self, name: str) -> None:
@@ -344,104 +313,30 @@ class RuleTable:
         return len(self._states) - len(self._triggered) - len(self._disabled)
 
     def triggered_states(self, coupling: ECCoupling | None = None) -> list[RuleState]:
-        """Triggered rules, optionally filtered by coupling mode, in priority order.
-
-        Sorts only the triggered set (maintained incrementally via the state
-        observer), not the whole table.
-        """
-        candidates = [
-            state
-            for state in self._triggered.values()
-            if state.enabled
-            and state.triggered
-            and (coupling is None or state.rule.coupling is coupling)
-        ]
-        candidates.sort(
-            key=lambda state: (-state.rule.priority, state.definition_order)
+        """Triggered rules, optionally filtered by coupling mode, in priority order."""
+        entries = (
+            sorted(self._triggered.values())
+            if coupling is None
+            else self._queues[coupling]
         )
-        return candidates
-
-    def _entry_valid(self, entry: _HeapEntry) -> bool:
-        """Does this heap entry still describe a triggered, enabled rule?"""
-        _, _, token, name = entry
-        state = self._states.get(name)
-        return (
-            state is not None
-            and state.enabled
-            and state.triggered
-            and self._heap_tokens.get(name) == token
-        )
-
-    def _note_stale(self, coupling: ECCoupling) -> None:
-        """Record that one entry of ``coupling``'s heap went stale; maybe compact."""
-        self._stale_counts[coupling] += 1
-        self._maybe_compact(coupling)
-
-    def _maybe_compact(self, coupling: ECCoupling) -> None:
-        """Rebuild one heap when its stale entries outnumber the live ones.
-
-        The lazy invalidation scheme leaks entries until they surface at the
-        top; under heavy trigger/consider churn (ROADMAP open item) a heap can
-        grow far beyond the triggered population.  Counter-driven compaction
-        bounds it: each heap holds at most ``2 * live + 1`` entries (plus the
-        small constant threshold below which rebuilding is not worth it), so
-        selection stays O(log live) amortized whatever the churn.
-        """
-        heap = self._heaps[coupling]
-        stale = self._stale_counts[coupling]
-        if len(heap) < _HEAP_COMPACT_THRESHOLD or 2 * stale <= len(heap):
-            return
-        survivors = [entry for entry in heap if self._entry_valid(entry)]
-        heapq.heapify(survivors)
-        self._heaps[coupling] = survivors
-        self._stale_counts[coupling] = 0
-        self.heap_compactions += 1
-
-    def heap_sizes(self) -> dict[ECCoupling, int]:
-        """Current entry count per coupling heap (stale entries included)."""
-        return {coupling: len(heap) for coupling, heap in self._heaps.items()}
-
-    def _peek(self, coupling: ECCoupling) -> _HeapEntry | None:
-        """Top valid entry of one heap, discarding stale entries on the way.
-
-        Every discarded entry was accounted by :meth:`_note_stale` when it
-        went stale, so the counter is decremented in step — it always equals
-        the number of stale entries actually present in the heap.
-        """
-        heap = self._heaps[coupling]
-        while heap:
-            if self._entry_valid(heap[0]):
-                return heap[0]
-            heapq.heappop(heap)
-            self._stale_counts[coupling] -= 1
-        return None
+        return [self._states[name] for _, _, name in entries]
 
     def select_for_consideration(
         self, coupling: ECCoupling | None = None
     ) -> RuleState | None:
         """The highest-priority triggered rule, or None when nothing is triggered.
 
-        O(log k) amortized via the per-coupling heaps (k = triggered rules);
-        the selected rule stays queued — its entry goes stale when the rule is
-        actually considered (``mark_considered`` clears the flag).
+        The head of the coupling's queue, or the smaller of the two heads; the
+        selected rule stays queued until it is considered.
         """
         if coupling is not None:
-            entry = self._peek(coupling)
-            return self._states[entry[3]] if entry is not None else None
-        best: _HeapEntry | None = None
-        for heap_coupling in self._heaps:
-            entry = self._peek(heap_coupling)
-            if entry is not None and (best is None or entry[:2] < best[:2]):
-                best = entry
-        return self._states[best[3]] if best is not None else None
+            queue = self._queues[coupling]
+            return self._states[queue[0][2]] if queue else None
+        heads = [queue[0] for queue in self._queues.values() if queue]
+        return self._states[min(heads)[2]] if heads else None
 
     # -- transaction boundaries -------------------------------------------------------
     def reset_all(self, transaction_start: Timestamp) -> None:
         """Reset every rule's dynamic state at a transaction boundary."""
         for state in self._states.values():
             state.reset(transaction_start)
-        # The notifications above emptied the triggered set; drop the stale
-        # heap entries wholesale instead of leaking them until they surface.
-        for coupling, heap in self._heaps.items():
-            heap.clear()
-            self._stale_counts[coupling] = 0

@@ -371,11 +371,11 @@ class TriggerSupport:
         self.stats.instants_sampled += decision.instants_sampled
         if decision.window_size == 0:
             self.stats.ts_skipped_empty_window += 1
-        if decision.window_size or not state.vacuous:
+        if state.rider and (decision.window_size or not state.vacuous):
             # Checked once: from here on the index routes every row that can
             # flip the rule's ts (a vacuous rule only once its window holds
             # a row, which is what R != {} waits for).
-            state.rider = False
+            state.disarm()
         if decision.triggered:
             state.mark_triggered(now)
             self.stats.rules_triggered += 1

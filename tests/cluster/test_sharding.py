@@ -87,7 +87,7 @@ class TestCoordinatorCheck:
             table.add(make_rule("stock_watch", "create(stock)"))
             table.add(make_rule("order_watch", "create(order)"))
             for state in table:
-                state.rider = False
+                state.disarm()
             stock = EventType(Operation.CREATE, "stock")
             event_base.append(occurrence(1, stock, stamp=1))
             newly = coordinator.check_after_block([occurrence(1, stock, stamp=1)], 1, 0)

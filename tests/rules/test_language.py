@@ -147,6 +147,52 @@ class TestClauseKeywordsInsideNames:
         assert [rule.name for rule in rules] == ["a", "b"]
 
 
+def compared_to(condition: str):
+    """The one comparison of a ``stock`` rule whose condition ends in
+    ``condition``."""
+    rule = parse_rule(
+        f"define r for stock events create condition stock(S), {condition} end"
+    )
+    range_atom, comparison = rule.condition.atoms
+    assert isinstance(range_atom, ClassRange)
+    assert isinstance(comparison, Comparison)
+    return comparison
+
+
+class TestQuotedText:
+    """A quoted string is one opaque token: nothing inside it splits a
+    clause, a list, a term or a comparison."""
+
+    def test_a_comma_inside_quotes_splits_no_condition(self):
+        assert compared_to("S.name = 'a, b'").right.value == "a, b"
+
+    def test_a_keyword_inside_quotes_ends_no_rule(self):
+        assert compared_to("S.name = 'the end'").right.value == "the end"
+
+    def test_a_parenthesis_inside_quotes_opens_nothing(self):
+        assert compared_to('S.name = "x (y"').right.value == "x (y"
+
+    def test_an_operator_inside_quotes_is_no_arithmetic(self):
+        assert compared_to("S.name = 'a-b'").right.value == "a-b"
+
+    def test_a_comparison_inside_quotes_is_no_comparison(self):
+        comparison = compared_to("'x<y' = S.name")
+        assert (comparison.left.value, comparison.op) == ("x<y", "=")
+
+    def test_parse_rules_does_not_split_at_a_quoted_end(self):
+        rules = parse_rules(
+            "define a for stock events create condition stock(S),"
+            " S.name = 'the end' end\n"
+            "define b for stock events delete end"
+        )
+        assert [rule.name for rule in rules] == ["a", "b"]
+        assert rules[0].condition.atoms[1].right.value == "the end"
+
+    def test_an_unmatched_quote_keeps_its_error(self):
+        with pytest.raises(RuleDefinitionError, match="cannot parse term"):
+            compared_to("S.name = 'abc")
+
+
 class TestEventClause:
     def test_bare_attribute_modify_is_qualified(self):
         rule = parse_rule(

@@ -10,8 +10,8 @@ Random scenarios (in the seeded style of
 * identical per-rule triggering/consideration counters,
 * identical priority-order selections — and every selection also checked
   against a brute-force reference (sort the triggered states on
-  ``(-priority, definition_order)``), pinning the lazy heaps against the
-  seed's per-selection sort,
+  ``(-priority, definition_order)``), pinning the sorted priority queues
+  against the seed's per-selection sort,
 
 across two configurations: routed (index) and the paper's baseline, the
 exhaustive scan without the static optimization.  The scenarios include
@@ -148,7 +148,7 @@ def build_scenario(seed: int, rule_count: int = 14, block_count: int = 24) -> Sc
         removals[index] = removals.get(index, ()) + (name,)
         if rng.random() < 0.7:
             # Re-add the same name later with a fresh definition/priority —
-            # stale index or heap entries of the old rule must not leak.
+            # index or queue entries of the old rule must not leak.
             readd_index = rng.randrange(index + 2, block_count)
             replacement = Rule(
                 name=name,
@@ -241,9 +241,9 @@ def run_scenario(scenario: Scenario, routed: bool) -> dict:
             )
             selected = table.select_for_consideration()
             assert selected is (reference[0] if reference else None), (
-                "heap selection disagrees with the sorted reference"
+                "queue selection disagrees with the sorted reference"
             )
-            # Exercise the coupling-filtered heaps too.
+            # Exercise the coupling-filtered queues too.
             for coupling in ECCoupling:
                 expected = next(
                     (s for s in reference if s.rule.coupling is coupling), None

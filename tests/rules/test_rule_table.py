@@ -102,7 +102,7 @@ class TestRuleState:
         # A state built without a table is taken as vacuous: a reset re-arms it.
         state = RuleState(rule=make_rule("r"))
         state.mark_triggered(3)
-        state.rider = False
+        state.disarm()
         state.reset(transaction_start=10)
         assert not state.triggered
         assert state.rider
@@ -147,6 +147,11 @@ class TestRuleTable:
         for name in ("a", "b", "c"):
             table.add(make_rule(name))
         assert [rule.name for rule in table.rules()] == ["a", "b", "c"]
+        # A remove + re-add of a live name defines the rule anew: it is last.
+        table.remove("a")
+        table.add(make_rule("a"))
+        assert [rule.name for rule in table.rules()] == ["b", "c", "a"]
+        assert [state.definition_order for state in table.states()] == [1, 2, 3]
 
     def test_priority_order_selection(self):
         table = RuleTable()
@@ -283,18 +288,28 @@ class TestSubscriptionIndex:
             "on_qty",
         ]
 
-    def test_pending_full_check_prunes_and_rearms(self):
+    def test_disarm_leaves_the_rider_set_at_once(self):
         table = self.build()
-        table.add(make_rule("on_absence", "-create(stock)"))
-        for name in ("on_create", "on_absence"):
-            table.get(name).rider = False
-            assert name not in table.pending_full_check_states()
-            table.get(name).mark_considered(5, executed=False)
-        # A consideration re-arms only the vacuous rule: the other one's
-        # window is empty, and V(E) routes whatever can flip its ts.
-        pending = table.pending_full_check_states()
-        assert "on_absence" in pending
-        assert "on_create" not in pending
+        table.get("on_create").disarm()
+        assert "on_create" not in table.pending_full_check_states()
+        assert len(table.pending_full_check_states()) == 3
+
+    def test_emptying_the_rider_set_sheds_its_capacity(self):
+        # Every rule added bare starts as a rider, so disarming them all
+        # empties a once-large set — but a CPython dict never shrinks in
+        # place, and the planner iterates this set on every block.  The set
+        # an emptying removal leaves is a fresh dict.
+        import sys
+
+        table = RuleTable()
+        for index in range(5_000):
+            table.add(make_rule(f"r{index}"))
+        peak = sys.getsizeof(table.pending_full_check_states())
+        for state in table:
+            state.disarm()
+        remaining = table.pending_full_check_states()
+        assert not remaining
+        assert sys.getsizeof(remaining) < peak / 10
 
 
 class TestRoutingProperty:
@@ -343,8 +358,8 @@ class TestRoutingProperty:
             assert set(table.subscribers_for_signature(signature)) == expected
 
 
-class TestPriorityHeaps:
-    """Lazy-invalidation heap selection against re-trigger/disable/remove churn."""
+class TestPriorityQueue:
+    """Selection from the sorted triggered set under re-trigger/disable/remove."""
 
     def test_retrigger_after_consideration_uses_fresh_entry(self):
         table = RuleTable()
@@ -365,7 +380,7 @@ class TestPriorityHeaps:
         table.disable("a")
         assert table.select_for_consideration() is None
         # disable() clears the triggered flag (paper semantics), so re-enabling
-        # must not bring the stale heap entry back to life.
+        # must not queue the rule again.
         table.enable("a")
         assert table.select_for_consideration() is None
         table.get("a").mark_triggered(2)
@@ -378,8 +393,8 @@ class TestPriorityHeaps:
         assert table.select_for_consideration() is table.select_for_consideration()
 
     def test_readding_a_removed_name_does_not_resurrect_stale_entries(self):
-        # The old rule's heap entry must not survive a remove + re-add under
-        # the same name (tokens are table-global, not per-name).
+        # The old rule's queue entry must not survive a remove + re-add under
+        # the same name.
         table = RuleTable()
         table.add(make_rule("x", priority=10))
         table.add(make_rule("y", priority=5))
@@ -399,7 +414,7 @@ class TestPriorityHeaps:
         table.enable("a")
         assert "a" in table.pending_full_check_states()
 
-    def test_reset_all_clears_heaps(self):
+    def test_reset_all_empties_the_queues(self):
         table = RuleTable()
         table.add(make_rule("a", priority=2))
         table.get("a").mark_triggered(1)
@@ -408,99 +423,123 @@ class TestPriorityHeaps:
         assert table.triggered_states() == []
 
 
-class TestHeapCompaction:
-    """Counter-driven compaction bounds the heaps under trigger/consider churn."""
+def names(states) -> list[str]:
+    return [state.rule.name for state in states]
 
-    def test_churn_keeps_heap_bounded_and_compacts(self):
+
+class TestTableAgainstBruteForce:
+    """After every step of a random life, the table's structures equal a
+    brute-force reading of its states."""
+
+    #: "trigger" twice: a queue needs several triggered rules to be wrong.
+    STEPS = (
+        "add",
+        "remove",
+        "readd",
+        "trigger",
+        "trigger",
+        "consider",
+        "disable",
+        "enable",
+        "reset_all",
+        "disarm",
+    )
+    #: Which rules a step may act on.
+    ELIGIBLE = {
+        "remove": lambda state: True,
+        "trigger": lambda state: state.enabled and not state.triggered,
+        "disable": lambda state: True,
+        "enable": lambda state: True,
+        "disarm": lambda state: state.rider,
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_step_agrees_with_a_brute_force_reading(self, data):
         table = RuleTable()
-        rules = 20
-        for index in range(rules):
-            table.add(make_rule(f"r{index}", priority=index % 5))
-        # Heavy enable/disable-style churn: every rule triggers and is
-        # considered over and over without ever surfacing most of its stale
-        # entries through _peek (we never drain the queue).
-        instant = 1
-        for _ in range(50):
-            for index in range(rules):
-                table.get(f"r{index}").mark_triggered(instant)
-            instant += 1
-            for index in range(rules):
-                table.get(f"r{index}").mark_considered(instant, executed=False)
-            instant += 1
-        assert table.heap_compactions > 0
-        # Without compaction the immediate heap would hold ~50 * 20 entries;
-        # with it, at most 2 * live + threshold survive at any point.
-        from repro.rules.rule_table import _HEAP_COMPACT_THRESHOLD
+        used: list[str] = []
 
-        for size in table.heap_sizes().values():
-            assert size <= max(_HEAP_COMPACT_THRESHOLD, 2 * rules)
+        def define(name: str) -> None:
+            events = data.draw(st.sampled_from(("create(stock)", "-create(a)")))
+            table.add(
+                make_rule(
+                    name,
+                    events,
+                    priority=data.draw(st.integers(0, 3)),
+                    coupling=data.draw(st.sampled_from(list(ECCoupling))),
+                )
+            )
 
-    def test_churn_with_disable_enable_cycles(self):
-        table = RuleTable()
-        rules = 24
-        for index in range(rules):
-            table.add(make_rule(f"r{index}", priority=index % 3))
-        instant = 1
-        for round_ in range(40):
-            for index in range(rules):
-                table.get(f"r{index}").mark_triggered(instant)
-            instant += 1
-            for index in range(rules):
-                name = f"r{index}"
-                if (index + round_) % 2:
+        for index in range(data.draw(st.integers(2, 8))):
+            used.append(f"r{index}")
+            define(f"r{index}")
+        self.assert_agrees(table)
+        steps = data.draw(
+            st.lists(st.sampled_from(self.STEPS), min_size=8, max_size=40)
+        )
+        for instant, step in enumerate(steps, start=1):
+            if step == "add":
+                used.append(f"r{len(used)}")
+                define(used[-1])
+            elif step == "readd":
+                name = data.draw(st.sampled_from(used))
+                if name in table:
+                    table.remove(name)
+                define(name)
+            elif step == "reset_all":
+                table.reset_all(transaction_start=instant)
+            elif step == "consider":
+                # The engine's path: consider the rule the queue selects.
+                state = table.select_for_consideration()
+                if state is not None:
+                    state.mark_considered(instant, executed=False)
+                    assert state.rider == state.vacuous
+            else:
+                eligible = [
+                    state.rule.name for state in table if self.ELIGIBLE[step](state)
+                ]
+                if not eligible:
+                    continue
+                name = data.draw(st.sampled_from(eligible))
+                if step == "remove":
+                    table.remove(name)
+                elif step == "trigger":
+                    table.get(name).mark_triggered(instant)
+                elif step == "disable":
                     table.disable(name)
+                elif step == "enable":
                     table.enable(name)
                 else:
-                    table.get(name).mark_considered(instant, executed=False)
-            instant += 1
-        from repro.rules.rule_table import _HEAP_COMPACT_THRESHOLD
+                    table.get(name).disarm()
+            self.assert_agrees(table)
 
-        assert table.heap_compactions > 0
-        for size in table.heap_sizes().values():
-            assert size <= max(_HEAP_COMPACT_THRESHOLD, 2 * rules)
-        # Selection still agrees with the brute-force reference after churn.
-        for index in range(rules):
-            table.get(f"r{index}").mark_triggered(instant)
-        reference = sorted(
+    @staticmethod
+    def assert_agrees(table: RuleTable) -> None:
+        triggered = sorted(
             (state for state in table if state.enabled and state.triggered),
             key=lambda state: (-state.rule.priority, state.definition_order),
         )
-        assert table.select_for_consideration() is reference[0]
-
-    def test_pending_prune_sheds_dict_capacity(self):
-        # Regression: every fresh rule starts in the pending-full-check set,
-        # so after the first checked block the dict is pruned from N rules to
-        # ~none — but a CPython dict never shrinks in place, and the planner
-        # iterates this set on every block.  The prune must rebuild the dict.
-        import sys
-
-        table = RuleTable()
-        for index in range(5_000):
-            table.add(make_rule(f"r{index}"))
-        peak = sys.getsizeof(table._pending_full_check)
-        for state in table:
-            state.rider = False
-        remaining = table.pending_full_check_states()
-        assert not remaining
-        assert sys.getsizeof(table._pending_full_check) < peak / 10
-
-    def test_stale_counter_stays_in_step_with_peek_discards(self):
-        table = RuleTable()
-        for index in range(40):
-            table.add(make_rule(f"r{index}", priority=1))
-        for index in range(40):
-            table.get(f"r{index}").mark_triggered(1)
-        # Drain everything through selection: every discard goes through _peek.
-        drained = []
-        while (state := table.select_for_consideration()) is not None:
-            drained.append(state.rule.name)
-            state.mark_considered(2, executed=False)
-        assert len(drained) == 40
-        for coupling, count in table._stale_counts.items():
-            assert count == sum(
-                0 if table._entry_valid(entry) else 1
-                for entry in table._heaps[coupling]
+        assert names(table.triggered_states()) == names(triggered)
+        assert table.select_for_consideration() is (triggered[0] if triggered else None)
+        for coupling in ECCoupling:
+            mine = [state for state in triggered if state.rule.coupling is coupling]
+            assert names(table.triggered_states(coupling)) == names(mine)
+            assert table.select_for_consideration(coupling) is (
+                mine[0] if mine else None
             )
+            # Exactly one entry per triggered rule, nothing stale.
+            assert len(table._queues[coupling]) == len(mine)
+        riders = {
+            state.rule.name: state
+            for state in table
+            if state.enabled and not state.triggered and state.rider
+        }
+        pending = table.pending_full_check_states()
+        assert pending.keys() == riders.keys()
+        assert all(pending[name] is state for name, state in riders.items())
+        assert table.untriggered_count() == sum(
+            state.enabled and not state.triggered for state in table
+        )
 
 
 def test_a_rule_costs_its_state_and_a_tuple_of_watched_types():
