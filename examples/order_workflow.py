@@ -45,8 +45,7 @@ def install_classify_unfilled(db: ChimeraDatabase) -> None:
         oid = binding["O"]
         obj = operations.store.get(oid)
         if obj.class_name == "order" and not obj.get("amount"):
-            return operations.specialize(oid, "notFilledOrder").occurrences
-        return []
+            operations.specialize(oid, "notFilledOrder")
 
     rule = Rule(
         name="classifyUnfilled",

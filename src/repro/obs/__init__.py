@@ -6,7 +6,7 @@ their only telemetry was four disjoint ad-hoc stats dataclasses plus
 bench-local timers.  ``repro.obs`` gives them one spine:
 
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`, a dependency-free
-  registry of counters, gauges and fixed-bucket histograms (a histogram
+  registry of counters and fixed-bucket histograms (a histogram
   times a section: ``with histogram.time():``).  A disabled registry hands
   out shared null instruments, so metrics-off costs one attribute lookup
   per probe.  Worker processes accumulate their own registries and ship
@@ -32,19 +32,15 @@ from repro.obs.export import (
     render_metrics_report,
 )
 from repro.obs.registry import (
-    COUNT_BUCKETS,
     LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
 
 __all__ = [
-    "COUNT_BUCKETS",
     "LATENCY_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "JsonLinesExporter",
     "MetricsRegistry",

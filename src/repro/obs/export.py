@@ -3,7 +3,7 @@
 Two consumers of :meth:`~repro.obs.registry.MetricsRegistry.snapshot`:
 
 * :func:`render_metrics_report` — the human text report (``workload
-  --metrics`` prints it); counters, gauges and histogram summaries in
+  --metrics`` prints it); counters and histogram summaries in
   aligned ``key : value`` sections, self-contained so it imports nothing
   from the analysis package (which itself builds on ``repro.obs``).
 * :class:`JsonLinesExporter` — appends one JSON object per snapshot to a
@@ -27,10 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["JsonLinesExporter", "render_metrics_report"]
 
 
-def _gauge_summary(values: dict[str, Any]) -> str:
-    return f"{values['value']} (max {values['max']}, {values['updates']} updates)"
-
-
 def _render_section(title: str, values: dict[str, Any]) -> str:
     width = max(len(key) for key in values)
     lines = [title, "-" * len(title)]
@@ -44,14 +40,6 @@ def render_metrics_report(snapshot: dict[str, Any]) -> str:
     counters = snapshot.get("counters") or {}
     if counters:
         sections.append(_render_section("counters", counters))
-    gauges = snapshot.get("gauges") or {}
-    if gauges:
-        sections.append(
-            _render_section(
-                "gauges",
-                {name: _gauge_summary(values) for name, values in gauges.items()},
-            )
-        )
     histograms = snapshot.get("histograms") or {}
     shown = {name: values for name, values in histograms.items() if values["count"]}
     if shown:
@@ -76,7 +64,7 @@ class JsonLinesExporter:
     """Append registry snapshots to a JSON-lines file, rate-limited.
 
     Each line is ``{"at": <unix seconds>, "enabled": ..., "counters": ...,
-    "gauges": ..., "histograms": ...}``.  :meth:`maybe_export` is the
+    "histograms": ...}``.  :meth:`maybe_export` is the
     per-block hook — it writes at most once per ``interval_seconds``;
     :meth:`export` writes unconditionally (the final snapshot on engine
     close, or an explicit ``--metrics-json`` dump).

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges and fixed-bucket histograms.
+"""The metrics registry: counters and fixed-bucket histograms.
 
 Design constraints, in order:
 
@@ -12,8 +12,8 @@ Design constraints, in order:
   memory.  Each process owns its registry; worker registries are drained
   into compact deltas (:meth:`MetricsRegistry.drain_delta`) that piggyback
   on the existing trip reply messages and merge coordinator-side
-  (:meth:`MetricsRegistry.merge_delta`).  Merging is commutative (sums and
-  maxima), so reply arrival order cannot change a snapshot.
+  (:meth:`MetricsRegistry.merge_delta`).  Merging is commutative (sums,
+  minima and maxima), so reply arrival order cannot change a snapshot.
 * **one source of truth** — the engine's existing stats dataclasses stay
   the canonical counters of the detection semantics; the registry folds
   them into its snapshot as *sources* (:meth:`MetricsRegistry.register_source`)
@@ -36,10 +36,8 @@ from bisect import bisect_right
 from typing import Any, Mapping
 
 __all__ = [
-    "COUNT_BUCKETS",
     "LATENCY_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
 ]
@@ -61,10 +59,6 @@ LATENCY_BUCKETS: tuple[float, ...] = (
     3.16,
 )
 
-#: Default histogram bounds for small integer sizes (batch widths, candidate
-#: counts): powers of two up to 1024.
-COUNT_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
 
 class Counter:
     """A monotonically increasing integer (cache the object, not the name)."""
@@ -77,27 +71,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A last-value instrument that also tracks its high-water mark."""
-
-    __slots__ = ("name", "value", "max_value", "updates")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.max_value = 0.0
-        self.updates = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.max_value:
-            self.max_value = value
-        self.updates += 1
-
-    def as_dict(self) -> dict[str, float]:
-        return {"value": self.value, "max": self.max_value, "updates": self.updates}
 
 
 class _HistogramTimer:
@@ -236,13 +209,6 @@ class _NullCounter(Counter):
         return None
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # noqa: ARG002 - deliberate no-op
-        return None
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
 
@@ -255,7 +221,6 @@ class _NullHistogram(Histogram):
 
 _NULL_TIMER = _NullTimer()
 _NULL_COUNTER = _NullCounter("null")
-_NULL_GAUGE = _NullGauge("null")
 _NULL_HISTOGRAM = _NullHistogram("null", bounds=())
 
 #: A snapshot source: a stats dataclass instance, read through
@@ -278,7 +243,6 @@ class MetricsRegistry:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._sources: dict[str, Source] = {}
 
@@ -290,15 +254,6 @@ class MetricsRegistry:
         if instrument is None:
             with self._lock:
                 instrument = self._counters.setdefault(name, Counter(name))
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            with self._lock:
-                instrument = self._gauges.setdefault(name, Gauge(name))
         return instrument
 
     def histogram(
@@ -339,16 +294,13 @@ class MetricsRegistry:
 
     # -- snapshots ------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """One merged view: sources + live counters, gauges, histograms."""
+        """One merged view: sources + live counters, histograms."""
         counters: dict[str, Any] = dict(self._source_items())
         for name, counter in sorted(self._counters.items()):
             counters[name] = counter.value
         return {
             "enabled": self.enabled,
             "counters": counters,
-            "gauges": {
-                name: gauge.as_dict() for name, gauge in sorted(self._gauges.items())
-            },
             "histograms": {
                 name: histogram.as_dict()
                 for name, histogram in sorted(self._histograms.items())
@@ -373,12 +325,6 @@ class MetricsRegistry:
         }
         for counter in self._counters.values():
             counter.value = 0
-        gauges = {}
-        for name, gauge in self._gauges.items():
-            if gauge.updates:
-                gauges[name] = (gauge.value, gauge.max_value, gauge.updates)
-                gauge.max_value = gauge.value
-                gauge.updates = 0
         histograms = {}
         for name, histogram in self._histograms.items():
             if histogram.count:
@@ -395,27 +341,20 @@ class MetricsRegistry:
                 histogram.total = 0.0
                 histogram.min_value = float("inf")
                 histogram.max_value = 0.0
-        if not (counters or gauges or histograms):
+        if not (counters or histograms):
             return None
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {"counters": counters, "histograms": histograms}
 
     def merge_delta(self, delta: Mapping[str, Any] | None) -> None:
         """Accumulate a :meth:`drain_delta` payload from another process.
 
         Counter and histogram merges are sums (order-independent across
-        workers); gauges keep the maximum of the high-water marks and the
-        last value to arrive.
+        workers).
         """
         if not delta or not self.enabled:
             return
         for name, value in delta.get("counters", {}).items():
             self.counter(name).inc(value)
-        for name, (value, max_value, updates) in delta.get("gauges", {}).items():
-            gauge = self.gauge(name)
-            gauge.value = value
-            if max_value > gauge.max_value:
-                gauge.max_value = max_value
-            gauge.updates += updates
         for name, payload in delta.get("histograms", {}).items():
             count, total, min_value, max_value, bucket_counts, bounds = payload
             self.histogram(name, bounds=bounds)._merge_values(

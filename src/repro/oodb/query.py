@@ -1,8 +1,12 @@
 """Small declarative predicate helpers for queries over class extents.
 
 Rule conditions have their own formula language (:mod:`repro.rules.conditions`);
-this module provides the lighter-weight predicates used by ``select`` queries
-and by workload generators::
+this module provides the lighter-weight predicates that callers hand to
+``select`` queries (:meth:`ChimeraDatabase.select
+<repro.oodb.database.ChimeraDatabase.select>`, ``Transaction.select``), which
+accept any callable over an object.  They are public API, re-exported by
+:mod:`repro.oodb`; nothing else in the package builds them, and the query
+tests (``tests/oodb``) are their users here::
 
     from repro.oodb.query import Attr
 

@@ -5,6 +5,10 @@ binding produced by the condition, within a single non-interruptible block.
 Every statement goes through the :class:`~repro.oodb.operations.OperationExecutor`,
 so rule actions generate event occurrences exactly like user transaction lines
 do — which is what allows rules to trigger other rules (or themselves).
+
+An action returns nothing: the operations record its occurrences in the Event
+Base, which is their only record, and the engine's flush after the action
+hands the block's type signature to the Trigger Support.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ActionError
-from repro.events.event import EventOccurrence
 from repro.oodb.objects import OID
 from repro.oodb.operations import OperationExecutor
 from repro.rules.terms import Binding, Term, VarRef
@@ -32,10 +35,8 @@ __all__ = [
 class ActionStatement:
     """Base class of action statements."""
 
-    def execute(
-        self, binding: Binding, operations: OperationExecutor
-    ) -> list[EventOccurrence]:
-        """Run the statement for one binding; returns the events it generated."""
+    def execute(self, binding: Binding, operations: OperationExecutor) -> None:
+        """Run the statement for one binding."""
         raise NotImplementedError
 
 
@@ -55,9 +56,7 @@ class ModifyStatement(ActionStatement):
     target: Term
     value: Term
 
-    def execute(
-        self, binding: Binding, operations: OperationExecutor
-    ) -> list[EventOccurrence]:
+    def execute(self, binding: Binding, operations: OperationExecutor) -> None:
         oid = _resolve_oid(self.target, binding, operations)
         obj = operations.store.get(oid)
         if not operations.schema.is_subclass(obj.class_name, self.class_name):
@@ -66,8 +65,7 @@ class ModifyStatement(ActionStatement):
                 f"{obj.class_name!r}"
             )
         value = self.value.evaluate(binding, operations.store)
-        result = operations.modify(oid, self.attribute, value)
-        return list(result.occurrences)
+        operations.modify(oid, self.attribute, value)
 
     def __str__(self) -> str:
         return (
@@ -85,9 +83,7 @@ class CreateStatement(ActionStatement):
     #: statements of the same action can refer to it.
     bind_as: str | None = None
 
-    def execute(
-        self, binding: Binding, operations: OperationExecutor
-    ) -> list[EventOccurrence]:
+    def execute(self, binding: Binding, operations: OperationExecutor) -> None:
         concrete = {
             attribute: term.evaluate(binding, operations.store)
             for attribute, term in self.values
@@ -95,7 +91,6 @@ class CreateStatement(ActionStatement):
         result = operations.create(self.class_name, concrete)
         if self.bind_as is not None and isinstance(binding, dict):
             binding[self.bind_as] = result.object.oid
-        return list(result.occurrences)
 
     def __str__(self) -> str:
         rendered = ", ".join(f"{attribute}={term}" for attribute, term in self.values)
@@ -109,16 +104,12 @@ class DeleteStatement(ActionStatement):
 
     target: Term
 
-    def execute(
-        self, binding: Binding, operations: OperationExecutor
-    ) -> list[EventOccurrence]:
+    def execute(self, binding: Binding, operations: OperationExecutor) -> None:
         oid = _resolve_oid(self.target, binding, operations)
-        if not operations.store.exists(oid):
-            # The object may already have been deleted by a previous binding of
-            # the same set-oriented execution; deleting twice is a no-op.
-            return []
-        result = operations.delete(oid)
-        return list(result.occurrences)
+        # The object may already have been deleted by a previous binding of
+        # the same set-oriented execution; deleting twice is a no-op.
+        if operations.store.exists(oid):
+            operations.delete(oid)
 
     def __str__(self) -> str:
         return f"delete({self.target})"
@@ -128,21 +119,16 @@ class DeleteStatement(ActionStatement):
 class CallableStatement(ActionStatement):
     """Programmatic escape hatch: run a Python callable as the action body.
 
-    The callable receives ``(binding, operations)`` and may return an iterable
-    of :class:`EventOccurrence` (e.g. the occurrences of the operations it ran)
-    or ``None``.
+    The callable receives ``(binding, operations)``; the operations it runs
+    record their occurrences in the Event Base like any statement's, and
+    whatever it returns is ignored.
     """
 
     function: Callable[[Binding, OperationExecutor], Any]
     description: str = "callable"
 
-    def execute(
-        self, binding: Binding, operations: OperationExecutor
-    ) -> list[EventOccurrence]:
-        outcome = self.function(binding, operations)
-        if outcome is None:
-            return []
-        return [item for item in outcome if isinstance(item, EventOccurrence)]
+    def execute(self, binding: Binding, operations: OperationExecutor) -> None:
+        self.function(binding, operations)
 
     def __str__(self) -> str:
         return f"<{self.description}>"
@@ -158,16 +144,14 @@ class Action:
         self,
         bindings: Sequence[Mapping[str, Any]],
         operations: OperationExecutor,
-    ) -> list[EventOccurrence]:
-        """Run the action for every binding; returns all generated occurrences."""
-        occurrences: list[EventOccurrence] = []
+    ) -> None:
+        """Run the action for every binding."""
         for binding in bindings:
             # Statements may extend the binding (``create ... as X``); keep a
             # mutable copy so the extension stays local to this binding.
             local = dict(binding)
             for statement in self.statements:
-                occurrences.extend(statement.execute(local, operations))
-        return occurrences
+                statement.execute(local, operations)
 
     def __str__(self) -> str:
         if not self.statements:

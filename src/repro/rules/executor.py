@@ -27,7 +27,7 @@ from repro.config import EngineConfig
 from repro.core.compile import CheckBinder
 from repro.errors import NonTerminationError
 from repro.events.clock import Timestamp, TransactionClock
-from repro.events.event import EventOccurrence
+from repro.events.event import EventOccurrence, EventType
 from repro.events.event_base import EventBase
 from repro.obs.export import JsonLinesExporter
 from repro.obs.registry import MetricsRegistry
@@ -35,7 +35,7 @@ from repro.oodb.objects import ObjectStore
 from repro.oodb.operations import OperationExecutor
 from repro.oodb.schema import Schema
 from repro.rules.conditions import ConditionContext
-from repro.rules.event_handler import BlockIngest, EventHandler
+from repro.rules.event_handler import EventHandler
 from repro.rules.rule import ECCoupling, RuleState
 from repro.rules.rule_table import RuleTable
 from repro.rules.trigger_support import TriggerSupport
@@ -168,15 +168,15 @@ class RuleEngine:
         is refused as a duplicate EID, like any other.
         """
         self._budget_spent = 0
-        batch = self.event_handler.store_external(occurrences)
-        if batch:
+        signature = self.event_handler.store_external(occurrences)
+        if signature:
             # Pre-stamped streams outrun the transaction clock; the check's
             # window is (start, clock.now()], so catch the clock up or the
             # batch would be invisible to its own trigger check.
-            last = batch.occurrences[-1].timestamp
+            last = self.event_base.latest_timestamp()
             if last > self.clock.now():
                 self.clock.advance_to(last)
-        self._check_block(batch)
+        self._check_block(signature)
         self._processing_loop(ECCoupling.IMMEDIATE, phase="stream")
         self._export_metrics()
 
@@ -193,21 +193,13 @@ class RuleEngine:
 
     # -- internals -------------------------------------------------------------------
     def _after_block(self, coupling: ECCoupling | None, phase: str) -> None:
-        self._flush_and_check()
+        self._check_block(self.event_handler.flush_block())
         self._processing_loop(coupling, phase)
 
-    def _flush_and_check(self) -> None:
-        """Flush the finished block and hand it — signature included — to the planner."""
-        self._check_block(self.event_handler.flush_block())
-
-    def _check_block(self, batch: BlockIngest) -> None:
-        """Run the trigger check for one already-flushed block."""
-        now = self.clock.now()
+    def _check_block(self, type_signature: frozenset[EventType]) -> None:
+        """Hand one flushed block's type signature to the Trigger Support."""
         self.trigger_support.check_after_block(
-            batch,
-            now,
-            self.transaction_start,
-            type_signature=batch.type_signature,
+            type_signature, self.clock.now(), self.transaction_start
         )
 
     def _processing_loop(self, coupling: ECCoupling | None, phase: str) -> None:
@@ -220,7 +212,7 @@ class RuleEngine:
             # The consideration (and possible action) is itself a block: flush
             # its occurrences and look for newly triggered rules before picking
             # the next one.
-            self._flush_and_check()
+            self._check_block(self.event_handler.flush_block())
 
     def _consider(self, state: RuleState, phase: str) -> None:
         """Consider one rule: evaluate its condition and maybe run its action."""

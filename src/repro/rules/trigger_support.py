@@ -7,6 +7,11 @@ over the window of occurrences newer than the rule's last consideration; when
 the value is positive the rule becomes triggered (the flag is cleared again
 only when the rule is considered).
 
+A block reaches the Trigger Support as its type signature alone — the set of
+event types the Event Handler's flush returned.  The occurrences stay in the
+Event Base, which every exact check reads by window; an empty signature means
+the block produced nothing and no rule is checked.
+
 The static optimization of §5.1 plugs in here: the ``ts`` recomputation is
 skipped whenever the block's occurrences cannot possibly flip the rule's
 ``ts`` positive, i.e. when no type of the block matches the positive side of
@@ -43,13 +48,12 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Sequence
 
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder, CompiledCheck
 from repro.core.triggering import TriggeringDecision, is_triggered
 from repro.events.clock import Timestamp
-from repro.events.event import EventOccurrence, EventType
+from repro.events.event import EventType
 from repro.events.event_base import EventBase
 from repro.obs.registry import MetricsRegistry
 from repro.rules.rule import RuleState
@@ -153,7 +157,7 @@ class TriggerPlanner:
         )
         self._memo_epoch: int | None = None
 
-    def subscribers(self, type_signature: Iterable[EventType]) -> tuple[RuleState, ...]:
+    def subscribers(self, signature: frozenset[EventType]) -> tuple[RuleState, ...]:
         """Every rule subscribed to the signature, in definition order (memoised)."""
         table = self.rule_table
         epoch = table.plan_epoch()
@@ -161,26 +165,21 @@ class TriggerPlanner:
         if self._memo_epoch != epoch:
             memo.clear()
             self._memo_epoch = epoch
-        key = (
-            type_signature
-            if isinstance(type_signature, frozenset)
-            else frozenset(type_signature)
-        )
-        subscribed = memo.get(key)
+        subscribed = memo.get(signature)
         if subscribed is None:
-            subscribed = memo[key] = tuple(
+            subscribed = memo[signature] = tuple(
                 sorted(
-                    table.subscribers_for_signature(key).values(),
+                    table.subscribers_for_signature(signature).values(),
                     key=_definition_order,
                 )
             )
             if len(memo) > PLAN_MEMO_SIZE:
                 memo.popitem(last=False)
         else:
-            memo.move_to_end(key)
+            memo.move_to_end(signature)
         return subscribed
 
-    def plan(self, type_signature: Iterable[EventType]) -> TriggerPlan:
+    def plan(self, type_signature: frozenset[EventType]) -> TriggerPlan:
         """The visit plan for one block with the given type signature."""
         table = self.rule_table
         candidates = [
@@ -235,24 +234,23 @@ class TriggerSupport:
     # -- the core check -----------------------------------------------------
     def check_after_block(
         self,
-        new_occurrences: Sequence[EventOccurrence],
+        type_signature: frozenset[EventType],
         now: Timestamp,
         transaction_start: Timestamp,
-        type_signature: frozenset[EventType] | None = None,
     ) -> list[RuleState]:
         """Update the triggered flag of every untriggered rule; return the new ones.
 
-        ``new_occurrences`` is the batch produced by the block that just
-        finished; with static optimization enabled its type signature is
-        routed through the ``V(E)`` index.  ``type_signature`` is the set of
-        event types in the batch — pass it when already known
-        (``BlockIngest`` computes it at ingestion time) so it is never
-        re-derived; it is derived here otherwise.  The triggering window of
-        each rule spans from its last consideration (or the transaction
-        start) to ``now``.
+        ``type_signature`` is the set of event types the block that just
+        finished produced (what the Event Handler's flush returns); the
+        block's occurrences themselves are read from the Event Base.  With
+        static optimization enabled the signature is routed through the
+        ``V(E)`` index, and a bypass is that test applied wholesale: the
+        index proved no occurrence of the block can flip those rules' ``ts``
+        positive.  The triggering window of each rule spans from its last
+        consideration (or the transaction start) to ``now``.
         """
         self.stats.blocks += 1
-        if not new_occurrences:
+        if not type_signature:
             # Nothing happened in this block: no rule can become triggered
             # (T(r, t) requires at least one new occurrence for untriggered
             # rules whose window was already evaluated; rules whose window was
@@ -261,31 +259,14 @@ class TriggerSupport:
 
         with self._block_hist.time():
             if self.use_static_optimization:
-                plan = self._plan_block(new_occurrences, type_signature)
+                plan = self.planner.plan(type_signature)
+                self.stats.rules_routed += plan.routed
+                self.stats.ts_skipped_by_filter += plan.bypassed
                 candidates = plan.candidates
             else:
                 candidates = self.rule_table.untriggered_states()
             self.stats.rules_checked += len(candidates)
             return self._check_states(candidates, now, transaction_start)
-
-    def _plan_block(self, occurrences, type_signature=None) -> TriggerPlan:
-        """Plan one non-empty block and account the plan-time stats.
-
-        The one place the signature is derived (when the caller does not
-        already carry it) and the routed/skipped counters move.  A bypass is
-        the ``V(E)`` test applied wholesale: the index proved no occurrence
-        of the block can flip those rules' ``ts`` positive.
-        """
-        if type_signature is None:
-            type_signature = getattr(occurrences, "type_signature", None)
-        if type_signature is None:
-            type_signature = frozenset(
-                occurrence.event_type for occurrence in occurrences
-            )
-        plan = self.planner.plan(type_signature)
-        self.stats.rules_routed += plan.routed
-        self.stats.ts_skipped_by_filter += plan.bypassed
-        return plan
 
     def recheck_all(
         self, now: Timestamp, transaction_start: Timestamp

@@ -75,10 +75,10 @@ class _Pipeline:
 
     def check(self, occurrences, now=None, consider=False):
         """Flush ``occurrences`` as one block and check it at ``now``."""
-        batch = self.handler.store_external(occurrences)
+        signature = self.handler.store_external(occurrences)
         if now is None:
             now = occurrences[-1].timestamp
-        newly = self.support.check_after_block(batch, now, 0)
+        newly = self.support.check_after_block(signature, now, 0)
         if consider:
             for state in newly:
                 state.mark_considered(now, executed=False)

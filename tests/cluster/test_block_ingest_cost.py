@@ -1,9 +1,10 @@
 """What the stream block path may touch: facts, not timings.
 
 A block's ingest must cost the block, not the log: the Event Handler and the
-process pool read the Event Base by position, and every block carries the
-type signature the Event Base's ``extend`` returned while indexing it.  How
-fast that is belongs to ``benchmarks/e2e``; that it *is* so is asserted here.
+process pool read the Event Base by position, and a stream block with nothing
+pending is its type signature, the one the Event Base's ``extend`` returned
+while indexing it, so its ingest reads no row back.  How fast that is belongs
+to ``benchmarks/e2e``; that it *is* so is asserted here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import pytest
 
 from repro.events.event_base import EventBase
 from repro.oodb.database import ChimeraDatabase
-from repro.rules.event_handler import BlockIngest
+from repro.rules.event_handler import EventHandler
 from repro.workloads.scaling import (
     build_scaling_rules,
     build_scaling_universe,
@@ -28,25 +29,43 @@ RULES = 120
     ids=["single-table", "processes"],
 )
 def test_stream_blocks_never_copy_the_log(placement, monkeypatch):
+    #: Lengths of every whole-log copy, wherever it was made.
     log_copies: list[int] = []
-    #: ``(occurrences, signature handed to BlockIngest)`` of every stream block.
-    blocks: list[tuple[tuple, frozenset | None]] = []
+    #: ``(start, stop)`` of every log slice read while a block was ingested.
+    ingest_reads: list[tuple[int, int]] = []
+    #: What every stream block's ingest returned.
+    signatures: list[frozenset] = []
+    ingesting = False
 
     whole_log = EventBase.occurrences.fget
+    log_slice = EventBase.occurrences_between
+    store_external = EventHandler.store_external
 
     def spied_occurrences(store):
         log_copies.append(len(store))
         return whole_log(store)
 
-    original_init = BlockIngest.__init__
+    def spied_slice(store, start, stop):
+        if ingesting:
+            ingest_reads.append((start, stop))
+        return log_slice(store, start, stop)
 
-    def spied_init(batch, occurrences, type_signature=None):
-        original_init(batch, occurrences, type_signature)
-        if batch:
-            blocks.append((batch.occurrences, type_signature))
+    def spied_store_external(handler, occurrences):
+        nonlocal ingesting
+        # The engine flushes after every consideration, so nothing is ever
+        # pending when a stream block arrives.
+        assert handler.pending_count() == 0
+        ingesting = True
+        try:
+            signature = store_external(handler, occurrences)
+        finally:
+            ingesting = False
+        signatures.append(signature)
+        return signature
 
     monkeypatch.setattr(EventBase, "occurrences", property(spied_occurrences))
-    monkeypatch.setattr(BlockIngest, "__init__", spied_init)
+    monkeypatch.setattr(EventBase, "occurrences_between", spied_slice)
+    monkeypatch.setattr(EventHandler, "store_external", spied_store_external)
 
     universe = build_scaling_universe(RULES)
     stream = build_shaped_blocks(universe, blocks=70, events_per_block=130)
@@ -65,7 +84,7 @@ def test_stream_blocks_never_copy_the_log(placement, monkeypatch):
 
     assert considered > 0 and rules_checked > 0  # the pipeline did its work
     assert log_copies == []
-    assert [list(occurrences) for occurrences, _ in blocks] == stream
-    for occurrences, handed_signature in blocks:
-        # Handed over by the Event Base's extend, not derived per row.
-        assert handed_signature == frozenset(o.event_type for o in occurrences)
+    assert ingest_reads == []
+    assert signatures == [
+        frozenset(occurrence.event_type for occurrence in block) for block in stream
+    ]

@@ -191,10 +191,8 @@ def test_zero_candidate_trip_merges_empty_stats_in_process_mode():
                 oid=f"{class_name}#1",
                 timestamp=stamp,
             )
-            batch = handler.flush_block()
-            return support.check_after_block(
-                batch, stamp, 0, type_signature=batch.type_signature
-            )
+            signature = handler.flush_block()
+            return support.check_after_block(signature, stamp, 0)
 
         # While the rule stays triggered it is not a candidate, so the beta
         # block plans nothing at all.
@@ -248,10 +246,8 @@ def test_worker_definitions_pruned_on_rule_removal():
             event_base.record(
                 EventType(Operation.CREATE, "alpha"), oid="alpha#1", timestamp=stamp
             )
-            batch = handler.flush_block()
-            support.check_after_block(
-                batch, stamp, 0, type_signature=batch.type_signature
-            )
+            signature = handler.flush_block()
+            support.check_after_block(signature, stamp, 0)
             for state in table.states():
                 if state.triggered:
                     state.mark_considered(stamp, executed=False)

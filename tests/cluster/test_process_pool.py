@@ -102,10 +102,8 @@ def build_support(
 
 def feed_block(event_base, handler, support, stamp: int):
     event_base.record(CREATE_ALPHA, oid="alpha#1", timestamp=stamp)
-    batch = handler.flush_block()
-    newly = support.check_after_block(
-        batch, stamp, 0, type_signature=batch.type_signature
-    )
+    signature = handler.flush_block()
+    newly = support.check_after_block(signature, stamp, 0)
     for state in newly:
         state.mark_considered(stamp, executed=False)
     return newly
@@ -135,9 +133,9 @@ def test_worker_error_preserves_exception_type_and_pool_survives():
         pool._workers[home - 1].shipped_defs["fresh"] = fresh.definition_order
 
         event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
-        batch = handler.flush_block()
+        signature = handler.flush_block()
         with pytest.raises(KeyError) as excinfo:
-            support.check_after_block(batch, 2, 0, type_signature=batch.type_signature)
+            support.check_after_block(signature, 2, 0)
         # The worker traceback rides along as the chained cause.
         assert isinstance(excinfo.value.__cause__, ShardWorkerError)
         assert "fresh" in str(excinfo.value.__cause__)
@@ -165,15 +163,15 @@ def test_dead_worker_poisons_the_pool():
             handle.process.join(timeout=2.0)
 
         event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
-        batch = handler.flush_block()
+        signature = handler.flush_block()
         with pytest.raises(ShardWorkerError):
-            support.check_after_block(batch, 2, 0, type_signature=batch.type_signature)
+            support.check_after_block(signature, 2, 0)
 
         # Poisoned: subsequent calls fail loudly instead of desyncing.
         event_base.record(CREATE_ALPHA, oid="alpha#3", timestamp=3)
-        batch = handler.flush_block()
+        signature = handler.flush_block()
         with pytest.raises(ShardWorkerError, match="broken|gone|died"):
-            support.check_after_block(batch, 3, 0, type_signature=batch.type_signature)
+            support.check_after_block(signature, 3, 0)
     finally:
         support.close()
 
@@ -309,9 +307,9 @@ def test_unpicklable_payload_fails_at_dispatch_not_in_worker():
             timestamp=1,
             payload={"callback": lambda: None},
         )
-        batch = handler.flush_block()
+        signature = handler.flush_block()
         with pytest.raises(SnapshotError, match=r"picklable.*eid=2"):
-            support.check_after_block(batch, 1, 0, type_signature=batch.type_signature)
+            support.check_after_block(signature, 1, 0)
         pool = support.process_pool
         # Nothing was sent: no worker advanced, no bytes left the coordinator.
         assert all(handle.shipped_events == 0 for handle in pool._workers)
@@ -320,9 +318,9 @@ def test_unpicklable_payload_fails_at_dispatch_not_in_worker():
         # the unshipped slice: the retry names the same occurrence and the
         # row before it is not encoded (or counted) a second time.
         event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
-        batch = handler.flush_block()
+        signature = handler.flush_block()
         with pytest.raises(SnapshotError, match="eid=2"):
-            support.check_after_block(batch, 2, 0, type_signature=batch.type_signature)
+            support.check_after_block(signature, 2, 0)
         stats = pool.transport_stats()
         assert stats["frame_rows_inline"] == 1
         assert stats["frame_rows_fallback"] == 0
@@ -347,18 +345,18 @@ def test_delta_that_does_not_add_up_poisons_the_pool_loudly():
 
         pool._transport.delta_for = short_changed
         event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
-        batch = handler.flush_block()
+        signature = handler.flush_block()
         with pytest.raises(SnapshotError, match="row frame is corrupt") as excinfo:
-            support.check_after_block(batch, 2, 0, type_signature=batch.type_signature)
+            support.check_after_block(signature, 2, 0)
         # The worker traceback rides along, exactly like other worker errors.
         assert isinstance(excinfo.value.__cause__, ShardWorkerError)
 
         # The failing worker never applied its delta, so its mirror diverged
         # from the coordinator's bookkeeping: the pool must be poisoned.
         event_base.record(CREATE_ALPHA, oid="alpha#3", timestamp=3)
-        batch = handler.flush_block()
+        signature = handler.flush_block()
         with pytest.raises(ShardWorkerError, match="broken"):
-            support.check_after_block(batch, 3, 0, type_signature=batch.type_signature)
+            support.check_after_block(signature, 3, 0)
     finally:
         support.close()
 
@@ -373,10 +371,8 @@ def _run_blocks(support, handler, event_base, blocks, first_stamp=1):
     for stamp, block in enumerate(blocks, first_stamp):
         for event_type, oid in block:
             event_base.record(event_type, oid=oid, timestamp=stamp)
-        batch = handler.flush_block()
-        newly = support.check_after_block(
-            batch, stamp, 0, type_signature=batch.type_signature
-        )
+        signature = handler.flush_block()
+        newly = support.check_after_block(signature, stamp, 0)
         for state in newly:
             state.mark_considered(stamp, executed=False)
         trace.append(tuple(sorted(state.rule.name for state in newly)))
@@ -480,10 +476,8 @@ def test_rule_free_database_never_spawns_workers():
     try:
         for stamp in (1, 2, 3):
             event_base.record(CREATE_ALPHA, oid="alpha#1", timestamp=stamp)
-            batch = handler.flush_block()
-            support.check_after_block(
-                batch, stamp, 0, type_signature=batch.type_signature
-            )
+            signature = handler.flush_block()
+            support.check_after_block(signature, stamp, 0)
         assert support.recheck_all(3, 0) == []
         assert support.process_pool is None  # never forked a single process
     finally:
@@ -609,8 +603,8 @@ def test_trip_of_coordinator_homed_candidates_does_not_contact_the_pool():
         newly = []
         for stamp in (4, 5):
             event_base.record(CREATE_ALPHA, oid="alpha#3", timestamp=stamp)
-            batch = handler.flush_block()
-            newly += support.check_after_block(batch, stamp, 0)
+            signature = handler.flush_block()
+            newly += support.check_after_block(signature, stamp, 0)
         assert newly == [local]
         assert local.ts_computations == checks + 2
         assert (pool.dispatches, pool.bytes_shipped, pool.bytes_received) == contacted

@@ -102,9 +102,9 @@ def run_scenario(
             else:
                 table.disable(name)
                 disabled.add(name)
-        batch = handler.store_external(block)
+        signature = handler.store_external(block)
         now = block[-1].timestamp if block else (event_base.latest_timestamp() or 1)
-        newly = support.check_after_block(batch, now, 0)
+        newly = support.check_after_block(signature, now, 0)
         considered: list[str] = []
         while (selected := table.select_for_consideration()) is not None:
             considered.append(selected.rule.name)

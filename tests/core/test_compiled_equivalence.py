@@ -446,10 +446,8 @@ class TestBindingInvariants:
             if handler.event_base is not support.event_base:
                 handler = EventHandler(support.event_base)
             support.event_base.record(event_type, oid="alpha#1", timestamp=stamp)
-            batch = handler.flush_block()
-            support.check_after_block(
-                batch, stamp, 0, type_signature=batch.type_signature
-            )
+            signature = handler.flush_block()
+            support.check_after_block(signature, stamp, 0)
             for state in states:
                 if state.triggered:
                     state.mark_considered(stamp, executed=False)

@@ -9,7 +9,6 @@ from repro.obs.registry import MetricsRegistry
 def _populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("trigger.blocks").inc(3)
-    registry.gauge("ingest.queue_depth").set(2.0)
     registry.histogram("trip.check").observe(0.004)
     registry.register_source("pool", lambda: {"round_trips": 5})
     return registry
@@ -21,8 +20,8 @@ class TestRenderMetricsReport:
         assert "counters" in report
         assert "trigger.blocks" in report and ": 3" in report
         assert "pool.round_trips" in report  # sources fold into the report
-        assert "ingest.queue_depth" in report and "max 2.0" in report
         assert "trip.check" in report and "count 1" in report
+        assert "gauges" not in report
 
     def test_empty_histograms_are_hidden(self):
         registry = MetricsRegistry()

@@ -9,10 +9,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.obs.registry import (
-    COUNT_BUCKETS,
     LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -24,16 +22,6 @@ class TestInstruments:
         counter.inc()
         counter.inc(4)
         assert counter.value == 5
-
-    def test_gauge_tracks_high_water_mark(self):
-        gauge = Gauge("g")
-        gauge.set(3.0)
-        gauge.set(7.0)
-        gauge.set(2.0)
-        assert gauge.value == 2.0
-        assert gauge.max_value == 7.0
-        assert gauge.updates == 3
-        assert gauge.as_dict() == {"value": 2.0, "max": 7.0, "updates": 3}
 
     def test_histogram_buckets_and_summary(self):
         histogram = Histogram("h", bounds=(1.0, 10.0))
@@ -78,20 +66,17 @@ class TestDisabledRegistry:
     def test_disabled_factories_return_shared_null_instruments(self):
         registry = MetricsRegistry(enabled=False)
         assert registry.counter("a") is registry.counter("b")
-        assert registry.gauge("a") is registry.gauge("b")
         assert registry.histogram("a") is registry.histogram("b")
 
     def test_null_instruments_are_inert(self):
         registry = MetricsRegistry(enabled=False)
         registry.counter("c").inc(10)
-        registry.gauge("g").set(10.0)
         registry.histogram("h").observe(10.0)
         with registry.histogram("s").time():
             pass
         snapshot = registry.snapshot()
         assert snapshot["enabled"] is False
         assert snapshot["counters"] == {}
-        assert snapshot["gauges"] == {}
         assert snapshot["histograms"] == {}
 
     def test_disabled_drain_is_none(self):
@@ -106,17 +91,17 @@ class TestEnabledRegistry:
         assert registry.counter("c") is registry.counter("c")
         assert registry.histogram("h") is registry.histogram("h")
         assert registry.histogram("h").bounds == LATENCY_BUCKETS
-        assert registry.histogram("sizes", bounds=COUNT_BUCKETS).bounds == COUNT_BUCKETS
+        sizes = (1, 2, 4, 8)
+        assert registry.histogram("sizes", bounds=sizes).bounds == sizes
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
-        registry.gauge("g").set(1.5)
         registry.histogram("h").observe(0.25)
         snapshot = registry.snapshot()
+        assert set(snapshot) == {"enabled", "counters", "histograms"}
         assert snapshot["enabled"] is True
         assert snapshot["counters"] == {"c": 2}
-        assert snapshot["gauges"]["g"] == {"value": 1.5, "max": 1.5, "updates": 1}
         values = snapshot["histograms"]["h"]
         assert values["count"] == 1
         assert values["sum"] == pytest.approx(0.25)
@@ -127,10 +112,9 @@ class TestDrainAndMerge:
     def test_round_trip_preserves_values_and_resets_origin(self):
         worker = MetricsRegistry()
         worker.counter("worker.trips").inc(3)
-        worker.gauge("worker.depth").set(5.0)
         worker.histogram("worker.check").observe(0.01)
         delta = worker.drain_delta()
-        assert delta is not None
+        assert delta is not None and set(delta) == {"counters", "histograms"}
 
         # The origin was zeroed: a second drain has nothing to ship.
         assert worker.drain_delta() is None
@@ -140,7 +124,6 @@ class TestDrainAndMerge:
         coordinator.merge_delta(delta)
         snapshot = coordinator.snapshot()
         assert snapshot["counters"]["worker.trips"] == 3
-        assert snapshot["gauges"]["worker.depth"]["max"] == 5.0
         assert snapshot["histograms"]["worker.check"]["count"] == 1
         assert snapshot["histograms"]["worker.check"]["sum"] == pytest.approx(0.01)
 
@@ -165,7 +148,7 @@ class TestDrainAndMerge:
         registry.merge_delta(None)
         assert registry.snapshot()["counters"] == {}
         disabled = MetricsRegistry(enabled=False)
-        disabled.merge_delta({"counters": {"c": 1}, "gauges": {}, "histograms": {}})
+        disabled.merge_delta({"counters": {"c": 1}, "histograms": {}})
         assert disabled.snapshot()["counters"] == {}
 
 

@@ -1,4 +1,8 @@
-"""Tests for rule actions and their statements."""
+"""Tests for rule actions and their statements.
+
+An action returns nothing: what it did is read from the object store and from
+the Event Base rows its operations recorded.
+"""
 
 import pytest
 
@@ -28,6 +32,12 @@ def operations() -> OperationExecutor:
     return OperationExecutor(schema, ObjectStore(), EventBase(), TransactionClock())
 
 
+def recorded_since(operations, start: int) -> list:
+    """The Event Base rows recorded at positions ``start`` onwards."""
+    event_base = operations.event_base
+    return event_base.occurrences_between(start, len(event_base))
+
+
 @pytest.fixture
 def stock_object(operations):
     return operations.create(
@@ -40,8 +50,10 @@ class TestModifyStatement:
         statement = ModifyStatement(
             "stock", "quantity", VarRef("S"), AttrRef("S", "maxquantity")
         )
-        occurrences = statement.execute({"S": stock_object.oid}, operations)
+        start = len(operations.event_base)
+        assert statement.execute({"S": stock_object.oid}, operations) is None
         assert operations.store.get(stock_object.oid).get("quantity") == 100
+        occurrences = recorded_since(operations, start)
         assert len(occurrences) == 1
         assert occurrences[0].event_type.operation is Operation.MODIFY
 
@@ -70,10 +82,12 @@ class TestCreateStatement:
         statement = CreateStatement(
             "stockOrder", (("item", VarRef("S")), ("delquantity", Const(0)))
         )
-        occurrences = statement.execute({"S": stock_object.oid}, operations)
+        start = len(operations.event_base)
+        statement.execute({"S": stock_object.oid}, operations)
         created = operations.store.objects_of_class("stockOrder")
         assert len(created) == 1
         assert created[0].get("item") == stock_object.oid
+        occurrences = recorded_since(operations, start)
         assert occurrences[0].event_type.operation is Operation.CREATE
 
     def test_bind_as_makes_the_new_oid_available(self, operations, stock_object):
@@ -93,14 +107,18 @@ class TestCreateStatement:
 class TestDeleteStatement:
     def test_deletes_bound_object(self, operations, stock_object):
         statement = DeleteStatement(VarRef("S"))
-        occurrences = statement.execute({"S": stock_object.oid}, operations)
+        start = len(operations.event_base)
+        statement.execute({"S": stock_object.oid}, operations)
         assert not operations.store.exists(stock_object.oid)
+        occurrences = recorded_since(operations, start)
         assert occurrences[0].event_type.operation is Operation.DELETE
 
     def test_double_delete_is_a_noop(self, operations, stock_object):
         statement = DeleteStatement(VarRef("S"))
         statement.execute({"S": stock_object.oid}, operations)
-        assert statement.execute({"S": stock_object.oid}, operations) == []
+        start = len(operations.event_base)
+        statement.execute({"S": stock_object.oid}, operations)
+        assert recorded_since(operations, start) == []
 
 
 class TestActionComposition:
@@ -116,26 +134,33 @@ class TestActionComposition:
                 ),
             )
         )
-        occurrences = action.execute([{"S": first.oid}, {"S": second.oid}], operations)
+        start = len(operations.event_base)
+        bindings = [{"S": first.oid}, {"S": second.oid}]
+        assert action.execute(bindings, operations) is None
         assert operations.store.get(first.oid).get("quantity") == 100
         assert operations.store.get(second.oid).get("quantity") == 100
-        assert len(occurrences) == 2
+        assert len(recorded_since(operations, start)) == 2
 
     def test_no_action_produces_nothing(self, operations, stock_object):
-        assert NO_ACTION.execute([{"S": stock_object.oid}], operations) == []
+        start = len(operations.event_base)
+        NO_ACTION.execute([{"S": stock_object.oid}], operations)
+        assert recorded_since(operations, start) == []
 
     def test_callable_statement(self, operations, stock_object):
         def body(binding, ops):
             return ops.modify(binding["S"], "onorder", 1).occurrences
 
         action = Action.from_callable(body, "flag onorder")
-        occurrences = action.execute([{"S": stock_object.oid}], operations)
+        start = len(operations.event_base)
+        assert action.execute([{"S": stock_object.oid}], operations) is None
         assert operations.store.get(stock_object.oid).get("onorder") == 1
-        assert len(occurrences) == 1
+        assert len(recorded_since(operations, start)) == 1
 
     def test_callable_statement_returning_none(self, operations, stock_object):
         statement = CallableStatement(lambda binding, ops: None)
-        assert statement.execute({"S": stock_object.oid}, operations) == []
+        start = len(operations.event_base)
+        assert statement.execute({"S": stock_object.oid}, operations) is None
+        assert recorded_since(operations, start) == []
 
     def test_str_rendering(self, operations):
         action = Action(

@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core.evaluation import ts
 from repro.core.optimization import watched_event_types
@@ -25,7 +25,7 @@ from repro.rules.analysis import (
     can_trigger,
     positive_trigger_types,
 )
-from repro.rules.conditions import TRUE_CONDITION
+from repro.rules.conditions import TRUE_CONDITION, ClassRange, Condition
 from repro.rules.language import parse_rule
 from repro.rules.rule import Rule
 from repro.rules.terms import Const, VarRef
@@ -302,3 +302,89 @@ class TestVacuousTargets:
         if vacuous:
             assert all(can_trigger(source, target) for source in SOURCES)
         assert not can_trigger(SILENT, target)
+
+
+#: Three classes with one attribute each: every event type the property's
+#: actions can generate, and every type its expressions watch.
+CLASSES = ("a", "b", "c")
+UNIVERSE = [
+    EventType(operation, name, attribute)
+    for name in CLASSES
+    for operation, attribute in (
+        (Operation.CREATE, None),
+        (Operation.MODIFY, "x"),
+        (Operation.DELETE, None),
+    )
+]
+
+#: ``(expression, statement kind, class)`` of one generated rule.
+RULE_SPEC = st.tuples(
+    st.builds(
+        lambda seed, operators: ExpressionGenerator(
+            event_types=UNIVERSE, seed=seed, instance_probability=0.3
+        ).expression(operators),
+        st.integers(0, 2**16),
+        st.integers(0, 3),
+    ),
+    st.sampled_from(("create", "modify", "delete")),
+    st.sampled_from(CLASSES),
+)
+
+
+def spec_rule(index: int, expression, kind: str, class_name: str) -> Rule:
+    """A rule whose action creates an object of ``class_name``, or modifies
+    or deletes every live one."""
+    if kind == "create":
+        condition = TRUE_CONDITION
+        statement = CreateStatement(class_name, (("x", Const(0)),))
+    else:
+        condition = Condition((ClassRange("S", class_name),))
+        if kind == "modify":
+            statement = ModifyStatement(class_name, "x", VarRef("S"), Const(1))
+        else:
+            statement = DeleteStatement(VarRef("S"))
+    return Rule(
+        name=f"r{index}",
+        events=expression,
+        condition=condition,
+        action=Action((statement,)),
+    )
+
+
+class TestTerminationVerdict:
+    """Whenever the analysis guarantees termination, the engine terminates."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(specs=st.lists(RULE_SPEC, min_size=3, max_size=3))
+    @example(
+        specs=[
+            # VACUOUS_DISJUNCTION over this universe: its own create(c)
+            # re-opens its window, so it never quiesces.
+            (parse_expression("-create(a) , create(b)"), "create", "c"),
+            (parse_expression("create(a)"), "modify", "b"),
+            (parse_expression("modify(b.x)"), "delete", "a"),
+        ]
+    )
+    def test_a_guaranteed_rule_set_never_exhausts_the_budget(self, specs):
+        rules = [spec_rule(index, *spec) for index, spec in enumerate(specs)]
+        if not analyze_rules(rules).guaranteed_to_terminate():
+            return
+        db = ChimeraDatabase(max_rule_executions=10 * len(rules))
+        try:
+            for name in CLASSES:
+                db.define_class(name, {"x": int})
+            for defined in rules:
+                db.define_rule(defined)
+            # Create, modify and delete one object of every class.
+            with db.transaction() as tx:
+                oids = [tx.create(name, {"x": 0}).oid for name in CLASSES]
+            with db.transaction() as tx:
+                for oid in oids:
+                    if db.store.exists(oid):
+                        tx.modify(oid, "x", 2)
+            with db.transaction() as tx:
+                for oid in oids:
+                    if db.store.exists(oid):
+                        tx.delete(oid)
+        finally:
+            db.close()

@@ -1,9 +1,10 @@
 """The Event Handler's block boundaries and block signatures.
 
-A flush hands over exactly the occurrences recorded since the previous flush
-(or reset), however they entered the Event Base.  A stream block carries the
-signature the Event Base's ``extend`` returned — unless other occurrences
-were pending, which the block then also holds.
+A flush returns the type signature of exactly the occurrences recorded since
+the previous flush (or reset), however they entered the Event Base; the rows
+themselves stay in the Event Base.  A stream block's signature is the one the
+Event Base's ``extend`` returned — unless other occurrences were pending,
+which the block then also holds.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class TestBlockBoundaries:
                 pending.extend(batch)
                 event_base.extend(batch)
             elif step[0] == "flush":
-                assert list(handler.flush_block()) == pending
+                assert handler.flush_block() == frozenset(
+                    occurrence.event_type for occurrence in pending
+                )
                 pending = []
             else:
                 if step[0] == "reset_cleared_eb":
@@ -91,38 +94,40 @@ class TestStoreExternalSignature:
     def test_signature_is_the_blocks_type_set_at_every_size(self):
         for size in (0, 1, 5, 127, 128, 300):
             block = self.block(size)
-            batch = EventHandler(EventBase()).store_external(block)
-            assert batch.type_signature == frozenset(o.event_type for o in block)
+            signature = EventHandler(EventBase()).store_external(block)
+            assert signature == frozenset(o.event_type for o in block)
 
     def test_segmentation_is_not_a_signature_when_more_was_pending(self):
         event_base = EventBase()
         handler = EventHandler(event_base)
         event_base.record(TYPES[3], "o9", 1)
-        batch = handler.store_external(self.block(200, first_eid=2))
-        assert TYPES[3] in batch.type_signature
-        assert len(batch) == 201
+        signature = handler.store_external(self.block(200, first_eid=2))
+        assert TYPES[3] in signature
+        assert handler.pending_count() == 0 and len(event_base) == 201
 
     @pytest.mark.parametrize("size", [0, 1, 5, 130])
     def test_pending_occurrence_joins_the_block_at_every_batch_size(self, size):
-        """Even an empty external batch flushes what was pending: the block —
-        and its signature — hold the pending occurrence first."""
+        """Even an empty external batch flushes what was pending: the block
+        holds the pending occurrence first, and so does its signature."""
         event_base = EventBase()
         handler = EventHandler(event_base)
         pending = event_base.record(TYPES[3], "o9", 1)
         external = self.block(size, first_eid=2)
-        batch = handler.store_external(external)
-        assert list(batch) == [pending, *external]
-        assert batch.type_signature == frozenset(
+        signature = handler.store_external(external)
+        assert event_base.occurrences_between(0, len(event_base)) == [
+            pending,
+            *external,
+        ]
+        assert signature == frozenset(
             occurrence.event_type for occurrence in [pending, *external]
         )
         assert handler.pending_count() == 0
 
     def test_an_empty_external_block_is_still_a_block(self):
         handler = EventHandler(EventBase())
-        handler.store_external(self.block(3))
-        batch = handler.store_external([])
-        assert len(batch) == 0 and batch.type_signature == frozenset()
-        assert handler.blocks_processed == 2
+        assert handler.store_external(self.block(3)) == frozenset(TYPES[:3])
+        assert handler.store_external([]) == frozenset()
+        assert handler.pending_count() == 0
 
     def test_stale_pending_occurrences_force_rederivation(self):
         """Through the engine: an occurrence recorded but never flushed joins

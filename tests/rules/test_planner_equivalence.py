@@ -222,11 +222,9 @@ def run_scenario(scenario: Scenario, routed: bool) -> dict:
                 removed.discard(rule.name)
         for name in scenario.flips.get(position, ()):
             flip(name)
-        batch = handler.store_external(block)
+        signature = handler.store_external(block)
         now = block[-1].timestamp if block else (event_base.latest_timestamp() or 1)
-        newly = support.check_after_block(
-            batch, now, 0, type_signature=batch.type_signature
-        )
+        newly = support.check_after_block(signature, now, 0)
         for name in scenario.late_flips.get(position, ()):
             pending_disabled += flip(name)
         considered: list[str] = []
@@ -346,10 +344,8 @@ def _disable_enable_trace(routed: bool) -> list[list[str]]:
         event_base.record(
             EventType(Operation.CREATE, class_name), f"{class_name}#1", stamp
         )
-        batch = handler.flush_block()
-        newly = support.check_after_block(
-            batch, stamp, 0, type_signature=batch.type_signature
-        )
+        signature = handler.flush_block()
+        newly = support.check_after_block(signature, stamp, 0)
         trace.append([state.rule.name for state in newly])
     return trace
 

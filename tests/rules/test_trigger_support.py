@@ -47,17 +47,18 @@ class TestEventHandler:
         first = handler.flush_block()
         event_base.record(MODIFY_QTY, "o1", 2)
         second = handler.flush_block()
-        assert [occ.timestamp for occ in first] == [1]
-        assert [occ.timestamp for occ in second] == [2]
+        assert first == {CREATE_STOCK}
+        assert second == {MODIFY_QTY}
         assert handler.pending_count() == 0
-        assert handler.blocks_processed == 2
 
     def test_store_external(self):
         event_base, _, handler, _ = setup()
         from repro.events.event import EventOccurrence
 
-        batch = handler.store_external([EventOccurrence(1, CREATE_STOCK, "o1", 1)])
-        assert len(batch) == 1
+        signature = handler.store_external(
+            [EventOccurrence(1, CREATE_STOCK, "o1", 1)]
+        )
+        assert signature == {CREATE_STOCK}
         assert len(event_base) == 1
 
 
@@ -144,9 +145,32 @@ class TestTriggerSupport:
         assert [state.rule.name for state in newly] == ["watchdog"]
 
     def test_empty_block_changes_nothing(self):
-        event_base, table, handler, support = setup(make_rule("r", "create(stock)"))
-        assert support.check_after_block([], now=1, transaction_start=0) == []
-        assert support.stats.ts_computations == 0
+        for optimized in (True, False):
+            _, table, _, support = setup(
+                make_rule("r", "create(stock)"), optimized=optimized
+            )
+            newly = support.check_after_block(frozenset(), now=1, transaction_start=0)
+            assert newly == []
+            assert support.stats.ts_computations == 0
+            assert support.stats.rules_checked == 0
+
+    def test_empty_block_checks_no_rider(self):
+        """An empty signature means the block produced nothing: neither a
+        rider the index cannot route yet nor the exhaustive scan is checked,
+        so the rider stays armed for the next block that does produce."""
+        for optimized in (True, False):
+            event_base, table, handler, support = setup(optimized=optimized)
+            event_base.record(CREATE_STOCK, "o1", 1)
+            handler.flush_block()
+            # A bare add over a log that holds a row: a rider until checked.
+            state = table.add(make_rule("r", "create(stock)"))
+            assert table.pending_full_check_states() == {"r": state}
+            newly = support.check_after_block(
+                handler.flush_block(), now=2, transaction_start=0
+            )
+            assert newly == []
+            assert support.stats.ts_computations == 0
+            assert state.rider and not state.triggered
 
     def test_conjunction_rule_triggers_only_when_complete(self):
         event_base, table, handler, support = setup(
@@ -185,13 +209,13 @@ class TestTriggerSupport:
 
 
 class TestTriggerPlannerRouting:
-    def test_block_ingest_carries_the_type_signature(self):
+    def test_flush_returns_the_type_signature(self):
         event_base, _, handler, _ = setup()
         event_base.record(CREATE_STOCK, "o1", 1)
         event_base.record(MODIFY_QTY, "o1", 1)
-        batch = handler.flush_block()
-        assert batch.type_signature == {CREATE_STOCK, MODIFY_QTY}
-        assert len(batch) == 2 and list(batch)[0].event_type is CREATE_STOCK
+        event_base.record(CREATE_STOCK, "o2", 1)
+        assert handler.flush_block() == frozenset({CREATE_STOCK, MODIFY_QTY})
+        assert handler.pending_count() == 0
 
     def test_unsubscribed_rules_are_bypassed_not_visited(self):
         # The order rule needs both conjuncts, so create(order) occurrences
