@@ -15,8 +15,9 @@ TriggerPlanner` over one Rule Table:
   from per-block log deltas — the one execution mode where trigger checking
   uses multiple cores;
 * :mod:`repro.cluster.transport` — :class:`~repro.cluster.transport.
-  ShardTransport`, which forks those workers on pipes and owns the row log
-  their deltas are sliced from.
+  ShardTransport`, which forks those workers on pipes and owns the column
+  log their deltas are sliced from: per EB position an event-type id and an
+  OID, shipped with the Event Base's own stamp column.
 
 Every block is checked on its own, right after it is flushed, exactly as
 the paper's Block Executor does.  See PERFORMANCE.md ("Multi-process shard

@@ -190,7 +190,7 @@ class ShardCoordinator(TriggerSupport):
             self._process_pool = ProcessShardPool(
                 self.shards - 1, self.config, metrics=self.metrics
             )
-            # Transport health (messages, bytes, rows encoded) folds into
+            # Transport health (messages, bytes, deltas) folds into
             # the same snapshot as everything else.
             self.metrics.register_source("pool", self._process_pool.transport_stats)
         return self._process_pool

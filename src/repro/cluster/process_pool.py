@@ -18,7 +18,8 @@ worker one message, evaluates its own share (the ``inline`` callback of
 then reads the replies::
 
     ("check",
-     delta of the EB log the worker has not seen (or None),
+     delta: (start, new event types, type ids, OIDs, time stamps) of the
+       EB positions the worker has not seen (or None),
      new/changed rule definitions, dropped rule names,
      work items ((rule name, window start), ...), now)
 
@@ -45,10 +46,12 @@ What makes the equivalence exact:
   off the whole log, and negated or precedence sub-expressions read types no
   routing signature names, so a worker-side window is equivalent to the
   coordinator's zero-copy view;
-* **synchronous failure** — the delta is encoded in the coordinator and
-  nothing is sent until every message of the block encoded, so an unpicklable
-  user payload raises :class:`~repro.errors.SnapshotError` naming the
-  occurrence at the call site, with every worker left where it was.
+* **synchronous failure** — every message of the block is pickled in the
+  coordinator before any is sent, so an OID that does not pickle raises
+  :class:`~repro.errors.SnapshotError` naming its occurrence at the call
+  site, with every worker left where it was.  Payloads never cross (the
+  mirror reads none), so a payload that does not pickle is accepted here
+  exactly as the single table accepts it.
 
 Failure handling: a worker-side evaluation error is re-raised
 coordinator-side as the original exception type with the worker traceback
@@ -68,12 +71,13 @@ import traceback
 import weakref
 from typing import Callable
 
-from repro.cluster.transport import ShardTransport, _FrameReader
+from repro.cluster.transport import ShardTransport, apply_delta
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder, CompiledCheck
 from repro.core.triggering import TriggerMemo, TriggeringDecision
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.clock import Timestamp
+from repro.events.event import EventType
 from repro.events.event_base import EventBase, StampIndex
 from repro.obs.registry import MetricsRegistry
 from repro.rules.rule import RuleState
@@ -128,7 +132,8 @@ def _worker_loop(
 ) -> None:
     mirror_hist, check_hist, reply_hist = hists
     mirror = StampIndex()
-    frame_reader = _FrameReader()
+    #: The event types the deltas' type ids name, in shipping order.
+    types: list[EventType] = []
     while True:
         try:
             request = pickle.loads(connection.recv_bytes())
@@ -146,7 +151,7 @@ def _worker_loop(
                 # The coordinator's log was emptied: so is the mirror (its
                 # live lists stay bound); the memos describe the old log.
                 mirror.clear()
-                frame_reader = _FrameReader()
+                types.clear()
                 for memo, _compiled in rules.values():
                     memo.clear()
                 connection.send_bytes(pickle.dumps(("ok", None, None), _PROTOCOL))
@@ -154,7 +159,7 @@ def _worker_loop(
             _, delta, defs, drops, items, now = request
             with mirror_hist.time():
                 if delta is not None:
-                    frame_reader.apply(delta, mirror)
+                    apply_delta(delta, types, mirror)
             # Drops before defs: a removed-then-re-added name must end up
             # with the fresh definition, not the stale entry.
             for name in drops:
@@ -228,8 +233,8 @@ class _WorkerHandle:
         self.connection = connection
         #: How much of the current EB log this worker's mirror holds.
         self.shipped_events = 0
-        #: How much of the row log's event-type table this worker holds (new
-        #: types piggyback on each delta).
+        #: How much of the column log's event-type table this worker holds
+        #: (new types piggyback on each delta).
         self.shipped_types = 0
         #: rule name -> definition order of the definition last shipped.
         self.shipped_defs: dict[str, int] = {}
@@ -254,7 +259,7 @@ class ProcessShardPool:
     itself.  The pool is protocol + residency bookkeeping only: *which* rules
     are candidates for a block is decided by the coordinator's plan, every
     state mutation happens back in the coordinator, and the worker processes,
-    their pipes and the delta encoding belong to its
+    their pipes and the delta's wire form belong to its
     :class:`~repro.cluster.transport.ShardTransport`.  See the module
     docstring for the protocol.
     """
@@ -308,8 +313,8 @@ class ProcessShardPool:
         #: Coordinator-side serialization cost (delta + message pickling):
         #: the "encode cost" side of the crossover PERFORMANCE.md discusses.
         self.encode_seconds = 0.0
-        #: The delta-only share of ``encode_seconds`` (row encoding plus the
-        #: per-worker slices).
+        #: The delta-only share of ``encode_seconds`` (logging the new
+        #: positions plus the per-worker slices).
         self.delta_encode_seconds = 0.0
         #: Per-worker deltas shipped.
         self.deltas_framed = 0
@@ -341,8 +346,8 @@ class ProcessShardPool:
         total = len(event_base)
         prepared: list[_PreparedSend] = []
         started = time.perf_counter()
-        # Encode the unseen tail of the log once — every lagging worker's
-        # delta is then a slice of the same encoded log.
+        # Log the unseen tail of the EB once — every lagging worker's delta
+        # is then a slice of the same columns.
         encode_started = time.perf_counter()
         transport.begin_trip(event_base, total)
         self.delta_encode_seconds += time.perf_counter() - encode_started
@@ -470,10 +475,12 @@ class ProcessShardPool:
     def _encode(self, message: tuple) -> bytes:
         try:
             return pickle.dumps(message, _PROTOCOL)
-        except SnapshotError:
-            raise
         except Exception as exc:
-            raise SnapshotError(f"shard work item is not picklable: {exc}") from exc
+            culprit = self._transport.culprit(message[1])
+            raise SnapshotError(
+                "shard work item is not picklable — OIDs and rule definitions "
+                f"must pickle to cross a process boundary{culprit}: {exc}"
+            ) from exc
 
     def _send(self, handle: _WorkerHandle, payload: bytes) -> None:
         try:
@@ -520,7 +527,7 @@ class ProcessShardPool:
     # -- lifecycle ------------------------------------------------------------
     def transport_stats(self) -> dict[str, int | float]:
         """Wire-level counters (merged into the workload reports)."""
-        stats = {
+        return {
             "workers": self.num_workers,
             "dispatches": self.dispatches,
             "worker_round_trips": self.worker_round_trips,
@@ -531,8 +538,6 @@ class ProcessShardPool:
             "delta_encode_ms": round(1e3 * self.delta_encode_seconds, 2),
             "deltas_framed": self.deltas_framed,
         }
-        stats.update(self._transport.extra_stats())
-        return stats
 
     def close(self) -> None:
         """Stop and reap the workers, then close their pipes (idempotent)."""

@@ -55,11 +55,13 @@ class EvaluationError(EventCalculusError):
 
 
 class SnapshotError(EventCalculusError):
-    """A window or occurrence could not be serialized for out-of-process use.
+    """A process shard worker's message could not cross, or its delta was refused.
 
-    Raised with a pointer at the offending occurrence when a user payload is
-    not picklable: the failure must surface synchronously in the caller, not
-    as a crashed shard worker.
+    Raised in the coordinator, before anything is sent, when a message does
+    not pickle — naming the offending occurrence's EID when its OID is the
+    cause — so the failure surfaces synchronously in the caller, not as a
+    crashed shard worker.  A worker raises it for a delta that does not
+    continue its mirror (``repro.cluster.transport.apply_delta``).
     """
 
 

@@ -73,7 +73,7 @@ class EventType:
     dictionary probe.  The cached value (like the :attr:`class_level` memo)
     is derived state of *this* interpreter: string hashes are salted per
     process, so :meth:`__reduce__` keeps both out of pickles and copies — a
-    worker on another host rebuilds them from the three fields.
+    process worker's unpickled copy rebuilds them from the three fields.
     """
 
     operation: Operation
@@ -145,22 +145,6 @@ class EventType:
             return True
         return self.attribute == other.attribute
 
-    # -- compact snapshot form (cross-process wire format) ------------------
-    def snapshot(self) -> tuple[str, str, str | None]:
-        """Compact, always-picklable form: ``(operation value, class, attribute)``.
-
-        The wire format the cluster's process workers exchange — plain
-        strings, no enum or dataclass machinery, so a snapshot pickles small
-        and restores on any interpreter that has this module.
-        """
-        return (self.operation.value, self.class_name, self.attribute)
-
-    @classmethod
-    def from_snapshot(cls, data: tuple[str, str, str | None]) -> "EventType":
-        """Rebuild an :class:`EventType` from its :meth:`snapshot` form."""
-        operation, class_name, attribute = data
-        return cls(Operation(operation), class_name, attribute)
-
 
 def parse_event_type(text: str) -> EventType:
     """Parse ``"modify(stock.quantity)"`` style text into an :class:`EventType`.
@@ -199,8 +183,9 @@ class EventOccurrence:
     optional ``payload`` carries extra information produced by the operation
     (e.g. old/new attribute values) which is available to rule conditions but
     is not part of the calculus.  Slotted: the EB holds millions of rows, and
-    the hot paths (snapshot encoding, trigger checks) read several attributes
-    per row — slots drop the per-instance dict and its extra cache miss.
+    the hot paths (flush signatures, the shard transport's column log) read
+    attributes per row — slots drop the per-instance dict and its extra
+    cache miss.
     """
 
     eid: int
@@ -235,21 +220,3 @@ class EventOccurrence:
     def event_on_class(self) -> str:
         """``event_on_class(e)`` — the class of the affected object."""
         return self.event_type.class_name
-
-    # -- compact snapshot form (cross-process wire format) ------------------
-    def snapshot(self) -> tuple:
-        """Compact picklable form: ``(eid, type snapshot, oid, timestamp, payload)``.
-
-        ``payload`` is carried as a plain dict (``None`` when empty).  The
-        OID and payload values are whatever the user stored — their
-        picklability is *their* contract; the process pool's row log
-        (``repro.cluster.transport``) turns a violation into a
-        :class:`~repro.errors.SnapshotError` naming this occurrence.
-        """
-        return (
-            self.eid,
-            self.event_type.snapshot(),
-            self.oid,
-            self.timestamp,
-            dict(self.payload) if self.payload else None,
-        )

@@ -34,7 +34,7 @@ import itertools
 import operator
 from array import array
 from collections import defaultdict
-from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import EventCalculusError
 from repro.events.clock import Timestamp
@@ -132,7 +132,7 @@ class StampIndex:
 
     Every query takes optional ``(after, until]`` window bounds; leaving both
     out asks the whole log.  A process shard worker's mirror of the Event
-    Base is a bare ``StampIndex`` fed straight from the wire rows
+    Base is a bare ``StampIndex`` fed straight from the delta columns
     (:mod:`repro.cluster.transport`); :class:`EventBase` adds the occurrence
     objects on top.
     """
@@ -147,23 +147,14 @@ class StampIndex:
         self._serial = next(_store_serials)
 
     # -- mutation ------------------------------------------------------
-    def _check_batch(
-        self,
-        eids: Sequence[int],
-        known_eids: Collection[int],
-        stamps: Sequence[Timestamp],
-    ) -> None:
-        """Refuse a batch that would not continue the log.
+    def _check_stamps(self, stamps: Sequence[Timestamp]) -> None:
+        """Refuse a non-empty batch's time stamps unless they continue the log.
 
-        Its EIDs must be unique and absent from ``known_eids``, and its time
-        stamps non-decreasing and no earlier than the last one indexed.  Run
-        before anything is indexed, so a refused batch leaves the store as
-        it was.
+        They must be positive, non-decreasing and no earlier than the last
+        one indexed.  Every batch runs this before anything is indexed — an
+        :class:`EventBase` ``extend``, a worker mirror's delta — so a refused
+        batch leaves the store as it was.
         """
-        if len(set(eids)) != len(eids) or not known_eids.isdisjoint(eids):
-            seen = set(known_eids)
-            duplicate = next(eid for eid in eids if eid in seen or seen.add(eid))
-            raise EventCalculusError(f"duplicate EID {duplicate}")
         stored = self._all_timestamps
         previous = stored[-1] if stored else stamps[0]
         if stamps[0] < previous or any(map(_stamp_decreases, stamps, stamps[1:])):
@@ -174,6 +165,10 @@ class StampIndex:
                         f"time-stamp order (last={previous}, new={stamp})"
                     )
                 previous = stamp
+        if stamps[0] <= 0:
+            raise EventCalculusError(
+                f"event occurrences require a positive time stamp (got {stamps[0]})"
+            )
 
     def _index_rows(
         self,
@@ -187,7 +182,7 @@ class StampIndex:
         ``extend``, a worker mirror's delta — in a single pass: each row
         appends its stamp, log position and OID to its type's columns and its
         stamp to the type's per-OID list.  The rows must continue the log
-        (:meth:`_check_batch`).  Returns the batch's type signature.
+        (:meth:`_check_stamps`).  Returns the batch's type signature.
         """
         by_type = self._by_type
         position = len(self._all_timestamps)
@@ -453,8 +448,12 @@ class EventBase(StampIndex):
                 self.append(batch[0])
             return frozenset(occurrence.event_type for occurrence in batch)
         eids = [occurrence.eid for occurrence in batch]
+        if len(set(eids)) != len(eids) or not self._by_eid.keys().isdisjoint(eids):
+            seen = set(self._by_eid)
+            duplicate = next(eid for eid in eids if eid in seen or seen.add(eid))
+            raise EventCalculusError(f"duplicate EID {duplicate}")
         stamps = [occurrence.timestamp for occurrence in batch]
-        self._check_batch(eids, self._by_eid.keys(), stamps)
+        self._check_stamps(stamps)
         self._occurrences.extend(batch)
         signature = self._index_rows(
             [occurrence.event_type for occurrence in batch],
@@ -482,8 +481,8 @@ class EventBase(StampIndex):
         """The occurrences at positions ``[start, stop)`` in insertion order.
 
         Costs the slice, not the log: what per-block readers (the Event
-        Handler's flush, the row log's encoder) use instead of
-        :attr:`occurrences`, which materializes every row.
+        Handler's flush signature, the shard transport's column log) use
+        instead of :attr:`occurrences`, which materializes every row.
         """
         return self._occurrences[start:stop]
 

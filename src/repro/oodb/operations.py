@@ -114,18 +114,6 @@ class OperationExecutor:
         self.store.set_attribute(oid, attribute, value, occurrence.timestamp)
         return OperationResult((obj,), (occurrence,))
 
-    def modify_many(
-        self, oids: list[OID], attribute: str, value_for: Callable[[ChimeraObject], Any]
-    ) -> OperationResult:
-        """Set-oriented modification: one ``modify`` event per affected object."""
-        objects: list[ChimeraObject] = []
-        occurrences: list[EventOccurrence] = []
-        for oid in oids:
-            result = self.modify(oid, attribute, value_for(self.store.get(oid)))
-            objects.extend(result.objects)
-            occurrences.extend(result.occurrences)
-        return OperationResult(tuple(objects), tuple(occurrences))
-
     def delete(self, oid: OID) -> OperationResult:
         """Delete an object and emit a ``delete`` event."""
         obj = self.store.get(oid)

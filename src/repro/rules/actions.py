@@ -19,7 +19,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.errors import ActionError
 from repro.oodb.objects import OID
 from repro.oodb.operations import OperationExecutor
-from repro.rules.terms import Binding, Term, VarRef
+from repro.rules.terms import Binding, Term
 
 __all__ = [
     "ActionStatement",
@@ -157,25 +157,6 @@ class Action:
         if not self.statements:
             return "skip"
         return ", ".join(str(statement) for statement in self.statements)
-
-    @classmethod
-    def from_callable(
-        cls,
-        function: Callable[[Binding, OperationExecutor], Any],
-        description: str = "",
-    ) -> "Action":
-        """Build an action from a plain Python callable."""
-        return cls((CallableStatement(function, description or function.__name__),))
-
-    @staticmethod
-    def modify(class_path: str, target: str, value: Term) -> ModifyStatement:
-        """Convenience builder: ``Action.modify("stock.quantity", "S", term)``."""
-        class_name, _, attribute = class_path.partition(".")
-        if not attribute:
-            raise ActionError(
-                f"modify needs a class.attribute path, got {class_path!r}"
-            )
-        return ModifyStatement(class_name, attribute, VarRef(target), value)
 
 
 #: The empty action (useful for rules that only exist to be observed in tests).

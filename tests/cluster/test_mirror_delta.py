@@ -1,18 +1,20 @@
-"""The row log: the one delta encoding between coordinator and worker mirrors.
+"""The column delta: the one form in which the log crosses to worker mirrors.
 
-``_RowLog`` (coordinator) encodes every EB position once; ``_FrameReader``
-(worker) applies the slice a worker has not seen straight into the worker's
-mirror, a :class:`~repro.events.event_base.StampIndex`.  A differential
-property test drives the pair the way the pool does — several workers at
-their own offsets and type-table watermarks, consulted in random subsets,
-with resets in between — and pins that every mirror indexes exactly what the
-coordinator's Event Base indexes (the per-type OID column included), that
-the compiled checks decide (and count)
-identically over both, and that no position is ever encoded twice.  Refusal
-tests pin that a frame that does not add up raises and leaves the mirror as
-it was; a structural test that a worker applies a delta without building a
-single occurrence object; a guard test the synchronous failure for
-unpicklable user payloads.
+``ShardTransport.begin_trip`` (coordinator) logs every EB position once — its
+event type's id and its OID; ``delta_for`` slices those columns and the
+Event Base's own stamp column from a worker's offset; ``apply_delta``
+(worker) indexes the delta straight into the worker's mirror, a
+:class:`~repro.events.event_base.StampIndex`.  A differential property test
+drives the pair the way the pool does — several workers at their own offsets
+and type-table watermarks, consulted in random subsets, with resets in
+between, every delta through ``pickle`` — and pins that every mirror indexes
+exactly what the coordinator's Event Base indexes (the per-type OID column
+included, OID types too), that the compiled checks decide (and count)
+identically over both, and that each position is logged once.  Refusal tests
+pin that a delta which does not continue the mirror raises and leaves mirror
+and type table as they were; a structural test that a worker applies a delta
+without building a single occurrence object; a guard test the synchronous
+failure for an OID that does not pickle.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ import random
 import pytest
 
 from repro.cluster.process_pool import _worker_main
-from repro.cluster.transport import (
-    ROW_WIDTH,
-    ShardTransport,
-    _FrameReader,
-    _RowEncoder,
-    _RowLog,
-)
+from repro.cluster.transport import ShardTransport, apply_delta
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder, compile_check
 from repro.core.expressions import EventExpression, SetConjunction, SetNegation
@@ -40,12 +36,14 @@ from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase, StampIndex
 from repro.workloads.generator import ExpressionGenerator
 
-from tests.events.test_event_base import assert_columns
-from tests.events.test_row_codec import (
-    UNIVERSE,
-    encode_frame,
-    index_state,
-    random_occurrence,
+from tests.events.test_event_base import assert_columns, index_state
+
+UNIVERSE = (
+    EventType(Operation.CREATE, "alpha"),
+    EventType(Operation.DELETE, "alpha"),
+    EventType(Operation.MODIFY, "alpha", "size"),
+    EventType(Operation.MODIFY, "beta"),
+    EventType(Operation.RAISE, "tick"),
 )
 
 #: Every concrete type of the log plus a class-level pattern that only ever
@@ -63,6 +61,31 @@ OPERATORS = {
     "InstanceNegation",
     "InstancePrecedence",
 }
+
+
+def random_occurrence(rng: random.Random, eid: int) -> EventOccurrence:
+    """A random occurrence: OIDs of every shape a log holds, some payloads."""
+    roll = rng.random()
+    oid: object
+    if roll < 0.35:
+        oid = rng.randint(-(1 << 40), 1 << 40)
+    elif roll < 0.70:
+        oid = f"{rng.choice(('alpha', 'beta'))}#{rng.randint(1, 999)}"
+    elif roll < 0.78:
+        oid = "oid-" + "x" * rng.randint(23, 40)
+    elif roll < 0.86:
+        oid = rng.choice([-(1 << 63) - 1, 1 << 63])  # beyond int64
+    elif roll < 0.93:
+        oid = rng.choice([True, False])  # equal to 1 / 0, but not an int
+    else:
+        oid = ("composite", rng.randint(0, 9))
+    return EventOccurrence(
+        eid=eid,
+        event_type=rng.choice(UNIVERSE),
+        oid=oid,
+        timestamp=rng.randint(1, 1 << 32),
+        payload={"k": rng.randint(0, 9)} if rng.random() < 0.25 else {},
+    )
 
 
 def _operators(expression: EventExpression) -> set[str]:
@@ -84,6 +107,21 @@ def _resolved(store: StampIndex, pattern: EventType) -> list[tuple]:
     ]
 
 
+def _oid_types(store: StampIndex) -> list[list[type]]:
+    return [list(map(type, index.oids)) for index in store._by_type.values()]
+
+
+class _CountingEventBase(EventBase):
+    """An Event Base that counts the rows it hands out by position range."""
+
+    handed = 0
+
+    def occurrences_between(self, start: int, stop: int) -> list[EventOccurrence]:
+        rows = super().occurrences_between(start, stop)
+        self.handed += len(rows)
+        return rows
+
+
 class _Worker:
     """What the pool and a worker hold between trips, minus the process."""
 
@@ -94,7 +132,7 @@ class _Worker:
     def reset(self) -> None:
         self.offset = 0
         self.shipped_types = 0
-        self.reader = _FrameReader()
+        self.types: list[EventType] = []
         self.mirror = StampIndex()
         # Per rule: the coordinator-side binding and memo, the worker-side
         # ones (each side has its own binder, as in the pool), and the
@@ -105,12 +143,15 @@ class _Worker:
             for e in self.expressions
         ]
 
-    def catch_up(self, log: _RowLog, event_base: EventBase) -> None:
-        delta = log.delta(self.offset, self.shipped_types)
-        self.reader.apply(pickle.loads(pickle.dumps(delta)), self.mirror)
-        self.offset = log.encoded
-        self.shipped_types = len(log.encoder.type_snapshots)
+    def catch_up(self, transport: ShardTransport, event_base: EventBase) -> None:
+        delta, self.shipped_types = transport.delta_for(
+            self.offset, self.shipped_types
+        )
+        apply_delta(pickle.loads(pickle.dumps(delta)), self.types, self.mirror)
+        self.offset = len(event_base)
+        assert self.types == transport._types
         assert index_state(self.mirror) == index_state(event_base)
+        assert _oid_types(self.mirror) == _oid_types(event_base)
         assert assert_columns(
             self.mirror, lambda position: event_base.occurrence_at(position).oid
         ) == len(event_base)
@@ -147,7 +188,7 @@ def _grow(rng: random.Random, event_base: EventBase, count: int, types: int) -> 
         shape = random_occurrence(rng, eid=1)
         event_type = rng.choice(UNIVERSE[:types])
         if rng.random() < 0.2:
-            # Equal but distinct type object: the encoder keys on identity.
+            # Equal but distinct type object: the type table keys on equality.
             event_type = EventType(
                 event_type.operation, event_type.class_name, event_type.attribute
             )
@@ -156,8 +197,7 @@ def _grow(rng: random.Random, event_base: EventBase, count: int, types: int) -> 
         )
 
 
-def test_mirrors_equal_the_log_and_every_position_is_encoded_once_property():
-    saw_inline = saw_fallback = False
+def test_mirrors_equal_the_log_and_every_position_is_logged_once_property():
     operators: set[str] = set()
     for seed in range(40):
         rng = random.Random(seed)
@@ -165,16 +205,18 @@ def test_mirrors_equal_the_log_and_every_position_is_encoded_once_property():
         expressions = [generator.expression(rng.randint(1, 4)) for _ in range(4)]
         for expression in expressions:
             operators |= _operators(expression)
-        log = _RowLog()
+        transport = ShardTransport(EngineConfig())
         workers = [_Worker(expressions) for _ in range(rng.randint(1, 4))]
-        event_base = EventBase()
-        positions = 0  # EB positions handed to the log, over all its lives
+        event_base = _CountingEventBase()
+        positions = 0  # positions logged from the logs before the current one
+        handed = 0  # ... and how many rows those logs handed the transport
         for step in range(rng.randint(4, 14)):
             if step and rng.random() < 0.15:
-                # The coordinator's EB was rebound (transaction boundary).
-                positions += log.encoded
-                event_base = EventBase()
-                log.reset()
+                # The coordinator's EB was emptied (transaction boundary).
+                positions += len(transport._type_column)
+                handed += event_base.handed
+                event_base = _CountingEventBase()
+                transport.note_reset()
                 for worker in workers:
                     worker.reset()
             # Types enter mid-log: later steps draw from a wider universe.
@@ -182,143 +224,122 @@ def test_mirrors_equal_the_log_and_every_position_is_encoded_once_property():
             consulted = [worker for worker in workers if rng.random() < 0.6]
             total = len(event_base)
             if consulted:
-                log.encode_through(event_base, total)  # begin_trip
+                transport.begin_trip(event_base, total)
             for worker in consulted:
                 if worker.offset < total:
-                    worker.catch_up(log, event_base)
+                    worker.catch_up(transport, event_base)
                 if total:
                     worker.check(rng, event_base)
         total = len(event_base)
-        log.encode_through(event_base, total)
+        transport.begin_trip(event_base, total)
         for worker in workers:
-            worker.catch_up(log, event_base)
+            if worker.offset < total:  # the pool sends no empty delta
+                worker.catch_up(transport, event_base)
             if total:
                 worker.check(rng, event_base)
-        assert log.encoded == total and len(log.rows) == total * ROW_WIDTH
-        assert log.rows_inline + log.rows_fallback == positions + total, (
-            f"seed {seed}: some position was encoded twice (or never)"
+        assert len(transport._type_column) == len(transport._oids) == total
+        assert handed + event_base.handed == positions + total, (
+            f"seed {seed}: some position was logged twice (or never)"
         )
-        saw_inline |= log.rows_inline > 0
-        saw_fallback |= log.rows_fallback > 0
-    assert saw_inline and saw_fallback  # both row forms were exercised
     assert operators >= OPERATORS  # every operator was checked on both sides
 
 
 # ---------------------------------------------------------------------------
-# Refusals: the frame raises and the mirror is left as it was
+# Refusals: the delta raises, and mirror and type table are left as they were
 # ---------------------------------------------------------------------------
 
-ALPHA, BETA = UNIVERSE[0], UNIVERSE[3]
+ALPHA, GAMMA, BETA = UNIVERSE[0], UNIVERSE[1], UNIVERSE[3]
 
-
-def _next_delta(encoder: _RowEncoder, *occurrences: EventOccurrence) -> tuple:
-    """The delta of ``occurrences`` after the three rows of :func:`_primed`."""
-    return encode_frame(encoder, list(occurrences), 3, len(encoder.type_snapshots))[0]
-
-
-def _truncated(delta: tuple) -> tuple:
-    start, count, packed, fallbacks, types = delta
-    return start, count, packed[:-1], fallbacks, types
-
-
-def _without_fallbacks(delta: tuple) -> tuple:
-    start, count, packed, _fallbacks, types = delta
-    return start, count, packed, (), types
-
-
-def _with_stray_fallback(delta: tuple) -> tuple:
-    start, count, packed, fallbacks, types = delta
-    stray = (start + count, EventOccurrence(9, ALPHA, 9, 9).snapshot())
-    return start, count, packed, fallbacks + (stray,), types
-
-
+#: Deltas that follow :func:`_primed` (3 positions, types ``[ALPHA, BETA]``,
+#: last stamp 2): ``(error, message, delta)``.
 REFUSALS = {
-    "frame length": (
+    "start-behind-the-mirror": (
         SnapshotError,
-        "bytes shipped",
-        lambda encoder: _truncated(
-            _next_delta(encoder, EventOccurrence(4, ALPHA, 4, 3))
-        ),
+        "starts at log position 2 but the mirror holds 3",
+        (2, [], [0], [4], [3]),
     ),
-    "placeholder without a row": (
+    "start-ahead-of-the-mirror": (
         SnapshotError,
-        "no out-of-band row",
-        lambda encoder: _without_fallbacks(
-            _next_delta(encoder, EventOccurrence(4, ALPHA, 4, 3, payload={"k": 1}))
-        ),
+        "starts at log position 4 but the mirror holds 3",
+        (4, [], [0], [4], [3]),
     ),
-    "unmatched fallback row": (
+    "an-oid-column-one-short": (
         SnapshotError,
-        "matched no placeholder",
-        lambda encoder: _with_stray_fallback(
-            _next_delta(encoder, EventOccurrence(4, ALPHA, 4, 3))
-        ),
+        "columns disagree",
+        (3, [], [0, 1], [4], [3, 3]),
     ),
-    "duplicate EID within the delta": (
-        EventCalculusError,
-        "duplicate EID 4",
-        lambda encoder: _next_delta(
-            encoder, EventOccurrence(4, ALPHA, 4, 3), EventOccurrence(4, BETA, "b", 3)
-        ),
+    "a-stamp-column-one-long": (
+        SnapshotError,
+        "columns disagree",
+        (3, [], [0], [4], [3, 3]),
     ),
-    "duplicate EID across deltas": (
-        EventCalculusError,
-        "duplicate EID 2",
-        lambda encoder: _next_delta(
-            encoder, EventOccurrence(4, ALPHA, 4, 3), EventOccurrence(2, BETA, 7, 3)
-        ),
+    "a-type-id-never-shipped": (
+        SnapshotError,
+        "never shipped",
+        (3, [GAMMA], [2, 3], [4, 5], [3, 3]),
     ),
-    "stamp before the mirror's last": (
+    "a-negative-type-id": (
+        SnapshotError,
+        "never shipped",
+        (3, [], [-1], [4], [3]),
+    ),
+    "a-stamp-before-the-mirrors-last": (
         EventCalculusError,
         "non-decreasing",
-        lambda encoder: _next_delta(encoder, EventOccurrence(4, BETA, 4, 1)),
+        (3, [GAMMA], [2], [4], [1]),
     ),
-    "stamp decreasing within the delta": (
+    "a-stamp-decreasing-within-the-delta": (
         EventCalculusError,
         "non-decreasing",
-        lambda encoder: _next_delta(
-            encoder, EventOccurrence(4, ALPHA, 4, 5), EventOccurrence(5, BETA, 5, 4)
-        ),
+        (3, [GAMMA], [0, 2], [4, 5], [5, 4]),
     ),
 }
 
 
-def _primed() -> tuple[_RowEncoder, _FrameReader, StampIndex]:
-    """A reader and mirror that applied a first delta: EIDs 1-3, stamps 1-2."""
-    encoder = _RowEncoder()
-    reader = _FrameReader()
+def _primed() -> tuple[list[EventType], StampIndex]:
+    """A type table and mirror that applied a first delta: stamps 1, 2, 2."""
+    event_base = EventBase()
+    event_base.record(ALPHA, 1, 1)
+    event_base.record(ALPHA, "a#2", 2)
+    event_base.record(BETA, 3, 2, payload={"k": 1})
+    transport = ShardTransport(EngineConfig())
+    transport.begin_trip(event_base, 3)
+    types: list[EventType] = []
     mirror = StampIndex()
-    first = [
-        EventOccurrence(1, ALPHA, 1, 1),
-        EventOccurrence(2, ALPHA, "a#2", 2),
-        EventOccurrence(3, BETA, 3, 2, payload={"k": 1}),
-    ]
-    reader.apply(encode_frame(encoder, first)[0], mirror)
-    assert len(mirror) == 3
-    return encoder, reader, mirror
+    apply_delta(transport.delta_for(0, 0)[0], types, mirror)
+    assert types == [ALPHA, BETA] and len(mirror) == 3
+    return types, mirror
 
 
 @pytest.mark.parametrize("refusal", sorted(REFUSALS))
 def test_a_refused_delta_raises_and_leaves_the_mirror_unchanged(refusal):
-    error, message, build = REFUSALS[refusal]
-    encoder, reader, mirror = _primed()
+    error, message, delta = REFUSALS[refusal]
+    types, mirror = _primed()
     before = index_state(mirror)
     with pytest.raises(error, match=message):
-        reader.apply(build(encoder), mirror)
+        apply_delta(delta, types, mirror)
     assert index_state(mirror) == before
+    assert types == [ALPHA, BETA]
 
 
 def test_a_non_positive_stamp_is_refused_and_leaves_the_mirror_unchanged():
-    # An occurrence object cannot even hold stamp 0; a fallback tuple can.
-    delta, _ = encode_frame(
-        _RowEncoder(), [EventOccurrence(1, ALPHA, 1, 1, payload={"k": 1})]
-    )
-    start, count, packed, ((position, row),), types = delta
-    zero_stamp = (position, row[:3] + (0,) + row[4:])
+    # An occurrence object cannot even hold stamp 0; a delta's column can.
+    types: list[EventType] = []
     mirror = StampIndex()
     with pytest.raises(EventCalculusError, match="positive time stamp"):
-        _FrameReader().apply((start, count, packed, (zero_stamp,), types), mirror)
+        apply_delta((0, [ALPHA], [0, 0], [1, 2], [0, 1]), types, mirror)
     assert index_state(mirror) == index_state(StampIndex())
+    assert types == []
+
+
+def test_the_same_delta_is_accepted_once():
+    types, mirror = _primed()
+    delta = (3, [GAMMA], [2, 0], [4, 5], [3, 3])
+    apply_delta(delta, types, mirror)
+    assert types == [ALPHA, BETA, GAMMA] and len(mirror) == 5
+    with pytest.raises(SnapshotError, match="starts at log position 3"):
+        apply_delta(delta, types, mirror)
+    assert types == [ALPHA, BETA, GAMMA] and len(mirror) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +366,10 @@ class _ScriptedChannel:
 def test_a_worker_applies_a_delta_without_building_an_occurrence(monkeypatch):
     event_base = EventBase()
     _grow(random.Random(3), event_base, 80, types=len(UNIVERSE))
+    assert any(occurrence.payload for occurrence in event_base)
     transport = ShardTransport(EngineConfig())
     transport.begin_trip(event_base, len(event_base))
     delta, _types = transport.delta_for(0, 0)
-    assert delta[3], "the delta should carry fallback rows too"
     expression = SetConjunction(
         parse_expression("create(alpha)"), SetNegation(parse_expression("modify(beta)"))
     )
@@ -383,38 +404,33 @@ def test_a_worker_applies_a_delta_without_building_an_occurrence(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The synchronous failure for unpicklable payloads
+# The synchronous failure for an OID that does not pickle
 # ---------------------------------------------------------------------------
 
 
-def test_fallback_row_names_the_unpicklable_eid_and_the_log_stays_consistent():
-    """The synchronous-failure contract is enforced by the log itself,
-    before any worker message exists."""
+def test_an_unpicklable_oid_is_named_by_its_eid_and_logged_once():
+    """The coordinator finds the offender on the failure path, from the
+    delta alone; the log holds every position once, however often the
+    caller retries, and a payload that does not pickle never crosses."""
     alpha = EventType(Operation.CREATE, "alpha")
     event_base = EventBase()
-    event_base.record(alpha, oid="alpha#1", timestamp=1)
-    event_base.record(
-        alpha,
-        oid="alpha#2",
-        timestamp=2,
-        payload={"callback": lambda: None},  # unpicklable user payload
-    )
+    event_base.record(alpha, oid="alpha#1", timestamp=1, payload={"f": lambda: 0})
+    event_base.record(alpha, oid=lambda: None, timestamp=2)  # does not pickle
     event_base.record(alpha, oid="alpha#3", timestamp=3)
-    log = _RowLog()
+    transport = ShardTransport(EngineConfig())
     for _attempt in range(2):
-        with pytest.raises(SnapshotError) as excinfo:
-            log.encode_through(event_base, len(event_base))
-        message = str(excinfo.value)
-        assert "picklable" in message
-        assert "eid=2" in message  # names the offending occurrence
-        # The picklable prefix stays encoded — once, however often the
-        # caller retries — and nothing of the offender or beyond is kept.
-        assert log.encoded == 1 and len(log.rows) == ROW_WIDTH
-        assert (log.rows_inline, log.rows_fallback) == (1, 0)
-        assert log.fallback_rows == []
-    # What was encoded is a usable delta.
+        transport.begin_trip(event_base, len(event_base))
+        delta, _types = transport.delta_for(0, 0)
+        with pytest.raises(Exception):
+            pickle.dumps(delta)
+        assert transport.culprit(delta) == " (first offender: occurrence eid=2)"
+        assert len(transport._type_column) == len(transport._oids) == 3
+    # The picklable prefix is a usable delta, payload and all.
+    start, new_types, type_ids, oids, stamps = transport.delta_for(0, 0)[0]
+    prefix = (start, new_types, type_ids[:1], oids[:1], stamps[:1])
+    assert transport.culprit(prefix) == ""
     mirror = StampIndex()
-    _FrameReader().apply(log.delta(0, 0), mirror)
-    prefix = EventBase()
-    prefix.append(event_base.occurrence_at(0))
-    assert index_state(mirror) == index_state(prefix)
+    apply_delta(pickle.loads(pickle.dumps(prefix)), [], mirror)
+    expected = EventBase()
+    expected.append(event_base.occurrence_at(0))
+    assert index_state(mirror) == index_state(expected)

@@ -2,7 +2,7 @@
 
 The happy path is pinned by the cross-mode differential harness
 (``test_mode_equivalence.py``); these tests pin what happens when things go
-wrong out of process, and what the row log owes a worker that fell behind:
+wrong out of process, and what the column log owes a worker that fell behind:
 
 * a worker-side evaluation error surfaces in the coordinator as the
   *original* exception type (behavioral parity with the serial mode's error
@@ -14,13 +14,15 @@ wrong out of process, and what the row log owes a worker that fell behind:
   subsequent call fails loudly instead of silently desyncing, and
   ``close()`` leaves no process behind; a closed pool refuses work, and
   workers leave through the ``stop`` message rather than ``terminate``;
-* an unpicklable user payload fails in the coordinator, naming the
-  occurrence, before any worker hears of the trip;
-* a delta that does not add up is refused worker-side (``SnapshotError``)
-  and poisons the pool instead of rebuilding a wrong mirror;
+* an OID that does not pickle fails in the coordinator, naming the
+  occurrence, before any worker hears of the trip; a payload that does not
+  pickle never crosses, so it triggers exactly as in the single table;
+* a delta that does not continue the mirror is refused worker-side
+  (``SnapshotError``) and poisons the pool instead of rebuilding a wrong
+  mirror;
 * a reset mid-stream restarts positions and the event-type table, and a
   worker that was not consulted for longer than any buffer catches up from
-  the log in one delta, every position still encoded once.
+  the log in one delta, every position still logged once.
 
 The coordinator checks the rules of evaluation home 0 itself, so every rule
 here is named for a worker's home (:func:`homed_names`) unless the test is
@@ -289,24 +291,24 @@ def test_transport_stats_are_the_pipe_counters():
         "encode_ms",
         "delta_encode_ms",
         "deltas_framed",
-        "frame_rows_inline",
-        "frame_rows_fallback",
     }
     assert stats["workers"] == stats["dispatches"] == stats["worker_round_trips"] == 1
-    assert stats["frame_rows_inline"] == 1
+    assert stats["deltas_framed"] == 1
 
 
-def test_unpicklable_payload_fails_at_dispatch_not_in_worker():
+class _Unpicklable:
+    """An OID (hashable, as every OID is) that ``pickle`` refuses."""
+
+    def __reduce__(self):
+        raise TypeError("this OID does not pickle")
+
+
+def test_unpicklable_oid_fails_at_dispatch_not_in_worker():
     """The coordinator surfaces SnapshotError synchronously, naming the EID."""
     table, event_base, handler, support = build_support(1)
     try:
         event_base.record(CREATE_ALPHA, oid="alpha#0", timestamp=1)
-        event_base.record(
-            CREATE_ALPHA,
-            oid="alpha#1",
-            timestamp=1,
-            payload={"callback": lambda: None},
-        )
+        event_base.record(CREATE_ALPHA, oid=_Unpicklable(), timestamp=1)
         signature = handler.flush_block()
         with pytest.raises(SnapshotError, match=r"picklable.*eid=2"):
             support.check_after_block(signature, 1, 0)
@@ -316,20 +318,44 @@ def test_unpicklable_payload_fails_at_dispatch_not_in_worker():
         assert pool.bytes_shipped == 0
         # The pool survives, and the unpicklable occurrence is still part of
         # the unshipped slice: the retry names the same occurrence and the
-        # row before it is not encoded (or counted) a second time.
+        # positions before it are not logged a second time.
         event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
         signature = handler.flush_block()
         with pytest.raises(SnapshotError, match="eid=2"):
             support.check_after_block(signature, 2, 0)
-        stats = pool.transport_stats()
-        assert stats["frame_rows_inline"] == 1
-        assert stats["frame_rows_fallback"] == 0
+        assert len(pool._transport._type_column) == len(event_base) == 3
+        assert pool.bytes_shipped == 0
     finally:
         support.close()
 
 
-def test_delta_that_does_not_add_up_poisons_the_pool_loudly():
-    """A frame announcing rows it does not carry is refused worker-side."""
+def _triggers_with_an_unpicklable_payload(shard_mode: str) -> list[tuple[str, ...]]:
+    table, event_base, handler, support = build_support(4, shard_mode=shard_mode)
+    try:
+        event_base.record(CREATE_ALPHA, oid="alpha#0", timestamp=1)
+        event_base.record(
+            CREATE_ALPHA,
+            oid="alpha#1",
+            timestamp=1,
+            payload={"callback": lambda: None},  # does not pickle
+        )
+        newly = support.check_after_block(handler.flush_block(), 1, 0)
+        return sorted(state.rule.name for state in newly)
+    finally:
+        if isinstance(support, ShardCoordinator):
+            support.close()
+
+
+def test_an_unpicklable_payload_triggers_like_the_single_table():
+    """Payloads never cross to a worker, so one that does not pickle is
+    accepted in processes mode exactly as the single table accepts it."""
+    reference = _triggers_with_an_unpicklable_payload("serial")
+    assert len(reference) == 4
+    assert _triggers_with_an_unpicklable_payload("processes") == reference
+
+
+def test_delta_that_does_not_continue_the_mirror_poisons_the_pool_loudly():
+    """A delta starting past the mirror's end is refused worker-side."""
     table, event_base, handler, support = build_support()
     try:
         assert feed_block(event_base, handler, support, 1)
@@ -337,16 +363,14 @@ def test_delta_that_does_not_add_up_poisons_the_pool_loudly():
         assert pool is not None
         honest = pool._transport.delta_for
 
-        def short_changed(offset, shipped_types):
-            (start, count, packed, fallbacks, types), advance = honest(
-                offset, shipped_types
-            )
-            return (start, count + 1, packed, fallbacks, types), advance
+        def skipping(offset, shipped_types):
+            (start, *columns), advance = honest(offset, shipped_types)
+            return (start + 1, *columns), advance
 
-        pool._transport.delta_for = short_changed
+        pool._transport.delta_for = skipping
         event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
         signature = handler.flush_block()
-        with pytest.raises(SnapshotError, match="row frame is corrupt") as excinfo:
+        with pytest.raises(SnapshotError, match="delta starts at") as excinfo:
             support.check_after_block(signature, 2, 0)
         # The worker traceback rides along, exactly like other worker errors.
         assert isinstance(excinfo.value.__cause__, ShardWorkerError)
@@ -404,8 +428,7 @@ def _reset_mid_stream(shard_mode: str):
         trace += _run_blocks(support, handler, event_base, second_log)
         if isinstance(support, ShardCoordinator):
             pool = support.process_pool
-            log = pool._transport._row_log
-            assert log.encoded == len(event_base.occurrences) == 3
+            assert len(pool._transport._type_column) == len(event_base) == 3
             assert all(handle.shipped_events <= 3 for handle in pool._workers)
         return trace, {state.rule.name: state.times_triggered for state in table}
     finally:
@@ -423,7 +446,7 @@ def test_lagging_worker_catches_up_from_the_log():
     """A worker nobody consulted for 70 000 events — more than any fixed
     buffer this pool ever had (the old ring held 65 536 rows) — receives the
     whole suffix in one delta when its turn comes, and every EB position
-    was still encoded exactly once."""
+    was still logged exactly once."""
     # Alpha rules on worker 0 (home 1), gamma rules on worker 1 (home 2).
     table, event_base, handler, support = build_support(
         4, ALPHA_OR_GAMMA, shards=3, homes=(1, 2)
@@ -459,9 +482,7 @@ def test_lagging_worker_catches_up_from_the_log():
         ]
         assert lagging.shipped_events == 70_004
         assert pool.dispatches == trips_before + 1  # one trip, one 70 002-row delta
-        stats = pool.transport_stats()
-        assert stats["frame_rows_inline"] == 70_004
-        assert stats["frame_rows_fallback"] == 0
+        assert len(pool._transport._type_column) == len(event_base) == 70_004
     finally:
         support.close()
 

@@ -7,7 +7,6 @@ from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
 
 from tests.conftest import A, B, C, event_base_from, history
-from tests.events.test_row_codec import index_state
 
 MODIFY_STOCK_QTY = EventType(Operation.MODIFY, "stock", "quantity")
 MODIFY_STOCK = EventType(Operation.MODIFY, "stock")
@@ -190,6 +189,24 @@ class TestBulkExtend:
         ]
         eb.extend(batch)
         assert eb.last_timestamp(MODIFY_STOCK, 1000) == batch[-1].timestamp
+
+
+def index_state(store) -> tuple:
+    """Everything the compiled kernels can read from ``store``, as plain data."""
+    return (
+        list(store._all_timestamps),
+        list(store._distinct_timestamps),
+        [
+            (
+                event_type,
+                list(index.timestamps),
+                list(index.positions),
+                list(index.oids),
+                {oid: list(times) for oid, times in index.per_oid.items()},
+            )
+            for event_type, index in store._by_type.items()
+        ],
+    )
 
 
 def assert_columns(store, oid_at) -> int:

@@ -51,6 +51,11 @@ _BRUTE_FORCE = (
     "::test_every_step_agrees_with_a_brute_force_reading"
 )
 _STORE_EXTERNAL = "tests/rules/test_event_handler.py::TestStoreExternalSignature"
+_MIRROR_DELTA = "tests/cluster/test_mirror_delta.py"
+_REFUSED = (
+    f"{_MIRROR_DELTA}::test_a_refused_delta_raises_and_leaves_the_mirror_unchanged"
+)
+_POOL = "tests/cluster/test_process_pool.py"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -148,6 +153,45 @@ MUTANTS: tuple[Mutant, ...] = (
         tests=(
             "tests/rules/test_analysis.py::TestTerminationVerdict"
             "::test_a_guaranteed_rule_set_never_exhausts_the_budget",
+        ),
+    ),
+    Mutant(
+        name="mirror-delta-start-unchecked",
+        path="src/repro/cluster/transport.py",
+        fragment="    if start != len(mirror):\n",
+        replacement="    if False:\n",
+        tests=(
+            f"{_REFUSED}[start-behind-the-mirror]",
+            f"{_REFUSED}[start-ahead-of-the-mirror]",
+            f"{_MIRROR_DELTA}::test_the_same_delta_is_accepted_once",
+            f"{_POOL}"
+            "::test_delta_that_does_not_continue_the_mirror_poisons_the_pool_loudly",
+        ),
+    ),
+    Mutant(
+        name="mirror-delta-order-unchecked",
+        path="src/repro/cluster/transport.py",
+        fragment="    mirror._check_stamps(stamps)\n",
+        replacement="",
+        tests=(
+            f"{_REFUSED}[a-stamp-before-the-mirrors-last]",
+            f"{_REFUSED}[a-stamp-decreasing-within-the-delta]",
+            f"{_MIRROR_DELTA}"
+            "::test_a_non_positive_stamp_is_refused_and_leaves_the_mirror_unchanged",
+        ),
+    ),
+    Mutant(
+        name="column-log-relogs-positions",
+        path="src/repro/cluster/transport.py",
+        fragment="event_base.occurrences_between(len(type_column), total)",
+        replacement="event_base.occurrences_between(0, total)",
+        tests=(
+            f"{_MIRROR_DELTA}::test_mirrors_equal_the_log_and_every_position_is_logged"
+            "_once_property",
+            f"{_MIRROR_DELTA}"
+            "::test_an_unpicklable_oid_is_named_by_its_eid_and_logged_once",
+            f"{_POOL}::test_unpicklable_oid_fails_at_dispatch_not_in_worker",
+            f"{_POOL}::test_lagging_worker_catches_up_from_the_log",
         ),
     ),
 )

@@ -64,16 +64,6 @@ class TestModify:
         with pytest.raises(SchemaError):
             executor.modify(obj.oid, "quantity", "lots")
 
-    def test_modify_many(self, executor):
-        first = executor.create("stock", {"quantity": 1}).object
-        second = executor.create("stock", {"quantity": 2}).object
-        result = executor.modify_many(
-            [first.oid, second.oid], "quantity", lambda obj: obj.get("quantity") * 10
-        )
-        assert executor.store.get(first.oid).get("quantity") == 10
-        assert executor.store.get(second.oid).get("quantity") == 20
-        assert len(result.occurrences) == 2
-
 
 class TestDelete:
     def test_delete_emits_event_and_removes_object(self, executor):

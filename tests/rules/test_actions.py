@@ -67,16 +67,6 @@ class TestModifyStatement:
         with pytest.raises(ActionError):
             statement.execute({"S": 42}, operations)
 
-    def test_action_modify_builder(self, operations, stock_object):
-        statement = Action.modify("stock.quantity", "S", Const(7))
-        statement.execute({"S": stock_object.oid}, operations)
-        assert operations.store.get(stock_object.oid).get("quantity") == 7
-
-    def test_action_modify_builder_requires_attribute(self):
-        with pytest.raises(ActionError):
-            Action.modify("stock", "S", Const(7))
-
-
 class TestCreateStatement:
     def test_creates_object_with_evaluated_values(self, operations, stock_object):
         statement = CreateStatement(
@@ -150,7 +140,7 @@ class TestActionComposition:
         def body(binding, ops):
             return ops.modify(binding["S"], "onorder", 1).occurrences
 
-        action = Action.from_callable(body, "flag onorder")
+        action = Action((CallableStatement(body, "flag onorder"),))
         start = len(operations.event_base)
         assert action.execute([{"S": stock_object.oid}], operations) is None
         assert operations.store.get(stock_object.oid).get("onorder") == 1

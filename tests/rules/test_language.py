@@ -331,6 +331,10 @@ class TestActionClause:
                 "define r events create(stock) action modify(stock.quantity, S) end"
             )
 
+    def test_modify_needs_a_class_attribute_path(self):
+        with pytest.raises(RuleDefinitionError, match="class.attribute path"):
+            parse_rule("define r events create(stock) action modify(stock, S, 7) end")
+
     def test_create_assignments_checked(self):
         with pytest.raises(RuleDefinitionError):
             parse_rule("define r events create(stock) action create(stockOrder, 5) end")
