@@ -12,9 +12,12 @@ exactly what the coordinator's Event Base indexes (the per-type OID column
 included, OID types too), that the compiled checks decide (and count)
 identically over both, and that each position is logged once.  Refusal tests
 pin that a delta which does not continue the mirror raises and leaves mirror
-and type table as they were; a structural test that a worker applies a delta
-without building a single occurrence object; a guard test the synchronous
-failure for an OID that does not pickle.
+and type table as they were.  Three more pin that the type table grows once
+per type (keyed by equality) and ships only what a worker lacks, that OIDs and
+stamps of any width cross unchanged, and that equal logs pickle to the same
+delta bytes.  A structural test pins that a worker applies a delta without
+building a single occurrence object; a guard test the synchronous failure for
+an OID that does not pickle.
 """
 
 from __future__ import annotations
@@ -340,6 +343,97 @@ def test_the_same_delta_is_accepted_once():
     with pytest.raises(SnapshotError, match="starts at log position 3"):
         apply_delta(delta, types, mirror)
     assert types == [ALPHA, BETA, GAMMA] and len(mirror) == 5
+
+
+# ---------------------------------------------------------------------------
+# The type table, the OID column and the delta's bytes
+# ---------------------------------------------------------------------------
+
+
+def test_type_table_grows_once_per_type_and_ships_only_the_unshipped_types():
+    """Each delta carries exactly the types past the worker's watermark."""
+    rng = random.Random(99)
+    event_base = EventBase()
+    transport = ShardTransport(EngineConfig())
+    types: list[EventType] = []
+    mirror = StampIndex()
+    shipped = 0
+    seen: list[EventType] = []
+    for stamp in range(1, 60):
+        event_type = rng.choice(UNIVERSE)
+        if rng.random() < 0.3:
+            # Equal but distinct type object: it must not grow the table.
+            event_type = EventType(
+                event_type.operation, event_type.class_name, event_type.attribute
+            )
+        event_base.record(event_type, oid=stamp, timestamp=stamp)
+        transport.begin_trip(event_base, len(event_base))
+        delta, now_shipped = transport.delta_for(len(mirror), shipped)
+        new_types = [t for t in [event_type] if t not in seen]
+        assert delta[1] == new_types
+        seen += new_types
+        apply_delta(pickle.loads(pickle.dumps(delta)), types, mirror)
+        # First-met order, one entry per distinct type, on both sides.
+        assert transport._types == seen == types
+        assert now_shipped == len(seen)
+        shipped = now_shipped
+    assert len(types) == len(UNIVERSE)
+    assert index_state(mirror) == index_state(event_base)
+
+
+def test_oids_and_stamps_of_any_width_cross_the_delta_unchanged():
+    """No fixed-width field: int64 edges and beyond, long strings, bools."""
+    int64_max, int64_min = (1 << 63) - 1, -(1 << 63)
+    oids = [int64_max, int64_min, 1 << 70, -(1 << 70), "", "x" * 300, True, 1]
+    alpha = EventType(Operation.MODIFY, "alpha", "size")
+    event_base = EventBase()
+    for stamp, oid in enumerate(oids, 1):
+        event_base.record(alpha, oid=oid, timestamp=stamp)
+    event_base.record(alpha, oid=0, timestamp=1 << 64)
+    transport = ShardTransport(EngineConfig())
+    transport.begin_trip(event_base, len(event_base))
+    mirror = StampIndex()
+    apply_delta(pickle.loads(pickle.dumps(transport.delta_for(0, 0)[0])), [], mirror)
+    assert index_state(mirror) == index_state(event_base)
+    assert _oid_types(mirror) == _oid_types(event_base)
+    (index,) = mirror._by_type.values()
+    assert list(index.oids) == oids + [0]
+    assert list(index.timestamps)[-1] == 1 << 64
+
+
+def test_equal_logs_pickle_to_the_same_delta_bytes():
+    """A delta is a function of the log's values alone: a log rebuilt from
+    equal but distinct type objects ships the same bytes, so ``wire_bytes``
+    is a count and not a property of the run."""
+    rng = random.Random(5)
+    steps = [rng.randint(1, 12) for _ in range(6)]
+
+    def delta_bytes(fresh_types: bool) -> list[bytes]:
+        source = EventBase()
+        _grow(random.Random(5), source, sum(steps), types=len(UNIVERSE))
+        event_base = EventBase()
+        transport = ShardTransport(EngineConfig())
+        sent: list[bytes] = []
+        offset = shipped = 0
+        rows = iter(source)
+        for count in steps:
+            for _ in range(count):
+                row = next(rows)
+                event_type = row.event_type
+                if fresh_types:
+                    event_type = EventType(
+                        event_type.operation,
+                        event_type.class_name,
+                        event_type.attribute,
+                    )
+                event_base.record(event_type, row.oid, row.timestamp, row.payload)
+            transport.begin_trip(event_base, len(event_base))
+            delta, shipped = transport.delta_for(offset, shipped)
+            offset = len(event_base)
+            sent.append(pickle.dumps(delta, pickle.HIGHEST_PROTOCOL))
+        return sent
+
+    assert delta_bytes(fresh_types=False) == delta_bytes(fresh_types=True)
 
 
 # ---------------------------------------------------------------------------
