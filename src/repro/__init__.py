@@ -37,12 +37,9 @@ Quickstart::
 """
 
 from repro.core import (
-    EvaluationMode,
     EventExpression,
     Primitive,
-    TsValue,
     active_objects,
-    evaluate,
     is_triggered,
     ots,
     parse_expression,
@@ -68,7 +65,6 @@ __all__ = [
     "BoundedView",
     "ChimeraDatabase",
     "ChimeraError",
-    "EvaluationMode",
     "EventBase",
     "EventExpression",
     "EventOccurrence",
@@ -76,11 +72,9 @@ __all__ = [
     "Operation",
     "Primitive",
     "TransactionClock",
-    "TsValue",
     "WindowLike",
     "__version__",
     "active_objects",
-    "evaluate",
     "is_triggered",
     "ots",
     "parse_event_type",

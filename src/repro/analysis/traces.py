@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.core.evaluation import EvaluationMode, ots, ts
+from repro.core.compile import CheckBinder
 from repro.core.expressions import EventExpression
 from repro.events.clock import Timestamp
 from repro.events.event_base import WindowLike
@@ -76,13 +76,12 @@ def ts_trace(
     window: WindowLike,
     instants: Sequence[Timestamp] | None = None,
     label: str | None = None,
-    mode: EvaluationMode = EvaluationMode.LOGICAL,
 ) -> Trace:
     """Sample the set-oriented ``ts`` function of ``expression``."""
     sample_points = list(instants) if instants is not None else sample_instants(window)
+    binding = CheckBinder().bind(expression)
     points = tuple(
-        TracePoint(instant, ts(expression, window, instant, mode))
-        for instant in sample_points
+        TracePoint(instant, binding.ts(window, instant)) for instant in sample_points
     )
     return Trace(label=label or str(expression), points=points)
 
@@ -93,12 +92,12 @@ def ots_trace(
     oid: Any,
     instants: Sequence[Timestamp] | None = None,
     label: str | None = None,
-    mode: EvaluationMode = EvaluationMode.LOGICAL,
 ) -> Trace:
     """Sample the instance-oriented ``ots`` function for one object."""
     sample_points = list(instants) if instants is not None else sample_instants(window)
+    binding = CheckBinder().bind_instance(expression)
     points = tuple(
-        TracePoint(instant, ots(expression, window, instant, oid, mode))
+        TracePoint(instant, binding.ots(window, instant, oid))
         for instant in sample_points
     )
     return Trace(label=label or f"{expression} on {oid}", points=points)

@@ -42,7 +42,7 @@ from typing import Any, Sequence
 
 from repro.analysis.reporting import render_kv, render_table
 from repro.config import SHARD_MODES
-from repro.core.evaluation import evaluate
+from repro.core.compile import ots, ts
 from repro.core.explain import explain
 from repro.core.optimization import format_variations, variation_set
 from repro.core.parser import parse_expression
@@ -189,13 +189,18 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     expression = parse_expression(args.expression)
     instant = _default_instant(event_base, args.at)
     oid = None if args.oid is None else _logged_oid(event_base, args.oid)
-    value = evaluate(expression, event_base, instant, oid=oid)
+    value = (
+        ts(expression, event_base, instant)
+        if oid is None
+        else ots(expression, event_base, instant, oid)
+    )
+    status = f"active@t{value}" if value > 0 else "inactive"
     print(f"expression : {expression}")
     print(f"instant    : t{instant}")
     if args.oid is not None:
         print(f"object     : {args.oid}")
-    print(f"ts value   : {value.value}")
-    print(f"status     : {value}")
+    print(f"ts value   : {value}")
+    print(f"status     : {status} (evaluated at t{instant})")
     return 0
 
 

@@ -1,10 +1,13 @@
-"""Compilation of composite event expressions into shared shape kernels.
+"""The calculus evaluator: composite event expressions compiled into shape kernels.
 
-The reference evaluator (:mod:`repro.core.evaluation`) re-discovers the shape
-of a rule's event expression on every sample: an isinstance-dispatch chain per
-node, a mode test per operator, an ``_indexes_matching`` resolution per
-primitive and a per-node ``stats`` increment — all per instant, per check.
-This module is the production evaluator: it does that discovery once per
+This is the one evaluator of the paper's ``ts`` / ``ots`` functions (§4) in
+the package.  Every triggering decision, every event formula of a condition
+and every diagnostic surface — :func:`repro.core.explain.explain`, the
+traces of :mod:`repro.analysis.traces`, the law checks of
+:mod:`repro.core.laws` and ``chimera-events evaluate`` — answers from it.
+A recursive interpreter would re-discover the shape of an expression on every
+sample: an isinstance-dispatch chain per node and a pattern resolution per
+primitive, per instant, per check.  This module does that discovery once per
 expression **shape** and leaves a rule with nothing but a small binding.
 
 *Compile* (once per shape per evaluator).  A shape is the operator tree with
@@ -50,22 +53,31 @@ instance-rooted kernel once, and :meth:`CompiledCheck.affected` /
 :meth:`CompiledCheck.arises` evaluate it only for the objects the window's
 rows touched, plus one probe that stands for every untouched object.
 
-Equivalence contract: for every expression and history, the compiled
+The public calculus functions — :func:`ts`, :func:`ots`,
+:func:`active_objects`, :func:`activation_instants` and :func:`is_triggered`
+— are a few lines each over a :class:`CheckBinder` made for the call, so no
+cache outlives it.
+
+Equivalence contract: the recursive interpreter of ``tests/oracle.py`` is the
+reference.  For every expression and history, the compiled
 ``ts``/``ots``/``check`` return the same values and the same
-:class:`TriggeringDecision` fields as the reference in either mode, except
-``instants_sampled``: the reference samples every distinct stamp of the
-resume range and ``now``, a compiled check only its candidates, which a
-brute-force scan of the log counts (``tests/oracle.py::restricted_samples``;
-pinned by tests/core/test_compiled_equivalence.py, the cross-mode
-differential harnesses and tests/core/test_sampled_instants.py).
-``affected`` / ``arises`` return the same sets and instants as
-``active_objects`` / ``activation_instants`` (tests/core/test_event_formulas.py).
-The kernels count nothing but the instants a check samples.
+:class:`TriggeringDecision` fields as the reference in either of the paper's
+formulations, except ``instants_sampled``: the reference samples every
+distinct stamp of the resume range and ``now``, a compiled check only its
+candidates, which a brute-force scan of the log counts
+(``tests/oracle.py::restricted_samples``; pinned by
+tests/core/test_compiled_equivalence.py, the cross-mode differential
+harnesses and tests/core/test_sampled_instants.py).  ``affected`` /
+``arises`` return the same sets and instants as the reference's
+``active_objects`` / ``activation_instants``
+(tests/core/test_event_formulas.py).  The kernels count nothing but the
+instants a check samples.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import replace
 from typing import Any, Callable
 
 from repro.core.expressions import (
@@ -84,15 +96,20 @@ from repro.core.triggering import TriggeringDecision, TriggerMemo
 from repro.errors import EvaluationError
 from repro.events.clock import Timestamp
 from repro.events.event import EventType
-from repro.events.event_base import BoundedView, StampIndex, WindowLike
+from repro.events.event_base import BoundedView, EventBase, StampIndex, WindowLike
 
 __all__ = [
     "CheckBinder",
     "CompiledCheck",
     "Shape",
+    "activation_instants",
+    "active_objects",
     "compile_check",
+    "is_triggered",
     "is_vacuous",
+    "ots",
     "shape_of",
+    "ts",
 ]
 
 #: Neutral lower bound: a window with no start excludes nothing.  Timestamps
@@ -167,7 +184,7 @@ class _Lowering:
         self.slots = slots
 
     def lower(self, node: EventExpression, instance: bool) -> _Fn:
-        """Mirror of ``evaluation._ts`` (``instance=False``) / ``_ots``."""
+        """The set-rooted (``instance=False``) or instance-rooted closure tree."""
         if isinstance(node, Primitive):
             return self._primitive(self.slots[node.event_type], instance)
         if node.is_instance_oriented and not instance:
@@ -412,51 +429,39 @@ class CompiledCheck:
         return self._handles
 
     # -- point evaluation (compiled ts / ots) ---------------------------------
-    def _point(
-        self,
-        event_base: StampIndex,
-        window_start: Timestamp | None,
-        instant: Timestamp,
-        oid: Any,
-    ) -> int:
-        after = _NEG_INF if window_start is None else window_start
-        return self._kernel(self._resolve(event_base), after, instant, oid)
+    def _at(self, window: WindowLike, instant: Timestamp, oid: Any, name: str) -> int:
+        """The kernel's value over the window ``R`` at ``instant``.
 
-    def ts(
-        self,
-        event_base: StampIndex,
-        window_start: Timestamp | None,
-        instant: Timestamp,
-    ) -> int:
-        """Compiled ``ts`` over the window ``(window_start, instant]``."""
-        if instant <= 0:
-            raise EvaluationError(
-                f"ts must be evaluated at a positive instant (got {instant})"
-            )
-        return self._point(event_base, window_start, instant, None)
+        A kernel reads its store's rows in ``(after, instant]``: the window's
+        rows up to ``instant``, unless a view ends before it.  Then the rows
+        in ``(until, instant]`` are outside ``R``, and clamping the instant to
+        ``until`` would move an inactive ``-t`` as well, so the view's rows
+        are evaluated in an Event Base of their own.
+        """
+        _require_positive(instant, name)
+        store, after, until = _bounds_of(window)
+        if until is not None and until < instant:
+            store, after = EventBase(), None
+            store.extend(window.occurrences)
+        lower = _NEG_INF if after is None else after
+        return self._kernel(self._resolve(store), lower, instant, oid)
 
-    def ots(
-        self,
-        event_base: StampIndex,
-        window_start: Timestamp | None,
-        instant: Timestamp,
-        oid: Any,
-    ) -> int:
-        """Compiled ``ots`` for ``oid`` over the window ``(window_start, instant]``."""
-        if instant <= 0:
-            raise EvaluationError(
-                f"ots must be evaluated at a positive instant (got {instant})"
-            )
+    def ts(self, window: WindowLike, instant: Timestamp) -> int:
+        """Compiled ``ts`` over the window ``R`` at ``instant``."""
+        return self._at(window, instant, None, "ts")
+
+    def ots(self, window: WindowLike, instant: Timestamp, oid: Any) -> int:
+        """Compiled ``ots`` for ``oid`` over the window ``R`` at ``instant``."""
         instance = self._instance
         if instance is None:
             instance = self._instance = self.binder.bind_instance(self.expression)
-        return instance._point(event_base, window_start, instant, oid)
+        return instance._at(window, instant, oid, "ots")
 
     # -- the event formulas (instance-rooted bindings) ------------------------
     def affected(self, window: WindowLike, instant: Timestamp) -> "set[Any]":
         """The objects the instance expression is active for (``occurred``).
 
-        Exactly ``evaluation.active_objects(expression, window, instant)``,
+        Exactly the reference's ``active_objects(expression, window, instant)``,
         at the cost of what the window touched.  The kernel runs only for the
         objects that the window's rows of the expression's slot types name
         (one slice of each type's OID column).  No primitive sees any row of
@@ -467,10 +472,7 @@ class CompiledCheck:
         between, and with no row in between the sign of ``ots`` — all a
         binding set reads — is the same at both ends.
         """
-        if instant <= 0:
-            raise EvaluationError(
-                f"ots must be evaluated at a positive instant (got {instant})"
-            )
+        _require_positive(instant, "ots")
         store, after, until = _bounds_of(window)
         handles = self._resolve(store)
         lower = _NEG_INF if after is None else after
@@ -491,8 +493,8 @@ class CompiledCheck:
         """The instants up to ``until`` at which the event arises for ``oid`` (``at``).
 
         The window's distinct time stamps ``t*`` with ``ots(t*) == t*``:
-        exactly ``evaluation.activation_instants(expression, window, oid,
-        until)``.  Every distinct stamp is a candidate, unlike in
+        exactly the reference's ``activation_instants(expression, window,
+        oid, until)``.  Every distinct stamp is a candidate, unlike in
         :meth:`check`: arising is an equality, not a sign, and ``-=E``
         arises for an untouched object at the stamps of any type.
         """
@@ -573,6 +575,13 @@ class CompiledCheck:
         return TriggeringDecision(False, None, None, size, sampled)
 
 
+def _require_positive(instant: Timestamp, name: str) -> None:
+    if instant <= 0:
+        raise EvaluationError(
+            f"{name} must be evaluated at a positive instant (got {instant})"
+        )
+
+
 def _bounds_of(
     window: WindowLike,
 ) -> "tuple[StampIndex, Timestamp | None, Timestamp | None]":
@@ -589,3 +598,85 @@ def _bounds_of(
 def compile_check(expression: EventExpression) -> CompiledCheck:
     """A stand-alone binding of ``expression`` (own one-off binder)."""
     return CheckBinder().bind(expression)
+
+
+# ---------------------------------------------------------------------------
+# The calculus functions: one binding per call
+# ---------------------------------------------------------------------------
+
+
+def ts(expression: EventExpression, window: WindowLike, instant: Timestamp) -> int:
+    """The set-oriented ``ts`` function of the paper, as a raw signed integer.
+
+    ``window`` is the occurrence set ``R`` the calculus applies to — the Event
+    Base (the whole log) or a :class:`BoundedView` of it — and ``instant`` the
+    evaluation time ``t``.  The result is positive (an activation time stamp)
+    when the expression is active and ``-t`` otherwise.
+    """
+    return CheckBinder().bind(expression).ts(window, instant)
+
+
+def ots(
+    expression: EventExpression, window: WindowLike, instant: Timestamp, oid: Any
+) -> int:
+    """The instance-oriented ``ots`` function for object ``oid``.
+
+    Only primitives and instance-oriented operators may appear in the
+    expression (the paper forbids set-oriented operators below instance ones).
+    """
+    return CheckBinder().bind_instance(expression).ots(window, instant, oid)
+
+
+def active_objects(
+    expression: EventExpression, window: WindowLike, instant: Timestamp
+) -> "set[Any]":
+    """The objects an instance-oriented expression is active for at ``instant``.
+
+    The binding set of the ``occurred`` event formula (paper §3.3): every
+    object of the window whose ``ots`` is positive.
+    """
+    return CheckBinder().bind_instance(expression).affected(window, instant)
+
+
+def activation_instants(
+    expression: EventExpression, window: WindowLike, oid: Any, until: Timestamp
+) -> "list[Timestamp]":
+    """The instants up to ``until`` at which the expression arises for ``oid``.
+
+    The ``at`` event formula (paper §3.3): the window's stamps ``t*`` with
+    ``ots(t*) == t*``.  For a creation followed by two quantity updates,
+    ``create(stock) <= modify(stock.quantity)`` arises at the two updates.
+    """
+    return CheckBinder().bind_instance(expression).arises(window, oid, until)
+
+
+def is_triggered(
+    expression: EventExpression,
+    event_base: WindowLike,
+    last_consideration: Timestamp | None,
+    now: Timestamp,
+    memo: TriggerMemo | None = None,
+) -> TriggeringDecision:
+    """The triggering predicate ``T(r, t)`` (paper §4.5), decided exactly.
+
+    Over the Event Base, the window is ``(last_consideration, now]`` and the
+    decision is :meth:`CompiledCheck.check`'s; with ``memo`` the check is
+    incremental and updates it.  An already-built view is the window ``R``
+    itself: its rows are checked in an Event Base of their own, the memo is
+    left untouched (the view's relation to earlier checks is unknown), and
+    ``R != {}`` counts the rows past ``now`` too — when every row is past it,
+    the sign at ``now`` is the one sample.
+    """
+    binding = CheckBinder().bind(expression)
+    if not isinstance(event_base, BoundedView):
+        return binding.check(event_base, last_consideration, now, memo)
+    rows = EventBase()
+    rows.extend(event_base.occurrences)
+    decision = binding.check(rows, None, now)
+    if len(rows) and not decision.window_size:
+        value = binding.ts(rows, now)
+        active = value > 0
+        decision = TriggeringDecision(
+            active, now if active else None, value if active else None, 0, 1
+        )
+    return replace(decision, window_size=len(rows))

@@ -4,7 +4,8 @@
 occurred; developers debugging a rule usually also want to know *why* — which
 primitive occurrences support the activation, or which missing / blocking
 occurrence keeps the expression inactive.  :func:`explain` evaluates an
-expression exactly like :func:`repro.core.evaluation.ts` but returns an
+expression with the same compiled kernels that decide every triggering
+(:mod:`repro.core.compile`, one binder per call) and returns an
 :class:`Explanation` tree carrying, per node:
 
 * the node's ts value and activity flag;
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.evaluation import EvaluationMode, ots, ts
+from repro.core.compile import CheckBinder
 from repro.core.expressions import (
     EventExpression,
     InstanceNegation,
@@ -118,7 +119,6 @@ def explain(
     window: WindowLike,
     instant: Timestamp,
     oid: Any | None = None,
-    mode: EvaluationMode = EvaluationMode.LOGICAL,
 ) -> Explanation:
     """Build the explanation tree of ``expression`` at ``instant``.
 
@@ -126,15 +126,26 @@ def explain(
     a :class:`~repro.events.event_base.BoundedView` of it.  With ``oid`` the
     explanation is instance-oriented (``ots``); without it, set-oriented
     (``ts``), and instance-oriented sub-expressions record the witness object
-    their lift selected.
+    their lift selected.  Every node is valued by one binder's kernels, which
+    it interns by shape, so a tree costs one lowering per distinct shape.
     """
+    return _explain(CheckBinder(), expression, window, instant, oid)
+
+
+def _explain(
+    binder: CheckBinder,
+    expression: EventExpression,
+    window: WindowLike,
+    instant: Timestamp,
+    oid: Any | None,
+) -> Explanation:
     if oid is None and expression.is_instance_oriented:
-        return _explain_lifted(expression, window, instant, mode)
+        return _explain_lifted(binder, expression, window, instant)
 
     value = (
-        ts(expression, window, instant, mode)
+        binder.bind(expression).ts(window, instant)
         if oid is None
-        else ots(expression, window, instant, oid, mode)
+        else binder.bind_instance(expression).ots(window, instant, oid)
     )
     node = Explanation(
         expression=expression,
@@ -151,7 +162,7 @@ def explain(
         return node
 
     if isinstance(expression, (SetNegation, InstanceNegation)):
-        child = explain(expression.operand, window, instant, oid, mode)
+        child = _explain(binder, expression.operand, window, instant, oid)
         node.children.append(child)
         if not node.active:
             blocking = child.supporting_occurrences()
@@ -162,10 +173,10 @@ def explain(
         isinstance(expression, (SetPrecedence,))
         or expression.operator_name == "precedence"
     ):
-        right = explain(expression.right, window, instant, oid, mode)
+        right = _explain(binder, expression.right, window, instant, oid)
         # The left operand is probed at the right operand's activation instant.
         probe_instant = right.value if right.active else instant
-        left = explain(expression.left, window, probe_instant, oid, mode)
+        left = _explain(binder, expression.left, window, probe_instant, oid)
         node.children.extend([left, right])
         return node
 
@@ -173,33 +184,36 @@ def explain(
         isinstance(expression, (SetConjunction, SetDisjunction))
         or expression.operator_name in ("conjunction", "disjunction")
     ):
-        node.children.append(explain(expression.left, window, instant, oid, mode))
-        node.children.append(explain(expression.right, window, instant, oid, mode))
+        node.children.append(_explain(binder, expression.left, window, instant, oid))
+        node.children.append(_explain(binder, expression.right, window, instant, oid))
         return node
 
     return node
 
 
 def _explain_lifted(
+    binder: CheckBinder,
     expression: EventExpression,
     window: WindowLike,
     instant: Timestamp,
-    mode: EvaluationMode,
 ) -> Explanation:
-    """Explain an instance-oriented sub-expression appearing in a set context."""
-    value = ts(expression, window, instant, mode)
+    """Explain an instance-oriented sub-expression appearing in a set context.
+
+    The lift is a maximum of the per-object ``ots`` (a minimum for instance
+    negation), so its witness is the object that attains it, ties broken by
+    ``str(oid)``.
+    """
+    value = binder.bind(expression).ts(window, instant)
     candidates = window.objects_affected_by(expression.event_types(), instant)
     witness: Any | None = None
     if candidates:
-        per_object = {
-            candidate: ots(expression, window, instant, candidate, mode)
+        per_object = binder.bind_instance(expression)
+        values = {
+            candidate: per_object.ots(window, instant, candidate)
             for candidate in candidates
         }
-        if isinstance(expression, InstanceNegation):
-            # The lift is a minimum: the witness is the object that decides it.
-            witness = min(per_object, key=lambda oid: (per_object[oid], str(oid)))
-        else:
-            witness = max(per_object, key=lambda oid: (per_object[oid], str(oid)))
+        pick = min if isinstance(expression, InstanceNegation) else max
+        witness = pick(values, key=lambda oid: (values[oid], str(oid)))
     node = Explanation(
         expression=expression,
         value=value,
@@ -208,5 +222,5 @@ def _explain_lifted(
         witness_object=witness,
     )
     if witness is not None:
-        node.children.append(explain(expression, window, instant, witness, mode))
+        node.children.append(_explain(binder, expression, window, instant, witness))
     return node

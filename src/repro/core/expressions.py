@@ -29,7 +29,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import CompositionError
 from repro.events.event import EventType, parse_event_type
@@ -487,22 +487,3 @@ def instance_precedence(
 def instance_negation(operand: EventExpression | EventType | str) -> InstanceNegation:
     """Instance-oriented negation of the operand."""
     return InstanceNegation(_as_expression(operand))
-
-
-def expression_from(value: EventExpression | EventType | str) -> EventExpression:
-    """Public coercion helper (strings are parsed as primitive event types)."""
-    return _as_expression(value)
-
-
-def iter_subexpressions(
-    expression: EventExpression, *, unique: bool = False
-) -> Iterable[EventExpression]:
-    """Iterate over every sub-expression (optionally deduplicated)."""
-    if not unique:
-        yield from expression.walk()
-        return
-    seen: set[EventExpression] = set()
-    for node in expression.walk():
-        if node not in seen:
-            seen.add(node)
-            yield node

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.evaluation import EvaluationMode, ts
+from repro.core.compile import CheckBinder
 from repro.core.expressions import (
     EventExpression,
     InstanceConjunction,
@@ -248,15 +248,15 @@ def check_law(
     operands: Sequence[EventExpression],
     window: WindowLike,
     instant: Timestamp,
-    mode: EvaluationMode = EvaluationMode.LOGICAL,
 ) -> LawCheckResult:
     """Evaluate both sides of a law over concrete operands and compare them."""
     if len(operands) != law.arity:
         raise ValueError(
             f"law {law.name} needs {law.arity} operands, got {len(operands)}"
         )
-    lhs_value = ts(law.lhs(*operands), window, instant, mode)
-    rhs_value = ts(law.rhs(*operands), window, instant, mode)
+    binder = CheckBinder()
+    lhs_value = binder.bind(law.lhs(*operands)).ts(window, instant)
+    rhs_value = binder.bind(law.rhs(*operands)).ts(window, instant)
     return LawCheckResult(
         law=law, lhs_value=lhs_value, rhs_value=rhs_value, instant=instant
     )
@@ -267,7 +267,6 @@ def expressions_equivalent(
     right: EventExpression,
     window: WindowLike,
     instants: Sequence[Timestamp],
-    mode: EvaluationMode = EvaluationMode.LOGICAL,
     exact: bool = True,
 ) -> bool:
     """True when two expressions agree over every instant of ``instants``.
@@ -275,9 +274,11 @@ def expressions_equivalent(
     ``exact=True`` compares raw ts values; ``exact=False`` only compares the
     activity flag and the activation time stamp when active.
     """
+    binder = CheckBinder()
+    left_binding, right_binding = binder.bind(left), binder.bind(right)
     for instant in instants:
-        left_value = ts(left, window, instant, mode)
-        right_value = ts(right, window, instant, mode)
+        left_value = left_binding.ts(window, instant)
+        right_value = right_binding.ts(window, instant)
         if exact:
             if left_value != right_value:
                 return False

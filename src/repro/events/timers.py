@@ -145,25 +145,3 @@ class TemporalEventPlanner:
                 continue
             planned.append(self._occurrence(name, timestamp))
         return planned
-
-    @staticmethod
-    def merge_into(
-        event_base: EventBase, occurrences: Sequence[EventOccurrence]
-    ) -> EventBase:
-        """Merge planned occurrences with an existing EB into a new, ordered EB."""
-        merged = EventBase()
-        combined = sorted(
-            list(event_base.occurrences) + list(occurrences),
-            key=lambda occurrence: (occurrence.timestamp, occurrence.eid),
-        )
-        for occurrence in combined:
-            merged.append(
-                EventOccurrence(
-                    eid=occurrence.eid,
-                    event_type=occurrence.event_type,
-                    oid=occurrence.oid,
-                    timestamp=occurrence.timestamp,
-                    payload=dict(occurrence.payload),
-                )
-            )
-        return merged

@@ -156,6 +156,9 @@ class ChimeraDatabase:
     def _rollback_transaction(self, transaction: Transaction) -> None:
         self._require_transaction(transaction)
         self.store.rollback()
+        # End at the one transaction boundary, so nothing of the aborted
+        # transaction stays readable: its log rows, pending rows, triggerings.
+        self.engine.begin_transaction()
         self._active_transaction = None
 
     def raise_event(

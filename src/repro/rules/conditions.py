@@ -26,8 +26,7 @@ The event formulas run on the compiled instance kernels of
 :mod:`repro.core.compile`, the same evaluator triggering uses: each formula's
 expression is bound once per binder (:meth:`CheckBinder.bind_instance`), and
 its binding set costs the objects the window's rows touched.  The engine owns
-one formula binder and hands it to every context; the interpreter's
-``active_objects`` / ``activation_instants`` are the tests' oracle only.
+one formula binder and hands it to every context.
 """
 
 from __future__ import annotations

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from repro.config import EngineConfig
-from repro.core.compile import CheckBinder, CompiledCheck
-from repro.core.triggering import TriggeringDecision, is_triggered
+from repro.core.compile import CheckBinder, CompiledCheck, is_triggered
+from repro.core.triggering import TriggeringDecision
 from repro.events.clock import Timestamp
 from repro.events.event import EventType
 from repro.events.event_base import EventBase
@@ -59,10 +59,11 @@ from repro.obs.registry import MetricsRegistry
 from repro.rules.rule import RuleState
 from repro.rules.rule_table import RuleTable
 
-#: ``is_triggered`` is a re-export, not a dependency: every production check
-#: runs through :mod:`repro.core.compile`.  The name stays bound here as the
-#: reference oracle's handle on this layer — ``benchmarks/e2e`` wraps it for
-#: its ``core.check`` span, and an oracle Trigger Support (tests) calls it.
+#: ``is_triggered`` is a re-export of the compiled predicate, not a
+#: dependency: every check here runs through :class:`CompiledCheck`.  The
+#: name stays bound only because ``benchmarks/e2e``'s tracer wraps it for its
+#: ``core.check`` span and cannot skip a missing module-level name; it
+#: retires with ROADMAP item 1(b), in a change to the benchmark alone.
 __all__ = [
     "TriggerSupportStats",
     "TriggerPlan",

@@ -29,10 +29,10 @@ import random
 import pytest
 
 from repro.config import EngineConfig
-from repro.core.evaluation import EvaluationMode
 from repro.oodb.database import ChimeraDatabase
 
 from tests.cluster.test_shard_equivalence import run_scenario
+from tests.oracle import EvaluationMode
 from tests.rules.test_planner_equivalence import build_scenario
 
 MODES = ("serial", "processes")

@@ -22,13 +22,12 @@ import dataclasses
 
 from repro.cluster.coordinator import ShardCoordinator
 from repro.config import EngineConfig
-from repro.core.evaluation import EvaluationMode
 from repro.events.event_base import EventBase
 from repro.rules.event_handler import EventHandler
 from repro.rules.rule_table import RuleTable
 from repro.rules.trigger_support import TriggerSupport
 
-from tests.oracle import OracleTriggerSupport
+from tests.oracle import EvaluationMode, OracleTriggerSupport
 from tests.rules.test_planner_equivalence import Scenario, build_scenario
 
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.compile import CheckBinder
-from repro.core.evaluation import EvaluationMode, ots, ts
+from repro.core.compile import ots, ts
 from repro.core.expressions import Primitive
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
 from repro.oodb.database import ChimeraDatabase
 from repro.workloads.stock import build_figure3_event_base
+
+from tests import oracle
 
 # ---------------------------------------------------------------------------
 # Abstract event types used by calculus-level tests (the paper's A, B, C).
@@ -52,27 +53,26 @@ def history(*entries: tuple[EventType, str, int]) -> EventBase:
 
 
 class _Interpreter:
-    """The reference evaluator: ``repro.core.evaluation.ts`` / ``ots``."""
+    """The reference evaluator: ``tests/oracle.py``'s ``ts`` / ``ots``."""
 
-    ts = staticmethod(ts)
-    ots = staticmethod(ots)
+    ts = staticmethod(oracle.ts)
+    ots = staticmethod(oracle.ots)
 
 
 class _Compiled:
-    """The production evaluator: a fresh binding of the compiled shape kernel.
+    """The package's evaluator: ``repro.core.ts`` / ``ots``, the compiled kernels.
 
     ``mode`` keeps the interpreter's call shape: the kernels compile one
     combine set, which equals both of the paper's formulations.
     """
 
     @staticmethod
-    def ts(expression, window, instant, mode=EvaluationMode.LOGICAL):
-        return CheckBinder().bind(expression).ts(window, None, instant)
+    def ts(expression, window, instant, mode=oracle.EvaluationMode.LOGICAL):
+        return ts(expression, window, instant)
 
     @staticmethod
-    def ots(expression, window, instant, oid, mode=EvaluationMode.LOGICAL):
-        binding = CheckBinder().bind_instance(expression)
-        return binding.ots(window, None, instant, oid)
+    def ots(expression, window, instant, oid, mode=oracle.EvaluationMode.LOGICAL):
+        return ots(expression, window, instant, oid)
 
 
 @pytest.fixture(params=[_Interpreter, _Compiled], ids=["interpreter", "compiled"])
@@ -80,7 +80,7 @@ def calculus(request):
     """``ts`` / ``ots`` of one evaluator, called like the interpreter's.
 
     The paper's worked examples run on both: the recursive evaluator is the
-    oracle, the compiled kernels are what the Trigger Support runs.
+    oracle, the compiled kernels are what the package evaluates with.
     """
     return request.param
 

@@ -5,9 +5,9 @@ The production evaluator (:mod:`repro.core.compile`) lowers each expression
 sweeps a block's candidate instants in one pass.  Its contract is byte-identical
 behaviour: for any expression, any Event-Base history and any window start,
 the compiled ``ts`` / ``ots`` / exact check — one combine set — must agree
-with the recursive reference evaluator in either of the paper's evaluation
-modes on the value, the :class:`TriggeringDecision` and the
-:class:`TriggerMemo` transitions.  The work pins: a compiled ``ts`` / ``ots``
+with the recursive reference evaluator of ``tests/oracle.py`` in either of
+the paper's evaluation modes on the value, the :class:`TriggeringDecision`
+and the :class:`TriggerMemo` transitions.  The work pins: a compiled ``ts`` / ``ots``
 is one of the reference's point evaluations (``EvaluationStats.evaluations``),
 and the instants a compiled check samples (``instants_sampled``) are the
 brute-force count of :func:`tests.oracle.restricted_samples` — the resume
@@ -21,25 +21,26 @@ universal and existential domain-growth cases) and instance-oriented roots.
 Then: many rules of one shape sharing a kernel (a hypothesis property and a
 memory budget), whole churn scenarios replayed through every coordinator
 against the oracle Trigger Support, and the binding invariants: a handle is
-the store's live pattern list, resolved once per store.
+the store's live pattern list, resolved once per store.  The interpreter is
+the tests' alone: no module of ``src/`` imports ``tests``, defines a ``ts`` /
+``ots`` outside the compiled evaluator or names the interpreter's types.
 """
 
 from __future__ import annotations
 
 import gc
 import random
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.config import EngineConfig
 from repro.core.compile import CheckBinder, compile_check
-from repro.core.evaluation import EvaluationMode, EvaluationStats
-from repro.core.evaluation import ots as interpreted_ots
-from repro.core.evaluation import ts as interpreted_ts
 from repro.core.expressions import (
     InstanceConjunction,
     InstanceDisjunction,
@@ -52,7 +53,7 @@ from repro.core.expressions import (
     SetPrecedence,
 )
 from repro.core.parser import parse_expression
-from repro.core.triggering import TriggerMemo, is_triggered
+from repro.core.triggering import TriggerMemo
 from repro.events.event import EventType, Operation
 from repro.events.event_base import EventBase
 from repro.rules.actions import NO_ACTION
@@ -69,7 +70,10 @@ from repro.workloads.generator import (
     stream_to_event_base,
 )
 
+from tests.oracle import EvaluationMode, EvaluationStats, is_triggered
+from tests.oracle import ots as interpreted_ots
 from tests.oracle import restricted_samples
+from tests.oracle import ts as interpreted_ts
 
 MODES = (EvaluationMode.LOGICAL, EvaluationMode.ALGEBRAIC)
 
@@ -131,7 +135,7 @@ class TestPointEquivalence:
                     expected = interpreted_ts(
                         expression, window, instant, mode, interpreted_stats
                     )
-                    actual = compiled.ts(event_base, window_start, instant)
+                    actual = compiled.ts(window, instant)
                     assert actual == expected, (mode, expression, window_start, instant)
                 assert interpreted_stats.evaluations == 6, (mode, expression)
 
@@ -154,7 +158,7 @@ class TestPointEquivalence:
                     expected = interpreted_ots(
                         expression, window, instant, oid, mode, interpreted_stats
                     )
-                    actual = compiled.ots(event_base, window_start, instant, oid)
+                    actual = compiled.ots(window, instant, oid)
                     assert actual == expected, (mode, expression, oid, instant)
                 assert interpreted_stats.evaluations == len(oids), (mode, expression)
 
@@ -377,8 +381,8 @@ class TestSharedKernels:
         # kernel, again shared by both rules.
         event_base = EventBase()
         event_base.record(UNIVERSE[0], oid="o#1", timestamp=1)
-        first.ots(event_base, None, 1, "o#1")
-        second.ots(event_base, None, 1, "o#1")
+        first.ots(event_base, 1, "o#1")
+        second.ots(event_base, 1, "o#1")
         assert binder.kernels_compiled == 2
         # A repeated type is a different slot pattern, hence a different shape.
         binder.bind(InstanceConjunction(a, a))
@@ -464,25 +468,15 @@ class TestBindingInvariants:
         )
         assert state.times_triggered == 1
 
-    def test_bare_rule_engine_never_enters_the_oracle(self, monkeypatch):
+    def test_bare_rule_engine_checks_through_its_bindings(self):
         """A rule added through ``RuleTable.add`` on a bare ``RuleEngine`` (no
         ``ChimeraDatabase.define_rule``) is checked through its binding on
         every path — per block and the commit-time recheck."""
-        import repro.core.evaluation
-        import repro.core.triggering
-        import repro.rules.trigger_support
         from repro.events.clock import TransactionClock
         from repro.oodb.objects import ObjectStore
         from repro.oodb.operations import OperationExecutor
         from repro.oodb.schema import Schema
 
-        def entered(*args, **kwargs):
-            raise AssertionError("the reference evaluator ran in production")
-
-        for module in (repro.core.triggering, repro.rules.trigger_support):
-            monkeypatch.setattr(module, "is_triggered", entered)
-        for name in ("ts", "ots"):
-            monkeypatch.setattr(repro.core.evaluation, name, entered)
         schema, store, clock = Schema(), ObjectStore(), TransactionClock()
         schema.define("alpha", ["x"])
         event_base = EventBase()
@@ -666,3 +660,34 @@ class TestBindingInvariants:
             assert not rows[0][1].triggered
         finally:
             pool.close()
+
+
+# ---------------------------------------------------------------------------
+# One evaluator in src/: the interpreter lives in tests/ only
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _sources():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), path.read_text(encoding="utf-8")
+
+
+class TestOneEvaluatorInSrc:
+    def test_no_module_under_src_imports_from_tests(self):
+        importing = re.compile(r"^\s*(from|import)\s+tests\b", re.MULTILINE)
+        assert [name for name, text in _sources() if importing.search(text)] == []
+
+    def test_every_ts_and_ots_definition_is_the_compiled_one(self):
+        definition = re.compile(r"^\s*def (ts|ots)\b", re.MULTILINE)
+        found = {name for name, text in _sources() for _ in definition.finditer(text)}
+        assert found == {"repro/core/compile.py"}
+        compiled = (SRC / "repro/core/compile.py").read_text(encoding="utf-8")
+        # CompiledCheck.ts / .ots and the module's ts / ots.
+        assert len(definition.findall(compiled)) == 4
+
+    def test_the_interpreters_types_appear_nowhere_in_src(self):
+        for name, text in _sources():
+            for word in ("EvaluationMode", "EvaluationStats"):
+                assert word not in text, f"{name} names {word}"

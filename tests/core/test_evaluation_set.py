@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.core.evaluation import (
-    EvaluationMode, EvaluationStats, evaluate, is_active, ts
-)
+from repro.core.compile import ts as compiled_ts
 from repro.core.expressions import (
     SetConjunction,
     SetDisjunction,
@@ -17,6 +15,7 @@ from repro.events.event import EventType, Operation
 from repro.workloads.generator import EventStreamGenerator, ExpressionGenerator
 
 from tests.conftest import A, B, PA, PB, event_base_of, history
+from tests.oracle import EvaluationMode, EvaluationStats, evaluate, is_active, ts
 
 CREATE_STOCK = EventType(Operation.CREATE, "stock")
 MODIFY_QTY = EventType(Operation.MODIFY, "stock", "quantity")
@@ -230,9 +229,9 @@ class TestModesAgree:
         )
         window = history((A, "o1", 2), (B, "o2", 5), (A, "o3", 7))
         for instant in range(1, 10):
-            assert ts(expression, window, instant, EvaluationMode.LOGICAL) == ts(
-                expression, window, instant, EvaluationMode.ALGEBRAIC
-            )
+            compiled = compiled_ts(expression, window, instant)
+            for mode in EvaluationMode:
+                assert ts(expression, window, instant, mode) == compiled
 
 
 class TestEvaluationStats:

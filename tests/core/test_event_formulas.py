@@ -2,8 +2,9 @@
 
 Conditions evaluate the formulas through the compiled instance kernel
 (:meth:`CheckBinder.bind_instance` → :meth:`CompiledCheck.affected` /
-:meth:`CompiledCheck.arises`); the interpreter's ``active_objects`` /
-``activation_instants`` are the oracle.  Every example below asks both, and a
+:meth:`CompiledCheck.arises`, which the package's ``active_objects`` /
+``activation_instants`` call); the interpreter's in ``tests/oracle.py`` are
+the oracle.  Every example below asks both, and a
 differential property test pins them equal over random instance expressions
 (all four instance operators, negation included), random histories and every
 window structure — the Event Base itself and a zero-copy :class:`BoundedView`
@@ -18,8 +19,7 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.compile import CheckBinder
-from repro.core.evaluation import EvaluationMode, activation_instants, active_objects
+from repro.core.compile import CheckBinder, activation_instants, active_objects
 from repro.core.parser import parse_expression
 from repro.events.event import EventType, Operation
 from repro.events.event_base import EventBase
@@ -28,13 +28,14 @@ from repro.oodb.schema import Schema
 from repro.rules.conditions import Condition, ConditionContext, OccurredFormula
 from repro.workloads.generator import ExpressionGenerator
 
+from tests import oracle
 from tests.conftest import history
 
 CREATE_STOCK = EventType(Operation.CREATE, "stock")
 MODIFY_QTY = EventType(Operation.MODIFY, "stock", "quantity")
 DELETE_STOCK = EventType(Operation.DELETE, "stock")
 
-MODES = (EvaluationMode.LOGICAL, EvaluationMode.ALGEBRAIC)
+MODES = tuple(oracle.EvaluationMode)
 #: What histories are made of: three classes' worth of concrete types.
 CONCRETE = (
     EventType(Operation.CREATE, "alpha"),
@@ -60,17 +61,15 @@ INSTANCE_OPERATORS = {
 
 def occurred(expression, window, instant):
     """``occurred``'s binding set: the compiled one, equal to the oracle's."""
-    expected = active_objects(expression, window, instant)
-    binding = CheckBinder().bind_instance(expression)
-    assert binding.affected(window, instant) == expected
+    expected = oracle.active_objects(expression, window, instant)
+    assert active_objects(expression, window, instant) == expected
     return expected
 
 
 def at(expression, window, oid, until):
     """``at``'s instants for ``oid``: the compiled ones, equal to the oracle's."""
-    expected = activation_instants(expression, window, oid, until)
-    binding = CheckBinder().bind_instance(expression)
-    assert binding.arises(window, oid, until) == expected
+    expected = oracle.activation_instants(expression, window, oid, until)
+    assert activation_instants(expression, window, oid, until) == expected
     return expected
 
 
@@ -224,10 +223,10 @@ def _windows(event_base: EventBase, after, until) -> dict:
 
 def assert_formulas_match(expression, window, now, at_until, mode) -> None:
     binding = CheckBinder().bind_instance(expression)
-    expected = active_objects(expression, window, now, mode=mode)
+    expected = oracle.active_objects(expression, window, now, mode=mode)
     assert binding.affected(window, now) == expected, (expression, now)
     for oid in [*OIDS, "ghost"]:
-        assert binding.arises(window, oid, at_until) == activation_instants(
+        assert binding.arises(window, oid, at_until) == oracle.activation_instants(
             expression, window, oid, at_until, mode
         ), (expression, oid, at_until)
 

@@ -1,6 +1,6 @@
 """Tests for the activation-explanation facility."""
 
-from repro.core.evaluation import ts
+from repro.core.compile import ts
 from repro.core.explain import explain
 from repro.core.parser import parse_expression
 from repro.events.event import EventType, Operation
@@ -86,7 +86,11 @@ class TestCompositeExplanations:
     def test_lifted_negation_records_the_deciding_object(self):
         explanation = explain(parse_expression("-=create(stock)"), WINDOW, 7)
         assert not explanation.active
-        assert explanation.witness_object in {"o1", "o2"}
+        # The universal lift is the minimum ots over the created objects:
+        # o1 reads -1 and o2 -2, so o2 is the object that decides it.
+        assert explanation.witness_object == "o2"
+        (per_object,) = explanation.children
+        assert per_object.value == explanation.value == -2
 
     def test_leaves_cover_every_primitive(self):
         explanation = explain(

@@ -1,21 +1,23 @@
 """Exactness of the incremental triggering check.
 
-Two equivalences are asserted here:
+Two equivalences are asserted here, each of the package's compiled
+functions against the reference interpreter of ``tests/oracle.py`` in both
+of the paper's formulations:
 
 * ``ts``/``ots``/``is_triggered`` computed over the zero-copy
-  :class:`BoundedView` agree with the same functions computed over a separate
-  Event Base holding only the rows inside the same bounds, on random
-  histories, random expressions and random ``(after, until]`` bounds
-  (hypothesis);
-* the memoized, incremental ``is_triggered`` that the Trigger Support runs
-  block-after-block returns *exactly* the decision of the seed implementation
-  (the window copied into its own Event Base + full instant scan) at every
-  step of a random multi-block simulation, including time-stamp ties that
-  force the sampling frontier to rewind, skipped checks (as the ``V(E)``
-  filter causes), rule considerations that move the window start, checks
-  without new events (commit-time ``recheck_all``), empty windows and
-  pure-negation reactivity (seeded random, in the style of
-  ``tests/core/test_properties.py``).
+  :class:`BoundedView` agree with the oracle's over a separate Event Base
+  holding only the rows inside the same bounds, on random histories, random
+  expressions and random ``(after, until]`` bounds (hypothesis) — a view
+  whose ``until`` is below the instant included, where the kernel must not
+  read the parent's rows past ``until``;
+* the memoized, incremental ``is_triggered`` block-after-block returns
+  *exactly* the decision of the seed implementation (the window copied into
+  its own Event Base + the oracle's full instant scan) at every step of a
+  random multi-block simulation, including time-stamp ties that force the
+  sampling frontier to rewind, skipped checks (as the ``V(E)`` filter
+  causes), rule considerations that move the window start, checks without
+  new events (commit-time ``recheck_all``), empty windows and pure-negation
+  reactivity (seeded random, in the style of ``tests/core/test_properties.py``).
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from __future__ import annotations
 import random
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 
-from repro.core.evaluation import EvaluationMode, ots, ts
+from repro.core.compile import is_triggered, ots, ts
 from repro.core.expressions import (
     InstanceConjunction,
     InstanceDisjunction,
@@ -38,11 +41,12 @@ from repro.core.expressions import (
     SetPrecedence,
 )
 from repro.core.parser import parse_expression
-from repro.core.triggering import TriggerMemo, is_triggered
+from repro.core.triggering import TriggerMemo
 from repro.events.event import EventType, Operation
 from repro.events.event_base import EventBase
 from repro.workloads.generator import ExpressionGenerator, event_type_universe
 
+from tests import oracle
 from tests.conftest import event_base_of
 
 A = EventType(Operation.CREATE, "A")
@@ -125,16 +129,26 @@ def _copied(event_base: EventBase, after, until) -> EventBase:
 # ---------------------------------------------------------------------------
 
 
+def _split_log() -> EventBase:
+    """Rows at t1 and t5, which a view ending at t3 cuts in two."""
+    event_base = EventBase()
+    event_base.record(A, "o1", 1)
+    event_base.record(A, "o2", 5)
+    return event_base
+
+
 @settings(max_examples=150, deadline=None)
 @given(expression=set_expressions, pair=bounded_histories(), instant=instants)
+@example(expression=Primitive(A), pair=(_split_log(), None, 3), instant=6)
 def test_ts_agrees_between_view_and_window(expression, pair, instant):
     event_base, after, until = pair
     view = event_base.view(after=after, until=until)
     window = _copied(event_base, after, until)
-    for mode in EvaluationMode:
-        assert ts(expression, view, instant, mode) == ts(
-            expression, window, instant, mode
-        )
+    compiled = ts(expression, view, instant)
+    assert ts(expression, window, instant) == compiled
+    for mode in oracle.EvaluationMode:
+        assert oracle.ts(expression, window, instant, mode) == compiled
+        assert oracle.ts(expression, view, instant, mode) == compiled
 
 
 @settings(max_examples=150, deadline=None)
@@ -144,14 +158,26 @@ def test_ts_agrees_between_view_and_window(expression, pair, instant):
     instant=instants,
     oid=oids,
 )
+@example(expression=Primitive(A), pair=(_split_log(), None, 3), instant=6, oid="o2")
 def test_ots_agrees_between_view_and_window(expression, pair, instant, oid):
     event_base, after, until = pair
     view = event_base.view(after=after, until=until)
     window = _copied(event_base, after, until)
-    for mode in EvaluationMode:
-        assert ots(expression, view, instant, oid, mode) == ots(
-            expression, window, instant, oid, mode
-        )
+    compiled = ots(expression, view, instant, oid)
+    assert ots(expression, window, instant, oid) == compiled
+    for mode in oracle.EvaluationMode:
+        assert oracle.ots(expression, window, instant, oid, mode) == compiled
+        assert oracle.ots(expression, view, instant, oid, mode) == compiled
+
+
+def test_a_view_ending_before_the_instant_reads_only_its_own_rows():
+    """Rows at t1 and t5, the view ``(None, 3]``, the instant 6: the kernel
+    must neither read the parent's row at t5 (5 instead of 1) nor clamp the
+    instant to ``until`` (a negation's 3 instead of -(-6) = 6)."""
+    view = _split_log().view(until=3)
+    assert ts(Primitive(A), view, 6) == oracle.ts(Primitive(A), view, 6) == 1
+    negation = SetNegation(Primitive(B))
+    assert ts(negation, view, 6) == oracle.ts(negation, view, 6) == 6
 
 
 @settings(max_examples=150, deadline=None)
@@ -163,12 +189,24 @@ def test_is_triggered_agrees_between_view_and_window(expression, pair, now):
     # The EB path carves the (after, now] view internally; compare against a
     # copy of the same rows.
     window = _copied(event_base, after, now)
-    from_view = is_triggered(expression, event_base, after, now)
-    from_window = is_triggered(expression, window, after, now)
-    assert from_view.triggered == from_window.triggered
-    assert from_view.instant == from_window.instant
-    assert from_view.ts_value == from_window.ts_value
-    assert from_view.window_size == from_window.window_size
+    from_log = is_triggered(expression, event_base, after, now)
+    from_view = is_triggered(expression, event_base.view(after, now), after, now)
+    for mode in oracle.EvaluationMode:
+        reference = oracle.is_triggered(expression, window, after, now, mode)
+        _assert_same_decision(from_log, reference, mode)
+        _assert_same_decision(from_view, reference, mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expression=set_expressions, pair=bounded_histories(), now=instants)
+def test_a_prebuilt_view_is_the_window_whatever_its_bounds(expression, pair, now):
+    """A view passed in is ``R`` itself, rows past ``now`` included."""
+    event_base, after, until = pair
+    view = event_base.view(after=after, until=until)
+    compiled = is_triggered(expression, view, None, now)
+    for mode in oracle.EvaluationMode:
+        reference = oracle.is_triggered(expression, view, None, now, mode)
+        _assert_same_decision(compiled, reference, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +215,15 @@ def test_is_triggered_agrees_between_view_and_window(expression, pair, now):
 
 
 def _full_rescan(expression, event_base, last_consideration, now):
-    """The seed implementation: copy the window, scan every instant."""
+    """The seed implementation: copy the window, let the oracle scan every
+    instant, in both of the paper's formulations."""
     window = _copied(event_base, last_consideration, now)
-    return is_triggered(expression, window, last_consideration, now)
+    logical, algebraic = (
+        oracle.is_triggered(expression, window, last_consideration, now, mode)
+        for mode in oracle.EvaluationMode
+    )
+    assert logical == algebraic
+    return logical
 
 
 def _assert_same_decision(incremental, reference, context):
@@ -320,33 +364,44 @@ def test_incremental_matches_full_rescan_on_random_expressions():
 
 
 # ---------------------------------------------------------------------------
-# Targeted corner cases
+# Targeted corner cases, on the package's check and on the oracle's
 # ---------------------------------------------------------------------------
 
 
+def _oracle_is_triggered(expression, event_base, last_consideration, now, memo=None):
+    return oracle.is_triggered(
+        expression, event_base, last_consideration, now, memo=memo
+    )
+
+
+@pytest.fixture(params=[is_triggered, _oracle_is_triggered], ids=["compiled", "oracle"])
+def triggering(request):
+    return request.param
+
+
 class TestMemoCornerCases:
-    def test_empty_window_never_triggers_and_leaves_memo_untouched(self):
+    def test_empty_window_never_triggers_and_leaves_memo_untouched(self, triggering):
         event_base = EventBase()
         memo = TriggerMemo()
         expression = parse_expression("-create(A)")
-        decision = is_triggered(expression, event_base, None, 5, memo=memo)
+        decision = triggering(expression, event_base, None, 5, memo=memo)
         assert not decision.triggered
         assert decision.window_size == 0
         assert not memo.valid
 
-    def test_pure_negation_reactivity_with_memo(self):
+    def test_pure_negation_reactivity_with_memo(self, triggering):
         event_base = EventBase()
         memo = TriggerMemo()
         expression = parse_expression("-create(A)")
         # Nothing happened: blocked by R != {} despite the vacuous activation.
-        assert not is_triggered(expression, event_base, None, 3, memo=memo)
+        assert not triggering(expression, event_base, None, 3, memo=memo)
         # Any unrelated occurrence unblocks the rule.
         event_base.record(B, "o1", 4)
-        decision = is_triggered(expression, event_base, None, 4, memo=memo)
+        decision = triggering(expression, event_base, None, 4, memo=memo)
         assert decision.triggered
         assert not memo.valid  # cleared on triggering
 
-    def test_tie_rewinds_the_sampling_frontier(self):
+    def test_tie_rewinds_the_sampling_frontier(self, triggering):
         # First check at now=5 samples {5} negatively; then an occurrence
         # arrives bearing the *same* time stamp.  The memo must rewind and
         # resample instant 5, or the triggering would be missed.
@@ -354,49 +409,49 @@ class TestMemoCornerCases:
         event_base.record(B, "o1", 5)
         memo = TriggerMemo()
         expression = parse_expression("create(A)")
-        assert not is_triggered(expression, event_base, None, 5, memo=memo)
+        assert not triggering(expression, event_base, None, 5, memo=memo)
         assert memo.valid and memo.last_sampled == 5
         event_base.record(A, "o2", 5)
-        decision = is_triggered(expression, event_base, None, 5, memo=memo)
+        decision = triggering(expression, event_base, None, 5, memo=memo)
         assert decision.triggered
         assert decision.instant == 5
 
-    def test_memo_is_ignored_for_prebuilt_windows(self):
+    def test_memo_is_ignored_for_prebuilt_windows(self, triggering):
         event_base = EventBase()
         event_base.record(A, "o1", 2)
         window = event_base.full_view()
         memo = TriggerMemo()
-        decision = is_triggered(
-            parse_expression("create(A)"), window, None, 3, memo=memo
-        )
+        decision = triggering(parse_expression("create(A)"), window, None, 3, memo=memo)
         assert decision.triggered
         assert not memo.valid
 
-    def test_memo_invalidated_by_window_start_change(self):
+    def test_memo_invalidated_by_window_start_change(self, triggering):
         event_base = EventBase()
         event_base.record(A, "o1", 2)
         memo = TriggerMemo()
         expression = parse_expression("create(B)")
-        assert not is_triggered(expression, event_base, None, 2, memo=memo)
+        assert not triggering(expression, event_base, None, 2, memo=memo)
         assert memo.covers(None)
         # A consideration moved the window start: the memo no longer covers it
         # and the check falls back to a full scan of the new window.
         event_base.record(B, "o2", 4)
-        decision = is_triggered(expression, event_base, 3, 4, memo=memo)
+        decision = triggering(expression, event_base, 3, 4, memo=memo)
         assert decision.triggered
         assert decision.instant == 4
 
-    def test_fewer_instants_sampled_on_second_check(self):
+    def test_fewer_instants_sampled_on_second_check(self, triggering):
         event_base = EventBase()
         for stamp in range(1, 11):
             event_base.record(B, f"o{stamp}", stamp)
         memo = TriggerMemo()
-        expression = parse_expression("create(A)")
-        first = is_triggered(expression, event_base, None, 10, memo=memo)
+        # Every stamp carries a type of the expression: the compiled check's
+        # candidates are the oracle's every-stamp scan.
+        expression = parse_expression("create(A) + create(B)")
+        first = triggering(expression, event_base, None, 10, memo=memo)
         assert not first.triggered
         assert first.instants_sampled == 10
         event_base.record(B, "oX", 11)
-        second = is_triggered(expression, event_base, None, 11, memo=memo)
+        second = triggering(expression, event_base, None, 11, memo=memo)
         assert not second.triggered
         # Only the new instant is sampled: the ten old ones are covered.
         assert second.instants_sampled == 1

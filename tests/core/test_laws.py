@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core.evaluation import ts
+from repro.core.compile import ts
 from repro.core.expressions import (
     InstanceConjunction,
     InstanceDisjunction,

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from repro.core.compile import CheckBinder
 from repro.core.parser import parse_expression
-from repro.core.triggering import TriggerMemo, is_triggered
+from repro.core.triggering import TriggerMemo
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
 from repro.rules.actions import NO_ACTION
@@ -29,7 +29,7 @@ from repro.rules.conditions import TRUE_CONDITION
 from repro.rules.rule import Rule
 
 from tests.cluster.test_shard_equivalence import run_scenario
-from tests.oracle import restricted_samples
+from tests.oracle import is_triggered, restricted_samples
 from tests.rules.test_planner_equivalence import Scenario
 
 #: The rules: a primitive, precedence, a class-level pattern, a pure

@@ -3,7 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.evaluation import ts
+from repro.core.compile import ts
 from repro.core.expressions import (
     InstanceConjunction,
     InstanceNegation,

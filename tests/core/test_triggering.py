@@ -1,8 +1,7 @@
 """The triggering predicate T(r, t) of paper §4.5."""
 
+from repro.core.compile import is_triggered, ts
 from repro.core.parser import parse_expression
-from repro.core.evaluation import ts
-from repro.core.triggering import is_triggered
 from repro.events.event import EventType, Operation
 
 from tests.conftest import event_base_from

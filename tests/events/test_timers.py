@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.compile import ts
 from repro.core.parser import parse_expression
-from repro.core.evaluation import ts
 from repro.errors import EventCalculusError
 from repro.events.clock import TransactionClock
 from repro.events.event import EventType, Operation
@@ -12,7 +12,7 @@ from repro.events.timers import (
     ExternalEventSource, TemporalEventPlanner, external_event_type
 )
 
-from tests.conftest import event_base_from
+from tests.conftest import event_base_from, event_base_of
 
 CREATE_STOCK = EventType(Operation.CREATE, "stock")
 
@@ -98,21 +98,12 @@ class TestTemporalEventPlanner:
         with pytest.raises(EventCalculusError):
             planner.relative("timeout", delay=0, after=CREATE_STOCK, history=[])
 
-    def test_merge_into_keeps_the_log_ordered(self):
-        eb = event_base_from((CREATE_STOCK, "o1", 2), (CREATE_STOCK, "o2", 7))
-        planner = TemporalEventPlanner()
-        ticks = planner.periodic("tick", period=4, start=1, until=9)
-        merged = TemporalEventPlanner.merge_into(eb, ticks)
-        stamps = [occurrence.timestamp for occurrence in merged]
-        assert stamps == sorted(stamps)
-        assert len(merged) == 5
-
     def test_timeout_composite_event(self):
         """A watchdog: stock created but not modified before the timeout fires."""
         eb = event_base_from((CREATE_STOCK, "o1", 2))
         planner = TemporalEventPlanner()
-        merged = TemporalEventPlanner.merge_into(
-            eb, planner.relative("timeout", delay=5, after=CREATE_STOCK, history=eb)
+        merged = event_base_of(
+            [*eb, *planner.relative("timeout", delay=5, after=CREATE_STOCK, history=eb)]
         )
         watchdog = parse_expression(
             "(create(stock) < raise(timeout)) + -modify(stock.quantity)"
@@ -123,8 +114,12 @@ class TestTemporalEventPlanner:
             (CREATE_STOCK, "o1", 2),
             (EventType(Operation.MODIFY, "stock", "quantity"), "o1", 4),
         )
-        merged_answered = TemporalEventPlanner.merge_into(
-            answered,
-            planner.relative("timeout", delay=5, after=CREATE_STOCK, history=answered),
+        merged_answered = event_base_of(
+            [
+                *answered,
+                *planner.relative(
+                    "timeout", delay=5, after=CREATE_STOCK, history=answered
+                ),
+            ]
         )
         assert ts(watchdog, merged_answered, 8) < 0

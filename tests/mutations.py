@@ -56,6 +56,7 @@ _REFUSED = (
     f"{_MIRROR_DELTA}::test_a_refused_delta_raises_and_leaves_the_mirror_unchanged"
 )
 _POOL = "tests/cluster/test_process_pool.py"
+_INCREMENTAL = "tests/core/test_incremental_triggering.py"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -153,6 +154,28 @@ MUTANTS: tuple[Mutant, ...] = (
         tests=(
             "tests/rules/test_analysis.py::TestTerminationVerdict"
             "::test_a_guaranteed_rule_set_never_exhausts_the_budget",
+        ),
+    ),
+    Mutant(
+        name="explain-negation-witness-is-the-max",
+        path="src/repro/core/explain.py",
+        fragment="pick = min if isinstance(expression, InstanceNegation) else max",
+        replacement="pick = max if isinstance(expression, InstanceNegation) else max",
+        tests=(
+            "tests/core/test_explain.py::TestCompositeExplanations"
+            "::test_lifted_negation_records_the_deciding_object",
+        ),
+    ),
+    Mutant(
+        name="view-until-below-the-instant-ignored",
+        path="src/repro/core/compile.py",
+        fragment="        if until is not None and until < instant:\n",
+        replacement="        if False:\n",
+        tests=(
+            f"{_INCREMENTAL}::test_ts_agrees_between_view_and_window",
+            f"{_INCREMENTAL}::test_ots_agrees_between_view_and_window",
+            f"{_INCREMENTAL}"
+            "::test_a_view_ending_before_the_instant_reads_only_its_own_rows",
         ),
     ),
     Mutant(

@@ -6,16 +6,15 @@ snapshot did, on every ``begin``), and considering the paper's
 ``checkStockQty`` after one ``create(stock)`` must not enumerate the extent:
 the class range ranges over what ``occurred`` says was affected, and
 ``occurred`` runs the compiled instance kernel once per object the window's
-rows touched plus one probe for every untouched object — never the
-interpreter.  Speed is ``benchmarks/e2e``'s business (``tx.stock_orders``);
-these spies pin the mechanism.
+rows touched plus one probe for every untouched object.  Speed is
+``benchmarks/e2e``'s business (``tx.stock_orders``); these spies pin the
+mechanism.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.core.evaluation as evaluation
 from repro.core.compile import CheckBinder
 from repro.core.expressions import EventExpression
 from repro.oodb.objects import OID, ObjectStore
@@ -91,7 +90,6 @@ class TestConsiderationTouchesOnlyAffectedObjects:
         """
         counts = {
             "extent_scans": 0,
-            "ots": 0,
             "tree_walks": 0,
             "evaluations": 0,
             "kernel": 0,
@@ -123,7 +121,6 @@ class TestConsiderationTouchesOnlyAffectedObjects:
             "objects_of_class",
             counting("extent_scans", ObjectStore.objects_of_class),
         )
-        monkeypatch.setattr(evaluation, "_ots", counting("ots", evaluation._ots))
         monkeypatch.setattr(
             EventExpression,
             "contains_set_operator",
@@ -151,7 +148,6 @@ class TestConsiderationTouchesOnlyAffectedObjects:
         assert spies == {
             "evaluations": 1,
             "extent_scans": 0,
-            "ots": 0,  # the interpreter is the tests' oracle only
             "kernel": 2,  # one touched object, plus the untouched-object probe
             "bindings": 1,  # the formula, bound on its first consideration
             "tree_walks": 1,  # the expression is validated once, at binding
@@ -171,7 +167,6 @@ class TestConsiderationTouchesOnlyAffectedObjects:
         assert spies == {
             "evaluations": 1,
             "extent_scans": 0,
-            "ots": 0,
             "kernel": 5,  # four touched objects, plus one probe
             "bindings": 1,
             "tree_walks": 1,
@@ -186,7 +181,7 @@ class TestConsiderationTouchesOnlyAffectedObjects:
         # One binding (and one validation) for the engine's lifetime, one
         # touched object plus one probe per consideration.
         assert (spies["bindings"], spies["tree_walks"], spies["kernel"]) == (1, 1, 10)
-        assert spies["ots"] == spies["extent_scans"] == 0
+        assert spies["extent_scans"] == 0
 
 
 class TestOneLogPerDatabase:

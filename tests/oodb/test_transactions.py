@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.core.parser import parse_expression
 from repro.errors import TransactionError
+from repro.oodb.database import ChimeraDatabase
 from repro.oodb.transactions import TransactionStatus
+from repro.rules.actions import Action, CallableStatement
+from repro.rules.conditions import TRUE_CONDITION
+from repro.rules.rule import Rule
 from repro.workloads.stock import CHECK_STOCK_QTY_RULE
 
 
@@ -27,6 +32,42 @@ class TestLifecycle:
         tx.create("stock", {"quantity": 5})
         tx.rollback()
         assert stock_db.count("stock") == 0
+
+    def test_a_rolled_back_transaction_leaves_nothing_readable_behind(self):
+        """A rule's Python action creates a ``log`` object, then raises: the
+        rollback undoes both objects and ends at the transaction boundary, so
+        no triggering, log row or pending row of the aborted transaction is
+        left to read before the next one begins."""
+        db = ChimeraDatabase()
+        try:
+            db.define_class("a", ["x"])
+            db.define_class("log", ["x"])
+            calls = []
+
+            def create_log_then_raise(binding, operations):
+                calls.append(binding)
+                operations.create("log", {"x": 1})
+                raise RuntimeError("the action failed")
+
+            db.define_rule(
+                Rule(
+                    name="onA",
+                    events=parse_expression("create(a)"),
+                    condition=TRUE_CONDITION,
+                    action=Action((CallableStatement(create_log_then_raise),)),
+                )
+            )
+            with pytest.raises(RuntimeError, match="the action failed"):
+                with db.transaction() as tx:
+                    tx.create("a", {"x": 1})
+            assert tx.status is TransactionStatus.ROLLED_BACK
+            assert len(calls) == 1
+            assert db.count("a") == db.count("log") == 0
+            assert not db.rule_state("onA").triggered
+            assert len(db.event_base) == 0
+            assert db.engine.event_handler.pending_count() == 0
+        finally:
+            db.close()
 
     def test_operations_after_commit_rejected(self, stock_db):
         tx = stock_db.transaction()

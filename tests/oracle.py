@@ -1,34 +1,42 @@
-"""The reference Trigger Support: every exact check through ``is_triggered``.
+"""The reference implementations every differential test compares against.
 
-Production evaluates exact checks only through the shape kernels of
-:mod:`repro.core.compile`.  The recursive evaluator of
-:mod:`repro.core.evaluation` + :func:`repro.core.triggering.is_triggered` is
-the oracle those kernels are pinned to; this subclass swaps it in at the one
-evaluation kernel of :class:`TriggerSupport` (nothing else — planning,
-decision apply and every counter are the engine's own), so a whole scenario
-can be replayed engine-vs-oracle.  ``mode`` picks which of the paper's two
-formulations the oracle evaluates; the engine compiles one combine set,
-which must equal both.
+* **The recursive evaluator** of the paper's §4: ``ts`` / ``ots`` in both of
+  the paper's formulations (:class:`EvaluationMode`: the logical case
+  analysis and the algebraic sums of products of the unit step ``u``), the
+  lift of an instance-oriented sub-expression into a set context,
+  :func:`evaluate`, :func:`is_active`, the event formulas' binding sets
+  (:func:`active_objects`, :func:`activation_instants`) and the exact
+  triggering predicate :func:`is_triggered` (§4.5), which samples every
+  distinct stamp of the window.  ``src/`` has one evaluator, the compiled
+  shape kernels of :mod:`repro.core.compile`; this one re-derives every value
+  node by node, counts its work (:class:`EvaluationStats`) and is what the
+  compiled ``ts`` / ``ots`` / check / formulas are pinned equal to.
+* :class:`OracleTriggerSupport` swaps :func:`is_triggered` in at the one
+  evaluation kernel of :class:`TriggerSupport` (nothing else — planning,
+  decision apply and every counter are the engine's own), so a whole
+  scenario can be replayed engine-vs-oracle.  ``mode`` picks which of the
+  paper's two formulations the oracle evaluates; the engine compiles one
+  combine set, which must equal both.
 
-The oracle samples every distinct stamp of the window; the compiled check
-samples only the stamps where ``ts`` can change sign (the window's first
-stamp and the stamps of the expression's own types).  The decision the
-oracle reports carries :func:`restricted_samples` as its
-``instants_sampled`` — the compiled check's count, made from the log rows
-alone.
-
-:func:`reference_parse_expression` is the nine-level recursive-descent
-parser that :mod:`repro.core.parser`'s precedence climbing replaced; the
-parser differential (``tests/core/test_parser.py``) pins the two to the same
-trees and the same errors.
+  The oracle samples every distinct stamp of the window; the compiled check
+  samples only the stamps where ``ts`` can change sign (the window's first
+  stamp and the stamps of the expression's own types).  The decision the
+  oracle reports carries :func:`restricted_samples` as its
+  ``instants_sampled`` — the compiled check's count, made from the log rows
+  alone.
+* :func:`reference_parse_expression` is the nine-level recursive-descent
+  parser that :mod:`repro.core.parser`'s precedence climbing replaced; the
+  parser differential (``tests/core/test_parser.py``) pins the two to the
+  same trees and the same errors.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from enum import Enum
+from typing import Any, Iterable
 
-from repro.core.evaluation import EvaluationMode
 from repro.core.expressions import (
     EventExpression,
     InstanceConjunction,
@@ -42,11 +50,473 @@ from repro.core.expressions import (
     SetPrecedence,
 )
 from repro.core.triggering import TriggeringDecision, TriggerMemo
-from repro.errors import ExpressionSyntaxError
+from repro.errors import EvaluationError, ExpressionSyntaxError
 from repro.events.clock import Timestamp
 from repro.events.event import EventType, Operation
-from repro.events.event_base import EventBase
-from repro.rules.trigger_support import TriggerSupport, is_triggered
+from repro.events.event_base import BoundedView, EventBase, WindowLike
+from repro.rules.trigger_support import TriggerSupport
+
+# ---------------------------------------------------------------------------
+# The ts value domain and the unit step u
+# ---------------------------------------------------------------------------
+
+
+def unit_step(value: int) -> int:
+    """The paper's ``u`` function: 1 for positive arguments, 0 otherwise.
+
+    ``u(ts(E, t))`` is the occurrence predicate ``occ(E, t)`` in numeric form;
+    the algebraic semantics of every operator is written as products and sums
+    of ``u`` terms.
+    """
+    return 1 if value > 0 else 0
+
+
+@dataclass(frozen=True)
+class TsValue:
+    """A ``ts`` (or ``ots``) value together with the instant it refers to."""
+
+    value: int
+    instant: Timestamp
+
+    @property
+    def is_active(self) -> bool:
+        """True when the expression is active at :attr:`instant`."""
+        return self.value > 0
+
+    @property
+    def activation_timestamp(self) -> Timestamp | None:
+        """The activation time stamp, or None when the expression is inactive."""
+        return self.value if self.value > 0 else None
+
+    def __bool__(self) -> bool:
+        return self.is_active
+
+    def __int__(self) -> int:
+        return self.value
+
+    def __str__(self) -> str:
+        if self.is_active:
+            return f"active@t{self.value} (evaluated at t{self.instant})"
+        return f"inactive (evaluated at t{self.instant})"
+
+
+class EvaluationMode(Enum):
+    """Which of the paper's two equivalent formulations drives the evaluator."""
+
+    LOGICAL = "logical"
+    ALGEBRAIC = "algebraic"
+
+
+@dataclass
+class EvaluationStats:
+    """Counters describing the work done by the reference evaluator.
+
+    They measure work in counts rather than time: node visits, primitive
+    look-ups, lifted objects and point evaluations (one per ``ts`` / ``ots``
+    call).  The compiled kernels count none of them; the oracle's own tests
+    read them.
+    """
+
+    node_visits: int = 0
+    primitive_lookups: int = 0
+    lifted_objects: int = 0
+    evaluations: int = 0
+
+    def merge(self, other: "EvaluationStats") -> None:
+        """Accumulate another stats record into this one."""
+        self.node_visits += other.node_visits
+        self.primitive_lookups += other.primitive_lookups
+        self.lifted_objects += other.lifted_objects
+        self.evaluations += other.evaluations
+
+    def reset(self) -> None:
+        """Zero every counter."""
+        self.node_visits = 0
+        self.primitive_lookups = 0
+        self.lifted_objects = 0
+        self.evaluations = 0
+
+
+_NULL_STATS = EvaluationStats()
+
+
+# ---------------------------------------------------------------------------
+# Set-oriented semantics
+# ---------------------------------------------------------------------------
+
+
+def ts(
+    expression: EventExpression,
+    window: WindowLike,
+    instant: Timestamp,
+    mode: EvaluationMode = EvaluationMode.LOGICAL,
+    stats: EvaluationStats | None = None,
+) -> int:
+    """The set-oriented ``ts`` function of the paper, as a raw signed integer.
+
+    ``window`` is the occurrence set ``R`` the calculus applies to; ``instant``
+    is the evaluation time ``t``.  The result is positive (an activation time
+    stamp) when the expression is active and ``-t`` otherwise.
+    """
+    if instant <= 0:
+        raise EvaluationError(
+            f"ts must be evaluated at a positive instant (got {instant})"
+        )
+    recorder = stats if stats is not None else _NULL_STATS
+    recorder.evaluations += 1
+    return _ts(expression, window, instant, mode, recorder)
+
+
+def _ts(
+    expression: EventExpression,
+    window: WindowLike,
+    instant: Timestamp,
+    mode: EvaluationMode,
+    stats: EvaluationStats,
+) -> int:
+    stats.node_visits += 1
+
+    if isinstance(expression, Primitive):
+        stats.primitive_lookups += 1
+        last = window.last_timestamp(expression.event_type, instant)
+        return last if last is not None else -instant
+
+    if isinstance(expression, SetNegation):
+        return -_ts(expression.operand, window, instant, mode, stats)
+
+    if isinstance(expression, SetConjunction):
+        left = _ts(expression.left, window, instant, mode, stats)
+        right = _ts(expression.right, window, instant, mode, stats)
+        return _combine_conjunction(left, right, mode)
+
+    if isinstance(expression, SetDisjunction):
+        left = _ts(expression.left, window, instant, mode, stats)
+        right = _ts(expression.right, window, instant, mode, stats)
+        return _combine_disjunction(left, right, mode)
+
+    if isinstance(expression, SetPrecedence):
+        right = _ts(expression.right, window, instant, mode, stats)
+        if right > 0:
+            left_at_right = _ts(expression.left, window, right, mode, stats)
+        else:
+            # u(ts(B, t)) = 0 annihilates the whole positive term, so the value
+            # of ts(A, ts(B, t)) is irrelevant; skip the ill-defined nested
+            # evaluation at a non-positive instant.
+            left_at_right = -instant
+        return _combine_precedence(right, left_at_right, instant, mode)
+
+    # Instance-oriented sub-expression inside a set-oriented context: lift it
+    # over the objects mentioned by the window (paper §4.4, "ots to ts").
+    if expression.is_instance_oriented:
+        return _lift(expression, window, instant, mode, stats)
+
+    raise EvaluationError(f"cannot evaluate node of type {type(expression).__name__}")
+
+
+def _combine_conjunction(left: int, right: int, mode: EvaluationMode) -> int:
+    if mode is EvaluationMode.ALGEBRAIC:
+        both = unit_step(left) * unit_step(right)
+        return min(left, right) * (1 - both) + max(left, right) * both
+    if left > 0 and right > 0:
+        return max(left, right)
+    return min(left, right)
+
+
+def _combine_disjunction(left: int, right: int, mode: EvaluationMode) -> int:
+    if mode is EvaluationMode.ALGEBRAIC:
+        neither = unit_step(-left) * unit_step(-right)
+        return max(left, right) * (1 - neither) + min(left, right) * neither
+    if left > 0 or right > 0:
+        return max(left, right)
+    return min(left, right)
+
+
+def _combine_precedence(
+    right: int, left_at_right: int, instant: Timestamp, mode: EvaluationMode
+) -> int:
+    if mode is EvaluationMode.ALGEBRAIC:
+        satisfied = unit_step(right) * unit_step(left_at_right)
+        return -instant * (1 - satisfied) + right * satisfied
+    if right > 0 and left_at_right > 0:
+        return right
+    return -instant
+
+
+# ---------------------------------------------------------------------------
+# Instance-oriented semantics
+# ---------------------------------------------------------------------------
+
+
+def ots(
+    expression: EventExpression,
+    window: WindowLike,
+    instant: Timestamp,
+    oid: Any,
+    mode: EvaluationMode = EvaluationMode.LOGICAL,
+    stats: EvaluationStats | None = None,
+) -> int:
+    """The instance-oriented ``ots`` function for object ``oid``.
+
+    Only primitives and instance-oriented operators may appear in the
+    expression (the paper forbids set-oriented operators below instance ones).
+    """
+    if instant <= 0:
+        raise EvaluationError(
+            f"ots must be evaluated at a positive instant (got {instant})"
+        )
+    if not expression.may_be_instance_operand():
+        raise EvaluationError(
+            "ots is only defined for instance-oriented expressions "
+            f"(got a set-oriented operator in {expression})"
+        )
+    recorder = stats if stats is not None else _NULL_STATS
+    recorder.evaluations += 1
+    return _ots(expression, window, instant, oid, mode, recorder)
+
+
+def _ots(
+    expression: EventExpression,
+    window: WindowLike,
+    instant: Timestamp,
+    oid: Any,
+    mode: EvaluationMode,
+    stats: EvaluationStats,
+) -> int:
+    stats.node_visits += 1
+
+    if isinstance(expression, Primitive):
+        stats.primitive_lookups += 1
+        last = window.last_timestamp_on(expression.event_type, oid, instant)
+        return last if last is not None else -instant
+
+    if isinstance(expression, InstanceNegation):
+        return -_ots(expression.operand, window, instant, oid, mode, stats)
+
+    if isinstance(expression, InstanceConjunction):
+        left = _ots(expression.left, window, instant, oid, mode, stats)
+        right = _ots(expression.right, window, instant, oid, mode, stats)
+        return _combine_conjunction(left, right, mode)
+
+    if isinstance(expression, InstanceDisjunction):
+        left = _ots(expression.left, window, instant, oid, mode, stats)
+        right = _ots(expression.right, window, instant, oid, mode, stats)
+        return _combine_disjunction(left, right, mode)
+
+    if isinstance(expression, InstancePrecedence):
+        right = _ots(expression.right, window, instant, oid, mode, stats)
+        if right > 0:
+            left_at_right = _ots(expression.left, window, right, oid, mode, stats)
+        else:
+            left_at_right = -instant
+        return _combine_precedence(right, left_at_right, instant, mode)
+
+    raise EvaluationError(
+        f"set-oriented operator {type(expression).__name__} cannot appear in an "
+        "instance-oriented evaluation"
+    )
+
+
+def _lift(
+    expression: EventExpression,
+    window: WindowLike,
+    instant: Timestamp,
+    mode: EvaluationMode,
+    stats: EvaluationStats,
+) -> int:
+    """Lift an instance-oriented expression to the set level (paper §4.4).
+
+    Conjunction, disjunction and precedence are existential over objects ("at
+    least one object affected by ..."): the lifted value is the maximum ``ots``
+    over the candidate objects.  Instance negation is universal ("no object
+    ..."): the lifted value is the minimum ``ots``, positive exactly when the
+    negation holds for every candidate.  The candidates are the objects
+    affected, within the window, by occurrences of the event types the
+    sub-expression mentions — an object about which none of those events
+    happened is not "affected by" the composite event (and ranging over
+    unrelated objects would otherwise let a fresh, untouched object vacuously
+    satisfy negation-only conjunctions).  An empty candidate set makes
+    existential lifts inactive and negation vacuously active.
+    """
+    oids = window.objects_affected_by(expression.event_types(), instant)
+    stats.lifted_objects += len(oids)
+    if isinstance(expression, InstanceNegation):
+        if not oids:
+            return instant
+        return min(_ots(expression, window, instant, oid, mode, stats) for oid in oids)
+    if not oids:
+        return -instant
+    return max(_ots(expression, window, instant, oid, mode, stats) for oid in oids)
+
+
+# ---------------------------------------------------------------------------
+# Public wrappers
+# ---------------------------------------------------------------------------
+
+
+def evaluate(
+    expression: EventExpression,
+    window: WindowLike,
+    instant: Timestamp,
+    oid: Any | None = None,
+    mode: EvaluationMode = EvaluationMode.LOGICAL,
+    stats: EvaluationStats | None = None,
+) -> TsValue:
+    """Evaluate an expression and wrap the result in a :class:`TsValue`.
+
+    With ``oid=None`` this is the set-oriented ``ts``; with an OID it is the
+    instance-oriented ``ots`` for that object.
+    """
+    if oid is None:
+        value = ts(expression, window, instant, mode, stats)
+    else:
+        value = ots(expression, window, instant, oid, mode, stats)
+    return TsValue(value=value, instant=instant)
+
+
+def is_active(
+    expression: EventExpression,
+    window: WindowLike,
+    instant: Timestamp,
+    oid: Any | None = None,
+    mode: EvaluationMode = EvaluationMode.LOGICAL,
+) -> bool:
+    """Convenience: True when the expression is active at ``instant``."""
+    return evaluate(expression, window, instant, oid=oid, mode=mode).is_active
+
+
+def active_objects(
+    expression: EventExpression,
+    window: WindowLike,
+    instant: Timestamp,
+    candidates: Iterable[Any] | None = None,
+    mode: EvaluationMode = EvaluationMode.LOGICAL,
+    stats: EvaluationStats | None = None,
+) -> set[Any]:
+    """Objects for which an instance-oriented expression is active.
+
+    This is the binding set computed by the ``occurred`` event formula: the
+    OIDs affected by the specified (instance-oriented) event expression within
+    the window.  ``candidates`` defaults to every OID mentioned by the window.
+    The instant and the expression are validated once, not once per OID.
+    """
+    if instant <= 0:
+        raise EvaluationError(
+            f"ots must be evaluated at a positive instant (got {instant})"
+        )
+    if not expression.may_be_instance_operand():
+        raise EvaluationError(
+            "occurred/active_objects only accept instance-oriented expressions "
+            f"(got {expression})"
+        )
+    pool = set(candidates) if candidates is not None else window.oids()
+    recorder = stats if stats is not None else _NULL_STATS
+    recorder.evaluations += len(pool)
+    return {
+        oid
+        for oid in pool
+        if _ots(expression, window, instant, oid, mode, recorder) > 0
+    }
+
+
+def activation_instants(
+    expression: EventExpression,
+    window: WindowLike,
+    oid: Any,
+    until: Timestamp,
+    mode: EvaluationMode = EvaluationMode.LOGICAL,
+) -> list[Timestamp]:
+    """Instants at which the expression *arises* for ``oid`` (the ``at`` formula).
+
+    An expression arises at ``t*`` when its ``ots`` evaluated at ``t*`` equals
+    ``t*`` itself — i.e. the composite event occurs exactly then.  Candidate
+    instants are the distinct time stamps present in the window; for the
+    paper's example (a creation followed by two quantity updates, queried with
+    ``create(stock) <= modify(stock.quantity)``) this yields exactly the two
+    update instants.
+    """
+    instants: list[Timestamp] = []
+    for candidate in window.timestamps():
+        if candidate > until:
+            break
+        if ots(expression, window, candidate, oid, mode) == candidate:
+            instants.append(candidate)
+    return instants
+
+
+# ---------------------------------------------------------------------------
+# The triggering predicate T(r, t), sampled at every distinct stamp
+# ---------------------------------------------------------------------------
+
+
+def is_triggered(
+    expression: EventExpression,
+    event_base: WindowLike,
+    last_consideration: Timestamp | None,
+    now: Timestamp,
+    mode: EvaluationMode = EvaluationMode.LOGICAL,
+    stats: EvaluationStats | None = None,
+    memo: TriggerMemo | None = None,
+) -> TriggeringDecision:
+    """Exact evaluation of the triggering predicate ``T(r, t)``.
+
+    ``event_base`` may be the full EB (the view ``(last_consideration, now]``
+    is carved out of it) or an already-built view.  The existential over
+    ``t1`` is decided by sampling every distinct time stamp in the window
+    plus ``now``.
+
+    When ``memo`` is given *and* ``event_base`` is the EB itself, the check is
+    incremental: instants the memo proves were already sampled negative are
+    skipped, and the memo is updated to cover this check.  The memo is ignored
+    (left untouched) for pre-built views, whose relation to previous checks
+    is unknown.
+    """
+    window = _as_window(event_base, last_consideration, now)
+    if window.is_empty():
+        return TriggeringDecision(False, None, None, 0)
+    incremental = memo is not None and isinstance(event_base, EventBase)
+    lower: Timestamp | None = None
+    if incremental and memo.covers(last_consideration):
+        lower = memo.last_sampled
+        if memo.seen_events < len(event_base):
+            # Occurrences appended since the previous check: they always sit
+            # at the tail of the log (non-decreasing order), so the earliest
+            # of them bounds how far the frontier may need to rewind.  A tie
+            # with an already-sampled stamp re-opens that stamp for sampling.
+            first_new = event_base.occurrence_at(memo.seen_events).timestamp
+            if first_new <= lower:
+                lower = first_new - 1
+    if lower is None:
+        candidates = [stamp for stamp in window.timestamps() if stamp <= now]
+    else:
+        candidates = [stamp for stamp in window.timestamps_after(lower) if stamp <= now]
+    if not candidates or candidates[-1] != now:
+        candidates.append(now)
+    sampled = 0
+    for instant in candidates:
+        sampled += 1
+        value = ts(expression, window, instant, mode, stats)
+        if value > 0:
+            if incremental:
+                memo.clear()
+            return TriggeringDecision(True, instant, value, len(window), sampled)
+    if incremental:
+        memo.record(last_consideration, now, len(event_base))
+    return TriggeringDecision(False, None, None, len(window), sampled)
+
+
+def _as_window(
+    event_base: WindowLike,
+    last_consideration: Timestamp | None,
+    now: Timestamp,
+) -> BoundedView:
+    if isinstance(event_base, BoundedView):
+        return event_base
+    return event_base.view(after=last_consideration, until=now)
+
+
+# ---------------------------------------------------------------------------
+# The reference Trigger Support
+# ---------------------------------------------------------------------------
 
 
 def restricted_samples(

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from repro.core.evaluation import ts
+from repro.core.compile import ts
 from repro.core.optimization import watched_event_types
 from repro.core.parser import parse_expression
 from repro.errors import NonTerminationError

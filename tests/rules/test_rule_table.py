@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import optimization
-from repro.core.evaluation import ts
+from repro.core.compile import ts
 from repro.core.expressions import Primitive
 from repro.core.optimization import watched_event_types
 from repro.core.parser import parse_expression

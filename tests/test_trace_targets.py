@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +123,21 @@ def test_a_subclass_definition_counts_as_live():
     assert "home_population" not in vars(TriggerSupport)
     assert _is_live("repro.rules.trigger_support", "TriggerSupport", "home_population")
     assert not _is_live("repro.rules.trigger_support", "NoSuchSupport", "plan")
+
+
+def test_the_tracer_installs_in_a_fresh_interpreter():
+    """``Tracer.install`` reads a module-level target as ``vars(module)[name]``
+    and does not skip a missing one, so a module-level name renamed away
+    kills every traced pass, which the liveness guards above do not see.
+    The tracer's own ``install`` must run to the end in a fresh process."""
+    root = _TRACE.parents[2]
+    path = os.pathsep.join([str(root / "src"), str(_TRACE.parent)])
+    result = subprocess.run(
+        [sys.executable, "-c", "import e2e_trace; e2e_trace.Tracer().install()"],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
