@@ -8,23 +8,26 @@ the triggering semantics (paper §4.5) selects a *window* ``R`` of occurrences
 — typically the occurrences newer than a rule's last consideration — and the
 ``ts`` / ``ots`` functions are computed over that window.
 
-There is one store and one implementation of every calculus query: each
-takes optional ``(after, until]`` bounds, and the whole log is ``(None,
-None]``.  A :class:`BoundedView` is the store plus a pair of bounds — O(1)
-to build, O(log n) per query — whose every method passes its bounds to the
-store's.  It is what the Trigger Support and the condition formulas read
-(see PERFORMANCE.md).
-
-The store indexes occurrences by event type and by (event type, OID) so that
-the calculus can answer its two fundamental questions in O(log n):
-
-* the most recent occurrence of a type in ``(after, t]``;
-* the most recent occurrence of a type *on a given object* in ``(after, t]``.
+The calculus's one reader is the compiled shape kernels of
+:mod:`repro.core.compile`: they bisect the store's per-type columns
+themselves (``_TypeIndex`` through :meth:`StampIndex._indexes_matching`,
+``_all_timestamps``, ``_distinct_timestamps``), so the store answers no
+``ts`` / ``ots`` query of its own.  The store indexes occurrences by event
+type — each type's time stamps, log positions and OIDs, plus per-OID stamps
+— so a kernel finds the most recent occurrence of a type, on the whole
+window or on one object, in ``(after, t]`` with one bisect per matching
+type.
 
 Those indexes need only each row's ``(event type, OID, time stamp)``, so they
 live in :class:`StampIndex` on their own — which is all a process shard
 worker's mirror of the EB is — and every batch enters them through one
-single-pass routine, :meth:`StampIndex._index_rows`.
+single-pass routine, :meth:`StampIndex._index_rows`.  The few queries the
+store does answer (the window's OIDs and distinct stamps, its latest stamp,
+the occurrences or objects of some types, the Fig. 4 accessors) take
+optional ``(after, until]`` bounds, the whole log being ``(None, None]``.  A
+:class:`BoundedView` is the store plus a pair of bounds — O(1) to build —
+whose every method passes its bounds to the store's.  It is what the Trigger
+Support and the condition formulas hand the kernels (see PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import itertools
 import operator
 from array import array
 from collections import defaultdict
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import EventCalculusError
 from repro.events.clock import Timestamp
@@ -95,21 +98,6 @@ class _TypeIndex:
         """The OID of every occurrence in ``(after, until]`` (repeats kept)."""
         start, stop = _bisect_span(self.timestamps, after, until)
         return self.oids[start:stop]
-
-
-def _last_in(
-    stamps: Sequence[Timestamp], after: Timestamp | None, instant: Timestamp
-) -> Timestamp | None:
-    """The greatest of the sorted ``stamps`` in ``(after, instant]``, or None.
-
-    The one bounded lookup, by type (a type's ``timestamps``) and by type and
-    OID (a ``per_oid`` list).
-    """
-    position = bisect.bisect_right(stamps, instant)
-    last = stamps[position - 1] if position else None
-    if last is None or (after is not None and last <= after):
-        return None
-    return last
 
 
 class StampIndex:
@@ -232,24 +220,6 @@ class StampIndex:
         """Log positions ``[start, stop)`` of the occurrences in ``(after, until]``."""
         return _bisect_span(self._all_timestamps, after, until)
 
-    def is_empty(
-        self, after: Timestamp | None = None, until: Timestamp | None = None
-    ) -> bool:
-        """True when no occurrence falls in ``(after, until]`` (``R = {}``)."""
-        start, stop = self._span(after, until)
-        return start == stop
-
-    def event_types(
-        self, after: Timestamp | None = None, until: Timestamp | None = None
-    ) -> set[EventType]:
-        """The event types with at least one occurrence in ``(after, until]``."""
-        present: set[EventType] = set()
-        for event_type, index in self._by_type.items():
-            start, stop = _bisect_span(index.timestamps, after, until)
-            if stop > start:
-                present.add(event_type)
-        return present
-
     def oids(
         self, after: Timestamp | None = None, until: Timestamp | None = None
     ) -> set[Any]:
@@ -265,15 +235,6 @@ class StampIndex:
         """The distinct time stamps in ``(after, until]``, sorted."""
         start, stop = _bisect_span(self._distinct_timestamps, after, until)
         return self._distinct_timestamps[start:stop]
-
-    def timestamps_after(
-        self,
-        lower: Timestamp,
-        after: Timestamp | None = None,
-        until: Timestamp | None = None,
-    ) -> list[Timestamp]:
-        """The distinct time stamps in ``(after, until]`` greater than ``lower``."""
-        return self.timestamps(lower if after is None else max(lower, after), until)
 
     def latest_timestamp(
         self, after: Timestamp | None = None, until: Timestamp | None = None
@@ -293,40 +254,6 @@ class StampIndex:
         if matched is None:
             matched = self._by_pattern[event_type] = []
         return matched
-
-    # -- queries used by the calculus ------------------------------------
-    def last_timestamp(
-        self,
-        event_type: EventType,
-        instant: Timestamp,
-        after: Timestamp | None = None,
-        until: Timestamp | None = None,
-    ) -> Timestamp | None:
-        """Latest stamp of ``event_type`` in ``(after, min(instant, until)]``."""
-        bound = _tighter(instant, until)
-        best: Timestamp | None = None
-        for index in self._indexes_matching(event_type):
-            candidate = _last_in(index.timestamps, after, bound)
-            if candidate is not None and (best is None or candidate > best):
-                best = candidate
-        return best
-
-    def last_timestamp_on(
-        self,
-        event_type: EventType,
-        oid: Any,
-        instant: Timestamp,
-        after: Timestamp | None = None,
-        until: Timestamp | None = None,
-    ) -> Timestamp | None:
-        """Latest ``event_type`` on ``oid`` in ``(after, min(instant, until)]``."""
-        bound = _tighter(instant, until)
-        best: Timestamp | None = None
-        for index in self._indexes_matching(event_type):
-            candidate = _last_in(index.per_oid.get(oid, ()), after, bound)
-            if candidate is not None and (best is None or candidate > best):
-                best = candidate
-        return best
 
     def objects_affected_by(
         self,
@@ -503,19 +430,6 @@ class EventBase(StampIndex):
         matched.sort(key=lambda occurrence: (occurrence.timestamp, occurrence.eid))
         return matched
 
-    def select(
-        self,
-        predicate: Callable[[EventOccurrence], bool],
-        after: Timestamp | None = None,
-        until: Timestamp | None = None,
-    ) -> list[EventOccurrence]:
-        """Occurrences in ``(after, until]`` satisfying ``predicate``, in log order."""
-        return [
-            occurrence
-            for occurrence in self.occurrences_between(*self._span(after, until))
-            if predicate(occurrence)
-        ]
-
     # -- Fig. 4 accessor functions ---------------------------------------
     def get(self, eid: int) -> EventOccurrence:
         """Return the occurrence with identifier ``eid``."""
@@ -604,36 +518,14 @@ class BoundedView:
         parent = self._parent
         return tuple(parent.occurrences_between(*parent._span(self.after, self.until)))
 
-    def is_empty(self) -> bool:
-        return self._parent.is_empty(self.after, self.until)
-
     def latest_timestamp(self) -> Timestamp | None:
         return self._parent.latest_timestamp(self.after, self.until)
-
-    def event_types(self) -> set[EventType]:
-        return self._parent.event_types(self.after, self.until)
 
     def oids(self) -> set[Any]:
         return self._parent.oids(self.after, self.until)
 
     def timestamps(self) -> list[Timestamp]:
         return self._parent.timestamps(self.after, self.until)
-
-    def timestamps_after(self, lower: Timestamp) -> list[Timestamp]:
-        return self._parent.timestamps_after(lower, self.after, self.until)
-
-    # -- queries used by the calculus ----------------------------------------
-    def last_timestamp(
-        self, event_type: EventType, instant: Timestamp
-    ) -> Timestamp | None:
-        return self._parent.last_timestamp(event_type, instant, self.after, self.until)
-
-    def last_timestamp_on(
-        self, event_type: EventType, oid: Any, instant: Timestamp
-    ) -> Timestamp | None:
-        return self._parent.last_timestamp_on(
-            event_type, oid, instant, self.after, self.until
-        )
 
     def occurrences_of(
         self, event_type: EventType, instant: Timestamp | None = None
@@ -646,11 +538,6 @@ class BoundedView:
         return self._parent.objects_affected_by(
             event_types, instant, self.after, self.until
         )
-
-    def select(
-        self, predicate: Callable[[EventOccurrence], bool]
-    ) -> list[EventOccurrence]:
-        return self._parent.select(predicate, self.after, self.until)
 
 
 #: The occurrence sets ``R`` the calculus (``ts``/``ots``, condition

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from repro.core.compile import ots, ts
+from repro.core.compile import compile_check, ots, ts
 from repro.core.expressions import Primitive
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
@@ -50,6 +52,23 @@ def history(*entries: tuple[EventType, str, int]) -> EventBase:
         )
     ]
     return event_base_of(occurrences)
+
+
+@functools.lru_cache(maxsize=None)
+def _primitive_binding(event_type: EventType):
+    return compile_check(Primitive(event_type))
+
+
+def last_stamp(window, event_type: EventType, instant: int, oid=None):
+    """The latest stamp of ``event_type`` in ``window`` up to ``instant`` (on
+    ``oid``, when given), read as the engine reads it: the compiled ``ts`` /
+    ``ots`` of the primitive, None where it is inactive."""
+    binding = _primitive_binding(event_type)
+    if oid is None:
+        value = binding.ts(window, instant)
+    else:
+        value = binding.ots(window, instant, oid)
+    return value if value > 0 else None
 
 
 class _Interpreter:

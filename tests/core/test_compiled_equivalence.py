@@ -17,13 +17,16 @@ first positive one.
 The expression pool mixes randomized trees over all eight set/instance
 operators with hand-built shapes the random generator reaches rarely: pure
 negation, nested precedence, instance lifts with inner negations (the
-universal and existential domain-growth cases) and instance-oriented roots.
+universal and existential domain-growth cases), instance-oriented roots and
+shapes over the class-level ``modify(cls0)``, the one pattern of the pool
+that matches more than one concrete type.
 Then: many rules of one shape sharing a kernel (a hypothesis property and a
 memory budget), whole churn scenarios replayed through every coordinator
 against the oracle Trigger Support, and the binding invariants: a handle is
 the store's live pattern list, resolved once per store.  The interpreter is
 the tests' alone: no module of ``src/`` imports ``tests``, defines a ``ts`` /
-``ots`` outside the compiled evaluator or names the interpreter's types.
+``ots`` outside the compiled evaluator or names the interpreter's types; and
+the interpreter reads the window's rows, never an index of the Event Base.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ from tests.oracle import ts as interpreted_ts
 MODES = (EvaluationMode.LOGICAL, EvaluationMode.ALGEBRAIC)
 
 UNIVERSE = event_type_universe(classes=3, attributes_per_class=2)
+CLASS_LEVEL = EventType(Operation.MODIFY, "cls0")
 
 
 def _expression_pool(seed: int = 23, count: int = 24):
@@ -87,6 +91,9 @@ def _expression_pool(seed: int = 23, count: int = 24):
     )
     pool = generator.expressions(count, operators=4)
     a, b, c = (Primitive(UNIVERSE[index]) for index in (0, 1, 5))
+    # The universe is concrete: only these shapes read a class-level pattern
+    # list, which matches both modify(cls0.attr*) types.
+    m = Primitive(CLASS_LEVEL)
     pool += [
         SetNegation(a),  # pure negation (vacuously active)
         SetNegation(SetNegation(SetDisjunction(a, b))),
@@ -103,6 +110,11 @@ def _expression_pool(seed: int = 23, count: int = 24):
         InstanceNegation(InstanceNegation(a)),
         InstancePrecedence(InstanceNegation(a), b),
         InstanceDisjunction(InstancePrecedence(a, b), InstanceNegation(c)),
+        SetPrecedence(a, m),  # class-level patterns, set and instance
+        SetConjunction(InstancePrecedence(a, m), SetNegation(c)),
+        SetConjunction(InstanceNegation(m), b),
+        InstancePrecedence(m, a),
+        InstanceConjunction(m, InstanceNegation(b)),
     ]
     return pool
 
@@ -691,3 +703,22 @@ class TestOneEvaluatorInSrc:
         for name, text in _sources():
             for word in ("EvaluationMode", "EvaluationStats"):
                 assert word not in text, f"{name} names {word}"
+
+
+ORACLE = Path(__file__).resolve().parents[1] / "oracle.py"
+
+
+class TestTheOracleReadsRows:
+    def test_the_oracle_names_no_index_of_the_event_base(self):
+        """The reference scans the window's rows: were it to read the indexes
+        the kernels bisect, a fault in them would show on both sides."""
+        text = ORACLE.read_text(encoding="utf-8")
+        for word in (
+            "_by_type",
+            "_by_pattern",
+            "_indexes_matching",
+            "per_oid",
+            "last_timestamp",
+            "objects_affected_by",
+        ):
+            assert word not in text, f"tests/oracle.py names {word}"

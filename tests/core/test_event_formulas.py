@@ -9,7 +9,9 @@ differential property test pins them equal over random instance expressions
 (all four instance operators, negation included), random histories and every
 window structure — the Event Base itself and a zero-copy :class:`BoundedView`
 with random ``(after, until]`` bounds — and an evaluation instant at or past
-``until``.
+``until``.  Hand-built shapes over the class-level ``modify(alpha)`` are
+swept the same way, so every instance operator is compared on a pattern
+that matches more than one concrete type.
 """
 
 from __future__ import annotations
@@ -267,27 +269,63 @@ def test_compiled_formulas_equal_the_oracle(world, seed, operators, mode, kind):
     assert_formulas_match(expression, window, now, at_until, mode)
 
 
+class _SeededWorld:
+    """A random history and window bounds drawn from one seed."""
+
+    def __init__(self, seed: int) -> None:
+        rng = self.rng = random.Random(seed)
+        self.event_base = EventBase()
+        stamp = 1
+        for _ in range(rng.randint(0, 16)):
+            stamp += rng.randint(0, 2)
+            self.event_base.record(rng.choice(CONCRETE), rng.choice(OIDS), stamp)
+        self.last = stamp
+        self.until = rng.randint(1, stamp + 1)
+        self.after = rng.choice((None, rng.randint(0, self.until)))
+        self.now = self.until + rng.randint(0, 3)
+
+    def compare(self, expression) -> None:
+        """The formulas on the Event Base and on the bounded view, both modes."""
+        rng = self.rng
+        for kind, window in _windows(self.event_base, self.after, self.until).items():
+            instant = max(self.now, self.last) if kind == "event base" else self.now
+            for mode in MODES:
+                assert_formulas_match(
+                    expression, window, instant, rng.randint(1, instant), mode
+                )
+
+
 def test_every_instance_operator_is_compared_on_every_window():
     """A seeded sweep that provably reaches all four instance operators."""
     seen: set[str] = set()
     for seed in range(60):
-        rng = random.Random(seed)
-        event_base = EventBase()
-        stamp = 1
-        for _ in range(rng.randint(0, 16)):
-            stamp += rng.randint(0, 2)
-            event_base.record(rng.choice(CONCRETE), rng.choice(OIDS), stamp)
+        world = _SeededWorld(seed)
         generator = ExpressionGenerator(event_types=PATTERNS, seed=seed)
-        until = rng.randint(1, stamp + 1)
-        after = rng.choice((None, rng.randint(0, until)))
-        now = until + rng.randint(0, 3)
         for operators in range(1, 5):
             expression = generator.instance_expression(operators)
             seen |= _operators(expression)
-            for kind, window in _windows(event_base, after, until).items():
-                instant = max(now, stamp) if kind == "event base" else now
-                for mode in MODES:
-                    assert_formulas_match(
-                        expression, window, instant, rng.randint(1, instant), mode
-                    )
+            world.compare(expression)
     assert seen >= INSTANCE_OPERATORS
+
+
+#: Hand-built shapes over the class-level ``modify(alpha)``, which matches two
+#: of the concrete types: a primitive and every instance operator read its
+#: pattern list.
+CLASS_LEVEL_SHAPES = tuple(
+    parse_expression(text)
+    for text in (
+        "modify(alpha)",
+        "create(alpha) <= modify(alpha)",
+        "modify(alpha) <= delete(alpha)",
+        "-=modify(alpha) += create(beta)",
+        "modify(alpha) ,= -=create(alpha)",
+    )
+)
+
+
+def test_class_level_shapes_are_compared_on_every_window():
+    """A seeded sweep of the class-level shapes over every window structure."""
+    for seed in range(40):
+        world = _SeededWorld(seed)
+        for expression in CLASS_LEVEL_SHAPES:
+            world.compare(expression)

@@ -188,10 +188,19 @@ def test_ts_value_is_bounded_by_the_instant(expression, window, instant):
 @settings(max_examples=120, deadline=None)
 @given(window=histories(min_size=1), instant=instants)
 def test_primitive_ts_is_last_occurrence_or_minus_t(window, instant):
-    for event_type in EVENT_TYPES:
+    """ts(T, t) is the stamp of the last row matching T up to t, by a scan of
+    the rows; the class-level ``modify(A)`` matches ``modify(A.x)`` rows."""
+    for event_type in [*EVENT_TYPES, EventType(Operation.MODIFY, "A")]:
         value = ts(Primitive(event_type), window, instant)
-        expected = window.last_timestamp(event_type, instant)
-        assert value == (expected if expected is not None else -instant)
+        expected = max(
+            (
+                row.timestamp
+                for row in window
+                if event_type.matches(row.event_type) and row.timestamp <= instant
+            ),
+            default=-instant,
+        )
+        assert value == expected
 
 
 @settings(max_examples=120, deadline=None)
@@ -276,7 +285,7 @@ def test_variation_set_is_sound_for_triggering(expression, window, new_type, new
     condition and any occurrence unblocks it — which is why the Trigger
     Support routes a rule only after one check of a non-empty window.
     """
-    if window.is_empty() and ts(expression, EventBase(), 1) > 0:
+    if not len(window) and ts(expression, EventBase(), 1) > 0:
         return  # vacuously active: the rider set, not V(E), covers it
     positive_types = {
         variation.event_type

@@ -1,9 +1,12 @@
 """Every query of the Event Base, over the whole log or a :class:`BoundedView`,
 against a brute-force scan of the occurrence list.
 
-The reference shares no code with the store: it filters the log by
-``after < timestamp <= until`` and matches types with ``EventType.matches``.
-The whole log is the window ``(None, None]``, asked of the Event Base itself.
+The store's own queries are asked directly; the latest-stamp lookups of the
+calculus are read the way the engine reads them, through the compiled ``ts`` /
+``ots`` of a primitive (:func:`tests.conftest.last_stamp`).  The reference
+shares no code with the store: it filters the log by ``after < timestamp <=
+until`` and matches types with ``EventType.matches``.  The whole log is the
+window ``(None, None]``, asked of the Event Base itself.
 """
 
 from __future__ import annotations
@@ -12,9 +15,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.core.compile import compile_check
+from repro.core.expressions import Primitive
 from repro.errors import EventCalculusError
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import BoundedView, EventBase, StampIndex
+
+from tests.conftest import last_stamp
 
 A = EventType(Operation.CREATE, "A")
 B = EventType(Operation.CREATE, "B")
@@ -115,14 +122,12 @@ def test_contents_match_a_scan(pair):
     rows = scan(event_base, after, until)
     for window in windows(event_base, after, until):
         assert len(window) == len(rows)
-        assert window.is_empty() == (not rows)
         assert bool(window) == bool(rows)
         assert list(window.occurrences) == rows
         assert list(window) == rows
         assert window.latest_timestamp() == last_of(rows)
         assert window.timestamps() == sorted({row.timestamp for row in rows})
         assert window.oids() == {row.oid for row in rows}
-        assert window.event_types() == {row.event_type for row in rows}
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,8 +140,8 @@ def test_calculus_queries_match_a_scan(pair, instant, oid):
             typed = [row for row in rows if event_type.matches(row.event_type)]
             typed_early = [row for row in typed if row.timestamp <= instant]
             on_oid = [row for row in typed_early if row.oid == oid]
-            assert window.last_timestamp(event_type, instant) == last_of(typed_early)
-            assert window.last_timestamp_on(event_type, oid, instant) == last_of(on_oid)
+            assert last_stamp(window, event_type, instant) == last_of(typed_early)
+            assert last_stamp(window, event_type, instant, oid) == last_of(on_oid)
             assert window.occurrences_of(event_type) == typed
             assert window.occurrences_of(event_type, instant) == typed_early
         matching = [
@@ -148,19 +153,21 @@ def test_calculus_queries_match_a_scan(pair, instant, oid):
         assert window.objects_affected_by(QUERY_TYPES, instant) == {
             row.oid for row in matching if row.timestamp <= instant
         }
-        assert window.select(lambda row: row.oid == oid) == [
-            row for row in rows if row.oid == oid
-        ]
 
 
 @settings(max_examples=100, deadline=None)
 @given(pair=bounded_pairs(), lower=st.integers(min_value=0, max_value=32))
 def test_timestamps_after_match_a_scan(pair, lower):
+    """A window narrowed to stamps above ``lower`` — how the compiled check
+    resumes past its memo's frontier — holds exactly the scan's stamps."""
     event_base, after, until = pair
     rows = scan(event_base, after, until)
     expected = sorted({row.timestamp for row in rows if row.timestamp > lower})
-    for window in windows(event_base, after, until):
-        assert window.timestamps_after(lower) == expected
+    narrowed = lower if after is None else max(lower, after)
+    if until is not None and narrowed > until:
+        assert expected == []
+        return
+    assert event_base.view(after=narrowed, until=until).timestamps() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +202,25 @@ class TestBoundedViewBasics:
     def test_empty_window_case(self):
         event_base = build_event_base([(A, "o1", 1)])
         view = event_base.view(after=1, until=1)
-        assert view.is_empty()
+        assert len(view) == 0
         assert view.timestamps() == []
         assert view.oids() == set()
         assert view.latest_timestamp() is None
-        assert view.last_timestamp(A, 10) is None
+        assert last_stamp(view, A, 1) is None
+        assert last_stamp(view, A, 10) is None
+        assert last_stamp(view, A, 10, "o1") is None
 
     def test_class_level_pattern_sees_types_registered_after_first_query(self):
-        """A class-level pattern's live list grows with new types."""
+        """A class-level pattern's live list grows with new types: a binding
+        resolved before ``modify(A.y)`` first occurred reads it afterwards."""
         event_base = build_event_base([(MOD_AX, "o1", 1)])
         view = event_base.full_view()
-        assert view.last_timestamp(MOD_A, 10) == 1
+        check = compile_check(Primitive(MOD_A))
+        assert check.ts(view, 10) == 1
+        assert check.ots(view, 10, "o1") == 1
         event_base.record(MOD_AY, "o1", 5)
-        assert view.last_timestamp(MOD_A, 10) == 5
+        assert check.ts(view, 10) == 5
+        assert check.ots(view, 10, "o1") == 5
 
     @settings(max_examples=200, deadline=None)
     @given(steps=st.lists(store_steps, max_size=20))

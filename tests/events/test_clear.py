@@ -13,6 +13,8 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.core.compile import compile_check
+from repro.core.expressions import InstanceNegation, InstancePrecedence, Primitive
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase, StampIndex
 
@@ -64,25 +66,39 @@ def feed_mirror(mirror: StampIndex, history) -> None:
         mirror._index_rows(types, [oid for _, oid in rows], [stamp] * len(rows))
 
 
+#: The compiled reads of every pattern: point ``ts`` / ``ots`` of the
+#: primitive, and the exact check of the primitive, of a universal lift and of
+#: an instance precedence.  A binding re-resolves whenever it meets another
+#: store, so one set serves every store of every example.
+POINTS = [compile_check(Primitive(pattern)) for pattern in PATTERNS]
+CHECKS = [
+    compile_check(expression)
+    for pattern in PATTERNS
+    for expression in (
+        Primitive(pattern),
+        InstanceNegation(Primitive(pattern)),
+        InstancePrecedence(Primitive(A), Primitive(pattern)),
+    )
+]
+
+
 def stamp_answers(store: StampIndex, after, until) -> list:
-    """Every time-stamp query a compiled kernel or the planner asks."""
+    """Every time-stamp reading the store's queries and the compiled kernels
+    take: the point reads over the whole log, and the exact check over
+    ``(after, until]`` that a worker runs on its mirror."""
     answers = [
         len(store),
-        store.is_empty(after, until),
-        store.event_types(after, until),
         store.oids(after, until),
         store.timestamps(after, until),
-        store.timestamps_after(3, after, until),
         store.latest_timestamp(after, until),
         store.objects_affected_by(PATTERNS, None, after, until),
     ]
-    for pattern in PATTERNS:
+    for point in POINTS:
         for instant in (1, 4, 14):
-            answers.append(store.last_timestamp(pattern, instant, after, until))
-            for oid in OIDS:
-                answers.append(
-                    store.last_timestamp_on(pattern, oid, instant, after, until)
-                )
+            answers.append(point.ts(store, instant))
+            answers.extend(point.ots(store, instant, oid) for oid in OIDS)
+    now = 14 if until is None else until
+    answers.extend(check.check(store, after, now) for check in CHECKS)
     return answers
 
 
@@ -90,7 +106,7 @@ def occurrence_answers(event_base: EventBase, after, until) -> list:
     answers = [
         list(event_base),
         event_base.occurrences_between(0, len(event_base)),
-        event_base.select(lambda row: row.oid == "o1", after, until),
+        list(event_base.view(after, until)),
         [event_base.get(row.eid) for row in event_base],
         event_base.record(A, "o9", 15),  # the EID it mints
     ]
@@ -122,7 +138,7 @@ def test_a_cleared_event_base_answers_like_a_fresh_one(
     feed(event_base, before)
     resolved = {pattern: event_base._indexes_matching(pattern) for pattern in PATTERNS}
     event_base.clear()
-    assert len(event_base) == 0 and event_base.is_empty()
+    assert len(event_base) == 0 and event_base.timestamps() == []
     feed(event_base, after_clear)
     fresh = EventBase()
     feed(fresh, after_clear)

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core.compile import compile_check, ots, ts
+from repro.core.expressions import Primitive
 from repro.errors import EventCalculusError
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
 
-from tests.conftest import A, B, C, event_base_from, history
+from tests.conftest import A, B, C, PA, PB, event_base_from, history, last_stamp
 
 MODIFY_STOCK_QTY = EventType(Operation.MODIFY, "stock", "quantity")
 MODIFY_STOCK = EventType(Operation.MODIFY, "stock")
@@ -74,7 +76,7 @@ class TestEventBaseRecording:
 
 class TestBulkExtend:
     """The single-pass bulk ``extend`` must be indistinguishable from a
-    per-occurrence ``append`` loop — same indexes, same query answers — and
+    per-occurrence ``append`` loop — same indexes, same compiled reads — and
     must reject a bad batch atomically."""
 
     def stream(self, count: int, start_eid: int = 1, start_stamp: int = 1):
@@ -96,19 +98,17 @@ class TestBulkExtend:
         for occurrence in batch:
             loop.append(occurrence)
         assert bulk.occurrences == loop.occurrences
+        assert index_state(bulk) == index_state(loop)
         assert bulk.timestamps() == loop.timestamps()
-        assert bulk.event_types() == loop.event_types()
         assert bulk.oids() == loop.oids()
         latest = bulk.latest_timestamp()
         for event_type in (A, MODIFY_STOCK, MODIFY_STOCK_QTY):
-            assert bulk.last_timestamp(event_type, latest) == loop.last_timestamp(
-                event_type, latest
+            assert last_stamp(bulk, event_type, latest) == last_stamp(
+                loop, event_type, latest
             )
             assert bulk.occurrences_of(event_type) == loop.occurrences_of(event_type)
         for oid in bulk.oids():
-            assert bulk.last_timestamp_on(A, oid, latest) == loop.last_timestamp_on(
-                A, oid, latest
-            )
+            assert last_stamp(bulk, A, latest, oid) == last_stamp(loop, A, latest, oid)
 
     def test_bulk_extend_after_appends_continues_the_log(self):
         eb = EventBase()
@@ -179,16 +179,18 @@ class TestBulkExtend:
             assert eb.extend(batch) == frozenset(o.event_type for o in batch)
 
     def test_bulk_extend_registers_new_types_for_class_patterns(self):
-        # A class-level pattern resolved before the bulk insert must see the
-        # attribute-specific types the batch introduces (match-cache drop).
+        # A class-level pattern bound before the bulk insert must see the
+        # attribute-specific types the batch introduces: the binding's handle
+        # is the store's live pattern list.
         eb = EventBase()
         eb.record(CREATE_STOCK, "o1", 1)
-        assert eb.last_timestamp(MODIFY_STOCK, 10) is None  # primes the cache
+        check = compile_check(Primitive(MODIFY_STOCK))
+        assert check.ts(eb, 10) == -10  # resolves the handle
         batch = [
             EventOccurrence(100 + i, MODIFY_STOCK_QTY, "o1", 2 + i) for i in range(150)
         ]
         eb.extend(batch)
-        assert eb.last_timestamp(MODIFY_STOCK, 1000) == batch[-1].timestamp
+        assert check.ts(eb, 1000) == batch[-1].timestamp
 
 
 def index_state(store) -> tuple:
@@ -272,22 +274,26 @@ class TestFigure4Accessors:
 
 
 class TestQueries:
+    """What the store answers, and what the compiled ``ts`` / ``ots`` of a
+    primitive read from its indexes."""
+
     def test_last_timestamp(self):
         eb = event_base_from((A, "o1", 1), (A, "o2", 4), (B, "o1", 6))
-        assert eb.last_timestamp(A, 10) == 4
-        assert eb.last_timestamp(A, 3) == 1
-        assert eb.last_timestamp(B, 5) is None
+        assert ts(PA, eb, 10) == 4
+        assert ts(PA, eb, 3) == 1
+        assert ts(PB, eb, 5) == -5
 
     def test_last_timestamp_on_object(self):
         eb = event_base_from((A, "o1", 1), (A, "o2", 4))
-        assert eb.last_timestamp_on(A, "o1", 10) == 1
-        assert eb.last_timestamp_on(A, "o2", 10) == 4
-        assert eb.last_timestamp_on(A, "o3", 10) is None
+        assert ots(PA, eb, 10, "o1") == 1
+        assert ots(PA, eb, 10, "o2") == 4
+        assert ots(PA, eb, 10, "o3") == -10
 
     def test_class_level_modify_matches_attribute_specific(self, figure3_eb):
         # modify(stock) subscriptions must see modify(stock.quantity) rows.
-        assert figure3_eb.last_timestamp(MODIFY_STOCK, 10) == 6
-        assert figure3_eb.last_timestamp(MODIFY_STOCK_QTY, 10) == 6
+        assert ts(Primitive(MODIFY_STOCK), figure3_eb, 10) == 6
+        assert ts(Primitive(MODIFY_STOCK_QTY), figure3_eb, 10) == 6
+        assert ots(Primitive(MODIFY_STOCK), figure3_eb, 10, "o1") == 5
 
     def test_occurrences_of_sorted_by_time(self, figure3_eb):
         occurrences = figure3_eb.occurrences_of(CREATE_STOCK)
@@ -302,15 +308,18 @@ class TestQueries:
         assert affected == {"o1", "o2"}
 
     def test_event_types_and_oids(self, figure3_eb):
-        assert CREATE_STOCK in figure3_eb.event_types()
+        assert last_stamp(figure3_eb, CREATE_STOCK, 7) == 2
         assert figure3_eb.oids() == {"o1", "o2", "o3", "o4"}
 
     def test_timestamps_deduplicated_and_sorted(self, figure3_eb):
         assert figure3_eb.timestamps() == [1, 2, 3, 5, 6, 7]
 
-    def test_select_predicate(self, figure3_eb):
-        stock_events = figure3_eb.select(lambda occ: occ.event_on_class == "stock")
-        assert len(stock_events) == 5
+    def test_occurrences_of_a_class_match_a_scan(self, figure3_eb):
+        stock_types = (CREATE_STOCK, MODIFY_STOCK, EventType(Operation.DELETE, "stock"))
+        found = [row for t in stock_types for row in figure3_eb.occurrences_of(t)]
+        scanned = [row for row in figure3_eb if row.event_on_class == "stock"]
+        assert sorted(found, key=lambda row: row.eid) == scanned
+        assert len(scanned) == 5
 
 
 class TestOccurredEventsStructure:
@@ -334,7 +343,7 @@ class TestOccurredEventsStructure:
         )
 
     def test_one_index_per_occurred_type(self, eb):
-        assert eb.event_types() == {
+        assert set(eb._by_type) == {row.event_type for row in eb} == {
             CREATE_STOCK,
             MODIFY_STOCK_QTY,
             self.MODIFY_STOCK_MIN,
@@ -342,10 +351,10 @@ class TestOccurredEventsStructure:
 
     def test_each_type_keeps_its_latest_time_stamp(self, eb):
         latest = eb.latest_timestamp()
-        assert eb.last_timestamp(MODIFY_STOCK_QTY, latest) == 6
-        assert eb.last_timestamp(self.MODIFY_STOCK_MIN, latest) == 4
-        assert eb.last_timestamp(MODIFY_STOCK, latest) == 6
-        assert eb.last_timestamp(self.DELETE_STOCK, latest) is None
+        assert last_stamp(eb, MODIFY_STOCK_QTY, latest) == 6
+        assert last_stamp(eb, self.MODIFY_STOCK_MIN, latest) == 4
+        assert last_stamp(eb, MODIFY_STOCK, latest) == 6
+        assert last_stamp(eb, self.DELETE_STOCK, latest) is None
 
     def test_occurrences_of_a_type_since_a_time_stamp(self, eb):
         def eids(store, event_type):
@@ -385,7 +394,7 @@ class TestWindows:
 
     def test_empty_window(self, figure3_eb):
         window = figure3_eb.view(after=7)
-        assert window.is_empty()
+        assert len(window) == 0 and window.timestamps() == []
         assert window.latest_timestamp() is None
 
     def test_latest_timestamp(self, figure3_eb):
@@ -395,7 +404,9 @@ class TestWindows:
     def test_window_queries_ignore_out_of_range_events(self, figure3_eb):
         window = figure3_eb.view(after=2, until=6)
         # create(stock) occurrences are at t1 and t2, both excluded.
-        assert window.last_timestamp(CREATE_STOCK, 10) is None
+        assert ts(Primitive(CREATE_STOCK), window, 6) == -6
+        assert ots(Primitive(CREATE_STOCK), window, 6, "o1") == -6
+        assert ts(Primitive(MODIFY_STOCK), window, 6) == 6
 
     def test_history_helper_sorts_entries(self):
         window = history((B, "o1", 5), (A, "o1", 1), (C, "o2", 3))

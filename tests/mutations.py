@@ -14,7 +14,8 @@ Hypothesis seed.  The row passes when every test it names fails; a test that
 still passes is a surviving mutant, reported by id, and the command exits 1.
 A surviving mutant is a finding: add the test that kills it, never narrow the
 row.  ``tests/test_mutations.py`` checks, on every tier-1 run, that each
-fragment still occurs exactly once in its file.
+fragment still occurs exactly once in its file and that each named test is
+still defined where its id says.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ _REFUSED = (
 )
 _POOL = "tests/cluster/test_process_pool.py"
 _INCREMENTAL = "tests/core/test_incremental_triggering.py"
+_POINT = "tests/core/test_compiled_equivalence.py::TestPointEquivalence"
+_PATTERN_LISTS = (
+    "tests/events/test_bounded_view.py::TestBoundedViewBasics"
+    "::test_every_pattern_list_is_exactly_the_matching_indexes"
+)
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -215,6 +221,48 @@ MUTANTS: tuple[Mutant, ...] = (
             "::test_an_unpicklable_oid_is_named_by_its_eid_and_logged_once",
             f"{_POOL}::test_unpicklable_oid_fails_at_dispatch_not_in_worker",
             f"{_POOL}::test_lagging_worker_catches_up_from_the_log",
+        ),
+    ),
+    Mutant(
+        name="event-base-class-level-pattern-unregistered",
+        path="src/repro/events/event_base.py",
+        fragment=(
+            "        if event_type.attribute is not None:\n"
+            "            by_pattern.setdefault(event_type.class_level, [])"
+            ".append(index)\n"
+        ),
+        replacement="",
+        tests=(
+            f"{_POINT}::test_ts_matches_interpreted",
+            f"{_POINT}::test_ots_matches_interpreted",
+            "tests/core/test_event_formulas.py"
+            "::test_compiled_formulas_equal_the_oracle",
+            "tests/core/test_event_formulas.py"
+            "::test_class_level_shapes_are_compared_on_every_window",
+            _PATTERN_LISTS,
+        ),
+    ),
+    Mutant(
+        name="event-base-class-pattern-guard-dropped",
+        path="src/repro/events/event_base.py",
+        fragment="        if event_type.attribute is not None:\n",
+        replacement="        if True:\n",
+        tests=(_PATTERN_LISTS,),
+    ),
+    Mutant(
+        name="routing-ignores-class-level-subscribers",
+        path="src/repro/rules/rule_table.py",
+        fragment=(
+            "                bucket = exact.get(event_type.class_level)\n"
+            "                if bucket:\n"
+            "                    matched.update(bucket)\n"
+        ),
+        replacement="",
+        tests=(
+            f"{_RULE_TABLE}::TestRoutingProperty"
+            "::test_subscribers_equal_the_brute_force_reading",
+            "tests/rules/test_planner_equivalence.py"
+            "::test_routed_equals_exhaustive_scan_on_random_scenarios",
         ),
     ),
 )

@@ -32,6 +32,8 @@ OCCURRENCE = EventOccurrence(
 #: found by an equal OID built here.
 PROBE = """
 import pickle, sys
+from repro.core.compile import ots
+from repro.core.expressions import Primitive
 from repro.events.event_base import EventBase
 from repro.oodb.objects import OID
 
@@ -46,7 +48,7 @@ event_base = EventBase()
 event_base.append(occurrence)
 window = event_base.full_view()
 assert fresh in window.oids()
-assert window.last_timestamp_on(occurrence.event_type, fresh, 5) == 3
+assert ots(Primitive(occurrence.event_type), window, 5, fresh) == 3
 print("ok")
 """
 

@@ -11,6 +11,13 @@
   shape kernels of :mod:`repro.core.compile`; this one re-derives every value
   node by node, counts its work (:class:`EvaluationStats`) and is what the
   compiled ``ts`` / ``ots`` / check / formulas are pinned equal to.
+
+  The oracle reads rows, not indexes.  Each top-level call copies the
+  window's occurrences once (:class:`_Rows`), and every primitive lookup,
+  lifted object set and sampled stamp is a scan of them that matches types
+  with :meth:`EventType.matches`.  The kernels bisect the Event Base's
+  per-type columns instead, so a fault in those columns shows up as a
+  difference, never on both sides of one.
 * :class:`OracleTriggerSupport` swaps :func:`is_triggered` in at the one
   evaluation kernel of :class:`TriggerSupport` (nothing else — planning,
   decision apply and every counter are the engine's own), so a whole
@@ -33,6 +40,7 @@
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Iterable
@@ -55,6 +63,88 @@ from repro.events.clock import Timestamp
 from repro.events.event import EventType, Operation
 from repro.events.event_base import BoundedView, EventBase, WindowLike
 from repro.rules.trigger_support import TriggerSupport
+
+# ---------------------------------------------------------------------------
+# The window R, read as rows
+# ---------------------------------------------------------------------------
+
+#: ``_Rows.last``'s "any object": an OID no row carries.
+_ANY = object()
+
+
+class _Rows:
+    """The rows of a window ``R``, in log order, and scans over them.
+
+    The one view of ``R`` the interpreter has: the window's occurrences
+    copied once (the Event Base's whole log or a view's slice) into columns.
+    A pattern is matched with :meth:`EventType.matches` against each distinct
+    type object of the window, once per pattern; a lookup then scans the
+    rows.  Types are keyed by identity, which hashes in C (an equal type held
+    by another object is matched on its own).  Log order never decreases in
+    time stamp, so the latest row up to an instant is the first match of a
+    backward scan from there.
+    """
+
+    __slots__ = ("_stamps", "_types", "_oids", "_present", "_matched")
+
+    def __init__(self, window: WindowLike) -> None:
+        rows = tuple(window)
+        types = [row.event_type for row in rows]
+        self._stamps = [row.timestamp for row in rows]
+        self._types = list(map(id, types))
+        self._oids = [row.oid for row in rows]
+        self._present = dict(zip(self._types, types))
+        self._matched: dict[EventType, set[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._stamps)
+
+    def _matching(self, pattern: EventType) -> set[int]:
+        """The identities of the window's types that ``pattern`` matches."""
+        matched = self._matched.get(pattern)
+        if matched is None:
+            matched = self._matched[pattern] = {
+                key
+                for key, event_type in self._present.items()
+                if pattern.matches(event_type)
+            }
+        return matched
+
+    def last(
+        self, pattern: EventType, instant: Timestamp, oid: Any = _ANY
+    ) -> Timestamp | None:
+        """The latest stamp up to ``instant`` of a row matching ``pattern``
+        (on ``oid``, when one is given), or None."""
+        matched = self._matching(pattern)
+        if matched:
+            stamps, types, oids = self._stamps, self._types, self._oids
+            position = bisect_right(stamps, instant)
+            while position:
+                position -= 1
+                if types[position] in matched and (
+                    oid is _ANY or oids[position] == oid
+                ):
+                    return stamps[position]
+        return None
+
+    def objects(self, patterns: Iterable[EventType], instant: Timestamp) -> set[Any]:
+        """The OIDs of the rows up to ``instant`` matching any of ``patterns``."""
+        matched = set().union(*map(self._matching, patterns))
+        return {
+            oid
+            for stamp, key, oid in zip(self._stamps, self._types, self._oids)
+            if stamp <= instant and key in matched
+        }
+
+    def oids(self) -> set[Any]:
+        """The OID of every row."""
+        return set(self._oids)
+
+    def stamps(self, lower: Timestamp | None = None) -> list[Timestamp]:
+        """The distinct stamps above ``lower`` (every one for None), sorted."""
+        distinct = sorted(set(self._stamps))
+        return distinct if lower is None else distinct[bisect_right(distinct, lower) :]
+
 
 # ---------------------------------------------------------------------------
 # The ts value domain and the unit step u
@@ -158,6 +248,17 @@ def ts(
     is the evaluation time ``t``.  The result is positive (an activation time
     stamp) when the expression is active and ``-t`` otherwise.
     """
+    return _checked_ts(expression, _Rows(window), instant, mode, stats)
+
+
+def _checked_ts(
+    expression: EventExpression,
+    window: _Rows,
+    instant: Timestamp,
+    mode: EvaluationMode,
+    stats: EvaluationStats | None,
+) -> int:
+    """One counted ``ts`` evaluation over rows already read."""
     if instant <= 0:
         raise EvaluationError(
             f"ts must be evaluated at a positive instant (got {instant})"
@@ -169,7 +270,7 @@ def ts(
 
 def _ts(
     expression: EventExpression,
-    window: WindowLike,
+    window: _Rows,
     instant: Timestamp,
     mode: EvaluationMode,
     stats: EvaluationStats,
@@ -178,7 +279,7 @@ def _ts(
 
     if isinstance(expression, Primitive):
         stats.primitive_lookups += 1
-        last = window.last_timestamp(expression.event_type, instant)
+        last = window.last(expression.event_type, instant)
         return last if last is not None else -instant
 
     if isinstance(expression, SetNegation):
@@ -260,6 +361,18 @@ def ots(
     Only primitives and instance-oriented operators may appear in the
     expression (the paper forbids set-oriented operators below instance ones).
     """
+    return _checked_ots(expression, _Rows(window), instant, oid, mode, stats)
+
+
+def _checked_ots(
+    expression: EventExpression,
+    window: _Rows,
+    instant: Timestamp,
+    oid: Any,
+    mode: EvaluationMode,
+    stats: EvaluationStats | None,
+) -> int:
+    """One counted ``ots`` evaluation over rows already read."""
     if instant <= 0:
         raise EvaluationError(
             f"ots must be evaluated at a positive instant (got {instant})"
@@ -276,7 +389,7 @@ def ots(
 
 def _ots(
     expression: EventExpression,
-    window: WindowLike,
+    window: _Rows,
     instant: Timestamp,
     oid: Any,
     mode: EvaluationMode,
@@ -286,7 +399,7 @@ def _ots(
 
     if isinstance(expression, Primitive):
         stats.primitive_lookups += 1
-        last = window.last_timestamp_on(expression.event_type, oid, instant)
+        last = window.last(expression.event_type, instant, oid)
         return last if last is not None else -instant
 
     if isinstance(expression, InstanceNegation):
@@ -318,7 +431,7 @@ def _ots(
 
 def _lift(
     expression: EventExpression,
-    window: WindowLike,
+    window: _Rows,
     instant: Timestamp,
     mode: EvaluationMode,
     stats: EvaluationStats,
@@ -337,7 +450,7 @@ def _lift(
     satisfy negation-only conjunctions).  An empty candidate set makes
     existential lifts inactive and negation vacuously active.
     """
-    oids = window.objects_affected_by(expression.event_types(), instant)
+    oids = window.objects(expression.event_types(), instant)
     stats.lifted_objects += len(oids)
     if isinstance(expression, InstanceNegation):
         if not oids:
@@ -408,13 +521,12 @@ def active_objects(
             "occurred/active_objects only accept instance-oriented expressions "
             f"(got {expression})"
         )
-    pool = set(candidates) if candidates is not None else window.oids()
+    rows = _Rows(window)
+    pool = set(candidates) if candidates is not None else rows.oids()
     recorder = stats if stats is not None else _NULL_STATS
     recorder.evaluations += len(pool)
     return {
-        oid
-        for oid in pool
-        if _ots(expression, window, instant, oid, mode, recorder) > 0
+        oid for oid in pool if _ots(expression, rows, instant, oid, mode, recorder) > 0
     }
 
 
@@ -434,11 +546,12 @@ def activation_instants(
     ``create(stock) <= modify(stock.quantity)``) this yields exactly the two
     update instants.
     """
+    rows = _Rows(window)
     instants: list[Timestamp] = []
-    for candidate in window.timestamps():
+    for candidate in rows.stamps():
         if candidate > until:
             break
-        if ots(expression, window, candidate, oid, mode) == candidate:
+        if _checked_ots(expression, rows, candidate, oid, mode, None) == candidate:
             instants.append(candidate)
     return instants
 
@@ -470,8 +583,8 @@ def is_triggered(
     (left untouched) for pre-built views, whose relation to previous checks
     is unknown.
     """
-    window = _as_window(event_base, last_consideration, now)
-    if window.is_empty():
+    window = _Rows(_as_window(event_base, last_consideration, now))
+    if not window:
         return TriggeringDecision(False, None, None, 0)
     incremental = memo is not None and isinstance(event_base, EventBase)
     lower: Timestamp | None = None
@@ -485,16 +598,13 @@ def is_triggered(
             first_new = event_base.occurrence_at(memo.seen_events).timestamp
             if first_new <= lower:
                 lower = first_new - 1
-    if lower is None:
-        candidates = [stamp for stamp in window.timestamps() if stamp <= now]
-    else:
-        candidates = [stamp for stamp in window.timestamps_after(lower) if stamp <= now]
+    candidates = [stamp for stamp in window.stamps(lower) if stamp <= now]
     if not candidates or candidates[-1] != now:
         candidates.append(now)
     sampled = 0
     for instant in candidates:
         sampled += 1
-        value = ts(expression, window, instant, mode, stats)
+        value = _checked_ts(expression, window, instant, mode, stats)
         if value > 0:
             if incremental:
                 memo.clear()
